@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test --workspace -q
 
+echo "== benchmark driver (builds against the library calls the benchmark uses) =="
+cargo build --locked --offline -q --manifest-path dsebench/driver/Cargo.toml
+
 echo "== runner engine integration tests =="
 cargo test -q -p c2-runner --test engine_resume
 cargo test -q -p c2-runner --test proptest_runner

@@ -163,14 +163,13 @@ pub fn aps_from_scenario(
 ///
 /// Rejects a phase-mode oracle: phase windows cluster trace intervals
 /// by C-AMAT memory behaviour the GPU bound never models, so the
-/// combination is a typed error here (the engine layer), mirroring the
-/// same rejection in `Scenario::validate` and the CLI.
+/// combination is a typed error here (the engine layer) for library
+/// callers that never call `Scenario::validate`, which rejects it with
+/// the same message.
 pub fn gpu_sweep_from_scenario(sc: &Scenario) -> Result<GpuSmBackend> {
     if sc.oracle.mode == c2_config::OracleMode::Phase {
         return Err(Error::Optimization(
-            "the phase-clustered oracle requires the cpu-cmp backend \
-             (phase windows are C-AMAT-specific)"
-                .to_string(),
+            "phase oracle requires the cpu-cmp backend".to_string(),
         ));
     }
     let g = &sc.backend.gpu;

@@ -1,79 +1,34 @@
 //! `c2bound-tool` — the paper's "automatic tool to find an
 //! application-specific optimal architecture" (§I contribution 3), as a
-//! command-line program.
+//! command-line program. [`USAGE`] is the synopsis of every subcommand.
 //!
-//! ```text
-//! c2bound-tool characterize <tmm|spmv|stencil|fft|fluidanimate> [size]
-//! c2bound-tool optimize [f_seq] [f_mem] [g-exponent] [area] [shared]
-//! c2bound-tool aps <tmm|spmv|stencil|fft|fluidanimate> [size]
-//! c2bound-tool scaling [f_mem]
-//! c2bound-tool table1
-//! c2bound-tool trace <workload> [size]          # dump a #c2trace file to stdout
-//! c2bound-tool characterize-file <path>         # characterize a #c2trace file
-//! c2bound-tool multiobjective [weight]          # energy/perf trade-off (SS VII)
-//! c2bound-tool adaptive                         # phase-adaptive reconfiguration (SS V)
-//! c2bound-tool run (<workload> [size] | --scenario FILE) [--workers N]
-//!               [--deadline-ms D] [--max-attempts K] [--journal PATH]
-//!               [--resume] [--metrics-out PATH] [--sync POLICY]
-//!               [--checkpoint-every N] [--chaos SPEC] [--oracle-mode MODE]
-//!               [--backend cpu-cmp|gpu-sm] [--roofline-out PATH]
-//! c2bound-tool serve [--addr HOST:PORT] [--dir PATH] [--scenario FILE]
-//!               [--cache PATH] [--resume] [--drain-on-idle]
-//!               [--executors N] [--queue-depth N] [--budget N]
-//! c2bound-tool submit --addr HOST:PORT --scenario FILE [--tenant NAME] [--wait]
-//! c2bound-tool status --addr HOST:PORT [JOB]    # daemon job table / one job
-//! c2bound-tool shutdown --addr HOST:PORT [--wait]
-//! c2bound-tool journal compact <PATH>           # repair + shrink a resume journal
-//! c2bound-tool scenario init [--backend cpu-cmp|gpu-sm] [PATH]
-//! c2bound-tool scenario validate <PATH>         # parse + validate, print fingerprint
-//! c2bound-tool scenario show <PATH>             # canonical render + fingerprint
-//! c2bound-tool roofline <FILE>                  # render a --roofline-out report
-//! c2bound-tool obs-report <metrics.json> [--prom|--json]
-//! ```
-//!
-//! `run` drives the APS refinement sweep through the supervised job
-//! engine (`c2-runner`): worker pool, per-attempt deadlines, retry
-//! with backoff, circuit breaking, and — with `--journal` — a
-//! flushed-per-outcome checkpoint file that `--resume` picks up
+//! `run` executes one sweep through [`c2bound::pipeline`]: the
+//! workload → characterize → sweep → oracle → engine → Roofline
+//! pipeline on the supervised job engine (`c2-runner`), with
+//! per-attempt deadlines, retry with backoff, circuit breaking, and —
+//! with `--journal` — a checkpoint file that `--resume` picks up
 //! idempotently after a crash. `--metrics-out` records a clock-free
-//! observability report (metrics + tick-ordered trace, see DESIGN.md
-//! §7); `obs-report` pretty-prints or re-exports such a report.
+//! observability report (DESIGN.md §7); `obs-report` pretty-prints or
+//! re-exports such a report.
 //!
-//! `run --scenario` executes a declarative scenario file (DESIGN.md
-//! §8): every knob — workload, chip, model constants, design space,
-//! budget, solver tolerances, runner policy — comes from the document,
-//! and the scenario fingerprint is bound into the resume journal so a
-//! checkpoint can only be resumed against the scenario that wrote it.
-//! The positional form is the same pipeline over the built-in defaults
-//! (tiny sweep space) and writes fingerprint-free journals. Command-line
-//! flags override the scenario's runner section in both forms.
-//! `--cache` requires the sharded engine (`--threads N`, N >= 1); on
-//! the positional form, cache entries are keyed by the fingerprint of
-//! the internally assembled scenario, so a shared cache file can never
-//! serve one workload's or size's results to another.
+//! The sweep comes from a declarative scenario file (`run --scenario`,
+//! DESIGN.md §8) or from the positional form, which is the built-in
+//! defaults over the tiny sweep space and writes fingerprint-free
+//! journals. Flags that change what is computed (`--oracle-mode`,
+//! `--backend`, `--law`, `--screen`) and `--roofline-out` patch the
+//! scenario before its one validation; runner flags patch the engine
+//! configuration instead, so they never move the scenario fingerprint
+//! that journal headers and cache addresses bind. On the positional
+//! form, cache entries are keyed by the fingerprint of the assembled
+//! scenario, so a shared cache file can never serve one workload's or
+//! size's results to another.
 //!
-//! `--oracle-mode phase` (or a scenario `oracle` section) switches the
-//! per-point oracle to the phase-clustered fast path (DESIGN.md §13):
-//! phase detection runs once per workload, every design point then
-//! simulates only one representative interval per phase, and the
-//! detected summary is memoized in the evaluation cache so repeated
-//! invocations skip re-clustering. Phase mode is an estimator — its
-//! journals and caches are fingerprint-isolated from full-mode runs.
-//!
-//! `--backend gpu-sm` (or a scenario `backend` section, DESIGN.md §14)
-//! swaps the C-AMAT/Eq. 10 pricing core for the GPU streaming-
-//! multiprocessor analytical backend: the same axes reinterpreted as
-//! (SM count, FP32 lanes per SM, occupancy target), priced by
-//! `Φ_SM = θ·C_fp32·(1+m_FMA)` against a bandwidth roof. Backend
-//! identity is bound into journal headers and cache addresses, so a
-//! cpu-cmp checkpoint or cache entry can never be resumed or served
-//! under gpu-sm (or vice versa). The phase oracle is C-AMAT-specific
-//! and is rejected with any non-CPU backend. `--roofline-out PATH`
-//! (either backend, `run` or served jobs via the scenario's
-//! `observability.roofline_out`) writes every evaluated candidate's
-//! (operational intensity, ceilings, attained bound, limiting ceiling)
-//! as deterministic JSON; `roofline` renders such a file as an ASCII
-//! log-log chart plus a per-candidate table.
+//! `--oracle-mode phase` prices each point with the phase-clustered
+//! estimator (DESIGN.md §13); `--backend gpu-sm` swaps in the GPU
+//! streaming-multiprocessor backend (DESIGN.md §14); `--law` picks the
+//! scalability law and `--screen` enables surrogate screening
+//! (DESIGN.md §15). `roofline` renders a `--roofline-out` report as an
+//! ASCII log-log chart plus a per-candidate table.
 //!
 //! Durability knobs: `--sync never|on-checkpoint|always` picks the
 //! fsync policy, `--checkpoint-every N` the journal checkpoint cadence
@@ -89,27 +44,24 @@
 //! per-tenant admission breakers, bounded-queue load shedding with
 //! deterministic `Retry-After`, durable per-job artifacts, and
 //! graceful drain on SIGTERM or `/shutdown`. `submit`, `status`, and
-//! `shutdown` are the matching clients. Every admitted job runs the
-//! identical pipeline as one-shot `run --scenario`, so its journal and
-//! metrics are byte-identical to the command-line run.
+//! `shutdown` are the matching clients. Every admitted job calls the
+//! same pipeline function as one-shot `run --scenario`, so its journal
+//! and metrics are byte-identical to the command-line run.
 //!
 //! Everything is computed live: `characterize` and `aps` run the
 //! cycle-level simulator; `optimize` solves Eq. 13.
 
-use c2_bound::dse::{simulate_point, DesignPoint, Oracle};
+use c2_bound::dse::{simulate_point, DesignPoint};
 use c2_bound::optimize::optimize;
 use c2_bound::report::{fmt_num, Table};
 use c2_bound::scaling::ScalingStudy;
-use c2_bound::{
-    aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
-    BackendSweep, C2BoundModel, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan, PhaseSummary,
-    ProgramProfile,
-};
+use c2_bound::{C2BoundModel, ProgramProfile};
 use c2_config::{BackendKind, BackendSpec, LawKind, OracleMode, Scenario, SpaceSpec};
-use c2_sim::area::{AreaModel, SiliconBudget};
+use c2_sim::area::SiliconBudget;
 use c2_sim::ChipConfig;
 use c2_speedup::scale::ScaleFunction;
 use c2_workloads::{characterize, Characterization, Workload, WorkloadTrace};
+use c2bound::pipeline;
 
 /// The usage text, verbatim. A golden test pins it so the help a user
 /// actually sees is reviewed like any other interface change.
@@ -136,19 +88,38 @@ const USAGE: &str = "usage:\n  c2bound-tool characterize <tmm|spmv|stencil|fft|f
      c2bound-tool roofline <FILE>\n  \
      c2bound-tool obs-report <metrics.json> [--prom|--json]";
 
+/// The scalability-law spellings `--law` accepts.
+const LAWS: &str = "sun-ni|amdahl|memory-wall|usl";
+
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// One `error:` line on stderr, then exit with `code`: 2 for usage and
+/// validation errors, 1 for everything else.
+fn die(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code);
+}
+
+/// Exit on a pipeline error: 2 for a scenario the pipeline cannot
+/// assemble (nothing was written yet), 1 for a failed run.
+fn die_pipeline(e: pipeline::Error) -> ! {
+    let code = if matches!(e, pipeline::Error::Run(_)) {
+        1
+    } else {
+        2
+    };
+    die(code, e)
 }
 
 /// Parse a value that is actually present on the command line. A
 /// malformed value is a one-line error and a nonzero exit — never a
 /// silently substituted default.
 fn parse_arg<T: std::str::FromStr>(raw: &str, name: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {name}: {raw:?}");
-        std::process::exit(2);
-    })
+    raw.parse()
+        .unwrap_or_else(|_| die(2, format!("invalid {name}: {raw:?}")))
 }
 
 /// Positional argument `i`: absent means `default`; present but
@@ -174,37 +145,25 @@ fn characterize_workload(w: &dyn Workload) -> (WorkloadTrace, Characterization, 
     (trace, ch, chip)
 }
 
-/// The positional commands run the default scenario with only the
-/// workload (and, for sweeps, the fast tiny space) overridden — the
-/// same pipeline as `run --scenario`, same constants, no drift.
-fn positional_scenario(name: &str, size: u64, tiny_space: bool) -> Scenario {
+/// The positional `run`/`aps` form: the default scenario with only the
+/// workload and the fast tiny space overridden — the same pipeline as
+/// `run --scenario`, same constants, no drift. Callers validate it
+/// after their overrides, so `run stencil 0` dies with a typed error
+/// before the engine can publish an empty journal or cache.
+fn positional_scenario(name: &str, size: u64) -> Scenario {
     let mut sc = Scenario::default();
     sc.workload.name = name.to_string();
     sc.workload.size = size;
-    if tiny_space {
-        sc.space = SpaceSpec::tiny();
-    }
-    // Positional arguments get the same range checks a scenario file
-    // gets: `run stencil 0` must die with a typed error here, not
-    // reach the engine and publish an empty journal or cache.
-    if let Err(e) = sc.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    sc.space = SpaceSpec::tiny();
     sc
 }
 
 /// Read, parse, and validate a scenario file, or exit with a one-line
 /// typed error.
 fn load_scenario(path: &str) -> Scenario {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    Scenario::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(1);
-    })
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, format!("cannot read {path}: {e}")));
+    Scenario::from_json(&text).unwrap_or_else(|e| die(1, format!("{path}: {e}")))
 }
 
 fn cmd_characterize(args: &[String]) {
@@ -285,15 +244,10 @@ fn cmd_optimize(args: &[String]) {
 fn cmd_aps(args: &[String]) {
     let name = args.first().map(String::as_str).unwrap_or_else(|| usage());
     let size = parse_or(args, 1, "size", 24u64);
-    let sc = positional_scenario(name, size, true);
-    let Some(w) = c2_workloads::workload_from_spec(&sc.workload) else {
-        usage()
-    };
-    let chip = ChipConfig::from_spec(&sc.chip).expect("default chip spec");
-    let trace = w.generate();
-    let ch = characterize(&trace, &chip).expect("characterization failed");
-    let g = scale_function(&sc, w.as_ref());
-    let aps = aps_from_scenario(&sc, &ch, &chip, g).expect("scenario model");
+    let sc = positional_scenario(name, size);
+    sc.validate().unwrap_or_else(|e| die(2, e));
+    let pipeline::CpuSetup { trace, aps } =
+        pipeline::cpu_setup(&sc).unwrap_or_else(|e| die_pipeline(e));
     let area = aps.model.area;
     let budget = aps.model.budget;
     println!(
@@ -306,16 +260,8 @@ fn cmd_aps(args: &[String]) {
             simulate_point(p, &trace, &area, &budget)
                 .map_err(|e| c2_bound::Error::Simulation(e.to_string()))
         })
-        .expect("APS");
-    println!(
-        "chosen: N = {}, A0 = {} mm2, L1 = {} mm2, L2 = {} mm2, issue = {}, ROB = {}",
-        outcome.chosen.n,
-        fmt_num(outcome.chosen.a0),
-        fmt_num(outcome.chosen.a1),
-        fmt_num(outcome.chosen.a2),
-        outcome.chosen.issue_width,
-        outcome.chosen.rob_size
-    );
+        .unwrap_or_else(|e| die(1, e));
+    println!("{}", chosen_line(BackendKind::CpuCmp, &outcome.chosen));
     println!(
         "simulations used: {}; best simulated time: {} cycles; calibrated model error: {}%",
         outcome.simulations,
@@ -334,6 +280,38 @@ fn cmd_aps(args: &[String]) {
     );
 }
 
+/// The `chosen:` report line, in the backend's axis vocabulary
+/// (DESIGN.md §14 reinterprets the axes for gpu-sm).
+fn chosen_line(kind: BackendKind, p: &DesignPoint) -> String {
+    match kind {
+        BackendKind::CpuCmp => format!(
+            "chosen: N = {}, A0 = {} mm2, L1 = {} mm2, L2 = {} mm2, issue = {}, ROB = {}",
+            p.n,
+            fmt_num(p.a0),
+            fmt_num(p.a1),
+            fmt_num(p.a2),
+            p.issue_width,
+            p.rob_size
+        ),
+        BackendKind::GpuSm => format!(
+            "chosen: SMs = {}, FP32 lanes/SM = {}, occupancy target = {}%, \
+             SM area = {} mm2 (L1 {} / L2 {})",
+            p.n,
+            p.issue_width,
+            p.rob_size,
+            fmt_num(p.a0),
+            fmt_num(p.a1),
+            fmt_num(p.a2)
+        ),
+    }
+}
+
+/// Parse an enumerated flag value, or exit 2 naming the accepted
+/// spellings.
+fn parse_choice<T>(flag: &str, raw: &str, parse: fn(&str) -> Option<T>, choices: &str) -> T {
+    parse(raw).unwrap_or_else(|| die(2, format!("invalid {flag} {raw:?} ({choices})")))
+}
+
 /// Parse `--chaos "crash-at=7,torn=3,seed=42"` into a fault plan.
 /// Keys mirror the scenario's `runner.chaos` section; write indices
 /// are 1-based (the plan itself rejects 0).
@@ -341,8 +319,10 @@ fn parse_chaos(raw: &str) -> c2_runner::ChaosPlan {
     let mut plan = c2_runner::ChaosPlan::default();
     for part in raw.split(',').filter(|p| !p.is_empty()) {
         let Some((key, value)) = part.split_once('=') else {
-            eprintln!("error: invalid --chaos item {part:?} (expected key=value)");
-            std::process::exit(2);
+            die(
+                2,
+                format!("invalid --chaos item {part:?} (expected key=value)"),
+            )
         };
         let n: u64 = parse_arg(value, "--chaos value");
         match key {
@@ -351,84 +331,23 @@ fn parse_chaos(raw: &str) -> c2_runner::ChaosPlan {
             "enospc-at" => plan.enospc_at_write = Some(n),
             "short-at" => plan.short_write_at = Some(n),
             "seed" => plan.seed = n,
-            _ => {
-                eprintln!(
-                    "error: unknown --chaos key {key:?} \
-                     (crash-at|torn|enospc-at|short-at|seed)"
-                );
-                std::process::exit(2);
-            }
+            _ => die(
+                2,
+                format!("unknown --chaos key {key:?} (crash-at|torn|enospc-at|short-at|seed)"),
+            ),
         }
     }
     if plan.is_none() {
-        eprintln!("error: --chaos injects nothing; give at least one fault");
-        std::process::exit(2);
+        die(2, "--chaos injects nothing; give at least one fault");
     }
     plan
 }
 
-/// `run`: the APS refinement sweep on the supervised engine, with an
-/// optional checkpoint journal and idempotent resume. The sweep is
-/// described either positionally (workload + size over the built-in
-/// defaults) or by a declarative scenario file; flags override the
-/// scenario's runner policy in both forms.
-#[allow(clippy::too_many_lines)]
-/// Run the supervised sweep for `cmd_run`, dispatching between full
-/// enumeration and surrogate screening on the scenario's `screen`
-/// block. Screening prints its own accounting line; its operational
-/// telemetry (the `SCREEN_*` counters) is deliberately not folded
-/// into `--metrics-out`, which golden tests bit-compare.
-fn run_supervised(
-    runner: &c2_runner::SweepRunner,
-    sc: &Scenario,
-    sweep: &dyn BackendSweep,
-    pricer: &Pricer<'_>,
-    journal: Option<&std::path::Path>,
-    resume: bool,
-    recorder: &c2_obs::Recorder,
-) -> c2_runner::RunSummary {
-    if sc.screen.enabled {
-        let screen_cfg = c2_runner::ScreenConfig::from_scenario(sc).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let (summary, report) = runner
-            .run_screened(
-                sweep,
-                &screen_cfg,
-                || pricer.clone(),
-                journal,
-                resume,
-                recorder,
-                &c2_obs::NullSink,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-        println!(
-            "screen report: {} true evaluations of {} candidates \
-             ({} screened out, {} resumed) in {} rounds; \
-             final committee spread {}{}",
-            report.true_evaluations,
-            report.plan_jobs,
-            report.screened_out,
-            report.resumed,
-            report.rounds,
-            fmt_num(report.final_spread),
-            if report.converged { " (converged)" } else { "" }
-        );
-        summary
-    } else {
-        runner
-            .run_aps_observed(sweep, || pricer.clone(), journal, resume, recorder)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            })
-    }
-}
-
+/// `run`: one sweep through [`pipeline::execute`], with an optional
+/// checkpoint journal and idempotent resume. The sweep comes from a
+/// scenario file or the positional form. Flags that change what is
+/// computed patch the scenario before its one validation; runner
+/// flags patch the engine configuration (DESIGN.md §8).
 fn cmd_run(args: &[String]) {
     let mut scenario_path: Option<String> = None;
     let mut name: Option<String> = None;
@@ -446,93 +365,52 @@ fn cmd_run(args: &[String]) {
     let mut oracle_mode: Option<OracleMode> = None;
     let mut backend: Option<BackendKind> = None;
     let mut law: Option<LawKind> = None;
-    let mut screen_flag = false;
-    let mut roofline_out: Option<std::path::PathBuf> = None;
+    let mut screen = false;
+    let mut roofline_out: Option<String> = None;
     let mut resume = false;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
+        let mut value = || rest.next().map(String::as_str).unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--scenario" => match rest.next() {
-                Some(v) => scenario_path = Some(v.clone()),
-                None => usage(),
-            },
-            "--workers" => match rest.next() {
-                Some(v) => workers = Some(parse_arg(v, "--workers")),
-                None => usage(),
-            },
-            "--threads" => match rest.next() {
-                Some(v) => threads = Some(parse_arg(v, "--threads")),
-                None => usage(),
-            },
-            "--cache" => match rest.next() {
-                Some(v) => cache = Some(std::path::PathBuf::from(v)),
-                None => usage(),
-            },
-            "--deadline-ms" => match rest.next() {
-                Some(v) => deadline_ms = Some(parse_arg(v, "--deadline-ms")),
-                None => usage(),
-            },
-            "--max-attempts" => match rest.next() {
-                Some(v) => max_attempts = Some(parse_arg(v, "--max-attempts")),
-                None => usage(),
-            },
-            "--journal" => match rest.next() {
-                Some(v) => journal = Some(std::path::PathBuf::from(v)),
-                None => usage(),
-            },
-            "--metrics-out" => match rest.next() {
-                Some(v) => metrics_out = Some(std::path::PathBuf::from(v)),
-                None => usage(),
-            },
-            "--sync" => match rest.next() {
-                Some(v) => {
-                    sync = Some(c2_runner::SyncPolicy::parse(v).unwrap_or_else(|| {
-                        eprintln!("error: invalid --sync {v:?} (never|on-checkpoint|always)");
-                        std::process::exit(2);
-                    }));
-                }
-                None => usage(),
-            },
-            "--checkpoint-every" => match rest.next() {
-                Some(v) => checkpoint_every = Some(parse_arg(v, "--checkpoint-every")),
-                None => usage(),
-            },
-            "--chaos" => match rest.next() {
-                Some(v) => chaos = Some(parse_chaos(v)),
-                None => usage(),
-            },
-            "--oracle-mode" => match rest.next() {
-                Some(v) => {
-                    oracle_mode = Some(OracleMode::parse(v).unwrap_or_else(|| {
-                        eprintln!("error: invalid --oracle-mode {v:?} (full|phase)");
-                        std::process::exit(2);
-                    }));
-                }
-                None => usage(),
-            },
-            "--backend" => match rest.next() {
-                Some(v) => {
-                    backend = Some(BackendKind::parse(v).unwrap_or_else(|| {
-                        eprintln!("error: invalid --backend {v:?} (cpu-cmp|gpu-sm)");
-                        std::process::exit(2);
-                    }));
-                }
-                None => usage(),
-            },
-            "--roofline-out" => match rest.next() {
-                Some(v) => roofline_out = Some(std::path::PathBuf::from(v)),
-                None => usage(),
-            },
-            "--law" => match rest.next() {
-                Some(v) => {
-                    law = Some(LawKind::parse(v).unwrap_or_else(|| {
-                        eprintln!("error: invalid --law {v:?} (sun-ni|amdahl|memory-wall|usl)");
-                        std::process::exit(2);
-                    }));
-                }
-                None => usage(),
-            },
-            "--screen" => screen_flag = true,
+            "--scenario" => scenario_path = Some(value().to_string()),
+            "--workers" => workers = Some(parse_arg(value(), "--workers")),
+            "--threads" => threads = Some(parse_arg(value(), "--threads")),
+            "--cache" => cache = Some(value().into()),
+            "--deadline-ms" => deadline_ms = Some(parse_arg(value(), "--deadline-ms")),
+            "--max-attempts" => max_attempts = Some(parse_arg(value(), "--max-attempts")),
+            "--journal" => journal = Some(value().into()),
+            "--metrics-out" => metrics_out = Some(value().into()),
+            "--sync" => {
+                sync = Some(parse_choice(
+                    "--sync",
+                    value(),
+                    c2_runner::SyncPolicy::parse,
+                    "never|on-checkpoint|always",
+                ));
+            }
+            "--checkpoint-every" => {
+                checkpoint_every = Some(parse_arg(value(), "--checkpoint-every"));
+            }
+            "--chaos" => chaos = Some(parse_chaos(value())),
+            "--oracle-mode" => {
+                oracle_mode = Some(parse_choice(
+                    "--oracle-mode",
+                    value(),
+                    OracleMode::parse,
+                    "full|phase",
+                ));
+            }
+            "--backend" => {
+                backend = Some(parse_choice(
+                    "--backend",
+                    value(),
+                    BackendKind::parse,
+                    "cpu-cmp|gpu-sm",
+                ));
+            }
+            "--law" => law = Some(parse_choice("--law", value(), LawKind::parse, LAWS)),
+            "--roofline-out" => roofline_out = Some(value().to_string()),
+            "--screen" => screen = true,
             "--resume" => resume = true,
             other if !other.starts_with('-') => {
                 if name.is_none() {
@@ -547,146 +425,76 @@ fn cmd_run(args: &[String]) {
         }
     }
     if resume && journal.is_none() {
-        eprintln!("error: --resume requires --journal PATH");
-        std::process::exit(2);
+        die(2, "--resume requires --journal PATH");
     }
-    if let Some(path) = &journal {
-        if path.exists() && !resume {
-            eprintln!(
-                "error: journal {} already exists; pass --resume to continue it or remove it first",
+    if let Some(path) = journal.as_ref().filter(|p| p.exists() && !resume) {
+        die(
+            2,
+            format!(
+                "journal {} already exists; pass --resume to continue it or remove it first",
                 path.display()
-            );
-            std::process::exit(2);
-        }
+            ),
+        );
     }
-    // The scenario: loaded (and fingerprinted, binding the journal) or
-    // assembled from the positional form, which keeps the historical
-    // tiny sweep space and fingerprint-free journals.
-    let (sc, fingerprint) = match &scenario_path {
-        Some(path) => {
-            if name.is_some() || size.is_some() {
-                eprintln!("error: --scenario and a positional workload are mutually exclusive");
-                std::process::exit(2);
-            }
-            let mut sc = load_scenario(path);
-            // The overrides land before the fingerprint is taken, so a
-            // phase-mode or gpu-sm run binds its mode and backend into
-            // the journal, the cache identity, and the phase memo
-            // address.
-            if let Some(mode) = oracle_mode {
-                sc.oracle.mode = mode;
-            }
-            if let Some(kind) = backend {
-                sc.backend.kind = kind;
-            }
-            if let Some(l) = law {
-                sc.speedup.law = l;
-            }
-            if screen_flag {
-                sc.screen.enabled = true;
-            }
-            let fp = sc.fingerprint();
-            (sc, Some(fp))
-        }
-        None => {
-            let Some(name) = name else { usage() };
-            let mut sc = positional_scenario(&name, size.unwrap_or(24), true);
-            if let Some(mode) = oracle_mode {
-                sc.oracle.mode = mode;
-            }
-            if let Some(kind) = backend {
-                sc.backend.kind = kind;
-            }
-            if let Some(l) = law {
-                sc.speedup.law = l;
-            }
-            if screen_flag {
-                sc.screen.enabled = true;
-            }
-            (sc, None)
-        }
+    let mut sc = match &scenario_path {
+        Some(_) if name.is_some() || size.is_some() => die(
+            2,
+            "--scenario and a positional workload are mutually exclusive",
+        ),
+        Some(path) => load_scenario(path),
+        None => positional_scenario(
+            name.as_deref().unwrap_or_else(|| usage()),
+            size.unwrap_or(24),
+        ),
     };
-    // Scenario validation rejects a stored phase+gpu combination, but
-    // the flag overrides can assemble one after validation ran — the
-    // same typed rejection applies here (and again in the assembly
-    // layer, for callers that bypass the CLI).
-    if sc.backend.kind != BackendKind::CpuCmp && sc.oracle.mode == OracleMode::Phase {
-        eprintln!(
-            "error: the phase-clustered oracle requires the cpu-cmp backend \
-             (phase windows are C-AMAT-specific)"
-        );
-        std::process::exit(2);
+    // These land before validation, so a combination the flags
+    // assemble is rejected like a stored one, and before the
+    // fingerprint, so the journal, the cache identity and the phase
+    // memo address bind the mode, backend, law and screening. The
+    // Roofline destination is not fingerprinted.
+    if let Some(mode) = oracle_mode {
+        sc.oracle.mode = mode;
     }
-    // Same three-layer pattern for screening: the scenario validator
-    // rejects a stored phase+screen combination, this check catches
-    // one assembled by flag overrides, and `ScreenConfig` rejects it
-    // again for callers that bypass the CLI.
-    if sc.screen.enabled && sc.oracle.mode == OracleMode::Phase {
-        eprintln!(
-            "error: surrogate screening requires the full oracle \
-             (--screen is incompatible with --oracle-mode phase)"
-        );
-        std::process::exit(2);
+    if let Some(kind) = backend {
+        sc.backend.kind = kind;
     }
-    let mut config = c2_runner::RunConfig::from_spec(&sc.runner).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if let Some(v) = workers {
-        config.workers = v;
+    if let Some(law) = law {
+        sc.speedup.law = law;
     }
-    if let Some(v) = threads {
-        config.threads = v;
+    sc.screen.enabled |= screen;
+    if roofline_out.is_some() {
+        sc.observability.roofline_out = roofline_out;
     }
-    if let Some(p) = cache {
-        config.cache_path = Some(p);
+    sc.validate().unwrap_or_else(|e| die(2, e));
+    let fingerprint = sc.fingerprint();
+    // Runner flags patch the engine configuration, not `sc.runner`:
+    // the runner section is fingerprinted, so patching it would move
+    // every journal header and cache address.
+    let mut config = c2_runner::RunConfig::from_spec(&sc.runner).unwrap_or_else(|e| die(2, e));
+    config.workers = workers.unwrap_or(config.workers);
+    config.threads = threads.unwrap_or(config.threads);
+    config.cache_path = cache.or(config.cache_path);
+    config.deadline_ms = deadline_ms.unwrap_or(config.deadline_ms);
+    config.max_attempts = max_attempts.unwrap_or(config.max_attempts);
+    config.sync = sync.unwrap_or(config.sync);
+    config.checkpoint_every = checkpoint_every.unwrap_or(config.checkpoint_every);
+    config.chaos = chaos.or(config.chaos);
+    config.validate().unwrap_or_else(|e| die(2, e));
+    if scenario_path.is_some() {
+        config = config.with_scenario(fingerprint);
+    } else {
+        // Positional journals stay fingerprint-free for byte
+        // compatibility, but cache addresses still bind the assembled
+        // scenario, so one cache file shared across positional runs
+        // never serves one workload's simulated times to another.
+        config.cache_fingerprint = Some(fingerprint);
     }
-    if let Some(v) = deadline_ms {
-        config.deadline_ms = v;
-    }
-    if let Some(v) = max_attempts {
-        config.max_attempts = v;
-    }
-    if let Some(v) = sync {
-        config.sync = v;
-    }
-    if let Some(v) = checkpoint_every {
-        config.checkpoint_every = v;
-    }
-    if let Some(p) = chaos {
-        config.chaos = Some(p);
-    }
-    if config.cache_path.is_some() && config.threads == 0 {
-        eprintln!(
-            "error: the evaluation cache requires the sharded engine; \
-             pass --threads N (N >= 1) or set runner.threads"
-        );
-        std::process::exit(2);
-    }
-    match fingerprint {
-        Some(fp) => config = config.with_scenario(fp),
-        // The positional path keeps fingerprint-free journals for
-        // byte-compatibility, but the evaluation cache still needs
-        // real run identity (workload, size, model): bind the
-        // assembled scenario's fingerprint into cache addresses only,
-        // so one cache file shared across positional invocations can
-        // never serve one workload's simulated times to another.
-        None => config.cache_fingerprint = Some(sc.fingerprint()),
-    }
-    if metrics_out.is_none() {
-        metrics_out = sc
-            .observability
+    let metrics_out = metrics_out.or_else(|| {
+        sc.observability
             .metrics_out
             .as_ref()
-            .map(std::path::PathBuf::from);
-    }
-    if roofline_out.is_none() {
-        roofline_out = sc
-            .observability
-            .roofline_out
-            .as_ref()
-            .map(std::path::PathBuf::from);
-    }
+            .map(std::path::PathBuf::from)
+    });
     println!(
         "supervised sweep: {}, {} attempts/job{}{}{}",
         if config.threads > 0 {
@@ -714,109 +522,57 @@ fn cmd_run(args: &[String]) {
         }
     );
     let recorder = c2_obs::Recorder::new();
-    let summary = match sc.backend.kind {
-        // The GPU-SM analytical backend needs no workload trace or
-        // characterization: the whole pricing core is closed-form, so
-        // the pipeline is scenario → backend → supervised sweep.
-        BackendKind::GpuSm => {
-            let sweep = gpu_sweep_from_scenario(&sc).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let pricer = Pricer::Gpu(&sweep);
-            let runner = c2_runner::SweepRunner::new(config).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let summary = run_supervised(
-                &runner,
-                &sc,
-                &sweep,
-                &pricer,
-                journal.as_deref(),
-                resume,
-                &recorder,
-            );
-            write_roofline_or_die(&sweep, &summary, fingerprint, roofline_out.as_deref());
-            summary
-        }
-        BackendKind::CpuCmp => {
-            let Some(w) = c2_workloads::workload_from_spec(&sc.workload) else {
-                eprintln!("error: unknown workload {:?}", sc.workload.name);
-                std::process::exit(2);
-            };
-            let chip = ChipConfig::from_spec(&sc.chip).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let trace = w.generate();
-            let ch = characterize(&trace, &chip).expect("characterization failed");
-            let g = scale_function(&sc, w.as_ref());
-            let aps = aps_from_scenario(&sc, &ch, &chip, g).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let area = aps.model.area;
-            let budget = aps.model.budget;
-            let phase_oracle = match sc.oracle.mode {
-                OracleMode::Full => None,
-                OracleMode::Phase => {
-                    let oracle = phase_oracle_for(
-                        &sc,
-                        &trace,
-                        area,
-                        budget,
-                        config.cache_path.as_deref(),
-                        &c2_obs::NullSink,
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    });
-                    let plan = oracle.plan();
-                    println!(
-                        "oracle: phase mode, {} phases, {:.1}% of the trace per evaluation{}",
-                        plan.phase_count(),
-                        100.0 * plan.simulated_fraction(),
-                        if plan.is_exact() {
-                            " (trace too short to cluster; exact fallback)"
-                        } else {
-                            ""
-                        }
-                    );
-                    Some(oracle)
-                }
-            };
-            let pricer = match &phase_oracle {
-                None => Pricer::Full {
-                    trace: &trace,
-                    area: &area,
-                    budget: &budget,
-                },
-                Some(oracle) => Pricer::Phase(oracle),
-            };
-            let runner = c2_runner::SweepRunner::new(config).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let summary = run_supervised(
-                &runner,
-                &sc,
-                &aps,
-                &pricer,
-                journal.as_deref(),
-                resume,
-                &recorder,
-            );
-            write_roofline_or_die(&aps, &summary, fingerprint, roofline_out.as_deref());
-            summary
-        }
-    };
+    let run = pipeline::execute(
+        &sc,
+        config,
+        journal.as_deref(),
+        resume,
+        &recorder,
+        &c2_obs::NullSink,
+    )
+    .unwrap_or_else(|e| die_pipeline(e));
+    if let Some(phases) = run.phases {
+        println!(
+            "oracle: phase mode, {} phases, {:.1}% of the trace per evaluation{}",
+            phases.count,
+            100.0 * phases.simulated_fraction,
+            if phases.exact {
+                " (trace too short to cluster; exact fallback)"
+            } else {
+                ""
+            }
+        );
+    }
+    // Screening's operational telemetry (the `SCREEN_*` counters) is
+    // deliberately not folded into `--metrics-out`, which golden tests
+    // bit-compare; this line is its accounting.
+    if let Some(report) = &run.screen {
+        println!(
+            "screen report: {} true evaluations of {} candidates \
+             ({} screened out, {} resumed) in {} rounds; \
+             final committee spread {}{}",
+            report.true_evaluations,
+            report.plan_jobs,
+            report.screened_out,
+            report.resumed,
+            report.rounds,
+            fmt_num(report.final_spread),
+            if report.converged { " (converged)" } else { "" }
+        );
+    }
+    if let (Some(n), Some(path)) = (run.roofline_points, &sc.observability.roofline_out) {
+        println!(
+            "roofline: wrote {n} candidate points ({} backend) to {path}",
+            sc.backend.kind.as_str()
+        );
+    }
     if let Some(path) = &metrics_out {
         let report = recorder.report();
         if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(1);
+            die(
+                1,
+                format!("cannot write metrics to {}: {e}", path.display()),
+            );
         }
         println!(
             "metrics: wrote {} events and the metric registry to {}",
@@ -824,7 +580,7 @@ fn cmd_run(args: &[String]) {
             path.display()
         );
     }
-    let r = &summary.report;
+    let r = &run.summary.report;
     println!(
         "run report: {} attempted = {} succeeded + {} skipped + {} backfilled \
          ({} resumed, {} retried, {} oracle calls, {} cache hits, {} timeouts, \
@@ -842,32 +598,11 @@ fn cmd_run(args: &[String]) {
         r.quarantined,
         r.breaker_trips
     );
-    let Some(outcome) = summary.outcome else {
+    let Some(outcome) = &run.summary.outcome else {
         println!("run did not complete; resume with --journal/--resume");
         return;
     };
-    match sc.backend.kind {
-        BackendKind::CpuCmp => println!(
-            "chosen: N = {}, A0 = {} mm2, L1 = {} mm2, L2 = {} mm2, issue = {}, ROB = {}",
-            outcome.chosen.n,
-            fmt_num(outcome.chosen.a0),
-            fmt_num(outcome.chosen.a1),
-            fmt_num(outcome.chosen.a2),
-            outcome.chosen.issue_width,
-            outcome.chosen.rob_size
-        ),
-        // Same axes, GPU-SM vocabulary (DESIGN.md §14).
-        BackendKind::GpuSm => println!(
-            "chosen: SMs = {}, FP32 lanes/SM = {}, occupancy target = {}%, \
-             SM area = {} mm2 (L1 {} / L2 {})",
-            outcome.chosen.n,
-            outcome.chosen.issue_width,
-            outcome.chosen.rob_size,
-            fmt_num(outcome.chosen.a0),
-            fmt_num(outcome.chosen.a1),
-            fmt_num(outcome.chosen.a2)
-        ),
-    }
+    println!("{}", chosen_line(sc.backend.kind, &outcome.chosen));
     println!(
         "best simulated time: {} cycles; calibrated model error: {}%; degradation: {:?}",
         fmt_num(outcome.best_time),
@@ -920,27 +655,17 @@ fn cmd_scenario(args: &[String]) {
             let mut path: Option<&String> = None;
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
+                let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
                 match arg.as_str() {
-                    "--backend" => match it.next() {
-                        Some(v) => {
-                            kind = BackendKind::parse(v).unwrap_or_else(|| {
-                                eprintln!("error: invalid --backend {v:?} (cpu-cmp|gpu-sm)");
-                                std::process::exit(2);
-                            });
-                        }
-                        None => usage(),
-                    },
-                    "--law" => match it.next() {
-                        Some(v) => {
-                            law = Some(LawKind::parse(v).unwrap_or_else(|| {
-                                eprintln!(
-                                    "error: invalid --law {v:?} (sun-ni|amdahl|memory-wall|usl)"
-                                );
-                                std::process::exit(2);
-                            }));
-                        }
-                        None => usage(),
-                    },
+                    "--backend" => {
+                        kind = parse_choice(
+                            "--backend",
+                            value(),
+                            BackendKind::parse,
+                            "cpu-cmp|gpu-sm",
+                        );
+                    }
+                    "--law" => law = Some(parse_choice("--law", value(), LawKind::parse, LAWS)),
                     other if !other.starts_with('-') && path.is_none() => path = Some(arg),
                     _ => usage(),
                 }
@@ -1400,283 +1125,6 @@ fn cmd_adaptive() {
     );
 }
 
-/// The per-design-point oracle shared by one-shot `run` and the serve
-/// executor, selected by the scenario's `oracle.mode`: `full`
-/// simulates the whole workload at every point; `phase` prices each
-/// point through the phase-clustered estimator (DESIGN.md §13). One
-/// enum serves both paths so they cannot drift — a served phase job
-/// and a command-line phase run execute the identical oracle.
-#[derive(Clone)]
-enum Pricer<'a> {
-    Full {
-        trace: &'a WorkloadTrace,
-        area: &'a AreaModel,
-        budget: &'a SiliconBudget,
-    },
-    Phase(&'a PhaseOracle),
-    /// The GPU-SM measurement oracle: the analytical bound priced at
-    /// the *achieved* occupancy (DESIGN.md §14), so the sweep's
-    /// refinement stage has a deterministic "measured" surface to
-    /// calibrate against, exactly like the CPU simulator does.
-    Gpu(&'a GpuSmBackend),
-}
-
-impl Oracle for Pricer<'_> {
-    fn evaluate(&mut self, _key: u64, p: &DesignPoint) -> c2_bound::Result<f64> {
-        match self {
-            Pricer::Full {
-                trace,
-                area,
-                budget,
-            } => simulate_point(p, trace, area, budget)
-                .map_err(|e| c2_bound::Error::Simulation(e.to_string())),
-            Pricer::Phase(oracle) => oracle.price(p),
-            Pricer::Gpu(backend) => backend.measure(p),
-        }
-    }
-}
-
-/// Decompose a finished sweep into Roofline points, account for them
-/// on the ops sink, and write the deterministic JSON report. Shared by
-/// one-shot `run` and the serve executor so a served job's roofline is
-/// byte-identical to the command-line run's.
-fn emit_roofline(
-    sweep: &dyn BackendSweep,
-    summary: &c2_runner::RunSummary,
-    fingerprint: Option<u64>,
-    path: &std::path::Path,
-    ops: &dyn c2_obs::MetricsSink,
-) -> std::io::Result<usize> {
-    let points = roofline_points(sweep, &summary.plan, &summary.results);
-    let compute = points
-        .iter()
-        .filter(|p| p.limiting == Ceiling::Compute)
-        .count();
-    ops.counter_add(c2_obs::names::ROOFLINE_POINTS_TOTAL, points.len() as u64);
-    ops.counter_add(c2_obs::names::ROOFLINE_COMPUTE_BOUND_TOTAL, compute as u64);
-    ops.counter_add(
-        c2_obs::names::ROOFLINE_BANDWIDTH_BOUND_TOTAL,
-        (points.len() - compute) as u64,
-    );
-    std::fs::write(path, roofline_json(sweep.identity(), fingerprint, &points))?;
-    Ok(points.len())
-}
-
-/// `run`'s roofline emission: a no-op without a destination (flag or
-/// scenario `observability.roofline_out`); an IO failure is fatal,
-/// like a failed `--metrics-out` write.
-fn write_roofline_or_die(
-    sweep: &dyn BackendSweep,
-    summary: &c2_runner::RunSummary,
-    fingerprint: Option<u64>,
-    path: Option<&std::path::Path>,
-) {
-    let Some(path) = path else { return };
-    match emit_roofline(sweep, summary, fingerprint, path, &c2_obs::NullSink) {
-        Ok(n) => println!(
-            "roofline: wrote {n} candidate points ({} backend) to {}",
-            sweep.identity(),
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!("error: cannot write roofline to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Cache address of a scenario's memoized phase summary:
-/// `cache_key(scenario_fingerprint, PHASE_MEMO_SALT)`. The fingerprint
-/// already binds the workload, its size, and every `oracle.phase` knob
-/// (phase mode renders the section semantically), so a memo can only
-/// hit for the exact detection it stores; the salt keeps the address
-/// disjoint from every job entry's (identity, content-key) space.
-const PHASE_MEMO_SALT: u64 = 0x6332_5048_4153_4531; // "c2PHASE1"
-
-/// Build the phase-clustered oracle for a scenario: reuse the phase
-/// summary memoized in the evaluation cache when present and still
-/// consistent with the workload, otherwise run `PhaseDetector` once
-/// and memoize the result for the next invocation. `oracle_phase_*`
-/// telemetry goes to `ops` — never the main sink, because memo-hit vs
-/// fresh-detection legitimately differs between a first and a repeat
-/// run of the same scenario.
-fn phase_oracle_for(
-    sc: &Scenario,
-    workload: &WorkloadTrace,
-    area: AreaModel,
-    budget: SiliconBudget,
-    cache_path: Option<&std::path::Path>,
-    ops: &dyn c2_obs::MetricsSink,
-) -> c2_bound::Result<PhaseOracle> {
-    let config = c2_trace::PhaseConfig {
-        interval_len: sc.oracle.phase.interval_len as usize,
-        clusters: sc.oracle.phase.clusters as usize,
-        seed: sc.oracle.phase.seed,
-        ..c2_trace::PhaseConfig::default()
-    };
-    let memo_key = c2_runner::cache_key(sc.fingerprint(), PHASE_MEMO_SALT);
-    let memoized: Option<PhasePlan> = cache_path.and_then(|path| {
-        let loaded = c2_runner::cache::load(&c2_runner::storage::DISK, path).ok()?;
-        let record = loaded.phases.get(&memo_key)?;
-        let summary = PhaseSummary {
-            labels: record.labels.iter().map(|&l| l as usize).collect(),
-            representatives: record.representatives.iter().map(|&r| r as usize).collect(),
-            interval_len: record.interval_len as usize,
-        };
-        // A corrupted or stale record fails the plan's consistency
-        // validation and falls through to a fresh detection.
-        PhasePlan::from_summary(workload, summary).ok()
-    });
-    let plan = match memoized {
-        Some(plan) => {
-            ops.counter_add(c2_obs::names::ORACLE_PHASE_MEMO_HITS_TOTAL, 1);
-            plan
-        }
-        None => {
-            let plan = PhasePlan::detect(workload, &config)?;
-            ops.counter_add(c2_obs::names::ORACLE_PHASE_DETECTIONS_TOTAL, 1);
-            if let Some(path) = cache_path {
-                let s = plan.summary();
-                let record = c2_runner::PhaseRecord {
-                    interval_len: s.interval_len as u64,
-                    labels: s.labels.iter().map(|&l| l as u64).collect(),
-                    representatives: s.representatives.iter().map(|&r| r as u64).collect(),
-                };
-                // Memoization is an optimization; a failed append is
-                // ops telemetry, never fatal.
-                if c2_runner::cache::append_phase(path, memo_key, &record).is_err() {
-                    ops.counter_add(c2_obs::names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                }
-            }
-            plan
-        }
-    };
-    ops.gauge_set(c2_obs::names::ORACLE_PHASE_COUNT, plan.phase_count() as f64);
-    ops.gauge_set(
-        c2_obs::names::ORACLE_PHASE_SIMULATED_PERMILLE,
-        (plan.simulated_fraction() * 1000.0).round(),
-    );
-    Ok(PhaseOracle::new(plan, area, budget))
-}
-
-/// The real DSE pipeline as a [`c2_runner::ScenarioExecutor`]: the
-/// daemon hands it an admitted scenario and it runs the exact same
-/// workload → characterize → APS → `SweepRunner` path as one-shot
-/// `run --scenario`, which is what makes a served job's journal and
-/// metrics byte-identical to the command-line run.
-struct PipelineExecutor;
-
-impl c2_runner::ScenarioExecutor for PipelineExecutor {
-    fn execute(
-        &self,
-        sc: &Scenario,
-        config: c2_runner::RunConfig,
-        journal: &std::path::Path,
-        resume: bool,
-        sink: &dyn c2_obs::MetricsSink,
-        ops: &dyn c2_obs::MetricsSink,
-    ) -> c2_runner::Result<c2_runner::RunSummary> {
-        let sim_err = |what: &str, e: String| {
-            c2_runner::Error::Core(c2_bound::Error::Simulation(format!("{what}: {e}")))
-        };
-        // The GPU-SM branch mirrors one-shot `run --backend gpu-sm`:
-        // no trace, no characterization, closed-form pricing.
-        if sc.backend.kind == c2_config::BackendKind::GpuSm {
-            let sweep = gpu_sweep_from_scenario(sc).map_err(c2_runner::Error::Core)?;
-            let pricer = Pricer::Gpu(&sweep);
-            let runner = c2_runner::SweepRunner::new(config)?;
-            let summary = if sc.screen.enabled {
-                let screen_cfg = c2_runner::ScreenConfig::from_scenario(sc)?;
-                runner
-                    .run_screened(
-                        &sweep,
-                        &screen_cfg,
-                        || pricer.clone(),
-                        Some(journal),
-                        resume,
-                        sink,
-                        ops,
-                    )?
-                    .0
-            } else {
-                runner.run_aps_full(&sweep, || pricer.clone(), Some(journal), resume, sink, ops)?
-            };
-            ops.counter_add(
-                c2_obs::names::BACKEND_GPU_SM_POINTS_TOTAL,
-                summary.results.len() as u64,
-            );
-            if let Some(out) = &sc.observability.roofline_out {
-                emit_roofline(
-                    &sweep,
-                    &summary,
-                    Some(sc.fingerprint()),
-                    std::path::Path::new(out),
-                    ops,
-                )
-                .map_err(|e| sim_err("roofline", e.to_string()))?;
-            }
-            return Ok(summary);
-        }
-        let w = c2_workloads::workload_from_spec(&sc.workload).ok_or(
-            c2_runner::Error::InvalidConfig("unknown workload in admitted scenario"),
-        )?;
-        let chip = ChipConfig::from_spec(&sc.chip).map_err(|e| sim_err("chip", e.to_string()))?;
-        let trace = w.generate();
-        let ch = characterize(&trace, &chip).map_err(|e| sim_err("characterize", e.to_string()))?;
-        let g = scale_function(sc, w.as_ref());
-        let aps = aps_from_scenario(sc, &ch, &chip, g)?;
-        let area = aps.model.area;
-        let budget = aps.model.budget;
-        let phase_oracle = match sc.oracle.mode {
-            OracleMode::Full => None,
-            OracleMode::Phase => Some(
-                phase_oracle_for(sc, &trace, area, budget, config.cache_path.as_deref(), ops)
-                    .map_err(c2_runner::Error::Core)?,
-            ),
-        };
-        let pricer = match &phase_oracle {
-            None => Pricer::Full {
-                trace: &trace,
-                area: &area,
-                budget: &budget,
-            },
-            Some(oracle) => Pricer::Phase(oracle),
-        };
-        let runner = c2_runner::SweepRunner::new(config)?;
-        let summary = if sc.screen.enabled {
-            let screen_cfg = c2_runner::ScreenConfig::from_scenario(sc)?;
-            runner
-                .run_screened(
-                    &aps,
-                    &screen_cfg,
-                    || pricer.clone(),
-                    Some(journal),
-                    resume,
-                    sink,
-                    ops,
-                )?
-                .0
-        } else {
-            runner.run_aps_full(&aps, || pricer.clone(), Some(journal), resume, sink, ops)?
-        };
-        ops.counter_add(
-            c2_obs::names::BACKEND_CPU_CMP_POINTS_TOTAL,
-            summary.results.len() as u64,
-        );
-        if let Some(out) = &sc.observability.roofline_out {
-            emit_roofline(
-                &aps,
-                &summary,
-                Some(sc.fingerprint()),
-                std::path::Path::new(out),
-                ops,
-            )
-            .map_err(|e| sim_err("roofline", e.to_string()))?;
-        }
-        Ok(summary)
-    }
-}
-
 /// `serve`: the supervised DSE-as-a-service daemon (DESIGN.md §12).
 /// Policy comes from the `serve` section of `--scenario` (defaults
 /// otherwise), with `--executors`/`--queue-depth`/`--budget` as
@@ -1755,7 +1203,7 @@ fn cmd_serve(args: &[String]) {
     println!("serving on {}", daemon.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    let report = daemon.run(&PipelineExecutor).unwrap_or_else(|e| {
+    let report = daemon.run(&pipeline::Executor).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });

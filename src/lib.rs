@@ -11,6 +11,8 @@
 //! * [`workloads`] — TMM / SpMV / stencil / FFT kernels and tracing.
 //! * [`ann`] — MLP predictor baseline for design-space exploration.
 //! * [`model`] — the C²-Bound model, optimizer and APS algorithm.
+//! * [`pipeline`] — scenario → sweep → summary, shared by `run` and
+//!   `serve`.
 
 pub use c2_ann as ann;
 pub use c2_bound as model;
@@ -22,3 +24,5 @@ pub use c2_solver as solver;
 pub use c2_speedup as speedup;
 pub use c2_trace as trace;
 pub use c2_workloads as workloads;
+
+pub mod pipeline;

@@ -325,7 +325,7 @@ fn phase_oracle_with_gpu_backend_is_rejected_everywhere() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("phase-clustered oracle requires the cpu-cmp backend"),
+        err.contains("phase oracle requires the cpu-cmp backend"),
         "{err}"
     );
     // Flag overrides on the positional form.

@@ -239,6 +239,38 @@ fn positional_zero_size_is_a_typed_error_before_the_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--roofline-out` patches the scenario before validation, so an
+/// empty destination is a typed validation error, not a failed write
+/// after the whole sweep has run and journaled.
+#[test]
+fn empty_roofline_destination_is_a_typed_error_before_the_engine() {
+    let dir = std::env::temp_dir().join(format!("c2bound-roof-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("roof.journal.jsonl");
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios/quick.json");
+    let out = tool()
+        .args([
+            "run",
+            "--scenario",
+            scenario,
+            "--roofline-out",
+            "",
+            "--journal",
+            journal.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("observability.roofline_out"), "{err}");
+    assert!(
+        !journal.exists(),
+        "a rejected run must not create a journal file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn scenario_with_empty_axis_is_rejected_before_any_artifact() {
     let dir = std::env::temp_dir().join(format!("c2bound-empty-{}", std::process::id()));

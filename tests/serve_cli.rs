@@ -17,6 +17,10 @@ fn tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_c2bound-tool"))
 }
 
+fn repo_path(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("c2bound-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -299,12 +303,13 @@ fn sigterm_drains_gracefully_and_resume_finishes_the_backlog() {
 }
 
 /// Satellite of DESIGN.md §13: the same workload served once in full
-/// mode and once in phase mode. Each job's artifacts must be
-/// byte-identical to a one-shot `run` of its persisted scenario (the
-/// daemon and the CLI share one `Pricer`), and the two jobs must
-/// never alias: the oracle mode is bound into the scenario
-/// fingerprint, so their journals — and therefore their cache
-/// identities — are distinct.
+/// mode and once in phase mode, plus a screened job and a gpu-sm job,
+/// so every branch of the pipeline is served. Each job's artifacts
+/// must be byte-identical to a one-shot `run` of its persisted
+/// scenario (the daemon and the CLI call one pipeline function), and
+/// the full and phase jobs must never alias: the oracle mode is bound
+/// into the scenario fingerprint, so their journals — and therefore
+/// their cache identities — are distinct.
 #[test]
 fn phase_mode_jobs_match_oneshot_run_and_never_alias_full_mode() {
     let dir = temp_dir("phase");
@@ -319,9 +324,23 @@ fn phase_mode_jobs_match_oneshot_run_and_never_alias_full_mode() {
         sc.oracle.mode = OracleMode::Phase;
         std::fs::write(&phase_sc, sc.render_pretty()).expect("write scenario");
     }
+    // The screened and gpu-sm branches of the pipeline: a screening
+    // budget small enough to screen candidates out, and the checked-in
+    // GPU example.
+    let screen_sc = dir.join("screen.json");
+    {
+        let text = std::fs::read_to_string(repo_path("examples/scenarios/quick.json")).unwrap();
+        let mut sc = Scenario::from_json(&text).expect("quick.json");
+        sc.screen.enabled = true;
+        sc.screen.initial = 3;
+        sc.screen.batch = 2;
+        sc.screen.budget = 5;
+        std::fs::write(&screen_sc, sc.render_pretty()).expect("write scenario");
+    }
+    let gpu_sc = repo_path("examples/scenarios/gpu_sm.json");
     let (daemon, addr) = spawn_daemon(&jobs, &["--executors", "1"]);
 
-    for sc in [&full_sc, &phase_sc] {
+    for sc in [&full_sc, &phase_sc, &screen_sc, &gpu_sc] {
         let out = tool()
             .args([
                 "submit",
@@ -363,6 +382,27 @@ fn phase_mode_jobs_match_oneshot_run_and_never_alias_full_mode() {
     assert_ne!(
         ref_full.0, ref_phase.0,
         "full- and phase-mode journals must carry distinct fingerprints"
+    );
+    let ref_screen = oneshot(&dir, "screen", &jobs.join("job0003.scenario.json"));
+    let ref_gpu = oneshot(&dir, "gpu", &jobs.join("job0004.scenario.json"));
+    assert_bit_identical(&jobs, "job0003", &ref_screen);
+    assert_bit_identical(&jobs, "job0004", &ref_gpu);
+    // Screening really screened: the journal records fewer evaluations
+    // than its header's plan has jobs.
+    let journal = String::from_utf8(ref_screen.0).expect("utf-8 journal");
+    let header = c2_config::Json::parse(journal.lines().next().expect("header")).expect("json");
+    let jobs_in_plan = header
+        .as_obj()
+        .and_then(|pairs| pairs.iter().find(|(k, _)| k == "jobs"))
+        .and_then(|(_, v)| v.as_u64())
+        .expect("plan size in the journal header");
+    let evaluated = journal
+        .lines()
+        .filter(|line| line.starts_with("{\"seq\":"))
+        .count() as u64;
+    assert!(
+        evaluated < jobs_in_plan,
+        "no candidate was screened out: {evaluated} of {jobs_in_plan}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
