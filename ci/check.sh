@@ -16,6 +16,19 @@ cargo test --workspace -q
 echo "== benchmark driver (builds against the library calls the benchmark uses) =="
 cargo build --locked --offline -q --manifest-path dsebench/driver/Cargo.toml
 
+echo "== benchmark correctness gate (simulator workloads vs dsebench/reference.json) =="
+# The only check of the 512-core simulator's exact counters and of the
+# CLI's journal and cache digests (a few CLI and traced DSEs each).
+for w in sim_wide phase_estimate; do
+    result="$(python3 dsebench/run.py --workload "${w}" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}"; then
+        echo "error: benchmark gate failed on ${w}: ${result}" >&2
+        exit 1
+    fi
+done
+
 echo "== runner engine integration tests =="
 cargo test -q -p c2-runner --test engine_resume
 cargo test -q -p c2-runner --test proptest_runner

@@ -17,7 +17,8 @@
 //! Two driving styles:
 //!
 //! * **counts API** (the fast path used by `c2-sim`):
-//!   [`CamatDetector::observe_cycle_counts`] + [`CamatDetector::miss_begins`];
+//!   [`CamatDetector::observe_cycle_counts`] (or its k-cycle form
+//!   [`CamatDetector::observe_cycles`]) + [`CamatDetector::miss_begins`];
 //! * **slice API** ([`CamatDetector::observe_cycle`]) taking the explicit
 //!   outstanding-miss id list each cycle — used by the test-oracle
 //!   replay of timelines, where a miss's outstanding window is inferred
@@ -88,22 +89,31 @@ impl CamatDetector {
     /// * `outstanding_misses` — number of misses currently outstanding.
     #[inline]
     pub fn observe_cycle_counts(&mut self, hits_in_flight: u32, outstanding_misses: u32) {
-        self.cycles_seen += 1;
+        self.observe_cycles(hits_in_flight, outstanding_misses, 1);
+    }
+
+    /// Feed `cycles` consecutive cycles that all have the same counts:
+    /// the O(1) equivalent of `cycles` calls of
+    /// [`CamatDetector::observe_cycle_counts`], for a driver that only
+    /// reports a core when its counts change.
+    #[inline]
+    pub fn observe_cycles(&mut self, hits_in_flight: u32, outstanding_misses: u32, cycles: u64) {
+        self.cycles_seen += cycles;
         let has_hit = hits_in_flight > 0;
         let has_miss = outstanding_misses > 0;
         if has_hit {
-            self.hit_active_cycles += 1;
-            self.hit_access_cycles += hits_in_flight as u64;
+            self.hit_active_cycles += cycles;
+            self.hit_access_cycles += hits_in_flight as u64 * cycles;
         }
         if has_miss && !has_hit {
-            // Pure-miss cycle: every outstanding miss accrues one pure
-            // cycle (MCD = HCD's "no hit" signal + MSHR occupancy).
-            self.pure_miss_cycles += 1;
-            self.pure_miss_access_cycles += outstanding_misses as u64;
-            self.pure_epoch += 1;
+            // Pure-miss cycles: every outstanding miss accrues one pure
+            // cycle each (MCD = HCD's "no hit" signal + MSHR occupancy).
+            self.pure_miss_cycles += cycles;
+            self.pure_miss_access_cycles += outstanding_misses as u64 * cycles;
+            self.pure_epoch += cycles;
         }
         if has_hit || has_miss {
-            self.memory_active_cycles += 1;
+            self.memory_active_cycles += cycles;
         }
     }
 
@@ -277,6 +287,7 @@ impl CamatDetector {
 mod tests {
     use super::*;
     use crate::timeline::{AccessTiming, Timeline};
+    use proptest::prelude::*;
 
     #[test]
     fn detector_matches_offline_on_fig1() {
@@ -418,6 +429,42 @@ mod tests {
         assert_eq!(r.measurement.memory_active_cycles, 1);
         assert_eq!(r.cycles_observed, 3);
         assert!((r.measurement.hit_concurrency - 2.0).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn bulk_cycles_equal_per_cycle_accounting(
+            ops in prop::collection::vec(
+                (0u8..4, 0u32..4, 0u32..5, 0u64..40, 0u64..8),
+                0..120,
+            ),
+        ) {
+            let mut bulk = CamatDetector::new();
+            let mut stepped = CamatDetector::new();
+            for (op, a, b, cycles, id) in ops {
+                match op {
+                    0 | 1 => {
+                        bulk.observe_cycles(a, b, cycles);
+                        for _ in 0..cycles {
+                            stepped.observe_cycle_counts(a, b);
+                        }
+                    }
+                    2 => {
+                        bulk.miss_begins(id);
+                        stepped.miss_begins(id);
+                    }
+                    _ => {
+                        let miss = (b % 2 == 0).then_some((id, b + 1));
+                        bulk.retire_access(a + 1, miss);
+                        stepped.retire_access(a + 1, miss);
+                    }
+                }
+                prop_assert_eq!(bulk.cycles_observed(), stepped.cycles_observed());
+            }
+            prop_assert_eq!(bulk.finish(), stepped.finish());
+        }
     }
 
     #[test]

@@ -1,12 +1,40 @@
 //! The chip engine: cores + private L1s + shared banked L2 + DRAM,
-//! advanced in lock-step cycles.
+//! advanced one cycle at a time.
 //!
 //! The organization follows the paper's Fig 3: NoC-connected cores with
 //! private L1s and a shared, banked L2 in front of the memory
 //! controllers. Every request walks an explicit state machine
-//! ([`crate::request::ReqState`]); the Fig 4 HCD/MCD detector observes
-//! each core's L1 every cycle, so the reported C-AMAT parameters are
+//! ([`crate::request::ReqState`]); the Fig 4 HCD/MCD detector accounts
+//! every cycle of each core's L1, so the reported C-AMAT parameters are
 //! *measured* by the same machinery the paper proposes in hardware.
+//!
+//! # Scheduling
+//!
+//! The memory system advances every cycle, but a cycle steps only the
+//! *awake* cores, in ascending index (the order in which request ids and
+//! the fault plan's request count are handed out), so host time follows
+//! simulated events rather than cycles × cores. Results are the same,
+//! bit for bit, as stepping and observing every core every cycle:
+//!
+//! * **Sleep.** After its step, an unfinished core sleeps if it cannot
+//!   issue (ROB full or trace exhausted) and its ROB head is a memory
+//!   access whose data has not returned. Until that data arrives, every
+//!   step would retire nothing, issue nothing, and note one ROB-full
+//!   stall if the ROB is full. A compute head keeps a core awake (its
+//!   latency may exceed one cycle); a finished core leaves for good.
+//! * **Wake.** Completing the request at a sleeper's ROB head wakes it.
+//!   Completions all happen before cores step, so it steps in that same
+//!   cycle, and it is charged the ROB-full stalls of the cycles it sat
+//!   out.
+//! * **Lazy accounting.** Core `c`'s detector and memory-active count
+//!   have seen cycles `0..observed[c]`. Every change to the core's
+//!   hit-phase or outstanding-miss count, and every `miss_begins` or
+//!   `retire_access`, first folds the cycles since then in with one
+//!   `observe_cycles` call. That is exact because the counts cannot have
+//!   changed in between. A core that advanced is accounted through the
+//!   current cycle right after its step, the only case that adds an
+//!   Eq. 7 overlap cycle, and `finish` accounts every core through the
+//!   last cycle.
 
 use c2_camat::detector::CamatDetector;
 use c2_camat::{Apc, LayerApc, MemoryLayer};
@@ -153,6 +181,19 @@ struct Engine {
     hits_in_flight: Vec<u32>,
     /// Per-core outstanding misses (past lookup, data not yet returned).
     outstanding: Vec<u32>,
+    /// Cores with at least one access in its hit phase (L1 layer busy).
+    cores_with_hits: usize,
+    /// Cycles `0..observed[c]` are accounted in core `c`'s detector and
+    /// memory-active count; see [`Engine::account`].
+    observed: Vec<u64>,
+    /// One bit per core that may retire or issue: the cores
+    /// [`Engine::core_cycle`] steps.
+    awake: Vec<u64>,
+    /// For each sleeping core, the request its ROB head waits on and the
+    /// first cycle it was not stepped.
+    asleep: Vec<Option<(ReqId, u64)>>,
+    /// Cores that have not retired their whole trace.
+    unfinished: usize,
     /// Requests currently resident at the L2 (queued or in lookup).
     l2_resident: u64,
     /// Demand memory requests issued so far (1-based after increment),
@@ -177,8 +218,22 @@ impl Engine {
     fn new(config: &ChipConfig, traces: &[Trace]) -> Self {
         let mut dram = Dram::new(config.dram);
         dram.set_spike(config.fault.dram_spike);
+        let cores: Vec<Core> = traces.iter().map(|t| Core::new(config.core, t)).collect();
+        let mut awake = vec![0u64; cores.len().div_ceil(64)];
+        let mut unfinished = 0;
+        for (i, core) in cores.iter().enumerate() {
+            if !core.finished() {
+                awake[i / 64] |= 1 << (i % 64);
+                unfinished += 1;
+            }
+        }
         Engine {
-            cores: traces.iter().map(|t| Core::new(config.core, t)).collect(),
+            unfinished,
+            awake,
+            asleep: vec![None; cores.len()],
+            observed: vec![0; cores.len()],
+            cores_with_hits: 0,
+            cores,
             l1s: (0..config.cores)
                 .map(|_| CacheArray::new(&config.l1))
                 .collect(),
@@ -247,14 +302,14 @@ impl Engine {
             // 5. Drain pending writebacks into the DRAM queue.
             self.flush_writebacks(now);
 
-            // 6. Cores retire and issue.
+            // 6. Awake cores retire and issue.
             self.core_cycle(now)?;
 
-            // 7. Detector + layer activity observation.
+            // 7. Layer activity observation.
             self.observe(now);
 
             // 8. Termination.
-            let cores_done = self.cores.iter().all(|c| c.finished());
+            let cores_done = self.unfinished == 0;
             let mem_drained = self.requests.is_empty()
                 && self.wb_pending.is_empty()
                 && self.wb_inflight == 0
@@ -310,7 +365,11 @@ impl Engine {
             };
             match r.state {
                 ReqState::L1Lookup { done_at, hit } if done_at <= now => {
+                    self.account(r.core, now);
                     self.hits_in_flight[r.core] -= 1;
+                    if self.hits_in_flight[r.core] == 0 {
+                        self.cores_with_hits -= 1;
+                    }
                     if hit {
                         self.complete_request(id, now, false);
                     } else {
@@ -569,6 +628,7 @@ impl Engine {
         if r.is_prefetch {
             return; // hardware-initiated: nobody to notify
         }
+        self.account(r.core, now);
         let hit_cycles = self.config.l1.hit_latency;
         let miss = if was_miss {
             let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
@@ -581,6 +641,42 @@ impl Engine {
         if was_miss {
             self.outstanding[r.core] -= 1;
             self.per_core_misses[r.core] += 1;
+        }
+        if let Some((head, since)) = self.asleep[r.core] {
+            if head == id {
+                self.wake(r.core, since, now);
+            }
+        }
+    }
+
+    /// Return a sleeping core to the awake set: its ROB head's data just
+    /// arrived, so it retires this cycle. Each cycle it sat out would
+    /// have retired nothing, issued nothing, and noted one ROB-full stall
+    /// if its ROB was full, so charge those stalls now.
+    fn wake(&mut self, core: usize, since: u64, now: u64) {
+        self.asleep[core] = None;
+        if !self.cores[core].rob_has_space() {
+            self.cores[core].note_rob_stalls(now - since);
+        }
+        self.awake[core / 64] |= 1 << (core % 64);
+    }
+
+    /// Bring core `core`'s detector and memory-active count up to cycle
+    /// `upto` (exclusive). Every change to the core's hit-phase or
+    /// outstanding-miss count, and every `miss_begins` /
+    /// `retire_access`, calls this first, so the cycles not yet
+    /// accounted all ended with the current counts and are folded in by one
+    /// [`CamatDetector::observe_cycles`] call.
+    fn account(&mut self, core: usize, upto: u64) {
+        let cycles = upto - self.observed[core];
+        if cycles == 0 {
+            return;
+        }
+        self.observed[core] = upto;
+        let (hits, misses) = (self.hits_in_flight[core], self.outstanding[core]);
+        self.detectors[core].observe_cycles(hits, misses, cycles);
+        if hits > 0 || misses > 0 {
+            self.per_core_mem_active[core] += cycles;
         }
     }
 
@@ -644,98 +740,117 @@ impl Engine {
         }
     }
 
+    /// Step every awake core, in ascending core index: the order in
+    /// which request ids and the fault plan's request count are handed
+    /// out.
     fn core_cycle(&mut self, now: u64) -> Result<()> {
-        for core_idx in 0..self.cores.len() {
-            if self.cores[core_idx].finished() {
-                continue;
-            }
-            self.cores[core_idx].retire(now);
-            let width = self.cores[core_idx].issue_width();
-            let mut ports_used = 0usize;
-            for _ in 0..width {
-                if self.cores[core_idx].finished() {
-                    break;
-                }
-                if !self.cores[core_idx].rob_has_space() {
-                    self.cores[core_idx].note_rob_stall();
-                    break;
-                }
-                match self.cores[core_idx].peek() {
-                    NextOp::Exhausted => break,
-                    NextOp::Compute => self.cores[core_idx].issue_compute(now),
-                    NextOp::Memory(access) => {
-                        if ports_used >= self.config.l1.ports {
-                            self.cores[core_idx].note_mem_stall();
-                            break;
-                        }
-                        ports_used += 1;
-                        self.demand_requests += 1;
-                        if self.config.fault.fail_at_request == Some(self.demand_requests) {
-                            return Err(Error::InjectedFault {
-                                request: self.demand_requests,
-                                cycle: now,
-                            });
-                        }
-                        let line = self.l1s[core_idx].line_of(access.addr);
-                        let hit = matches!(
-                            self.l1s[core_idx].access(line, access.kind.is_write()),
-                            LookupResult::Hit
-                        );
-                        let id = self.next_req;
-                        self.next_req += 1;
-                        let done_at = now + self.config.l1.hit_latency as u64;
-                        self.requests.insert(
-                            id,
-                            MemRequest {
-                                id,
-                                core: core_idx,
-                                line,
-                                is_write: access.kind.is_write(),
-                                issued_at: now,
-                                lookup_done_at: done_at,
-                                state: ReqState::L1Lookup { done_at, hit },
-                                l1_miss: !hit,
-                                is_prefetch: false,
-                            },
-                        );
-                        self.schedule.push(std::cmp::Reverse((done_at, id)));
-                        self.hits_in_flight[core_idx] += 1;
-                        self.per_core_accesses[core_idx] += 1;
-                        self.l1_layer.accesses += 1;
-                        if hit {
-                            self.l1_layer.hits += 1;
-                        } else {
-                            self.l1_layer.misses += 1;
-                        }
-                        self.cores[core_idx].issue_memory(id);
-                    }
-                }
+        for word in 0..self.awake.len() {
+            let mut bits = self.awake[word];
+            while bits != 0 {
+                let core_idx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.step_core(core_idx, now)?;
             }
         }
         Ok(())
     }
 
-    fn observe(&mut self, now: u64) {
-        // O(cores) per cycle: the engine maintains per-core hit-phase
-        // and outstanding-miss counters incrementally.
-        let mut any_l1_active = false;
-        for core_idx in 0..self.cores.len() {
-            let hits = self.hits_in_flight[core_idx];
-            if hits > 0 {
-                any_l1_active = true;
+    /// One cycle of one core: retire, issue, then account the cycle if
+    /// the pipeline advanced and put the core to sleep if it cannot act
+    /// again before its ROB head's data returns.
+    fn step_core(&mut self, core_idx: usize, now: u64) -> Result<()> {
+        self.cores[core_idx].retire(now);
+        let width = self.cores[core_idx].issue_width();
+        let mut ports_used = 0usize;
+        for _ in 0..width {
+            if self.cores[core_idx].finished() {
+                break;
             }
-            self.detectors[core_idx].observe_cycle_counts(hits, self.outstanding[core_idx]);
-            // Eq. 7 overlap measurement: memory-active cycles during
-            // which the pipeline still advanced.
-            let progress = self.cores[core_idx].take_progress();
-            if hits > 0 || self.outstanding[core_idx] > 0 {
-                self.per_core_mem_active[core_idx] += 1;
-                if progress {
-                    self.per_core_overlap[core_idx] += 1;
+            if !self.cores[core_idx].rob_has_space() {
+                self.cores[core_idx].note_rob_stall();
+                break;
+            }
+            match self.cores[core_idx].peek() {
+                NextOp::Exhausted => break,
+                NextOp::Compute => self.cores[core_idx].issue_compute(now),
+                NextOp::Memory(access) => {
+                    if ports_used >= self.config.l1.ports {
+                        self.cores[core_idx].note_mem_stall();
+                        break;
+                    }
+                    ports_used += 1;
+                    self.demand_requests += 1;
+                    if self.config.fault.fail_at_request == Some(self.demand_requests) {
+                        return Err(Error::InjectedFault {
+                            request: self.demand_requests,
+                            cycle: now,
+                        });
+                    }
+                    let line = self.l1s[core_idx].line_of(access.addr);
+                    let hit = matches!(
+                        self.l1s[core_idx].access(line, access.kind.is_write()),
+                        LookupResult::Hit
+                    );
+                    let id = self.next_req;
+                    self.next_req += 1;
+                    let done_at = now + self.config.l1.hit_latency as u64;
+                    self.requests.insert(
+                        id,
+                        MemRequest {
+                            id,
+                            core: core_idx,
+                            line,
+                            is_write: access.kind.is_write(),
+                            issued_at: now,
+                            lookup_done_at: done_at,
+                            state: ReqState::L1Lookup { done_at, hit },
+                            l1_miss: !hit,
+                            is_prefetch: false,
+                        },
+                    );
+                    self.schedule.push(std::cmp::Reverse((done_at, id)));
+                    self.account(core_idx, now);
+                    if self.hits_in_flight[core_idx] == 0 {
+                        self.cores_with_hits += 1;
+                    }
+                    self.hits_in_flight[core_idx] += 1;
+                    self.per_core_accesses[core_idx] += 1;
+                    self.l1_layer.accesses += 1;
+                    if hit {
+                        self.l1_layer.hits += 1;
+                    } else {
+                        self.l1_layer.misses += 1;
+                    }
+                    self.cores[core_idx].issue_memory(id);
                 }
             }
         }
-        if any_l1_active {
+        if self.cores[core_idx].take_progress() {
+            // Observed eagerly: Eq. 7 overlap counts the memory-active
+            // cycles in which the pipeline still advanced.
+            self.account(core_idx, now + 1);
+            if self.hits_in_flight[core_idx] > 0 || self.outstanding[core_idx] > 0 {
+                self.per_core_overlap[core_idx] += 1;
+            }
+        }
+        let core = &self.cores[core_idx];
+        if core.finished() {
+            self.unfinished -= 1;
+        } else if core.can_issue() {
+            return Ok(());
+        } else if let Some(head) = core.blocked_on() {
+            self.asleep[core_idx] = Some((head, now + 1));
+        } else {
+            return Ok(());
+        }
+        self.awake[core_idx / 64] &= !(1 << (core_idx % 64));
+        Ok(())
+    }
+
+    /// Chip-level layer activity for this cycle. Per-core L1 activity is
+    /// accounted by [`Engine::account`] when it changes.
+    fn observe(&mut self, now: u64) {
+        if self.cores_with_hits > 0 {
             self.l1_layer.active_cycles += 1;
         }
         if self.l2_resident > 0 {
@@ -747,6 +862,9 @@ impl Engine {
     }
 
     fn finish(mut self, now: u64) -> Result<SimResult> {
+        for core in 0..self.cores.len() {
+            self.account(core, now + 1);
+        }
         let mut cores = Vec::with_capacity(self.cores.len());
         for (i, det) in self.detectors.drain(..).enumerate() {
             let report = det.finish();

@@ -162,6 +162,28 @@ impl Core {
         self.rob_stalls += 1;
     }
 
+    /// Record `cycles` ROB-full stalls at once: the cycles a blocked
+    /// core sat out while the chip engine did not step it.
+    pub(crate) fn note_rob_stalls(&mut self, cycles: u64) {
+        self.rob_stalls += cycles;
+    }
+
+    /// Whether the core could issue this cycle: it has ROB space and
+    /// trace left to issue.
+    pub(crate) fn can_issue(&self) -> bool {
+        self.rob_has_space() && self.peek() != NextOp::Exhausted
+    }
+
+    /// The request the ROB head waits on, if the head is a memory
+    /// instruction whose data has not returned: the core cannot retire
+    /// until that request completes.
+    pub(crate) fn blocked_on(&self) -> Option<ReqId> {
+        match self.rob.front() {
+            Some(&RobEntry::Memory { req }) if !self.completed_reqs.contains(&req) => Some(req),
+            _ => None,
+        }
+    }
+
     /// Record a memory-structural stall for this cycle.
     pub fn note_mem_stall(&mut self) {
         self.mem_stalls += 1;
