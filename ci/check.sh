@@ -59,6 +59,22 @@ done
 cmp "${smoke_dir}/journal-t1.jsonl" "${smoke_dir}/journal-t4.jsonl"
 cmp "${smoke_dir}/metrics-t1.json" "${smoke_dir}/metrics-t4.json"
 
+echo "== default engine path (paper_scale.json: workers 2, threads 0) =="
+# Without --threads the scenario runs on runner.workers sharded threads:
+# two flag-less runs and a --threads 1 run must write the same bytes.
+paper_run() {
+    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
+        --journal "${smoke_dir}/paper-$1.jsonl" \
+        --metrics-out "${smoke_dir}/paper-$1.json" "${@:2}" > /dev/null
+}
+paper_run a
+paper_run b
+paper_run t1 --threads 1
+for run in b t1; do
+    cmp "${smoke_dir}/paper-a.jsonl" "${smoke_dir}/paper-${run}.jsonl"
+    cmp "${smoke_dir}/paper-a.json" "${smoke_dir}/paper-${run}.json"
+done
+
 echo "== crash matrix (library) =="
 cargo test -q -p c2-runner --test crash_matrix
 

@@ -842,9 +842,7 @@ impl Default for BreakerSpec {
 /// of `RunConfig` in `c2-runner`. The cache memoizes oracle results
 /// under (run identity fingerprint, design-point content key) — the
 /// identity binds the plan and scenario fingerprints — so editing the
-/// scenario invalidates entries without explicit versioning. Only the
-/// sharded engine consults the cache: enabling it requires
-/// `runner.threads >= 1` (validated, not silently ignored).
+/// scenario invalidates entries without explicit versioning.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalCacheSpec {
     /// Whether the sweep consults and populates the cache.
@@ -886,26 +884,27 @@ pub struct ChaosSpec {
 /// the CLI `run` command's historical defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunnerSpec {
-    /// Worker threads.
+    /// Engine threads when `threads` is 0 (≥ 1).
     pub workers: u64,
-    /// Deterministic sharded execution threads; 0 keeps the legacy
-    /// shared-queue pool driven by `workers`. Any value ≥ 1 selects
-    /// the sharded engine, whose journal, metrics, and outcome are
-    /// bit-identical for every thread count.
+    /// Sharded engine threads; 0 means `workers` threads. The journal,
+    /// metrics, and outcome are bit-identical for every thread count.
     pub threads: u64,
-    /// Per-job deadline, ms (0 disables the deadline).
+    /// Per-attempt deadline, ms (0 disables the deadline). A late
+    /// attempt is journaled as a failure and retried.
     pub deadline_ms: u64,
-    /// Watchdog poll period, ms.
+    /// Read, validated and fingerprinted, but unused: the engine has
+    /// no watchdog. Kept until a scenario `version` bump drops it.
     pub watchdog_tick_ms: u64,
     /// Attempts per job before it is skipped/backfilled.
     pub max_attempts: u64,
-    /// Job-queue capacity.
+    /// Read, validated and fingerprinted, but unused: the engine has
+    /// no job queue. Kept until a scenario `version` bump drops it.
     pub queue_capacity: u64,
     /// Retry backoff policy.
     pub backoff: BackoffSpec,
     /// Circuit-breaker policy.
     pub breaker: BreakerSpec,
-    /// Content-addressed evaluation cache (sharded engine only).
+    /// Content-addressed evaluation cache.
     pub cache: EvalCacheSpec,
     /// Backfill skipped jobs from the analytic model.
     pub analytic_fallback: bool,
@@ -914,7 +913,7 @@ pub struct RunnerSpec {
     /// scenario fingerprint.
     pub sync: String,
     /// Journal a per-shard breaker checkpoint every this many appended
-    /// records (0 disables; sharded engine only). Checkpoints bound
+    /// records (0 disables). Checkpoints bound
     /// how many records resume must replay. Operational — excluded
     /// from the scenario fingerprint.
     pub checkpoint_every: u64,
@@ -2603,8 +2602,7 @@ impl Scenario {
         // Phase windows are C-AMAT-specific: the phase oracle clusters
         // trace intervals by memory behaviour the GPU bound never
         // models, so the combination is rejected here (and again at
-        // the CLI and engine layers), mirroring the
-        // cache-with-legacy-pool rule below.
+        // the engine layer).
         if be.kind != BackendKind::CpuCmp && o.mode == OracleMode::Phase {
             return Err(fail(
                 "oracle.mode",
@@ -2716,15 +2714,6 @@ impl Scenario {
             return Err(fail("runner.breaker.probes", "must be at least 1"));
         }
         if r.cache.enabled {
-            // Only the sharded engine consults the cache; accepting an
-            // enabled cache under the legacy pool would let users
-            // believe memoization is active when it is not.
-            if r.threads == 0 {
-                return Err(fail(
-                    "runner.cache.enabled",
-                    "requires the sharded engine (runner.threads >= 1)",
-                ));
-            }
             match &r.cache.path {
                 None => {
                     return Err(fail(
@@ -2898,24 +2887,6 @@ mod tests {
         assert!(
             matches!(e, ScenarioError::OutOfRange { ref path, .. } if path == "runner.workers")
         );
-    }
-
-    #[test]
-    fn enabled_cache_requires_the_sharded_engine() {
-        // The legacy pool (threads 0) never consults the cache, so an
-        // enabled cache there must be rejected, not silently ignored.
-        let e = Scenario::from_json(
-            r#"{"runner":{"threads":0,"cache":{"enabled":true,"path":"c.jsonl"}}}"#,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(e, ScenarioError::OutOfRange { ref path, .. } if path == "runner.cache.enabled")
-        );
-        let ok = Scenario::from_json(
-            r#"{"runner":{"threads":2,"cache":{"enabled":true,"path":"c.jsonl"}}}"#,
-        )
-        .unwrap();
-        assert!(ok.runner.cache.enabled);
     }
 
     #[test]

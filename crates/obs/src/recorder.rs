@@ -13,9 +13,10 @@ struct RecorderInner {
 /// it back as a [`Report`].
 ///
 /// Ticks are assigned under the recorder's lock, in arrival order.
-/// With a single emitting thread (the engine's `--workers 1`
-/// determinism contract) arrival order is a pure function of the
-/// workload, so the captured trace is byte-stable across runs.
+/// With a single emitting thread (the engine replays its per-shard
+/// buffers in shard order from one thread) arrival order is a pure
+/// function of the workload, so the captured trace is byte-stable
+/// across runs.
 #[derive(Debug, Default)]
 pub struct Recorder {
     inner: Mutex<RecorderInner>,

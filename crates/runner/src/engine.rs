@@ -1,47 +1,53 @@
 //! The supervised sweep engine.
 //!
 //! [`SweepRunner::run_aps`] drives the refinement stage of APS as
-//! independent jobs on a bounded-queue worker pool:
+//! independent jobs on the deterministic sharded engine (DESIGN.md
+//! §6b, §10):
 //!
+//! * the plan is split into shards by a pure function of its size
+//!   ([`crate::shard`]); `threads` OS threads claim whole shards and
+//!   run each shard's jobs sequentially in `seq` order, and per-shard
+//!   outputs merge in shard order, so the journal, metrics and outcome
+//!   are bit-identical for every thread count;
 //! * every job gets up to `max_attempts` oracle attempts, with
-//!   exponential-backoff delays (deterministically jittered) between
-//!   retries;
-//! * a per-attempt wall-clock **deadline** is enforced by a watchdog
-//!   thread: an attempt that outlives it is charged as a failure, its
-//!   worker is presumed stuck, and the job is requeued onto healthy
-//!   workers (the stuck worker's late result is discarded when it
-//!   finally surfaces);
-//! * a **circuit breaker** wraps the oracle: enough consecutive
-//!   failures trip it open and subsequent jobs are short-circuited to
-//!   calibrated analytic backfill instead of queueing up behind a sick
-//!   backend, with half-open probes deciding when to trust it again;
+//!   exponential-backoff delays (deterministically jittered by the
+//!   job's content key) between retries;
+//! * a per-attempt wall-clock **deadline** is measured from after the
+//!   backoff sleep: an attempt that returns late has its result
+//!   discarded and is charged as a failure (`timeouts += 1`), retried
+//!   like any other. The decision is journaled, so resume replays it
+//!   and never re-times it. The deadline is measured, not preemptive:
+//!   an oracle that never returns blocks its worker thread;
+//! * a **circuit breaker** per shard wraps the oracle: enough
+//!   consecutive failures trip it open and the shard's next jobs are
+//!   short-circuited to calibrated analytic backfill instead of
+//!   queueing up behind a sick backend, with half-open probes deciding
+//!   when to trust it again;
 //! * an oracle that **panics** is isolated (`catch_unwind`): the job is
-//!   quarantined — terminated immediately, never re-queued — the panic
+//!   quarantined — terminated immediately, never retried — the panic
 //!   is charged to the breaker, the worker's oracle is rebuilt, and the
 //!   sweep degrades to analytic backfill instead of dying;
-//! * every terminal outcome is appended to a JSONL **journal** and
-//!   flushed immediately (fsync per the [`SyncPolicy`]), with periodic
-//!   per-shard breaker **checkpoints** so resume cost stops growing
-//!   with sweep length; a killed run resumes idempotently — a torn
-//!   journal tail is truncated away before appending, journaled jobs
-//!   are not re-run, the breaker is restored to the state the
-//!   interrupted run left it in, and the merged sweep is bit-identical
-//!   to an uninterrupted one (all fault injection is keyed to stable
-//!   job identities, never to call order);
+//! * every terminal outcome is journaled to JSONL (fsync per the
+//!   [`SyncPolicy`]), with periodic per-shard breaker **checkpoints**
+//!   so resume cost stops growing with sweep length; a killed run
+//!   resumes idempotently — a torn journal tail is truncated away
+//!   before appending, journaled jobs are not re-run, and the merged
+//!   sweep is bit-identical to an uninterrupted one (all fault
+//!   injection is keyed to stable job identities, never to call
+//!   order);
 //! * all storage I/O flows through the [`Storage`] trait, so a
 //!   [`ChaosPlan`] can inject torn writes, short writes, `ENOSPC`, and
 //!   crash-at-Nth-write underneath the engine — the crash-matrix
 //!   harness proves resume correctness at every write the engine
 //!   performs;
-//! * shutdown is graceful — the queue drains, the journal is flushed,
-//!   and a [`RunReport`] accounts for every job:
+//! * a [`RunReport`] accounts for every job:
 //!   `attempted == succeeded + skipped + backfilled`.
 //!
 //! ## Resume bit-identity (DESIGN.md §10–§11)
 //!
-//! The sharded engine splits every job into a pure **decision**
-//! ([`decide_sharded_job`], which runs the oracle against a *clone* of
-//! the shard breaker and emits nothing) and a deterministic **emission**
+//! Every job splits into a pure **decision** ([`decide_sharded_job`],
+//! which runs the oracle against a *clone* of the shard breaker and
+//! emits nothing) and a deterministic **emission**
 //! ([`emit_job_events`], which drives the real breaker and emits the
 //! canonical event/metric sequence for a terminal record). Live jobs
 //! run both halves; resumed jobs re-run only the emission half from
@@ -66,17 +72,17 @@ use crate::journal::{
 use crate::shard::{partition, shard_of, BufferSink};
 use crate::storage::{DiskStorage, Storage};
 use crate::{Error, Result};
-use c2_bound::aps::{classify_oracle_result, ApsOutcome, ApsPlan, PointOutcome};
+use c2_bound::aps::{classify_oracle_result, ApsOutcome, ApsPlan, PointOutcome, RefinementJob};
 use c2_bound::backend::BackendSweep;
 use c2_bound::dse::Oracle;
 use c2_bound::ResiliencePolicy;
 use c2_obs::{names, MetricsSink, NullSink};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Histogram ladder for retry backoff delays (milliseconds).
@@ -87,19 +93,12 @@ const ATTEMPTS_PER_JOB_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0];
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
-    /// Worker threads in the pool (≥ 1).
-    pub workers: usize,
-    /// Deterministic sharded execution: OS threads draining the shard
-    /// set. `0` (the default) selects the legacy shared-queue pool
-    /// driven by `workers`; any value ≥ 1 selects the sharded engine,
-    /// whose merged journal, metrics, and outcome are bit-identical
-    /// for every thread count (DESIGN.md §10). The sharded engine has
-    /// no watchdog, so `deadline_ms` is ignored there.
+    /// OS threads draining the shard set (≥ 1). The merged journal,
+    /// metrics, and outcome are bit-identical for every thread count
+    /// (DESIGN.md §10).
     pub threads: usize,
     /// Content-addressed evaluation cache file; `None` disables
-    /// memoization. Only the sharded engine consults the cache, so
-    /// setting a path with `threads == 0` is rejected by
-    /// [`RunConfig::validate`] rather than silently ignored.
+    /// memoization.
     pub cache_path: Option<PathBuf>,
     /// Extra run identity bound into evaluation-cache addresses, for
     /// runs whose journal deliberately stays fingerprint-free. The
@@ -109,17 +108,12 @@ pub struct RunConfig {
     /// one workload's or size's simulated times to another. Redundant
     /// (but harmless) when `scenario_fingerprint` is set.
     pub cache_fingerprint: Option<u64>,
-    /// Per-attempt wall-clock deadline in milliseconds; 0 disables the
-    /// deadline and the watchdog.
+    /// Per-attempt wall-clock deadline in milliseconds, measured from
+    /// after the backoff sleep; 0 disables it. A late attempt's result
+    /// is discarded and the attempt is journaled as a failure.
     pub deadline_ms: u64,
-    /// Watchdog scan period in milliseconds (≥ 1).
-    pub watchdog_tick_ms: u64,
     /// Maximum oracle attempts per job (≥ 1).
     pub max_attempts: usize,
-    /// Bounded-queue capacity for freshly seeded jobs (≥ 1). Retries
-    /// and watchdog requeues bypass the bound so recovery can never
-    /// deadlock against admission.
-    pub queue_capacity: usize,
     /// Retry backoff schedule.
     pub backoff: BackoffPolicy,
     /// Circuit-breaker tuning.
@@ -131,9 +125,9 @@ pub struct RunConfig {
     /// checkpoint lines and before atomic renames.
     pub sync: SyncPolicy,
     /// Write a per-shard breaker checkpoint into the journal every
-    /// this many appended records (0 disables checkpointing). Only the
-    /// sharded engine checkpoints; checkpoints bound how many records
-    /// the fast resume path must replay.
+    /// this many appended records (0 disables checkpointing).
+    /// Checkpoints bound how many records the fast resume path must
+    /// replay.
     pub checkpoint_every: usize,
     /// Deterministic storage-fault injection plan for the crash/chaos
     /// harness; `None` (or an all-`None` plan) runs on plain disk.
@@ -152,14 +146,11 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
-            workers: 2,
-            threads: 0,
+            threads: 1,
             cache_path: None,
             cache_fingerprint: None,
             deadline_ms: 0,
-            watchdog_tick_ms: 5,
             max_attempts: 2,
-            queue_capacity: 64,
             backoff: BackoffPolicy::default(),
             breaker: BreakerPolicy::default(),
             analytic_fallback: true,
@@ -173,9 +164,12 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Validated construction from a scenario's runner spec. The
-    /// scenario fingerprint is set separately ([`Self::with_scenario`])
-    /// because the spec describes engine policy, not run identity.
+    /// Validated construction from a scenario's runner spec.
+    /// `runner.threads: 0` means "use `runner.workers` threads", so
+    /// scenarios written for the retired worker pool keep their
+    /// parallelism. The scenario fingerprint is set separately
+    /// ([`Self::with_scenario`]) because the spec describes engine
+    /// policy, not run identity.
     pub fn from_spec(spec: &c2_config::RunnerSpec) -> Result<Self> {
         fn narrow(value: u64, what: &'static str) -> Result<usize> {
             usize::try_from(value).map_err(|_| Error::InvalidConfig(what))
@@ -192,20 +186,19 @@ impl RunConfig {
         } else {
             None
         };
+        let threads = if spec.threads == 0 {
+            spec.workers
+        } else {
+            spec.threads
+        };
         let config = RunConfig {
-            workers: narrow(spec.workers, "workers exceeds the platform word size")?,
-            threads: narrow(spec.threads, "threads exceeds the platform word size")?,
+            threads: narrow(threads, "threads exceeds the platform word size")?,
             cache_path,
             cache_fingerprint: None,
             deadline_ms: spec.deadline_ms,
-            watchdog_tick_ms: spec.watchdog_tick_ms,
             max_attempts: narrow(
                 spec.max_attempts,
                 "max_attempts exceeds the platform word size",
-            )?,
-            queue_capacity: narrow(
-                spec.queue_capacity,
-                "queue_capacity exceeds the platform word size",
             )?,
             backoff: BackoffPolicy {
                 base_ms: spec.backoff.base_ms,
@@ -257,25 +250,11 @@ impl RunConfig {
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
-        if self.workers == 0 {
-            return Err(Error::InvalidConfig("workers must be positive"));
+        if self.threads == 0 {
+            return Err(Error::InvalidConfig("threads must be positive"));
         }
         if self.max_attempts == 0 {
             return Err(Error::InvalidConfig("max_attempts must be positive"));
-        }
-        if self.queue_capacity == 0 {
-            return Err(Error::InvalidConfig("queue_capacity must be positive"));
-        }
-        if self.watchdog_tick_ms == 0 {
-            return Err(Error::InvalidConfig("watchdog_tick_ms must be positive"));
-        }
-        if self.cache_path.is_some() && self.threads == 0 {
-            // The legacy pool never consults the cache; accepting the
-            // path there would let users believe memoization is active
-            // when it is not.
-            return Err(Error::InvalidConfig(
-                "the evaluation cache requires the sharded engine (set threads >= 1)",
-            ));
         }
         if let Some(chaos) = &self.chaos {
             chaos.validate()?;
@@ -318,7 +297,7 @@ pub struct RunReport {
     /// Jobs denied their oracle by an open circuit breaker.
     pub short_circuited: usize,
     /// Jobs whose oracle panicked and were quarantined: terminated
-    /// without retries, isolated from the pool, degraded to analytic
+    /// without retries, their oracle rebuilt, degraded to analytic
     /// backfill.
     pub quarantined: usize,
     /// Times the circuit breaker tripped open.
@@ -364,21 +343,6 @@ pub struct SweepRunner {
     config: RunConfig,
 }
 
-/// One queued attempt of a job.
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    seq: usize,
-    attempt: usize,
-}
-
-/// An attempt currently executing on a worker.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    attempt: usize,
-    generation: u64,
-    started: Instant,
-}
-
 /// A job's terminal outcome plus engine-side bookkeeping.
 #[derive(Debug, Clone)]
 struct Terminal {
@@ -387,6 +351,20 @@ struct Terminal {
     timeouts: usize,
     cached: bool,
     quarantined: bool,
+}
+
+impl Terminal {
+    /// A job that ended on its own attempts: not cached, not
+    /// short-circuited, not quarantined.
+    fn live(attempts: usize, result: c2_bound::Result<f64>, timeouts: usize) -> Self {
+        Terminal {
+            outcome: PointOutcome { attempts, result },
+            short_circuited: false,
+            timeouts,
+            cached: false,
+            quarantined: false,
+        }
+    }
 }
 
 /// Reject a zero-job refinement plan before any journal or cache file
@@ -415,449 +393,65 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-struct EngineState {
-    queue: VecDeque<Attempt>,
-    running: HashMap<usize, Running>,
-    generations: Vec<u64>,
-    timeouts_per_job: Vec<usize>,
-    terminals: Vec<Option<Terminal>>,
-    breaker: CircuitBreaker,
-    pending: usize,
-    terminals_this_run: usize,
-    aborted: bool,
-    shutdown: bool,
-    journal: Option<JournalWriter>,
-    journal_error: Option<Error>,
+/// How one oracle attempt ended ([`run_attempt`]).
+#[derive(Debug)]
+pub(crate) enum Attempt {
+    /// The oracle returned a usable time within the deadline.
+    Ok(f64),
+    /// A failure to retry under `max_attempts`: the oracle's own error
+    /// or a non-physical time, or — `timed_out` — a result that came
+    /// back after the deadline and was discarded.
+    Failed {
+        error: c2_bound::Error,
+        timed_out: bool,
+    },
+    /// The oracle panicked. The job is quarantined (its key would
+    /// panic again) and the caller must rebuild the oracle, whose
+    /// internal state is suspect after the unwind.
+    Panicked(c2_bound::Error),
 }
 
-struct Shared<'a> {
-    state: Mutex<EngineState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    plan: &'a ApsPlan,
-    config: &'a RunConfig,
-    sink: &'a dyn MetricsSink,
-    ops: &'a dyn MetricsSink,
-}
-
-impl Shared<'_> {
-    fn lock(&self) -> MutexGuard<'_, EngineState> {
-        // A panicking oracle poisons the mutex; the state itself is
-        // still sound (we never leave it mid-update), so keep draining
-        // rather than cascading the panic through every worker.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+/// One oracle attempt of `job`, the step the sharded engine and
+/// screening share: sleep the content-keyed backoff before a retry,
+/// then evaluate under `catch_unwind` and classify, discarding a
+/// result that took longer than `deadline_ms` (timed from after the
+/// sleep). The deadline is checked when the oracle returns, so an
+/// oracle that never returns blocks the calling thread.
+pub(crate) fn run_attempt<O: Oracle>(
+    config: &RunConfig,
+    job: &RefinementJob,
+    attempt: usize,
+    oracle: &mut O,
+) -> Attempt {
+    if attempt >= 2 {
+        std::thread::sleep(config.backoff.delay(job.content_key(), attempt));
     }
-
-    fn wait<'g>(
-        &self,
-        guard: MutexGuard<'g, EngineState>,
-        cv: &Condvar,
-    ) -> MutexGuard<'g, EngineState> {
-        cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Drain and publish the breaker's latest state transition, if any.
-/// Called (under the state lock) after every `admit`/`on_success`/
-/// `on_failure`, each of which changes state at most once.
-fn note_breaker(shared: &Shared, st: &mut EngineState) {
-    if let Some(tr) = st.breaker.take_transition() {
-        shared
-            .sink
-            .counter_add("engine_breaker_transitions_total", 1);
-        if tr.to == BreakerState::Open {
-            shared.sink.counter_add("engine_breaker_trips_total", 1);
-        }
-        shared
-            .sink
-            .gauge_set("engine_breaker_state", tr.to.as_gauge());
-        shared.sink.event(
-            "engine",
-            "breaker.transition",
-            &[
-                ("from", tr.from.as_str().into()),
-                ("to", tr.to.as_str().into()),
-            ],
-        );
-    }
-}
-
-/// Record a terminal outcome: journal it, retire the job, and decide
-/// whether the run is over (drained or aborted).
-fn finish(shared: &Shared, st: &mut EngineState, seq: usize, terminal: Terminal) {
-    if st.terminals[seq].is_some() {
-        return; // already terminal (defensive; generations prevent this)
-    }
-    if let Some(journal) = st.journal.as_mut() {
-        let record = JobRecord {
-            seq,
-            attempts: terminal.outcome.attempts,
-            timeouts: terminal.timeouts,
-            result: terminal
-                .outcome
-                .result
-                .as_ref()
-                .map(|t| *t)
-                .map_err(error_message),
-            short_circuited: terminal.short_circuited,
-            cached: terminal.cached,
-            quarantined: terminal.quarantined,
-        };
-        match journal.record(&record) {
-            Ok(()) => {
-                shared.sink.counter_add("engine_journal_appends_total", 1);
-                shared
-                    .sink
-                    .event("engine", "journal.append", &[("seq", seq.into())]);
-            }
-            Err(e) => {
-                // A dead journal means resumability is already lost; stop
-                // the run instead of silently continuing unjournaled.
-                shared
-                    .ops
-                    .counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                shared.ops.event(
-                    "engine",
-                    "storage.fault",
-                    &[
-                        ("op", "journal.append".into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-                st.journal_error = Some(e);
-                st.aborted = true;
-            }
-        }
-    }
-    let mut fields: Vec<(&str, c2_obs::FieldValue)> = vec![
-        ("seq", seq.into()),
-        ("attempts", terminal.outcome.attempts.into()),
-        ("timeouts", terminal.timeouts.into()),
-        ("ok", terminal.outcome.result.is_ok().into()),
-        ("short_circuited", terminal.short_circuited.into()),
-    ];
-    if terminal.quarantined {
-        fields.push(("quarantined", true.into()));
-    }
-    shared.sink.event("engine", "job.terminal", &fields);
-    st.terminals[seq] = Some(terminal);
-    st.generations[seq] += 1; // invalidate any stale in-flight attempt
-    st.pending -= 1;
-    st.terminals_this_run += 1;
-    if let Some(limit) = shared.config.abort_after {
-        if st.terminals_this_run >= limit {
-            st.aborted = true;
-        }
-    }
-    if st.pending == 0 || st.aborted {
-        st.shutdown = true;
-        st.queue.clear();
-        shared.work_cv.notify_all();
-    }
-    shared.done_cv.notify_all();
-}
-
-/// Worker thread: pop admitted attempts and run them. Each worker owns
-/// one oracle built by `make_oracle`; an oracle that panics is
-/// discarded and rebuilt (whatever internal state it held is suspect),
-/// and the panicking job is quarantined — terminated immediately with
-/// no retries and never re-queued.
-fn worker_loop<O: Oracle, B: Fn() -> O>(shared: &Shared, make_oracle: &B) {
-    let mut oracle = make_oracle();
-    loop {
-        // --- pop + breaker admission (one critical section) ---------
-        let (task, generation) = {
-            let mut st = shared.lock();
-            let task = loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(a) = st.queue.pop_front() {
-                    shared.done_cv.notify_all(); // queue capacity freed
-                    let admission = st.breaker.admit();
-                    note_breaker(shared, &mut st);
-                    match admission {
-                        Admission::Admit => {
-                            shared.sink.counter_add("engine_attempts_total", 1);
-                            shared.sink.event(
-                                "engine",
-                                "attempt.started",
-                                &[("seq", a.seq.into()), ("attempt", a.attempt.into())],
-                            );
-                            break a;
-                        }
-                        Admission::ShortCircuit => {
-                            shared.sink.counter_add("engine_short_circuits_total", 1);
-                            shared.sink.event(
-                                "engine",
-                                "job.short_circuited",
-                                &[("seq", a.seq.into())],
-                            );
-                            let timeouts = st.timeouts_per_job[a.seq];
-                            finish(
-                                shared,
-                                &mut st,
-                                a.seq,
-                                Terminal {
-                                    outcome: PointOutcome {
-                                        attempts: a.attempt - 1,
-                                        result: Err(c2_bound::Error::Simulation(
-                                            "circuit breaker open: oracle attempt not admitted"
-                                                .to_string(),
-                                        )),
-                                    },
-                                    short_circuited: true,
-                                    timeouts,
-                                    cached: false,
-                                    quarantined: false,
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                }
-                st = shared.wait(st, &shared.work_cv);
-            };
-            (task, st.generations[task.seq])
-        };
-
-        // --- backoff (outside the lock, before the deadline clock) --
-        if task.attempt >= 2 {
-            let key = shared.plan.jobs[task.seq].content_key();
-            std::thread::sleep(shared.config.backoff.delay(key, task.attempt));
-        }
-
-        // --- register with the watchdog and run the oracle ----------
+    let started = Instant::now();
+    let evaluated = catch_unwind(AssertUnwindSafe(|| {
+        classify_oracle_result(oracle.evaluate(job.seq as u64, &job.point))
+    }));
+    match evaluated {
+        Err(payload) => Attempt::Panicked(c2_bound::Error::Simulation(format!(
+            "oracle panicked: {}",
+            panic_message(payload.as_ref())
+        ))),
+        Ok(_)
+            if config.deadline_ms > 0
+                && started.elapsed() > Duration::from_millis(config.deadline_ms) =>
         {
-            let mut st = shared.lock();
-            if st.shutdown && st.aborted {
-                return; // simulated crash: drop the attempt on the floor
-            }
-            if st.generations[task.seq] != generation {
-                continue; // retired while we were backing off
-            }
-            st.running.insert(
-                task.seq,
-                Running {
-                    attempt: task.attempt,
-                    generation,
-                    started: Instant::now(),
-                },
-            );
-        }
-        let point = &shared.plan.jobs[task.seq].point;
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            classify_oracle_result(oracle.evaluate(task.seq as u64, point))
-        }));
-        let (result, quarantined) = match evaluated {
-            Ok(r) => (r, false),
-            Err(payload) => {
-                // Panic isolation: the oracle's internal state is
-                // suspect after an unwind, so rebuild it before the
-                // worker takes another job.
-                oracle = make_oracle();
-                (
-                    Err(c2_bound::Error::Simulation(format!(
-                        "oracle panicked: {}",
-                        panic_message(payload.as_ref())
-                    ))),
-                    true,
-                )
-            }
-        };
-
-        // --- report -------------------------------------------------
-        let mut st = shared.lock();
-        if st.generations[task.seq] != generation {
-            // The watchdog declared this attempt dead (or the job is
-            // otherwise retired); whatever we computed is stale.
-            continue;
-        }
-        st.running.remove(&task.seq);
-        if st.aborted {
-            continue;
-        }
-        match result {
-            Ok(t) => {
-                st.breaker.on_success();
-                note_breaker(shared, &mut st);
-                shared.sink.counter_add("engine_attempt_successes_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "attempt.ok",
-                    &[
-                        ("seq", task.seq.into()),
-                        ("attempt", task.attempt.into()),
-                        ("time", t.into()),
-                    ],
-                );
-                let timeouts = st.timeouts_per_job[task.seq];
-                finish(
-                    shared,
-                    &mut st,
-                    task.seq,
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: task.attempt,
-                            result: Ok(t),
-                        },
-                        short_circuited: false,
-                        timeouts,
-                        cached: false,
-                        quarantined: false,
-                    },
-                );
-            }
-            Err(e) => {
-                st.breaker.on_failure();
-                note_breaker(shared, &mut st);
-                // A quarantined job never retries: its oracle panicked,
-                // and re-running the same stable key would panic again.
-                let will_retry = !quarantined && task.attempt < shared.config.max_attempts;
-                shared.sink.counter_add("engine_attempt_failures_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "attempt.failed",
-                    &[
-                        ("seq", task.seq.into()),
-                        ("attempt", task.attempt.into()),
-                        ("error", e.to_string().into()),
-                        ("will_retry", will_retry.into()),
-                    ],
-                );
-                if will_retry {
-                    let next = task.attempt + 1;
-                    let key = shared.plan.jobs[task.seq].content_key();
-                    let delay_ms = shared.config.backoff.delay(key, next).as_millis() as u64;
-                    shared.sink.counter_add("engine_retries_scheduled_total", 1);
-                    shared.sink.observe(
-                        "engine_backoff_delay_ms",
-                        BACKOFF_DELAY_BOUNDS,
-                        delay_ms as f64,
-                    );
-                    shared.sink.event(
-                        "engine",
-                        "retry.scheduled",
-                        &[
-                            ("seq", task.seq.into()),
-                            ("attempt", next.into()),
-                            ("delay_ms", delay_ms.into()),
-                        ],
-                    );
-                    st.queue.push_back(Attempt {
-                        seq: task.seq,
-                        attempt: next,
-                    });
-                    shared.work_cv.notify_one();
-                } else {
-                    if quarantined {
-                        shared.sink.counter_add(names::ENGINE_QUARANTINED_TOTAL, 1);
-                        shared
-                            .sink
-                            .event("engine", "job.quarantined", &[("seq", task.seq.into())]);
-                    }
-                    let timeouts = st.timeouts_per_job[task.seq];
-                    finish(
-                        shared,
-                        &mut st,
-                        task.seq,
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: task.attempt,
-                                result: Err(e),
-                            },
-                            short_circuited: false,
-                            timeouts,
-                            cached: false,
-                            quarantined,
-                        },
-                    );
-                }
+            Attempt::Failed {
+                error: c2_bound::Error::Simulation(format!(
+                    "attempt exceeded the {} ms deadline",
+                    config.deadline_ms
+                )),
+                timed_out: true,
             }
         }
-    }
-}
-
-/// Watchdog thread: requeue attempts that blew their deadline.
-fn watchdog_loop(shared: &Shared) {
-    let deadline = Duration::from_millis(shared.config.deadline_ms);
-    let tick = Duration::from_millis(shared.config.watchdog_tick_ms);
-    loop {
-        {
-            let mut st = shared.lock();
-            if st.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let expired: Vec<(usize, Running)> = st
-                .running
-                .iter()
-                .filter(|(_, r)| now.duration_since(r.started) > deadline)
-                .map(|(&seq, &r)| (seq, r))
-                .collect();
-            for (seq, r) in expired {
-                if st.generations[seq] != r.generation {
-                    continue;
-                }
-                // Presume the worker stuck: invalidate its attempt so
-                // its late result is discarded, charge a failure, and
-                // put the job back for a healthy worker.
-                st.running.remove(&seq);
-                st.generations[seq] += 1;
-                st.timeouts_per_job[seq] += 1;
-                st.breaker.on_failure();
-                note_breaker(shared, &mut st);
-                shared.sink.counter_add("engine_timeouts_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "watchdog.timeout",
-                    &[("seq", seq.into()), ("attempt", r.attempt.into())],
-                );
-                if r.attempt < shared.config.max_attempts {
-                    let next = r.attempt + 1;
-                    let key = shared.plan.jobs[seq].content_key();
-                    let delay_ms = shared.config.backoff.delay(key, next).as_millis() as u64;
-                    shared.sink.counter_add("engine_retries_scheduled_total", 1);
-                    shared.sink.observe(
-                        "engine_backoff_delay_ms",
-                        BACKOFF_DELAY_BOUNDS,
-                        delay_ms as f64,
-                    );
-                    shared.sink.event(
-                        "engine",
-                        "retry.scheduled",
-                        &[
-                            ("seq", seq.into()),
-                            ("attempt", next.into()),
-                            ("delay_ms", delay_ms.into()),
-                        ],
-                    );
-                    st.queue.push_back(Attempt { seq, attempt: next });
-                    shared.work_cv.notify_one();
-                } else {
-                    let timeouts = st.timeouts_per_job[seq];
-                    finish(
-                        shared,
-                        &mut st,
-                        seq,
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: r.attempt,
-                                result: Err(c2_bound::Error::Simulation(format!(
-                                    "attempt exceeded the {} ms deadline",
-                                    shared.config.deadline_ms
-                                ))),
-                            },
-                            short_circuited: false,
-                            timeouts,
-                            cached: false,
-                            quarantined: false,
-                        },
-                    );
-                }
-            }
-        }
-        std::thread::sleep(tick);
+        Ok(Ok(t)) => Attempt::Ok(t),
+        Ok(Err(error)) => Attempt::Failed {
+            error,
+            timed_out: false,
+        },
     }
 }
 
@@ -902,7 +496,7 @@ impl SweepRunner {
         }
     }
 
-    /// Run the refinement stage of `sweep` on the supervised pool.
+    /// Run the refinement stage of `sweep` under supervision.
     ///
     /// `sweep` is any [`BackendSweep`] — the CPU-CMP [`c2_bound::Aps`]
     /// or the GPU-SM backend; the engine's journaling, caching, retry
@@ -930,42 +524,31 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        if self.config.threads > 0 {
-            // The unobserved path resumes through breaker checkpoints
-            // (restore + tail replay) instead of reconstructing the
-            // full event stream nobody is listening to.
-            return self.run_sharded(
-                sweep,
-                make_oracle,
-                journal_path,
-                resume,
-                &NullSink,
-                &NullSink,
-                false,
-            );
-        }
-        self.run_legacy(
+        // The unobserved path resumes through breaker checkpoints
+        // (restore + tail replay) instead of reconstructing the full
+        // event stream nobody is listening to.
+        self.run_sharded(
             sweep,
             make_oracle,
             journal_path,
             resume,
             &NullSink,
             &NullSink,
+            false,
         )
     }
 
     /// [`SweepRunner::run_aps`] with the whole run instrumented: job
     /// lifecycle, retries and backoff delays, breaker transitions,
-    /// journal appends/replays and the analysis/assembly stages all
-    /// report to `sink` (scopes `engine`, `solver`, `aps`).
+    /// journal appends and the analysis/assembly stages all report to
+    /// `sink` (scopes `engine`, `solver`, `aps`).
     ///
-    /// Determinism contract (DESIGN.md §7/§10): with `workers: 1` (or
-    /// any sharded `threads` count) the captured metrics and event
-    /// trace are byte-identical across runs of the same seeded sweep —
-    /// including runs that crashed and resumed, whose pre-crash events
-    /// are reconstructed from the journal. Operational recovery
-    /// metrics are discarded here; use [`SweepRunner::run_aps_full`]
-    /// to capture them.
+    /// Determinism contract (DESIGN.md §7/§10): at any `threads` count
+    /// the captured metrics and event trace are byte-identical across
+    /// runs of the same seeded sweep — including runs that crashed and
+    /// resumed, whose pre-crash events are reconstructed from the
+    /// journal. Operational recovery metrics are discarded here; use
+    /// [`SweepRunner::run_aps_full`] to capture them.
     pub fn run_aps_observed<O, B>(
         &self,
         sweep: &dyn BackendSweep,
@@ -1001,221 +584,30 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        if self.config.threads > 0 {
-            return self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops, true);
-        }
-        self.run_legacy(sweep, make_oracle, journal_path, resume, sink, ops)
-    }
-
-    /// The legacy shared-queue pool (`threads == 0`).
-    fn run_legacy<O, B>(
-        &self,
-        sweep: &dyn BackendSweep,
-        make_oracle: B,
-        journal_path: Option<&Path>,
-        resume: bool,
-        sink: &dyn MetricsSink,
-        ops: &dyn MetricsSink,
-    ) -> Result<RunSummary>
-    where
-        O: Oracle,
-        B: Fn() -> O + Sync,
-    {
-        let storage = self.storage();
-        let plan = sweep.plan_observed(sink)?;
-        ensure_plan_nonempty(plan.jobs.len())?;
-        let header = JournalHeader {
-            jobs: plan.jobs.len(),
-            fingerprint: journal::bind_fingerprint(
-                journal::bind_fingerprint(
-                    plan_fingerprint(&plan),
-                    self.config.scenario_fingerprint,
-                ),
-                journal::backend_fingerprint(sweep.identity()),
-            ),
-        };
-
-        let mut terminals: Vec<Option<Terminal>> = vec![None; plan.jobs.len()];
-        let mut breaker = CircuitBreaker::new(self.config.breaker)?;
-        let mut resumed = 0usize;
-        let journal = match journal_path {
-            None => None,
-            Some(path) => {
-                if resume && path.exists() {
-                    let contents = journal::load_with(storage.as_ref(), path)?;
-                    if contents.header != header {
-                        return Err(Error::Journal(format!(
-                            "journal {path:?} belongs to a different sweep \
-                             (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
-                            contents.header.jobs,
-                            contents.header.fingerprint,
-                            header.jobs,
-                            header.fingerprint
-                        )));
-                    }
-                    if contents.truncated_tail {
-                        // Cut the torn tail off *before* appending so a
-                        // second crash cannot concatenate onto it.
-                        storage.truncate(path, contents.valid_len as u64)?;
-                        ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
-                        ops.event(
-                            "engine",
-                            "journal.truncated",
-                            &[("valid_len", contents.valid_len.into())],
-                        );
-                    }
-                    for record in &contents.records {
-                        let slot = terminals.get_mut(record.seq).ok_or_else(|| {
-                            Error::Journal(format!(
-                                "journal record seq {} out of range",
-                                record.seq
-                            ))
-                        })?;
-                        replay_breaker(&mut breaker, record);
-                        // Replay reconstructs state the original run
-                        // already traced; don't re-emit its transitions.
-                        let _ = breaker.take_transition();
-                        *slot = Some(Terminal {
-                            outcome: record.point_outcome(),
-                            short_circuited: record.short_circuited,
-                            timeouts: record.timeouts,
-                            cached: record.cached,
-                            quarantined: record.quarantined,
-                        });
-                        resumed += 1;
-                    }
-                    sink.counter_add("engine_journal_replayed_total", resumed as u64);
-                    sink.event(
-                        "engine",
-                        "journal.replayed",
-                        &[
-                            ("records", resumed.into()),
-                            ("breaker_state", breaker.state().as_str().into()),
-                        ],
-                    );
-                    Some(JournalWriter::append_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                    )?)
-                } else {
-                    Some(JournalWriter::create_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                        &header,
-                    )?)
-                }
-            }
-        };
-
-        let pending = terminals.iter().filter(|t| t.is_none()).count();
-        sink.gauge_set("engine_plan_jobs", plan.jobs.len() as f64);
-        sink.gauge_set("engine_breaker_state", breaker.state().as_gauge());
-        sink.event(
-            "engine",
-            "run.start",
-            &[
-                ("jobs", plan.jobs.len().into()),
-                ("pending", pending.into()),
-                ("resumed", resumed.into()),
-                ("workers", self.config.workers.into()),
-            ],
-        );
-        let shared = Shared {
-            state: Mutex::new(EngineState {
-                queue: VecDeque::new(),
-                running: HashMap::new(),
-                generations: vec![0; plan.jobs.len()],
-                timeouts_per_job: terminals
-                    .iter()
-                    .map(|t| t.as_ref().map_or(0, |t| t.timeouts))
-                    .collect(),
-                terminals,
-                breaker,
-                pending,
-                terminals_this_run: 0,
-                aborted: false,
-                shutdown: pending == 0,
-                journal,
-                journal_error: None,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            plan: &plan,
-            config: &self.config,
-            sink,
-            ops,
-        };
-
-        if pending > 0 {
-            std::thread::scope(|scope| {
-                for _ in 0..self.config.workers {
-                    let shared = &shared;
-                    let make_oracle = &make_oracle;
-                    scope.spawn(move || worker_loop(shared, make_oracle));
-                }
-                if self.config.deadline_ms > 0 {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                // Seed the bounded queue with every non-journaled job.
-                let mut st = shared.lock();
-                for seq in 0..plan.jobs.len() {
-                    if st.terminals[seq].is_some() {
-                        continue;
-                    }
-                    while !st.shutdown && st.queue.len() >= self.config.queue_capacity {
-                        st = shared.wait(st, &shared.done_cv);
-                    }
-                    if st.shutdown {
-                        break;
-                    }
-                    st.queue.push_back(Attempt { seq, attempt: 1 });
-                    shared.work_cv.notify_one();
-                }
-                // Wait for drain (or the simulated crash).
-                while !st.shutdown {
-                    st = shared.wait(st, &shared.done_cv);
-                }
-                drop(st);
-            });
-        }
-
-        let mut st = shared.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        // Flush-and-close before reporting: the journal must be
-        // durable by the time the caller sees the report.
-        st.journal = None;
-        if let Some(e) = st.journal_error.take() {
-            return Err(e);
-        }
-
-        let trips = st.breaker.trips();
-        self.assemble_and_report(sweep, plan, st.terminals, resumed, trips, sink, false)
+        self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops, true)
     }
 }
 
-// ---------------------------------------------------------------------------
-// The deterministic sharded engine (`threads` ≥ 1)
-// ---------------------------------------------------------------------------
-
-/// Drain and publish a breaker transition through any sink (the
-/// sharded engine's per-shard buffers tag the transition with the
-/// shard that owns the breaker).
-fn note_breaker_sink(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard: Option<usize>) {
+/// Drain and publish a breaker transition into a shard's buffer,
+/// tagged with the shard that owns the breaker. Called after every
+/// `admit`/`on_success`/`on_failure`, each of which changes state at
+/// most once.
+fn note_breaker(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard: usize) {
     if let Some(tr) = breaker.take_transition() {
         sink.counter_add("engine_breaker_transitions_total", 1);
         if tr.to == BreakerState::Open {
             sink.counter_add("engine_breaker_trips_total", 1);
         }
         sink.gauge_set("engine_breaker_state", tr.to.as_gauge());
-        let mut fields: Vec<(&str, c2_obs::FieldValue)> = Vec::with_capacity(3);
-        if let Some(i) = shard {
-            fields.push(("shard", i.into()));
-        }
-        fields.push(("from", tr.from.as_str().into()));
-        fields.push(("to", tr.to.as_str().into()));
-        sink.event("engine", "breaker.transition", &fields);
+        sink.event(
+            "engine",
+            "breaker.transition",
+            &[
+                ("shard", shard.into()),
+                ("from", tr.from.as_str().into()),
+                ("to", tr.to.as_str().into()),
+            ],
+        );
     }
 }
 
@@ -1311,8 +703,10 @@ fn replayable(breaker: &CircuitBreaker, attempts: usize) -> bool {
 /// through the real breaker — the identical function that replays
 /// *resumed* records, which is what makes a resumed run's artifacts
 /// bit-identical to a clean run's by construction (DESIGN.md §10–§11).
-/// `ckey` is the job's cache address, precomputed by the worker in one
-/// batch per claimed shard (rather than re-derived per job here).
+/// A deadline expiry is decided here, once, and journaled like any
+/// other failure, so replay never re-times it. `ckey` is the job's
+/// cache address, precomputed by the worker in one batch per claimed
+/// shard (rather than re-derived per job here).
 #[allow(clippy::too_many_arguments)]
 fn decide_sharded_job<O: Oracle>(
     config: &RunConfig,
@@ -1326,26 +720,19 @@ fn decide_sharded_job<O: Oracle>(
     seq: usize,
 ) -> (Terminal, bool) {
     let job = &plan.jobs[seq];
-    let content = job.content_key();
     let mut probe = breaker.clone();
     let mut attempt = 1usize;
+    let mut timeouts = 0usize;
     loop {
         if probe.admit() == Admission::ShortCircuit {
-            return (
-                Terminal {
-                    outcome: PointOutcome {
-                        attempts: attempt - 1,
-                        result: Err(c2_bound::Error::Simulation(
-                            "circuit breaker open: oracle attempt not admitted".to_string(),
-                        )),
-                    },
-                    short_circuited: true,
-                    timeouts: 0,
-                    cached: false,
-                    quarantined: false,
-                },
-                false,
+            let refused = c2_bound::Error::Simulation(
+                "circuit breaker open: oracle attempt not admitted".to_string(),
             );
+            let t = Terminal {
+                short_circuited: true,
+                ..Terminal::live(attempt - 1, Err(refused), timeouts)
+            };
+            return (t, false);
         }
         if attempt == 1 && cache_on {
             // Consult the cache: the start-of-run snapshot plus this
@@ -1361,83 +748,33 @@ fn decide_sharded_job<O: Oracle>(
                 .or_else(|| snapshot.get(&ckey).copied())
                 .filter(|h| h.attempts <= config.max_attempts && replayable(&probe, h.attempts));
             if let Some(hit) = hit {
-                return (
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: hit.attempts,
-                            result: Ok(hit.time),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
-                        cached: true,
-                        quarantined: false,
-                    },
-                    false,
-                );
+                let t = Terminal {
+                    cached: true,
+                    ..Terminal::live(hit.attempts, Ok(hit.time), 0)
+                };
+                return (t, false);
             }
         }
-        if attempt >= 2 {
-            std::thread::sleep(config.backoff.delay(content, attempt));
-        }
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            classify_oracle_result(oracle.evaluate(seq as u64, &job.point))
-        }));
-        match evaluated {
-            Err(payload) => {
-                // Panic isolation: quarantine the job at this attempt
-                // (no retries — the panic is keyed to the job, so
-                // re-running it would panic again) and tell the caller
-                // to rebuild the poisoned oracle.
-                return (
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: attempt,
-                            result: Err(c2_bound::Error::Simulation(format!(
-                                "oracle panicked: {}",
-                                panic_message(payload.as_ref())
-                            ))),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
-                        cached: false,
-                        quarantined: true,
-                    },
-                    true,
-                );
+        match run_attempt(config, job, attempt, oracle) {
+            Attempt::Ok(t) => return (Terminal::live(attempt, Ok(t), timeouts), false),
+            // Panic isolation: quarantine the job at this attempt (no
+            // retries — the panic is keyed to the job, so re-running it
+            // would panic again) and tell the caller to rebuild the
+            // poisoned oracle.
+            Attempt::Panicked(e) => {
+                let t = Terminal {
+                    quarantined: true,
+                    ..Terminal::live(attempt, Err(e), timeouts)
+                };
+                return (t, true);
             }
-            Ok(Ok(t)) => {
-                return (
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: attempt,
-                            result: Ok(t),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
-                        cached: false,
-                        quarantined: false,
-                    },
-                    false,
-                );
-            }
-            Ok(Err(e)) => {
+            Attempt::Failed { error, timed_out } => {
+                timeouts += usize::from(timed_out);
                 probe.on_failure();
                 if attempt < config.max_attempts {
                     attempt += 1;
                 } else {
-                    return (
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: attempt,
-                                result: Err(e),
-                            },
-                            short_circuited: false,
-                            timeouts: 0,
-                            cached: false,
-                            quarantined: false,
-                        },
-                        false,
-                    );
+                    return (Terminal::live(attempt, Err(error), timeouts), false);
                 }
             }
         }
@@ -1456,7 +793,8 @@ fn decide_sharded_job<O: Oracle>(
 /// then a success; a non-quarantined `Err` record is `max_attempts`
 /// failures; a quarantined record ends at whichever attempt panicked;
 /// a short-circuited record is all will-retry failures plus the
-/// refused admission.
+/// refused admission. Deadline expiries are failures among these,
+/// counted by the record's `timeouts`.
 fn emit_job_events(
     config: &RunConfig,
     plan: &ApsPlan,
@@ -1469,7 +807,7 @@ fn emit_job_events(
     let content = plan.jobs[seq].content_key();
     if record.cached {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         // Replay the original computation's attempt history into the
         // breaker (the admission above was attempt 1), so the shard's
         // breaker walks the same trajectory as the run that populated
@@ -1483,7 +821,7 @@ fn emit_job_events(
             } else {
                 cell.breaker.on_failure();
             }
-            note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+            note_breaker(&cell.buffer, &mut cell.breaker, shard);
         }
         let time = *record.result.as_ref().expect("cached records are Ok");
         cell.buffer.counter_add("engine_cache_hits_total", 1);
@@ -1500,7 +838,7 @@ fn emit_job_events(
     }
     for i in 1..=record.attempts {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         if i == 1 && cache_on {
             cell.buffer.counter_add("engine_cache_misses_total", 1);
         }
@@ -1514,7 +852,7 @@ fn emit_job_events(
         match (&record.result, terminal_here) {
             (Ok(t), true) => {
                 cell.breaker.on_success();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_successes_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1528,7 +866,7 @@ fn emit_job_events(
             }
             (Err(msg), true) => {
                 cell.breaker.on_failure();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_failures_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1548,7 +886,7 @@ fn emit_job_events(
             }
             (_, false) => {
                 cell.breaker.on_failure();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_failures_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1581,10 +919,14 @@ fn emit_job_events(
     }
     if record.short_circuited {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         cell.buffer.counter_add("engine_short_circuits_total", 1);
         cell.buffer
             .event("engine", "job.short_circuited", &[("seq", seq.into())]);
+    }
+    if record.timeouts > 0 {
+        cell.buffer
+            .counter_add("engine_timeouts_total", record.timeouts as u64);
     }
 }
 
@@ -1744,9 +1086,9 @@ impl SweepRunner {
     /// journal is rewritten canonically (records in `seq` order via
     /// temp-file + rename) — so every artifact is bit-identical for
     /// every thread count, and identical to the `threads: 1` serial
-    /// execution. `deadline_ms` (wall-clock, inherently
-    /// schedule-dependent) is not enforced here; `timeouts` is always
-    /// zero in sharded journals.
+    /// execution. A `deadline_ms` expiry depends on wall time, so it
+    /// is the one decision that can differ between two clean runs;
+    /// once journaled, resume replays it.
     ///
     /// `reconstruct` selects how a resumed journal is replayed:
     /// `true` (the observed path) re-emits every resumed record's full
@@ -2238,12 +1580,11 @@ impl SweepRunner {
             }
         }
 
-        self.assemble_and_report(sweep, plan, terminals, resumed, breaker_trips, sink, true)
+        self.assemble_and_report(sweep, plan, terminals, resumed, breaker_trips, sink)
     }
 
-    /// Common tail of both engines: assemble the outcome, account
-    /// every terminal into the ledger, and trace `run.finish`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble the outcome, account every terminal into the ledger,
+    /// and trace `run.finish`.
     fn assemble_and_report(
         &self,
         sweep: &dyn BackendSweep,
@@ -2252,7 +1593,6 @@ impl SweepRunner {
         resumed: usize,
         breaker_trips: usize,
         sink: &dyn MetricsSink,
-        sharded: bool,
     ) -> Result<RunSummary> {
         let completed = terminals.iter().all(|t| t.is_some());
         let results: Vec<(usize, PointOutcome)> = terminals
@@ -2322,30 +1662,27 @@ impl SweepRunner {
             }
         }
         debug_assert!(report.consistent());
-        let mut fields: Vec<(&str, c2_obs::FieldValue)> = vec![
-            ("completed", report.completed.into()),
-            ("attempted", report.attempted.into()),
-            ("succeeded", report.succeeded.into()),
-            ("skipped", report.skipped.into()),
-            ("backfilled", report.backfilled.into()),
-        ];
-        if !sharded {
-            // The legacy trace reports resume counts inline; the
-            // sharded trace must stay bit-identical across
-            // crash/resume histories, so its resume telemetry lives on
-            // the ops sink instead.
-            fields.push(("resumed", report.resumed.into()));
-        }
-        fields.extend([
-            ("retried", report.retried.into()),
-            ("oracle_calls", report.oracle_calls.into()),
-            ("timeouts", report.timeouts.into()),
-            ("short_circuited", report.short_circuited.into()),
-            ("quarantined", report.quarantined.into()),
-            ("breaker_trips", report.breaker_trips.into()),
-            ("cache_hits", report.cache_hits.into()),
-        ]);
-        sink.event("engine", "run.finish", &fields);
+        // No `resumed` field: the trace must stay bit-identical across
+        // crash/resume histories, so resume telemetry lives on the ops
+        // sink.
+        sink.event(
+            "engine",
+            "run.finish",
+            &[
+                ("completed", report.completed.into()),
+                ("attempted", report.attempted.into()),
+                ("succeeded", report.succeeded.into()),
+                ("skipped", report.skipped.into()),
+                ("backfilled", report.backfilled.into()),
+                ("retried", report.retried.into()),
+                ("oracle_calls", report.oracle_calls.into()),
+                ("timeouts", report.timeouts.into()),
+                ("short_circuited", report.short_circuited.into()),
+                ("quarantined", report.quarantined.into()),
+                ("breaker_trips", report.breaker_trips.into()),
+                ("cache_hits", report.cache_hits.into()),
+            ],
+        );
         Ok(RunSummary {
             report,
             plan,
@@ -2364,7 +1701,7 @@ mod tests {
     fn empty_plans_are_a_typed_error() {
         assert_eq!(ensure_plan_nonempty(0), Err(Error::EmptyPlan));
         assert_eq!(ensure_plan_nonempty(1), Ok(()));
-        // Both engines check before journal/cache creation, so the
+        // The engine checks before journal/cache creation, so the
         // error text is what a submitter sees instead of a published
         // empty artifact.
         assert!(Error::EmptyPlan.to_string().contains("no jobs"));
@@ -2378,6 +1715,70 @@ mod tests {
         assert_eq!(panic_message(owned.as_ref()), "owned boom");
         let weird: Box<dyn Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(weird.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn threads_zero_in_a_spec_means_workers_threads() {
+        let mut spec = c2_config::RunnerSpec {
+            workers: 3,
+            threads: 0,
+            ..c2_config::RunnerSpec::default()
+        };
+        assert_eq!(RunConfig::from_spec(&spec).unwrap().threads, 3);
+        spec.threads = 4;
+        assert_eq!(RunConfig::from_spec(&spec).unwrap().threads, 4);
+        // A directly built configuration has no such fallback.
+        let zero = RunConfig {
+            threads: 0,
+            ..RunConfig::default()
+        };
+        assert_eq!(
+            zero.validate(),
+            Err(Error::InvalidConfig("threads must be positive"))
+        );
+    }
+
+    #[test]
+    fn attempt_step_discards_late_results_and_isolates_panics() {
+        use c2_bound::{DesignPoint, DesignSpace};
+        let job = RefinementJob {
+            seq: 0,
+            index: [0; 6],
+            point: DesignSpace::tiny().point_at([0; 6]),
+        };
+        let mut slow = |_: &DesignPoint| {
+            std::thread::sleep(Duration::from_millis(30));
+            Ok(1.0)
+        };
+        let timed = RunConfig {
+            deadline_ms: 5,
+            ..RunConfig::default()
+        };
+        match run_attempt(&timed, &job, 1, &mut slow) {
+            Attempt::Failed {
+                error,
+                timed_out: true,
+            } => assert_eq!(error_message(&error), "attempt exceeded the 5 ms deadline"),
+            other => panic!("a late result must be discarded, got {other:?}"),
+        }
+        let untimed = RunConfig::default();
+        assert!(matches!(
+            run_attempt(&untimed, &job, 1, &mut slow),
+            Attempt::Ok(t) if t == 1.0
+        ));
+        let mut non_physical = |_: &DesignPoint| Ok(-1.0);
+        assert!(matches!(
+            run_attempt(&timed, &job, 1, &mut non_physical),
+            Attempt::Failed {
+                timed_out: false,
+                ..
+            }
+        ));
+        let mut panicky = |_: &DesignPoint| -> c2_bound::Result<f64> { panic!("boom") };
+        match run_attempt(&timed, &job, 1, &mut panicky) {
+            Attempt::Panicked(e) => assert_eq!(error_message(&e), "oracle panicked: boom"),
+            other => panic!("a panic must be isolated, got {other:?}"),
+        }
     }
 
     #[test]

@@ -119,8 +119,8 @@ pub struct JobRecord {
     /// cache replays it into the breaker), not new oracle work.
     pub cached: bool,
     /// Whether the job's final attempt panicked inside the oracle and
-    /// was quarantined: terminated immediately (no retries), isolated
-    /// from the worker pool, and degraded to analytic backfill.
+    /// was quarantined: terminated immediately (no retries), its
+    /// oracle rebuilt, and degraded to analytic backfill.
     pub quarantined: bool,
 }
 

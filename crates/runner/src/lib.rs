@@ -5,22 +5,24 @@
 //! refinement stage into independent jobs; this crate executes those
 //! jobs under supervision instead of a bare sequential loop:
 //!
-//! * [`engine::SweepRunner`] — bounded-queue worker pool with
-//!   per-attempt deadlines, a watchdog that requeues stuck jobs, and
-//!   graceful drain-and-report shutdown;
+//! * [`engine::SweepRunner`] — the deterministic sharded engine:
+//!   retries, per-attempt deadlines (a late attempt is journaled as a
+//!   failure), panic quarantine, and a ledger that accounts for every
+//!   job;
 //! * [`backoff::BackoffPolicy`] — exponential retry backoff with
 //!   deterministic jitter (resume replays the same schedule);
-//! * [`breaker::CircuitBreaker`] — trips after consecutive oracle
-//!   failures, short-circuits jobs to analytic backfill while open,
-//!   and probes half-open before trusting the oracle again;
-//! * [`journal`] — a JSONL checkpoint journal flushed per terminal
-//!   outcome, so a killed sweep resumes idempotently and the merged
-//!   result is identical to an uninterrupted run;
-//! * [`shard`] — the deterministic sharded scheduler behind
-//!   `RunConfig::threads`: whole shards are work-stolen by OS threads,
-//!   per-shard breaker/backoff state is schedule-invariant, and
-//!   per-shard outputs merge in shard order, so the journal, metrics,
-//!   and outcome are bit-identical for every thread count;
+//! * [`breaker::CircuitBreaker`] — one per shard: trips after
+//!   consecutive oracle failures, short-circuits jobs to analytic
+//!   backfill while open, and probes half-open before trusting the
+//!   oracle again;
+//! * [`journal`] — a JSONL journal of terminal outcomes plus per-shard
+//!   breaker checkpoints, so a killed sweep resumes idempotently and
+//!   the merged result is identical to an uninterrupted run;
+//! * [`shard`] — the partition behind `RunConfig::threads`: whole
+//!   shards are work-stolen by OS threads, per-shard breaker/backoff
+//!   state is schedule-invariant, and per-shard outputs merge in shard
+//!   order, so the journal, metrics, and outcome are bit-identical for
+//!   every thread count;
 //! * [`cache`] — a content-addressed evaluation cache keyed by
 //!   (run identity fingerprint, design-point content key) that
 //!   memoizes oracle results within and across `--resume` runs; the

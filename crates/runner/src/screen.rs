@@ -41,13 +41,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use c2_ann::{Mlp, TrainOptions};
-use c2_bound::aps::{classify_oracle_result, ApsPlan, PointOutcome, RefinementJob};
+use c2_bound::aps::{ApsPlan, PointOutcome, RefinementJob};
 use c2_bound::backend::BackendSweep;
 use c2_bound::dse::Oracle;
 use c2_config::{OracleMode, Scenario, ScreenSpec};
 use c2_obs::{names, MetricsSink};
 
-use crate::engine::{RunReport, RunSummary, SweepRunner};
+use crate::engine::{run_attempt, Attempt, RunConfig, RunReport, RunSummary, SweepRunner};
 use crate::journal::{self, plan_fingerprint, JobRecord, JournalHeader, JournalWriter};
 use crate::{Error, Result};
 
@@ -210,6 +210,45 @@ fn member_seed(seed: u64, round: usize, member: usize) -> u64 {
     h
 }
 
+/// Evaluate one screened candidate through the engine's attempt step:
+/// retries (with backoff) under `max_attempts`, deadline expiries
+/// counted as failures, and a panic quarantining the candidate at the
+/// attempt that panicked. Screening has no breaker.
+fn evaluate_screened<O: Oracle>(
+    config: &RunConfig,
+    job: &RefinementJob,
+    oracle: &mut O,
+) -> JobRecord {
+    let mut attempts = 0usize;
+    let mut timeouts = 0usize;
+    let mut quarantined = false;
+    let result = loop {
+        attempts += 1;
+        match run_attempt(config, job, attempts, oracle) {
+            Attempt::Ok(t) => break Ok(t),
+            Attempt::Panicked(e) => {
+                quarantined = true;
+                break Err(journal::error_message(&e));
+            }
+            Attempt::Failed { error, timed_out } => {
+                timeouts += usize::from(timed_out);
+                if attempts >= config.max_attempts {
+                    break Err(journal::error_message(&error));
+                }
+            }
+        }
+    };
+    JobRecord {
+        seq: job.seq,
+        attempts,
+        timeouts,
+        result,
+        short_circuited: false,
+        cached: false,
+        quarantined,
+    }
+}
+
 /// Train one committee, fresh, on the seq-sorted outcome set.
 fn train_committee(cfg: &ScreenConfig, round: usize, xs: &[Vec<f64>], ys: &[f64]) -> Vec<Mlp> {
     let opts = TrainOptions {
@@ -340,13 +379,8 @@ impl SweepRunner {
 
         let budget = screen.budget.min(jobs);
         let initial = screen.initial.min(budget);
-        let parallelism = if self.config().threads > 0 {
-            self.config().threads
-        } else {
-            self.config().workers.max(1)
-        };
-        let max_attempts = self.config().max_attempts.max(1);
-        let abort_after = self.config().abort_after;
+        let config = self.config();
+        let abort_after = config.abort_after;
 
         let mut appended_this_run = 0usize;
         let mut aborted = false;
@@ -355,7 +389,7 @@ impl SweepRunner {
         let mut final_spread = 0.0f64;
 
         // One acquisition round: reuse journaled outcomes for
-        // re-selected seqs, evaluate the rest on the worker pool
+        // re-selected seqs, evaluate the rest on `threads` workers
         // (claim-by-index over the seq-sorted batch, slot per index),
         // then fold and journal in seq order.
         let run_round = |selected: &[usize],
@@ -380,7 +414,7 @@ impl SweepRunner {
                 todo.iter().map(|_| Mutex::new(None)).collect();
             if !todo.is_empty() {
                 let next = AtomicUsize::new(0);
-                let workers = parallelism.min(todo.len());
+                let workers = config.threads.min(todo.len());
                 std::thread::scope(|scope| {
                     for _ in 0..workers {
                         let next = &next;
@@ -396,29 +430,12 @@ impl SweepRunner {
                                     break;
                                 }
                                 let seq = todo[i];
-                                let job = &plan.jobs[seq];
-                                let mut attempts = 0usize;
-                                let result = loop {
-                                    attempts += 1;
-                                    match classify_oracle_result(
-                                        oracle.evaluate(seq as u64, &job.point),
-                                    ) {
-                                        Ok(t) => break Ok(t),
-                                        Err(e) if attempts >= max_attempts => {
-                                            break Err(journal::error_message(&e))
-                                        }
-                                        Err(_) => {}
-                                    }
-                                };
-                                *slots[i].lock().unwrap() = Some(JobRecord {
-                                    seq,
-                                    attempts,
-                                    timeouts: 0,
-                                    result,
-                                    short_circuited: false,
-                                    cached: false,
-                                    quarantined: false,
-                                });
+                                let record =
+                                    evaluate_screened(config, &plan.jobs[seq], &mut oracle);
+                                if record.quarantined {
+                                    oracle = make_oracle();
+                                }
+                                *slots[i].lock().unwrap() = Some(record);
                             }
                         });
                     }
@@ -630,8 +647,12 @@ impl SweepRunner {
         for (&seq, record) in &evaluated {
             report.attempted += 1;
             report.oracle_calls += record.attempts;
+            report.timeouts += record.timeouts;
             if record.attempts > 1 {
                 report.retried += 1;
+            }
+            if record.quarantined {
+                report.quarantined += 1;
             }
             match &record.result {
                 Ok(_) => report.succeeded += 1,
@@ -782,10 +803,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let aps = quick_aps();
         let mut bytes = Vec::new();
-        for workers in [1usize, 4] {
-            let path = dir.join(format!("w{workers}.journal.jsonl"));
+        for threads in [1usize, 4] {
+            let path = dir.join(format!("w{threads}.journal.jsonl"));
             let runner = SweepRunner::new(RunConfig {
-                workers,
+                threads,
                 ..RunConfig::default()
             })
             .unwrap();
@@ -803,6 +824,54 @@ mod tests {
             bytes.push(std::fs::read(&path).unwrap());
         }
         assert_eq!(bytes[0], bytes[1]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A panicking oracle costs one candidate, not the process: the
+    /// seeding round's key 3 panics, is journaled `quarantined` after
+    /// one attempt, and the sweep completes on a rebuilt oracle.
+    #[test]
+    fn panicking_oracle_quarantines_the_candidate_and_the_sweep_completes() {
+        let dir = std::env::temp_dir().join(format!("c2-screen-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("panic.journal.jsonl");
+        let faults = c2_sim::FaultPlan {
+            oracle_panic_period: Some(4),
+            ..c2_sim::FaultPlan::default()
+        };
+        let runner = SweepRunner::new(RunConfig {
+            threads: 2,
+            ..RunConfig::default()
+        })
+        .unwrap();
+        let (summary, report) = runner
+            .run_screened(
+                &quick_aps(),
+                &tiny_screen(),
+                || crate::InjectedOracle::new(faults, fast_oracle()).unwrap(),
+                Some(&path),
+                false,
+                &NullSink,
+                &NullSink,
+            )
+            .expect("a panicking candidate must not abort the sweep");
+        assert!(summary.report.completed);
+        assert!(summary.report.consistent());
+        assert_eq!(summary.report.quarantined, 1);
+        assert!(
+            report.true_evaluations > 3,
+            "rounds continue past the panic"
+        );
+        let journal = crate::journal::load(&path).unwrap();
+        let panicked = journal.records.iter().find(|r| r.seq == 3).unwrap();
+        assert!(panicked.quarantined);
+        assert_eq!(
+            panicked.attempts, 1,
+            "a quarantined candidate is not retried"
+        );
+        let others = journal.records.iter().filter(|r| r.seq != 3);
+        assert!(others.clone().all(|r| !r.quarantined && r.result.is_ok()));
+        assert!(others.count() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

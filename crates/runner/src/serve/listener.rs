@@ -667,10 +667,7 @@ fn execute_job(
 ) -> Result<(RunSummary, Recorder)> {
     let mut config = RunConfig::from_spec(&job.scenario.runner)?;
     // The daemon owns memoization: the scenario's own cache block is
-    // overridden by the shared daemon cache (or disabled). The cache
-    // needs the sharded engine, so legacy `threads: 0` is bumped to
-    // the bit-identical single-thread sharded path.
-    config.threads = config.threads.max(1);
+    // overridden by the shared daemon cache (or disabled).
     config.cache_path = shared.options.cache_path.clone();
     let config = config.with_scenario(job.scenario.fingerprint());
     let journal = shared.options.dir.join(format!("{}.journal.jsonl", job.id));

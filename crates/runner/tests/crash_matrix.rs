@@ -451,18 +451,28 @@ fn a_panicking_oracle_is_quarantined_without_losing_the_sweep() {
 
 #[test]
 fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
-    // The first two keys panic; with a 9-job plan (one job per shard)
-    // the sharded breakers see one job each, so run the *legacy*
-    // engine (one shared breaker): two consecutive quarantines must
-    // trip it, the cooldown short-circuits the next jobs, and the
-    // half-open probe then recovers on the healthy tail.
+    // A 4 × 16 = 64-job plan puts four jobs in each of the 16 shards
+    // (shard = seq % 16). Keys 15 and 31 open shard 15 and both panic:
+    // two consecutive quarantines must trip its breaker, the cooldown
+    // short-circuits job 47, and the half-open probe then recovers on
+    // the healthy tail (job 63).
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        vec![1, 2, 4, 8],
+        (1..=16).map(|i| 16 * i).collect(),
+    )
+    .unwrap();
+    let wide = Aps::new(C2BoundModel::example_big_data(), space);
     let runner = SweepRunner::new(RunConfig {
-        workers: 1,
-        threads: 0,
+        threads: 1,
         max_attempts: 3,
         breaker: BreakerPolicy {
             trip_threshold: 2,
-            cooldown: 2,
+            cooldown: 1,
             probes: 1,
         },
         ..RunConfig::default()
@@ -470,9 +480,9 @@ fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
     .unwrap();
     let summary = runner
         .run_aps(
-            &aps(),
+            &wide,
             || PanicOracle {
-                panic_keys: vec![0, 1],
+                panic_keys: vec![15, 31],
                 calls: Arc::new(AtomicUsize::new(0)),
                 panic_calls: Arc::new(AtomicUsize::new(0)),
             },
@@ -493,6 +503,9 @@ fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
         summary.report
     );
     assert!(summary.report.succeeded > 0, "the healthy tail recovers");
+    let outcome = |seq: usize| &summary.results[seq].1;
+    assert_eq!(outcome(47).attempts, 0, "job 47 is short-circuited");
+    assert!(outcome(63).result.is_ok(), "the probe on job 63 succeeds");
 }
 
 #[test]

@@ -65,17 +65,14 @@ fn acceptance_faults() -> FaultPlan {
     }
 }
 
-/// Engine config for the acceptance sweep: single worker (bit-equality
-/// needs a deterministic schedule), tight deadline, high breaker
-/// threshold so breaking stays out of the equality property (it gets
-/// its own tests below).
+/// Engine config for the acceptance sweep: one thread, tight deadline,
+/// high breaker threshold so breaking stays out of the equality
+/// property (it gets its own tests below).
 fn acceptance_config() -> RunConfig {
     RunConfig {
-        workers: 1,
+        threads: 1,
         deadline_ms: 40,
-        watchdog_tick_ms: 4,
         max_attempts: 2,
-        queue_capacity: 16,
         backoff: BackoffPolicy {
             base_ms: 1,
             factor: 2.0,
@@ -90,7 +87,6 @@ fn acceptance_config() -> RunConfig {
         analytic_fallback: true,
         scenario_fingerprint: None,
         abort_after: None,
-        threads: 0,
         cache_path: None,
         cache_fingerprint: None,
         sync: SyncPolicy::default(),
@@ -266,7 +262,7 @@ fn engine_matches_in_process_aps_under_identical_faults() {
     };
     let pricer = |p: &DesignPoint| Ok(1.0e9 / (p.n * p.issue_width * p.rob_size) as f64);
     let config = RunConfig {
-        workers: 1,
+        threads: 1,
         deadline_ms: 0,
         max_attempts: 2,
         ..RunConfig::default()
@@ -292,13 +288,12 @@ fn engine_matches_in_process_aps_under_identical_faults() {
 }
 
 #[test]
-fn multi_worker_pool_converges_to_the_reference_outcome() {
+fn multi_thread_run_converges_to_the_reference_outcome() {
     // Outcomes are per-job deterministic (keyed faults, stateless
-    // pricing), so even a racy 4-worker schedule must assemble the
-    // same result; only scheduling-order counters may differ.
+    // pricing), so a 4-thread schedule must assemble the same result.
     let (ref_outcome, ref_report) = reference_summary();
     let mut config = acceptance_config();
-    config.workers = 4;
+    config.threads = 4;
     let summary = run_acceptance(&config, None, false).unwrap();
     assert!(summary.report.completed);
     assert!(summary.report.consistent());
@@ -307,20 +302,38 @@ fn multi_worker_pool_converges_to_the_reference_outcome() {
     assert_eq!(summary.report.backfilled, ref_report.backfilled);
 }
 
+/// A 4 × 16 = 64-job plan: more jobs than `MAX_SHARDS`, so each of the
+/// 16 shards runs four jobs against one breaker. Job `seq = issue_index
+/// · 16 + rob_index` lands in shard `seq % 16`, its ROB index.
+fn wide_aps() -> Aps {
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        vec![1, 2, 4, 8],
+        (1..=16).map(|i| 16 * i).collect(),
+    )
+    .unwrap();
+    Aps::new(C2BoundModel::example_big_data(), space)
+}
+
 #[test]
 fn sick_backend_trips_the_breaker_and_strands_no_job() {
-    // Jobs 0..2 succeed, everything later fails: the failure streak
-    // trips the breaker, the cooldown short-circuits jobs straight to
-    // backfill, and a failed half-open probe re-trips it.
+    // The widest-ROB points (one shard: jobs 15, 31, 47, 63) fail,
+    // everything else succeeds: the shard's failure streak trips its
+    // breaker, the cooldown short-circuits jobs straight to backfill,
+    // and a failed half-open probe re-trips it.
     let pricer = |p: &DesignPoint| {
-        if p.issue_width == 1 {
+        if p.rob_size != 256 {
             Ok(1.0e6 / p.rob_size as f64)
         } else {
             Err(c2_bound::Error::Simulation("backend wedged".into()))
         }
     };
     let config = RunConfig {
-        workers: 1,
+        threads: 1,
         deadline_ms: 0,
         max_attempts: 2,
         breaker: BreakerPolicy {
@@ -332,23 +345,24 @@ fn sick_backend_trips_the_breaker_and_strands_no_job() {
     };
     let summary = SweepRunner::new(config)
         .unwrap()
-        .run_aps(&aps(), || pricer, None, false)
+        .run_aps(&wide_aps(), || pricer, None, false)
         .unwrap();
     let report = summary.report;
     assert!(report.completed);
     assert!(report.consistent());
-    assert_eq!(report.attempted, 9);
-    assert_eq!(report.succeeded, 3);
+    assert_eq!(report.attempted, 64);
+    assert_eq!(report.succeeded, 60);
     assert!(report.breaker_trips >= 1, "streak must trip the breaker");
+    assert_eq!(report.breaker_trips, 2, "the failed probe re-trips it");
     assert!(
         report.short_circuited >= 1,
         "open breaker must short-circuit at least one job"
     );
     // Short-circuited jobs never touched the oracle yet still landed
     // terminal with backfill.
-    assert_eq!(report.skipped + report.backfilled, 6);
+    assert_eq!(report.skipped + report.backfilled, 4);
     let outcome = summary.outcome.unwrap();
-    assert_eq!(outcome.refinement.skipped.len(), 6);
+    assert_eq!(outcome.refinement.skipped.len(), 4);
     assert!(outcome
         .refinement
         .skipped

@@ -88,7 +88,7 @@ proptest! {
         trip in 1usize..6,
         cooldown in 0usize..5,
         probes in 1usize..4,
-        workers in 1usize..4,
+        threads in 1usize..4,
         max_attempts in 1usize..4,
     ) {
         // Keep job 0 healthy: it is popped first, while the breaker is
@@ -96,7 +96,7 @@ proptest! {
         // assembly cannot fail for total loss.
         let mask = raw_mask & !1;
         let config = RunConfig {
-            workers,
+            threads,
             deadline_ms: 0,
             max_attempts,
             backoff: BackoffPolicy {

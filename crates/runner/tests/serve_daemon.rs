@@ -34,9 +34,10 @@ use c2_obs::{MetricsSink, Recorder};
 use c2_runner::serve::protocol::http_call;
 use c2_runner::serve::DrainControl;
 use c2_runner::{
-    Daemon, RunConfig, RunSummary, ScenarioExecutor, ServeOptions, ServePolicy, ServeReport,
-    SweepRunner,
+    Daemon, InjectedOracle, RunConfig, RunSummary, ScenarioExecutor, ServeOptions, ServePolicy,
+    ServeReport, SweepRunner,
 };
+use c2_sim::{FaultPlan, OracleHang};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("c2-serve-{name}-{}", std::process::id()));
@@ -167,6 +168,40 @@ impl ScenarioExecutor for MoodyExecutor {
     }
 }
 
+/// Prices through [`InjectedOracle`] with a keyed 250 ms stall on
+/// every 4th job key (keys 3 and 7 of the tiny plan), so a scenario's
+/// `runner.deadline_ms` decides whether those attempts time out.
+struct HangingExecutor;
+
+impl ScenarioExecutor for HangingExecutor {
+    fn execute(
+        &self,
+        _scenario: &Scenario,
+        config: RunConfig,
+        journal: &Path,
+        resume: bool,
+        sink: &dyn MetricsSink,
+        ops: &dyn MetricsSink,
+    ) -> c2_runner::Result<RunSummary> {
+        let faults = FaultPlan {
+            oracle_hang: Some(OracleHang {
+                period: 4,
+                stall_ms: 250,
+            }),
+            ..FaultPlan::default()
+        };
+        let runner = SweepRunner::new(config)?;
+        runner.run_aps_full(
+            &aps(),
+            || InjectedOracle::new(faults, pricer).unwrap(),
+            Some(journal),
+            resume,
+            sink,
+            ops,
+        )
+    }
+}
+
 fn spawn_daemon<E: ScenarioExecutor + Send + Sync + 'static>(
     options: ServeOptions,
     executor: Arc<E>,
@@ -245,7 +280,6 @@ fn shutdown(addr: &str) {
 /// The one-shot twin of the daemon's engine configuration for `sc`.
 fn oneshot_config(sc: &Scenario, cache: &Path) -> RunConfig {
     let mut config = RunConfig::from_spec(&sc.runner).expect("runner spec");
-    config.threads = config.threads.max(1);
     config.cache_path = Some(cache.to_path_buf());
     config.with_scenario(sc.fingerprint())
 }
@@ -494,6 +528,83 @@ fn hostile_clients_cost_a_connection_not_the_daemon() {
     shutdown(&addr);
     let report = handle.join().unwrap();
     assert_eq!(report.completed, 1);
+}
+
+/// One-shot artifacts of [`HangingExecutor`] for `sc` (fresh cache).
+fn hanging_oneshot_artifacts(dir: &Path, tag: &str, sc: &Scenario) -> (Vec<u8>, String) {
+    let journal = dir.join(format!("{tag}.journal.jsonl"));
+    let cache = dir.join(format!("{tag}.cache.jsonl"));
+    let recorder = Recorder::new();
+    HangingExecutor
+        .execute(
+            sc,
+            oneshot_config(sc, &cache),
+            &journal,
+            false,
+            &recorder,
+            &Recorder::new(),
+        )
+        .expect("one-shot run");
+    (
+        std::fs::read(&journal).expect("one-shot journal"),
+        recorder.report().to_json(),
+    )
+}
+
+#[test]
+fn served_jobs_enforce_the_scenario_deadline() {
+    let dir = scratch_dir("deadline");
+    let serve_dir = dir.join("jobs");
+    let options = ServeOptions {
+        cache_path: Some(dir.join("shared-cache.jsonl")),
+        ..ServeOptions::new("127.0.0.1:0", &serve_dir)
+    };
+    let (addr, _, handle) = spawn_daemon(options, Arc::new(HangingExecutor));
+
+    // A 40 ms deadline against 250 ms stalls: both attempts of each
+    // hung job are discarded, and the job is backfilled.
+    let mut tight = scenario("stencil", 16);
+    tight.runner.deadline_ms = 40;
+    tight.runner.max_attempts = 2;
+    let (status, job, _) = submit(&addr, "alice", &tight);
+    assert_eq!(status, 202);
+    let job = job.unwrap();
+    assert_eq!(wait_terminal(&addr, &job), "completed");
+    let records = c2_runner::journal::load(&serve_dir.join(format!("{job}.journal.jsonl")))
+        .expect("served journal")
+        .records;
+    for r in &records {
+        let hung = r.seq % 4 == 3;
+        assert_eq!(r.timeouts, if hung { 2 } else { 0 }, "seq {}", r.seq);
+        assert_eq!(r.result.is_err(), hung, "seq {}", r.seq);
+    }
+    let metrics =
+        std::fs::read_to_string(serve_dir.join(format!("{job}.metrics.json"))).expect("metrics");
+    let registry = c2_obs::Report::from_json(&metrics).unwrap().registry;
+    assert_eq!(registry.counter("engine_timeouts_total"), 4);
+    assert_eq!(registry.counter("aps_backfill_total"), 2);
+
+    // The daemon keeps serving: the default 60 s deadline lets the
+    // same stalls finish.
+    let (status, relaxed, _) = submit(&addr, "alice", &scenario("tmm", 24));
+    assert_eq!(status, 202);
+    let relaxed = relaxed.unwrap();
+    assert_eq!(wait_terminal(&addr, &relaxed), "completed");
+    let records = c2_runner::journal::load(&serve_dir.join(format!("{relaxed}.journal.jsonl")))
+        .expect("served journal")
+        .records;
+    assert!(records.iter().all(|r| r.timeouts == 0 && r.result.is_ok()));
+    shutdown(&addr);
+    let report = handle.join().unwrap();
+    assert_eq!(report.completed, 2);
+
+    // The deadline decision is journaled, so a one-shot run of the
+    // same config writes the same bytes.
+    assert_job_bit_identical(
+        &serve_dir,
+        &job,
+        &hanging_oneshot_artifacts(&dir, "tight", &tight),
+    );
 }
 
 #[test]

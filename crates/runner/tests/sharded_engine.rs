@@ -9,10 +9,10 @@
 //! journal, and never diverge the breaker/backoff trajectory from the
 //! run that originally computed the entries.
 
-use c2_bound::aps::{Aps, ApsOutcome};
+use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
-use c2_obs::{FieldValue, Recorder};
+use c2_obs::Recorder;
 use c2_runner::{
     bind_fingerprint, cache_key, plan_fingerprint, BackoffPolicy, BreakerPolicy, CachedEval,
     EvalCache, InjectedOracle, RunConfig, RunSummary, SweepRunner,
@@ -122,38 +122,6 @@ fn sharded_run_is_bit_identical_for_every_thread_count() {
             "assembled outcome must be identical at {threads} threads"
         );
     }
-}
-
-#[test]
-fn sharded_outcome_matches_the_legacy_serial_pool() {
-    // The legacy pool and the sharded engine have different trace
-    // shapes, but on a fault-free sweep the refinement outcome and the
-    // top-line ledger must agree exactly.
-    let legacy = SweepRunner::new(RunConfig {
-        workers: 1,
-        ..config(0)
-    })
-    .unwrap()
-    .run_aps(
-        &aps(),
-        || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
-        None,
-        false,
-    )
-    .unwrap();
-    let sharded = SweepRunner::new(config(4))
-        .unwrap()
-        .run_aps(
-            &aps(),
-            || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
-            None,
-            false,
-        )
-        .unwrap();
-    let outcome = |s: &RunSummary| -> ApsOutcome { s.outcome.clone().expect("completed") };
-    assert_eq!(outcome(&legacy), outcome(&sharded));
-    assert_eq!(legacy.report.succeeded, sharded.report.succeeded);
-    assert_eq!(legacy.report.attempted, sharded.report.attempted);
 }
 
 #[test]
@@ -320,20 +288,6 @@ fn cache_is_positional_identity_scoped() {
     );
     let warm = run(0x1111);
     assert_eq!(warm.report.cache_hits, warm.report.attempted);
-}
-
-/// Regression (review): the cache silently did nothing under the
-/// legacy pool; now a cache path with `threads == 0` is rejected at
-/// validation instead.
-#[test]
-fn cache_with_the_legacy_pool_is_rejected() {
-    let err = SweepRunner::new(RunConfig {
-        threads: 0,
-        cache_path: Some(scratch("rejected-cache.jsonl")),
-        ..RunConfig::default()
-    })
-    .unwrap_err();
-    assert!(matches!(err, c2_runner::Error::InvalidConfig(_)));
 }
 
 /// Regression (review): a cached attempt history that the shard's
@@ -503,87 +457,6 @@ fn content_key_ignores_plan_position_but_sees_the_point() {
         b.content_key(),
         "distinct design points must key differently"
     );
-}
-
-/// Regression: with several legacy-pool workers racing, every retry of
-/// a given job must still be scheduled with the content-keyed delay —
-/// the delay observed in the trace equals the one recomputed from the
-/// job alone.
-#[test]
-fn legacy_pool_retry_delays_are_content_keyed_across_worker_counts() {
-    let delays_by_seq = |workers: usize| -> Vec<(u64, u64, u64)> {
-        let recorder = Recorder::new();
-        let runner = SweepRunner::new(RunConfig {
-            workers,
-            threads: 0,
-            max_attempts: 3,
-            backoff: BackoffPolicy {
-                base_ms: 5,
-                factor: 2.0,
-                cap_ms: 1000,
-                jitter_frac: 0.9,
-            },
-            breaker: BreakerPolicy {
-                trip_threshold: 50,
-                cooldown: 3,
-                probes: 2,
-            },
-            ..RunConfig::default()
-        })
-        .unwrap();
-        let _ = runner
-            .run_aps_observed(
-                &aps(),
-                || InjectedOracle::new(faults(), pricer).unwrap(),
-                None,
-                false,
-                &recorder,
-            )
-            .unwrap();
-        let mut out = Vec::new();
-        for e in &recorder.report().events {
-            if e.name == "retry.scheduled" {
-                let get = |k: &str| -> u64 {
-                    e.fields
-                        .iter()
-                        .find(|(n, _)| n == k)
-                        .map(|(_, v)| match v {
-                            FieldValue::U64(x) => *x,
-                            other => panic!("field {k} not a u64: {other:?}"),
-                        })
-                        .unwrap_or_else(|| panic!("retry.scheduled missing {k}"))
-                };
-                out.push((get("seq"), get("attempt"), get("delay_ms")));
-            }
-        }
-        out.sort_unstable();
-        out
-    };
-
-    let serial = delays_by_seq(1);
-    assert!(!serial.is_empty(), "the fault plan produces retries");
-    let racing = delays_by_seq(3);
-    assert_eq!(
-        serial, racing,
-        "retry delays must not depend on worker identity"
-    );
-
-    // And each observed delay is recomputable from the job alone.
-    let plan = aps().plan().unwrap();
-    let policy = BackoffPolicy {
-        base_ms: 5,
-        factor: 2.0,
-        cap_ms: 1000,
-        jitter_frac: 0.9,
-    };
-    for (seq, attempt, delay_ms) in serial {
-        let expected = policy.delay(plan.jobs[seq as usize].content_key(), attempt as usize);
-        assert_eq!(
-            delay_ms,
-            expected.as_millis() as u64,
-            "seq {seq} attempt {attempt}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -71,7 +71,7 @@ const USAGE: &str = "usage:\n  c2bound-tool characterize <tmm|spmv|stencil|fft|f
      c2bound-tool table1\n  c2bound-tool trace <workload> [size]\n  \
      c2bound-tool characterize-file <path>\n  c2bound-tool multiobjective [weight]\n  \
      c2bound-tool adaptive\n  \
-     c2bound-tool run (<workload> [size] | --scenario FILE) [--workers N] [--threads N] \
+     c2bound-tool run (<workload> [size] | --scenario FILE) [--threads N] \
      [--deadline-ms D] [--max-attempts K] [--journal PATH] [--resume] [--cache PATH] \
      [--metrics-out PATH] [--sync never|on-checkpoint|always] [--checkpoint-every N] \
      [--chaos crash-at=N,torn=K,enospc-at=N,short-at=N,seed=S] [--oracle-mode full|phase] \
@@ -352,7 +352,6 @@ fn cmd_run(args: &[String]) {
     let mut scenario_path: Option<String> = None;
     let mut name: Option<String> = None;
     let mut size: Option<u64> = None;
-    let mut workers: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut cache: Option<std::path::PathBuf> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -373,7 +372,6 @@ fn cmd_run(args: &[String]) {
         let mut value = || rest.next().map(String::as_str).unwrap_or_else(|| usage());
         match arg.as_str() {
             "--scenario" => scenario_path = Some(value().to_string()),
-            "--workers" => workers = Some(parse_arg(value(), "--workers")),
             "--threads" => threads = Some(parse_arg(value(), "--threads")),
             "--cache" => cache = Some(value().into()),
             "--deadline-ms" => deadline_ms = Some(parse_arg(value(), "--deadline-ms")),
@@ -471,7 +469,6 @@ fn cmd_run(args: &[String]) {
     // the runner section is fingerprinted, so patching it would move
     // every journal header and cache address.
     let mut config = c2_runner::RunConfig::from_spec(&sc.runner).unwrap_or_else(|e| die(2, e));
-    config.workers = workers.unwrap_or(config.workers);
     config.threads = threads.unwrap_or(config.threads);
     config.cache_path = cache.or(config.cache_path);
     config.deadline_ms = deadline_ms.unwrap_or(config.deadline_ms);
@@ -496,15 +493,8 @@ fn cmd_run(args: &[String]) {
             .map(std::path::PathBuf::from)
     });
     println!(
-        "supervised sweep: {}, {} attempts/job{}{}{}",
-        if config.threads > 0 {
-            format!("{} sharded threads", config.threads)
-        } else {
-            format!(
-                "{} workers, deadline {} ms",
-                config.workers, config.deadline_ms
-            )
-        },
+        "supervised sweep: {} sharded threads, {} attempts/job{}{}{}",
+        config.threads,
         config.max_attempts,
         match (&journal, resume) {
             (Some(p), true) => format!(", resuming journal {}", p.display()),

@@ -130,7 +130,7 @@ fn run_journals_and_resumes_idempotently() {
     let jarg = journal.to_str().unwrap();
 
     let out = tool()
-        .args(["run", "stencil", "10", "--workers", "2", "--journal", jarg])
+        .args(["run", "stencil", "10", "--threads", "2", "--journal", jarg])
         .output()
         .expect("spawn");
     assert!(
@@ -307,6 +307,60 @@ fn scenario_with_empty_axis_is_rejected_before_any_artifact() {
     assert!(
         !journal.exists(),
         "a rejected scenario must not create a journal file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default engine path is deterministic: a `workers: 2, threads: 0`
+/// scenario runs on `workers` sharded threads, so two flag-less runs
+/// and a `--threads 1` run write byte-identical journals and metrics.
+#[test]
+fn threads_zero_scenario_runs_deterministically_on_workers_threads() {
+    let dir = std::env::temp_dir().join(format!("c2bound-default-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let quick = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/quick.json"
+    ))
+    .unwrap();
+    let two_workers = quick.replace("\"workers\": 1", "\"workers\": 2");
+    assert_ne!(two_workers, quick, "edit did not apply");
+    let scenario = dir.join("quick-w2.json");
+    std::fs::write(&scenario, two_workers).unwrap();
+
+    let run = |tag: &str, extra: &[&str]| -> (Vec<u8>, Vec<u8>) {
+        let journal = dir.join(format!("{tag}.journal.jsonl"));
+        let metrics = dir.join(format!("{tag}.metrics.json"));
+        let out = tool()
+            .args(["run", "--scenario", scenario.to_str().unwrap()])
+            .args(extra)
+            .args(["--journal", journal.to_str().unwrap()])
+            .args(["--metrics-out", metrics.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let threads = if extra.is_empty() { "2" } else { "1" };
+        assert!(
+            stdout.starts_with(&format!("supervised sweep: {threads} sharded threads")),
+            "{stdout}"
+        );
+        (
+            std::fs::read(journal).unwrap(),
+            std::fs::read(metrics).unwrap(),
+        )
+    };
+    let first = run("a", &[]);
+    assert_eq!(run("b", &[]), first, "flag-less reruns must not differ");
+    assert_eq!(
+        run("t1", &["--threads", "1"]),
+        first,
+        "the thread count must not change a byte"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

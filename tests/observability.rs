@@ -1,11 +1,12 @@
 //! End-to-end tests of the `c2-obs` observability layer wired through
 //! the supervised engine (satellite of DESIGN.md §7).
 //!
-//! The determinism contract under test: with `workers: 1` and a pure
-//! oracle, two identical seeded sweeps — fault injection and all —
-//! must produce **byte-identical** metrics JSON and event traces.
-//! Golden snapshots in `tests/golden/` pin the exact trace; regenerate
-//! them with `UPDATE_GOLDEN=1 cargo test --test observability`.
+//! The determinism contract under test: with a pure oracle, two
+//! identical seeded sweeps — fault injection and all — must produce
+//! **byte-identical** metrics JSON and event traces, at any thread
+//! count. Golden snapshots in `tests/golden/` pin the exact trace;
+//! regenerate them with `UPDATE_GOLDEN=1 cargo test --test
+//! observability`.
 
 use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
@@ -15,16 +16,31 @@ use c2_runner::{BackoffPolicy, BreakerPolicy, InjectedOracle, RunConfig, RunSumm
 use c2_sim::FaultPlan;
 use std::path::{Path, PathBuf};
 
+/// The tiny space with 16 ROB sizes: 3 × 16 = 48 jobs, more than
+/// `MAX_SHARDS`, so each of the 16 shards runs three jobs against one
+/// breaker. Job `seq = issue_index · 16 + rob_index` lands in shard
+/// `seq % 16`, which is its ROB index.
 fn aps() -> Aps {
-    Aps::new(C2BoundModel::example_big_data(), DesignSpace::tiny())
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        tiny.issue().to_vec(),
+        (1..=16).map(|i| 16 * i).collect(),
+    )
+    .unwrap();
+    Aps::new(C2BoundModel::example_big_data(), space)
 }
 
-/// Pure, clock-free pricer: widest-issue points report a wedged
-/// backend (a consecutive-failure streak that trips the breaker),
-/// everything else prices analytically.
+/// Pure, clock-free pricer: widest-ROB points report a wedged backend.
+/// They all sit in one shard, so their failures form one consecutive
+/// streak that trips that shard's breaker; everything else prices
+/// analytically.
 fn pricer() -> impl FnMut(&DesignPoint) -> c2_bound::Result<f64> + Clone {
     |p: &DesignPoint| {
-        if p.issue_width == 4 {
+        if p.rob_size == 256 {
             Err(c2_bound::Error::Simulation("backend wedged".into()))
         } else {
             Ok(1.0e9 / (p.n * p.issue_width * p.rob_size) as f64)
@@ -42,15 +58,14 @@ fn faults() -> FaultPlan {
     }
 }
 
-/// `workers: 1` (the byte-identity contract), no deadlines (a watchdog
-/// expiry depends on wall time, which the trace must not), a breaker
-/// tight enough that the wedged-backend streak trips it.
+/// One thread, no deadlines (an expiry depends on wall time, which the
+/// trace must not), a breaker tight enough that the wedged-backend
+/// streak trips it.
 fn config() -> RunConfig {
     RunConfig {
-        workers: 1,
+        threads: 1,
         deadline_ms: 0,
         max_attempts: 2,
-        queue_capacity: 16,
         backoff: BackoffPolicy {
             base_ms: 1,
             factor: 2.0,
@@ -69,20 +84,33 @@ fn config() -> RunConfig {
 }
 
 fn run_observed(config: &RunConfig, journal: Option<&Path>, resume: bool) -> (RunSummary, Report) {
+    let (summary, report, _) = run_full(config, journal, resume);
+    (summary, report)
+}
+
+/// [`run_observed`] that also returns the operational (ops) sink's
+/// report, where resume telemetry lives.
+fn run_full(
+    config: &RunConfig,
+    journal: Option<&Path>,
+    resume: bool,
+) -> (RunSummary, Report, Report) {
     let recorder = Recorder::new();
+    let ops = Recorder::new();
     let faults = faults();
     let pricer = pricer();
     let summary = SweepRunner::new(config.clone())
         .unwrap()
-        .run_aps_observed(
+        .run_aps_full(
             &aps(),
             move || InjectedOracle::new(faults, pricer.clone()).unwrap(),
             journal,
             resume,
             &recorder,
+            &ops,
         )
         .unwrap();
-    (summary, recorder.report())
+    (summary, recorder.report(), ops.report())
 }
 
 fn journal_path(name: &str) -> PathBuf {
@@ -203,9 +231,10 @@ fn golden_faulty_sweep_trace_and_metrics() {
     );
 }
 
-/// A crash-and-resume run records the replayed journal in its trace:
-/// the counter equals the journaled record count and a single
-/// `journal.replayed` summary event is emitted.
+/// A crash-and-resume run records the replayed journal on the ops
+/// sink: the counter equals the journaled record count and a single
+/// `journal.replayed` summary event is emitted. The deterministic
+/// trace does not betray the crash: it equals the clean run's.
 #[test]
 fn resumed_run_replays_journal_into_the_trace() {
     let path = journal_path("obs-resume");
@@ -220,11 +249,13 @@ fn resumed_run_replays_journal_into_the_trace() {
         4
     );
 
-    let (resumed, report) = run_observed(&config(), Some(&path), true);
+    let (resumed, report, ops) = run_full(&config(), Some(&path), true);
     assert!(resumed.report.completed);
     assert_eq!(resumed.report.resumed, 4);
-    assert_eq!(report.registry.counter("engine_journal_replayed_total"), 4);
-    let replay_events: Vec<_> = report
+    assert_eq!(ops.registry.counter("engine_journal_replayed_total"), 4);
+    let (_, clean) = run_observed(&config(), Some(&journal_path("obs-clean")), false);
+    assert_eq!(report.events_jsonl(), clean.events_jsonl());
+    let replay_events: Vec<_> = ops
         .events
         .iter()
         .filter(|e| e.name == "journal.replayed")
@@ -250,7 +281,7 @@ fn cli_metrics_out_is_byte_identical_and_readable() {
                 "run",
                 "stencil",
                 "10",
-                "--workers",
+                "--threads",
                 "1",
                 "--metrics-out",
                 path.to_str().unwrap(),

@@ -170,7 +170,7 @@ fn malformed_positional_args_are_errors_not_defaults() {
         vec!["scaling", "x"],
         vec!["multiobjective", "--"],
         vec!["run", "stencil", "ten"],
-        vec!["run", "stencil", "10", "--workers", "many"],
+        vec!["run", "stencil", "10", "--threads", "many"],
     ] {
         let out = tool().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} succeeded");
@@ -199,7 +199,7 @@ fn scenario_run_is_byte_identical_to_positional_run() {
             "run",
             "stencil",
             "10",
-            "--workers",
+            "--threads",
             "1",
             "--metrics-out",
             m_pos.to_str().unwrap(),
@@ -216,7 +216,7 @@ fn scenario_run_is_byte_identical_to_positional_run() {
             "run",
             "--scenario",
             sc_path.to_str().unwrap(),
-            "--workers",
+            "--threads",
             "1",
             "--metrics-out",
             m_sc.to_str().unwrap(),

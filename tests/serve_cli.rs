@@ -84,8 +84,9 @@ fn reap_daemon(child: Child) -> String {
 }
 
 /// One-shot `run` of a persisted job scenario with a fresh journal and
-/// metrics file; returns (journal bytes, metrics bytes). `--threads 1`
-/// matches the daemon's legacy-thread bump.
+/// metrics file; returns (journal bytes, metrics bytes). The thread
+/// count changes no byte, so `--threads 1` matches whatever thread
+/// count the daemon ran the job on.
 fn oneshot(dir: &Path, tag: &str, scenario: &Path) -> (Vec<u8>, Vec<u8>) {
     let journal = dir.join(format!("{tag}.oneshot.journal.jsonl"));
     let metrics = dir.join(format!("{tag}.oneshot.metrics.json"));
