@@ -49,6 +49,13 @@ cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json 
     --metrics-out "${smoke_dir}/metrics.json" > /dev/null
 test -s "${smoke_dir}/metrics.json"
 
+echo "== solver health (quick.json: a clean KKT split, no failed rung, no fallback) =="
+grep -q '"name":"cascade.accepted"[^}]*"quality":"clean"' "${smoke_dir}/metrics.json"
+if grep -q -e 'cascade.rung_failed' -e 'aps_split_fallback_total' "${smoke_dir}/metrics.json"; then
+    echo "error: the quick.json split solve failed a rung or fell back to Nelder-Mead" >&2
+    exit 1
+fi
+
 echo "== sharded bit-identity (1 vs 4 threads, quick.json) =="
 for t in 1 4; do
     cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
@@ -211,6 +218,14 @@ echo "== law validation harness (DESIGN.md SS15) =="
 cargo test -q --test law_validation
 cargo test -q -p c2-speedup
 cargo test -q -p c2-runner --lib screen::
+
+echo "== every law on paper_scale.json (feasible skeleton, no dead jobs) =="
+for law in amdahl memory-wall usl; do
+    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
+        --law "${law}" > "${smoke_dir}/law-${law}.out"
+    grep -q "^chosen:" "${smoke_dir}/law-${law}.out"
+    grep -q " 0 skipped + 0 backfilled " "${smoke_dir}/law-${law}.out"
+done
 
 echo "== surrogate screening smoke (screened vs full, quick.json) =="
 # A screened sweep must stay under the scenario's true-evaluation

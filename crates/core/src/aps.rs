@@ -320,8 +320,8 @@ impl Aps {
     }
 
     /// [`Aps::plan`] with the analysis stage instrumented: the final
-    /// KKT cascade reports to `sink` under the `solver` scope, and the
-    /// finished plan is announced under the `aps` scope.
+    /// KKT split solve reports to `sink` under the `solver` scope, and
+    /// the finished plan is announced under the `aps` scope.
     pub fn plan_observed(&self, sink: &dyn MetricsSink) -> Result<ApsPlan> {
         // An empty axis makes the space unusable (nothing to snap to,
         // nothing to sweep) — reject it up front rather than panicking
@@ -336,7 +336,7 @@ impl Aps {
         let analytic = optimize_observed_tuned(&self.model, &self.tuning, sink)?;
         // Snap N to the grid first, then re-solve the area split at that
         // N (the continuous optimum's areas are only right for its own
-        // N), and snap the areas.
+        // N), and snap the areas to a point that fits the budget.
         let pre = self.space.snap(
             analytic.vars.a0,
             analytic.vars.a1,
@@ -348,9 +348,13 @@ impl Aps {
             crate::optimize::optimize_split_tuned(&self.model, n_snapped as f64, &self.tuning)
                 .map(|(v, _)| v)
                 .unwrap_or(analytic.vars);
-        let skeleton = self
-            .space
-            .snap(split.a0, split.a1, split.a2, n_snapped as f64);
+        let skeleton = self.space.snap_within(
+            split.a0,
+            split.a1,
+            split.a2,
+            n_snapped as f64,
+            &self.model.budget,
+        );
 
         let mut jobs = Vec::with_capacity(self.space.issue.len() * self.space.rob.len());
         for (i4, _) in self.space.issue.iter().enumerate() {

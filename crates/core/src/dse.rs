@@ -272,6 +272,54 @@ impl DesignSpace {
     pub fn feasible(&self, p: &DesignPoint, budget: &SiliconBudget) -> bool {
         budget.admits(p.n as f64, p.a0, p.a1, p.a2)
     }
+
+    /// [`DesignSpace::snap`], kept inside `budget`. The per-axis nearest
+    /// area triple is kept whenever it fits at the nearest `N`.
+    /// Otherwise the fitting triple with the smallest summed log-distance
+    /// to `(a0, a1, a2)` wins, ties going to the lowest `(a0, a1, a2)`
+    /// index. `N` steps down to the next smaller grid value only when no
+    /// triple fits. When nothing fits at any `N`, the plain snap is
+    /// returned and the simulator's budget check reports it.
+    pub fn snap_within(
+        &self,
+        a0: f64,
+        a1: f64,
+        a2: f64,
+        n: f64,
+        budget: &SiliconBudget,
+    ) -> [usize; 4] {
+        let nearest = self.snap(a0, a1, a2, n);
+        let [j0, j1, j2, jn] = nearest;
+        let mut smaller: Vec<usize> = (0..self.n.len())
+            .filter(|&i| self.n[i] < self.n[jn])
+            .collect();
+        smaller.sort_by_key(|&i| std::cmp::Reverse(self.n[i]));
+        let log_dist = |v: f64, target: f64| (v.ln() - target.max(1e-12).ln()).abs();
+        for i3 in std::iter::once(jn).chain(smaller) {
+            let cores = self.n[i3] as f64;
+            if budget.admits(cores, self.a0[j0], self.a1[j1], self.a2[j2]) {
+                return [j0, j1, j2, i3];
+            }
+            let mut best: Option<(f64, [usize; 4])> = None;
+            for (i0, &v0) in self.a0.iter().enumerate() {
+                for (i1, &v1) in self.a1.iter().enumerate() {
+                    for (i2, &v2) in self.a2.iter().enumerate() {
+                        if !budget.admits(cores, v0, v1, v2) {
+                            continue;
+                        }
+                        let d = log_dist(v0, a0) + log_dist(v1, a1) + log_dist(v2, a2);
+                        if best.is_none_or(|(b, _)| d < b) {
+                            best = Some((d, [i0, i1, i2, i3]));
+                        }
+                    }
+                }
+            }
+            if let Some((_, index)) = best {
+                return index;
+            }
+        }
+        nearest
+    }
 }
 
 fn geometric(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
@@ -528,6 +576,73 @@ mod tests {
         assert_eq!(s.a1[snapped[1]], 0.125);
         assert_eq!(s.a2[snapped[2]], 0.5);
         assert_eq!(s.n[snapped[3]], 4);
+    }
+
+    #[test]
+    fn snap_within_keeps_the_nearest_point_when_it_fits() {
+        let s = DesignSpace::tiny();
+        let usable = |a: f64| SiliconBudget::new(a + 10.0, 10.0).unwrap();
+        let nearest = s.snap(3.1, 0.1, 0.6, 5.0);
+        // 4 × (4 + 0.125 + 0.5) = 18.5 mm² fits in 20.
+        assert_eq!(s.snap_within(3.1, 0.1, 0.6, 5.0, &usable(20.0)), nearest);
+        // Not in 16: the fitting triple nearest in summed log-distance
+        // is (2, 0.125, 0.5), still at N = 4.
+        assert_eq!(
+            s.snap_within(3.1, 0.1, 0.6, 5.0, &usable(16.0)),
+            [1, 1, 1, 2]
+        );
+        // In 2 mm² no triple fits at N = 4 or 2; N steps down to 1.
+        assert_eq!(
+            s.snap_within(3.1, 0.1, 0.6, 5.0, &usable(2.0)),
+            [0, 1, 1, 0]
+        );
+        // Nothing fits anywhere: the plain snap.
+        assert_eq!(s.snap_within(3.1, 0.1, 0.6, 5.0, &usable(1.0)), nearest);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whenever some grid triple fits at the nearest `N` or below,
+        /// the budget-aware snap fits; the nearest point survives
+        /// whenever it fits, and `N` moves only when nothing fits at it.
+        #[test]
+        fn snap_within_fits_whenever_a_grid_point_can(
+            a0 in proptest::collection::vec(0.1f64..20.0, 1..6),
+            a1 in proptest::collection::vec(0.01f64..3.0, 1..6),
+            a2 in proptest::collection::vec(0.01f64..5.0, 1..6),
+            n in proptest::collection::vec(1usize..1024, 1..6),
+            target in (0.1f64..20.0, 0.01f64..3.0, 0.01f64..5.0, 1.0f64..1024.0),
+            usable in 1.0f64..500.0,
+        ) {
+            let s = DesignSpace::new(a0, a1, a2, n, vec![1], vec![16]).unwrap();
+            let budget = SiliconBudget::new(usable + 1.0, 1.0).unwrap();
+            let (t0, t1, t2, tn) = target;
+            let nearest = s.snap(t0, t1, t2, tn);
+            let got = s.snap_within(t0, t1, t2, tn, &budget);
+            let fits = |[i0, i1, i2, i3]: [usize; 4]| {
+                budget.admits(s.n[i3] as f64, s.a0[i0], s.a1[i1], s.a2[i2])
+            };
+            let fits_at = |i3: usize| {
+                (0..s.a0.len()).any(|i0| {
+                    (0..s.a1.len()).any(|i1| (0..s.a2.len()).any(|i2| fits([i0, i1, i2, i3])))
+                })
+            };
+            if fits(nearest) {
+                proptest::prop_assert_eq!(got, nearest);
+            }
+            if fits_at(nearest[3]) {
+                proptest::prop_assert_eq!(got[3], nearest[3]);
+            }
+            let reachable = (0..s.n.len())
+                .any(|i3| s.n[i3] <= s.n[nearest[3]] && fits_at(i3));
+            if reachable {
+                proptest::prop_assert!(fits(got), "{got:?} does not fit");
+                proptest::prop_assert!(s.n[got[3]] <= s.n[nearest[3]]);
+            } else {
+                proptest::prop_assert_eq!(got, nearest);
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! * [`mem_model`] — C-AMAT as a function of cache capacities (the link
 //!   between silicon area and data-stall time);
 //! * [`model`] — the objective, constraints and case split on `g(N)`;
-//! * [`optimize`](mod@crate::optimize) — the Lagrange/Newton optimizer (Eq. 13) with grid
-//!   seeding and the two optimization cases of Fig 6;
+//! * [`optimize`](mod@crate::optimize) — the Lagrange/Newton optimizer (Eq. 13): a
+//!   grid-seeded active-set KKT area split and the two optimization
+//!   cases of Fig 6;
 //! * [`scaling`] — the reduced model behind Figs 8–11 (W, T and W/T
 //!   versus N for C ∈ {1, 4, 8});
 //! * [`dse`] — the discrete 10⁶-point design space of §IV and the

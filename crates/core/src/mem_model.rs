@@ -90,6 +90,30 @@ impl CacheSensitivity {
             }
         }
     }
+
+    /// [`CacheSensitivity::miss_rate`] and its first and second
+    /// derivatives in capacity. A power law clamped at its floor or at 1
+    /// is flat there (slope 0); a measured curve is piecewise constant,
+    /// so its slope is 0 everywhere.
+    pub fn miss_rate_derivatives(&self, bytes: f64) -> [f64; 3] {
+        match self {
+            CacheSensitivity::PowerLaw {
+                mr0,
+                c0,
+                alpha,
+                floor,
+            } => {
+                let raw = mr0 * (bytes / c0).powf(-alpha);
+                if raw > *floor && raw < 1.0 {
+                    let d1 = -alpha * raw / bytes;
+                    [raw, d1, -(alpha + 1.0) * d1 / bytes]
+                } else {
+                    [raw.clamp(*floor, 1.0), 0.0, 0.0]
+                }
+            }
+            CacheSensitivity::Measured(_) => [self.miss_rate(bytes), 0.0, 0.0],
+        }
+    }
 }
 
 /// The program- and hierarchy-specific memory model.
@@ -238,6 +262,23 @@ impl MemoryModel {
             + self.pure_miss_rate(c1_bytes) * self.pure_amp(c2_bytes) / self.pure_miss_concurrency
     }
 
+    /// Gradient and Hessian of [`MemoryModel::camat`] in `(c1, c2)`.
+    /// `pMR` depends only on `c1` and `pAMP` only on `c2`, so
+    /// `∂²/∂c1∂c2 = pMR'(c1)·pAMP'(c2)/C_M`.
+    pub fn camat_derivatives(&self, c1_bytes: f64, c2_bytes: f64) -> ([f64; 2], [[f64; 2]; 2]) {
+        let [mr1, mr1_d1, mr1_d2] = self.l1.miss_rate_derivatives(c1_bytes);
+        let [mr2, mr2_d1, mr2_d2] = self.l2.miss_rate_derivatives(c2_bytes);
+        let cm = self.pure_miss_concurrency;
+        let pmr = [mr1, mr1_d1, mr1_d2].map(|m| self.pure_ratio * m / cm);
+        let amp = self.l2_latency + mr2 * self.dram_latency;
+        let (amp_d1, amp_d2) = (self.dram_latency * mr2_d1, self.dram_latency * mr2_d2);
+        let cross = pmr[1] * amp_d1;
+        (
+            [pmr[1] * amp, pmr[0] * amp_d1],
+            [[pmr[2] * amp, cross], [cross, pmr[0] * amp_d2]],
+        )
+    }
+
     /// `AMAT(c1, c2)` — the sequential counterpart (Eq. 1), for
     /// C = AMAT/C-AMAT reporting.
     pub fn amat(&self, c1_bytes: f64, c2_bytes: f64) -> f64 {
@@ -297,6 +338,40 @@ mod tests {
         let s = CacheSensitivity::Measured(profile);
         assert!((s.miss_rate(64.0) - 1.0).abs() < 1e-12);
         assert!((s.miss_rate(128.0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn miss_rate_derivatives_follow_the_clamps() {
+        let s = CacheSensitivity::power_law(0.1, 1024.0, 0.5, 0.001).unwrap();
+        // Interior: MR = 0.05 at 4 KiB, MR' = −α·MR/c, MR'' = α(α+1)·MR/c².
+        let [mr, d1, d2] = s.miss_rate_derivatives(4096.0);
+        assert_eq!(mr, s.miss_rate(4096.0));
+        assert!((d1 + 0.5 * 0.05 / 4096.0).abs() < 1e-15);
+        assert!((d2 - 0.75 * 0.05 / (4096.0 * 4096.0)).abs() < 1e-18);
+        // Clamped at the floor and at 1: flat.
+        assert_eq!(s.miss_rate_derivatives(1e18), [0.001, 0.0, 0.0]);
+        assert_eq!(s.miss_rate_derivatives(1e-6), [1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn measured_curve_has_zero_slope() {
+        use c2_trace::TraceBuilder;
+        let mut b = TraceBuilder::new();
+        for line in [0u64, 1, 2, 0, 1, 2, 3, 0] {
+            b.read(line * 64);
+        }
+        let s = CacheSensitivity::Measured(ReuseProfile::compute(&b.finish(), 64));
+        for bytes in [64.0, 100.0, 128.0, 192.0, 1e6] {
+            assert_eq!(
+                s.miss_rate_derivatives(bytes),
+                [s.miss_rate(bytes), 0.0, 0.0]
+            );
+        }
+        // So a measured L1 contributes nothing to C-AMAT's gradient.
+        let mut m = MemoryModel::default_big_data();
+        m.l1 = s;
+        let ([d1, _], [[d11, d12], _]) = m.camat_derivatives(128.0, 2e6);
+        assert_eq!((d1, d11, d12), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -144,6 +144,35 @@ impl C2BoundModel {
         self.cpi_exe(v.a0) + self.program.f_mem * camat * (1.0 - self.program.overlap_cm)
     }
 
+    /// Gradient and Hessian of [`C2BoundModel::cycles_per_instruction`]
+    /// in `(A0, A1, A2)` at the point's fixed `N`, in closed form.
+    ///
+    /// `CPI = k0·A0^(−1/2) + φ0 + f_mem(1 − overlap)·C-AMAT(c1(A1), c2(A2))`
+    /// with `c1 = bytes(A1)` and `c2 = 2·bytes(N·A2)`. Each capacity is
+    /// linear in its area off the 4 KiB floor, so the chain rule needs
+    /// only the capacity slope; there are no `A0`–cache cross terms. A
+    /// clamped branch (capacity floor, miss-rate floor or ceiling) has
+    /// slope 0.
+    pub fn cpi_derivatives(&self, v: &DesignVariables) -> ([f64; 3], [[f64; 3]; 3]) {
+        let n = v.n.max(1.0);
+        let (c1, c2) = self.capacities(v);
+        let s1 = self.area.cache_bytes_slope(v.a1);
+        let s2 = 2.0 * n * self.area.cache_bytes_slope(v.a2 * n);
+        let ([d1, d2], [[d11, d12], [_, d22]]) = self.memory.camat_derivatives(c1, c2);
+        let k = self.program.f_mem * (1.0 - self.program.overlap_cm);
+        // d/dA0 of k0·A0^(−1/2): −k0/(2·A0^(3/2)), then 3k0/(4·A0^(5/2)).
+        let pollack_d1 = -0.5 * self.area.pollack_k0 / (v.a0 * v.a0.sqrt());
+        let cross = k * d12 * s1 * s2;
+        (
+            [pollack_d1, k * d1 * s1, k * d2 * s2],
+            [
+                [-1.5 * pollack_d1 / v.a0, 0.0, 0.0],
+                [0.0, k * d11 * s1 * s1, cross],
+                [0.0, cross, k * d22 * s2 * s2],
+            ],
+        )
+    }
+
     /// The execution-time objective `J_D` (Eq. 10), in cycles.
     pub fn execution_time(&self, v: &DesignVariables) -> f64 {
         let n = v.n.max(1.0);

@@ -3,11 +3,20 @@
 //! Structure of the solve, following §III.C:
 //!
 //! 1. **Inner problem** (fixed `N`): choose the area split
-//!    `(A0, A1, A2)` with `A0 + A1 + A2 = (A − Ac)/N` minimizing the
-//!    per-instruction cycle cost. Solved with the method of Lagrange
-//!    multipliers → Newton on the KKT system (`c2-solver::lagrange`),
-//!    seeded by a coarse grid; Nelder–Mead is the fallback for the rare
-//!    KKT non-convergence.
+//!    `(A0, A1, A2)` with `A0 + A1 + A2 = (A − Ac)/N` and every
+//!    `A_i ≥ MIN_AREA`, minimizing the per-instruction cycle cost. An
+//!    18 × 18 grid over the split fractions gives the seed. The method
+//!    of Lagrange multipliers then runs as an exact active-set KKT
+//!    solve (`c2-solver::lagrange`): closed-form ∂CPI/∂A_i and
+//!    ∂²CPI/∂A_i∂A_j ([`C2BoundModel::cpi_derivatives`]), Newton on the
+//!    KKT system of each face (set of areas pinned at `MIN_AREA`), and
+//!    the lowest-CPI primal- and dual-feasible point. On the shipped
+//!    CPU scenarios the optimum has L1 and L2 on the floor, which only a
+//!    pinned face expresses. The KKT point must also beat the seed (KKT
+//!    holds at saddles too). When no face gives one that does — say a
+//!    clamped miss curve puts the optimum on a kink — Nelder–Mead on the
+//!    split fractions produces the answer (`SplitSolve::SimplexFallback`,
+//!    counted as `aps_split_fallback_total`).
 //! 2. **Outer problem**: the case split on `g(N)`. When `g(N) < O(N)` a
 //!    finite `N` minimizes `T` (golden-section on the inner optimum);
 //!    when `g(N) ≥ O(N)` there is no finite minimizer of `T`
@@ -15,10 +24,11 @@
 
 use c2_solver::golden::{golden_section, golden_section_max};
 use c2_solver::grid::{grid_minimize, GridSpec};
-use c2_solver::lagrange::EqualityConstrained;
+use c2_solver::lagrange::solve_active_set_observed;
+use c2_solver::linalg::Matrix;
 use c2_solver::nelder::{nelder_mead, NelderMeadOptions};
 use c2_solver::newton::NewtonOptions;
-use c2_solver::robust::{RobustOptions, SolveQuality, SolveStrategy};
+use c2_solver::robust::{SolveQuality, SolveStrategy};
 
 use crate::model::{C2BoundModel, DesignVariables, OptimizationCase};
 use crate::{Error, Result};
@@ -26,16 +36,17 @@ use c2_obs::{MetricsSink, NullSink};
 
 /// Lower bound on any single area component (mm²) to keep the model in
 /// its physical domain.
-const MIN_AREA: f64 = 0.05;
+pub const MIN_AREA: f64 = 0.05;
 
 /// Solver tolerances for the two-level optimization. The default is
 /// exactly the historical hard-coded constants, so untuned callers see
 /// bit-identical behavior.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverTuning {
-    /// Newton convergence tolerance on the KKT residual.
+    /// Newton convergence tolerance on each face's KKT residual (also
+    /// the dual-feasibility slack of a pinned area).
     pub newton_tol: f64,
-    /// Newton iteration cap.
+    /// Newton iteration cap per face.
     pub newton_max_iters: usize,
     /// Nelder–Mead convergence tolerance (fallback solver).
     pub nelder_tol: f64,
@@ -86,14 +97,16 @@ impl SolverTuning {
 /// `N` — the degradation ladder of the resilient pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitSolve {
-    /// The KKT cascade produced a clean (full-tolerance) solution; the
-    /// payload names the cascade stage that won.
+    /// The active-set KKT solve produced a clean (full-tolerance)
+    /// solution; the payload names the Newton stage that won
+    /// ([`SolveStrategy::NominalNewton`]).
     Kkt(SolveStrategy),
-    /// The KKT cascade produced a usable but degraded solution (residual
-    /// above the Newton tolerance).
+    /// The active-set KKT solve produced a usable but degraded solution
+    /// (the winning face's residual stalled above the Newton tolerance).
     KktDegraded(SolveStrategy),
-    /// The KKT cascade failed or was beaten by the grid seed; the
-    /// Nelder–Mead simplex on the free fractions produced the answer.
+    /// No face gave a feasible KKT point, or the best one lost to the
+    /// grid seed; the Nelder–Mead simplex on the free fractions produced
+    /// the answer.
     SimplexFallback,
 }
 
@@ -119,8 +132,8 @@ pub struct OptimalDesign {
     pub cpi: f64,
     /// Data-access concurrency `C` at the optimum.
     pub concurrency: f64,
-    /// `true` if the inner solves used the Lagrange/Newton path for the
-    /// final `N` (false = Nelder–Mead fallback).
+    /// `true` if the final `N`'s split came from a clean KKT solve
+    /// (false = degraded, or the Nelder–Mead fallback).
     pub newton_converged: bool,
     /// Full degradation-ladder diagnostics for the final `N`'s split
     /// solve (refines `newton_converged`).
@@ -153,9 +166,9 @@ pub fn optimize_split_report(
     optimize_split_report_observed(model, n, &NullSink)
 }
 
-/// [`optimize_split_report`] with the KKT cascade instrumented: rung
-/// entries, failures and the acceptance go to `sink` under the
-/// `solver` scope; a Nelder–Mead rescue is counted under
+/// [`optimize_split_report`] with the KKT solve instrumented: its rung
+/// entry and its acceptance or failure go to `sink` under the `solver`
+/// scope; a Nelder–Mead rescue is counted under
 /// `aps_split_fallback_total`.
 pub fn optimize_split_report_observed(
     model: &C2BoundModel,
@@ -192,7 +205,7 @@ pub fn optimize_split_report_observed_tuned(
             a2: a[2],
         };
         if a.iter().any(|&x| x < MIN_AREA) {
-            // Smooth barrier keeps Newton inside the domain.
+            // Below the area floor: not a feasible split.
             return f64::INFINITY;
         }
         model.cycles_per_instruction(&v)
@@ -218,58 +231,57 @@ pub fn optimize_split_report_observed_tuned(
         per_core - seed_frac[0] * per_core - seed_frac[1] * per_core,
     ];
 
-    // Lagrange/Newton on the KKT system (the paper's Eq. 13 route).
-    let smooth_objective = |a: &[f64]| {
-        // Clamp (rather than reject) so finite differences stay finite.
-        let v = DesignVariables {
+    // Lagrange multipliers on the area simplex (the paper's Eq. 13
+    // route), with the area floors as active sets.
+    let derivatives = |a: &[f64], grad: &mut [f64], hess: &mut Matrix| {
+        if a.iter().any(|&x| !(x > 0.0)) {
+            // Outside the model's domain: a non-finite residual makes
+            // Newton's line search step back. (Continuing the flat
+            // 4 KiB capacity floor below zero instead lets a face's
+            // Newton run off toward A → −∞ and miss an interior
+            // optimum close to the floor.)
+            grad.fill(f64::NAN);
+            return;
+        }
+        let (g, h) = model.cpi_derivatives(&DesignVariables {
             n,
-            a0: a[0].max(MIN_AREA),
-            a1: a[1].max(MIN_AREA),
-            a2: a[2].max(MIN_AREA),
-        };
-        model.cycles_per_instruction(&v)
+            a0: a[0],
+            a1: a[1],
+            a2: a[2],
+        });
+        grad.copy_from_slice(&g);
+        for (i, row) in h.iter().enumerate() {
+            for (j, &hij) in row.iter().enumerate() {
+                hess[(i, j)] = hij;
+            }
+        }
     };
-    let problem = EqualityConstrained::new(smooth_objective)
-        .constraint(move |a: &[f64]| a[0] + a[1] + a[2] - per_core);
-    let cascade = problem.solve_cascade_observed(
+    let kkt = solve_active_set_observed(
+        objective,
+        derivatives,
         &seed,
-        &RobustOptions {
-            newton: NewtonOptions {
-                tol: tuning.newton_tol,
-                max_iters: tuning.newton_max_iters,
-                ..NewtonOptions::default()
-            },
-            ..RobustOptions::default()
+        per_core,
+        MIN_AREA,
+        &NewtonOptions {
+            tol: tuning.newton_tol,
+            max_iters: tuning.newton_max_iters,
+            ..NewtonOptions::default()
         },
         sink,
     );
-
-    let candidate = match &cascade {
-        Ok(r)
-            if r.kkt.x.iter().all(|&x| x >= MIN_AREA * 0.99)
-                && (r.kkt.x.iter().sum::<f64>() - per_core).abs() < 1e-6 * per_core.max(1.0) =>
-        {
-            Some((
-                DesignVariables {
-                    n,
-                    a0: r.kkt.x[0],
-                    a1: r.kkt.x[1],
-                    a2: r.kkt.x[2],
-                },
-                r.report.strategy,
-                r.report.quality,
-            ))
-        }
-        _ => None,
-    };
-
-    if let Some((v, strategy, quality)) = candidate {
+    if let Ok(sol) = kkt {
+        let v = DesignVariables {
+            n,
+            a0: sol.x[0],
+            a1: sol.x[1],
+            a2: sol.x[2],
+        };
         // Accept the KKT point only if it actually beats the seed (KKT
         // also matches saddle points).
-        if model.cycles_per_instruction(&v) <= objective(&seed) + 1e-12 {
-            let solve = match quality {
-                SolveQuality::Clean => SplitSolve::Kkt(strategy),
-                SolveQuality::Degraded => SplitSolve::KktDegraded(strategy),
+        if sol.objective <= objective(&seed) + 1e-12 {
+            let solve = match sol.report.quality {
+                SolveQuality::Clean => SplitSolve::Kkt(sol.report.strategy),
+                SolveQuality::Degraded => SplitSolve::KktDegraded(sol.report.strategy),
             };
             return Ok((v, solve));
         }
@@ -318,7 +330,7 @@ pub fn optimize_tuned(model: &C2BoundModel, tuning: &SolverTuning) -> Result<Opt
 }
 
 /// [`optimize`] with the *final* split solve instrumented. The outer
-/// N-scan runs dozens of inner cascades; observing every one would
+/// N-scan runs dozens of inner solves; observing every one would
 /// flood the trace with near-identical solver events, so only the
 /// definitive solve at the chosen `N*` reports to `sink` (the scan
 /// stays on a [`NullSink`]).

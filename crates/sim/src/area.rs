@@ -128,6 +128,18 @@ impl AreaModel {
         (area * self.cache_bytes_per_mm2).max(4096.0)
     }
 
+    /// `d/d(area)` of [`AreaModel::cache_bytes_continuous`]: the density
+    /// above the 4 KiB floor, 0 on it. The second derivative is 0
+    /// everywhere off the kink.
+    pub fn cache_bytes_slope(&self, area: f64) -> f64 {
+        debug_assert!(area > 0.0);
+        if area * self.cache_bytes_per_mm2 > 4096.0 {
+            self.cache_bytes_per_mm2
+        } else {
+            0.0
+        }
+    }
+
     /// Cache capacity (bytes, power of two, ≥ 4 KiB) for a cache area.
     pub fn cache_bytes(&self, area: f64) -> u64 {
         debug_assert!(area > 0.0);
@@ -246,6 +258,15 @@ mod tests {
         }
         // ~0.0625 mm2 at 512 KiB/mm2 -> 32 KiB.
         assert_eq!(m.cache_bytes(0.0625), 32 * 1024);
+    }
+
+    #[test]
+    fn cache_bytes_slope_is_the_density_above_the_floor() {
+        let m = AreaModel::default();
+        assert_eq!(m.cache_bytes_slope(0.5), m.cache_bytes_per_mm2);
+        // 0.005 mm² buys 2.6 KB: on the 4 KiB floor, flat.
+        assert_eq!(m.cache_bytes_continuous(0.005), 4096.0);
+        assert_eq!(m.cache_bytes_slope(0.005), 0.0);
     }
 
     #[test]

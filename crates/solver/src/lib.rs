@@ -9,25 +9,30 @@
 //! * [`linalg`] — small dense matrices, LU decomposition with partial
 //!   pivoting, linear solves;
 //! * [`roots`] — scalar Newton–Raphson with bisection safeguarding;
-//! * [`newton`] — damped multivariate Newton with a numerical Jacobian;
+//! * [`newton`] — damped multivariate Newton with a caller-supplied
+//!   Jacobian (closed-form, or [`newton::forward_difference`]);
 //! * [`golden`] — golden-section minimization for 1-D subproblems;
 //! * [`grid`] — coarse grid search used to seed Newton;
 //! * [`nelder`] — Nelder–Mead simplex fallback for non-smooth objectives;
-//! * [`lagrange`] — KKT-system assembly for equality-constrained
-//!   minimization, dispatched to [`newton`];
+//! * [`lagrange`] — minimization on a bounded simplex (`Σx = total`,
+//!   `x ≥ lower`, the shape of Eq. 13) by enumerating active sets and
+//!   solving each face's KKT system with [`newton`] and the caller's
+//!   closed-form gradient and Hessian;
 //! * [`robust`] — resilient fallback cascade (nominal Newton →
-//!   perturbed restarts → derivative-free) with a structured
-//!   [`SolveReport`] distinguishing clean from degraded solves.
+//!   perturbed restarts → derivative-free) for systems given only as a
+//!   residual, with a structured [`SolveReport`] distinguishing clean
+//!   from degraded solves.
 //!
 //! ```
-//! use c2_solver::newton::{newton_system, NewtonOptions};
+//! use c2_solver::newton::{forward_difference, newton_system, NewtonOptions};
 //!
 //! // Solve x^2 + y^2 = 2, x = y  ->  (1, 1)
 //! let f = |x: &[f64], out: &mut [f64]| {
 //!     out[0] = x[0] * x[0] + x[1] * x[1] - 2.0;
 //!     out[1] = x[0] - x[1];
 //! };
-//! let sol = newton_system(f, &[2.0, 0.5], &NewtonOptions::default()).unwrap();
+//! let opts = NewtonOptions::default();
+//! let sol = newton_system(f, forward_difference(f, opts.fd_step), &[2.0, 0.5], &opts).unwrap();
 //! assert!((sol.x[0] - 1.0).abs() < 1e-9 && (sol.x[1] - 1.0).abs() < 1e-9);
 //! ```
 
@@ -45,10 +50,10 @@ pub mod roots;
 
 pub use golden::golden_section;
 pub use grid::{grid_minimize, GridSpec};
-pub use lagrange::{EqualityConstrained, KktSolution, RobustKktSolution};
+pub use lagrange::{solve_active_set, solve_active_set_observed, ActiveSetSolution};
 pub use linalg::Matrix;
 pub use nelder::{nelder_mead, NelderMeadOptions};
-pub use newton::{newton_system, NewtonOptions, NewtonSolution};
+pub use newton::{forward_difference, newton_system, NewtonOptions, NewtonSolution};
 pub use robust::{
     solve_robust, solve_robust_observed, RobustOptions, SolveQuality, SolveReport, SolveStrategy,
 };
@@ -79,6 +84,9 @@ pub enum Error {
     InvalidBracket,
     /// A configuration parameter was invalid.
     InvalidParameter(&'static str),
+    /// No active set of a bounded problem gave a KKT point that is
+    /// primal- and dual-feasible.
+    NoFeasibleKktPoint,
 }
 
 impl std::fmt::Display for Error {
@@ -98,6 +106,7 @@ impl std::fmt::Display for Error {
             Error::NonFiniteValue => write!(f, "non-finite value encountered"),
             Error::InvalidBracket => write!(f, "invalid bracket"),
             Error::InvalidParameter(p) => write!(f, "invalid parameter: {p}"),
+            Error::NoFeasibleKktPoint => write!(f, "no active set gave a feasible KKT point"),
         }
     }
 }

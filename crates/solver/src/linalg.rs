@@ -57,6 +57,11 @@ impl Matrix {
         })
     }
 
+    /// Set every entry to `value`.
+    pub fn fill(&mut self, value: f64) {
+        self.data.fill(value);
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

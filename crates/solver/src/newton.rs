@@ -1,10 +1,15 @@
-//! Damped multivariate Newton with numerical Jacobian.
+//! Damped multivariate Newton.
 //!
 //! This is the engine behind the paper's "efficient solver for the
 //! nonlinear equation set" (§III.D): the KKT conditions of the Lagrangian
 //! Eq. 13 form a small nonlinear system `F(x) = 0`, solved here by
-//! Newton iteration with a finite-difference Jacobian, LU linear solves,
-//! and a backtracking (residual-halving) line search for global behaviour.
+//! Newton iteration with LU linear solves and a backtracking
+//! (residual-halving) line search for global behaviour.
+//!
+//! The Jacobian is the caller's: [`newton_system`] takes it as an
+//! argument. A caller with closed-form derivatives (the area split of
+//! `c2-bound::optimize`) passes them; a caller with only `F` passes
+//! [`forward_difference`], one forward difference per column.
 
 use crate::linalg::{norm2, Matrix};
 use crate::{Error, Result};
@@ -16,7 +21,7 @@ pub struct NewtonOptions {
     pub tol: f64,
     /// Maximum Newton iterations.
     pub max_iters: usize,
-    /// Relative finite-difference step for the Jacobian.
+    /// Relative step for a [`forward_difference`] Jacobian.
     pub fd_step: f64,
     /// Maximum backtracking halvings per iteration.
     pub max_backtracks: usize,
@@ -46,12 +51,48 @@ pub struct NewtonSolution {
     pub iterations: usize,
 }
 
+/// The forward-difference Jacobian of `f` with relative step `step`:
+/// column `j` is `(F(x + h e_j) − F(x)) / h` with
+/// `h = step · max(|x_j|, step)`. Pass it as [`newton_system`]'s
+/// `jacobian` when `F` has no closed-form derivative.
+pub fn forward_difference<F>(f: F, step: f64) -> impl Fn(&[f64], &[f64], &mut Matrix) -> Result<()>
+where
+    F: Fn(&[f64], &mut [f64]),
+{
+    move |x, fx, jac| {
+        let n = x.len();
+        let mut x_pert = x.to_vec();
+        let mut f_pert = vec![0.0; n];
+        for j in 0..n {
+            let h = step * x[j].abs().max(step);
+            x_pert[j] = x[j] + h;
+            f(&x_pert, &mut f_pert);
+            x_pert[j] = x[j];
+            if f_pert.iter().any(|v| !v.is_finite()) {
+                return Err(Error::NonFiniteValue);
+            }
+            for i in 0..n {
+                jac[(i, j)] = (f_pert[i] - fx[i]) / h;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Solve `F(x) = 0` for a system `F: R^n -> R^n`.
 ///
 /// `f(x, out)` must write the residual into `out` (same length as `x`).
-pub fn newton_system<F>(f: F, x0: &[f64], opts: &NewtonOptions) -> Result<NewtonSolution>
+/// `jacobian(x, fx, jac)` must write `∂F/∂x` at `x` into the `n × n`
+/// matrix `jac`; `fx` is `F(x)`, already evaluated.
+pub fn newton_system<F, J>(
+    f: F,
+    jacobian: J,
+    x0: &[f64],
+    opts: &NewtonOptions,
+) -> Result<NewtonSolution>
 where
     F: Fn(&[f64], &mut [f64]),
+    J: Fn(&[f64], &[f64], &mut Matrix) -> Result<()>,
 {
     let n = x0.len();
     if n == 0 {
@@ -60,8 +101,7 @@ where
     let mut x = x0.to_vec();
     let mut fx = vec![0.0; n];
     let mut fx_trial = vec![0.0; n];
-    let mut x_pert = vec![0.0; n];
-    let mut f_pert = vec![0.0; n];
+    let mut jac = Matrix::zeros(n, n);
 
     f(&x, &mut fx);
     if fx.iter().any(|v| !v.is_finite()) {
@@ -77,20 +117,7 @@ where
                 iterations: it,
             });
         }
-        // Numerical Jacobian, one column per forward difference.
-        let mut jac = Matrix::zeros(n, n);
-        for j in 0..n {
-            let h = opts.fd_step * x[j].abs().max(opts.fd_step);
-            x_pert.copy_from_slice(&x);
-            x_pert[j] += h;
-            f(&x_pert, &mut f_pert);
-            if f_pert.iter().any(|v| !v.is_finite()) {
-                return Err(Error::NonFiniteValue);
-            }
-            for i in 0..n {
-                jac[(i, j)] = (f_pert[i] - fx[i]) / h;
-            }
-        }
+        jacobian(&x, &fx, &mut jac)?;
         // Newton step: J dx = -F.
         let rhs: Vec<f64> = fx.iter().map(|v| -v).collect();
         let dx = jac.solve(&rhs)?;
@@ -114,8 +141,9 @@ where
             alpha *= 0.5;
         }
         if !accepted {
-            // The finite-difference Jacobian has hit its precision floor;
-            // accept a residual that is within two decades of the target.
+            // The line search has hit the Jacobian's precision floor
+            // (a finite-difference one's, typically); accept a
+            // residual that is within two decades of the target.
             if res < opts.tol * 100.0 {
                 return Ok(NewtonSolution {
                     x,
@@ -147,6 +175,14 @@ where
 mod tests {
     use super::*;
 
+    /// Newton with the forward-difference Jacobian of `f`.
+    fn newton_fd<F>(f: F, x0: &[f64], opts: &NewtonOptions) -> Result<NewtonSolution>
+    where
+        F: Fn(&[f64], &mut [f64]),
+    {
+        newton_system(&f, forward_difference(&f, opts.fd_step), x0, opts)
+    }
+
     #[test]
     fn solves_linear_system() {
         // 2x + y = 3; x + 3y = 5
@@ -154,10 +190,26 @@ mod tests {
             out[0] = 2.0 * x[0] + x[1] - 3.0;
             out[1] = x[0] + 3.0 * x[1] - 5.0;
         };
-        let s = newton_system(f, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
+        let s = newton_fd(f, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
         assert!((s.x[0] - 0.8).abs() < 1e-9);
         assert!((s.x[1] - 1.4).abs() < 1e-9);
         assert!(s.iterations <= 3);
+    }
+
+    #[test]
+    fn exact_jacobian_solves_a_linear_system_in_one_step() {
+        let f = |x: &[f64], out: &mut [f64]| {
+            out[0] = 2.0 * x[0] + x[1] - 3.0;
+            out[1] = x[0] + 3.0 * x[1] - 5.0;
+        };
+        let jac = |_: &[f64], _: &[f64], j: &mut Matrix| {
+            *j = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
+            Ok(())
+        };
+        let s = newton_system(f, jac, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
+        assert_eq!(s.iterations, 1);
+        assert!((s.x[0] - 0.8).abs() < 1e-12);
+        assert!((s.x[1] - 1.4).abs() < 1e-12);
     }
 
     #[test]
@@ -166,9 +218,22 @@ mod tests {
             out[0] = x[0] * x[0] + x[1] * x[1] - 2.0;
             out[1] = x[0] - x[1];
         };
-        let s = newton_system(f, &[2.0, 0.5], &NewtonOptions::default()).unwrap();
+        let s = newton_fd(f, &[2.0, 0.5], &NewtonOptions::default()).unwrap();
         assert!((s.x[0] - 1.0).abs() < 1e-8);
         assert!((s.x[1] - 1.0).abs() < 1e-8);
+        // The closed-form Jacobian reaches the same root to a tighter
+        // tolerance than the finite-difference floor allows.
+        let jac = |x: &[f64], _: &[f64], j: &mut Matrix| {
+            *j = Matrix::from_rows(&[&[2.0 * x[0], 2.0 * x[1]], &[1.0, -1.0]])?;
+            Ok(())
+        };
+        let tight = NewtonOptions {
+            tol: 1e-14,
+            ..NewtonOptions::default()
+        };
+        let s = newton_system(f, jac, &[2.0, 0.5], &tight).unwrap();
+        assert!(s.residual < 1e-14);
+        assert!((s.x[0] - 1.0).abs() < 1e-14);
     }
 
     #[test]
@@ -178,7 +243,7 @@ mod tests {
             out[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
             out[1] = 200.0 * (x[1] - x[0] * x[0]);
         };
-        let s = newton_system(
+        let s = newton_fd(
             f,
             &[-1.2, 1.0],
             &NewtonOptions {
@@ -199,7 +264,7 @@ mod tests {
             out[1] = x[0] * x[1] * x[2] - 6.0;
             out[2] = x[2] - x[0] - 2.0;
         };
-        let s = newton_system(f, &[0.9, 2.2, 2.8], &NewtonOptions::default()).unwrap();
+        let s = newton_fd(f, &[0.9, 2.2, 2.8], &NewtonOptions::default()).unwrap();
         assert!((s.x[0] - 1.0).abs() < 1e-8);
         assert!((s.x[1] - 2.0).abs() < 1e-8);
         assert!((s.x[2] - 3.0).abs() < 1e-8);
@@ -211,7 +276,7 @@ mod tests {
         let f = |_: &[f64], out: &mut [f64]| {
             out[0] = 1.0;
         };
-        let r = newton_system(f, &[0.0], &NewtonOptions::default());
+        let r = newton_fd(f, &[0.0], &NewtonOptions::default());
         assert!(matches!(
             r,
             Err(Error::DidNotConverge { .. }) | Err(Error::SingularMatrix)
@@ -219,10 +284,20 @@ mod tests {
     }
 
     #[test]
+    fn jacobian_errors_end_the_solve() {
+        let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] - 1.0;
+        let jac = |_: &[f64], _: &[f64], _: &mut Matrix| Err(Error::NonFiniteValue);
+        assert_eq!(
+            newton_system(f, jac, &[0.0], &NewtonOptions::default()),
+            Err(Error::NonFiniteValue)
+        );
+    }
+
+    #[test]
     fn rejects_empty_system() {
         let f = |_: &[f64], _: &mut [f64]| {};
         assert!(matches!(
-            newton_system(f, &[], &NewtonOptions::default()),
+            newton_fd(f, &[], &NewtonOptions::default()),
             Err(Error::InvalidParameter(_))
         ));
     }
@@ -232,7 +307,7 @@ mod tests {
         let f = |x: &[f64], out: &mut [f64]| {
             out[0] = x[0] - 5.0;
         };
-        let s = newton_system(f, &[5.0], &NewtonOptions::default()).unwrap();
+        let s = newton_fd(f, &[5.0], &NewtonOptions::default()).unwrap();
         assert_eq!(s.iterations, 0);
         assert!(s.residual < 1e-10);
     }

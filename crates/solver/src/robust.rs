@@ -1,4 +1,5 @@
-//! A resilient fallback cascade around [`newton_system`].
+//! A resilient fallback cascade around [`newton_system`] with a
+//! [`forward_difference`] Jacobian, for systems given only as `F`.
 //!
 //! The paper's APS flow assumes the analysis stage always produces a
 //! usable skeleton, but real design-space sweeps hit ill-conditioned
@@ -24,9 +25,9 @@ use crate::golden::golden_section;
 use crate::grid::{grid_minimize, GridSpec};
 use crate::linalg::norm2;
 use crate::nelder::{nelder_mead, NelderMeadOptions};
-use crate::newton::{newton_system, NewtonOptions, NewtonSolution};
+use crate::newton::{forward_difference, newton_system, NewtonOptions, NewtonSolution};
 use crate::{Error, Result};
-use c2_obs::{MetricsSink, NullSink};
+use c2_obs::{FieldValue, MetricsSink, NullSink};
 
 /// Which cascade stage produced the accepted solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,8 +192,22 @@ const ITERATION_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 /// Histogram ladder for accepted-solution residuals.
 const RESIDUAL_BOUNDS: &[f64] = &[1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0];
 
-/// Emit the acceptance record for a finished cascade.
-fn emit_accepted(sink: &dyn MetricsSink, report: &SolveReport) {
+/// Emit the entry record for one cascade rung.
+pub(crate) fn emit_rung(sink: &dyn MetricsSink, strategy: SolveStrategy) {
+    sink.event(
+        "solver",
+        "cascade.rung",
+        &[("rung", strategy.to_string().into())],
+    );
+}
+
+/// Emit the acceptance record for a finished cascade; `extra` fields
+/// follow the standard ones.
+pub(crate) fn emit_accepted(
+    sink: &dyn MetricsSink,
+    report: &SolveReport,
+    extra: &[(&str, FieldValue)],
+) {
     sink.counter_add("solver_solves_total", 1);
     sink.observe(
         "solver_newton_iterations",
@@ -200,21 +215,19 @@ fn emit_accepted(sink: &dyn MetricsSink, report: &SolveReport) {
         report.solution.iterations as f64,
     );
     sink.observe("solver_residual", RESIDUAL_BOUNDS, report.solution.residual);
-    sink.event(
-        "solver",
-        "cascade.accepted",
-        &[
-            ("rung", report.strategy.to_string().into()),
-            ("retries", report.retries.into()),
-            ("quality", report.quality.as_str().into()),
-            ("iterations", report.solution.iterations.into()),
-            ("residual", report.solution.residual.into()),
-        ],
-    );
+    let mut fields = vec![
+        ("rung", report.strategy.to_string().into()),
+        ("retries", report.retries.into()),
+        ("quality", report.quality.as_str().into()),
+        ("iterations", report.solution.iterations.into()),
+        ("residual", report.solution.residual.into()),
+    ];
+    fields.extend_from_slice(extra);
+    sink.event("solver", "cascade.accepted", &fields);
 }
 
 /// Emit the failure record for one cascade rung.
-fn emit_rung_failed(sink: &dyn MetricsSink, strategy: SolveStrategy, error: &Error) {
+pub(crate) fn emit_rung_failed(sink: &dyn MetricsSink, strategy: SolveStrategy, error: &Error) {
     sink.counter_add("solver_rung_failures_total", 1);
     sink.event(
         "solver",
@@ -251,14 +264,11 @@ where
         ));
     }
     let mut attempts = Vec::new();
+    let jacobian = forward_difference(&f, opts.newton.fd_step);
 
     // Stage 1: nominal Newton.
-    sink.event(
-        "solver",
-        "cascade.rung",
-        &[("rung", SolveStrategy::NominalNewton.to_string().into())],
-    );
-    match newton_system(&f, x0, &opts.newton) {
+    emit_rung(sink, SolveStrategy::NominalNewton);
+    match newton_system(&f, &jacobian, x0, &opts.newton) {
         Ok(solution) => {
             let quality = quality_of(solution.residual, opts);
             let report = SolveReport {
@@ -268,7 +278,7 @@ where
                 quality,
                 attempts,
             };
-            emit_accepted(sink, &report);
+            emit_accepted(sink, &report, &[]);
             return Ok(report);
         }
         Err(e) => {
@@ -288,17 +298,8 @@ where
             .iter()
             .map(|&xi| xi + scale * xi.abs().max(1.0) * unit_signed(splitmix64(&mut rng_state)))
             .collect();
-        sink.event(
-            "solver",
-            "cascade.rung",
-            &[(
-                "rung",
-                SolveStrategy::PerturbedNewton { attempt }
-                    .to_string()
-                    .into(),
-            )],
-        );
-        match newton_system(&f, &start, &opts.newton) {
+        emit_rung(sink, SolveStrategy::PerturbedNewton { attempt });
+        match newton_system(&f, &jacobian, &start, &opts.newton) {
             Ok(solution) => {
                 let quality = quality_of(solution.residual, opts);
                 let report = SolveReport {
@@ -308,7 +309,7 @@ where
                     quality,
                     attempts,
                 };
-                emit_accepted(sink, &report);
+                emit_accepted(sink, &report, &[]);
                 return Ok(report);
             }
             Err(e) => {
@@ -322,11 +323,7 @@ where
     }
 
     // Stage 3: derivative-free fallback on the merit ‖F(x)‖₂.
-    sink.event(
-        "solver",
-        "cascade.rung",
-        &[("rung", SolveStrategy::DerivativeFree.to_string().into())],
-    );
+    emit_rung(sink, SolveStrategy::DerivativeFree);
     let n = x0.len();
     let mut buf = vec![0.0; n];
     let merit = |x: &[f64]| -> f64 {
@@ -378,7 +375,7 @@ where
     // Newton polish from the seed: if the basin is smooth this recovers
     // a clean solve and the report still (honestly) credits the
     // derivative-free stage that found the basin.
-    if let Ok(polished) = newton_system(&f, &best_x, &opts.newton) {
+    if let Ok(polished) = newton_system(&f, &jacobian, &best_x, &opts.newton) {
         let quality = quality_of(polished.residual, opts);
         let report = SolveReport {
             solution: polished,
@@ -387,7 +384,7 @@ where
             quality,
             attempts,
         };
-        emit_accepted(sink, &report);
+        emit_accepted(sink, &report, &[]);
         return Ok(report);
     }
 
@@ -436,7 +433,7 @@ where
             quality,
             attempts,
         };
-        emit_accepted(sink, &report);
+        emit_accepted(sink, &report, &[]);
         return Ok(report);
     }
     let err = Error::DidNotConverge {
