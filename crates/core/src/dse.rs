@@ -160,28 +160,16 @@ impl DesignSpace {
         )
     }
 
-    /// The paper-scale space: ten values per parameter, 10⁶ points.
+    /// The paper-scale space: ten values per parameter, 10⁶ points
+    /// (`SpaceSpec::paper_scale()`, the scenario default).
     pub fn paper_scale() -> Self {
-        DesignSpace {
-            a0: geometric(0.5, 16.0, 10),
-            a1: geometric(0.05, 2.0, 10),
-            a2: geometric(0.1, 4.0, 10),
-            n: vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
-            issue: vec![1, 2, 3, 4, 5, 6, 7, 8, 12, 16],
-            rob: vec![16, 32, 48, 64, 96, 128, 160, 192, 224, 256],
-        }
+        Self::from_spec(&c2_config::SpaceSpec::paper_scale()).expect("the paper space is valid")
     }
 
-    /// A small space for tests (4⁴·3² = 2304 points).
+    /// A small space for tests (4⁴·3² = 2304 points,
+    /// `SpaceSpec::tiny()`).
     pub fn tiny() -> Self {
-        DesignSpace {
-            a0: vec![1.0, 2.0, 4.0, 8.0],
-            a1: vec![0.0625, 0.125, 0.25, 0.5],
-            a2: vec![0.125, 0.5, 1.0, 2.0],
-            n: vec![1, 2, 4, 8],
-            issue: vec![1, 2, 4],
-            rob: vec![16, 64, 128],
-        }
+        Self::from_spec(&c2_config::SpaceSpec::tiny()).expect("the tiny space is valid")
     }
 
     /// Core-area axis values.
@@ -320,15 +308,6 @@ impl DesignSpace {
         }
         nearest
     }
-}
-
-fn geometric(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
-    (0..steps)
-        .map(|i| {
-            let t = i as f64 / (steps - 1) as f64;
-            (lo.ln() + t * (hi.ln() - lo.ln())).exp()
-        })
-        .collect()
 }
 
 fn nearest_f(axis: &[f64], v: f64) -> usize {

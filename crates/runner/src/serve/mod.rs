@@ -67,26 +67,11 @@ pub struct ServePolicy {
     pub shed_backoff: BackoffPolicy,
 }
 
+/// The scenario's default `serve` section.
 impl Default for ServePolicy {
     fn default() -> Self {
-        ServePolicy {
-            queue_depth: 16,
-            per_client_budget: 2,
-            executors: 2,
-            read_timeout_ms: 5_000,
-            max_body_bytes: 1 << 20,
-            breaker: BreakerPolicy {
-                trip_threshold: 3,
-                cooldown: 4,
-                probes: 1,
-            },
-            shed_backoff: BackoffPolicy {
-                base_ms: 250,
-                factor: 2.0,
-                cap_ms: 5_000,
-                jitter_frac: 0.25,
-            },
-        }
+        ServePolicy::from_spec(&c2_config::ServeSpec::default())
+            .expect("the default policy is valid")
     }
 }
 

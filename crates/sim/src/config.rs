@@ -31,34 +31,16 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// A 32 KiB, 8-way, 3-cycle L1 with 8 MSHRs, 2 ports — Core-i7-like,
-    /// matching the paper's "memory hierarchy similar to an Intel Core
-    /// i7" (§IV, \[25\]).
+    /// The scenario's default L1 (`CacheSpec::default_l1`): 32 KiB,
+    /// 8-way, Core-i7-like.
     pub fn default_l1() -> Self {
-        CacheConfig {
-            size_bytes: 32 * 1024,
-            line_size: 64,
-            associativity: 8,
-            hit_latency: 3,
-            mshr_entries: 8,
-            ports: 2,
-            banks: 4,
-            next_line_prefetch: false,
-        }
+        Self::from_spec(&c2_config::CacheSpec::default_l1()).expect("the default L1 is valid")
     }
 
-    /// A 2 MiB, 16-way, 12-cycle shared L2 with 16 MSHRs and 8 banks.
+    /// The scenario's default shared L2 (`CacheSpec::default_l2`):
+    /// 2 MiB, 16-way.
     pub fn default_l2() -> Self {
-        CacheConfig {
-            size_bytes: 2 * 1024 * 1024,
-            line_size: 64,
-            associativity: 16,
-            hit_latency: 12,
-            mshr_entries: 16,
-            ports: 4,
-            banks: 8,
-            next_line_prefetch: false,
-        }
+        Self::from_spec(&c2_config::CacheSpec::default_l2()).expect("the default L2 is valid")
     }
 
     /// Validated construction from a scenario cache spec.
@@ -139,18 +121,10 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
-    /// DDR3-1600-like timing at a ~3 GHz core clock (latencies expressed
-    /// in core cycles).
+    /// The scenario's default DRAM (`DramSpec::default()`): DDR3-1600-like
+    /// timing at a ~3 GHz core clock.
     pub fn default_ddr3() -> Self {
-        DramConfig {
-            banks: 8,
-            row_size: 8 * 1024,
-            t_rcd: 22,
-            t_cas: 22,
-            t_rp: 22,
-            t_bus: 8,
-            queue_depth: 32,
-        }
+        Self::from_spec(&c2_config::DramSpec::default()).expect("the default DRAM is valid")
     }
 
     /// Validated construction from a scenario DRAM spec.
@@ -200,13 +174,10 @@ pub struct CoreConfig {
 }
 
 impl CoreConfig {
-    /// The paper's detailed core: 4-wide OoO with a 128-entry ROB (§IV).
+    /// The scenario's default core (`CoreSpec::default()`): the paper's
+    /// 4-wide out-of-order core with a 128-entry ROB.
     pub fn default_ooo() -> Self {
-        CoreConfig {
-            issue_width: 4,
-            rob_size: 128,
-            exec_latency: 1,
-        }
+        Self::from_spec(&c2_config::CoreSpec::default()).expect("the default core is valid")
     }
 
     /// Validated construction from a scenario core spec.
@@ -255,12 +226,10 @@ pub struct NocConfig {
 }
 
 impl NocConfig {
-    /// Small mesh defaults.
+    /// The scenario's default interconnect (`NocSpec::default()`), a
+    /// small mesh.
     pub fn default_mesh() -> Self {
-        NocConfig {
-            l1_l2_latency: 4,
-            l2_mem_latency: 6,
-        }
+        Self::from_spec(&c2_config::NocSpec::default()).expect("the default NoC is valid")
     }
 
     /// Validated construction from a scenario NoC spec.
@@ -294,18 +263,10 @@ pub struct ChipConfig {
 }
 
 impl ChipConfig {
-    /// Single Core-i7-like core over the default hierarchy.
+    /// The scenario's default chip (`ChipSpec::default()`): a single
+    /// Core-i7-like core over the default hierarchy.
     pub fn default_single_core() -> Self {
-        ChipConfig {
-            cores: 1,
-            core: CoreConfig::default_ooo(),
-            l1: CacheConfig::default_l1(),
-            l2: CacheConfig::default_l2(),
-            dram: DramConfig::default_ddr3(),
-            noc: NocConfig::default_mesh(),
-            max_cycles: 500_000_000,
-            fault: crate::fault::FaultPlan::default(),
-        }
+        Self::from_spec(&c2_config::ChipSpec::default()).expect("the default chip is valid")
     }
 
     /// Symmetric multi-core variant of the default chip.
@@ -367,8 +328,8 @@ mod tests {
 
     #[test]
     fn default_spec_reproduces_the_default_chip() {
-        // The scenario layer's defaults must be the historical chip
-        // bit for bit — no behavioral drift from the refactor.
+        // The default chip is built from the scenario's default spec,
+        // so this pins that the spec default passes `from_spec`.
         let from_spec = ChipConfig::from_spec(&c2_config::ChipSpec::default()).expect("spec");
         assert_eq!(from_spec, ChipConfig::default_single_core());
     }
