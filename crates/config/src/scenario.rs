@@ -97,7 +97,12 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "scenario: duplicate key `{path}`")
             }
             ScenarioError::WrongType { path, expected } => {
-                write!(f, "scenario: `{path}` must be a {expected}")
+                let article = if expected.starts_with(['a', 'e', 'i', 'o', 'u']) {
+                    "an"
+                } else {
+                    "a"
+                };
+                write!(f, "scenario: `{path}` must be {article} {expected}")
             }
             ScenarioError::OutOfRange { path, why } => {
                 write!(f, "scenario: `{path}` out of range: {why}")
