@@ -14,6 +14,9 @@
 //! observability report and the scenario reader share one
 //! implementation.
 
+// Every scenario row becomes a public field: its doc must not vanish.
+#![warn(missing_docs)]
+
 pub mod json;
 pub mod scenario;
 
