@@ -139,6 +139,18 @@ cargo run -q --bin c2bound-tool -- submit --addr "${addr}" --tenant b \
     --scenario "${variant}" > /dev/null &
 client_b=$!
 wait "${client_a}" "${client_b}"
+# A hostile body, 64 KiB of nested `[`, costs one 422 and not the
+# daemon: the JSON reader caps nesting instead of recursing off the
+# connection thread's stack. The daemon must then still answer.
+nested="${smoke_dir}/nested.json"
+head -c 65536 /dev/zero | tr '\0' '[' > "${nested}"
+if cargo run -q --bin c2bound-tool -- submit --addr "${addr}" \
+    --scenario "${nested}" 2> "${smoke_dir}/nested.err"; then
+    echo "error: the daemon accepted 64 KiB of nested [" >&2
+    exit 1
+fi
+grep -q 'rejected with 422' "${smoke_dir}/nested.err"
+cargo run -q --bin c2bound-tool -- status --addr "${addr}" > /dev/null
 cargo run -q --bin c2bound-tool -- shutdown --addr "${addr}" --wait > /dev/null
 wait "${serve_pid}"
 # Resume the backlog the drain left behind, then demand every job's

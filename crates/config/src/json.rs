@@ -1,10 +1,12 @@
 //! Minimal recursive JSON — deterministic rendering plus a strict
 //! parser.
 //!
-//! This module is the workspace's single recursive JSON value model.
-//! It originated in `c2-obs` (the observability report nests registry →
-//! histograms → buckets); the scenario layer generalizes it here so
-//! both crates share one deterministic value type. Rendering is
+//! This module is the workspace's single recursive JSON value model and
+//! its only JSON reader: scenarios, metrics reports, serve request
+//! bodies, and the runner's journal and evaluation-cache lines all
+//! parse through [`Json::parse`]. Parsing is linear in the input and
+//! refuses nesting deeper than a fixed cap, so no document can hang or
+//! overflow the reading thread. Rendering is
 //! deterministic by construction: objects preserve the insertion order
 //! the builder chose (callers insert in sorted or otherwise fixed
 //! order), floats with an exact integer value render without a
@@ -141,7 +143,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(format!(
@@ -239,16 +241,25 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Scenarios nest
+/// at most 4 deep; the cap keeps a hostile document (say 10,000 `[`)
+/// from overflowing the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value nested inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        ))),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(_) => parse_number(bytes, pos),
     }
 }
@@ -276,55 +287,69 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         .map_err(|_| err(format!("malformed number `{text}` at offset {start}")))
 }
 
+/// The four hex digits of a `\u` escape starting at `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32> {
+    let hex = bytes
+        .get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .ok_or_else(|| err(format!("bad \\u escape at offset {at}")))?;
+    Ok(hex.iter().fold(0, |code, &d| {
+        code * 16 + (d as char).to_digit(16).unwrap_or(0)
+    }))
+}
+
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| err("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(format!("bad \\u escape `{hex}`")))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    other => {
-                        return Err(err(format!("bad escape {other:?}")));
+        // Copy the whole run up to the next `"` or `\` at once: both are
+        // ASCII, so the run ends on a char boundary, and the input is
+        // scanned once however long the string is.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err("unterminated string"))?;
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run])
+            .map_err(|_| err("non-UTF-8 string body"))?;
+        out.push_str(text);
+        *pos += run + 1;
+        if bytes[*pos - 1] == b'"' {
+            return Ok(out);
+        }
+        let c = match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let mut code = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // A high surrogate escaped next to a low one is one
+                // scalar (RFC 8259 §7); a lone surrogate decodes as
+                // U+FFFD.
+                if (0xD800..0xDC00).contains(&code)
+                    && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u".as_slice())
+                {
+                    if let Ok(low @ 0xDC00..=0xDFFF) = parse_hex4(bytes, *pos + 3) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        *pos += 6;
                     }
                 }
-                *pos += 1;
+                char::from_u32(code).unwrap_or('\u{FFFD}')
             }
-            Some(_) => {
-                // Advance one whole UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err("non-UTF-8 string body"))?;
-                let c = rest.chars().next().expect("non-empty by loop guard");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
+            other => return Err(err(format!("bad escape {other:?}"))),
+        };
+        out.push(c);
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -333,7 +358,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -346,7 +371,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     *pos += 1; // consume '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -365,7 +390,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json> {
             return Err(err(format!("expected : at offset {pos}")));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -419,6 +444,36 @@ mod tests {
         assert_eq!(v.as_str().unwrap(), "aA\n\t\\");
         let v = Json::parse("\"héllo\"").unwrap();
         assert_eq!(v.as_str().unwrap(), "héllo");
+        let v = Json::parse(r#""\b\f\/""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\u{8}\u{c}/");
+        // A surrogate pair is one scalar; a lone surrogate is U+FFFD.
+        let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\u{1F600}");
+        let v = Json::parse(r#""\ud83dx\ude00\ud83d""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\u{FFFD}x\u{FFFD}\u{FFFD}");
+        assert!(Json::parse(r#""\u12""#).is_err());
+        assert!(Json::parse(r#""\u+123""#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // On a default-sized thread stack, like a serve connection's.
+        let hostile = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(hostile.join().unwrap());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of two-byte scalars, with an escape in the middle.
+        let body = "é".repeat(1 << 18);
+        let text = format!("\"{body}\\n{body}\"");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(v.as_str().unwrap().len(), 2 * body.len() + 1);
     }
 
     #[test]

@@ -479,7 +479,7 @@ fn hostile_clients_cost_a_connection_not_the_daemon() {
     let options = ServeOptions {
         policy: ServePolicy {
             read_timeout_ms: 200,
-            max_body_bytes: 4 * 1024,
+            max_body_bytes: 64 * 1024,
             ..ServePolicy::default()
         },
         ..ServeOptions::new("127.0.0.1:0", dir.join("jobs"))
@@ -518,6 +518,10 @@ fn hostile_clients_cost_a_connection_not_the_daemon() {
     assert_eq!(call(&addr, "GET", "/submit", &[], b"").0, 405);
     // Invalid scenario document → 422 with the typed error.
     let (status, _, body) = call(&addr, "POST", "/submit", &[], b"{\"version\": 99}");
+    assert_eq!(status, 422, "{body}");
+    // Nesting deep enough to overflow a connection thread's stack if
+    // the parser recursed without a cap → 422, not a dead daemon.
+    let (status, _, body) = call(&addr, "POST", "/submit", &[], &[b'['; 60_000]);
     assert_eq!(status, 422, "{body}");
 
     // After all that abuse, the daemon still serves real work.
