@@ -51,12 +51,18 @@
 //!
 //! On disk the cache is JSONL, same dialect as the journal: a header
 //! line pinning the format version, then one line per entry, sorted by
-//! key (publication is a pure function of the entry set). The cache is
-//! advisory — a torn or malformed entry line is skipped (and counted,
-//! so the engine can surface a recovery metric), not fatal, and a file
-//! that is empty or holds only a torn header is treated as a fresh
-//! cache — but a file whose header is some *other* format is rejected
-//! rather than overwritten.
+//! key (publication is a pure function of the entry set). Lines are
+//! written by hand (a time keeps its `{t:?}` spelling) and read with
+//! [`c2_config::Json::parse`], except the header, which must match its
+//! exact bytes or be a torn prefix of them. [`load`] is the one reader
+//! and [`publish`] the one entry writer (the engine and the tests that
+//! seed a cache both use them); [`append_phase`] adds phase memos.
+//!
+//! The cache is advisory — a torn or malformed entry line is skipped
+//! (and counted, so the engine can surface a recovery metric), not
+//! fatal, and a file that is empty or holds only a torn header is
+//! treated as a fresh cache — but a file whose header is some *other*
+//! format is rejected rather than overwritten.
 //!
 //! ```text
 //! {"c2cache":1}
@@ -80,11 +86,11 @@
 
 use crate::storage::Storage;
 use crate::{Error, Result};
+use c2_config::Json;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Cache format version written in the header.
 pub const CACHE_VERSION: u64 = 1;
@@ -154,34 +160,6 @@ fn phase_line(key: u64, r: &PhaseRecord) -> String {
         list(&r.labels),
         list(&r.representatives)
     )
-}
-
-/// Parse one phase-memo line; `None` if `line` is not one.
-fn parse_phase(line: &str) -> Option<(u64, PhaseRecord)> {
-    let rest = line.trim().strip_prefix("{\"c2phase\":1,\"key\":\"")?;
-    let (hex, rest) = rest.split_once("\",\"interval_len\":")?;
-    let key = u64::from_str_radix(hex, 16).ok()?;
-    let (il, rest) = rest.split_once(",\"labels\":[")?;
-    let interval_len: u64 = il.parse().ok()?;
-    let (labels, rest) = rest.split_once("],\"representatives\":[")?;
-    let reps = rest.strip_suffix("]}")?;
-    let parse_list = |s: &str| -> Option<Vec<u64>> {
-        if s.is_empty() {
-            return Some(Vec::new());
-        }
-        s.split(',').map(|x| x.parse().ok()).collect()
-    };
-    if interval_len == 0 {
-        return None;
-    }
-    Some((
-        key,
-        PhaseRecord {
-            interval_len,
-            labels: parse_list(labels)?,
-            representatives: parse_list(reps)?,
-        },
-    ))
 }
 
 /// What [`load`] found on disk at run start.
@@ -305,89 +283,6 @@ pub fn publish(
     storage.rename(&tmp, path)
 }
 
-/// A persistent evaluation cache: an immutable snapshot of everything
-/// on disk when opened, plus an append-only writer.
-///
-/// This is the *incremental* interface — tests and tools use it to
-/// seed or extend a cache file entry by entry. The engine itself reads
-/// with [`load`] and writes once per completed run with [`publish`];
-/// see the module docs for why. Lookups consult **only the snapshot**:
-/// results stored after open are invisible until reopen.
-#[derive(Debug)]
-pub struct EvalCache {
-    snapshot: HashMap<u64, CachedEval>,
-    writer: Mutex<BufWriter<File>>,
-    path: PathBuf,
-}
-
-impl EvalCache {
-    /// Open (or create) the cache at `path`: load every well-formed
-    /// entry as the read snapshot and position a writer at the end.
-    /// A missing file, an empty file, or one holding only a torn
-    /// header becomes a fresh cache, while a file in some other format
-    /// is rejected.
-    pub fn open(path: &Path) -> Result<Self> {
-        match File::open(path) {
-            Ok(mut f) => {
-                let mut text = String::new();
-                f.read_to_string(&mut text)
-                    .map_err(|e| Error::Io(format!("read {path:?}: {e}")))?;
-                if let Some(loaded) = parse_snapshot(&text, path)? {
-                    let file = OpenOptions::new()
-                        .append(true)
-                        .open(path)
-                        .map_err(|e| Error::Io(format!("open {path:?} for append: {e}")))?;
-                    return Ok(EvalCache {
-                        snapshot: loaded.snapshot,
-                        writer: Mutex::new(BufWriter::new(file)),
-                        path: path.to_path_buf(),
-                    });
-                }
-                // Empty or torn header: fall through and recreate
-                // (File::create truncates the remnant).
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(Error::Io(format!("open {path:?}: {e}"))),
-        }
-        let file = File::create(path).map_err(|e| Error::Io(format!("create {path:?}: {e}")))?;
-        let mut out = BufWriter::new(file);
-        out.write_all(format!("{}\n", header_line()).as_bytes())
-            .and_then(|()| out.flush())
-            .map_err(|e| Error::Io(format!("write {path:?}: {e}")))?;
-        Ok(EvalCache {
-            snapshot: HashMap::new(),
-            writer: Mutex::new(out),
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Look `key` up in the start-of-run snapshot.
-    pub fn lookup(&self, key: u64) -> Option<CachedEval> {
-        self.snapshot.get(&key).copied()
-    }
-
-    /// Entries in the start-of-run snapshot.
-    pub fn len(&self) -> usize {
-        self.snapshot.len()
-    }
-
-    /// Whether the start-of-run snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot.is_empty()
-    }
-
-    /// Append one entry and flush it to the OS. Duplicate keys are
-    /// harmless (the evaluation is deterministic, so the values agree;
-    /// the loader keeps the first).
-    pub fn store(&self, key: u64, entry: CachedEval) -> Result<()> {
-        let line = format!("{}\n", entry_line(key, &entry));
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        w.write_all(line.as_bytes())
-            .and_then(|()| w.flush())
-            .map_err(|e| Error::Io(format!("write {:?}: {e}", self.path)))
-    }
-}
-
 /// Parse a cache file's contents. `Ok(None)` means the file is an
 /// empty or torn-header remnant and should be treated as a fresh
 /// cache; `Err` means it is some other format and must not be touched.
@@ -411,9 +306,10 @@ fn parse_snapshot(text: &str, path: &Path) -> Result<Option<LoadedCache>> {
     for line in lines {
         // Advisory store: a torn or malformed entry loses one
         // memoized result, nothing else — later entries still load.
-        if let Some((key, entry)) = parse_entry(line) {
+        let fields = Json::parse(line).unwrap_or(Json::Null);
+        if let Some((key, entry)) = parse_entry(&fields) {
             loaded.snapshot.entry(key).or_insert(entry);
-        } else if let Some((key, record)) = parse_phase(line) {
+        } else if let Some((key, record)) = parse_phase(&fields) {
             loaded.phases.entry(key).or_insert(record);
         } else {
             loaded.skipped += 1;
@@ -422,18 +318,40 @@ fn parse_snapshot(text: &str, path: &Path) -> Result<Option<LoadedCache>> {
     Ok(Some(loaded))
 }
 
-/// Parse one `{"key":"<hex16>","attempts":N,"time":T}` line.
-fn parse_entry(line: &str) -> Option<(u64, CachedEval)> {
-    let rest = line.trim().strip_prefix("{\"key\":\"")?;
-    let (hex, rest) = rest.split_once("\",\"attempts\":")?;
-    let key = u64::from_str_radix(hex, 16).ok()?;
-    let (attempts, rest) = rest.split_once(",\"time\":")?;
-    let attempts: usize = attempts.parse().ok()?;
-    let time: f64 = rest.strip_suffix('}')?.parse().ok()?;
+/// The 16-hex-digit address at `"key"`.
+fn key_of(fields: &Json) -> Option<u64> {
+    u64::from_str_radix(fields.get("key")?.as_str()?, 16).ok()
+}
+
+/// Read one `{"key":"<hex16>","attempts":N,"time":T}` line.
+fn parse_entry(fields: &Json) -> Option<(u64, CachedEval)> {
+    let attempts = fields.get("attempts")?.as_u64()?.try_into().ok()?;
+    let time = fields.get("time")?.as_f64()?;
     if attempts == 0 || !time.is_finite() {
         return None;
     }
-    Some((key, CachedEval { attempts, time }))
+    Some((key_of(fields)?, CachedEval { attempts, time }))
+}
+
+/// Read one phase-memo line; `None` if `fields` is not one.
+fn parse_phase(fields: &Json) -> Option<(u64, PhaseRecord)> {
+    if fields.get("c2phase")?.as_u64()? != 1 {
+        return None;
+    }
+    let list = |key| -> Option<Vec<u64>> {
+        fields
+            .get(key)?
+            .as_arr()?
+            .iter()
+            .map(Json::as_u64)
+            .collect()
+    };
+    let record = PhaseRecord {
+        interval_len: fields.get("interval_len")?.as_u64().filter(|&n| n > 0)?,
+        labels: list("labels")?,
+        representatives: list("representatives")?,
+    };
+    Some((key_of(fields)?, record))
 }
 
 #[cfg(test)]
@@ -449,31 +367,26 @@ mod tests {
         path
     }
 
+    fn one_entry(key: u64, attempts: usize, time: f64) -> BTreeMap<u64, CachedEval> {
+        BTreeMap::from([(key, CachedEval { attempts, time })])
+    }
+
     #[test]
-    fn store_then_reopen_round_trips() {
+    fn publish_then_load_round_trips_times_bit_exactly() {
         let path = tmp("roundtrip.jsonl");
-        let c = EvalCache::open(&path).unwrap();
-        assert!(c.is_empty());
-        c.store(
-            7,
-            CachedEval {
-                attempts: 2,
-                time: 0.1 + 0.2,
-            },
-        )
-        .unwrap();
-        assert_eq!(c.lookup(7), None, "stores are invisible until reopen");
-        drop(c);
-        let c = EvalCache::open(&path).unwrap();
-        assert_eq!(c.len(), 1);
-        assert_eq!(
-            c.lookup(7),
-            Some(CachedEval {
-                attempts: 2,
-                time: 0.1 + 0.2
-            }),
-            "times round-trip bit-exactly"
-        );
+        for time in [0.1 + 0.2, 1029.0, 5e-324, 1e308] {
+            publish(&DISK, false, &path, &one_entry(7, 2, time)).unwrap();
+            let loaded = load(&DISK, &path).unwrap();
+            assert_eq!(loaded.snapshot.len(), 1);
+            assert_eq!(
+                loaded
+                    .snapshot
+                    .get(&7)
+                    .map(|e| (e.attempts, e.time.to_bits())),
+                Some((2, time.to_bits())),
+                "{time:?} round-trips bit-exactly"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -485,11 +398,12 @@ mod tests {
             "{\"c2cache\":1}\n{\"key\":\"0000000000000001\",\"attempts\":1,\"time\":5.0}\n{\"key\":\"00000000000",
         )
         .unwrap();
-        let c = EvalCache::open(&path).unwrap();
-        assert_eq!(c.len(), 1);
+        let loaded = load(&DISK, &path).unwrap();
+        assert_eq!(loaded.snapshot.len(), 1);
+        assert_eq!(loaded.skipped, 1);
         assert_eq!(
-            c.lookup(1),
-            Some(CachedEval {
+            loaded.snapshot.get(&1),
+            Some(&CachedEval {
                 attempts: 1,
                 time: 5.0
             })
@@ -637,14 +551,20 @@ mod tests {
     }
 
     #[test]
-    fn foreign_files_are_rejected_not_appended_to() {
+    fn foreign_files_are_rejected_not_overwritten() {
         let path = tmp("foreign.jsonl");
-        std::fs::write(&path, "not a cache\n").unwrap();
-        assert!(matches!(EvalCache::open(&path), Err(Error::Journal(_))));
         // A torn header followed by more lines cannot be our remnant
         // (entries only ever follow a complete header): also foreign.
-        std::fs::write(&path, "{\"c2cach\nsomething else\n").unwrap();
-        assert!(matches!(EvalCache::open(&path), Err(Error::Journal(_))));
+        for text in ["not a cache\n", "{\"c2cach\nsomething else\n"] {
+            std::fs::write(&path, text).unwrap();
+            assert!(matches!(load(&DISK, &path), Err(Error::Journal(_))));
+            let entries = one_entry(3, 1, 2.0);
+            assert!(matches!(
+                publish(&DISK, false, &path, &entries),
+                Err(Error::Journal(_))
+            ));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -652,21 +572,11 @@ mod tests {
     fn empty_file_is_reset_to_a_fresh_cache() {
         let path = tmp("empty.jsonl");
         std::fs::write(&path, "").unwrap();
-        let c = EvalCache::open(&path).unwrap();
-        assert!(c.is_empty());
-        c.store(
-            3,
-            CachedEval {
-                attempts: 1,
-                time: 2.0,
-            },
-        )
-        .unwrap();
-        drop(c);
-        let c = EvalCache::open(&path).unwrap();
+        assert!(load(&DISK, &path).unwrap().snapshot.is_empty());
+        publish(&DISK, false, &path, &one_entry(3, 1, 2.0)).unwrap();
         assert_eq!(
-            c.lookup(3),
-            Some(CachedEval {
+            load(&DISK, &path).unwrap().snapshot.get(&3),
+            Some(&CachedEval {
                 attempts: 1,
                 time: 2.0
             })
@@ -681,19 +591,47 @@ mod tests {
         // must self-heal, not block every subsequent run.
         let path = tmp("torn-header.jsonl");
         std::fs::write(&path, "{\"c2cach").unwrap();
-        let c = EvalCache::open(&path).unwrap();
-        assert!(c.is_empty());
-        c.store(
-            9,
-            CachedEval {
-                attempts: 2,
-                time: 7.5,
-            },
+        assert!(load(&DISK, &path).unwrap().snapshot.is_empty());
+        publish(&DISK, false, &path, &one_entry(9, 2, 7.5)).unwrap();
+        let loaded = load(&DISK, &path).unwrap();
+        assert_eq!(
+            loaded.snapshot.len(),
+            1,
+            "the rewritten header is well-formed"
+        );
+        assert_eq!(loaded.skipped, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lines_are_read_as_json_not_by_prefix() {
+        // Any key order and spacing reads; a count that is negative or
+        // fractional, a non-finite time, or a zero interval does not.
+        let path = tmp("json-lines.jsonl");
+        std::fs::write(
+            &path,
+            "{\"c2cache\":1}\n\
+             { \"time\": 6.5, \"attempts\": 3, \"key\": \"0000000000000002\" }\n\
+             {\"key\":\"0000000000000003\",\"attempts\":-1,\"time\":1.0}\n\
+             {\"key\":\"0000000000000004\",\"attempts\":1.5,\"time\":1.0}\n\
+             {\"key\":\"0000000000000005\",\"attempts\":1,\"time\":1e999}\n\
+             {\"c2phase\":1,\"key\":\"00000000000000aa\",\"interval_len\":0,\"labels\":[],\"representatives\":[]}\n\
+             {\"c2phase\":1,\"key\":\"00000000000000bb\",\"interval_len\":9,\"labels\":[0,-1],\"representatives\":[0]}\n\
+             {\"c2phase\":1,\"key\":\"00000000000000cc\",\"interval_len\":9,\"labels\":[1, 0],\"representatives\":[1]}\n",
         )
         .unwrap();
-        drop(c);
-        let c = EvalCache::open(&path).unwrap();
-        assert_eq!(c.len(), 1, "the rewritten header is well-formed");
+        let loaded = load(&DISK, &path).unwrap();
+        assert_eq!(loaded.skipped, 5);
+        assert_eq!(
+            loaded.snapshot.get(&2),
+            Some(&CachedEval {
+                attempts: 3,
+                time: 6.5
+            })
+        );
+        assert_eq!(loaded.snapshot.len(), 1);
+        assert_eq!(loaded.phases.len(), 1);
+        assert_eq!(loaded.phases[&0xcc].labels, vec![1, 0]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -737,10 +675,6 @@ mod tests {
         assert_eq!(loaded.snapshot.len(), 1);
         assert_eq!(loaded.phases.len(), 2);
         assert_eq!(loaded.skipped, 0);
-
-        // ...and the incremental interface still opens the file.
-        let c = EvalCache::open(&path).unwrap();
-        assert_eq!(c.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -41,13 +41,17 @@
 //! appending — appending after a torn line would corrupt the journal
 //! beyond repair on the next crash.
 //!
-//! serde is deliberately absent (the build environment is offline); the
-//! tiny writer/parser below covers exactly this format.
+//! Lines are written by hand, because a time keeps its `{t:?}` spelling
+//! (`Json::render` would print `1029.0` as `1029`), and read back with
+//! [`c2_config::Json::parse`], the workspace's one JSON reader. Counts
+//! are read exactly ([`Json::as_u64`]): a negative or fractional `seq`
+//! makes a malformed record.
 
 use crate::breaker::{BreakerSnapshot, BreakerState};
 use crate::storage::{Storage, StorageFile, DISK};
 use crate::{Error, Result};
 use c2_bound::aps::{ApsPlan, PointOutcome};
+use c2_config::Json;
 use std::path::{Path, PathBuf};
 
 /// Journal format version written in the header.
@@ -315,7 +319,7 @@ impl JournalWriter {
             }
             Err(msg) => {
                 line.push_str(",\"status\":\"dead\",\"error\":");
-                line.push_str(&json_string(msg));
+                line.push_str(&Json::Str(msg.clone()).render());
             }
         }
         if r.short_circuited {
@@ -515,15 +519,16 @@ pub fn parse(text: &str) -> Result<JournalContents> {
             valid_len = valid_len.max(line_end);
             continue;
         }
-        let parsed = parse_object(line);
         let is_last_content = i == last || lines[i + 1..].iter().all(|l| l.trim().is_empty());
-        let fields = match parsed {
-            Some(f) => f,
-            None if is_last_content => {
+        // A line that is not one JSON object is a torn final write at
+        // the tail and corruption anywhere else.
+        let fields = match Json::parse(line) {
+            Ok(fields @ Json::Obj(_)) => fields,
+            _ if is_last_content => {
                 truncated_tail = true;
                 continue;
             }
-            None => {
+            _ => {
                 return Err(Error::Journal(format!(
                     "corrupt journal line {}: {line:?}",
                     i + 1
@@ -531,25 +536,11 @@ pub fn parse(text: &str) -> Result<JournalContents> {
             }
         };
         if header.is_none() {
-            let version = get_num(&fields, "c2runner")
-                .ok_or_else(|| Error::Journal("first journal line is not a header".into()))?;
-            if version as u64 != JOURNAL_VERSION {
-                return Err(Error::Journal(format!(
-                    "unsupported journal version {version}"
-                )));
-            }
-            header = Some(JournalHeader {
-                jobs: get_num(&fields, "jobs")
-                    .ok_or_else(|| Error::Journal("header missing jobs".into()))?
-                    as usize,
-                fingerprint: get_str(&fields, "fingerprint")
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| Error::Journal("header missing fingerprint".into()))?,
-            });
+            header = Some(header_from(&fields)?);
             valid_len = valid_len.max(line_end);
             continue;
         }
-        if get(&fields, "c2ckpt").is_some() {
+        if fields.get("c2ckpt").is_some() {
             match checkpoint_from(&fields) {
                 Some(c) => {
                     checkpoints.push(c);
@@ -565,21 +556,16 @@ pub fn parse(text: &str) -> Result<JournalContents> {
             }
             continue;
         }
-        let record = record_from(&fields).ok_or_else(|| {
+        // Parsed as JSON but missing fields: torn at the tail.
+        let Some(record) = record_from(&fields) else {
             if is_last_content {
-                // Parsed as JSON but missing fields: a torn final write.
-                Error::Journal(String::new())
-            } else {
-                Error::Journal(format!("malformed record on line {}", i + 1))
-            }
-        });
-        let record = match record {
-            Ok(r) => r,
-            Err(Error::Journal(ref s)) if s.is_empty() => {
                 truncated_tail = true;
                 continue;
             }
-            Err(e) => return Err(e),
+            return Err(Error::Journal(format!(
+                "malformed record on line {}",
+                i + 1
+            )));
         };
         valid_len = valid_len.max(line_end);
         if seen.insert(record.seq) {
@@ -598,205 +584,66 @@ pub fn parse(text: &str) -> Result<JournalContents> {
     })
 }
 
-fn record_from(fields: &[(String, Json)]) -> Option<JobRecord> {
-    let seq = get_num(fields, "seq")? as usize;
-    let attempts = get_num(fields, "attempts")? as usize;
-    let timeouts = get_num(fields, "timeouts")? as usize;
-    let status = get_str(fields, "status")?;
-    let result = match status {
-        "ok" => Ok(get_num(fields, "time")?),
-        "dead" => Err(get_str(fields, "error")?.to_string()),
+/// The exact non-negative integer at `key`: `None` when it is missing,
+/// negative, fractional or not a number.
+fn count(fields: &Json, key: &str) -> Option<usize> {
+    fields.get(key)?.as_u64()?.try_into().ok()
+}
+
+fn header_from(fields: &Json) -> Result<JournalHeader> {
+    let version = fields
+        .get("c2runner")
+        .ok_or_else(|| Error::Journal("first journal line is not a header".into()))?;
+    if version.as_u64() != Some(JOURNAL_VERSION) {
+        return Err(Error::Journal(format!(
+            "unsupported journal version {}",
+            version.render()
+        )));
+    }
+    Ok(JournalHeader {
+        jobs: count(fields, "jobs").ok_or_else(|| Error::Journal("header missing jobs".into()))?,
+        fingerprint: fields
+            .get("fingerprint")
+            .and_then(Json::as_str)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| Error::Journal("header missing fingerprint".into()))?,
+    })
+}
+
+fn record_from(fields: &Json) -> Option<JobRecord> {
+    let flag = |key| fields.get(key) == Some(&Json::Bool(true));
+    let result = match fields.get("status")?.as_str()? {
+        "ok" => Ok(fields.get("time")?.as_f64()?),
+        "dead" => Err(fields.get("error")?.as_str()?.to_string()),
         _ => return None,
     };
     Some(JobRecord {
-        seq,
-        attempts,
-        timeouts,
+        seq: count(fields, "seq")?,
+        attempts: count(fields, "attempts")?,
+        timeouts: count(fields, "timeouts")?,
         result,
-        short_circuited: matches!(get(fields, "short_circuited"), Some(Json::Bool(true))),
-        cached: matches!(get(fields, "cached"), Some(Json::Bool(true))),
-        quarantined: matches!(get(fields, "quarantined"), Some(Json::Bool(true))),
+        short_circuited: flag("short_circuited"),
+        cached: flag("cached"),
+        quarantined: flag("quarantined"),
     })
 }
 
-fn checkpoint_from(fields: &[(String, Json)]) -> Option<Checkpoint> {
-    if get_num(fields, "c2ckpt")? as u64 != CHECKPOINT_VERSION {
+fn checkpoint_from(fields: &Json) -> Option<Checkpoint> {
+    if fields.get("c2ckpt")?.as_u64()? != CHECKPOINT_VERSION {
         return None;
     }
     Some(Checkpoint {
-        shard: get_num(fields, "shard")? as usize,
-        covered: get_num(fields, "covered")? as usize,
+        shard: count(fields, "shard")?,
+        covered: count(fields, "covered")?,
         snapshot: BreakerSnapshot {
-            state: BreakerState::parse(get_str(fields, "state")?)?,
-            consecutive_failures: get_num(fields, "failures")? as usize,
-            shorted_while_open: get_num(fields, "shorted")? as usize,
-            probe_successes: get_num(fields, "probes")? as usize,
-            trips: get_num(fields, "trips")? as usize,
-            short_circuits: get_num(fields, "shorts")? as usize,
+            state: BreakerState::parse(fields.get("state")?.as_str()?)?,
+            consecutive_failures: count(fields, "failures")?,
+            shorted_while_open: count(fields, "shorted")?,
+            probe_successes: count(fields, "probes")?,
+            trips: count(fields, "trips")?,
+            short_circuits: count(fields, "shorts")?,
         },
     })
-}
-
-// --- minimal JSON (flat objects of numbers, strings, booleans) -------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_num(fields: &[(String, Json)], key: &str) -> Option<f64> {
-    match get(fields, key) {
-        Some(Json::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-    match get(fields, key) {
-        Some(Json::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Parse one flat JSON object. `None` on any syntax error (the caller
-/// decides whether that means truncation or corruption).
-fn parse_object(line: &str) -> Option<Vec<(String, Json)>> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    if chars.next()?.1 != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            (_, '}') => {
-                chars.next();
-                break;
-            }
-            (_, ',') => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(s, &mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()?.1 != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek()? {
-            (_, '"') => Json::Str(parse_string(s, &mut chars)?),
-            (_, 't') => {
-                expect_word(&mut chars, "true")?;
-                Json::Bool(true)
-            }
-            (_, 'f') => {
-                expect_word(&mut chars, "false")?;
-                Json::Bool(false)
-            }
-            _ => Json::Num(parse_number(s, &mut chars)?),
-        };
-        fields.push((key, value));
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(fields)
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut Chars) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect_word(chars: &mut Chars, word: &str) -> Option<()> {
-    for expected in word.chars() {
-        if chars.next()?.1 != expected {
-            return None;
-        }
-    }
-    Some(())
-}
-
-fn parse_string(s: &str, chars: &mut Chars) -> Option<String> {
-    if chars.next()?.1 != '"' {
-        return None;
-    }
-    let _ = s;
-    let mut out = String::new();
-    loop {
-        let (_, c) = chars.next()?;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let (_, esc) = chars.next()?;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + chars.next()?.1.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_number(s: &str, chars: &mut Chars) -> Option<f64> {
-    let start = chars.peek()?.0;
-    let mut end = start;
-    while let Some(&(i, c)) = chars.peek() {
-        if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-            end = i + c.len_utf8();
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    s[start..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -898,6 +745,46 @@ mod tests {
         text.push_str("{\"seq\":0,\"attem\n"); // torn, but NOT the tail
         text.push_str("{\"seq\":1,\"attempts\":1,\"timeouts\":0,\"status\":\"ok\",\"time\":5.0}\n");
         assert!(matches!(parse(&text), Err(Error::Journal(_))));
+    }
+
+    #[test]
+    fn dead_record_text_is_escaped_and_read_back_exactly() {
+        let dir = std::env::temp_dir().join("c2runner-journal-escapes");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("e-{}.jsonl", std::process::id()));
+        let rec = JobRecord {
+            result: Err("a\"b\\c\nd\u{7}\u{8}é😀".into()),
+            ..sample_records()[1].clone()
+        };
+        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        w.record(&rec).unwrap();
+        drop(w);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.lines().nth(1).unwrap(),
+            r#"{"seq":1,"attempts":2,"timeouts":1,"status":"dead","error":"a\"b\\c\nd\u0007\u0008é😀"}"#
+        );
+        assert_eq!(parse(&text).unwrap().records, vec![rec]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn negative_or_fractional_counts_are_malformed_not_job_zero() {
+        let head = "{\"c2runner\":1,\"jobs\":2,\"fingerprint\":\"0000000000000007\"}\n";
+        let good = "{\"seq\":1,\"attempts\":1,\"timeouts\":0,\"status\":\"ok\",\"time\":5.0}\n";
+        let rest = ",\"attempts\":1,\"timeouts\":0,\"status\":\"ok\",\"time\":5.0}\n";
+        for seq in ["-1", "0.5", "1e300"] {
+            let bad = format!("{{\"seq\":{seq}{rest}");
+            // Mid-file: a hard error, never a record for job 0.
+            let err = parse(&format!("{head}{bad}{good}")).unwrap_err();
+            assert!(err.to_string().contains("malformed record"), "{seq}: {err}");
+            // At the tail: a torn write, redone on resume.
+            let parsed = parse(&format!("{head}{good}{bad}")).unwrap();
+            assert!(parsed.truncated_tail, "{seq}");
+            assert_eq!(parsed.records.len(), 1);
+        }
+        let negative_jobs = head.replace("\"jobs\":2", "\"jobs\":-2");
+        assert!(parse(&format!("{negative_jobs}{good}")).is_err());
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use backoff::BackoffPolicy;
 pub use breaker::{
     Admission, BreakerPolicy, BreakerSnapshot, BreakerState, CircuitBreaker, Transition,
 };
-pub use cache::{cache_key, CachedEval, EvalCache, PhaseRecord};
+pub use cache::{cache_key, CachedEval, PhaseRecord};
 pub use chaos::{ChaosPlan, ChaosStorage};
 pub use engine::{RunConfig, RunReport, RunSummary, SweepRunner};
 pub use fault_oracle::InjectedOracle;

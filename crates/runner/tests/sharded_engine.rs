@@ -13,9 +13,11 @@ use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
 use c2_obs::Recorder;
+use c2_runner::cache::publish;
+use c2_runner::storage::DISK;
 use c2_runner::{
     bind_fingerprint, cache_key, plan_fingerprint, BackoffPolicy, BreakerPolicy, CachedEval,
-    EvalCache, InjectedOracle, RunConfig, RunSummary, SweepRunner,
+    InjectedOracle, RunConfig, RunSummary, SweepRunner,
 };
 use c2_sim::FaultPlan;
 use std::path::PathBuf;
@@ -313,20 +315,18 @@ fn non_replayable_cache_entries_fall_back_to_live_evaluation() {
     // run under this policy could have produced.
     let plan = aps().plan().unwrap();
     let identity = bind_fingerprint(plan_fingerprint(&plan), None);
-    {
-        let store = EvalCache::open(&cache).unwrap();
-        for job in &plan.jobs {
-            store
-                .store(
-                    cache_key(identity, job.content_key()),
-                    CachedEval {
-                        attempts: 4,
-                        time: pricer(&job.point).unwrap(),
-                    },
-                )
-                .unwrap();
-        }
-    }
+    let entries = plan
+        .jobs
+        .iter()
+        .map(|job| {
+            let entry = CachedEval {
+                attempts: 4,
+                time: pricer(&job.point).unwrap(),
+            };
+            (cache_key(identity, job.content_key()), entry)
+        })
+        .collect();
+    publish(&DISK, false, &cache, &entries).unwrap();
     let calls = Arc::new(AtomicUsize::new(0));
     let counting = {
         let calls = Arc::clone(&calls);
@@ -482,19 +482,18 @@ fn torn_tail_resume_with_interleaved_cache_hits_is_bit_identical() {
     let identity = bind_fingerprint(plan_fingerprint(&plan), None);
     let seeded_cache = |name: &str| -> PathBuf {
         let path = scratch(name);
-        let store = EvalCache::open(&path).unwrap();
-        for &seq in &[0usize, 4, 7] {
-            let job = &plan.jobs[seq];
-            store
-                .store(
-                    cache_key(identity, job.content_key()),
-                    CachedEval {
-                        attempts: 1,
-                        time: pricer(&job.point).unwrap(),
-                    },
-                )
-                .unwrap();
-        }
+        let entries = [0usize, 4, 7]
+            .iter()
+            .map(|&seq| {
+                let job = &plan.jobs[seq];
+                let entry = CachedEval {
+                    attempts: 1,
+                    time: pricer(&job.point).unwrap(),
+                };
+                (cache_key(identity, job.content_key()), entry)
+            })
+            .collect();
+        publish(&DISK, false, &path, &entries).unwrap();
         path
     };
     let reference_cache = seeded_cache("torn-cache-reference.jsonl");
