@@ -78,7 +78,7 @@ use c2_bound::dse::Oracle;
 use c2_bound::ResiliencePolicy;
 use c2_obs::{names, MetricsSink, NullSink};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -471,6 +471,64 @@ fn replay_breaker(breaker: &mut CircuitBreaker, record: &JobRecord) {
     }
 }
 
+/// A run's journal as [`SweepRunner::open_journal`] left it.
+#[derive(Default)]
+pub(crate) struct OpenJournal {
+    /// The writer new records append through; `None` without a journal.
+    pub(crate) writer: Option<JournalWriter>,
+    /// Whether an existing journal was reopened to resume.
+    pub(crate) reopened: bool,
+    /// A resumed file's records, sorted by `seq`.
+    pub(crate) records: Vec<JobRecord>,
+    /// A resumed file's checkpoint lines, in file order.
+    pub(crate) checkpoints: Vec<Checkpoint>,
+}
+
+/// Report a storage fault in operation `op` on the ops sink and hand
+/// the error back to the caller.
+fn storage_fault(ops: &dyn MetricsSink, op: &str, e: Error) -> Error {
+    ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
+    ops.event(
+        "engine",
+        "storage.fault",
+        &[("op", op.into()), ("error", e.to_string().into())],
+    );
+    e
+}
+
+/// The ledger of `records`, the terminal outcomes of a run over
+/// `plan`. Dead jobs split into backfilled (given a calibrated
+/// analytic estimate when `outcome` was assembled) and skipped. The
+/// caller fills in `completed`, `resumed` and `breaker_trips`.
+pub(crate) fn ledger<'a>(
+    plan: &ApsPlan,
+    outcome: Option<&ApsOutcome>,
+    records: impl IntoIterator<Item = &'a JobRecord>,
+) -> RunReport {
+    let backfilled: HashSet<[usize; 6]> = outcome
+        .iter()
+        .flat_map(|o| &o.refinement.skipped)
+        .filter(|s| s.analytic_estimate.is_some())
+        .map(|s| s.index)
+        .collect();
+    let mut report = RunReport::default();
+    for r in records {
+        report.attempted += 1;
+        report.oracle_calls += r.attempts;
+        report.timeouts += r.timeouts;
+        report.retried += usize::from(r.attempts > 1);
+        report.short_circuited += usize::from(r.short_circuited);
+        report.cache_hits += usize::from(r.cached);
+        report.quarantined += usize::from(r.quarantined);
+        match r.result {
+            Ok(_) => report.succeeded += 1,
+            Err(_) if backfilled.contains(&plan.jobs[r.seq].index) => report.backfilled += 1,
+            Err(_) => report.skipped += 1,
+        }
+    }
+    report
+}
+
 impl SweepRunner {
     /// Build an engine with `config`.
     pub fn new(config: RunConfig) -> Result<Self> {
@@ -494,6 +552,107 @@ impl SweepRunner {
             ),
             _ => Box::new(DiskStorage),
         }
+    }
+
+    /// Plan `sweep` and build the journal header that pins the plan,
+    /// bound to this run's scenario, the sweep's backend and `extra`
+    /// (screening's parameter fingerprint). An empty plan is rejected
+    /// before any file is touched.
+    pub(crate) fn plan_and_header(
+        &self,
+        sweep: &dyn BackendSweep,
+        extra: Option<u64>,
+        sink: &dyn MetricsSink,
+    ) -> Result<(ApsPlan, JournalHeader)> {
+        let plan = sweep.plan_observed(sink)?;
+        ensure_plan_nonempty(plan.jobs.len())?;
+        let bindings = [
+            self.config.scenario_fingerprint,
+            journal::backend_fingerprint(sweep.identity()),
+            extra,
+        ];
+        let header = JournalHeader {
+            jobs: plan.jobs.len(),
+            fingerprint: bindings
+                .into_iter()
+                .fold(plan_fingerprint(&plan), journal::bind_fingerprint),
+        };
+        Ok((plan, header))
+    }
+
+    /// Open the run's journal at `path` (no journal when `None`). With
+    /// `resume` an existing file is reopened for appending: one pinned
+    /// to a different sweep is rejected (`kind` names the sweep in the
+    /// error), a torn tail is cut off *before* appending so a second
+    /// crash cannot concatenate onto it, and every record must name a
+    /// job of the plan. Otherwise a fresh journal is created.
+    pub(crate) fn open_journal(
+        &self,
+        storage: &dyn Storage,
+        path: Option<&Path>,
+        resume: bool,
+        header: &JournalHeader,
+        kind: &str,
+        ops: &dyn MetricsSink,
+    ) -> Result<OpenJournal> {
+        let mut open = OpenJournal::default();
+        let Some(path) = path else {
+            return Ok(open);
+        };
+        if !(resume && path.exists()) {
+            open.writer = Some(JournalWriter::create_with(
+                storage,
+                self.config.sync,
+                path,
+                header,
+            )?);
+            return Ok(open);
+        }
+        let contents = journal::load_with(storage, path)?;
+        if contents.header != *header {
+            return Err(Error::Journal(format!(
+                "journal {path:?} belongs to a different {kind} \
+                 (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
+                contents.header.jobs, contents.header.fingerprint, header.jobs, header.fingerprint
+            )));
+        }
+        if contents.truncated_tail {
+            storage.truncate(path, contents.valid_len as u64)?;
+            ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
+            ops.event(
+                "engine",
+                "journal.truncated",
+                &[("valid_len", contents.valid_len.into())],
+            );
+        }
+        open.records = contents.records;
+        open.records.sort_by_key(|r| r.seq);
+        if let Some(r) = open.records.iter().find(|r| r.seq >= header.jobs) {
+            return Err(Error::Journal(format!(
+                "journal record seq {} out of range",
+                r.seq
+            )));
+        }
+        open.checkpoints = contents.checkpoints;
+        open.reopened = true;
+        open.writer = Some(JournalWriter::append_with(storage, self.config.sync, path)?);
+        Ok(open)
+    }
+
+    /// Rewrite a completed run's journal canonically: the header and
+    /// `records` in `seq` order, via temp file and rename, so the
+    /// durable bytes are a pure function of the outcomes. A storage
+    /// fault is reported on `ops` and returned.
+    pub(crate) fn rewrite_journal(
+        &self,
+        storage: &dyn Storage,
+        path: &Path,
+        header: &JournalHeader,
+        records: &[JobRecord],
+        ops: &dyn MetricsSink,
+    ) -> Result<()> {
+        journal::rewrite_canonical_with(storage, self.config.sync, path, header, records)
+            .map_err(|e| storage_fault(ops, "journal.rewrite", e))
     }
 
     /// Run the refinement stage of `sweep` under supervision.
@@ -999,13 +1158,7 @@ fn flush_shard_pending(
     }
     cell.pending.clear();
     if let Some((op, e)) = fault {
-        ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-        ops.event(
-            "engine",
-            "storage.fault",
-            &[("op", op.into()), ("error", e.to_string().into())],
-        );
-        j.error = Some(e);
+        j.error = Some(storage_fault(ops, op, e));
         abort.store(true, Ordering::SeqCst);
     }
 }
@@ -1113,18 +1266,7 @@ impl SweepRunner {
         B: Fn() -> O + Sync,
     {
         let storage = self.storage();
-        let plan = sweep.plan_observed(sink)?;
-        ensure_plan_nonempty(plan.jobs.len())?;
-        let header = JournalHeader {
-            jobs: plan.jobs.len(),
-            fingerprint: journal::bind_fingerprint(
-                journal::bind_fingerprint(
-                    plan_fingerprint(&plan),
-                    self.config.scenario_fingerprint,
-                ),
-                journal::backend_fingerprint(sweep.identity()),
-            ),
-        };
+        let (plan, header) = self.plan_and_header(sweep, None, sink)?;
         // Cache addresses bind the same identity the journal header
         // pins (plan ⊕ scenario), further bound to the positional
         // path's assembled-scenario fingerprint — oracle results
@@ -1176,77 +1318,33 @@ impl SweepRunner {
         let cache_on = self.config.cache_path.is_some();
 
         let shards = partition(plan.jobs.len());
+        let opened = self.open_journal(
+            storage.as_ref(),
+            journal_path,
+            resume,
+            &header,
+            "sweep",
+            ops,
+        )?;
+        // Deterministic replay: records sorted by seq, each later driven
+        // through its *own shard's* state (shard membership is a pure
+        // function of seq).
         let mut terminals: Vec<Option<Terminal>> = vec![None; plan.jobs.len()];
-        let mut resumed = 0usize;
-        let mut resumed_records: Vec<JobRecord> = Vec::new();
-        let mut resumed_checkpoints: Vec<Checkpoint> = Vec::new();
-        let writer = match journal_path {
-            None => None,
-            Some(path) => {
-                if resume && path.exists() {
-                    let contents = journal::load_with(storage.as_ref(), path)?;
-                    if contents.header != header {
-                        return Err(Error::Journal(format!(
-                            "journal {path:?} belongs to a different sweep \
-                             (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
-                            contents.header.jobs,
-                            contents.header.fingerprint,
-                            header.jobs,
-                            header.fingerprint
-                        )));
-                    }
-                    if contents.truncated_tail {
-                        // Cut the torn tail off *before* appending so a
-                        // second crash cannot concatenate onto it.
-                        storage.truncate(path, contents.valid_len as u64)?;
-                        ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
-                        ops.event(
-                            "engine",
-                            "journal.truncated",
-                            &[("valid_len", contents.valid_len.into())],
-                        );
-                    }
-                    // Deterministic replay: records sorted by seq, each
-                    // later driven through its *own shard's* state
-                    // (shard membership is a pure function of seq).
-                    let mut records = contents.records;
-                    records.sort_by_key(|r| r.seq);
-                    for record in &records {
-                        let slot = terminals.get_mut(record.seq).ok_or_else(|| {
-                            Error::Journal(format!(
-                                "journal record seq {} out of range",
-                                record.seq
-                            ))
-                        })?;
-                        *slot = Some(terminal_of(record));
-                        resumed += 1;
-                    }
-                    // Recovery telemetry goes to the ops sink: a clean
-                    // run replays nothing, and the main sink's
-                    // artifacts must not betray the crash history.
-                    ops.counter_add("engine_journal_replayed_total", resumed as u64);
-                    ops.event(
-                        "engine",
-                        "journal.replayed",
-                        &[("records", resumed.into()), ("shards", shards.len().into())],
-                    );
-                    resumed_records = records;
-                    resumed_checkpoints = contents.checkpoints;
-                    Some(JournalWriter::append_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                    )?)
-                } else {
-                    Some(JournalWriter::create_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                        &header,
-                    )?)
-                }
-            }
-        };
+        for record in &opened.records {
+            terminals[record.seq] = Some(terminal_of(record));
+        }
+        let resumed = opened.records.len();
+        if opened.reopened {
+            // Recovery telemetry goes to the ops sink: a clean run
+            // replays nothing, and the main sink's artifacts must not
+            // betray the crash history.
+            ops.counter_add("engine_journal_replayed_total", resumed as u64);
+            ops.event(
+                "engine",
+                "journal.replayed",
+                &[("records", resumed.into()), ("shards", shards.len().into())],
+            );
+        }
 
         sink.gauge_set("engine_plan_jobs", plan.jobs.len() as f64);
         sink.event(
@@ -1272,8 +1370,8 @@ impl SweepRunner {
             restore_shard_breakers(
                 self.config.breaker,
                 shards.len(),
-                &resumed_records,
-                &resumed_checkpoints,
+                &opened.records,
+                &opened.checkpoints,
                 ops,
             )?
         } else {
@@ -1313,7 +1411,7 @@ impl SweepRunner {
         // re-emits each record's full artifact sequence; both paths
         // advance the checkpoint cadence counter and re-seed the
         // within-run cache memo the interrupted run had built.
-        for record in &resumed_records {
+        for record in &opened.records {
             let si = shard_of(record.seq, shards.len());
             let cell = &mut cells_raw[si];
             let t = terminal_of(record);
@@ -1333,7 +1431,7 @@ impl SweepRunner {
 
         let cells: Vec<Mutex<ShardCell>> = cells_raw.into_iter().map(Mutex::new).collect();
         let journal = Mutex::new(ShardJournal {
-            writer,
+            writer: opened.writer,
             error: None,
         });
         let abort = AtomicBool::new(false);
@@ -1492,7 +1590,13 @@ impl SweepRunner {
             }
         }
 
-        let completed = terminals.iter().all(|t| t.is_some());
+        // Every terminal as its canonical journal record, in seq order.
+        let records: Vec<JobRecord> = terminals
+            .iter()
+            .enumerate()
+            .filter_map(|(seq, t)| Some(record_of(seq, t.as_ref()?)))
+            .collect();
+        let completed = records.len() == plan.jobs.len();
         if completed {
             // A completed run's journal is rewritten canonically
             // (records in seq order, checkpoints dropped), making the
@@ -1501,29 +1605,7 @@ impl SweepRunner {
             // of the run's crash/resume history (modulo the honest
             // `cached` markers on repaired records).
             if let Some(path) = journal_path {
-                let records: Vec<JobRecord> = terminals
-                    .iter()
-                    .enumerate()
-                    .map(|(seq, t)| record_of(seq, t.as_ref().expect("completed")))
-                    .collect();
-                if let Err(e) = journal::rewrite_canonical_with(
-                    storage.as_ref(),
-                    self.config.sync,
-                    path,
-                    &header,
-                    &records,
-                ) {
-                    ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                    ops.event(
-                        "engine",
-                        "storage.fault",
-                        &[
-                            ("op", "journal.rewrite".into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    return Err(e);
-                }
+                self.rewrite_journal(storage.as_ref(), path, &header, &records, ops)?;
                 sink.counter_add("engine_journal_rewrites_total", 1);
                 sink.event(
                     "engine",
@@ -1539,66 +1621,30 @@ impl SweepRunner {
             // a crash leaves the cache byte-identical to run start.
             if let Some(path) = &self.config.cache_path {
                 let mut entries: BTreeMap<u64, CachedEval> = snapshot.into_iter().collect();
-                for (seq, t) in terminals.iter().enumerate() {
-                    let t = t.as_ref().expect("completed");
-                    if t.short_circuited {
-                        continue;
-                    }
-                    if let Ok(time) = t.outcome.result.as_ref() {
+                for r in records.iter().filter(|r| !r.short_circuited) {
+                    if let Ok(time) = r.result {
+                        let entry = CachedEval {
+                            attempts: r.attempts,
+                            time,
+                        };
                         entries.insert(
-                            cache_key(cache_identity, plan.jobs[seq].content_key()),
-                            CachedEval {
-                                attempts: t.outcome.attempts,
-                                time: *time,
-                            },
+                            cache_key(cache_identity, plan.jobs[r.seq].content_key()),
+                            entry,
                         );
                     }
                 }
-                match cache::publish(
-                    storage.as_ref(),
-                    self.config.sync != SyncPolicy::Never,
-                    path,
-                    &entries,
-                ) {
-                    Ok(()) => {
-                        ops.counter_add(names::ENGINE_CACHE_PUBLISHES_TOTAL, 1);
-                        ops.gauge_set(names::ENGINE_CACHE_PUBLISHED_ENTRIES, entries.len() as f64);
-                    }
-                    Err(e) => {
-                        ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                        ops.event(
-                            "engine",
-                            "storage.fault",
-                            &[
-                                ("op", "cache.publish".into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                        return Err(e);
-                    }
-                }
+                let sync = self.config.sync != SyncPolicy::Never;
+                cache::publish(storage.as_ref(), sync, path, &entries)
+                    .map_err(|e| storage_fault(ops, "cache.publish", e))?;
+                ops.counter_add(names::ENGINE_CACHE_PUBLISHES_TOTAL, 1);
+                ops.gauge_set(names::ENGINE_CACHE_PUBLISHED_ENTRIES, entries.len() as f64);
             }
         }
 
-        self.assemble_and_report(sweep, plan, terminals, resumed, breaker_trips, sink)
-    }
-
-    /// Assemble the outcome, account every terminal into the ledger,
-    /// and trace `run.finish`.
-    fn assemble_and_report(
-        &self,
-        sweep: &dyn BackendSweep,
-        plan: ApsPlan,
-        terminals: Vec<Option<Terminal>>,
-        resumed: usize,
-        breaker_trips: usize,
-        sink: &dyn MetricsSink,
-    ) -> Result<RunSummary> {
-        let completed = terminals.iter().all(|t| t.is_some());
         let results: Vec<(usize, PointOutcome)> = terminals
-            .iter()
+            .into_iter()
             .enumerate()
-            .filter_map(|(seq, t)| t.as_ref().map(|t| (seq, t.outcome.clone())))
+            .filter_map(|(seq, t)| Some((seq, t?.outcome)))
             .collect();
         let outcome = if completed {
             Some(sweep.assemble_observed(
@@ -1610,57 +1656,19 @@ impl SweepRunner {
         } else {
             None
         };
-
-        // Dead jobs split into backfilled (got a calibrated analytic
-        // estimate during assembly) and skipped (no estimate).
-        let mut backfilled_indices: std::collections::HashSet<[usize; 6]> =
-            std::collections::HashSet::new();
-        if let Some(o) = &outcome {
-            for s in &o.refinement.skipped {
-                if s.analytic_estimate.is_some() {
-                    backfilled_indices.insert(s.index);
-                }
-            }
-        }
-        let mut report = RunReport {
-            completed,
-            resumed,
-            breaker_trips,
-            ..RunReport::default()
-        };
-        for (seq, terminal) in terminals.iter().enumerate() {
-            let Some(t) = terminal else { continue };
+        for r in &records {
             sink.observe(
                 "engine_attempts_per_job",
                 ATTEMPTS_PER_JOB_BOUNDS,
-                t.outcome.attempts as f64,
+                r.attempts as f64,
             );
-            report.attempted += 1;
-            report.oracle_calls += t.outcome.attempts;
-            report.timeouts += t.timeouts;
-            if t.outcome.attempts > 1 {
-                report.retried += 1;
-            }
-            if t.short_circuited {
-                report.short_circuited += 1;
-            }
-            if t.cached {
-                report.cache_hits += 1;
-            }
-            if t.quarantined {
-                report.quarantined += 1;
-            }
-            match &t.outcome.result {
-                Ok(_) => report.succeeded += 1,
-                Err(_) => {
-                    if backfilled_indices.contains(&plan.jobs[seq].index) {
-                        report.backfilled += 1;
-                    } else {
-                        report.skipped += 1;
-                    }
-                }
-            }
         }
+        let report = RunReport {
+            completed,
+            resumed,
+            breaker_trips,
+            ..ledger(&plan, outcome.as_ref(), &records)
+        };
         debug_assert!(report.consistent());
         // No `resumed` field: the trace must stay bit-identical across
         // crash/resume histories, so resume telemetry lives on the ops

@@ -47,8 +47,8 @@ use c2_bound::dse::Oracle;
 use c2_config::{OracleMode, Scenario, ScreenSpec};
 use c2_obs::{names, MetricsSink};
 
-use crate::engine::{run_attempt, Attempt, RunConfig, RunReport, RunSummary, SweepRunner};
-use crate::journal::{self, plan_fingerprint, JobRecord, JournalHeader, JournalWriter};
+use crate::engine::{ledger, run_attempt, Attempt, RunConfig, RunReport, RunSummary, SweepRunner};
+use crate::journal::{self, JobRecord, JournalWriter};
 use crate::{Error, Result};
 
 /// Validated screening parameters (the engine-side mirror of
@@ -297,85 +297,29 @@ impl SweepRunner {
     {
         screen.validate()?;
         let storage = self.storage();
-        let plan = sweep.plan_observed(sink)?;
-        if plan.jobs.is_empty() {
-            return Err(Error::EmptyPlan);
-        }
+        let (plan, header) = self.plan_and_header(sweep, Some(screen.fingerprint()), sink)?;
         let jobs = plan.jobs.len();
-        let header = JournalHeader {
-            jobs,
-            fingerprint: journal::bind_fingerprint(
-                journal::bind_fingerprint(
-                    journal::bind_fingerprint(
-                        plan_fingerprint(&plan),
-                        self.config().scenario_fingerprint,
-                    ),
-                    journal::backend_fingerprint(sweep.identity()),
-                ),
-                Some(screen.fingerprint()),
-            ),
-        };
-
+        let opened = self.open_journal(
+            storage.as_ref(),
+            journal_path,
+            resume,
+            &header,
+            "screened sweep",
+            ops,
+        )?;
+        let mut writer = opened.writer;
         // Journal-resumed outcomes, available for *reuse* when the
         // replayed acquisition loop re-selects their seq. They are
         // deliberately kept out of `evaluated` until that moment: the
         // committee must train on exactly the outcomes the rounds so
         // far incorporated, or a resumed run would see future-round
         // records early and diverge from the clean run's acquisition.
-        let mut journaled: BTreeMap<usize, JobRecord> = BTreeMap::new();
+        let mut journaled: BTreeMap<usize, JobRecord> =
+            opened.records.into_iter().map(|r| (r.seq, r)).collect();
+        let resumed = journaled.len();
         // Terminal outcomes the replayed loop has incorporated, keyed
         // by seq.
         let mut evaluated: BTreeMap<usize, JobRecord> = BTreeMap::new();
-        let mut resumed = 0usize;
-        let mut writer = match journal_path {
-            None => None,
-            Some(path) => {
-                if resume && path.exists() {
-                    let contents = journal::load_with(storage.as_ref(), path)?;
-                    if contents.header != header {
-                        return Err(Error::Journal(format!(
-                            "journal {path:?} belongs to a different screened sweep \
-                             (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
-                            contents.header.jobs,
-                            contents.header.fingerprint,
-                            header.jobs,
-                            header.fingerprint
-                        )));
-                    }
-                    if contents.truncated_tail {
-                        storage.truncate(path, contents.valid_len as u64)?;
-                        ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
-                        ops.event(
-                            "engine",
-                            "journal.truncated",
-                            &[("valid_len", contents.valid_len.into())],
-                        );
-                    }
-                    for record in contents.records {
-                        if record.seq >= jobs {
-                            return Err(Error::Journal(format!(
-                                "journal record seq {} out of range",
-                                record.seq
-                            )));
-                        }
-                        journaled.entry(record.seq).or_insert(record);
-                    }
-                    resumed = journaled.len();
-                    Some(JournalWriter::append_with(
-                        storage.as_ref(),
-                        self.config().sync,
-                        path,
-                    )?)
-                } else {
-                    Some(JournalWriter::create_with(
-                        storage.as_ref(),
-                        self.config().sync,
-                        path,
-                        &header,
-                    )?)
-                }
-            }
-        };
 
         let budget = screen.budget.min(jobs);
         let initial = screen.initial.min(budget);
@@ -555,24 +499,7 @@ impl SweepRunner {
                 // independent of round structure, thread count, and
                 // crash/resume history.
                 let canonical: Vec<JobRecord> = evaluated.values().cloned().collect();
-                if let Err(e) = journal::rewrite_canonical_with(
-                    storage.as_ref(),
-                    self.config().sync,
-                    path,
-                    &header,
-                    &canonical,
-                ) {
-                    ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                    ops.event(
-                        "engine",
-                        "storage.fault",
-                        &[
-                            ("op", "journal.rewrite".into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    return Err(e);
-                }
+                self.rewrite_journal(storage.as_ref(), path, &header, &canonical, ops)?;
                 ops.event(
                     "engine",
                     "journal.canonical",
@@ -630,41 +557,11 @@ impl SweepRunner {
             None
         };
 
-        let mut backfilled_indices: std::collections::HashSet<[usize; 6]> =
-            std::collections::HashSet::new();
-        if let Some(o) = &outcome {
-            for s in &o.refinement.skipped {
-                if s.analytic_estimate.is_some() {
-                    backfilled_indices.insert(s.index);
-                }
-            }
-        }
-        let mut report = RunReport {
+        let report = RunReport {
             completed,
             resumed,
-            ..RunReport::default()
+            ..ledger(&plan, outcome.as_ref(), evaluated.values())
         };
-        for (&seq, record) in &evaluated {
-            report.attempted += 1;
-            report.oracle_calls += record.attempts;
-            report.timeouts += record.timeouts;
-            if record.attempts > 1 {
-                report.retried += 1;
-            }
-            if record.quarantined {
-                report.quarantined += 1;
-            }
-            match &record.result {
-                Ok(_) => report.succeeded += 1,
-                Err(_) => {
-                    if backfilled_indices.contains(&plan.jobs[seq].index) {
-                        report.backfilled += 1;
-                    } else {
-                        report.skipped += 1;
-                    }
-                }
-            }
-        }
         debug_assert!(report.consistent());
 
         let screen_report = ScreenReport {
