@@ -409,3 +409,57 @@ proptest! {
         prop_assert_eq!(reparsed.render(), text);
     }
 }
+
+/// One seeded mutation of document `a`: `kind` 0 truncates it, 1 flips
+/// the `flips` bits, 2 splices `a`'s head onto `b`'s tail, and 3 plants
+/// one oversized field after the first `{` (a 256 KiB string, or nesting
+/// far past the parser's cap). `at` places the cut or picks the field.
+fn mutate(a: &str, b: &str, kind: u8, at: f64, flips: &[(f64, u8)]) -> Vec<u8> {
+    let cut = |s: &str| (at * s.len() as f64) as usize;
+    let mut bytes = a.as_bytes().to_vec();
+    match kind {
+        0 => bytes.truncate(cut(a)),
+        1 => {
+            for &(pos, bit) in flips {
+                let i = ((pos * bytes.len() as f64) as usize).min(bytes.len() - 1);
+                bytes[i] ^= 1 << bit;
+            }
+        }
+        2 => {
+            bytes.truncate(cut(a));
+            bytes.extend_from_slice(&b.as_bytes()[cut(b)..]);
+        }
+        _ => {
+            let field = if at < 0.5 {
+                format!("\"pad\":\"{}\",", "x".repeat(256 << 10))
+            } else {
+                format!("\"pad\":{}0{},", "[".repeat(100_000), "]".repeat(100_000))
+            };
+            let i = bytes.iter().position(|&c| c == b'{').map_or(0, |i| i + 1);
+            bytes.splice(i..i, field.into_bytes());
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A mutated scenario document reads as a scenario or fails with a
+    /// typed error; it never panics or overflows the stack. Truncated
+    /// documents and planted fields are always errors.
+    #[test]
+    fn mutated_documents_are_read_or_rejected_never_panic(
+        a in scenarios(),
+        b in scenarios(),
+        kind in 0u8..4,
+        at in 0.0f64..1.0,
+        flips in prop::collection::vec((0.0f64..1.0, 0u8..8), 1..8),
+    ) {
+        let bytes = mutate(&a.render_pretty(), &b.render(), kind, at, &flips);
+        let read = Scenario::from_json(&String::from_utf8_lossy(&bytes));
+        if kind == 0 || kind == 3 {
+            prop_assert!(read.is_err(), "kind {kind} must not read as a scenario");
+        }
+    }
+}
