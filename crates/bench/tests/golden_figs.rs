@@ -4,7 +4,10 @@
 //! reproductions (the worked C-AMAT example and the simulation-count
 //! comparison); their stdout is deterministic except for elapsed
 //! wall-clock readouts, which [`normalize`] masks. Progress chatter
-//! goes to stderr and is not snapshotted. Regenerate the goldens with
+//! goes to stderr and is not snapshotted. `ext_adaptive_reconfig` and
+//! `ablation_concurrency_knobs` are pinned against their checked-in
+//! `results/` files directly, so those files cannot go stale.
+//! Regenerate every snapshot with
 //! `UPDATE_GOLDEN=1 cargo test -p c2-bench --test golden_figs`.
 
 use std::path::Path;
@@ -39,7 +42,9 @@ fn normalize(text: &str) -> String {
     out
 }
 
-fn golden_stdout(bin: &str, golden_name: &str) {
+/// Compare `bin`'s normalized stdout with the snapshot at `snapshot`,
+/// a path relative to this crate.
+fn golden_stdout(bin: &str, snapshot: &str) {
     let out = Command::new(bin).output().expect("run figure binary");
     assert!(
         out.status.success(),
@@ -47,9 +52,7 @@ fn golden_stdout(bin: &str, golden_name: &str) {
         String::from_utf8_lossy(&out.stderr)
     );
     let actual = normalize(&String::from_utf8(out.stdout).expect("utf-8 stdout"));
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(golden_name);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(snapshot);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
@@ -73,7 +76,7 @@ fn golden_stdout(bin: &str, golden_name: &str) {
 fn fig01_camat_demo_stdout_is_golden() {
     golden_stdout(
         env!("CARGO_BIN_EXE_fig01_camat_demo"),
-        "fig01_camat_demo.stdout.txt",
+        "tests/golden/fig01_camat_demo.stdout.txt",
     );
 }
 
@@ -81,7 +84,23 @@ fn fig01_camat_demo_stdout_is_golden() {
 fn fig12_aps_vs_ann_stdout_is_golden() {
     golden_stdout(
         env!("CARGO_BIN_EXE_fig12_aps_vs_ann"),
-        "fig12_aps_vs_ann.stdout.txt",
+        "tests/golden/fig12_aps_vs_ann.stdout.txt",
+    );
+}
+
+#[test]
+fn ext_adaptive_reconfig_stdout_matches_its_results_file() {
+    golden_stdout(
+        env!("CARGO_BIN_EXE_ext_adaptive_reconfig"),
+        "../../results/ext_adaptive_reconfig.txt",
+    );
+}
+
+#[test]
+fn ablation_concurrency_knobs_stdout_matches_its_results_file() {
+    golden_stdout(
+        env!("CARGO_BIN_EXE_ablation_concurrency_knobs"),
+        "../../results/ablation_concurrency_knobs.txt",
     );
 }
 
