@@ -4,9 +4,10 @@
 //! reproductions (the worked C-AMAT example and the simulation-count
 //! comparison); their stdout is deterministic except for elapsed
 //! wall-clock readouts, which [`normalize`] masks. Progress chatter
-//! goes to stderr and is not snapshotted. `ext_adaptive_reconfig` and
-//! `ablation_concurrency_knobs` are pinned against their checked-in
-//! `results/` files directly, so those files cannot go stale.
+//! goes to stderr and is not snapshotted. `ext_adaptive_reconfig`,
+//! `ablation_concurrency_knobs` and `fig13_apc_layers` are pinned
+//! against their checked-in `results/` files directly, so those files
+//! cannot go stale.
 //! Regenerate every snapshot with
 //! `UPDATE_GOLDEN=1 cargo test -p c2-bench --test golden_figs`.
 
@@ -101,6 +102,14 @@ fn ablation_concurrency_knobs_stdout_matches_its_results_file() {
     golden_stdout(
         env!("CARGO_BIN_EXE_ablation_concurrency_knobs"),
         "../../results/ablation_concurrency_knobs.txt",
+    );
+}
+
+#[test]
+fn fig13_apc_layers_stdout_matches_its_results_file() {
+    golden_stdout(
+        env!("CARGO_BIN_EXE_fig13_apc_layers"),
+        "../../results/fig13_apc_layers.txt",
     );
 }
 
