@@ -306,15 +306,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
         // Copy the whole run up to the next `"` or `\` at once: both are
         // ASCII, so the run ends on a char boundary, and the input is
         // scanned once however long the string is.
-        let run = bytes[*pos..]
+        let run_len = bytes[*pos..]
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
             .ok_or_else(|| err("unterminated string"))?;
-        let text = std::str::from_utf8(&bytes[*pos..*pos + run])
-            .map_err(|_| err("non-UTF-8 string body"))?;
-        out.push_str(text);
-        *pos += run + 1;
-        if bytes[*pos - 1] == b'"' {
+        let end = *pos + run_len;
+        let run =
+            std::str::from_utf8(&bytes[*pos..end]).map_err(|_| err("non-UTF-8 string body"))?;
+        out.push_str(run);
+        *pos = end + 1;
+        if bytes[end] == b'"' {
             return Ok(out);
         }
         let c = match bytes.get(*pos) {
