@@ -1147,10 +1147,10 @@ section! {
                     .then_some("must be one of never, on-checkpoint, always")
             },
             semantic_if |_| false;
-        /// Journal a per-shard breaker checkpoint every this many appended
-        /// records (0 disables). Checkpoints bound
-        /// how many records resume must replay. Operational — excluded
-        /// from the scenario fingerprint.
+        /// The journal's flush and fsync cadence: each shard appends its
+        /// records every this many records, fsyncing there under
+        /// `"on-checkpoint"` (0 appends only when a shard finishes).
+        /// Operational — excluded from the scenario fingerprint.
         checkpoint_every: u64 = 64, semantic_if |_| false;
         /// Deterministic storage-fault injection; `None` runs on plain
         /// disk. Operational — excluded from the scenario fingerprint.

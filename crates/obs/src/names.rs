@@ -9,7 +9,7 @@
 //!
 //! All of these are **operational** metrics: they describe how a
 //! particular run interacted with storage and recovery machinery
-//! (checkpoints written, tails truncated, caches republished), not
+//! (tails truncated, caches republished), not
 //! what the sweep computed. The engine therefore routes them to the
 //! separate *ops* sink — they are legitimately different between a
 //! clean run and a crash/resume run, and must stay out of the
@@ -22,17 +22,9 @@
 /// retries, degraded to analytic backfill). Main sink; resume-invariant.
 pub const ENGINE_QUARANTINED_TOTAL: &str = "engine_quarantined_total";
 
-/// Checkpoint lines written to the journal. Ops sink.
-pub const ENGINE_JOURNAL_CHECKPOINTS_TOTAL: &str = "engine_journal_checkpoints_total";
-
 /// Torn journal tails truncated away before appending on resume. Ops
 /// sink.
 pub const ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL: &str = "engine_journal_truncation_repairs_total";
-
-/// Journal records replayed *after* the latest usable checkpoint by the
-/// fast (unobserved) resume path — the quantity checkpoints exist to
-/// bound. Ops sink.
-pub const ENGINE_RESUME_TAIL_REPLAYED_TOTAL: &str = "engine_resume_tail_replayed_total";
 
 /// Torn or malformed cache entry lines skipped (self-healed) while
 /// loading the evaluation cache. Ops sink.

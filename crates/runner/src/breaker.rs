@@ -77,17 +77,6 @@ impl BreakerState {
         }
     }
 
-    /// Inverse of [`BreakerState::as_str`], used when loading journal
-    /// checkpoint records.
-    pub fn parse(name: &str) -> Option<BreakerState> {
-        match name {
-            "closed" => Some(BreakerState::Closed),
-            "open" => Some(BreakerState::Open),
-            "half-open" => Some(BreakerState::HalfOpen),
-            _ => None,
-        }
-    }
-
     /// Small integer encoding for the `engine_breaker_state` gauge
     /// (0 = closed, 1 = open, 2 = half-open).
     pub fn as_gauge(&self) -> f64 {
@@ -242,56 +231,6 @@ impl CircuitBreaker {
     pub fn short_circuits(&self) -> usize {
         self.short_circuits
     }
-
-    /// Capture the breaker's full mutable state. Together with the
-    /// policy, the snapshot reconstructs a breaker byte-for-byte: the
-    /// journal's checkpoint records persist one per shard so a resume
-    /// can restore breaker state without replaying the whole journal.
-    pub fn snapshot(&self) -> BreakerSnapshot {
-        BreakerSnapshot {
-            state: self.state,
-            consecutive_failures: self.consecutive_failures,
-            shorted_while_open: self.shorted_while_open,
-            probe_successes: self.probe_successes,
-            trips: self.trips,
-            short_circuits: self.short_circuits,
-        }
-    }
-
-    /// Rebuild a breaker from a [`BreakerSnapshot`] under `policy`.
-    /// The pending-transition slot starts empty: a restored breaker has
-    /// no undrained history.
-    pub fn from_snapshot(policy: BreakerPolicy, snap: BreakerSnapshot) -> Result<Self> {
-        policy.validate()?;
-        Ok(CircuitBreaker {
-            policy,
-            state: snap.state,
-            consecutive_failures: snap.consecutive_failures,
-            shorted_while_open: snap.shorted_while_open,
-            probe_successes: snap.probe_successes,
-            trips: snap.trips,
-            short_circuits: snap.short_circuits,
-            last_transition: None,
-        })
-    }
-}
-
-/// A serializable snapshot of a breaker's mutable state (everything
-/// except the policy, which the run configuration already carries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerSnapshot {
-    /// Breaker state at the snapshot.
-    pub state: BreakerState,
-    /// Closed-state consecutive failure streak.
-    pub consecutive_failures: usize,
-    /// Jobs short-circuited in the current open period.
-    pub shorted_while_open: usize,
-    /// Consecutive probe successes in the current half-open period.
-    pub probe_successes: usize,
-    /// Lifetime trip count.
-    pub trips: usize,
-    /// Lifetime short-circuit count.
-    pub short_circuits: usize,
 }
 
 #[cfg(test)]
@@ -472,68 +411,6 @@ mod tests {
         assert_eq!(BreakerState::Closed.as_gauge(), 0.0);
         assert_eq!(BreakerState::Open.as_gauge(), 1.0);
         assert_eq!(BreakerState::HalfOpen.as_gauge(), 2.0);
-    }
-
-    #[test]
-    fn snapshot_round_trips_mid_trajectory() {
-        // Drive a breaker into a nontrivial state (open, mid-cooldown,
-        // with history), snapshot it, restore, and require both copies
-        // to walk identical trajectories from there on.
-        let mut b = breaker(2, 2, 2);
-        b.admit();
-        b.on_failure();
-        b.admit();
-        b.on_failure(); // trips open
-        assert_eq!(b.admit(), Admission::ShortCircuit); // one cooldown burn
-        let snap = b.snapshot();
-        assert_eq!(snap.state, BreakerState::Open);
-        assert_eq!(snap.trips, 1);
-        assert_eq!(snap.shorted_while_open, 1);
-        let mut restored = CircuitBreaker::from_snapshot(
-            BreakerPolicy {
-                trip_threshold: 2,
-                cooldown: 2,
-                probes: 2,
-            },
-            snap,
-        )
-        .unwrap();
-        let _ = b.take_transition();
-        assert_eq!(restored.take_transition(), None, "restored history empty");
-        // Identical continuations.
-        for _ in 0..6 {
-            assert_eq!(restored.admit(), b.admit());
-            restored.on_success();
-            b.on_success();
-            assert_eq!(restored.snapshot(), b.snapshot());
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_invalid_policy() {
-        let snap = breaker(1, 1, 1).snapshot();
-        assert!(CircuitBreaker::from_snapshot(
-            BreakerPolicy {
-                trip_threshold: 0,
-                cooldown: 1,
-                probes: 1,
-            },
-            snap,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn state_parse_inverts_as_str() {
-        for s in [
-            BreakerState::Closed,
-            BreakerState::Open,
-            BreakerState::HalfOpen,
-        ] {
-            assert_eq!(BreakerState::parse(s.as_str()), Some(s));
-        }
-        assert_eq!(BreakerState::parse("ajar"), None);
     }
 
     #[test]

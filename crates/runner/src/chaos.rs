@@ -9,8 +9,7 @@
 //!
 //! Fault vocabulary (all write indices are 1-based and count every
 //! `write_all` across every file the wrapped storage opens — journal
-//! lines, checkpoint lines, canonical-rewrite lines, cache-publish
-//! lines):
+//! lines, canonical-rewrite lines, cache-publish lines):
 //!
 //! * **crash-at-Nth-write** — the Nth write persists only a torn
 //!   prefix (an explicit `torn_bytes` length, or a seeded pseudorandom

@@ -27,14 +27,13 @@
 //!   quarantined — terminated immediately, never retried — the panic
 //!   is charged to the breaker, the worker's oracle is rebuilt, and the
 //!   sweep degrades to analytic backfill instead of dying;
-//! * every terminal outcome is journaled to JSONL (fsync per the
-//!   [`SyncPolicy`]), with periodic per-shard breaker **checkpoints**
-//!   so resume cost stops growing with sweep length; a killed run
-//!   resumes idempotently — a torn journal tail is truncated away
-//!   before appending, journaled jobs are not re-run, and the merged
-//!   sweep is bit-identical to an uninterrupted one (all fault
-//!   injection is keyed to stable job identities, never to call
-//!   order);
+//! * every terminal outcome is journaled to JSONL, each shard appending
+//!   its records every `checkpoint_every` records (fsync per the
+//!   [`SyncPolicy`]); a killed run resumes idempotently — a torn
+//!   journal tail is truncated away before appending, journaled jobs
+//!   are not re-run, and the merged sweep is bit-identical to an
+//!   uninterrupted one (all fault injection is keyed to stable job
+//!   identities, never to call order);
 //! * all storage I/O flows through the [`Storage`] trait, so a
 //!   [`ChaosPlan`] can inject torn writes, short writes, `ENOSPC`, and
 //!   crash-at-Nth-write underneath the engine — the crash-matrix
@@ -56,8 +55,8 @@
 //! the same function produced them from the same records.
 //!
 //! Operational metrics that legitimately differ between a clean run
-//! and a crash/resume run (checkpoints written, tails truncated,
-//! records replayed, caches republished — see [`c2_obs::names`]) are
+//! and a crash/resume run (tails truncated, records replayed, caches
+//! republished — see [`c2_obs::names`]) are
 //! routed to a separate *ops* sink and stay out of the bit-compared
 //! artifacts.
 
@@ -66,8 +65,7 @@ use crate::breaker::{Admission, BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::cache::{self, cache_key, CachedEval};
 use crate::chaos::{ChaosPlan, ChaosStorage};
 use crate::journal::{
-    self, error_message, plan_fingerprint, Checkpoint, JobRecord, JournalHeader, JournalWriter,
-    SyncPolicy,
+    self, error_message, plan_fingerprint, JobRecord, JournalHeader, JournalWriter, SyncPolicy,
 };
 use crate::shard::{partition, shard_of, BufferSink};
 use crate::storage::{DiskStorage, Storage};
@@ -121,13 +119,13 @@ pub struct RunConfig {
     /// Backfill dead points with calibrated analytic estimates.
     pub analytic_fallback: bool,
     /// When journal (and cache-publish) bytes are fsynced to the
-    /// device. The default, [`SyncPolicy::OnCheckpoint`], syncs at
-    /// checkpoint lines and before atomic renames.
+    /// device. The default, [`SyncPolicy::OnCheckpoint`], syncs every
+    /// `checkpoint_every` records and before atomic renames.
     pub sync: SyncPolicy,
-    /// Write a per-shard breaker checkpoint into the journal every
-    /// this many appended records (0 disables checkpointing).
-    /// Checkpoints bound how many records the fast resume path must
-    /// replay.
+    /// The flush and fsync cadence: each shard appends its pending
+    /// journal records every this many records (and when it finishes),
+    /// fsyncing there under [`SyncPolicy::OnCheckpoint`]. 0 appends
+    /// only when the shard finishes.
     pub checkpoint_every: usize,
     /// Deterministic storage-fault injection plan for the crash/chaos
     /// harness; `None` (or an all-`None` plan) runs on plain disk.
@@ -455,22 +453,6 @@ pub(crate) fn run_attempt<O: Oracle>(
     }
 }
 
-/// Replay one journaled record through a fresh breaker so a resumed
-/// run's breaker starts exactly where the interrupted run left it.
-fn replay_breaker(breaker: &mut CircuitBreaker, record: &JobRecord) {
-    for i in 1..=record.attempts {
-        let _ = breaker.admit();
-        if record.result.is_ok() && i == record.attempts {
-            breaker.on_success();
-        } else {
-            breaker.on_failure();
-        }
-    }
-    if record.short_circuited {
-        let _ = breaker.admit();
-    }
-}
-
 /// A run's journal as [`SweepRunner::open_journal`] left it.
 #[derive(Default)]
 pub(crate) struct OpenJournal {
@@ -480,8 +462,6 @@ pub(crate) struct OpenJournal {
     pub(crate) reopened: bool,
     /// A resumed file's records, sorted by `seq`.
     pub(crate) records: Vec<JobRecord>,
-    /// A resumed file's checkpoint lines, in file order.
-    pub(crate) checkpoints: Vec<Checkpoint>,
 }
 
 /// Report a storage fault in operation `op` on the ops sink and hand
@@ -585,7 +565,9 @@ impl SweepRunner {
     /// to a different sweep is rejected (`kind` names the sweep in the
     /// error), a torn tail is cut off *before* appending so a second
     /// crash cannot concatenate onto it, and every record must name a
-    /// job of the plan. Otherwise a fresh journal is created.
+    /// job of the plan and carry at most `max_attempts` attempts (more
+    /// is a history no run under this configuration writes, and replay
+    /// walks every attempt). Otherwise a fresh journal is created.
     pub(crate) fn open_journal(
         &self,
         storage: &dyn Storage,
@@ -627,13 +609,20 @@ impl SweepRunner {
         }
         open.records = contents.records;
         open.records.sort_by_key(|r| r.seq);
-        if let Some(r) = open.records.iter().find(|r| r.seq >= header.jobs) {
-            return Err(Error::Journal(format!(
-                "journal record seq {} out of range",
-                r.seq
-            )));
+        for r in &open.records {
+            if r.seq >= header.jobs {
+                return Err(Error::Journal(format!(
+                    "journal record seq {} out of range",
+                    r.seq
+                )));
+            }
+            if r.attempts > self.config.max_attempts {
+                return Err(Error::Journal(format!(
+                    "journal record seq {} has {} attempts, more than max_attempts {}",
+                    r.seq, r.attempts, self.config.max_attempts
+                )));
+            }
         }
-        open.checkpoints = contents.checkpoints;
         open.reopened = true;
         open.writer = Some(JournalWriter::append_with(storage, self.config.sync, path)?);
         Ok(open)
@@ -661,12 +650,12 @@ impl SweepRunner {
     /// or the GPU-SM backend; the engine's journaling, caching, retry
     /// and resume machinery is backend-agnostic. A non-default
     /// backend's identity is bound into the journal header (and thus
-    /// every cache address), so checkpoints and caches can never be
+    /// every cache address), so journals and caches can never be
     /// cross-served between backends.
     ///
     /// `make_oracle` constructs one oracle per worker thread (oracles
     /// need not be `Send`; they are built where they run). When
-    /// `journal` is given, every terminal outcome is checkpointed
+    /// `journal` is given, every terminal outcome is journaled
     /// there; with `resume`, an existing journal's outcomes are merged
     /// instead of re-run (the journal must match the plan, enforced by
     /// fingerprint). Returns an error if the journal is incompatible
@@ -683,17 +672,13 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        // The unobserved path resumes through breaker checkpoints
-        // (restore + tail replay) instead of reconstructing the full
-        // event stream nobody is listening to.
-        self.run_sharded(
+        self.run_aps_full(
             sweep,
             make_oracle,
             journal_path,
             resume,
             &NullSink,
             &NullSink,
-            false,
         )
     }
 
@@ -726,8 +711,8 @@ impl SweepRunner {
     /// [`SweepRunner::run_aps_observed`] with a second, **operational**
     /// sink. `sink` receives the deterministic, resume-invariant run
     /// artifacts; `ops` receives recovery and durability telemetry
-    /// (checkpoints written, torn tails truncated, records replayed,
-    /// cache publications, storage faults — the [`c2_obs::names`]
+    /// (torn tails truncated, records replayed, cache publications,
+    /// storage faults — the [`c2_obs::names`]
     /// constants) that legitimately differs between a clean run and a
     /// crash/resume run and must stay out of bit-compared output.
     pub fn run_aps_full<O, B>(
@@ -743,7 +728,7 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops, true)
+        self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops)
     }
 }
 
@@ -811,16 +796,17 @@ struct ShardCell {
     results: Vec<(usize, Terminal)>,
     /// Records of this shard present in the journal (resumed ones
     /// counted during setup, live ones as they append) — the
-    /// checkpoint cadence counter, so resume keeps the cadence a
-    /// clean run had.
+    /// `checkpoint_every` cadence counter, so resume keeps the cadence
+    /// a clean run had.
     appended: usize,
     /// Live records decided but not yet written to the journal. The
-    /// worker appends these under **one** journal lock per checkpoint
-    /// boundary (and once at shard completion) instead of locking per
-    /// job, so the global journal mutex stops serializing the hot
-    /// path. A crash loses at most one shard's unflushed tail, which
-    /// resume simply re-runs; completed runs rewrite the journal
-    /// canonically, so the durable bytes are unchanged.
+    /// worker appends these under **one** journal lock per
+    /// `checkpoint_every` boundary (and once at shard completion)
+    /// instead of locking per job, so the global journal mutex stops
+    /// serializing the hot path. A crash loses at most one shard's
+    /// unflushed tail, which resume simply re-runs; completed runs
+    /// rewrite the journal canonically, so the durable bytes are
+    /// unchanged.
     pending: Vec<JobRecord>,
     /// Within-run memoization, per shard (not per worker: a
     /// worker-wide store's contents would depend on which shards the
@@ -1105,23 +1091,23 @@ fn emit_terminal_event(cell: &mut ShardCell, seq: usize, t: &Terminal) {
     cell.buffer.event("engine", "job.terminal", &fields);
 }
 
-/// Write a shard's pending journal records (and, at a checkpoint
-/// boundary, the checkpoint line) under a single journal lock. Called
-/// when the shard's cadence counter crosses a `checkpoint_every`
-/// multiple and once when the worker finishes the shard, so the lock
-/// is taken O(jobs / checkpoint_every) times instead of once per job.
-/// A storage fault poisons the journal and aborts the run, exactly as
-/// the old per-job path did; the remaining pending records are
-/// discarded (the run returns the error before any buffer merges).
+/// Write a shard's pending journal records under a single journal
+/// lock, then fsync when `sync` (a `checkpoint_every` boundary under
+/// [`SyncPolicy::OnCheckpoint`]). Called when the shard's cadence
+/// counter crosses a `checkpoint_every` multiple and once when the
+/// worker finishes the shard, so the lock is taken
+/// O(jobs / checkpoint_every) times instead of once per job. A storage
+/// fault poisons the journal and aborts the run; the remaining pending
+/// records are discarded (the run returns the error before any buffer
+/// merges).
 fn flush_shard_pending(
     journal: &Mutex<ShardJournal>,
     cell: &mut ShardCell,
-    shard: usize,
-    checkpoint: bool,
+    sync: bool,
     ops: &dyn MetricsSink,
     abort: &AtomicBool,
 ) {
-    if cell.pending.is_empty() && !checkpoint {
+    if cell.pending.is_empty() {
         return;
     }
     let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
@@ -1137,23 +1123,8 @@ fn flush_shard_pending(
                 break;
             }
         }
-        if fault.is_none() && checkpoint {
-            let ck = Checkpoint {
-                shard,
-                covered: cell.appended,
-                snapshot: cell.breaker.snapshot(),
-            };
-            match w.checkpoint(&ck) {
-                Ok(()) => {
-                    ops.counter_add(names::ENGINE_JOURNAL_CHECKPOINTS_TOTAL, 1);
-                    ops.event(
-                        "engine",
-                        "journal.checkpoint",
-                        &[("shard", shard.into()), ("covered", cell.appended.into())],
-                    );
-                }
-                Err(e) => fault = Some(("journal.checkpoint", e)),
-            }
+        if fault.is_none() && sync {
+            fault = w.sync().err().map(|e| ("journal.sync", e));
         }
     }
     cell.pending.clear();
@@ -1182,52 +1153,6 @@ fn seed_local_store(local_store: &mut HashMap<u64, CachedEval>, ckey: u64, t: &T
     }
 }
 
-/// Restore per-shard breakers for the **fast** (unobserved) resume
-/// path: start each shard's breaker from its newest usable journal
-/// checkpoint and replay only the records appended after it —
-/// checkpoints exist precisely to bound this tail. Shards without a
-/// usable checkpoint replay their full record list. `records` must be
-/// sorted by `seq` (within a shard, append order *is* seq order, so
-/// `covered` counts a seq-ordered prefix).
-fn restore_shard_breakers(
-    policy: BreakerPolicy,
-    nshards: usize,
-    records: &[JobRecord],
-    checkpoints: &[Checkpoint],
-    ops: &dyn MetricsSink,
-) -> Result<Vec<CircuitBreaker>> {
-    let mut by_shard: Vec<Vec<&JobRecord>> = vec![Vec::new(); nshards];
-    for r in records {
-        by_shard[shard_of(r.seq, nshards)].push(r);
-    }
-    let mut breakers = Vec::with_capacity(nshards);
-    let mut tail_replayed = 0u64;
-    for (i, shard_records) in by_shard.iter().enumerate() {
-        // A checkpoint covering more records than the journal holds is
-        // stale (it outlived a repair that dropped records); ignore it.
-        let ckpt = checkpoints
-            .iter()
-            .filter(|c| c.shard == i && c.covered <= shard_records.len())
-            .max_by_key(|c| c.covered);
-        let (mut b, start) = match ckpt {
-            Some(c) => (
-                CircuitBreaker::from_snapshot(policy, c.snapshot)?,
-                c.covered,
-            ),
-            None => (CircuitBreaker::new(policy)?, 0),
-        };
-        for r in &shard_records[start..] {
-            replay_breaker(&mut b, r);
-            tail_replayed += 1;
-        }
-        // Replay reconstructs state the original run already traced.
-        let _ = b.take_transition();
-        breakers.push(b);
-    }
-    ops.counter_add(names::ENGINE_RESUME_TAIL_REPLAYED_TOTAL, tail_replayed);
-    Ok(breakers)
-}
-
 impl SweepRunner {
     /// The deterministic sharded engine (DESIGN.md §10). The plan is
     /// partitioned into shards by a pure function of its size; `N`
@@ -1243,14 +1168,10 @@ impl SweepRunner {
     /// is the one decision that can differ between two clean runs;
     /// once journaled, resume replays it.
     ///
-    /// `reconstruct` selects how a resumed journal is replayed:
-    /// `true` (the observed path) re-emits every resumed record's full
-    /// event/metric sequence through [`emit_job_events`] so the run's
-    /// artifacts are bit-identical to an uninterrupted run's; `false`
-    /// (the unobserved path) skips the event work and restores breaker
-    /// state from checkpoints plus a bounded record tail
-    /// ([`restore_shard_breakers`]).
-    #[allow(clippy::too_many_arguments)]
+    /// A resumed journal's records replay through [`emit_job_events`]
+    /// into fresh per-shard breakers, re-emitting each record's full
+    /// event/metric sequence, so the run's artifacts are bit-identical
+    /// to an uninterrupted run's.
     fn run_sharded<O, B>(
         &self,
         sweep: &dyn BackendSweep,
@@ -1259,7 +1180,6 @@ impl SweepRunner {
         resume: bool,
         sink: &dyn MetricsSink,
         ops: &dyn MetricsSink,
-        reconstruct: bool,
     ) -> Result<RunSummary>
     where
         O: Oracle,
@@ -1363,65 +1283,41 @@ impl SweepRunner {
             ],
         );
 
-        // Per-shard breakers: the observed (reconstruct) path starts
-        // fresh and replays resumed records through the full emitter
-        // below; the fast path restores from checkpoints + tails.
-        let breakers: Vec<CircuitBreaker> = if !reconstruct && resumed > 0 {
-            restore_shard_breakers(
-                self.config.breaker,
-                shards.len(),
-                &opened.records,
-                &opened.checkpoints,
-                ops,
-            )?
-        } else {
-            let mut v = Vec::with_capacity(shards.len());
-            for _ in 0..shards.len() {
-                v.push(CircuitBreaker::new(self.config.breaker)?);
-            }
-            v
-        };
-
         let resumed_seqs: Vec<bool> = terminals.iter().map(|t| t.is_some()).collect();
-        let mut cells_raw: Vec<ShardCell> = breakers
-            .into_iter()
-            .enumerate()
-            .map(|(i, breaker)| {
-                let cell = ShardCell {
-                    breaker,
-                    buffer: BufferSink::new(),
-                    results: Vec::new(),
-                    appended: 0,
-                    pending: Vec::new(),
-                    local_store: HashMap::new(),
-                };
-                // Emitted at construction (not by the worker) so it
-                // precedes the resumed-record events replayed into the
-                // buffer below.
-                cell.buffer.event(
-                    "engine",
-                    "shard.started",
-                    &[("shard", i.into()), ("jobs", shards[i].len().into())],
-                );
-                cell
-            })
-            .collect();
+        let mut cells_raw = Vec::with_capacity(shards.len());
+        for (i, shard) in shards.iter().enumerate() {
+            let cell = ShardCell {
+                breaker: CircuitBreaker::new(self.config.breaker)?,
+                buffer: BufferSink::new(),
+                results: Vec::new(),
+                appended: 0,
+                pending: Vec::new(),
+                local_store: HashMap::new(),
+            };
+            // Emitted at construction (not by the worker) so it
+            // precedes the resumed-record events replayed into the
+            // buffer below.
+            cell.buffer.event(
+                "engine",
+                "shard.started",
+                &[("shard", i.into()), ("jobs", shard.len().into())],
+            );
+            cells_raw.push(cell);
+        }
 
-        // Replay resumed records into their shards: the observed path
-        // re-emits each record's full artifact sequence; both paths
-        // advance the checkpoint cadence counter and re-seed the
-        // within-run cache memo the interrupted run had built.
+        // Replay resumed records into their shards: re-emit each
+        // record's full artifact sequence, advance the cadence counter
+        // and re-seed the within-run cache memo the interrupted run had
+        // built.
         for record in &opened.records {
             let si = shard_of(record.seq, shards.len());
             let cell = &mut cells_raw[si];
             let t = terminal_of(record);
-            if reconstruct {
-                emit_job_events(&self.config, &plan, cache_on, record, cell, si);
-                cell.buffer.counter_add("engine_journal_appends_total", 1);
-                cell.buffer
-                    .event("engine", "journal.append", &[("seq", record.seq.into())]);
-                emit_terminal_event(cell, record.seq, &t);
-            }
+            emit_job_events(&self.config, &plan, cache_on, record, cell, si);
+            cell.buffer.counter_add("engine_journal_appends_total", 1);
+            cell.buffer
+                .event("engine", "journal.append", &[("seq", record.seq.into())]);
+            emit_terminal_event(cell, record.seq, &t);
             cell.appended += 1;
             if cache_on {
                 let ckey = cache_key(cache_identity, plan.jobs[record.seq].content_key());
@@ -1520,7 +1416,7 @@ impl SweepRunner {
                                 emit_job_events(config, plan, cache_on, &record, &mut cell, i);
                                 if has_journal {
                                     // Buffer the record; the journal
-                                    // lock is taken only at checkpoint
+                                    // lock is taken only at cadence
                                     // boundaries and shard completion.
                                     // The append marker is emitted here
                                     // (not at flush) so the per-shard
@@ -1540,9 +1436,8 @@ impl SweepRunner {
                                     if config.checkpoint_every > 0
                                         && cell.appended.is_multiple_of(config.checkpoint_every)
                                     {
-                                        flush_shard_pending(
-                                            journal, &mut cell, i, true, ops, abort,
-                                        );
+                                        let sync = config.sync == SyncPolicy::OnCheckpoint;
+                                        flush_shard_pending(journal, &mut cell, sync, ops, abort);
                                     }
                                 }
                                 emit_terminal_event(&mut cell, seq, &terminal);
@@ -1557,7 +1452,7 @@ impl SweepRunner {
                                     }
                                 }
                             }
-                            flush_shard_pending(journal, &mut cell, i, false, ops, abort);
+                            flush_shard_pending(journal, &mut cell, false, ops, abort);
                             cell.buffer
                                 .event("engine", "shard.finished", &[("shard", i.into())]);
                         }
@@ -1599,7 +1494,7 @@ impl SweepRunner {
         let completed = records.len() == plan.jobs.len();
         if completed {
             // A completed run's journal is rewritten canonically
-            // (records in seq order, checkpoints dropped), making the
+            // (records in seq order, legacy `c2ckpt` lines dropped), making the
             // durable bytes a pure function of the outcomes:
             // independent of thread count, of live append order, and
             // of the run's crash/resume history (modulo the honest
@@ -1823,184 +1718,5 @@ mod tests {
             let t = terminal_of(&record);
             assert_eq!(record_of(record.seq, &t), record);
         }
-    }
-
-    /// Counting sink: captures `counter_add` totals, drops the rest.
-    #[derive(Default)]
-    struct CountSink(Mutex<HashMap<String, u64>>);
-
-    impl CountSink {
-        fn get(&self, name: &str) -> u64 {
-            *self.0.lock().unwrap().get(name).unwrap_or(&0)
-        }
-    }
-
-    impl MetricsSink for CountSink {
-        fn counter_add(&self, name: &str, delta: u64) {
-            *self.0.lock().unwrap().entry(name.to_string()).or_default() += delta;
-        }
-        fn gauge_set(&self, _: &str, _: f64) {}
-        fn observe(&self, _: &str, _: &[f64], _: f64) {}
-        fn event(&self, _: &str, _: &str, _: &[(&str, c2_obs::FieldValue)]) {}
-    }
-
-    fn tight_policy() -> BreakerPolicy {
-        BreakerPolicy {
-            trip_threshold: 2,
-            cooldown: 2,
-            probes: 1,
-        }
-    }
-
-    fn rec(seq: usize, attempts: usize, ok: bool) -> JobRecord {
-        JobRecord {
-            seq,
-            attempts,
-            timeouts: 0,
-            result: if ok { Ok(1.0) } else { Err("boom".to_string()) },
-            short_circuited: false,
-            cached: false,
-            quarantined: false,
-        }
-    }
-
-    /// Mixed success/failure history across two shards, busy enough to
-    /// trip the tight breaker at least once on shard 0.
-    fn history(nshards: usize) -> Vec<JobRecord> {
-        (0..12)
-            .map(|seq| rec(seq, 1 + seq % 3, seq % 4 != 0))
-            .inspect(|r| {
-                // Each record lands in a real shard of the partition.
-                assert!(shard_of(r.seq, nshards) < nshards);
-            })
-            .collect()
-    }
-
-    /// Replay every record of a shard through a fresh breaker — the
-    /// ground truth `restore_shard_breakers` must reproduce.
-    fn full_replay(
-        policy: BreakerPolicy,
-        nshards: usize,
-        records: &[JobRecord],
-    ) -> Vec<CircuitBreaker> {
-        let mut breakers: Vec<CircuitBreaker> = (0..nshards)
-            .map(|_| CircuitBreaker::new(policy).unwrap())
-            .collect();
-        for r in records {
-            replay_breaker(&mut breakers[shard_of(r.seq, nshards)], r);
-        }
-        for b in &mut breakers {
-            let _ = b.take_transition();
-        }
-        breakers
-    }
-
-    #[test]
-    fn restore_without_checkpoints_matches_full_replay() {
-        let nshards = 2;
-        let records = history(nshards);
-        let want = full_replay(tight_policy(), nshards, &records);
-        let ops = CountSink::default();
-        let got = restore_shard_breakers(tight_policy(), nshards, &records, &[], &ops).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.snapshot(), w.snapshot());
-        }
-        assert_eq!(
-            ops.get(names::ENGINE_RESUME_TAIL_REPLAYED_TOTAL),
-            records.len() as u64,
-            "with no checkpoint every record is tail"
-        );
-    }
-
-    #[test]
-    fn checkpoint_bounds_the_replay_tail() {
-        let nshards = 2;
-        let records = history(nshards);
-        let want = full_replay(tight_policy(), nshards, &records);
-
-        // Checkpoint shard 0 after its first 3 records: replay exactly
-        // that prefix to capture the state a live run persisted.
-        let shard0: Vec<&JobRecord> = records
-            .iter()
-            .filter(|r| shard_of(r.seq, nshards) == 0)
-            .collect();
-        assert!(shard0.len() > 3, "history too small for the test");
-        let mut prefix = CircuitBreaker::new(tight_policy()).unwrap();
-        for r in &shard0[..3] {
-            replay_breaker(&mut prefix, r);
-        }
-        let ckpt = Checkpoint {
-            shard: 0,
-            covered: 3,
-            snapshot: prefix.snapshot(),
-        };
-
-        let ops = CountSink::default();
-        let got = restore_shard_breakers(tight_policy(), nshards, &records, &[ckpt], &ops).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.snapshot(), w.snapshot());
-        }
-        // Shard 0 replays only its tail; shard 1 (no checkpoint)
-        // replays everything.
-        let shard1_len = records.len() - shard0.len();
-        assert_eq!(
-            ops.get(names::ENGINE_RESUME_TAIL_REPLAYED_TOTAL),
-            (shard0.len() - 3 + shard1_len) as u64
-        );
-    }
-
-    #[test]
-    fn stale_checkpoint_covering_more_than_the_journal_is_ignored() {
-        let nshards = 2;
-        let records = history(nshards);
-        let want = full_replay(tight_policy(), nshards, &records);
-        let shard0_len = records
-            .iter()
-            .filter(|r| shard_of(r.seq, nshards) == 0)
-            .count();
-        // A checkpoint claiming to cover more records than the journal
-        // holds outlived a truncation repair; trusting it would skip
-        // records that no longer exist.
-        let stale = Checkpoint {
-            shard: 0,
-            covered: shard0_len + 5,
-            snapshot: CircuitBreaker::new(tight_policy()).unwrap().snapshot(),
-        };
-        let ops = CountSink::default();
-        let got =
-            restore_shard_breakers(tight_policy(), nshards, &records, &[stale], &ops).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.snapshot(), w.snapshot());
-        }
-        assert_eq!(
-            ops.get(names::ENGINE_RESUME_TAIL_REPLAYED_TOTAL),
-            records.len() as u64,
-            "the stale checkpoint must not shorten the tail"
-        );
-    }
-
-    #[test]
-    fn latest_valid_checkpoint_wins() {
-        let nshards = 1;
-        let records: Vec<JobRecord> = (0..8).map(|seq| rec(seq, 1, seq % 3 != 0)).collect();
-        let want = full_replay(tight_policy(), nshards, &records);
-        // Two valid checkpoints; the one covering more records should
-        // be chosen, leaving the shorter tail.
-        let mut ckpts = Vec::new();
-        for covered in [2usize, 6] {
-            let mut b = CircuitBreaker::new(tight_policy()).unwrap();
-            for r in &records[..covered] {
-                replay_breaker(&mut b, r);
-            }
-            ckpts.push(Checkpoint {
-                shard: 0,
-                covered,
-                snapshot: b.snapshot(),
-            });
-        }
-        let ops = CountSink::default();
-        let got = restore_shard_breakers(tight_policy(), nshards, &records, &ckpts, &ops).unwrap();
-        assert_eq!(got[0].snapshot(), want[0].snapshot());
-        assert_eq!(ops.get(names::ENGINE_RESUME_TAIL_REPLAYED_TOTAL), 2);
     }
 }

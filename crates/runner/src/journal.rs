@@ -1,11 +1,12 @@
-//! The JSONL checkpoint journal.
+//! The JSONL resume journal.
 //!
-//! One line per *terminal* job outcome, appended and flushed as soon as
-//! the outcome is known, so a killed run loses at most the line being
-//! written when the process died. The reader therefore tolerates a
-//! truncated final line (the half-written record is simply redone on
-//! resume) but treats corruption anywhere else as a hard error — a
-//! mangled middle means the file is not the journal we wrote.
+//! One line per *terminal* job outcome, written and flushed as soon as
+//! the engine appends it, so a killed run loses at most the records
+//! not yet appended and the line being written when the process died.
+//! The reader therefore tolerates a truncated final line (the
+//! half-written record is simply redone on resume) but treats
+//! corruption anywhere else as a hard error — a mangled middle means
+//! the file is not the journal we wrote.
 //!
 //! Format (one JSON object per line):
 //!
@@ -14,7 +15,6 @@
 //! {"seq":0,"attempts":1,"timeouts":0,"status":"ok","time":123456.0}
 //! {"seq":1,"attempts":2,"timeouts":1,"status":"dead","error":"..."}
 //! {"seq":2,"attempts":0,"timeouts":0,"status":"dead","error":"...","short_circuited":true}
-//! {"c2ckpt":1,"shard":0,"covered":2,"state":"closed","failures":0,"shorted":0,"probes":0,"trips":0,"shorts":0}
 //! ```
 //!
 //! The header pins the sweep the journal belongs to: `jobs` is the plan
@@ -25,13 +25,11 @@
 //! correctly-rounded parser, so a value survives the write/read cycle
 //! bit-exactly — the property the resume-equality tests lean on.
 //!
-//! `c2ckpt` lines are periodic **checkpoints**: a per-shard breaker
-//! snapshot plus the count of that shard's records it covers. They let
-//! the unobserved resume path restore breaker state directly and replay
-//! only the records written *after* the latest checkpoint, so resume
-//! cost stops growing with sweep length. Checkpoints are operational
-//! metadata, not outcomes: the canonical rewrite strips them, and
-//! [`compact`] keeps only the newest one per shard.
+//! Journals written by older engines may also hold `c2ckpt` lines
+//! (per-shard breaker snapshots). Resume replays every record instead,
+//! so the reader skips any object with a `c2ckpt` key; such a journal
+//! still resumes, and the canonical rewrite and [`compact`] drop those
+//! lines.
 //!
 //! All I/O goes through the [`crate::storage::Storage`] trait, which is
 //! how the chaos harness injects torn writes, `ENOSPC`, and
@@ -47,7 +45,6 @@
 //! are read exactly ([`Json::as_u64`]): a negative or fractional `seq`
 //! makes a malformed record.
 
-use crate::breaker::{BreakerSnapshot, BreakerState};
 use crate::storage::{Storage, StorageFile, DISK};
 use crate::{Error, Result};
 use c2_bound::aps::{ApsPlan, PointOutcome};
@@ -57,17 +54,15 @@ use std::path::{Path, PathBuf};
 /// Journal format version written in the header.
 pub const JOURNAL_VERSION: u64 = 1;
 
-/// Checkpoint record version written in `c2ckpt` lines.
-pub const CHECKPOINT_VERSION: u64 = 1;
-
 /// When the journal (and the cache publish) fsync to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Flush to the OS only; never fsync. Fastest, loses the OS cache
     /// on power failure (not on process death).
     Never,
-    /// Fsync at checkpoint lines and before atomic renames. The
-    /// default: bounded data loss at a bounded cost.
+    /// Fsync every `checkpoint_every` records (the engine's flush
+    /// cadence) and before atomic renames. The default: bounded data
+    /// loss at a bounded cost.
     #[default]
     OnCheckpoint,
     /// Fsync after every record. Maximum durability.
@@ -141,20 +136,6 @@ impl JobRecord {
     }
 }
 
-/// A periodic `c2ckpt` journal line: the breaker snapshot of one shard
-/// after that shard's first `covered` records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// The shard whose breaker is snapshotted.
-    pub shard: usize,
-    /// How many of the shard's journal records the snapshot covers
-    /// (the shard's records are a seq-ordered prefix, so `covered`
-    /// identifies the replay tail unambiguously).
-    pub covered: usize,
-    /// The shard breaker's state after record `covered`.
-    pub snapshot: BreakerSnapshot,
-}
-
 /// Reduce a core error to the message the journal stores. For
 /// [`c2_bound::Error::Simulation`] this is the inner string (so the
 /// reconstruction in [`JobRecord::point_outcome`] is the identity);
@@ -217,7 +198,7 @@ pub fn bind_fingerprint(plan_fp: u64, scenario_fp: Option<u64>) -> u64 {
 /// contributes nothing (`None`) — every journal and cache written
 /// before backends existed was implicitly a CPU-CMP artifact and must
 /// keep its exact header bytes — while any other backend hashes its
-/// identity string, so a checkpoint or cache entry written under one
+/// identity string, so a journal or cache entry written under one
 /// backend can never be resumed or served under another.
 pub fn backend_fingerprint(identity: &str) -> Option<u64> {
     if identity == c2_bound::backend::CPU_CMP_IDENTITY {
@@ -239,8 +220,6 @@ pub struct JournalContents {
     /// Every fully-written record, in file (completion) order.
     /// Duplicate `seq`s keep the first occurrence.
     pub records: Vec<JobRecord>,
-    /// Every checkpoint line, in file order.
-    pub checkpoints: Vec<Checkpoint>,
     /// Whether the final line was truncated mid-write (normal for a
     /// killed run; the affected job is simply redone).
     pub truncated_tail: bool,
@@ -339,29 +318,6 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Append one checkpoint line (fsync unless `SyncPolicy::Never` —
-    /// a checkpoint that is not durable cannot bound anything).
-    pub fn checkpoint(&mut self, c: &Checkpoint) -> Result<()> {
-        let s = &c.snapshot;
-        let line = format!(
-            "{{\"c2ckpt\":{CHECKPOINT_VERSION},\"shard\":{},\"covered\":{},\"state\":\"{}\",\
-             \"failures\":{},\"shorted\":{},\"probes\":{},\"trips\":{},\"shorts\":{}}}",
-            c.shard,
-            c.covered,
-            s.state.as_str(),
-            s.consecutive_failures,
-            s.shorted_while_open,
-            s.probe_successes,
-            s.trips,
-            s.short_circuits
-        );
-        self.write_line(&line)?;
-        if self.sync != SyncPolicy::Never {
-            self.out.sync()?;
-        }
-        Ok(())
-    }
-
     /// Fsync everything written so far to the device.
     pub fn sync(&mut self) -> Result<()> {
         self.out.sync()
@@ -390,8 +346,7 @@ fn sibling_tmp(path: &Path) -> PathBuf {
 /// a run completes, so the durable journal's bytes are a pure function
 /// of the terminal outcomes — independent of the thread count that
 /// produced them, of live append (completion) order, and of how many
-/// crash/resume cycles the run went through. Checkpoints are dropped:
-/// a completed journal has nothing left to resume.
+/// crash/resume cycles the run went through.
 pub fn rewrite_canonical(path: &Path, header: &JournalHeader, records: &[JobRecord]) -> Result<()> {
     rewrite_canonical_with(&DISK, SyncPolicy::Never, path, header, records)
 }
@@ -438,20 +393,15 @@ pub struct CompactStats {
     pub records: usize,
     /// Duplicate records dropped.
     pub duplicates_dropped: usize,
-    /// Stale checkpoints dropped (older than the newest per shard).
-    pub checkpoints_dropped: usize,
-    /// Checkpoints kept (the newest per shard).
-    pub checkpoints_kept: usize,
     /// Whether a torn trailing line was dropped.
     pub torn_tail_dropped: bool,
 }
 
-/// Compact an (interrupted) journal in place: drop a torn tail, drop
-/// duplicate records, and keep only the newest checkpoint per shard,
-/// preserving record (file) order so the compacted journal resumes
-/// exactly like the original. The rewrite is atomic (sibling temp file
-/// plus rename), so a crash mid-compaction leaves the original journal
-/// untouched.
+/// Compact an (interrupted) journal in place: drop a torn tail,
+/// duplicate records and legacy `c2ckpt` lines, preserving record
+/// (file) order so the compacted journal resumes exactly like the
+/// original. The rewrite is atomic (sibling temp file plus rename), so
+/// a crash mid-compaction leaves the original journal untouched.
 pub fn compact(path: &Path) -> Result<CompactStats> {
     compact_with(&DISK, SyncPolicy::OnCheckpoint, path)
 }
@@ -459,42 +409,22 @@ pub fn compact(path: &Path) -> Result<CompactStats> {
 /// [`compact`] over an explicit storage and sync policy.
 pub fn compact_with(storage: &dyn Storage, sync: SyncPolicy, path: &Path) -> Result<CompactStats> {
     let contents = load_with(storage, path)?;
-    // Newest checkpoint per shard: the one covering the most records
-    // (ties resolved toward the later line).
-    let mut newest: Vec<Checkpoint> = Vec::new();
-    for c in &contents.checkpoints {
-        match newest.iter_mut().find(|k| k.shard == c.shard) {
-            Some(k) => {
-                if c.covered >= k.covered {
-                    *k = *c;
-                }
-            }
-            None => newest.push(*c),
-        }
-    }
-    newest.sort_by_key(|c| c.shard);
-    let stats = CompactStats {
-        records: contents.records.len(),
-        duplicates_dropped: contents.duplicate_records,
-        checkpoints_dropped: contents.checkpoints.len() - newest.len(),
-        checkpoints_kept: newest.len(),
-        torn_tail_dropped: contents.truncated_tail,
-    };
     let tmp = sibling_tmp(path);
     {
         let mut w = JournalWriter::create_with(storage, sync, &tmp, &contents.header)?;
         for r in &contents.records {
             w.record(r)?;
         }
-        for c in &newest {
-            w.checkpoint(c)?;
-        }
         if sync != SyncPolicy::Never {
             w.sync()?;
         }
     }
     storage.rename(&tmp, path)?;
-    Ok(stats)
+    Ok(CompactStats {
+        records: contents.records.len(),
+        duplicates_dropped: contents.duplicate_records,
+        torn_tail_dropped: contents.truncated_tail,
+    })
 }
 
 /// Parse journal text (exposed for truncation tests).
@@ -504,7 +434,6 @@ pub fn parse(text: &str) -> Result<JournalContents> {
     // empty; anything else there is a truncated record.
     let mut header: Option<JournalHeader> = None;
     let mut records = Vec::new();
-    let mut checkpoints = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut truncated_tail = false;
     let mut duplicate_records = 0usize;
@@ -540,20 +469,9 @@ pub fn parse(text: &str) -> Result<JournalContents> {
             valid_len = valid_len.max(line_end);
             continue;
         }
+        // A legacy checkpoint line: nothing resume reads.
         if fields.get("c2ckpt").is_some() {
-            match checkpoint_from(&fields) {
-                Some(c) => {
-                    checkpoints.push(c);
-                    valid_len = valid_len.max(line_end);
-                }
-                None if is_last_content => truncated_tail = true,
-                None => {
-                    return Err(Error::Journal(format!(
-                        "malformed checkpoint on line {}",
-                        i + 1
-                    )))
-                }
-            }
+            valid_len = valid_len.max(line_end);
             continue;
         }
         // Parsed as JSON but missing fields: torn at the tail.
@@ -577,7 +495,6 @@ pub fn parse(text: &str) -> Result<JournalContents> {
     Ok(JournalContents {
         header: header.ok_or_else(|| Error::Journal("journal has no header".into()))?,
         records,
-        checkpoints,
         truncated_tail,
         valid_len,
         duplicate_records,
@@ -625,24 +542,6 @@ fn record_from(fields: &Json) -> Option<JobRecord> {
         short_circuited: flag("short_circuited"),
         cached: flag("cached"),
         quarantined: flag("quarantined"),
-    })
-}
-
-fn checkpoint_from(fields: &Json) -> Option<Checkpoint> {
-    if fields.get("c2ckpt")?.as_u64()? != CHECKPOINT_VERSION {
-        return None;
-    }
-    Some(Checkpoint {
-        shard: count(fields, "shard")?,
-        covered: count(fields, "covered")?,
-        snapshot: BreakerSnapshot {
-            state: BreakerState::parse(fields.get("state")?.as_str()?)?,
-            consecutive_failures: count(fields, "failures")?,
-            shorted_while_open: count(fields, "shorted")?,
-            probe_successes: count(fields, "probes")?,
-            trips: count(fields, "trips")?,
-            short_circuits: count(fields, "shorts")?,
-        },
     })
 }
 
@@ -859,108 +758,48 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_round_trip_and_stay_out_of_records() {
-        let dir = std::env::temp_dir().join("c2runner-journal-ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("c-{}.jsonl", std::process::id()));
-        let ckpt = Checkpoint {
-            shard: 2,
-            covered: 5,
-            snapshot: BreakerSnapshot {
-                state: BreakerState::HalfOpen,
-                consecutive_failures: 0,
-                shorted_while_open: 1,
-                probe_successes: 1,
-                trips: 3,
-                short_circuits: 7,
-            },
-        };
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
-        w.record(&sample_records()[0]).unwrap();
-        w.checkpoint(&ckpt).unwrap();
-        w.record(&sample_records()[1]).unwrap();
-        drop(w);
-        let back = load(&path).unwrap();
-        assert_eq!(back.records.len(), 2);
-        assert_eq!(back.checkpoints, vec![ckpt]);
-        assert!(!back.truncated_tail);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_checkpoint_tail_is_tolerated_and_mid_file_is_fatal() {
-        let head = "{\"c2runner\":1,\"jobs\":2,\"fingerprint\":\"0000000000000007\"}\n";
-        // Torn at the tail: tolerated and flagged, valid prefix intact.
-        let mut text = String::from(head);
-        text.push_str("{\"c2ckpt\":1,\"shard\":0,\"cover");
-        let parsed = parse(&text).unwrap();
-        assert!(parsed.truncated_tail);
-        assert!(parsed.checkpoints.is_empty());
-        assert_eq!(parsed.valid_len, head.len());
-        // A checkpoint that parses as JSON but is missing fields,
-        // mid-file: a hard error.
-        let mut text = String::from(head);
-        text.push_str("{\"c2ckpt\":1,\"shard\":0}\n");
-        text.push_str("{\"seq\":0,\"attempts\":1,\"timeouts\":0,\"status\":\"ok\",\"time\":5.0}\n");
-        assert!(matches!(parse(&text), Err(Error::Journal(_))));
-    }
-
-    #[test]
-    fn compact_drops_torn_tail_duplicates_and_stale_checkpoints() {
+    fn compact_drops_torn_tail_duplicates_and_legacy_checkpoints() {
         let dir = std::env::temp_dir().join("c2runner-journal-compact");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("k-{}.jsonl", std::process::id()));
-        let snap = |trips: usize| BreakerSnapshot {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            shorted_while_open: 0,
-            probe_successes: 0,
-            trips,
-            short_circuits: 0,
+        let ckpt = |covered: usize| {
+            format!(
+                "{{\"c2ckpt\":1,\"shard\":0,\"covered\":{covered},\"state\":\"closed\",\
+                 \"failures\":0,\"shorted\":0,\"probes\":0,\"trips\":0,\"shorts\":0}}\n"
+            )
         };
         {
             let mut w = JournalWriter::create(&path, &header()).unwrap();
             w.record(&sample_records()[0]).unwrap();
-            w.checkpoint(&Checkpoint {
-                shard: 0,
-                covered: 1,
-                snapshot: snap(0),
-            })
-            .unwrap();
-            w.record(&sample_records()[0]).unwrap(); // duplicate seq 0
-            w.record(&sample_records()[1]).unwrap();
-            w.checkpoint(&Checkpoint {
-                shard: 0,
-                covered: 2,
-                snapshot: snap(1),
-            })
-            .unwrap();
         }
-        {
+        let append = |text: &str| {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
                 .unwrap();
-            write!(f, "{{\"seq\":2,\"atte").unwrap(); // torn tail
+            f.write_all(text.as_bytes()).unwrap();
+        };
+        append(&ckpt(1));
+        {
+            let mut w = JournalWriter::append(&path).unwrap();
+            w.record(&sample_records()[0]).unwrap(); // duplicate seq 0
+            w.record(&sample_records()[1]).unwrap();
         }
+        append(&ckpt(2));
+        append("{\"seq\":2,\"atte"); // torn tail
         let stats = compact(&path).unwrap();
         assert_eq!(stats.records, 2);
         assert_eq!(stats.duplicates_dropped, 1);
-        assert_eq!(stats.checkpoints_dropped, 1);
-        assert_eq!(stats.checkpoints_kept, 1);
         assert!(stats.torn_tail_dropped);
-        let back = load(&path).unwrap();
-        assert!(!back.truncated_tail);
-        assert_eq!(back.records.len(), 2);
-        assert_eq!(back.checkpoints.len(), 1);
-        assert_eq!(back.checkpoints[0].covered, 2);
-        assert_eq!(back.checkpoints[0].snapshot.trips, 1);
-        // Idempotent: compacting a compact journal changes nothing.
         let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("c2ckpt"), "{text}");
+        let back = parse(&text).unwrap();
+        assert!(!back.truncated_tail);
+        assert_eq!(back.records, sample_records()[..2]);
+        // Idempotent: compacting a compact journal changes nothing.
         let again = compact(&path).unwrap();
         assert_eq!(again.duplicates_dropped, 0);
-        assert_eq!(again.checkpoints_dropped, 0);
         assert!(!again.torn_tail_dropped);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         std::fs::remove_file(&path).ok();

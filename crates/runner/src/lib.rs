@@ -1,5 +1,5 @@
-//! Supervised, checkpointable job-execution engine for C2-Bound
-//! APS/DSE sweeps.
+//! Supervised, resumable job-execution engine for C2-Bound APS/DSE
+//! sweeps.
 //!
 //! The core crate's APS pipeline ([`c2_bound::Aps`]) decomposes its
 //! refinement stage into independent jobs; this crate executes those
@@ -15,9 +15,10 @@
 //!   consecutive oracle failures, short-circuits jobs to analytic
 //!   backfill while open, and probes half-open before trusting the
 //!   oracle again;
-//! * [`journal`] — a JSONL journal of terminal outcomes plus per-shard
-//!   breaker checkpoints, so a killed sweep resumes idempotently and
-//!   the merged result is identical to an uninterrupted run;
+//! * [`journal`] — a JSONL journal of terminal outcomes; a killed
+//!   sweep resumes idempotently by replaying every record through
+//!   fresh per-shard breakers, and the merged result is identical to
+//!   an uninterrupted run;
 //! * [`shard`] — the partition behind `RunConfig::threads`: whole
 //!   shards are work-stolen by OS threads, per-shard breaker/backoff
 //!   state is schedule-invariant, and per-shard outputs merge in shard
@@ -68,16 +69,13 @@ pub mod shard;
 pub mod storage;
 
 pub use backoff::BackoffPolicy;
-pub use breaker::{
-    Admission, BreakerPolicy, BreakerSnapshot, BreakerState, CircuitBreaker, Transition,
-};
+pub use breaker::{Admission, BreakerPolicy, BreakerState, CircuitBreaker, Transition};
 pub use cache::{cache_key, CachedEval, PhaseRecord};
 pub use chaos::{ChaosPlan, ChaosStorage};
 pub use engine::{RunConfig, RunReport, RunSummary, SweepRunner};
 pub use fault_oracle::InjectedOracle;
 pub use journal::{
-    bind_fingerprint, plan_fingerprint, Checkpoint, JobRecord, JournalHeader, JournalWriter,
-    SyncPolicy,
+    bind_fingerprint, plan_fingerprint, JobRecord, JournalHeader, JournalWriter, SyncPolicy,
 };
 pub use screen::{ScreenConfig, ScreenReport};
 pub use serve::{Daemon, JobState, ScenarioExecutor, ServeOptions, ServePolicy, ServeReport};

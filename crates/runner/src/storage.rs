@@ -1,9 +1,8 @@
 //! Durable-storage abstraction behind the journal and evaluation cache.
 //!
 //! Every byte the runner persists — journal headers, outcome records,
-//! checkpoints, canonical rewrites, cache snapshots — flows through the
-//! [`Storage`] trait instead of calling `std::fs` directly. That buys
-//! two things:
+//! canonical rewrites, cache snapshots — flows through the [`Storage`]
+//! trait instead of calling `std::fs` directly. That buys two things:
 //!
 //! 1. **Uniform error context.** Every failing operation names the path
 //!    it touched, so a sick disk yields a one-line diagnostic

@@ -3,8 +3,8 @@
 //!
 //! The tentpole property (DESIGN.md §11): for a seeded sweep, crash
 //! the process at the Nth storage write — for every N the run performs,
-//! covering the journal header, every record append, every checkpoint
-//! line, the canonical rewrite, and the cache publish — then resume
+//! covering the journal header, every record append, the canonical
+//! rewrite, and the cache publish — then resume
 //! with chaos disarmed, and the final journal bytes, cache bytes,
 //! metrics/trace snapshot, run report, and assembled outcome are all
 //! identical to a run that never crashed. At any thread count.
@@ -57,9 +57,10 @@ fn faults() -> FaultPlan {
     }
 }
 
-/// Sharded config with checkpointing every record (the tiny plan has
-/// one job per shard, so any larger cadence would never checkpoint)
-/// and retry/breaker headroom for the injected faults.
+/// Sharded config that appends and fsyncs every record (the tiny plan
+/// has one job per shard, so any larger cadence would only append at
+/// shard completion) and retry/breaker headroom for the injected
+/// faults.
 fn config(threads: usize) -> RunConfig {
     RunConfig {
         threads,
@@ -161,8 +162,8 @@ fn crash_anywhere_then_resume_is_bit_identical() {
         }
         let total_writes = exhausted_at.expect("matrix must exhaust within 500 writes") - 1;
         // The matrix must actually have covered the interesting crash
-        // points: header + 9 records + 9 checkpoints + canonical
-        // rewrite + cache publish is well over 20 writes.
+        // points: header + 9 records + the 10-line canonical rewrite +
+        // cache publish is over 20 writes.
         assert!(
             total_writes > 20,
             "only {total_writes} crash points at {threads} threads — matrix too small"
@@ -514,8 +515,8 @@ fn compact_preserves_resume_and_survives_its_own_crash() {
     let clean_cache = scratch("compact-clean.cache");
     let clean = run(config(1), &clean_journal, &clean_cache, false).expect("clean run");
 
-    // Interrupt a run mid-sweep (abort_after) to get a journal with
-    // checkpoints and a live append tail.
+    // Interrupt a run mid-sweep (abort_after) to get a journal with a
+    // live append tail.
     let journal_path = scratch("compact.jsonl");
     let cache_path = scratch("compact.cache");
     let partial = RunConfig {
@@ -545,8 +546,8 @@ fn compact_preserves_resume_and_survives_its_own_crash() {
         "a crashed compaction must leave the journal byte-identical"
     );
 
-    // A successful compaction keeps at most one checkpoint per shard
-    // and the journal still resumes to the clean artifacts.
+    // After a successful compaction the journal still resumes to the
+    // clean artifacts.
     let stats = journal::compact(&journal_path).expect("compact");
     assert_eq!(stats.records, 4);
     let recovered = run(config(1), &journal_path, &cache_path, true).expect("resume");
@@ -554,11 +555,10 @@ fn compact_preserves_resume_and_survives_its_own_crash() {
 }
 
 #[test]
-fn fast_path_resume_converges_without_observers() {
-    // The unobserved path (run_aps) restores breakers from checkpoints
-    // plus a bounded record tail instead of replaying everything; the
-    // final outcome and canonical journal must still match the clean
-    // observed run bit for bit.
+fn unobserved_resume_converges_to_the_observed_run() {
+    // run_aps resumes on the one replay path with nothing listening;
+    // the final outcome, canonical journal and cache must still match
+    // the clean observed run bit for bit.
     let clean_journal = scratch("fast-clean.jsonl");
     let clean_cache = scratch("fast-clean.cache");
     let clean = run(config(2), &clean_journal, &clean_cache, false).expect("clean run");
@@ -592,7 +592,7 @@ fn fast_path_resume_converges_without_observers() {
         Some(&journal_path),
         true,
     )
-    .expect("fast-path resume");
+    .expect("unobserved resume");
     assert!(resumed.report.completed);
     assert!(resumed.report.resumed >= 3);
     assert_eq!(resumed.outcome, clean.summary.outcome, "assembled outcome");

@@ -1,4 +1,4 @@
-//! End-to-end tests of the supervised engine: checkpoint/resume
+//! End-to-end tests of the supervised engine: journal/resume
 //! equality under fault injection, journal damage tolerance, circuit
 //! breaking, and crash accounting.
 //!

@@ -6,7 +6,7 @@
 //! workload → characterize → sweep → oracle → engine → Roofline
 //! pipeline on the supervised job engine (`c2-runner`), with
 //! per-attempt deadlines, retry with backoff, circuit breaking, and —
-//! with `--journal` — a checkpoint file that `--resume` picks up
+//! with `--journal` — a resume journal that `--resume` picks up
 //! idempotently after a crash. `--metrics-out` records a clock-free
 //! observability report (DESIGN.md §7); `obs-report` pretty-prints or
 //! re-exports such a report.
@@ -31,13 +31,15 @@
 //! ASCII log-log chart plus a per-candidate table.
 //!
 //! Durability knobs: `--sync never|on-checkpoint|always` picks the
-//! fsync policy, `--checkpoint-every N` the journal checkpoint cadence
-//! (0 disables), and `--chaos "crash-at=7,torn=3"` arms deterministic
-//! storage fault injection (keys: `crash-at`, `torn`, `enospc-at`,
-//! `short-at`, `seed`; write indices are 1-based) — the crash-matrix
-//! harness in a flag, for rehearsing crash/resume in the field.
+//! fsync policy, `--checkpoint-every N` the journal's flush and fsync
+//! cadence (each shard appends its records every N records; 0 appends
+//! only when a shard finishes), and `--chaos "crash-at=7,torn=3"` arms
+//! deterministic storage fault injection (keys: `crash-at`, `torn`,
+//! `enospc-at`, `short-at`, `seed`; write indices are 1-based) — the
+//! crash-matrix harness in a flag, for rehearsing crash/resume in the
+//! field.
 //! `journal compact` repairs and shrinks an interrupted journal in
-//! place (torn tail, duplicate records, stale checkpoints).
+//! place (torn tail, duplicate records, legacy `c2ckpt` lines).
 //!
 //! `serve` turns the same engine into a supervised multi-tenant
 //! daemon (DESIGN.md §12): a hand-rolled HTTP/1.1 listener with
@@ -603,9 +605,9 @@ fn cmd_run(args: &[String]) {
 
 /// `journal`: maintain resume journals. `compact` repairs and shrinks
 /// an interrupted journal in place — dropping a torn trailing line,
-/// duplicate records, and all but the newest checkpoint per shard —
-/// and reports what it did. Safe to run any number of times; a
-/// compacted journal resumes identically to the original.
+/// duplicate records, and legacy `c2ckpt` lines — and reports what it
+/// did. Safe to run any number of times; a compacted journal resumes
+/// identically to the original.
 fn cmd_journal(args: &[String]) {
     match args.first().map(String::as_str) {
         Some("compact") => {
@@ -616,12 +618,9 @@ fn cmd_journal(args: &[String]) {
                     std::process::exit(1);
                 });
             println!(
-                "compacted {path}: kept {} records and {} checkpoints \
-                 (dropped {} duplicate records, {} stale checkpoints{})",
+                "compacted {path}: kept {} records (dropped {} duplicate records{})",
                 stats.records,
-                stats.checkpoints_kept,
                 stats.duplicates_dropped,
-                stats.checkpoints_dropped,
                 if stats.torn_tail_dropped {
                     ", one torn tail"
                 } else {
@@ -636,7 +635,7 @@ fn cmd_journal(args: &[String]) {
 /// `scenario`: manage declarative scenario files. `init` emits the
 /// canonical defaults, `validate` parses and range-checks a file, and
 /// `show` prints the canonical rendering plus the fingerprint that a
-/// journaled `run --scenario` binds into its checkpoints.
+/// journaled `run --scenario` binds into its journal header.
 fn cmd_scenario(args: &[String]) {
     match args.first().map(String::as_str) {
         Some("init") => {

@@ -1,9 +1,28 @@
 //! Smoke tests for the `c2bound-tool` command-line program.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_c2bound-tool"))
+}
+
+const QUICK: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios/quick.json");
+
+/// Wait at most `limit` for `child`, polling, so a hang fails the test
+/// instead of stalling the suite.
+fn wait_bounded(mut child: Child, limit: Duration) -> Output {
+    let started = Instant::now();
+    while child.try_wait().expect("poll child").is_none() {
+        if started.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("child still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect child")
 }
 
 #[test]
@@ -362,5 +381,136 @@ fn threads_zero_scenario_runs_deterministically_on_workers_threads() {
         first,
         "the thread count must not change a byte"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume refuses a journal record with more attempts than
+/// `max_attempts` allows (quick.json allows 3): no run under the
+/// configuration writes one, and replay walks every claimed attempt,
+/// so `"attempts":1000000000000000` used to hang `--resume`. A record
+/// at the limit still resumes.
+#[test]
+fn resume_refuses_a_record_with_impossible_attempts() {
+    let dir = std::env::temp_dir().join(format!("c2bound-attempts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("hostile.jsonl");
+    let jarg = journal.to_str().unwrap();
+    let out = tool()
+        .args([
+            "run",
+            "--scenario",
+            QUICK,
+            "--threads",
+            "1",
+            "--journal",
+            jarg,
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let clean = std::fs::read_to_string(&journal).unwrap();
+    let first = "{\"seq\":0,\"attempts\":1,";
+    assert!(clean.contains(first), "{clean}");
+
+    let resume = |attempts: &str| {
+        let edited = clean.replace(first, &format!("{{\"seq\":0,\"attempts\":{attempts},"));
+        std::fs::write(&journal, edited).unwrap();
+        let child = tool()
+            .args(["run", "--scenario", QUICK, "--threads", "1"])
+            .args(["--journal", jarg, "--resume"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        wait_bounded(child, Duration::from_secs(60))
+    };
+    let out = resume("1000000000000000");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(
+            "journal record seq 0 has 1000000000000000 attempts, more than max_attempts 3"
+        ),
+        "{err}"
+    );
+    let out = resume("3");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/golden/legacy_checkpoint.journal.jsonl` is a journal an older
+/// engine wrote with `c2ckpt` checkpoint lines: quick.json at
+/// `--threads 1 --checkpoint-every 1`, crashed at storage write 8, so
+/// it holds the header, records 0–2, three `c2ckpt` lines and a torn
+/// tail. Resumed with chaos disarmed, it converges on a clean run's
+/// journal and metrics bytes; `journal compact` keeps its records,
+/// drops the torn tail and the checkpoints, and is idempotent.
+#[test]
+fn legacy_checkpoint_journal_resumes_and_compacts() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/legacy_checkpoint.journal.jsonl"
+    );
+    let dir = std::env::temp_dir().join(format!("c2bound-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |tag: &str, resume: bool| -> (Vec<u8>, Vec<u8>) {
+        let journal = dir.join(format!("{tag}.jsonl"));
+        let metrics = dir.join(format!("{tag}.metrics.json"));
+        let mut cmd = tool();
+        cmd.args(["run", "--scenario", QUICK, "--threads", "1"])
+            .args(["--checkpoint-every", "1"])
+            .args(["--journal", journal.to_str().unwrap()])
+            .args(["--metrics-out", metrics.to_str().unwrap()]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("spawn");
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            std::fs::read(journal).unwrap(),
+            std::fs::read(metrics).unwrap(),
+        )
+    };
+    let clean = run("clean", false);
+    std::fs::copy(golden, dir.join("resumed.jsonl")).unwrap();
+    assert_eq!(run("resumed", true), clean, "resumed journal and metrics");
+
+    let compacted = dir.join("compacted.jsonl");
+    std::fs::copy(golden, &compacted).unwrap();
+    let compact = |path: &Path| -> String {
+        let out = tool()
+            .args(["journal", "compact", path.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let report = compact(&compacted);
+    assert!(report.contains("kept 3 records"), "{report}");
+    assert!(report.contains("one torn tail"), "{report}");
+    let text = std::fs::read_to_string(&compacted).unwrap();
+    assert!(!text.contains("c2ckpt"), "{text}");
+    assert_eq!(text.lines().count(), 4, "header and three records: {text}");
+    let again = compact(&compacted);
+    assert!(!again.contains("torn"), "{again}");
+    assert_eq!(std::fs::read_to_string(&compacted).unwrap(), text);
     let _ = std::fs::remove_dir_all(&dir);
 }
