@@ -495,7 +495,6 @@ impl BackendSweep for GpuSmBackend {
             throughput: self.model.work_flops / best_time,
             cpi: best_time / self.model.work_flops,
             concurrency: self.model.resident_warps,
-            newton_converged: false,
             split_solve: SplitSolve::SimplexFallback,
         };
         let mut jobs = Vec::with_capacity(self.space.issue().len() * self.space.rob().len());

@@ -82,10 +82,7 @@ pub use dse::{DesignPoint, DesignSpace, GroundTruth, Oracle};
 pub use energy::{MultiObjective, PowerModel};
 pub use mem_model::{CacheSensitivity, MemoryModel};
 pub use model::{C2BoundModel, DesignVariables, OptimizationCase, ProgramProfile};
-pub use optimize::{
-    optimize, optimize_observed, optimize_observed_tuned, optimize_tuned, OptimalDesign,
-    SolverTuning, SplitSolve,
-};
+pub use optimize::{optimize, optimize_observed_tuned, OptimalDesign, SolverTuning, SplitSolve};
 pub use phase::{PhaseEstimate, PhaseOracle, PhasePlan, PhaseSummary};
 pub use scaling::{ScalingPoint, ScalingStudy};
 pub use scenario::{

@@ -28,7 +28,6 @@ use c2_solver::lagrange::solve_active_set_observed;
 use c2_solver::linalg::Matrix;
 use c2_solver::nelder::{nelder_mead, NelderMeadOptions};
 use c2_solver::newton::NewtonOptions;
-use c2_solver::robust::{SolveQuality, SolveStrategy};
 
 use crate::model::{C2BoundModel, DesignVariables, OptimizationCase};
 use crate::{Error, Result};
@@ -98,12 +97,11 @@ impl SolverTuning {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitSolve {
     /// The active-set KKT solve produced a clean (full-tolerance)
-    /// solution; the payload names the Newton stage that won
-    /// ([`SolveStrategy::NominalNewton`]).
-    Kkt(SolveStrategy),
+    /// solution.
+    Kkt,
     /// The active-set KKT solve produced a usable but degraded solution
     /// (the winning face's residual stalled above the Newton tolerance).
-    KktDegraded(SolveStrategy),
+    KktDegraded,
     /// No face gave a feasible KKT point, or the best one lost to the
     /// grid seed; the Nelder–Mead simplex on the free fractions produced
     /// the answer.
@@ -113,7 +111,7 @@ pub enum SplitSolve {
 impl SplitSolve {
     /// `true` for a clean KKT solve (the paper's nominal Eq. 13 route).
     pub fn is_clean_kkt(&self) -> bool {
-        matches!(self, SplitSolve::Kkt(_))
+        matches!(self, SplitSolve::Kkt)
     }
 }
 
@@ -132,11 +130,8 @@ pub struct OptimalDesign {
     pub cpi: f64,
     /// Data-access concurrency `C` at the optimum.
     pub concurrency: f64,
-    /// `true` if the final `N`'s split came from a clean KKT solve
-    /// (false = degraded, or the Nelder–Mead fallback).
-    pub newton_converged: bool,
-    /// Full degradation-ladder diagnostics for the final `N`'s split
-    /// solve (refines `newton_converged`).
+    /// Which rung of the degradation ladder solved the final `N`'s
+    /// split ([`SplitSolve::is_clean_kkt`] for the paper's route).
     pub split_solve: SplitSolve,
 }
 
@@ -163,22 +158,13 @@ pub fn optimize_split_report(
     model: &C2BoundModel,
     n: f64,
 ) -> Result<(DesignVariables, SplitSolve)> {
-    optimize_split_report_observed(model, n, &NullSink)
+    optimize_split_report_observed_tuned(model, n, &SolverTuning::default(), &NullSink)
 }
 
-/// [`optimize_split_report`] with the KKT solve instrumented: its rung
-/// entry and its acceptance or failure go to `sink` under the `solver`
-/// scope; a Nelder–Mead rescue is counted under
-/// `aps_split_fallback_total`.
-pub fn optimize_split_report_observed(
-    model: &C2BoundModel,
-    n: f64,
-    sink: &dyn MetricsSink,
-) -> Result<(DesignVariables, SplitSolve)> {
-    optimize_split_report_observed_tuned(model, n, &SolverTuning::default(), sink)
-}
-
-/// [`optimize_split_report_observed`] with explicit solver tolerances.
+/// [`optimize_split_report`] with explicit solver tolerances and the
+/// KKT solve instrumented: its rung entry and its acceptance or failure
+/// go to `sink` under the `solver` scope; a Nelder–Mead rescue is
+/// counted under `aps_split_fallback_total`.
 pub fn optimize_split_report_observed_tuned(
     model: &C2BoundModel,
     n: f64,
@@ -279,9 +265,10 @@ pub fn optimize_split_report_observed_tuned(
         // Accept the KKT point only if it actually beats the seed (KKT
         // also matches saddle points).
         if sol.objective <= objective(&seed) + 1e-12 {
-            let solve = match sol.report.quality {
-                SolveQuality::Clean => SplitSolve::Kkt(sol.report.strategy),
-                SolveQuality::Degraded => SplitSolve::KktDegraded(sol.report.strategy),
+            let solve = if sol.clean {
+                SplitSolve::Kkt
+            } else {
+                SplitSolve::KktDegraded
             };
             return Ok((v, solve));
         }
@@ -321,24 +308,14 @@ pub fn optimize_split_report_observed_tuned(
 
 /// Full two-level optimization (Fig 6).
 pub fn optimize(model: &C2BoundModel) -> Result<OptimalDesign> {
-    optimize_observed(model, &NullSink)
+    optimize_observed_tuned(model, &SolverTuning::default(), &NullSink)
 }
 
-/// [`optimize`] with explicit solver tolerances.
-pub fn optimize_tuned(model: &C2BoundModel, tuning: &SolverTuning) -> Result<OptimalDesign> {
-    optimize_observed_tuned(model, tuning, &NullSink)
-}
-
-/// [`optimize`] with the *final* split solve instrumented. The outer
-/// N-scan runs dozens of inner solves; observing every one would
-/// flood the trace with near-identical solver events, so only the
-/// definitive solve at the chosen `N*` reports to `sink` (the scan
-/// stays on a [`NullSink`]).
-pub fn optimize_observed(model: &C2BoundModel, sink: &dyn MetricsSink) -> Result<OptimalDesign> {
-    optimize_observed_tuned(model, &SolverTuning::default(), sink)
-}
-
-/// [`optimize_observed`] with explicit solver tolerances.
+/// [`optimize`] with explicit solver tolerances and the *final* split
+/// solve instrumented. The outer N-scan runs dozens of inner solves;
+/// observing every one would flood the trace with near-identical solver
+/// events, so only the definitive solve at the chosen `N*` reports to
+/// `sink` (the scan stays on a [`NullSink`]).
 pub fn optimize_observed_tuned(
     model: &C2BoundModel,
     tuning: &SolverTuning,
@@ -400,7 +377,6 @@ pub fn optimize_observed_tuned(
         concurrency: model.concurrency(&vars),
         vars,
         case,
-        newton_converged: split_solve.is_clean_kkt(),
         split_solve,
     })
 }
@@ -564,7 +540,7 @@ mod tests {
     fn tuned_optimize_with_defaults_matches_untuned() {
         let m = C2BoundModel::example_big_data();
         let a = optimize(&m).unwrap();
-        let b = optimize_tuned(&m, &SolverTuning::default()).unwrap();
+        let b = optimize_observed_tuned(&m, &SolverTuning::default(), &NullSink).unwrap();
         assert_eq!(a, b);
     }
 

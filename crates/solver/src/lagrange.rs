@@ -29,10 +29,7 @@
 use std::cell::{Ref, RefCell};
 
 use crate::linalg::Matrix;
-use crate::newton::{newton_system, NewtonOptions};
-use crate::robust::{
-    emit_accepted, emit_rung, emit_rung_failed, SolveQuality, SolveReport, SolveStrategy,
-};
+use crate::newton::{newton_system, NewtonOptions, NewtonSolution};
 use crate::{Error, Result};
 use c2_obs::{MetricsSink, NullSink};
 
@@ -47,10 +44,11 @@ pub struct ActiveSetSolution {
     pub objective: f64,
     /// Indices of the coordinates pinned at the lower bound.
     pub pinned: Vec<usize>,
-    /// The winning face's Newton solve (over `[x_free ; λ]`): always
-    /// [`SolveStrategy::NominalNewton`] with no retries, clean when its
-    /// residual meets the Newton tolerance.
-    pub report: SolveReport,
+    /// The winning face's Newton solve, over `[x_free ; λ]`.
+    pub solution: NewtonSolution,
+    /// Whether that solve's residual meets the Newton tolerance (a
+    /// `false` point is usable but degraded).
+    pub clean: bool,
 }
 
 /// Minimize `f` over `{x : Σ x_i = total, x_i ≥ lower}`.
@@ -77,8 +75,17 @@ where
     solve_active_set_observed(f, derivatives, seed, total, lower, opts, &NullSink)
 }
 
+/// The solve's rung name in `solver` events. It, the `retries` field
+/// and the `cascade.*` event names are pinned by the trace goldens
+/// (`faulty_sweep.events.jsonl`), which predate the active-set solve.
+const RUNG: &str = "nominal-newton";
+/// Histogram ladder for Newton iteration counts.
+const ITERATION_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+/// Histogram ladder for accepted-solution residuals.
+const RESIDUAL_BOUNDS: &[f64] = &[1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0];
+
 /// [`solve_active_set`] reporting to `sink` under the `solver` scope,
-/// as one [`SolveStrategy::NominalNewton`] rung: `cascade.rung`, then
+/// as one `nominal-newton` rung: `cascade.rung`, then
 /// `cascade.accepted` (with the pinned set as `pinned`) or
 /// `cascade.rung_failed`. Per-face solves do not report.
 pub fn solve_active_set_observed<F, D>(
@@ -94,20 +101,56 @@ where
     F: Fn(&[f64]) -> f64,
     D: Fn(&[f64], &mut [f64], &mut Matrix),
 {
-    emit_rung(sink, SolveStrategy::NominalNewton);
+    sink.event("solver", "cascade.rung", &[("rung", RUNG.into())]);
     match best_face(&f, &derivatives, seed, total, lower, opts) {
         Ok(sol) => {
-            let pinned: Vec<String> = sol.pinned.iter().map(usize::to_string).collect();
-            let pinned = format!("{{{}}}", pinned.join(","));
-            emit_accepted(sink, &sol.report, &[("pinned", pinned.into())]);
+            emit_accepted(sink, &sol);
             Ok(sol)
         }
         Err(e) => {
-            emit_rung_failed(sink, SolveStrategy::NominalNewton, &e);
+            sink.counter_add("solver_rung_failures_total", 1);
+            sink.event(
+                "solver",
+                "cascade.rung_failed",
+                &[("rung", RUNG.into()), ("error", e.to_string().into())],
+            );
             sink.counter_add("solver_solve_failures_total", 1);
             Err(e)
         }
     }
+}
+
+/// Report an accepted solve: the solve counter, the iteration and
+/// residual histograms and the `cascade.accepted` event.
+fn emit_accepted(sink: &dyn MetricsSink, sol: &ActiveSetSolution) {
+    let NewtonSolution {
+        iterations,
+        residual,
+        ..
+    } = sol.solution;
+    sink.counter_add("solver_solves_total", 1);
+    sink.observe(
+        "solver_newton_iterations",
+        ITERATION_BOUNDS,
+        iterations as f64,
+    );
+    sink.observe("solver_residual", RESIDUAL_BOUNDS, residual);
+    let pinned: Vec<String> = sol.pinned.iter().map(usize::to_string).collect();
+    sink.event(
+        "solver",
+        "cascade.accepted",
+        &[
+            ("rung", RUNG.into()),
+            ("retries", 0usize.into()),
+            (
+                "quality",
+                if sol.clean { "clean" } else { "degraded" }.into(),
+            ),
+            ("iterations", iterations.into()),
+            ("residual", residual.into()),
+            ("pinned", format!("{{{}}}", pinned.join(",")).into()),
+        ],
+    );
 }
 
 fn best_face<F, D>(
@@ -241,23 +284,13 @@ where
     if !objective.is_finite() {
         return Err(Error::NoFeasibleKktPoint);
     }
-    let quality = if solution.residual <= opts.tol {
-        SolveQuality::Clean
-    } else {
-        SolveQuality::Degraded
-    };
     Ok(ActiveSetSolution {
         x,
         multiplier: lambda,
         objective,
         pinned: (0..n).filter(|i| mask & (1 << i) != 0).collect(),
-        report: SolveReport {
-            solution,
-            strategy: SolveStrategy::NominalNewton,
-            retries: 0,
-            quality,
-            attempts: Vec::new(),
-        },
+        clean: solution.residual <= opts.tol,
+        solution,
     })
 }
 
@@ -294,10 +327,9 @@ mod tests {
         assert!((s.multiplier + 2.0).abs() < 1e-12, "{}", s.multiplier);
         assert!((s.objective - 2.0).abs() < 1e-12);
         assert!(s.pinned.is_empty());
-        assert!(s.report.is_clean());
-        assert_eq!(s.report.strategy, SolveStrategy::NominalNewton);
+        assert!(s.clean);
         // A quadratic's KKT system is linear: one exact Newton step.
-        assert!(s.report.solution.iterations <= 1);
+        assert!(s.solution.iterations <= 1);
     }
 
     #[test]
@@ -314,7 +346,7 @@ mod tests {
         assert!((s.x[1] - 1.75).abs() < 1e-12, "{:?}", s.x);
         // μ_z = ∂f/∂z + λ = 2(0.5 + 1) − 2(1.75 − 3) ≥ 0.
         assert!(2.0 * 1.5 + s.multiplier > 0.0);
-        assert!(s.report.is_clean());
+        assert!(s.clean);
     }
 
     #[test]
@@ -380,7 +412,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.x, vec![0.0, 2.0]);
-        assert!(s.report.is_clean());
+        assert!(s.clean);
         assert_eq!(s.objective, 0.0);
     }
 
@@ -400,7 +432,7 @@ mod tests {
         .unwrap();
         assert!(s.pinned.is_empty());
         assert_eq!(s.x, vec![1.0, 2.0, 3.0]);
-        assert_eq!(s.report.solution.iterations, 0);
+        assert_eq!(s.solution.iterations, 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!
 //! * [`linalg`] — small dense matrices, LU decomposition with partial
 //!   pivoting, linear solves;
-//! * [`roots`] — scalar Newton–Raphson with bisection safeguarding;
 //! * [`newton`] — damped multivariate Newton with a caller-supplied
 //!   Jacobian (closed-form, or [`newton::forward_difference`]);
 //! * [`golden`] — golden-section minimization for 1-D subproblems;
@@ -17,11 +16,7 @@
 //! * [`lagrange`] — minimization on a bounded simplex (`Σx = total`,
 //!   `x ≥ lower`, the shape of Eq. 13) by enumerating active sets and
 //!   solving each face's KKT system with [`newton`] and the caller's
-//!   closed-form gradient and Hessian;
-//! * [`robust`] — resilient fallback cascade (nominal Newton →
-//!   perturbed restarts → derivative-free) for systems given only as a
-//!   residual, with a structured [`SolveReport`] distinguishing clean
-//!   from degraded solves.
+//!   closed-form gradient and Hessian.
 //!
 //! ```
 //! use c2_solver::newton::{forward_difference, newton_system, NewtonOptions};
@@ -45,8 +40,6 @@ pub mod lagrange;
 pub mod linalg;
 pub mod nelder;
 pub mod newton;
-pub mod robust;
-pub mod roots;
 
 pub use golden::golden_section;
 pub use grid::{grid_minimize, GridSpec};
@@ -54,10 +47,6 @@ pub use lagrange::{solve_active_set, solve_active_set_observed, ActiveSetSolutio
 pub use linalg::Matrix;
 pub use nelder::{nelder_mead, NelderMeadOptions};
 pub use newton::{forward_difference, newton_system, NewtonOptions, NewtonSolution};
-pub use robust::{
-    solve_robust, solve_robust_observed, RobustOptions, SolveQuality, SolveReport, SolveStrategy,
-};
-pub use roots::{bisect, newton_scalar};
 
 /// Errors from the numerical routines.
 #[derive(Debug, Clone, PartialEq)]

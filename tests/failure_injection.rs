@@ -138,25 +138,6 @@ fn multicore_determinism_under_contention() {
 }
 
 #[test]
-fn newton_divergent_system_is_rescued_by_the_cascade() {
-    use c2bound::solver::{solve_robust, RobustOptions, SolveStrategy};
-    // f(x) = x^2 - 1 from x0 = 0: the Jacobian is singular at the start,
-    // so the nominal Newton attempt fails outright; a perturbed restart
-    // must rescue it.
-    let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] * x[0] - 1.0;
-    let report = solve_robust(f, &[0.0], &RobustOptions::default()).unwrap();
-    assert!(report.is_clean());
-    assert!(
-        !matches!(report.strategy, SolveStrategy::NominalNewton),
-        "nominal Newton cannot start from a singular Jacobian"
-    );
-    assert!(report.retries > 0);
-    assert!((report.solution.x[0].abs() - 1.0).abs() < 1e-8);
-    // The report names the winning strategy for diagnostics.
-    assert!(report.strategy.to_string().contains("newton"));
-}
-
-#[test]
 fn oracle_failure_mid_refinement_skips_and_degrades() {
     use c2bound::model::dse::DesignSpace;
     use c2bound::model::{Aps, C2BoundModel, DegradationLevel, ResiliencePolicy};

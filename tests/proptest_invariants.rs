@@ -213,30 +213,6 @@ proptest! {
         prop_assert!(build(pmr1, pmr2 * shrink).camat() <= base + 1e-12);
     }
 
-    /// The robust solver cascade never returns a non-finite solution,
-    /// whatever the (possibly ill-conditioned) polynomial system or
-    /// start point.
-    #[test]
-    fn solve_robust_solutions_are_finite(
-        a in -3.0f64..3.0,
-        b in -3.0f64..3.0,
-        c in -2.0f64..2.0,
-        x0 in -4.0f64..4.0,
-        y0 in -4.0f64..4.0,
-    ) {
-        use c2bound::solver::{solve_robust, RobustOptions};
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = x[0] * x[0] + a * x[1] - b;
-            out[1] = c * x[1] * x[1] * x[1] + x[0] - a;
-        };
-        if let Ok(report) = solve_robust(f, &[x0, y0], &RobustOptions::default()) {
-            prop_assert!(report.solution.x.iter().all(|v| v.is_finite()),
-                "non-finite solution: {:?}", report.solution.x);
-            prop_assert!(report.solution.residual.is_finite());
-            prop_assert!(report.retries <= RobustOptions::default().max_restarts + 1);
-        }
-    }
-
     /// APS with an arbitrarily flaky oracle: as long as at least one
     /// refinement point succeeds, the run returns an outcome whose log
     /// accounts for every point; when every point fails, it errors.

@@ -35,7 +35,7 @@ fn every_shipped_cpu_plan_solves_cleanly_and_fits_the_budget() {
             let what = format!("{file} under {law:?}");
 
             assert!(
-                matches!(plan.analytic.split_solve, SplitSolve::Kkt(_)),
+                matches!(plan.analytic.split_solve, SplitSolve::Kkt),
                 "{what}: split solved by {:?}",
                 plan.analytic.split_solve
             );
