@@ -103,7 +103,9 @@ pub fn read_request(
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        // A head that ends past the cap is as oversized as one that
+        // has not ended yet.
+        if let Some(pos) = find_head_end(&buf).filter(|&pos| pos <= MAX_HEAD_BYTES) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {

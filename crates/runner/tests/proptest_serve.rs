@@ -1,16 +1,23 @@
-//! Property test for the serve layer's observability contract: every
-//! `serve_*` metric the daemon ever emits is declared in
-//! [`c2_obs::names::SERVE_METRIC_NAMES`].
+//! Property tests for the serve layer.
 //!
-//! Each case boots a real daemon on an ephemeral port, throws a random
-//! mix of traffic at it — valid submissions, invalid documents, status
+//! The observability contract: every `serve_*` metric the daemon ever
+//! emits is declared in [`c2_obs::names::SERVE_METRIC_NAMES`]. Each
+//! case boots a real daemon on an ephemeral port, throws a random mix
+//! of traffic at it — valid submissions, invalid documents, status
 //! probes, wrong methods, unknown endpoints, raw garbage — waits for
 //! the admitted jobs to settle, scrapes `/metrics`, and checks the
 //! scrape against the registry. A metric name minted in `listener.rs`
 //! but forgotten in `names.rs` fails here on the first case that
 //! tickles its code path.
+//!
+//! The HTTP reader: seeded mutations of the requests the daemon serves
+//! (truncation, bit flips, splices of two requests, one oversized
+//! header or body) fed to `read_request` through a loopback socket
+//! return a request or a typed `ProtocolError` within the read
+//! deadline, and never panic.
 
 use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -20,7 +27,8 @@ use c2_bound::C2BoundModel;
 use c2_config::Scenario;
 use c2_obs::names::SERVE_METRIC_NAMES;
 use c2_obs::MetricsSink;
-use c2_runner::serve::protocol::http_call;
+use c2_runner::serve::protocol::{http_call, read_request, MAX_HEAD_BYTES};
+use c2_runner::serve::{ProtocolError, Request};
 use c2_runner::{
     Daemon, RunConfig, RunSummary, ScenarioExecutor, ServeOptions, ServePolicy, SweepRunner,
 };
@@ -202,4 +210,107 @@ fn the_serve_metric_registry_is_unique_and_namespaced() {
         assert!(seen.insert(*name), "{name} is registered twice");
     }
     assert!(!seen.is_empty());
+}
+
+/// The read deadline and body cap the HTTP reader is fuzzed under.
+const READ_TIMEOUT_MS: u64 = 2_000;
+const MAX_BODY_BYTES: usize = 64 << 10;
+
+/// The three requests the daemon serves, as a client sends them.
+fn valid_requests() -> [Vec<u8>; 3] {
+    let scenario = Scenario::default().render_pretty();
+    let submit = format!(
+        "POST /submit HTTP/1.1\r\nHost: 127.0.0.1\r\nX-Tenant: alice\r\n\
+         Content-Length: {}\r\n\r\n{scenario}",
+        scenario.len()
+    );
+    [
+        submit.into_bytes(),
+        b"GET /status/job0001 HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 0\r\n\r\n".to_vec(),
+        b"POST /shutdown HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 0\r\n\r\n".to_vec(),
+    ]
+}
+
+/// One seeded mutation of request `a`: `kind` 0 truncates it, 1 flips
+/// the `flips` bits, 2 splices `a`'s head onto `b`'s tail, and 3 plants
+/// one oversized field after the request line: a header past
+/// [`MAX_HEAD_BYTES`], or a declared body past the cap.
+fn mutate(a: &[u8], b: &[u8], kind: u8, at: f64, flips: &[(f64, u8)]) -> Vec<u8> {
+    let cut = |s: &[u8]| (at * s.len() as f64) as usize;
+    let mut bytes = a.to_vec();
+    match kind {
+        0 => bytes.truncate(cut(a)),
+        1 => {
+            for &(pos, bit) in flips {
+                let i = ((pos * bytes.len() as f64) as usize).min(bytes.len() - 1);
+                bytes[i] ^= 1 << bit;
+            }
+        }
+        2 => {
+            bytes.truncate(cut(a));
+            bytes.extend_from_slice(&b[cut(b)..]);
+        }
+        _ => {
+            let line_end = bytes.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+            let field = if at < 0.5 {
+                format!("X-Pad: {}\r\n", "x".repeat(MAX_HEAD_BYTES))
+            } else {
+                // The first Content-Length wins: declare the padded
+                // body honestly, then send it.
+                let body =
+                    bytes.len() - bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() - 4;
+                bytes.resize(bytes.len() + MAX_BODY_BYTES + 1, b'x');
+                format!("Content-Length: {}\r\n", body + MAX_BODY_BYTES + 1)
+            };
+            bytes.splice(line_end..line_end, field.into_bytes());
+        }
+    }
+    bytes
+}
+
+/// Feed `raw` to `read_request` through a loopback socket, from a
+/// client that writes it all and closes; returns the result and how
+/// long the read took.
+fn read(raw: Vec<u8>) -> (Result<Request, ProtocolError>, Duration) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let writer = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        // A reader that rejects early resets the connection mid-write.
+        let _ = s.write_all(&raw);
+    });
+    let (mut stream, _) = listener.accept().unwrap();
+    let started = Instant::now();
+    let got = read_request(&mut stream, READ_TIMEOUT_MS, MAX_BODY_BYTES);
+    let took = started.elapsed();
+    drop(stream);
+    writer.join().unwrap();
+    (got, took)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A mutated request reads as a request or a typed error before the
+    /// deadline, never a panic; what reads is within the caps, and an
+    /// oversized field is refused.
+    #[test]
+    fn mutated_requests_read_or_fail_typed_within_the_deadline(
+        a in 0usize..3,
+        b in 0usize..3,
+        kind in 0u8..4,
+        at in 0.0f64..1.0,
+        flips in prop::collection::vec((0.0f64..1.0, 0u8..8), 1..8),
+    ) {
+        let seeds = valid_requests();
+        prop_assert!(read(seeds[a].clone()).0.is_ok(), "seed {a} must read");
+        let (got, took) = read(mutate(&seeds[a], &seeds[b], kind, at, &flips));
+        prop_assert!(took < Duration::from_millis(READ_TIMEOUT_MS), "{took:?}: {got:?}");
+        if kind == 3 {
+            let field = if at < 0.5 { "header block" } else { "body" };
+            prop_assert_eq!(got, Err(ProtocolError::TooLarge(field)));
+        } else if let Ok(request) = got {
+            prop_assert!(request.body.len() <= MAX_BODY_BYTES);
+        }
+    }
 }
