@@ -89,28 +89,38 @@ echo "== crash matrix (library) =="
 cargo test -q -p c2-runner --test crash_matrix
 
 echo "== CLI crash/resume smoke (quick.json, three crash points) =="
-# Kill the engine early (write 3: a record append), in the middle
-# (write 12: checkpoint region), and at the very last write the run
-# performs (write 20); resume each on honest storage and demand bytes
-# identical to the clean run.
+# --checkpoint-every 1 makes every record a flush-and-fsync boundary,
+# so the run makes 20 storage writes: the header, nine record appends
+# and the 10-line canonical rewrite. Kill the engine early (write 3: a
+# record append), inside the canonical rewrite (write 12), and at the
+# last write (write 20); resume each on honest storage and demand bytes
+# identical to the clean run. No journal may hold a `c2ckpt` line.
+no_checkpoint_lines() {
+    if grep -qs c2ckpt "$@"; then
+        echo "error: a journal holds a c2ckpt line: $*" >&2
+        exit 1
+    fi
+}
 clean="${smoke_dir}/crash-clean"
 cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
-    --threads 2 --checkpoint-every 2 \
+    --threads 2 --checkpoint-every 1 \
     --journal "${clean}.jsonl" --metrics-out "${clean}.json" > /dev/null
 for n in 3 12 20; do
     out="${smoke_dir}/crash-n${n}"
     if cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
-        --threads 2 --checkpoint-every 2 --chaos "crash-at=${n},seed=${n}" \
+        --threads 2 --checkpoint-every 1 --chaos "crash-at=${n},seed=${n}" \
         --journal "${out}.jsonl" > /dev/null 2>&1; then
         echo "error: chaos crash-at=${n} did not fire" >&2
         exit 1
     fi
+    no_checkpoint_lines "${out}.jsonl" "${out}.jsonl.tmp"
     cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
-        --threads 2 --checkpoint-every 2 --resume \
+        --threads 2 --checkpoint-every 1 --resume \
         --journal "${out}.jsonl" --metrics-out "${out}.json" > /dev/null
     cmp "${clean}.jsonl" "${out}.jsonl"
     cmp "${clean}.json" "${out}.json"
 done
+no_checkpoint_lines "${smoke_dir}"/crash-*.jsonl
 
 echo "== serve daemon smoke (two tenants, drain mid-run, resume, bit-identity) =="
 serve_dir="${smoke_dir}/serve-jobs"
