@@ -60,9 +60,9 @@ pub enum SyncPolicy {
     /// Flush to the OS only; never fsync. Fastest, loses the OS cache
     /// on power failure (not on process death).
     Never,
-    /// Fsync every `checkpoint_every` records (the engine's flush
-    /// cadence) and before atomic renames. The default: bounded data
-    /// loss at a bounded cost.
+    /// Fsync every `checkpoint_every` records (that key sets the flush
+    /// and fsync cadence) and before atomic renames. The default:
+    /// bounded data loss at a bounded cost.
     #[default]
     OnCheckpoint,
     /// Fsync after every record. Maximum durability.
