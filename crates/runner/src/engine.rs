@@ -44,15 +44,17 @@
 //!
 //! ## Resume bit-identity (DESIGN.md §10–§11)
 //!
-//! Every job splits into a pure **decision** ([`decide_sharded_job`],
-//! which runs the oracle against a *clone* of the shard breaker and
-//! emits nothing) and a deterministic **emission**
-//! ([`emit_job_events`], which drives the real breaker and emits the
-//! canonical event/metric sequence for a terminal record). Live jobs
-//! run both halves; resumed jobs re-run only the emission half from
-//! their journal record. Metrics and traces of a resumed run are
-//! therefore identical to the uninterrupted run's *by construction* —
-//! the same function produced them from the same records.
+//! Every job splits into a pure **decision** (`decide_sharded_job`,
+//! which runs the oracle against a *clone* of the shard breaker, emits
+//! nothing and returns the job's [`JobRecord`]) and a deterministic
+//! **emission** (`step_record`, which drives the real breaker and
+//! emits the canonical event/metric sequence for that record). Live
+//! jobs run both halves; resumed jobs re-run only the emission half on
+//! their journal record. The summary's per-job outcomes are decoded
+//! from the same records ([`JobRecord::point_outcome`]). Metrics,
+//! traces and outcomes of a resumed run are therefore identical to the
+//! uninterrupted run's *by construction* — the same functions produced
+//! them from the same records.
 //!
 //! Operational metrics that legitimately differ between a clean run
 //! and a crash/resume run (tails truncated, records replayed, caches
@@ -284,7 +286,7 @@ pub struct RunReport {
     pub skipped: usize,
     /// Dead jobs degraded to a calibrated analytic estimate.
     pub backfilled: usize,
-    /// Terminal outcomes satisfied from the journal instead of re-run.
+    /// Jobs whose outcome came from the journal, not a re-run.
     pub resumed: usize,
     /// Jobs that consumed more than one oracle attempt.
     pub retried: usize,
@@ -331,7 +333,9 @@ pub struct RunSummary {
     /// Per-job terminal outcomes, `(seq, outcome)` in `seq` order —
     /// the raw material the roofline overlay decomposes. Present even
     /// for interrupted runs (then covering only the jobs that
-    /// terminated).
+    /// terminated). Each is its journal record's
+    /// [`JobRecord::point_outcome`], so a dead job's error is
+    /// [`c2_bound::Error::Simulation`] whether it ran live or resumed.
     pub results: Vec<(usize, PointOutcome)>,
 }
 
@@ -339,30 +343,6 @@ pub struct RunSummary {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     config: RunConfig,
-}
-
-/// A job's terminal outcome plus engine-side bookkeeping.
-#[derive(Debug, Clone)]
-struct Terminal {
-    outcome: PointOutcome,
-    short_circuited: bool,
-    timeouts: usize,
-    cached: bool,
-    quarantined: bool,
-}
-
-impl Terminal {
-    /// A job that ended on its own attempts: not cached, not
-    /// short-circuited, not quarantined.
-    fn live(attempts: usize, result: c2_bound::Result<f64>, timeouts: usize) -> Self {
-        Terminal {
-            outcome: PointOutcome { attempts, result },
-            short_circuited: false,
-            timeouts,
-            cached: false,
-            quarantined: false,
-        }
-    }
 }
 
 /// Reject a zero-job refinement plan before any journal or cache file
@@ -707,29 +687,6 @@ impl SweepRunner {
     {
         self.run_aps_full(sweep, make_oracle, journal_path, resume, sink, &NullSink)
     }
-
-    /// [`SweepRunner::run_aps_observed`] with a second, **operational**
-    /// sink. `sink` receives the deterministic, resume-invariant run
-    /// artifacts; `ops` receives recovery and durability telemetry
-    /// (torn tails truncated, records replayed, cache publications,
-    /// storage faults — the [`c2_obs::names`]
-    /// constants) that legitimately differs between a clean run and a
-    /// crash/resume run and must stay out of bit-compared output.
-    pub fn run_aps_full<O, B>(
-        &self,
-        sweep: &dyn BackendSweep,
-        make_oracle: B,
-        journal_path: Option<&Path>,
-        resume: bool,
-        sink: &dyn MetricsSink,
-        ops: &dyn MetricsSink,
-    ) -> Result<RunSummary>
-    where
-        O: Oracle,
-        B: Fn() -> O + Sync,
-    {
-        self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops)
-    }
 }
 
 /// Drain and publish a breaker transition into a shard's buffer,
@@ -755,34 +712,6 @@ fn note_breaker(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard: usi
     }
 }
 
-/// The journal record a terminal outcome canonically encodes. Inverse
-/// of the resume-replay construction, and exact both ways: errors are
-/// reduced through [`error_message`] and times use shortest round-trip
-/// formatting, so record → terminal → record is the identity.
-fn record_of(seq: usize, t: &Terminal) -> JobRecord {
-    JobRecord {
-        seq,
-        attempts: t.outcome.attempts,
-        timeouts: t.timeouts,
-        result: t.outcome.result.as_ref().map(|v| *v).map_err(error_message),
-        short_circuited: t.short_circuited,
-        cached: t.cached,
-        quarantined: t.quarantined,
-    }
-}
-
-/// The terminal outcome a journal record canonically encodes (the
-/// other direction of [`record_of`]).
-fn terminal_of(record: &JobRecord) -> Terminal {
-    Terminal {
-        outcome: record.point_outcome(),
-        short_circuited: record.short_circuited,
-        timeouts: record.timeouts,
-        cached: record.cached,
-        quarantined: record.quarantined,
-    }
-}
-
 /// Shared (journal, abort) state of a sharded run.
 struct ShardJournal {
     writer: Option<JournalWriter>,
@@ -793,21 +722,22 @@ struct ShardJournal {
 struct ShardCell {
     breaker: CircuitBreaker,
     buffer: BufferSink,
-    results: Vec<(usize, Terminal)>,
+    /// The records this run decided live, in the shard's `seq` order.
+    results: Vec<JobRecord>,
     /// Records of this shard present in the journal (resumed ones
-    /// counted during setup, live ones as they append) — the
+    /// counted during setup, live ones as they are decided) — the
     /// `checkpoint_every` cadence counter, so resume keeps the cadence
     /// a clean run had.
     appended: usize,
-    /// Live records decided but not yet written to the journal. The
-    /// worker appends these under **one** journal lock per
+    /// How many of `results` have been handed to the journal. The
+    /// worker appends the rest under **one** journal lock per
     /// `checkpoint_every` boundary (and once at shard completion)
     /// instead of locking per job, so the global journal mutex stops
     /// serializing the hot path. A crash loses at most one shard's
     /// unflushed tail, which resume simply re-runs; completed runs
     /// rewrite the journal canonically, so the durable bytes are
     /// unchanged.
-    pending: Vec<JobRecord>,
+    flushed: usize,
     /// Within-run memoization, per shard (not per worker: a
     /// worker-wide store's contents would depend on which shards the
     /// worker happened to run first). Re-seeded from resumed records
@@ -838,20 +768,21 @@ fn replayable(breaker: &CircuitBreaker, attempts: usize) -> bool {
     true
 }
 
-/// Decide one job's terminal outcome inside a shard, **emitting
+/// Decide one job's journal record inside a shard, **emitting
 /// nothing**: the oracle runs against a *clone* of the shard breaker,
-/// so the real breaker and the sinks are untouched. The returned
-/// `bool` is the panic-poison flag: `true` means the oracle unwound
-/// and the worker must rebuild it before the next job.
+/// so the real breaker and the sinks are untouched. Errors are reduced
+/// through [`error_message`], exactly as the journal stores them. The
+/// returned `bool` is the panic-poison flag: `true` means the oracle
+/// unwound and the worker must rebuild it before the next job.
 ///
-/// [`emit_job_events`] later replays the decision's canonical record
-/// through the real breaker — the identical function that replays
-/// *resumed* records, which is what makes a resumed run's artifacts
-/// bit-identical to a clean run's by construction (DESIGN.md §10–§11).
-/// A deadline expiry is decided here, once, and journaled like any
-/// other failure, so replay never re-times it. `ckey` is the job's
-/// cache address, precomputed by the worker in one batch per claimed
-/// shard (rather than re-derived per job here).
+/// [`step_record`] later replays the record through the real breaker
+/// — the identical function that replays *resumed* records, which is
+/// what makes a resumed run's artifacts bit-identical to a clean run's
+/// by construction (DESIGN.md §10–§11). A deadline expiry is decided
+/// here, once, and journaled like any other failure, so replay never
+/// re-times it. `ckey` is the job's cache address, precomputed by the
+/// worker in one batch per claimed shard (rather than re-derived per
+/// job here).
 #[allow(clippy::too_many_arguments)]
 fn decide_sharded_job<O: Oracle>(
     config: &RunConfig,
@@ -863,8 +794,19 @@ fn decide_sharded_job<O: Oracle>(
     breaker: &CircuitBreaker,
     oracle: &mut O,
     seq: usize,
-) -> (Terminal, bool) {
+) -> (JobRecord, bool) {
     let job = &plan.jobs[seq];
+    // A job that ended on its own attempts: not cached, not
+    // short-circuited, not quarantined.
+    let live = |attempts, result: c2_bound::Result<f64>, timeouts| JobRecord {
+        seq,
+        attempts,
+        timeouts,
+        result: result.map_err(|e| error_message(&e)),
+        short_circuited: false,
+        cached: false,
+        quarantined: false,
+    };
     let mut probe = breaker.clone();
     let mut attempt = 1usize;
     let mut timeouts = 0usize;
@@ -873,11 +815,11 @@ fn decide_sharded_job<O: Oracle>(
             let refused = c2_bound::Error::Simulation(
                 "circuit breaker open: oracle attempt not admitted".to_string(),
             );
-            let t = Terminal {
+            let record = JobRecord {
                 short_circuited: true,
-                ..Terminal::live(attempt - 1, Err(refused), timeouts)
+                ..live(attempt - 1, Err(refused), timeouts)
             };
-            return (t, false);
+            return (record, false);
         }
         if attempt == 1 && cache_on {
             // Consult the cache: the start-of-run snapshot plus this
@@ -893,25 +835,25 @@ fn decide_sharded_job<O: Oracle>(
                 .or_else(|| snapshot.get(&ckey).copied())
                 .filter(|h| h.attempts <= config.max_attempts && replayable(&probe, h.attempts));
             if let Some(hit) = hit {
-                let t = Terminal {
+                let record = JobRecord {
                     cached: true,
-                    ..Terminal::live(hit.attempts, Ok(hit.time), 0)
+                    ..live(hit.attempts, Ok(hit.time), 0)
                 };
-                return (t, false);
+                return (record, false);
             }
         }
         match run_attempt(config, job, attempt, oracle) {
-            Attempt::Ok(t) => return (Terminal::live(attempt, Ok(t), timeouts), false),
+            Attempt::Ok(t) => return (live(attempt, Ok(t), timeouts), false),
             // Panic isolation: quarantine the job at this attempt (no
             // retries — the panic is keyed to the job, so re-running it
             // would panic again) and tell the caller to rebuild the
             // poisoned oracle.
             Attempt::Panicked(e) => {
-                let t = Terminal {
+                let record = JobRecord {
                     quarantined: true,
-                    ..Terminal::live(attempt, Err(e), timeouts)
+                    ..live(attempt, Err(e), timeouts)
                 };
-                return (t, true);
+                return (record, true);
             }
             Attempt::Failed { error, timed_out } => {
                 timeouts += usize::from(timed_out);
@@ -919,19 +861,16 @@ fn decide_sharded_job<O: Oracle>(
                 if attempt < config.max_attempts {
                     attempt += 1;
                 } else {
-                    return (Terminal::live(attempt, Err(error), timeouts), false);
+                    return (live(attempt, Err(error), timeouts), false);
                 }
             }
         }
     }
 }
 
-/// Replay one canonical job record through the shard's **real**
-/// breaker, emitting the full event/metric sequence into the shard
-/// buffer. This single function produces the artifacts for both live
-/// jobs (on the record [`decide_sharded_job`] just produced) and
-/// resumed jobs (on the record loaded from the journal), so the two
-/// are bit-identical by construction.
+/// Replay one job record through the shard's **real** breaker,
+/// emitting its attempt-level event/metric sequence into the shard
+/// buffer (the first part of [`step_record`]).
 ///
 /// Record shapes are unambiguous: a cached record replays its original
 /// attempt history; a non-cached `Ok` record is `attempts-1` failures
@@ -1075,50 +1014,89 @@ fn emit_job_events(
     }
 }
 
-/// Emit the `job.terminal` trace line for one sharded terminal.
-fn emit_terminal_event(cell: &mut ShardCell, seq: usize, t: &Terminal) {
+/// The whole per-record step of a shard, one function for resumed
+/// records (replayed from the journal) and live ones (just decided by
+/// [`decide_sharded_job`]), so the two emit identical artifacts by
+/// construction: the record's job events ([`emit_job_events`]), the
+/// `journal.append` marker when the run journals (`journaled`; it
+/// also advances the `checkpoint_every` cadence counter), the
+/// `job.terminal` event, and the within-run memo seed at `ckey`, which
+/// for resumed records rebuilds the store the interrupted run had so a
+/// resumed sweep hits the cache exactly where the clean sweep did.
+#[allow(clippy::too_many_arguments)]
+fn step_record(
+    config: &RunConfig,
+    plan: &ApsPlan,
+    cache_on: bool,
+    journaled: bool,
+    record: &JobRecord,
+    ckey: u64,
+    cell: &mut ShardCell,
+    shard: usize,
+) {
+    let seq = record.seq;
+    emit_job_events(config, plan, cache_on, record, cell, shard);
+    if journaled {
+        // Emitted when the record is decided, not when it is flushed,
+        // so the shard's buffer sequence does not depend on the
+        // flush cadence.
+        cell.buffer.counter_add("engine_journal_appends_total", 1);
+        cell.buffer
+            .event("engine", "journal.append", &[("seq", seq.into())]);
+        cell.appended += 1;
+    }
     let mut fields: Vec<(&str, c2_obs::FieldValue)> = vec![
         ("seq", seq.into()),
-        ("attempts", t.outcome.attempts.into()),
-        ("timeouts", t.timeouts.into()),
-        ("ok", t.outcome.result.is_ok().into()),
-        ("short_circuited", t.short_circuited.into()),
-        ("cached", t.cached.into()),
+        ("attempts", record.attempts.into()),
+        ("timeouts", record.timeouts.into()),
+        ("ok", record.result.is_ok().into()),
+        ("short_circuited", record.short_circuited.into()),
+        ("cached", record.cached.into()),
     ];
-    if t.quarantined {
+    if record.quarantined {
         fields.push(("quarantined", true.into()));
     }
     cell.buffer.event("engine", "job.terminal", &fields);
+    if cache_on && !record.short_circuited {
+        if let Ok(time) = record.result {
+            let entry = CachedEval {
+                attempts: record.attempts,
+                time,
+            };
+            cell.local_store.insert(ckey, entry);
+        }
+    }
 }
 
-/// Write a shard's pending journal records under a single journal
+/// Write a shard's not-yet-flushed records under a single journal
 /// lock, then fsync when `sync` (a `checkpoint_every` boundary under
 /// [`SyncPolicy::OnCheckpoint`]). Called when the shard's cadence
 /// counter crosses a `checkpoint_every` multiple and once when the
 /// worker finishes the shard, so the lock is taken
 /// O(jobs / checkpoint_every) times instead of once per job. A storage
-/// fault poisons the journal and aborts the run; the remaining pending
-/// records are discarded (the run returns the error before any buffer
+/// fault poisons the journal and aborts the run; the remaining records
+/// are never written (the run returns the error before any buffer
 /// merges).
-fn flush_shard_pending(
+fn flush_shard(
     journal: &Mutex<ShardJournal>,
     cell: &mut ShardCell,
     sync: bool,
     ops: &dyn MetricsSink,
     abort: &AtomicBool,
 ) {
-    if cell.pending.is_empty() {
+    let from = std::mem::replace(&mut cell.flushed, cell.results.len());
+    let pending = &cell.results[from..];
+    if pending.is_empty() {
         return;
     }
     let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
     if j.error.is_some() {
-        cell.pending.clear();
         return;
     }
     let mut fault: Option<(&'static str, Error)> = None;
     if let Some(w) = j.writer.as_mut() {
-        for record in cell.pending.drain(..) {
-            if let Err(e) = w.record(&record) {
+        for record in pending {
+            if let Err(e) = w.record(record) {
                 fault = Some(("journal.append", e));
                 break;
             }
@@ -1127,37 +1105,25 @@ fn flush_shard_pending(
             fault = w.sync().err().map(|e| ("journal.sync", e));
         }
     }
-    cell.pending.clear();
     if let Some((op, e)) = fault {
         j.error = Some(storage_fault(ops, op, e));
         abort.store(true, Ordering::SeqCst);
     }
 }
 
-/// Seed the shard's within-run memoization from a terminal. For live
-/// jobs this is the store the original engine performed inline; for
-/// resumed jobs it rebuilds the store the interrupted run had, so a
-/// resumed sweep hits the cache exactly where the clean sweep did.
-fn seed_local_store(local_store: &mut HashMap<u64, CachedEval>, ckey: u64, t: &Terminal) {
-    if t.short_circuited {
-        return;
-    }
-    if let Ok(time) = t.outcome.result.as_ref() {
-        local_store.insert(
-            ckey,
-            CachedEval {
-                attempts: t.outcome.attempts,
-                time: *time,
-            },
-        );
-    }
-}
-
 impl SweepRunner {
-    /// The deterministic sharded engine (DESIGN.md §10). The plan is
-    /// partitioned into shards by a pure function of its size; `N`
-    /// worker threads claim whole shards work-stealing-style and run
-    /// each shard's jobs sequentially in `seq` order against a
+    /// [`SweepRunner::run_aps_observed`] with a second, **operational**
+    /// sink. `sink` receives the deterministic, resume-invariant run
+    /// artifacts; `ops` receives recovery and durability telemetry
+    /// (torn tails truncated, records replayed, cache publications,
+    /// storage faults — the [`c2_obs::names`]
+    /// constants) that legitimately differs between a clean run and a
+    /// crash/resume run and must stay out of bit-compared output.
+    ///
+    /// The engine is deterministic and sharded (DESIGN.md §10). The
+    /// plan is partitioned into shards by a pure function of its size;
+    /// `threads` worker threads claim whole shards work-stealing-style
+    /// and run each shard's jobs sequentially in `seq` order against a
     /// per-shard circuit breaker and content-keyed backoff. Journal
     /// records, metrics, and trace events are buffered per shard and
     /// merged in shard order after the join, and a completed run's
@@ -1166,13 +1132,10 @@ impl SweepRunner {
     /// every thread count, and identical to the `threads: 1` serial
     /// execution. A `deadline_ms` expiry depends on wall time, so it
     /// is the one decision that can differ between two clean runs;
-    /// once journaled, resume replays it.
-    ///
-    /// A resumed journal's records replay through [`emit_job_events`]
-    /// into fresh per-shard breakers, re-emitting each record's full
-    /// event/metric sequence, so the run's artifacts are bit-identical
-    /// to an uninterrupted run's.
-    fn run_sharded<O, B>(
+    /// once journaled, resume replays it. A resumed journal's records
+    /// replay through the same per-record step as live ones, into
+    /// fresh per-shard breakers.
+    pub fn run_aps_full<O, B>(
         &self,
         sweep: &dyn BackendSweep,
         make_oracle: B,
@@ -1246,13 +1209,6 @@ impl SweepRunner {
             "sweep",
             ops,
         )?;
-        // Deterministic replay: records sorted by seq, each later driven
-        // through its *own shard's* state (shard membership is a pure
-        // function of seq).
-        let mut terminals: Vec<Option<Terminal>> = vec![None; plan.jobs.len()];
-        for record in &opened.records {
-            terminals[record.seq] = Some(terminal_of(record));
-        }
         let resumed = opened.records.len();
         if opened.reopened {
             // Recovery telemetry goes to the ops sink: a clean run
@@ -1283,7 +1239,6 @@ impl SweepRunner {
             ],
         );
 
-        let resumed_seqs: Vec<bool> = terminals.iter().map(|t| t.is_some()).collect();
         let mut cells_raw = Vec::with_capacity(shards.len());
         for (i, shard) in shards.iter().enumerate() {
             let cell = ShardCell {
@@ -1291,7 +1246,7 @@ impl SweepRunner {
                 buffer: BufferSink::new(),
                 results: Vec::new(),
                 appended: 0,
-                pending: Vec::new(),
+                flushed: 0,
                 local_store: HashMap::new(),
             };
             // Emitted at construction (not by the worker) so it
@@ -1305,24 +1260,25 @@ impl SweepRunner {
             cells_raw.push(cell);
         }
 
-        // Replay resumed records into their shards: re-emit each
-        // record's full artifact sequence, advance the cadence counter
-        // and re-seed the within-run cache memo the interrupted run had
-        // built.
-        for record in &opened.records {
+        // Deterministic replay: records sorted by seq, each driven
+        // through its *own shard's* state (shard membership is a pure
+        // function of seq) by the step live records take.
+        let mut records: Vec<Option<JobRecord>> = vec![None; plan.jobs.len()];
+        for record in opened.records {
             let si = shard_of(record.seq, shards.len());
-            let cell = &mut cells_raw[si];
-            let t = terminal_of(record);
-            emit_job_events(&self.config, &plan, cache_on, record, cell, si);
-            cell.buffer.counter_add("engine_journal_appends_total", 1);
-            cell.buffer
-                .event("engine", "journal.append", &[("seq", record.seq.into())]);
-            emit_terminal_event(cell, record.seq, &t);
-            cell.appended += 1;
-            if cache_on {
-                let ckey = cache_key(cache_identity, plan.jobs[record.seq].content_key());
-                seed_local_store(&mut cell.local_store, ckey, &t);
-            }
+            let ckey = cache_key(cache_identity, plan.jobs[record.seq].content_key());
+            step_record(
+                &self.config,
+                &plan,
+                cache_on,
+                true,
+                &record,
+                ckey,
+                &mut cells_raw[si],
+                si,
+            );
+            let seq = record.seq;
+            records[seq] = Some(record);
         }
 
         let cells: Vec<Mutex<ShardCell>> = cells_raw.into_iter().map(Mutex::new).collect();
@@ -1344,7 +1300,7 @@ impl SweepRunner {
             for _ in 0..nthreads {
                 let shards = &shards;
                 let cells = &cells;
-                let resumed_seqs = &resumed_seqs;
+                let records = &records;
                 let plan = &plan;
                 let snapshot = &snapshot;
                 let journal = &journal;
@@ -1390,13 +1346,13 @@ impl SweepRunner {
                                 .map(|&seq| cache_key(cache_identity, plan.jobs[seq].content_key()))
                                 .collect();
                             for (pos, &seq) in shards[i].iter().enumerate() {
-                                if resumed_seqs[seq] {
-                                    continue;
+                                if records[seq].is_some() {
+                                    continue; // resumed
                                 }
                                 if abort.load(Ordering::SeqCst) {
                                     break;
                                 }
-                                let (terminal, poisoned) = decide_sharded_job(
+                                let (record, poisoned) = decide_sharded_job(
                                     config,
                                     plan,
                                     cache_on,
@@ -1412,39 +1368,29 @@ impl SweepRunner {
                                     // suspect; rebuild before the next job.
                                     oracle = make_oracle();
                                 }
-                                let record = record_of(seq, &terminal);
-                                emit_job_events(config, plan, cache_on, &record, &mut cell, i);
-                                if has_journal {
-                                    // Buffer the record; the journal
-                                    // lock is taken only at cadence
-                                    // boundaries and shard completion.
-                                    // The append marker is emitted here
-                                    // (not at flush) so the per-shard
-                                    // buffer sequence is byte-identical
-                                    // to the old per-job path; if a
-                                    // flush later faults, the run
-                                    // errors out before any buffer
-                                    // reaches the main sink.
-                                    cell.pending.push(record);
-                                    cell.buffer.counter_add("engine_journal_appends_total", 1);
-                                    cell.buffer.event(
-                                        "engine",
-                                        "journal.append",
-                                        &[("seq", seq.into())],
-                                    );
-                                    cell.appended += 1;
-                                    if config.checkpoint_every > 0
-                                        && cell.appended.is_multiple_of(config.checkpoint_every)
-                                    {
-                                        let sync = config.sync == SyncPolicy::OnCheckpoint;
-                                        flush_shard_pending(journal, &mut cell, sync, ops, abort);
-                                    }
+                                step_record(
+                                    config,
+                                    plan,
+                                    cache_on,
+                                    has_journal,
+                                    &record,
+                                    keys[pos],
+                                    &mut cell,
+                                    i,
+                                );
+                                cell.results.push(record);
+                                // The journal lock is taken only at
+                                // cadence boundaries and shard
+                                // completion; if a flush faults, the
+                                // run errors out before any buffer
+                                // reaches the main sink.
+                                if has_journal
+                                    && config.checkpoint_every > 0
+                                    && cell.appended.is_multiple_of(config.checkpoint_every)
+                                {
+                                    let sync = config.sync == SyncPolicy::OnCheckpoint;
+                                    flush_shard(journal, &mut cell, sync, ops, abort);
                                 }
-                                emit_terminal_event(&mut cell, seq, &terminal);
-                                if cache_on {
-                                    seed_local_store(&mut cell.local_store, keys[pos], &terminal);
-                                }
-                                cell.results.push((seq, terminal));
                                 let done = terminals_this_run.fetch_add(1, Ordering::SeqCst) + 1;
                                 if let Some(limit) = config.abort_after {
                                     if done >= limit {
@@ -1452,7 +1398,7 @@ impl SweepRunner {
                                     }
                                 }
                             }
-                            flush_shard_pending(journal, &mut cell, false, ops, abort);
+                            flush_shard(journal, &mut cell, false, ops, abort);
                             cell.buffer
                                 .event("engine", "shard.finished", &[("shard", i.into())]);
                         }
@@ -1480,17 +1426,14 @@ impl SweepRunner {
             let cell = cell.into_inner().unwrap_or_else(|e| e.into_inner());
             breaker_trips += cell.breaker.trips();
             cell.buffer.replay(sink);
-            for (seq, terminal) in cell.results {
-                terminals[seq] = Some(terminal);
+            for record in cell.results {
+                let seq = record.seq;
+                records[seq] = Some(record);
             }
         }
 
-        // Every terminal as its canonical journal record, in seq order.
-        let records: Vec<JobRecord> = terminals
-            .iter()
-            .enumerate()
-            .filter_map(|(seq, t)| Some(record_of(seq, t.as_ref()?)))
-            .collect();
+        // Every terminal record, in seq order.
+        let records: Vec<JobRecord> = records.into_iter().flatten().collect();
         let completed = records.len() == plan.jobs.len();
         if completed {
             // A completed run's journal is rewritten canonically
@@ -1536,11 +1479,8 @@ impl SweepRunner {
             }
         }
 
-        let results: Vec<(usize, PointOutcome)> = terminals
-            .into_iter()
-            .enumerate()
-            .filter_map(|(seq, t)| Some((seq, t?.outcome)))
-            .collect();
+        let results: Vec<(usize, PointOutcome)> =
+            records.iter().map(|r| (r.seq, r.point_outcome())).collect();
         let outcome = if completed {
             Some(sweep.assemble_observed(
                 &plan,
@@ -1598,7 +1538,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JobRecord;
 
     #[test]
     fn empty_plans_are_a_typed_error() {
@@ -1681,42 +1620,6 @@ mod tests {
         match run_attempt(&timed, &job, 1, &mut panicky) {
             Attempt::Panicked(e) => assert_eq!(error_message(&e), "oracle panicked: boom"),
             other => panic!("a panic must be isolated, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn record_and_terminal_are_inverse() {
-        for record in [
-            JobRecord {
-                seq: 3,
-                attempts: 2,
-                timeouts: 1,
-                result: Ok(7.5),
-                short_circuited: false,
-                cached: true,
-                quarantined: false,
-            },
-            JobRecord {
-                seq: 9,
-                attempts: 1,
-                timeouts: 0,
-                result: Err("oracle panicked: boom".to_string()),
-                short_circuited: false,
-                cached: false,
-                quarantined: true,
-            },
-            JobRecord {
-                seq: 0,
-                attempts: 0,
-                timeouts: 0,
-                result: Err("circuit breaker open: oracle attempt not admitted".to_string()),
-                short_circuited: true,
-                cached: false,
-                quarantined: false,
-            },
-        ] {
-            let t = terminal_of(&record);
-            assert_eq!(record_of(record.seq, &t), record);
         }
     }
 }

@@ -15,10 +15,12 @@
 //!   consecutive oracle failures, short-circuits jobs to analytic
 //!   backfill while open, and probes half-open before trusting the
 //!   oracle again;
-//! * [`journal`] — a JSONL journal of terminal outcomes; a killed
-//!   sweep resumes idempotently by replaying every record through
-//!   fresh per-shard breakers, and the merged result is identical to
-//!   an uninterrupted run;
+//! * [`journal`] — a JSONL journal of terminal outcomes, one
+//!   [`JobRecord`] per job: the engine decides each job straight into
+//!   its record, and a killed sweep resumes idempotently by replaying
+//!   every record through fresh per-shard breakers, so the merged
+//!   result — outcomes included — is identical to an uninterrupted
+//!   run;
 //! * [`shard`] — the partition behind `RunConfig::threads`: whole
 //!   shards are work-stolen by OS threads, per-shard breaker/backoff
 //!   state is schedule-invariant, and per-shard outputs merge in shard

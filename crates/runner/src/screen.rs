@@ -317,8 +317,8 @@ impl SweepRunner {
         let mut journaled: BTreeMap<usize, JobRecord> =
             opened.records.into_iter().map(|r| (r.seq, r)).collect();
         let resumed = journaled.len();
-        // Terminal outcomes the replayed loop has incorporated, keyed
-        // by seq.
+        // The outcomes the replayed loop has incorporated, keyed by
+        // seq.
         let mut evaluated: BTreeMap<usize, JobRecord> = BTreeMap::new();
 
         let budget = screen.budget.min(jobs);

@@ -369,3 +369,65 @@ fn sick_backend_trips_the_breaker_and_strands_no_job() {
         .iter()
         .any(|s| s.error.to_string().contains("circuit breaker open")));
 }
+
+/// An oracle error that is not [`c2_bound::Error::Simulation`].
+fn probe_error() -> c2_bound::Error {
+    c2_bound::Error::InvalidParameter {
+        name: "probe",
+        value: 1.0,
+    }
+}
+
+#[test]
+fn clean_and_resumed_runs_report_identical_outcomes() {
+    // The journal stores a dead job's error as its message, and a
+    // resumed run decodes its replayed jobs from the journal, so the
+    // clean run must report its dead jobs the same way: as the
+    // journaled message, not as the oracle's original error variant.
+    let config = RunConfig {
+        threads: 1,
+        max_attempts: 1,
+        ..RunConfig::default()
+    };
+    let run = |config: RunConfig, path: &std::path::Path, resume: bool| {
+        let oracle = |p: &DesignPoint| {
+            if p.issue_width == 4 {
+                Err(probe_error())
+            } else {
+                Ok(1.0e9 / (p.n * p.issue_width * p.rob_size) as f64)
+            }
+        };
+        SweepRunner::new(config)
+            .unwrap()
+            .run_aps(&aps(), || oracle, Some(path), resume)
+            .unwrap()
+    };
+    let clean_path = journal_path("outcomes-clean");
+    let clean = run(config.clone(), &clean_path, false);
+    assert!(clean.report.completed);
+
+    let path = journal_path("outcomes-resumed");
+    let crash_config = RunConfig {
+        abort_after: Some(8),
+        ..config.clone()
+    };
+    assert!(!run(crash_config, &path, false).report.completed);
+    let resumed = run(config, &path, true);
+    assert_eq!(resumed.report.resumed, 8);
+
+    assert_eq!(
+        std::fs::read(&clean_path).unwrap(),
+        std::fs::read(&path).unwrap(),
+        "the journals are byte-identical"
+    );
+    assert_eq!(resumed.results, clean.results);
+    assert_eq!(resumed.outcome, clean.outcome);
+    let dead: Vec<&c2_bound::Error> = clean
+        .results
+        .iter()
+        .filter_map(|(_, o)| o.result.as_ref().err())
+        .collect();
+    assert_eq!(dead.len(), 3, "the three issue-width-4 jobs die");
+    let journaled = c2_bound::Error::Simulation(probe_error().to_string());
+    assert!(dead.iter().all(|e| **e == journaled), "{dead:?}");
+}
