@@ -23,7 +23,7 @@ use c2_bench::spin::deterministic_spin;
 use c2_bound::dse::{chip_config_for, DesignPoint, DesignSpace};
 use c2_bound::{Aps, C2BoundModel, PhaseOracle, PhasePlan};
 use c2_runner::{RunConfig, SweepRunner};
-use c2_sim::{FaultPlan, SharedOracle, Simulator};
+use c2_sim::Simulator;
 use c2_trace::PhaseConfig;
 use std::time::{Duration, Instant};
 
@@ -48,10 +48,7 @@ fn priced(p: &DesignPoint) -> c2_bound::Result<f64> {
     Ok(1.0e9 / (p.n as f64 * p.issue_width as f64 * p.rob_size as f64))
 }
 
-fn timed_run(
-    threads: usize,
-    oracle: &SharedOracle<fn(&DesignPoint) -> c2_bound::Result<f64>>,
-) -> Duration {
+fn timed_run(threads: usize) -> Duration {
     let aps = paper_scale_aps();
     let runner = SweepRunner::new(RunConfig {
         threads,
@@ -60,12 +57,7 @@ fn timed_run(
     .expect("valid config");
     let start = Instant::now();
     let summary = runner
-        .run_aps(
-            &aps,
-            || |p: &DesignPoint| oracle.call(p.rob_size as u64, p),
-            None,
-            false,
-        )
+        .run_aps(&aps, || priced, None, false)
         .expect("sweep completes");
     let wall = start.elapsed();
     assert!(summary.report.completed, "benchmark sweep must complete");
@@ -98,11 +90,6 @@ fn eval_points() -> Vec<DesignPoint> {
 
 fn main() {
     let jobs = paper_scale_aps().plan().expect("plan").jobs.len();
-    let oracle: SharedOracle<fn(&DesignPoint) -> c2_bound::Result<f64>> = SharedOracle::new(
-        FaultPlan::default(),
-        priced as fn(&DesignPoint) -> c2_bound::Result<f64>,
-    )
-    .expect("inert plan");
 
     // Half 1: full-mode scaling.
     println!(
@@ -112,7 +99,7 @@ fn main() {
     let mut runs = Vec::new();
     let mut serial_ms = 0.0f64;
     for &threads in THREADS {
-        let wall = best_of(REPS, || timed_run(threads, &oracle));
+        let wall = best_of(REPS, || timed_run(threads));
         let ms = wall.as_secs_f64() * 1e3;
         if threads == 1 {
             serial_ms = ms;

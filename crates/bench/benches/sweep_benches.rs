@@ -10,9 +10,7 @@
 //! best time is kept (minimum is the standard wall-clock estimator
 //! under scheduling noise).
 //!
-//! The oracle prices every point through one shared, read-only
-//! [`c2_sim::SharedOracle`] — the same sharing pattern the parallel
-//! engine is designed around — with a fixed per-evaluation latency
+//! The oracle prices every point with a fixed per-evaluation latency
 //! ([`c2_bench::spin::deterministic_spin`]: a constant work quantum
 //! plus a sleep to an absolute deadline), so the ideal speedup at `t`
 //! threads is `t` regardless of how many physical cores the benchmark
@@ -25,7 +23,6 @@
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::{Aps, C2BoundModel};
 use c2_runner::{RunConfig, SweepRunner};
-use c2_sim::{FaultPlan, SharedOracle};
 use std::time::{Duration, Instant};
 
 /// Per-evaluation oracle latency. Large enough to dominate engine
@@ -50,11 +47,7 @@ fn priced(p: &DesignPoint) -> c2_bound::Result<f64> {
 }
 
 /// One timed sweep; returns (wall clock, cache hits).
-fn timed_run(
-    threads: usize,
-    cache: Option<&std::path::Path>,
-    oracle: &SharedOracle<fn(&DesignPoint) -> c2_bound::Result<f64>>,
-) -> (Duration, usize) {
+fn timed_run(threads: usize, cache: Option<&std::path::Path>) -> (Duration, usize) {
     let aps = paper_scale_aps();
     let runner = SweepRunner::new(RunConfig {
         threads,
@@ -64,12 +57,7 @@ fn timed_run(
     .expect("valid config");
     let start = Instant::now();
     let summary = runner
-        .run_aps(
-            &aps,
-            || |p: &DesignPoint| oracle.call(p.rob_size as u64, p),
-            None,
-            false,
-        )
+        .run_aps(&aps, || priced, None, false)
         .expect("sweep completes");
     let wall = start.elapsed();
     assert!(summary.report.completed, "benchmark sweep must complete");
@@ -90,12 +78,6 @@ fn best_of(reps: usize, mut f: impl FnMut() -> (Duration, usize)) -> (Duration, 
 fn main() {
     // `cargo bench` passes harness flags; this main ignores them.
     let jobs = paper_scale_aps().plan().expect("plan").jobs.len();
-    let oracle: SharedOracle<fn(&DesignPoint) -> c2_bound::Result<f64>> = SharedOracle::new(
-        FaultPlan::default(),
-        priced as fn(&DesignPoint) -> c2_bound::Result<f64>,
-    )
-    .expect("inert plan");
-
     println!(
         "sweep bench: {jobs} refinement jobs, {:?} oracle spin, best of {REPS}",
         ORACLE_SPIN
@@ -103,7 +85,7 @@ fn main() {
     let mut runs = Vec::new();
     let mut serial_ms = 0.0f64;
     for &threads in THREADS {
-        let (wall, _) = best_of(REPS, || timed_run(threads, None, &oracle));
+        let (wall, _) = best_of(REPS, || timed_run(threads, None));
         let ms = wall.as_secs_f64() * 1e3;
         if threads == 1 {
             serial_ms = ms;
@@ -120,9 +102,9 @@ fn main() {
     std::fs::create_dir_all(&cache_dir).expect("create temp dir");
     let cache = cache_dir.join(format!("cache-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&cache);
-    let (_, cold_hits) = timed_run(4, Some(&cache), &oracle);
+    let (_, cold_hits) = timed_run(4, Some(&cache));
     assert_eq!(cold_hits, 0, "cold pass populates");
-    let (warm_wall, warm_hits) = best_of(REPS, || timed_run(4, Some(&cache), &oracle));
+    let (warm_wall, warm_hits) = best_of(REPS, || timed_run(4, Some(&cache)));
     assert_eq!(warm_hits, jobs, "warm pass is fully memoized");
     let warm_ms = warm_wall.as_secs_f64() * 1e3;
     println!("  warm cache (4 threads): {warm_ms:>8.1} ms, {warm_hits} hits");

@@ -174,7 +174,7 @@ pub struct ApsPlan {
     pub jobs: Vec<RefinementJob>,
 }
 
-/// Terminal oracle outcome for one refinement job: how many attempts it
+/// A refinement job's terminal oracle outcome: how many attempts it
 /// consumed and what the last one produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointOutcome {
@@ -247,7 +247,7 @@ impl Aps {
     where
         F: FnMut(&DesignPoint) -> Result<f64>,
     {
-        self.run_with_policy(oracle, &ResiliencePolicy::default())
+        self.run_oracle(oracle, &ResiliencePolicy::default())
     }
 
     /// Run APS with an explicit resilience policy for the refinement
@@ -256,20 +256,12 @@ impl Aps {
     /// with calibrated analytic estimates), and the returned
     /// [`RefinementLog`] accounts for every point. The run only fails if
     /// the analysis stage fails or *no* refinement point survives.
-    pub fn run_with_policy<F>(&self, oracle: F, policy: &ResiliencePolicy) -> Result<ApsOutcome>
-    where
-        F: FnMut(&DesignPoint) -> Result<f64>,
-    {
-        self.run_oracle(oracle, policy)
-    }
-
-    /// Like [`Aps::run_with_policy`], but for key-aware oracles: the
-    /// oracle sees each refinement job's stable key alongside its
+    ///
+    /// The oracle sees each refinement job's stable key alongside its
     /// design point, so fault injection (and any other per-job
     /// behavior) is tied to job identity rather than call order. Plain
-    /// closures also qualify via the blanket [`Oracle`] impl; the two
-    /// entry points exist only because the closure-generic signature
-    /// gives call sites better type inference.
+    /// closures over `&DesignPoint` qualify via the blanket [`Oracle`]
+    /// impl.
     pub fn run_oracle<O: Oracle>(
         &self,
         mut oracle: O,
@@ -802,8 +794,8 @@ mod tests {
         };
         let mut first = true;
         let outcome = aps
-            .run_with_policy(
-                |p| {
+            .run_oracle(
+                |p: &DesignPoint| {
                     if std::mem::take(&mut first) {
                         Err(Error::Simulation("transient".into()))
                     } else {
@@ -828,7 +820,7 @@ mod tests {
             max_attempts: 0,
             analytic_fallback: true,
         };
-        assert!(aps.run_with_policy(synthetic_oracle, &policy).is_err());
+        assert!(aps.run_oracle(synthetic_oracle, &policy).is_err());
     }
 
     #[test]

@@ -3,25 +3,22 @@
 //! Historically the Eq. 10 + C-AMAT objective *was* the model — `Aps`,
 //! the DSE grid, the runner, the cache and the scenario schema all
 //! assumed the CPU-CMP capacity/concurrency bound. This module lifts
-//! that assumption into two traits:
-//!
-//! * [`ModelBackend`] — point-level semantics: evaluate the analytic
-//!   objective at a design point, check feasibility against the silicon
-//!   budget, and decompose the point into its Roofline ceilings
-//!   (operational intensity, compute bound, bandwidth bound).
-//! * [`BackendSweep`] — sweep-level semantics: produce an [`ApsPlan`]
-//!   (analysis stage) and fold per-job outcomes back into an
-//!   [`ApsOutcome`] (assembly stage). The supervised engine
-//!   (`c2-runner`) is generic over this trait, so journals, caches,
-//!   retries, sharding and resume work identically for every backend.
+//! that assumption into one trait, [`BackendSweep`]: produce an
+//! [`ApsPlan`] (analysis stage), fold per-job outcomes back into an
+//! [`ApsOutcome`] (assembly stage), and decompose any candidate into
+//! its Roofline ceilings (operational intensity, compute bound,
+//! bandwidth bound). The supervised engine (`c2-runner`) is generic
+//! over this trait, so journals, caches, retries, sharding and resume
+//! work identically for every backend.
 //!
 //! Two backends ship today:
 //!
-//! * [`CpuCmpBackend`] (identity `"cpu-cmp"`): the paper's Eq. 10
-//!   objective. [`Aps`] implements [`BackendSweep`] by delegating to
-//!   its historical plan/assemble methods, so the CPU path is
-//!   *bit-identical* to the pre-trait code — same journals, metrics,
-//!   fingerprints and cache keys for every existing scenario.
+//! * [`Aps`] (identity `"cpu-cmp"`): the paper's Eq. 10 objective.
+//!   It implements [`BackendSweep`] by delegating to its historical
+//!   plan/assemble methods, so the CPU path is *bit-identical* to the
+//!   pre-trait code — same journals, metrics, fingerprints and cache
+//!   keys for every existing scenario. [`cpu_decompose`] is its
+//!   Roofline decomposition.
 //! * [`GpuSmBackend`] (identity `"gpu-sm"`): a Concorde-style
 //!   compositional SM throughput bound for CUDA cores,
 //!   `Φ_SM = θ · C_fp32 · (1 + m_FMA)` FLOPs/cycle per SM, capped by a
@@ -39,7 +36,7 @@
 use crate::aps::{
     fold_outcomes, Aps, ApsOutcome, ApsPlan, PointOutcome, RefinementJob, ResiliencePolicy,
 };
-use crate::dse::{analytic_time, DesignPoint, DesignSpace};
+use crate::dse::{DesignPoint, DesignSpace};
 use crate::model::{C2BoundModel, DesignVariables, OptimizationCase};
 use crate::optimize::{OptimalDesign, SplitSolve};
 use crate::{Error, Result};
@@ -106,34 +103,13 @@ impl BoundDecomposition {
     }
 }
 
-/// Point-level backend semantics: objective, feasibility and Roofline
-/// decomposition for one design point.
-pub trait ModelBackend {
+/// The backend contract: everything the supervised engine needs to
+/// drive a full plan → refine → assemble cycle, plus the Roofline
+/// decomposition the overlay draws. Object-safe, so drivers can hold
+/// `&dyn BackendSweep`.
+pub trait BackendSweep {
     /// Canonical identity string (`"cpu-cmp"`, `"gpu-sm"`). Part of
     /// run identity: journals and caches bind it.
-    fn identity(&self) -> &'static str;
-
-    /// The analytic objective (execution time in cycles) at `point`.
-    fn objective(&self, point: &DesignPoint) -> Result<f64>;
-
-    /// Whether `point` satisfies the backend's constraint set (silicon
-    /// budget, positivity).
-    fn feasible(&self, point: &DesignPoint) -> bool;
-
-    /// Roofline decomposition of `point`.
-    fn decompose(&self, point: &DesignPoint) -> BoundDecomposition;
-
-    /// Total work (in the backend's work-units) a run at `point`
-    /// performs; `work / measured_time` is the attained performance
-    /// plotted on the roofline.
-    fn work(&self, point: &DesignPoint) -> f64;
-}
-
-/// Sweep-level backend semantics: everything the supervised engine
-/// needs to drive a full plan → refine → assemble cycle. Object-safe,
-/// so drivers can hold `&dyn BackendSweep`.
-pub trait BackendSweep {
-    /// Canonical backend identity (see [`ModelBackend::identity`]).
     fn identity(&self) -> &'static str;
 
     /// The discrete space the sweep refines over.
@@ -154,25 +130,15 @@ pub trait BackendSweep {
     /// Roofline decomposition of one candidate.
     fn decompose(&self, point: &DesignPoint) -> BoundDecomposition;
 
-    /// Total work at one candidate (see [`ModelBackend::work`]).
+    /// Total work (in the backend's work-units) a run at `point`
+    /// performs; `work / measured_time` is the attained performance
+    /// plotted on the roofline.
     fn work(&self, point: &DesignPoint) -> f64;
 }
 
 // ---------------------------------------------------------------------------
 // CPU-CMP backend (the paper's Eq. 10 objective)
 // ---------------------------------------------------------------------------
-
-/// The historical Eq. 10 + C-AMAT objective as a [`ModelBackend`].
-///
-/// [`Aps`] remains the [`BackendSweep`] for this backend (its
-/// plan/assemble methods are unchanged, preserving bit-identity);
-/// `CpuCmpBackend` exists for point-level queries — objective
-/// evaluation and the Roofline decomposition used by the overlay.
-#[derive(Debug, Clone)]
-pub struct CpuCmpBackend {
-    /// The characterized analytical model.
-    pub model: C2BoundModel,
-}
 
 /// The canonical identity string of the CPU-CMP backend. This is the
 /// default backend: journals and caches bind *no* extra identity for
@@ -205,41 +171,6 @@ pub fn cpu_decompose(model: &C2BoundModel, p: &DesignPoint) -> BoundDecompositio
         compute_ceiling: n / model.cpi_exe(p.a0),
         bandwidth_ceiling: n * model.memory.pure_miss_concurrency * LINE_BYTES
             / model.memory.dram_latency,
-    }
-}
-
-impl ModelBackend for CpuCmpBackend {
-    fn identity(&self) -> &'static str {
-        CPU_CMP_IDENTITY
-    }
-
-    fn objective(&self, point: &DesignPoint) -> Result<f64> {
-        let t = analytic_time(&self.model, point);
-        if t.is_finite() && t > 0.0 {
-            Ok(t)
-        } else {
-            Err(Error::Simulation(format!(
-                "cpu-cmp objective produced non-physical time {t}"
-            )))
-        }
-    }
-
-    fn feasible(&self, point: &DesignPoint) -> bool {
-        let vars = DesignVariables {
-            n: point.n as f64,
-            a0: point.a0,
-            a1: point.a1,
-            a2: point.a2,
-        };
-        self.model.feasible(&vars)
-    }
-
-    fn decompose(&self, point: &DesignPoint) -> BoundDecomposition {
-        cpu_decompose(&self.model, point)
-    }
-
-    fn work(&self, point: &DesignPoint) -> f64 {
-        self.model.problem_size(point.n as f64)
     }
 }
 
@@ -369,7 +300,7 @@ impl GpuSmModel {
 }
 
 /// The GPU-SM backend: [`GpuSmModel`] plus the discrete space it
-/// sweeps. Implements both backend traits — its analysis stage is an
+/// sweeps. Implements [`BackendSweep`] — its analysis stage is an
 /// exhaustive feasibility-filtered scan of the `(a0, a1, a2, n)` grid
 /// (the space is small and the objective is closed-form), and its
 /// refinement stage sweeps lanes × occupancy exactly as the CPU path
@@ -391,7 +322,7 @@ impl GpuSmBackend {
     /// reports — designs demanding more occupancy than the kernel's
     /// resident-warp concurrency can fill saturate here.
     pub fn measure(&self, p: &DesignPoint) -> Result<f64> {
-        if !ModelBackend::feasible(self, p) {
+        if !self.feasible(p) {
             return Err(Error::Simulation(format!(
                 "infeasible SM configuration: {} SMs of {} mm2 exceed the budget",
                 p.n,
@@ -400,32 +331,14 @@ impl GpuSmBackend {
         }
         self.model.time_at(p, self.model.theta_achieved(p))
     }
-}
 
-impl ModelBackend for GpuSmBackend {
-    fn identity(&self) -> &'static str {
-        GPU_SM_IDENTITY
-    }
-
-    fn objective(&self, point: &DesignPoint) -> Result<f64> {
-        self.model.time_at(point, self.model.theta_target(point))
-    }
-
-    fn feasible(&self, point: &DesignPoint) -> bool {
+    /// Whether `point` fits the silicon budget with at least one SM.
+    pub fn feasible(&self, point: &DesignPoint) -> bool {
         point.n >= 1
             && self
                 .model
                 .budget
                 .admits(point.n as f64, point.a0, point.a1, point.a2)
-    }
-
-    fn decompose(&self, point: &DesignPoint) -> BoundDecomposition {
-        self.model
-            .decompose_at(point, self.model.theta_target(point))
-    }
-
-    fn work(&self, _point: &DesignPoint) -> f64 {
-        self.model.work_flops
     }
 }
 
@@ -462,7 +375,7 @@ impl BackendSweep for GpuSmBackend {
                     for in_ in 0..self.space.n().len() {
                         let idx = [ia0, ia1, ia2, in_, i4, i5];
                         let p = self.space.point_at(idx);
-                        if !ModelBackend::feasible(self, &p) {
+                        if !self.feasible(&p) {
                             continue;
                         }
                         let Ok(t) = self.model.time_at(&p, self.model.theta_target(&p)) else {
@@ -545,11 +458,12 @@ impl BackendSweep for GpuSmBackend {
     }
 
     fn decompose(&self, point: &DesignPoint) -> BoundDecomposition {
-        ModelBackend::decompose(self, point)
+        self.model
+            .decompose_at(point, self.model.theta_target(point))
     }
 
-    fn work(&self, point: &DesignPoint) -> f64 {
-        ModelBackend::work(self, point)
+    fn work(&self, _point: &DesignPoint) -> f64 {
+        self.model.work_flops
     }
 }
 
@@ -818,7 +732,7 @@ mod tests {
         let plan = BackendSweep::plan_observed(&backend, &NullSink).unwrap();
         assert_eq!(plan.jobs.len(), 3 * 3);
         for job in &plan.jobs {
-            assert!(ModelBackend::feasible(&backend, &job.point));
+            assert!(backend.feasible(&job.point));
         }
         // The skeleton's choice is the analytic scan's best time.
         assert!(plan.analytic.execution_time > 0.0);
@@ -873,7 +787,6 @@ mod tests {
     #[test]
     fn cpu_decomposition_is_finite_and_positive() {
         let model = C2BoundModel::example_big_data();
-        let backend = CpuCmpBackend { model };
         let p = DesignPoint {
             a0: 4.0,
             a1: 0.25,
@@ -882,7 +795,7 @@ mod tests {
             issue_width: 4,
             rob_size: 128,
         };
-        let d = ModelBackend::decompose(&backend, &p);
+        let d = cpu_decompose(&model, &p);
         assert!(d.operational_intensity > 0.0 && d.operational_intensity.is_finite());
         assert!(d.compute_ceiling > 0.0 && d.compute_ceiling.is_finite());
         assert!(d.bandwidth_ceiling > 0.0 && d.bandwidth_ceiling.is_finite());

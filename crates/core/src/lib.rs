@@ -75,8 +75,8 @@ pub use aps::{
 };
 pub use asymmetric::{AsymmetricDesign, AsymmetricModel};
 pub use backend::{
-    roofline_json, roofline_points, BackendSweep, BoundDecomposition, Ceiling, CpuCmpBackend,
-    GpuSmBackend, GpuSmModel, ModelBackend, RooflinePoint, CPU_CMP_IDENTITY, GPU_SM_IDENTITY,
+    roofline_json, roofline_points, BackendSweep, BoundDecomposition, Ceiling, GpuSmBackend,
+    GpuSmModel, RooflinePoint, CPU_CMP_IDENTITY, GPU_SM_IDENTITY,
 };
 pub use dse::{DesignPoint, DesignSpace, GroundTruth, Oracle};
 pub use energy::{MultiObjective, PowerModel};

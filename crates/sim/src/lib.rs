@@ -57,7 +57,7 @@ pub use dram::Dram;
 pub use fault::{CycleWindow, DramSpike, FaultPlan, OracleHang};
 pub use metrics::{LayerStats, PerCoreStats};
 pub use mshr::MshrFile;
-pub use oracle::{FaultyOracle, SharedOracle};
+pub use oracle::FaultyOracle;
 
 /// Errors from simulator construction or execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -82,73 +82,6 @@ impl<F> FaultyOracle<F> {
     }
 }
 
-/// A [`FaultyOracle`] variant that is shareable read-only across
-/// threads: `call` takes `&self`, the evaluation counter is atomic, and
-/// the wrapped function only needs `Fn` (+ `Sync`), so one instance can
-/// price design points from every worker of a sharded sweep at once.
-///
-/// Fault injection is still keyed to the evaluation's stable key — a
-/// pure function of the key and the (immutable) plan — so concurrent,
-/// reordered, and resumed sweeps all observe the same faults no matter
-/// which thread performs which call. The only shared mutable state is
-/// the call counter, which is bookkeeping, not behavior: it never feeds
-/// back into injection decisions.
-#[derive(Debug)]
-pub struct SharedOracle<F> {
-    plan: FaultPlan,
-    inner: F,
-    calls: std::sync::atomic::AtomicU64,
-}
-
-impl<F> SharedOracle<F> {
-    /// Wrap `inner` under `plan`. Rejects invalid plans up front.
-    pub fn new(plan: FaultPlan, inner: F) -> Result<Self> {
-        plan.validate()?;
-        Ok(SharedOracle {
-            plan,
-            inner,
-            calls: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Total evaluations attempted through this adapter, across all
-    /// threads (including ones that were failed or hung by the plan).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The plan this adapter injects.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Evaluate the wrapped oracle at `arg` under the plan, from any
-    /// thread. Injection order matches [`FaultyOracle::call`]: stall,
-    /// then keyed failure, then the real oracle.
-    pub fn call<T, E>(&self, key: u64, arg: &T) -> std::result::Result<f64, E>
-    where
-        F: Fn(&T) -> std::result::Result<f64, E>,
-        E: From<Error>,
-    {
-        self.calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(stall) = self.plan.oracle_key_stall(key) {
-            std::thread::sleep(stall);
-        }
-        if self.plan.oracle_key_panics(key) {
-            panic!("injected oracle panic at key {key}");
-        }
-        if self.plan.oracle_key_fails(key) {
-            return Err(Error::InjectedFault {
-                request: key + 1,
-                cycle: 0,
-            }
-            .into());
-        }
-        (self.inner)(arg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn keyed_panics_unwind_out_of_both_adapters() {
+    fn keyed_panics_unwind_out_of_the_adapter() {
         let plan = FaultPlan {
             oracle_panic_period: Some(3),
             ..FaultPlan::default()
@@ -243,69 +176,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "injected oracle panic at key 2");
-        let shared = SharedOracle::new(plan, ok_oracle).unwrap();
-        assert_eq!(shared.call(1, &1.0), Ok(2.0));
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.call::<f64, Error>(5, &1.0)
-        }))
-        .is_err());
-        assert_eq!(shared.calls(), 2, "panicked calls are still counted");
-    }
-
-    #[test]
-    fn shared_oracle_matches_faulty_oracle_key_for_key() {
-        let plan = FaultPlan {
-            oracle_failure_period: Some(3),
-            ..FaultPlan::default()
-        };
-        let mut owned = FaultyOracle::new(plan, ok_oracle).unwrap();
-        let shared = SharedOracle::new(plan, ok_oracle).unwrap();
-        for key in 0..32u64 {
-            assert_eq!(
-                owned.call(key, &1.5),
-                shared.call(key, &1.5),
-                "key {key}: shared adapter must inject the same faults"
-            );
-        }
-        assert_eq!(shared.calls(), 32);
-    }
-
-    #[test]
-    fn shared_oracle_is_deterministic_under_concurrent_callers() {
-        let plan = FaultPlan {
-            oracle_failure_period: Some(4),
-            ..FaultPlan::default()
-        };
-        let shared = SharedOracle::new(plan, ok_oracle).unwrap();
-        let keys: Vec<u64> = (0..64).collect();
-        // Four threads price disjoint key slices through ONE adapter;
-        // the per-key outcome must equal the serial baseline and the
-        // shared counter must total every call.
-        let outcomes: Vec<(u64, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .chunks(16)
-                .map(|chunk| {
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&k| (k, shared.call::<f64, Error>(k, &1.0).is_err()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(shared.calls(), 64);
-        for (k, failed) in outcomes {
-            assert_eq!(
-                failed,
-                plan.oracle_key_fails(k),
-                "key {k}: outcome must be a pure function of the key"
-            );
-        }
+        assert_eq!(owned.calls(), 2, "panicked calls are still counted");
     }
 }

@@ -3,7 +3,7 @@
 //! overlay, and the isolation contract — a journal or evaluation cache
 //! written under one backend must never be resumed or served under
 //! another. The CPU default path is pinned byte-for-byte against
-//! goldens captured *before* the `ModelBackend` refactor, so the trait
+//! goldens captured *before* the backend trait existed, so the trait
 //! extraction is provably behavior-preserving.
 
 use std::path::{Path, PathBuf};
@@ -35,8 +35,8 @@ fn run_ok(args: &[&str]) -> String {
 }
 
 /// The default (cpu-cmp) pipeline is byte-identical to the pre-refactor
-/// engine: journal and metrics captured before the `ModelBackend`
-/// trait existed must be reproduced exactly by today's binary.
+/// engine: journal and metrics captured before the backend trait
+/// existed must be reproduced exactly by today's binary.
 #[test]
 fn cpu_backend_is_byte_identical_to_pre_refactor_goldens() {
     let dir = temp_dir("prerefactor");

@@ -158,8 +158,8 @@ fn oracle_failure_mid_refinement_skips_and_degrades() {
     };
     let mut calls = 0u64;
     let outcome = aps
-        .run_with_policy(
-            |p| {
+        .run_oracle(
+            |p: &DesignPoint| {
                 calls += 1;
                 if plan.oracle_call_fails(calls) {
                     return Err(c2bound::model::Error::Simulation("injected".into()));

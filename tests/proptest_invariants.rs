@@ -221,7 +221,7 @@ proptest! {
         fail in prop::collection::vec(0u8..2, 9),
     ) {
         use c2bound::model::dse::DesignSpace;
-        use c2bound::model::{Aps, C2BoundModel, ResiliencePolicy};
+        use c2bound::model::{Aps, C2BoundModel, DesignPoint, ResiliencePolicy};
         let space = DesignSpace::tiny(); // 3 issue x 3 rob = 9 sweep points
         let aps = Aps::new(C2BoundModel::example_big_data(), space);
         let policy = ResiliencePolicy {
@@ -229,8 +229,8 @@ proptest! {
             analytic_fallback: true,
         };
         let mut calls = 0usize;
-        let outcome = aps.run_with_policy(
-            |p| {
+        let outcome = aps.run_oracle(
+            |p: &DesignPoint| {
                 let i = calls;
                 calls += 1;
                 if fail[i] == 1 {
