@@ -88,8 +88,6 @@ use crate::storage::Storage;
 use crate::{Error, Result};
 use c2_config::Json;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Cache format version written in the header.
@@ -191,29 +189,30 @@ pub fn load(storage: &dyn Storage, path: &Path) -> Result<LoadedCache> {
     }
 }
 
-/// Append one phase-memo record to the cache at `path`, creating the
-/// file (with its header) if missing or holding only a torn remnant.
-/// Runs before the engine starts, so it never races the engine's
-/// read-once/publish-once discipline; concurrent appenders interleave
-/// whole lines (O_APPEND) and the loader keeps the first of any
-/// duplicate key.
-pub fn append_phase(path: &Path, key: u64, record: &PhaseRecord) -> Result<()> {
-    let fresh = match std::fs::read_to_string(path) {
-        Ok(text) => parse_snapshot(&text, path)?.is_none(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-        Err(e) => return Err(Error::Io(format!("read {path:?}: {e}"))),
+/// Append one phase-memo record to the cache at `path` through
+/// `storage`, creating the file (with its header) if missing or
+/// holding only a torn remnant. Runs before the engine starts, so it
+/// never races the engine's read-once/publish-once discipline;
+/// concurrent appenders interleave whole lines (O_APPEND) and the
+/// loader keeps the first of any duplicate key.
+pub fn append_phase(
+    storage: &dyn Storage,
+    path: &Path,
+    key: u64,
+    record: &PhaseRecord,
+) -> Result<()> {
+    let fresh = match storage.read_to_string(path)? {
+        Some(text) => parse_snapshot(&text, path)?.is_none(),
+        None => true,
     };
     if fresh {
-        std::fs::write(path, format!("{}\n", header_line()))
-            .map_err(|e| Error::Io(format!("create {path:?}: {e}")))?;
+        let mut out = storage.create(path)?;
+        out.write_all(format!("{}\n", header_line()).as_bytes())?;
+        out.flush()?;
     }
-    let mut f = OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| Error::Io(format!("open {path:?} for append: {e}")))?;
-    f.write_all(format!("{}\n", phase_line(key, record)).as_bytes())
-        .and_then(|()| f.flush())
-        .map_err(|e| Error::Io(format!("write {path:?}: {e}")))
+    let mut out = storage.append(path)?;
+    out.write_all(format!("{}\n", phase_line(key, record)).as_bytes())?;
+    out.flush()
 }
 
 /// Atomically replace the cache at `path` with the union of `entries`
@@ -644,7 +643,7 @@ mod tests {
             representatives: vec![0, 1, 3],
         };
         // Append creates the file (with header) and the memo loads back.
-        append_phase(&path, 0xF00D, &record).unwrap();
+        append_phase(&DISK, &path, 0xF00D, &record).unwrap();
         let loaded = load(&DISK, &path).unwrap();
         assert_eq!(loaded.phases.get(&0xF00D), Some(&record));
         assert_eq!(loaded.skipped, 0, "a phase line is not a torn line");
@@ -656,7 +655,7 @@ mod tests {
             labels: Vec::new(),
             representatives: Vec::new(),
         };
-        append_phase(&path, 0xBEEF, &exact).unwrap();
+        append_phase(&DISK, &path, 0xBEEF, &exact).unwrap();
         let loaded = load(&DISK, &path).unwrap();
         assert_eq!(loaded.phases.len(), 2);
         assert_eq!(loaded.phases.get(&0xBEEF), Some(&exact));
@@ -675,6 +674,38 @@ mod tests {
         assert_eq!(loaded.snapshot.len(), 1);
         assert_eq!(loaded.phases.len(), 2);
         assert_eq!(loaded.skipped, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_phase_append_leaves_a_loadable_cache() {
+        use crate::chaos::{ChaosPlan, ChaosStorage};
+        use crate::storage::DiskStorage;
+        let path = tmp("phase-enospc.jsonl");
+        let record = PhaseRecord {
+            interval_len: 1000,
+            labels: vec![0, 1],
+            representatives: vec![0, 1],
+        };
+        // Write 1 is the fresh file's header, write 2 the phase line.
+        let plan = ChaosPlan {
+            enospc_at_write: Some(2),
+            ..ChaosPlan::default()
+        };
+        let chaos = ChaosStorage::new(Box::new(DiskStorage), plan).unwrap();
+        let err = append_phase(&chaos, &path, 0xF00D, &record).unwrap_err();
+        assert!(
+            matches!(err, Error::Io(ref m) if m.contains("ENOSPC")),
+            "{err:?}"
+        );
+        assert_eq!(chaos.writes(), 2);
+        let loaded = load(&DISK, &path).unwrap();
+        assert!(loaded.phases.is_empty() && loaded.snapshot.is_empty());
+        assert_eq!(loaded.skipped, 0);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{}\n", header_line())
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -207,7 +207,7 @@ fn cache_text(dir: &Path, n: u64, time: f64) -> String {
         labels: vec![0, 1, 0, 2],
         representatives: vec![0, 1, 3],
     };
-    cache::append_phase(&path, 0xF00D, &phase).unwrap();
+    cache::append_phase(&DISK, &path, 0xF00D, &phase).unwrap();
     std::fs::read_to_string(&path).unwrap()
 }
 

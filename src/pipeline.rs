@@ -355,7 +355,14 @@ fn phase_oracle_for(
                 };
                 // Memoization is an optimization; a failed append is
                 // ops telemetry, never fatal.
-                if c2_runner::cache::append_phase(path, memo_key, &record).is_err() {
+                if c2_runner::cache::append_phase(
+                    &c2_runner::storage::DISK,
+                    path,
+                    memo_key,
+                    &record,
+                )
+                .is_err()
+                {
                     ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
                 }
             }
