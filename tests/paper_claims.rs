@@ -1,8 +1,13 @@
 //! Integration tests pinning the paper's headline quantitative and
 //! qualitative claims, exercised through the public facade.
 
+use c2_config::{OracleMode, Scenario};
 use c2bound::camat::timeline::Timeline;
+use c2bound::model::report::fmt_num;
 use c2bound::model::{optimize::optimize, C2BoundModel, OptimizationCase, ScalingStudy};
+use c2bound::obs::NullSink;
+use c2bound::pipeline;
+use c2bound::runner::RunConfig;
 use c2bound::speedup::scale::{ComplexityPair, ScaleFunction};
 use c2bound::speedup::{amdahl, gustafson, sun_ni};
 
@@ -92,4 +97,45 @@ fn design_space_narrowing_four_orders() {
     let refinement = space.issue().len() * space.rob().len();
     assert_eq!(refinement, 100);
     assert!((space.size() as f64 / refinement as f64).log10() >= 4.0);
+}
+
+/// The benchmark's calibrated model error, pinned in tier 1. The paper
+/// reports an APS prediction error of 5.96%, and fig12 measures 12.1%
+/// on its own workload. `paper_scale.json` (full mode) measures
+/// 16.335%, and its phase-mode stencil variant 21.952%. Each figure
+/// comes with the best simulated time behind it; a change to the
+/// model, the simulator or the pipeline that moves either one fails
+/// here.
+#[test]
+fn benchmark_model_error_is_pinned() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/paper_scale.json"
+    ))
+    .expect("paper_scale.json");
+    let full = Scenario::from_json(&text).expect("parse paper_scale.json");
+    let mut phase = full.clone();
+    phase.workload.name = "stencil".into();
+    phase.workload.size = 64;
+    phase.oracle.mode = OracleMode::Phase;
+    phase.space.issue = vec![1, 4, 8, 12, 16];
+    phase.space.rob = vec![16, 64, 128, 256];
+    for (sc, error, best) in [(&full, "16.335", "1029.0"), (&phase, "21.952", "16697.7")] {
+        let config = RunConfig::from_spec(&sc.runner)
+            .expect("runner spec")
+            .with_scenario(sc.fingerprint());
+        let run = pipeline::execute(sc, config, None, false, &NullSink, &NullSink).expect("run");
+        let outcome = run.summary.outcome.expect("a completed sweep");
+        assert_eq!(
+            (
+                fmt_num(100.0 * outcome.prediction_error),
+                fmt_num(outcome.best_time)
+            ),
+            (error.to_string(), best.to_string()),
+            "{} {} ({:?} oracle)",
+            sc.workload.name,
+            sc.workload.size,
+            sc.oracle.mode
+        );
+    }
 }
