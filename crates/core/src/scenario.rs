@@ -1,5 +1,5 @@
 //! Scenario → model wiring: build the analytical model, design space,
-//! and APS driver from a declarative [`Scenario`](c2_config::Scenario).
+//! and APS driver from a declarative [`Scenario`].
 //!
 //! The defaults of every `c2-config` spec are chosen so that a default
 //! scenario reproduces, bit for bit, the model the CLI historically
