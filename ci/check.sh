@@ -282,13 +282,24 @@ if cmp -s "${smoke_dir}/journal-t1.jsonl" "${smoke_dir}/screen-journal-t1.jsonl"
     exit 1
 fi
 
-echo "== sweep benchmark smoke (archives BENCH_sweep.json) =="
+# Each bench smoke rewrites its checked-in record with this host's
+# timings. Keep the committed copies and put them back on any exit, so
+# CI leaves the checkout clean; removing each record first makes the
+# `test -s` show that the bench wrote a fresh one.
+records="${smoke_dir}/bench-records"
+mkdir "${records}"
+cp BENCH_sweep.json BENCH_phase.json "${records}/"
+trap 'cp "${records}"/BENCH_*.json . && rm -rf "${smoke_dir}"' EXIT
+
+echo "== sweep benchmark smoke (writes BENCH_sweep.json, then restored) =="
+rm BENCH_sweep.json
 cargo bench -q -p c2-bench --bench sweep_benches > /dev/null
 test -s BENCH_sweep.json
 
-echo "== scaling smoke (1 vs 8 threads + phase cut, archives BENCH_phase.json) =="
+echo "== scaling smoke (1 vs 8 threads + phase cut, writes BENCH_phase.json, then restored) =="
 # The bench itself enforces the floors (>=5x at 8 threads, >=1.5x
-# per-oracle cut) and refreshes the checked-in record.
+# per-oracle cut).
+rm BENCH_phase.json
 cargo bench -q -p c2-bench --bench phase_benches > /dev/null
 test -s BENCH_phase.json
 

@@ -173,9 +173,33 @@ impl CamatDetector {
         self.accesses
     }
 
+    /// Return to the empty state of [`CamatDetector::new`], keeping the
+    /// miss tables' storage for the next run.
+    pub fn reset(&mut self) {
+        let mut start_epoch = std::mem::take(&mut self.start_epoch);
+        let mut closed = std::mem::take(&mut self.closed);
+        let mut prev_ids = std::mem::take(&mut self.prev_ids);
+        start_epoch.clear();
+        closed.clear();
+        prev_ids.clear();
+        *self = CamatDetector {
+            start_epoch,
+            closed,
+            prev_ids,
+            ..CamatDetector::default()
+        };
+    }
+
     /// Produce the final report. Misses still outstanding are folded in
     /// as if they retired now.
     pub fn finish(mut self) -> DetectorReport {
+        self.report()
+    }
+
+    /// [`CamatDetector::finish`] in place: the report, with outstanding
+    /// misses folded in as if they retired now. Call
+    /// [`CamatDetector::reset`] before observing another run.
+    pub fn report(&mut self) -> DetectorReport {
         // Drain unretired misses so their pure cycles are not lost.
         for (_, start) in self.start_epoch.drain() {
             let pure = self.pure_epoch - start;
@@ -465,6 +489,29 @@ mod tests {
             }
             prop_assert_eq!(bulk.finish(), stepped.finish());
         }
+    }
+
+    #[test]
+    fn reset_detector_reports_like_a_new_one() {
+        let feed = |det: &mut CamatDetector| {
+            det.observe_cycle(1, &[3]);
+            det.observe_cycle(0, &[3, 4]);
+            det.retire_access(1, Some((3, 2)));
+            det.observe_cycle(2, &[4]);
+            det.retire_access(1, Some((4, 3)));
+        };
+        let mut used = CamatDetector::new();
+        feed(&mut used);
+        // Leave a closed window, an open one and a previous-cycle list.
+        used.observe_cycle(0, &[5]);
+        used.observe_cycle(0, &[6]);
+        used.miss_begins(7);
+        assert_eq!(used.report(), used.clone().finish(), "report is idempotent");
+        used.reset();
+        feed(&mut used);
+        let mut fresh = CamatDetector::new();
+        feed(&mut fresh);
+        assert_eq!(used.report(), fresh.finish());
     }
 
     #[test]

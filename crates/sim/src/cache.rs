@@ -18,10 +18,11 @@ pub enum LookupResult {
 /// then a stamp `last_used << 1 | dirty`. Every access and install first
 /// advances the clock, so a resident line's stamp is at least 2 and a
 /// zero stamp marks an invalid way. The all-zero vector is therefore the
-/// empty cache: [`CacheArray::new`] takes zeroed memory, which the
-/// allocator hands out for large arrays as untouched pages, so building
-/// a 64 MiB shared L2 costs the sets a run touches rather than its
-/// capacity.
+/// empty cache. The first install into an empty set fills its way 0, and
+/// nothing else writes to an empty set, so the array records those
+/// installs: its reset zeroes only the sets they name and hands a
+/// run's successor the empty cache without clearing or reallocating
+/// the whole array.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
@@ -29,6 +30,10 @@ pub struct CacheArray {
     banks: usize,
     line_size: u64,
     data: Vec<u64>,
+    /// Sets filled from empty since the last reset; past
+    /// [`CacheArray::filled_cap`] entries it stops growing and the next
+    /// reset clears the whole array.
+    filled: Vec<usize>,
     clock: u64,
     // Statistics
     hits: u64,
@@ -43,19 +48,58 @@ const DIRTY: u64 = 1;
 impl CacheArray {
     /// Build from a validated configuration.
     pub fn new(config: &CacheConfig) -> Self {
-        let sets = config.sets();
+        let words = 2 * config.sets() * config.associativity;
+        CacheArray::with_storage(config, vec![0; words], Vec::new())
+    }
+
+    /// Empty the array and take `config`'s banking: the state
+    /// [`CacheArray::new`] builds. An array of the same sets and ways
+    /// keeps its storage and zeroes only the sets filled since its last
+    /// reset, or all of it once more than a quarter of them were; any
+    /// other geometry is built anew.
+    pub(crate) fn reset(&mut self, config: &CacheConfig) {
+        if (self.sets, self.ways) != (config.sets(), config.associativity) {
+            // Free the old array first, so two are never live at once.
+            self.data = Vec::new();
+            *self = CacheArray::new(config);
+            return;
+        }
+        let mut data = std::mem::take(&mut self.data);
+        let mut filled = std::mem::take(&mut self.filled);
+        if filled.len() > self.filled_cap() {
+            data.fill(0);
+        } else {
+            let set_words = 2 * self.ways;
+            for &set in &filled {
+                data[set * set_words..(set + 1) * set_words].fill(0);
+            }
+        }
+        filled.clear();
+        *self = CacheArray::with_storage(config, data, filled);
+    }
+
+    /// An array of `config`'s geometry over zeroed `data` and an empty
+    /// `filled` list.
+    fn with_storage(config: &CacheConfig, data: Vec<u64>, filled: Vec<usize>) -> Self {
         CacheArray {
-            sets,
+            sets: config.sets(),
             ways: config.associativity,
             banks: config.banks,
             line_size: config.line_size,
-            data: vec![0; 2 * sets * config.associativity],
+            data,
+            filled,
             clock: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
             dirty_evictions: 0,
         }
+    }
+
+    /// How many filled sets are zeroed one by one; past this a reset
+    /// clears the whole array.
+    fn filled_cap(&self) -> usize {
+        self.sets / 4
     }
 
     #[inline]
@@ -138,6 +182,9 @@ impl CacheArray {
             .min_by_key(|&w| self.data[2 * w + 1] >> 1)
             .unwrap_or(base);
         let old_stamp = self.data[2 * victim + 1];
+        if victim == base && old_stamp == 0 && self.filled.len() <= self.filled_cap() {
+            self.filled.push(set);
+        }
         let evicted = (old_stamp != 0).then(|| {
             let victim_line = self.data[2 * victim] * self.sets as u64 + set as u64;
             (victim_line, old_stamp & DIRTY != 0)
@@ -341,7 +388,7 @@ mod tests {
         fn zeroed_layout_matches_the_way_struct_reference(
             ways in 1usize..9,
             set_bits in 0u32..7,
-            ops in prop::collection::vec((0u8..8, 0u64..1 << 20, 0u8..2), 0..600),
+            ops in prop::collection::vec((0u8..9, 0u64..1 << 20, 0u8..2), 0..600),
         ) {
             let sets = 1usize << set_bits;
             let config = CacheConfig {
@@ -367,7 +414,14 @@ mod tests {
                     2..=4 => prop_assert_eq!(cache.install(line, flag), reference.install(line, flag)),
                     5 => prop_assert_eq!(cache.probe(line), reference.probe(line)),
                     6 => prop_assert_eq!(cache.mark_dirty(line), reference.mark_dirty(line)),
-                    _ => prop_assert_eq!(cache.invalidate(line), reference.invalidate(line)),
+                    7 => prop_assert_eq!(cache.invalidate(line), reference.invalidate(line)),
+                    // Zeroes the sets filled since the last reset, or the
+                    // whole array past its cap: either way the empty cache.
+                    _ => {
+                        cache.reset(&config);
+                        reference = Reference::new(&config);
+                        prop_assert!(cache.data.iter().all(|&word| word == 0));
+                    }
                 }
             }
             prop_assert_eq!(cache.hits(), reference.hits);

@@ -36,6 +36,9 @@
 //!   Eq. 7 overlap cycle, and `finish` accounts every core through the
 //!   last cycle.
 
+use std::cell::Cell;
+use std::collections::{BinaryHeap, VecDeque};
+
 use c2_camat::detector::CamatDetector;
 use c2_camat::{Apc, LayerApc, MemoryLayer};
 use c2_trace::Trace;
@@ -136,6 +139,11 @@ impl Simulator {
     }
 
     /// Run one trace per core to completion.
+    ///
+    /// The run resets the engine the calling thread's previous run left
+    /// behind rather than building one, so consecutive runs of the same
+    /// core count and cache geometry reuse its allocations. The result
+    /// is the same either way: a reset engine is a fresh one.
     pub fn run(&self, traces: &[Trace]) -> Result<SimResult> {
         self.config.validate()?;
         if traces.len() != self.config.cores {
@@ -144,8 +152,24 @@ impl Simulator {
                 traces: traces.len(),
             });
         }
-        Engine::new(&self.config, traces).run()
+        let mut engine = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Engine::empty(&self.config));
+        engine.reset(&self.config, traces);
+        let result = engine.run();
+        // A run that unwinds never gets here, so its thread keeps no
+        // spare and the next run there builds afresh.
+        let _ = SPARE.try_with(|spare| spare.set(Some(engine)));
+        result
     }
+}
+
+thread_local! {
+    /// The engine of this thread's last run, waiting to be reset by its
+    /// next one. It is freed when the thread exits.
+    static SPARE: Cell<Option<Engine>> = const { Cell::new(None) };
 }
 
 struct Engine {
@@ -199,8 +223,7 @@ struct Engine {
     /// Demand memory requests issued so far (1-based after increment),
     /// keyed to the fault plan's `fail_at_request`.
     demand_requests: u64,
-    /// Scratch for MSHR waiter drains (one allocation per run, not per
-    /// fill).
+    /// Buffer for MSHR waiter drains, kept across fills and runs.
     waiter_buf: Vec<ReqId>,
     // Statistics
     l1_layer: LayerStats,
@@ -215,48 +238,36 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(config: &ChipConfig, traces: &[Trace]) -> Self {
-        let mut dram = Dram::new(config.dram);
-        dram.set_spike(config.fault.dram_spike);
-        let cores: Vec<Core> = traces.iter().map(|t| Core::new(config.core, t)).collect();
-        let mut awake = vec![0u64; cores.len().div_ceil(64)];
-        let mut unfinished = 0;
-        for (i, core) in cores.iter().enumerate() {
-            if !core.finished() {
-                awake[i / 64] |= 1 << (i % 64);
-                unfinished += 1;
-            }
-        }
+    /// An engine that has run nothing, for [`Engine::reset`] to size:
+    /// the empty engine plus a reset is a fresh build.
+    fn empty(config: &ChipConfig) -> Self {
         Engine {
-            unfinished,
-            awake,
-            asleep: vec![None; cores.len()],
-            observed: vec![0; cores.len()],
-            cores_with_hits: 0,
-            cores,
-            l1s: (0..config.cores)
-                .map(|_| CacheArray::new(&config.l1))
-                .collect(),
-            l1_mshrs: (0..config.cores)
-                .map(|_| MshrFile::new(config.l1.mshr_entries))
-                .collect(),
-            detectors: (0..config.cores).map(|_| CamatDetector::new()).collect(),
+            config: config.clone(),
+            cores: Vec::new(),
+            l1s: Vec::new(),
+            l1_mshrs: Vec::new(),
+            detectors: Vec::new(),
             l2: CacheArray::new(&config.l2),
             l2_mshr: MshrFile::new(config.l2.mshr_entries),
             l2_queue: Vec::new(),
-            l2_bank_busy: vec![0; config.l2.banks],
-            dram,
+            l2_bank_busy: Vec::new(),
+            dram: Dram::new(config.dram),
             requests: RequestArena::new(),
             next_req: 0,
             next_wb: WB_BASE,
             wb_pending: Vec::new(),
             wb_inflight: 0,
-            schedule: std::collections::BinaryHeap::new(),
-            retry_l1: vec![std::collections::VecDeque::new(); config.cores],
-            retry_l2: std::collections::VecDeque::new(),
+            schedule: BinaryHeap::new(),
+            retry_l1: Vec::new(),
+            retry_l2: VecDeque::new(),
             retry_dram: Vec::new(),
-            hits_in_flight: vec![0; config.cores],
-            outstanding: vec![0; config.cores],
+            hits_in_flight: Vec::new(),
+            outstanding: Vec::new(),
+            cores_with_hits: 0,
+            observed: Vec::new(),
+            awake: Vec::new(),
+            asleep: Vec::new(),
+            unfinished: 0,
             l2_resident: 0,
             demand_requests: 0,
             waiter_buf: Vec::new(),
@@ -265,15 +276,127 @@ impl Engine {
             dram_layer: LayerStats::default(),
             writebacks: 0,
             prefetches: 0,
-            per_core_accesses: vec![0; config.cores],
-            per_core_misses: vec![0; config.cores],
-            per_core_mem_active: vec![0; config.cores],
-            per_core_overlap: vec![0; config.cores],
-            config: config.clone(),
+            per_core_accesses: Vec::new(),
+            per_core_misses: Vec::new(),
+            per_core_mem_active: Vec::new(),
+            per_core_overlap: Vec::new(),
         }
     }
 
-    fn run(mut self) -> Result<SimResult> {
+    /// Put the engine in the state in which a run of `traces` on
+    /// `config` starts, keeping every allocation whose shape still fits.
+    /// This is the one definition of that state: the pattern names every
+    /// field, so a new one does not compile until it is set here.
+    fn reset(&mut self, config: &ChipConfig, traces: &[Trace]) {
+        let Engine {
+            config: own_config,
+            cores,
+            l1s,
+            l1_mshrs,
+            detectors,
+            l2,
+            l2_mshr,
+            l2_queue,
+            l2_bank_busy,
+            dram,
+            requests,
+            next_req,
+            next_wb,
+            wb_pending,
+            wb_inflight,
+            schedule,
+            retry_l1,
+            retry_l2,
+            retry_dram,
+            hits_in_flight,
+            outstanding,
+            cores_with_hits,
+            observed,
+            awake,
+            asleep,
+            unfinished,
+            l2_resident,
+            demand_requests,
+            waiter_buf,
+            l1_layer,
+            l2_layer,
+            dram_layer,
+            writebacks,
+            prefetches,
+            per_core_accesses,
+            per_core_misses,
+            per_core_mem_active,
+            per_core_overlap,
+        } = self;
+        let n = traces.len();
+        own_config.clone_from(config);
+        refit(
+            cores,
+            n,
+            |core, i| core.reset(config.core, &traces[i]),
+            |i| Core::new(config.core, &traces[i]),
+        );
+        refit(
+            l1s,
+            n,
+            |c, _| c.reset(&config.l1),
+            |_| CacheArray::new(&config.l1),
+        );
+        let l1_entries = config.l1.mshr_entries;
+        refit(
+            l1_mshrs,
+            n,
+            |m, _| m.reset(l1_entries),
+            |_| MshrFile::new(l1_entries),
+        );
+        refit(detectors, n, |d, _| d.reset(), |_| CamatDetector::new());
+        refit(retry_l1, n, |q, _| q.clear(), |_| VecDeque::new());
+        l2.reset(&config.l2);
+        l2_mshr.reset(config.l2.mshr_entries);
+        l2_queue.clear();
+        defaults(l2_bank_busy, config.l2.banks);
+        dram.reset(config.dram);
+        dram.set_spike(config.fault.dram_spike);
+        requests.clear();
+        *next_req = 0;
+        *next_wb = WB_BASE;
+        wb_pending.clear();
+        *wb_inflight = 0;
+        schedule.clear();
+        retry_l2.clear();
+        retry_dram.clear();
+        defaults(hits_in_flight, n);
+        defaults(outstanding, n);
+        *cores_with_hits = 0;
+        for counts in [
+            observed,
+            per_core_accesses,
+            per_core_misses,
+            per_core_mem_active,
+            per_core_overlap,
+        ] {
+            defaults(counts, n);
+        }
+        defaults(awake, n.div_ceil(64));
+        *unfinished = 0;
+        for (i, core) in cores.iter().enumerate() {
+            if !core.finished() {
+                awake[i / 64] |= 1 << (i % 64);
+                *unfinished += 1;
+            }
+        }
+        defaults(asleep, n);
+        *l2_resident = 0;
+        *demand_requests = 0;
+        waiter_buf.clear();
+        for stats in [l1_layer, l2_layer, dram_layer] {
+            *stats = LayerStats::default();
+        }
+        *writebacks = 0;
+        *prefetches = 0;
+    }
+
+    fn run(&mut self) -> Result<SimResult> {
         let mut now: u64 = 0;
         let mut dram_done: Vec<ReqId> = Vec::new();
         loop {
@@ -861,13 +984,13 @@ impl Engine {
         }
     }
 
-    fn finish(mut self, now: u64) -> Result<SimResult> {
+    fn finish(&mut self, now: u64) -> Result<SimResult> {
         for core in 0..self.cores.len() {
             self.account(core, now + 1);
         }
         let mut cores = Vec::with_capacity(self.cores.len());
-        for (i, det) in self.detectors.drain(..).enumerate() {
-            let report = det.finish();
+        for (i, det) in self.detectors.iter_mut().enumerate() {
+            let report = det.report();
             cores.push(PerCoreStats {
                 instructions: self.cores[i].retired(),
                 finished_at: self.cores[i].finished_at(),
@@ -894,6 +1017,28 @@ impl Engine {
             prefetches: self.prefetches,
         })
     }
+}
+
+/// Resize `items` to `n`: reset the `i`th of those kept with
+/// `reset(item, i)` and build the rest with `build(i)`.
+fn refit<T>(
+    items: &mut Vec<T>,
+    n: usize,
+    mut reset: impl FnMut(&mut T, usize),
+    build: impl FnMut(usize) -> T,
+) {
+    items.truncate(n);
+    for (i, item) in items.iter_mut().enumerate() {
+        reset(item, i);
+    }
+    let kept = items.len();
+    items.extend((kept..n).map(build));
+}
+
+/// Make `values` `n` default values (zeros, `None`s) long.
+fn defaults<T: Default + Clone>(values: &mut Vec<T>, n: usize) {
+    values.clear();
+    values.resize(n, T::default());
 }
 
 /// Convenience: the APC reading of a [`LayerStats`].

@@ -67,14 +67,39 @@ pub struct Core {
 impl Core {
     /// Build a core that will execute `trace`.
     pub fn new(config: CoreConfig, trace: &Trace) -> Self {
+        Core::with_storage(config, trace, Vec::new(), VecDeque::new(), HashSet::new())
+    }
+
+    /// Return to the state [`Core::new`] builds for `config` and
+    /// `trace`, keeping the trace buffer, ROB and completed-request set.
+    pub(crate) fn reset(&mut self, config: CoreConfig, trace: &Trace) {
+        let accesses = std::mem::take(&mut self.accesses);
+        let rob = std::mem::take(&mut self.rob);
+        let completed_reqs = std::mem::take(&mut self.completed_reqs);
+        *self = Core::with_storage(config, trace, accesses, rob, completed_reqs);
+    }
+
+    /// A core about to execute `trace`, built in (possibly used) storage.
+    fn with_storage(
+        config: CoreConfig,
+        trace: &Trace,
+        mut accesses: Vec<MemAccess>,
+        mut rob: VecDeque<RobEntry>,
+        mut completed_reqs: HashSet<ReqId>,
+    ) -> Self {
+        accesses.clear();
+        accesses.extend_from_slice(trace.accesses());
+        rob.clear();
+        rob.reserve(config.rob_size);
+        completed_reqs.clear();
         Core {
             config,
-            accesses: trace.accesses().to_vec(),
+            accesses,
             instruction_count: trace.instruction_count(),
             next_access: 0,
             next_instr: 0,
-            rob: VecDeque::with_capacity(config.rob_size),
-            completed_reqs: HashSet::new(),
+            rob,
+            completed_reqs,
             retired: 0,
             finished_at: 0,
             progress: false,

@@ -51,20 +51,45 @@ pub struct Dram {
 impl Dram {
     /// Build from a validated configuration.
     pub fn new(config: DramConfig) -> Self {
+        Dram::with_storage(config, Vec::new(), Vec::new(), Vec::new())
+    }
+
+    /// Return to the idle controller [`Dram::new`] builds for `config`,
+    /// with no spike armed, keeping the bank, queue and completion
+    /// storage.
+    pub(crate) fn reset(&mut self, config: DramConfig) {
+        let banks = std::mem::take(&mut self.banks);
+        let queue = std::mem::take(&mut self.queue);
+        let completed = std::mem::take(&mut self.completed);
+        *self = Dram::with_storage(config, banks, queue, completed);
+    }
+
+    /// An idle controller for `config`, built in (possibly used) storage.
+    fn with_storage(
+        config: DramConfig,
+        mut banks: Vec<Bank>,
+        mut queue: Vec<DramRequest>,
+        mut completed: Vec<(u64, u64)>,
+    ) -> Self {
+        banks.clear();
+        banks.resize(config.banks, Bank::default());
+        queue.clear();
+        queue.reserve(config.queue_depth);
+        completed.clear();
         Dram {
-            banks: vec![Bank::default(); config.banks],
-            queue: Vec::with_capacity(config.queue_depth),
+            config,
+            banks,
+            queue,
             bus_free_at: 0,
             spike: None,
             spiked_accesses: 0,
-            completed: Vec::new(),
+            completed,
             reads: 0,
             writes: 0,
             row_hits: 0,
             row_misses: 0,
             row_conflicts: 0,
             busy_cycles_hint: 0,
-            config,
         }
     }
 
@@ -376,6 +401,29 @@ mod tests {
         d.drain_completed(1014, &mut out); // row hit: tCAS + tBUS
         assert_eq!(out, vec![2]);
         assert_eq!(d.spiked_accesses(), 1);
+    }
+
+    #[test]
+    fn reset_controller_times_like_a_new_one() {
+        let mut d = Dram::new(cfg());
+        d.set_spike(Some(crate::fault::DramSpike {
+            window: crate::fault::CycleWindow::new(0, 1_000),
+            extra: 100,
+        }));
+        d.enqueue(1, 0, false, 0);
+        d.enqueue(2, 32, false, 0);
+        d.tick(0);
+        d.enqueue(3, 64, true, 1);
+        d.reset(cfg());
+        assert!(!d.is_active(0));
+        assert_eq!((d.reads(), d.writes(), d.row_misses()), (0, 0, 0));
+        // Closed rows, no spike: tRCD + tCAS + tBUS = 24, as when new.
+        d.enqueue(4, 0, false, 0);
+        d.tick(0);
+        let mut out = Vec::new();
+        d.drain_completed(24, &mut out);
+        assert_eq!(out, vec![4]);
+        assert_eq!((d.row_misses(), d.spiked_accesses()), (1, 0));
     }
 
     #[test]

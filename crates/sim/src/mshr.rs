@@ -51,11 +51,30 @@ pub struct MshrFile {
 impl MshrFile {
     /// A file with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
+        MshrFile::with_storage(capacity, Vec::new(), Vec::new())
+    }
+
+    /// Empty the file and give it `capacity` entries: the state
+    /// [`MshrFile::new`] builds, keeping the entry and waiter storage.
+    pub(crate) fn reset(&mut self, capacity: usize) {
+        let entries = std::mem::take(&mut self.entries);
+        let spare = std::mem::take(&mut self.spare);
+        *self = MshrFile::with_storage(capacity, entries, spare);
+    }
+
+    /// An empty file of `capacity` entries, built in (possibly used)
+    /// storage: the waiter vectors of `entries` join the `spare` pool.
+    fn with_storage(capacity: usize, mut entries: Vec<Entry>, mut spare: Vec<Vec<u64>>) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
+        spare.extend(entries.drain(..).map(|mut e| {
+            e.waiters.clear();
+            e.waiters
+        }));
+        entries.reserve(capacity.min(64));
         MshrFile {
             capacity,
-            entries: Vec::with_capacity(capacity.min(64)),
-            spare: Vec::new(),
+            entries,
+            spare,
             primary_misses: 0,
             secondary_misses: 0,
             stalls: 0,
@@ -220,6 +239,21 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         MshrFile::new(0);
+    }
+
+    #[test]
+    fn reset_file_behaves_like_a_new_one() {
+        let mut m = MshrFile::new(1);
+        m.register(3, 1);
+        m.register(3, 2);
+        m.register(4, 3);
+        m.reset(2);
+        assert_eq!(m.occupancy(), 0);
+        assert_eq!((m.primary_misses(), m.secondary_misses()), (0, 0));
+        assert_eq!((m.stalls(), m.peak_occupancy()), (0, 0));
+        assert_eq!(m.register(4, 5), MshrOutcome::Allocated);
+        assert_eq!(m.register(5, 6), MshrOutcome::Allocated);
+        assert_eq!(m.complete(4), vec![5], "no waiter survives the reset");
     }
 
     #[test]

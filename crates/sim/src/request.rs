@@ -126,6 +126,14 @@ impl RequestArena {
         RequestArena::default()
     }
 
+    /// Drop every live request, keeping the slot storage: the state
+    /// [`RequestArena::new`] builds.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.base = 0;
+        self.live = 0;
+    }
+
     #[inline]
     fn index_of(&self, id: ReqId) -> Option<usize> {
         if self.slots.is_empty() || id < self.base {
@@ -317,6 +325,19 @@ mod tests {
         // Reuse after a full drain restarts the window anywhere.
         a.insert(100, arena_req(100));
         assert_eq!(a[&100].id, 100);
+    }
+
+    #[test]
+    fn cleared_arena_restarts_its_window() {
+        let mut a = RequestArena::new();
+        a.insert(40, arena_req(40));
+        a.insert(42, arena_req(42));
+        a.clear();
+        assert!(a.is_empty());
+        assert!(!a.contains_key(&40));
+        // Ids restart from zero, below the old window.
+        a.insert(0, arena_req(0));
+        assert_eq!((a.len(), a[&0].id), (1, 0));
     }
 
     #[test]

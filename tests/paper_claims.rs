@@ -100,7 +100,7 @@ fn design_space_narrowing_four_orders() {
 }
 
 /// The benchmark's calibrated model error, pinned in tier 1. The paper
-/// reports an APS prediction error of 5.96%, and fig12 measures 12.1%
+/// reports an APS prediction error of 5.96%, and fig12 measures 11.8%
 /// on its own workload. `paper_scale.json` (full mode) measures
 /// 16.335%, and its phase-mode stencil variant 21.952%. Each figure
 /// comes with the best simulated time behind it; a change to the
