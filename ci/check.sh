@@ -19,10 +19,12 @@ cargo test --workspace -q
 echo "== benchmark driver (builds against the library calls the benchmark uses) =="
 cargo build --locked --offline -q --manifest-path dsebench/driver/Cargo.toml
 
-echo "== benchmark correctness gate (simulator workloads vs dsebench/reference.json) =="
+echo "== benchmark correctness gate (every workload vs dsebench/reference.json) =="
 # The only check of the 512-core simulator's exact counters and of the
 # CLI's journal and cache digests (a few CLI and traced DSEs each).
-for w in sim_wide phase_estimate; do
+# solve_warm is the warm-cache read path: 100/100 hits, its own journal
+# digest, and the cache file coming back unchanged.
+for w in sim_wide phase_estimate solve_warm; do
     result="$(python3 dsebench/run.py --workload "${w}" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
     if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])

@@ -18,11 +18,16 @@
 //!
 //! * **counts API** (the fast path used by `c2-sim`):
 //!   [`CamatDetector::observe_cycle_counts`] (or its k-cycle form
-//!   [`CamatDetector::observe_cycles`]) + [`CamatDetector::miss_begins`];
+//!   [`CamatDetector::observe_cycles`]). The caller keeps each miss's
+//!   start epoch: it reads [`CamatDetector::pure_epoch`] when the miss
+//!   becomes outstanding and hands it back to
+//!   [`CamatDetector::retire_access`], so no per-miss table is touched;
 //! * **slice API** ([`CamatDetector::observe_cycle`]) taking the explicit
 //!   outstanding-miss id list each cycle — used by the test-oracle
 //!   replay of timelines, where a miss's outstanding window is inferred
-//!   from its appearances.
+//!   from its appearances. The detector keeps the start epochs, keyed by
+//!   id, and [`CamatDetector::take_miss_epoch`] looks one up at
+//!   retirement.
 
 use std::collections::HashMap;
 
@@ -43,7 +48,7 @@ pub struct CamatDetector {
     pure_miss_access_cycles: u64,
     /// Cumulative pure-miss cycle count (the epoch counter).
     pure_epoch: u64,
-    /// Epoch at which each outstanding miss began.
+    /// Epoch at which each outstanding miss began (slice-API only).
     start_epoch: HashMap<MissId, u64>,
     /// Pure-cycle counts of misses whose outstanding window closed
     /// before retirement (slice-API only).
@@ -77,10 +82,12 @@ impl CamatDetector {
         CamatDetector::default()
     }
 
-    /// Register that miss `id` is outstanding from this point on (fast
-    /// path; pairs with [`CamatDetector::observe_cycle_counts`]).
-    pub fn miss_begins(&mut self, id: MissId) {
-        self.start_epoch.entry(id).or_insert(self.pure_epoch);
+    /// The pure-miss epoch: pure-miss cycles observed so far. A miss
+    /// that becomes outstanding now starts at this epoch; its pure-miss
+    /// cycles at retirement are the epoch's growth since (counts API).
+    #[inline]
+    pub fn pure_epoch(&self) -> u64 {
+        self.pure_epoch
     }
 
     /// Feed one cycle of observation by aggregate counts (fast path):
@@ -133,32 +140,43 @@ impl CamatDetector {
             }
         }
         for &id in outstanding_misses {
-            self.miss_begins(id);
+            self.start_epoch.entry(id).or_insert(self.pure_epoch);
         }
         self.observe_cycle_counts(hits_in_flight, outstanding_misses.len() as u32);
         self.prev_ids.clear();
         self.prev_ids.extend_from_slice(outstanding_misses);
     }
 
+    /// The start epoch of miss `id` as [`CamatDetector::observe_cycle`]
+    /// tracked it, for [`CamatDetector::retire_access`] (slice API), and
+    /// the end of that tracking. A window that closed before retirement
+    /// reads as an epoch its pure-cycle count back from now, and an id
+    /// never seen outstanding reads as now (no pure cycles).
+    pub fn take_miss_epoch(&mut self, id: MissId) -> u64 {
+        match self.closed.remove(&id) {
+            Some(pure) => self.pure_epoch - pure,
+            None => self.start_epoch.remove(&id).unwrap_or(self.pure_epoch),
+        }
+    }
+
     /// Record the retirement of an access.
     ///
     /// * `hit_cycles` — cycles the access spent in its hit phase;
-    /// * `miss` — `Some((id, penalty_cycles))` if the access missed.
-    pub fn retire_access(&mut self, hit_cycles: u32, miss: Option<(MissId, u32)>) {
+    /// * `miss` — `Some((start_epoch, penalty_cycles))` if the access
+    ///   missed, where `start_epoch` is [`CamatDetector::pure_epoch`]
+    ///   when the miss became outstanding (or
+    ///   [`CamatDetector::take_miss_epoch`] under the slice API). A miss
+    ///   with a pure-miss cycle since then is a pure miss.
+    pub fn retire_access(&mut self, hit_cycles: u32, miss: Option<(u64, u32)>) {
         self.accesses += 1;
         self.hit_time_total += hit_cycles as u64;
-        if let Some((id, penalty)) = miss {
+        if let Some((start_epoch, penalty)) = miss {
             self.misses += 1;
             self.miss_penalty_total += penalty as u64;
-            let pure = self
-                .closed
-                .remove(&id)
-                .or_else(|| self.start_epoch.remove(&id).map(|s| self.pure_epoch - s));
-            if let Some(pure) = pure {
-                if pure > 0 {
-                    self.completed_pure_misses += 1;
-                    self.completed_pure_cycle_total += pure;
-                }
+            let pure = self.pure_epoch - start_epoch;
+            if pure > 0 {
+                self.completed_pure_misses += 1;
+                self.completed_pure_cycle_total += pure;
             }
         }
     }
@@ -190,14 +208,15 @@ impl CamatDetector {
         };
     }
 
-    /// Produce the final report. Misses still outstanding are folded in
-    /// as if they retired now.
+    /// Produce the final report. Misses the slice API still tracks are
+    /// folded in as if they retired now; a counts-API miss counts once
+    /// its caller retires it.
     pub fn finish(mut self) -> DetectorReport {
         self.report()
     }
 
-    /// [`CamatDetector::finish`] in place: the report, with outstanding
-    /// misses folded in as if they retired now. Call
+    /// [`CamatDetector::finish`] in place: the report, with the misses
+    /// the slice API still tracks folded in as if they retired now. Call
     /// [`CamatDetector::reset`] before observing another run.
     pub fn report(&mut self) -> DetectorReport {
         // Drain unretired misses so their pure cycles are not lost.
@@ -295,7 +314,7 @@ impl CamatDetector {
             for (i, a) in accesses.iter().enumerate() {
                 if a.end() == cycle + 1 {
                     let miss = if a.miss_len > 0 {
-                        Some((i as MissId, a.miss_len))
+                        Some((det.take_miss_epoch(i as MissId), a.miss_len))
                     } else {
                         None
                     };
@@ -312,6 +331,12 @@ mod tests {
     use super::*;
     use crate::timeline::{AccessTiming, Timeline};
     use proptest::prelude::*;
+
+    /// Retire slice-API miss `id` with `penalty` cycles.
+    fn retire_miss(det: &mut CamatDetector, hit_cycles: u32, id: MissId, penalty: u32) {
+        let epoch = det.take_miss_epoch(id);
+        det.retire_access(hit_cycles, Some((epoch, penalty)));
+    }
 
     #[test]
     fn detector_matches_offline_on_fig1() {
@@ -374,7 +399,7 @@ mod tests {
         det.observe_cycle(0, &[7]);
         det.observe_cycle(0, &[7]);
         det.retire_access(1, None); // the hit
-        det.retire_access(1, Some((7, 3)));
+        retire_miss(&mut det, 1, 7, 3);
         let r = det.finish();
         assert_eq!(r.measurement.pure_misses, 1);
         assert!((r.measurement.pure_avg_miss_penalty - 2.0).abs() < 1e-12);
@@ -384,36 +409,35 @@ mod tests {
 
     #[test]
     fn counts_api_matches_slice_api() {
-        // Drive the same scenario through both APIs.
+        // Drive the same scenario through both APIs. Miss 1 vanishes
+        // from the slice world's list at cycle 3, closing its window
+        // before it retires.
         let mut slice = CamatDetector::new();
         slice.observe_cycle(2, &[]);
         slice.observe_cycle(0, &[1, 2]);
         slice.observe_cycle(0, &[1, 2]);
         slice.observe_cycle(1, &[2]);
-        slice.retire_access(1, Some((1, 3)));
-        slice.retire_access(1, Some((2, 4)));
+        retire_miss(&mut slice, 1, 1, 3);
+        retire_miss(&mut slice, 1, 2, 4);
         slice.retire_access(1, None);
         let a = slice.finish();
 
+        // The counts world keeps each miss's start epoch itself.
         let mut counts = CamatDetector::new();
         counts.observe_cycle_counts(2, 0);
-        counts.miss_begins(1);
-        counts.miss_begins(2);
+        let (epoch1, epoch2) = (counts.pure_epoch(), counts.pure_epoch());
         counts.observe_cycle_counts(0, 2);
         counts.observe_cycle_counts(0, 2);
+        assert_eq!(counts.pure_epoch(), 2);
         // Miss 1 retires before cycle 3 in the counts world.
-        counts.retire_access(1, Some((1, 3)));
+        counts.retire_access(1, Some((epoch1, 3)));
         counts.observe_cycle_counts(1, 1);
-        counts.retire_access(1, Some((2, 4)));
+        counts.retire_access(1, Some((epoch2, 4)));
         counts.retire_access(1, None);
         let b = counts.finish();
 
-        assert_eq!(a.measurement.pure_misses, b.measurement.pure_misses);
-        assert!((a.measurement.camat() - b.measurement.camat()).abs() < 1e-12);
-        assert_eq!(
-            a.measurement.memory_active_cycles,
-            b.measurement.memory_active_cycles
-        );
+        assert_eq!(a.measurement.pure_misses, 2);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -422,8 +446,8 @@ mod tests {
         det.observe_cycle(0, &[9]); // pure cycle for 9
         det.observe_cycle(0, &[]); // 9 vanished; later pure cycles are not its
         det.observe_cycle(0, &[11]); // pure cycle for 11 only
-        det.retire_access(1, Some((9, 1)));
-        det.retire_access(1, Some((11, 1)));
+        retire_miss(&mut det, 1, 9, 1);
+        retire_miss(&mut det, 1, 11, 1);
         let r = det.finish();
         assert_eq!(r.measurement.pure_misses, 2);
         // Each earned exactly 1 pure cycle.
@@ -458,36 +482,70 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
+        /// One random run fed three ways: by bulk counts, by per-cycle
+        /// counts (both keeping each miss's start epoch) and by the
+        /// explicit outstanding-miss lists of the slice API.
         #[test]
         fn bulk_cycles_equal_per_cycle_accounting(
             ops in prop::collection::vec(
-                (0u8..4, 0u32..4, 0u32..5, 0u64..40, 0u64..8),
+                (0u8..4, 0u32..4, 0u32..5, 0u64..40),
                 0..120,
             ),
         ) {
             let mut bulk = CamatDetector::new();
             let mut stepped = CamatDetector::new();
-            for (op, a, b, cycles, id) in ops {
+            let mut slice = CamatDetector::new();
+            // Outstanding misses: (id, bulk epoch, stepped epoch).
+            let mut outstanding: Vec<(MissId, u64, u64)> = Vec::new();
+            let mut ids: Vec<MissId> = Vec::new();
+            let mut next_id: MissId = 0;
+            let retire = |bulk: &mut CamatDetector,
+                          stepped: &mut CamatDetector,
+                          slice: &mut CamatDetector,
+                          (id, bulk_epoch, stepped_epoch): (MissId, u64, u64),
+                          hit_cycles: u32,
+                          penalty: u32| {
+                bulk.retire_access(hit_cycles, Some((bulk_epoch, penalty)));
+                stepped.retire_access(hit_cycles, Some((stepped_epoch, penalty)));
+                retire_miss(slice, hit_cycles, id, penalty);
+            };
+            for (op, a, b, cycles) in ops {
                 match op {
                     0 | 1 => {
-                        bulk.observe_cycles(a, b, cycles);
+                        let misses = outstanding.len() as u32;
+                        bulk.observe_cycles(a, misses, cycles);
+                        ids.clear();
+                        ids.extend(outstanding.iter().map(|m| m.0));
                         for _ in 0..cycles {
-                            stepped.observe_cycle_counts(a, b);
+                            stepped.observe_cycle_counts(a, misses);
+                            slice.observe_cycle(a, &ids);
                         }
                     }
                     2 => {
-                        bulk.miss_begins(id);
-                        stepped.miss_begins(id);
+                        prop_assert_eq!(bulk.pure_epoch(), stepped.pure_epoch());
+                        outstanding.push((next_id, bulk.pure_epoch(), stepped.pure_epoch()));
+                        next_id += 1;
+                    }
+                    _ if b % 2 == 1 || outstanding.is_empty() => {
+                        for det in [&mut bulk, &mut stepped, &mut slice] {
+                            det.retire_access(a + 1, None);
+                        }
                     }
                     _ => {
-                        let miss = (b % 2 == 0).then_some((id, b + 1));
-                        bulk.retire_access(a + 1, miss);
-                        stepped.retire_access(a + 1, miss);
+                        let miss = outstanding.remove(b as usize % outstanding.len());
+                        retire(&mut bulk, &mut stepped, &mut slice, miss, a + 1, b + 1);
                     }
                 }
                 prop_assert_eq!(bulk.cycles_observed(), stepped.cycles_observed());
+                prop_assert_eq!(bulk.cycles_observed(), slice.cycles_observed());
             }
-            prop_assert_eq!(bulk.finish(), stepped.finish());
+            // A counts-API miss counts once retired: retire the rest.
+            for miss in outstanding.drain(..) {
+                retire(&mut bulk, &mut stepped, &mut slice, miss, 1, 1);
+            }
+            let report = bulk.finish();
+            prop_assert_eq!(report, stepped.finish());
+            prop_assert_eq!(report, slice.finish());
         }
     }
 
@@ -496,16 +554,15 @@ mod tests {
         let feed = |det: &mut CamatDetector| {
             det.observe_cycle(1, &[3]);
             det.observe_cycle(0, &[3, 4]);
-            det.retire_access(1, Some((3, 2)));
+            retire_miss(det, 1, 3, 2);
             det.observe_cycle(2, &[4]);
-            det.retire_access(1, Some((4, 3)));
+            retire_miss(det, 1, 4, 3);
         };
         let mut used = CamatDetector::new();
         feed(&mut used);
         // Leave a closed window, an open one and a previous-cycle list.
         used.observe_cycle(0, &[5]);
         used.observe_cycle(0, &[6]);
-        used.miss_begins(7);
         assert_eq!(used.report(), used.clone().finish(), "report is idempotent");
         used.reset();
         feed(&mut used);

@@ -28,13 +28,23 @@
 //!   out.
 //! * **Lazy accounting.** Core `c`'s detector and memory-active count
 //!   have seen cycles `0..observed[c]`. Every change to the core's
-//!   hit-phase or outstanding-miss count, and every `miss_begins` or
-//!   `retire_access`, first folds the cycles since then in with one
-//!   `observe_cycles` call. That is exact because the counts cannot have
-//!   changed in between. A core that advanced is accounted through the
-//!   current cycle right after its step, the only case that adds an
-//!   Eq. 7 overlap cycle, and `finish` accounts every core through the
-//!   last cycle.
+//!   hit-phase or outstanding-miss count, every read of its pure-miss
+//!   epoch and every `retire_access` first folds the cycles since then
+//!   in with one `observe_cycles` call. That is exact because the counts
+//!   cannot have changed in between. A core that advanced is accounted
+//!   through the current cycle right after its step, the only case that
+//!   adds an Eq. 7 overlap cycle, and `finish` accounts every core
+//!   through the last cycle.
+//!
+//! # Per-event cost
+//!
+//! Each event's bookkeeping takes constant time. The L2 queue is a
+//! ring buffer that dispatch removes from near its front. A request
+//! carries its ROB index, which completion marks done, and its miss's
+//! start epoch, which retirement hands back to the detector, so nothing
+//! is looked up by id. DRAM retries wait while the controller queue is
+//! full, where each would fail, and a queued DRAM request carries its
+//! bank and row. DESIGN.md §16 says why each keeps results exact.
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, VecDeque};
@@ -180,8 +190,9 @@ struct Engine {
     detectors: Vec<CamatDetector>,
     l2: CacheArray,
     l2_mshr: MshrFile,
-    /// FIFO of requests waiting for an L2 bank.
-    l2_queue: Vec<ReqId>,
+    /// FIFO of requests waiting for an L2 bank. Dispatch scans it from
+    /// the front and removes near there: constant time in a ring buffer.
+    l2_queue: VecDeque<ReqId>,
     /// Cycle until which each L2 bank's input is busy (pipelined: +1).
     l2_bank_busy: Vec<u64>,
     dram: Dram,
@@ -213,9 +224,8 @@ struct Engine {
     /// One bit per core that may retire or issue: the cores
     /// [`Engine::core_cycle`] steps.
     awake: Vec<u64>,
-    /// For each sleeping core, the request its ROB head waits on and the
-    /// first cycle it was not stepped.
-    asleep: Vec<Option<(ReqId, u64)>>,
+    /// For each sleeping core, the first cycle it was not stepped.
+    asleep: Vec<Option<u64>>,
     /// Cores that have not retired their whole trace.
     unfinished: usize,
     /// Requests currently resident at the L2 (queued or in lookup).
@@ -249,7 +259,7 @@ impl Engine {
             detectors: Vec::new(),
             l2: CacheArray::new(&config.l2),
             l2_mshr: MshrFile::new(config.l2.mshr_entries),
-            l2_queue: Vec::new(),
+            l2_queue: VecDeque::new(),
             l2_bank_busy: Vec::new(),
             dram: Dram::new(config.dram),
             requests: RequestArena::new(),
@@ -417,13 +427,13 @@ impl Engine {
             self.process_events(now);
 
             // 3. Requests blocked on a full structure retry.
-            self.process_retries(now);
+            self.process_retries();
 
             // 4. L2 bank dispatch.
             self.dispatch_l2(now);
 
             // 5. Drain pending writebacks into the DRAM queue.
-            self.flush_writebacks(now);
+            self.flush_writebacks();
 
             // 6. Awake cores retire and issue.
             self.core_cycle(now)?;
@@ -497,7 +507,8 @@ impl Engine {
                         self.complete_request(id, now, false);
                     } else {
                         self.outstanding[r.core] += 1;
-                        self.detectors[r.core].miss_begins(id);
+                        let epoch = self.detectors[r.core].pure_epoch();
+                        self.requests.get_mut(&id).unwrap().miss_epoch = epoch;
                         self.l1_miss_to_mshr(id, now);
                         if self.config.l1.next_line_prefetch {
                             self.maybe_prefetch(r.core, r.line + 1, now);
@@ -506,7 +517,7 @@ impl Engine {
                 }
                 ReqState::ToL2 { arrive_at } if arrive_at <= now => {
                     self.requests.get_mut(&id).unwrap().state = ReqState::L2Queue;
-                    self.l2_queue.push(id);
+                    self.l2_queue.push_back(id);
                     self.l2_resident += 1;
                 }
                 ReqState::L2Lookup { done_at, hit } if done_at <= now => {
@@ -521,7 +532,7 @@ impl Engine {
                     }
                 }
                 ReqState::ToDram { arrive_at } if arrive_at <= now => {
-                    self.try_dram_enqueue(id, now);
+                    self.try_dram_enqueue(id);
                 }
                 ReqState::FillToL1 { arrive_at } if arrive_at <= now => {
                     self.handle_l1_fill(id, now);
@@ -535,9 +546,11 @@ impl Engine {
     /// Retry requests blocked on the DRAM queue (the MSHR retry lists
     /// are wake-driven instead — see `drain_l1_retries` /
     /// `drain_l2_retries` — because they can grow to the full in-flight
-    /// window and must not be polled every cycle).
-    fn process_retries(&mut self, now: u64) {
-        if self.retry_dram.is_empty() {
+    /// window and must not be polled every cycle). While the controller
+    /// queue is full every retry would fail and change nothing, so none
+    /// is made.
+    fn process_retries(&mut self) {
+        if self.retry_dram.is_empty() || !self.dram.can_accept() {
             return;
         }
         let mut dq = std::mem::take(&mut self.retry_dram);
@@ -545,7 +558,7 @@ impl Engine {
             if !self.requests.contains_key(&id) {
                 return false;
             }
-            self.try_dram_enqueue(id, now);
+            self.try_dram_enqueue(id);
             matches!(
                 self.requests.get(&id).map(|r| r.state),
                 Some(ReqState::DramQueueRetry)
@@ -606,14 +619,13 @@ impl Engine {
         self.requests.insert(
             id,
             MemRequest {
-                id,
                 core,
                 line,
                 is_write: false,
-                issued_at: now,
                 lookup_done_at: now,
+                rob_index: 0,
+                miss_epoch: 0,
                 state: ReqState::WaitL1Fill, // placeholder; set below
-                l1_miss: true,
                 is_prefetch: true,
             },
         );
@@ -690,12 +702,12 @@ impl Engine {
         }
     }
 
-    fn try_dram_enqueue(&mut self, id: ReqId, now: u64) {
+    fn try_dram_enqueue(&mut self, id: ReqId) {
         let (line, prev_state) = {
             let r = &self.requests[&id];
             (r.line, r.state)
         };
-        if self.dram.enqueue(id, line, false, now) {
+        if self.dram.enqueue(id, line, false) {
             self.requests.get_mut(&id).unwrap().state = ReqState::DramInFlight;
             self.dram_layer.accesses += 1;
         } else {
@@ -755,18 +767,19 @@ impl Engine {
         let hit_cycles = self.config.l1.hit_latency;
         let miss = if was_miss {
             let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
-            Some((id, penalty))
+            Some((r.miss_epoch, penalty))
         } else {
             None
         };
         self.detectors[r.core].retire_access(hit_cycles, miss);
-        self.cores[r.core].complete_request(id);
+        let was_head = self.cores[r.core].complete_memory(r.rob_index);
         if was_miss {
             self.outstanding[r.core] -= 1;
             self.per_core_misses[r.core] += 1;
         }
-        if let Some((head, since)) = self.asleep[r.core] {
-            if head == id {
+        // A sleeper's ROB is frozen, so its head is the entry it slept on.
+        if was_head {
+            if let Some(since) = self.asleep[r.core] {
                 self.wake(r.core, since, now);
             }
         }
@@ -786,8 +799,8 @@ impl Engine {
 
     /// Bring core `core`'s detector and memory-active count up to cycle
     /// `upto` (exclusive). Every change to the core's hit-phase or
-    /// outstanding-miss count, and every `miss_begins` /
-    /// `retire_access`, calls this first, so the cycles not yet
+    /// outstanding-miss count, every read of its pure-miss epoch and
+    /// every `retire_access` calls this first, so the cycles not yet
     /// accounted all ended with the current counts and are folded in by one
     /// [`CamatDetector::observe_cycles`] call.
     fn account(&mut self, core: usize, upto: u64) {
@@ -835,9 +848,9 @@ impl Engine {
         }
     }
 
-    fn flush_writebacks(&mut self, now: u64) {
+    fn flush_writebacks(&mut self) {
         while let Some(&line) = self.wb_pending.last() {
-            if self.dram.enqueue(self.next_wb, line, true, now) {
+            if self.dram.enqueue(self.next_wb, line, true) {
                 self.wb_pending.pop();
                 self.wb_inflight += 1;
                 self.dram_layer.accesses += 1;
@@ -917,17 +930,17 @@ impl Engine {
                     let id = self.next_req;
                     self.next_req += 1;
                     let done_at = now + self.config.l1.hit_latency as u64;
+                    let rob_index = self.cores[core_idx].issue_memory();
                     self.requests.insert(
                         id,
                         MemRequest {
-                            id,
                             core: core_idx,
                             line,
                             is_write: access.kind.is_write(),
-                            issued_at: now,
                             lookup_done_at: done_at,
+                            rob_index,
+                            miss_epoch: 0,
                             state: ReqState::L1Lookup { done_at, hit },
-                            l1_miss: !hit,
                             is_prefetch: false,
                         },
                     );
@@ -944,7 +957,6 @@ impl Engine {
                     } else {
                         self.l1_layer.misses += 1;
                     }
-                    self.cores[core_idx].issue_memory(id);
                 }
             }
         }
@@ -961,8 +973,8 @@ impl Engine {
             self.unfinished -= 1;
         } else if core.can_issue() {
             return Ok(());
-        } else if let Some(head) = core.blocked_on() {
-            self.asleep[core_idx] = Some((head, now + 1));
+        } else if core.head_blocked() {
+            self.asleep[core_idx] = Some(now + 1);
         } else {
             return Ok(());
         }

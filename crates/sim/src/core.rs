@@ -8,13 +8,11 @@
 //! and `C_M` — *emerges* from the window: a wide ROB lets many memory
 //! requests overlap, a 1-entry ROB serializes them (the paper's C = 1).
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use c2_trace::{MemAccess, Trace};
 
 use crate::config::CoreConfig;
-use crate::request::ReqId;
 
 /// A slot in the reorder buffer.
 #[derive(Debug, Clone, Copy)]
@@ -24,10 +22,10 @@ enum RobEntry {
         /// Completion cycle.
         done_at: u64,
     },
-    /// A memory instruction waiting on the request with this id.
+    /// A memory instruction, done once the hierarchy returns its data.
     Memory {
-        /// The in-flight request id.
-        req: ReqId,
+        /// Whether the data has returned.
+        done: bool,
     },
 }
 
@@ -52,8 +50,8 @@ pub struct Core {
     next_access: usize,
     /// Dynamic instruction index of the next instruction to issue.
     next_instr: u64,
+    /// In-flight instructions; `rob[k]` is instruction `retired + k`.
     rob: VecDeque<RobEntry>,
-    completed_reqs: HashSet<ReqId>,
     retired: u64,
     finished_at: u64,
     /// Whether the core issued or retired anything since the last
@@ -67,16 +65,15 @@ pub struct Core {
 impl Core {
     /// Build a core that will execute `trace`.
     pub fn new(config: CoreConfig, trace: &Trace) -> Self {
-        Core::with_storage(config, trace, Vec::new(), VecDeque::new(), HashSet::new())
+        Core::with_storage(config, trace, Vec::new(), VecDeque::new())
     }
 
     /// Return to the state [`Core::new`] builds for `config` and
-    /// `trace`, keeping the trace buffer, ROB and completed-request set.
+    /// `trace`, keeping the trace buffer and ROB.
     pub(crate) fn reset(&mut self, config: CoreConfig, trace: &Trace) {
         let accesses = std::mem::take(&mut self.accesses);
         let rob = std::mem::take(&mut self.rob);
-        let completed_reqs = std::mem::take(&mut self.completed_reqs);
-        *self = Core::with_storage(config, trace, accesses, rob, completed_reqs);
+        *self = Core::with_storage(config, trace, accesses, rob);
     }
 
     /// A core about to execute `trace`, built in (possibly used) storage.
@@ -85,13 +82,11 @@ impl Core {
         trace: &Trace,
         mut accesses: Vec<MemAccess>,
         mut rob: VecDeque<RobEntry>,
-        mut completed_reqs: HashSet<ReqId>,
     ) -> Self {
         accesses.clear();
         accesses.extend_from_slice(trace.accesses());
         rob.clear();
         rob.reserve(config.rob_size);
-        completed_reqs.clear();
         Core {
             config,
             accesses,
@@ -99,7 +94,6 @@ impl Core {
             next_access: 0,
             next_instr: 0,
             rob,
-            completed_reqs,
             retired: 0,
             finished_at: 0,
             progress: false,
@@ -138,9 +132,16 @@ impl Core {
         self.instruction_count
     }
 
-    /// Notification from the memory system that request `id` completed.
-    pub fn complete_request(&mut self, id: ReqId) {
-        self.completed_reqs.insert(id);
+    /// Notification from the memory system that the memory instruction
+    /// with dynamic index `index` (as [`Core::issue_memory`] returned it)
+    /// has its data. Returns whether that instruction is the ROB head.
+    pub fn complete_memory(&mut self, index: u64) -> bool {
+        let slot = (index - self.retired) as usize;
+        match self.rob.get_mut(slot) {
+            Some(RobEntry::Memory { done }) => *done = true,
+            other => panic!("instruction {index} is not an in-flight memory access: {other:?}"),
+        }
+        slot == 0
     }
 
     /// Retire up to `issue_width` completed instructions from the ROB
@@ -150,14 +151,12 @@ impl Core {
             let Some(head) = self.rob.front() else { break };
             let done = match head {
                 RobEntry::Compute { done_at } => *done_at <= now,
-                RobEntry::Memory { req } => self.completed_reqs.contains(req),
+                RobEntry::Memory { done } => *done,
             };
             if !done {
                 break;
             }
-            if let Some(RobEntry::Memory { req }) = self.rob.pop_front() {
-                self.completed_reqs.remove(&req);
-            }
+            self.rob.pop_front();
             self.retired += 1;
             self.progress = true;
             if self.retired == self.instruction_count && self.rob.is_empty() {
@@ -199,14 +198,10 @@ impl Core {
         self.rob_has_space() && self.peek() != NextOp::Exhausted
     }
 
-    /// The request the ROB head waits on, if the head is a memory
-    /// instruction whose data has not returned: the core cannot retire
-    /// until that request completes.
-    pub(crate) fn blocked_on(&self) -> Option<ReqId> {
-        match self.rob.front() {
-            Some(&RobEntry::Memory { req }) if !self.completed_reqs.contains(&req) => Some(req),
-            _ => None,
-        }
+    /// Whether the ROB head is a memory instruction whose data has not
+    /// returned: the core cannot retire until it does.
+    pub(crate) fn head_blocked(&self) -> bool {
+        matches!(self.rob.front(), Some(RobEntry::Memory { done: false }))
     }
 
     /// Record a memory-structural stall for this cycle.
@@ -224,14 +219,17 @@ impl Core {
         self.progress = true;
     }
 
-    /// Issue the pending memory instruction bound to request `req`
-    /// (caller checked `peek` and created the request).
-    pub fn issue_memory(&mut self, req: ReqId) {
+    /// Issue the pending memory instruction (caller checked `peek`) and
+    /// return its dynamic index, the handle [`Core::complete_memory`]
+    /// takes.
+    pub fn issue_memory(&mut self) -> u64 {
         debug_assert!(self.rob_has_space());
-        self.rob.push_back(RobEntry::Memory { req });
+        self.rob.push_back(RobEntry::Memory { done: false });
+        let index = self.next_instr;
         self.next_instr += 1;
         self.next_access += 1;
         self.progress = true;
+        index
     }
 
     /// The configured issue width.
@@ -304,15 +302,41 @@ mod tests {
             NextOp::Memory(a) => assert_eq!(a.addr, 64),
             other => panic!("expected memory, got {other:?}"),
         }
-        core.issue_memory(77);
+        let index = core.issue_memory();
+        assert_eq!(index, 2, "the access is the third instruction");
         core.retire(5);
         // The two computes retired; the memory op gates the head.
         assert_eq!(core.retired(), 2);
+        assert!(core.head_blocked());
         core.retire(6);
         assert_eq!(core.retired(), 2);
-        core.complete_request(77);
+        assert!(core.complete_memory(index), "the access is the ROB head");
+        assert!(!core.head_blocked());
         core.retire(7);
         assert_eq!(core.retired(), 3);
+    }
+
+    #[test]
+    fn younger_access_completing_first_waits_for_the_head() {
+        let mut b = TraceBuilder::new();
+        b.read(64).read(128);
+        let t = b.finish();
+        let mut core = Core::new(CoreConfig::default_ooo(), &t);
+        let older = core.issue_memory();
+        let younger = core.issue_memory();
+        assert_eq!((older, younger), (0, 1));
+        // The younger access's data returns first: it is not the head,
+        // and the head still blocks in-order retirement.
+        assert!(!core.complete_memory(younger));
+        core.retire(10);
+        assert_eq!(core.retired(), 0);
+        assert!(core.head_blocked());
+        // The head's own data returns: both retire, in order.
+        assert!(core.complete_memory(older));
+        core.retire(11);
+        assert_eq!(core.retired(), 2);
+        assert!(core.finished());
+        assert_eq!(core.finished_at(), 11);
     }
 
     #[test]
@@ -340,12 +364,11 @@ mod tests {
         assert!(!core.finished());
         // Drive to completion manually.
         let mut now = 0u64;
-        let mut next_req = 0u64;
-        let mut pending: Vec<(u64, u64)> = Vec::new(); // (ready_at, req)
+        let mut pending: Vec<(u64, u64)> = Vec::new(); // (ready_at, index)
         while !core.finished() && now < 1000 {
-            for (ready, req) in &pending {
+            for (ready, index) in &pending {
                 if *ready <= now {
-                    core.complete_request(*req);
+                    core.complete_memory(*index);
                 }
             }
             pending.retain(|(ready, _)| *ready > now);
@@ -357,9 +380,8 @@ mod tests {
                 match core.peek() {
                     NextOp::Compute => core.issue_compute(now),
                     NextOp::Memory(_) => {
-                        core.issue_memory(next_req);
-                        pending.push((now + 10, next_req));
-                        next_req += 1;
+                        let index = core.issue_memory();
+                        pending.push((now + 10, index));
                     }
                     NextOp::Exhausted => break,
                 }

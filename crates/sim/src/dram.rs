@@ -11,13 +11,14 @@
 use crate::config::DramConfig;
 use crate::fault::DramSpike;
 
-/// A request queued at the DRAM controller.
+/// A request queued at the DRAM controller, with its bank and row
+/// computed once at enqueue rather than on every scan of the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DramRequest {
     id: u64,
-    line: u64,
+    bank: usize,
+    row: u64,
     is_write: bool,
-    arrived: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,7 +46,6 @@ pub struct Dram {
     row_hits: u64,
     row_misses: u64,
     row_conflicts: u64,
-    busy_cycles_hint: u64,
 }
 
 impl Dram {
@@ -89,7 +89,6 @@ impl Dram {
             row_hits: 0,
             row_misses: 0,
             row_conflicts: 0,
-            busy_cycles_hint: 0,
         }
     }
 
@@ -110,15 +109,16 @@ impl Dram {
     }
 
     /// Enqueue a line request. Returns `false` if the queue is full.
-    pub fn enqueue(&mut self, id: u64, line: u64, is_write: bool, now: u64) -> bool {
+    pub fn enqueue(&mut self, id: u64, line: u64, is_write: bool) -> bool {
         if !self.can_accept() {
             return false;
         }
+        let (bank, row) = self.bank_and_row(line);
         self.queue.push(DramRequest {
             id,
-            line,
+            bank,
+            row,
             is_write,
-            arrived: now,
         });
         true
     }
@@ -139,11 +139,11 @@ impl Dram {
             // Find the best dispatchable request.
             let mut best: Option<(usize, bool)> = None; // (queue idx, row hit)
             for (qi, r) in self.queue.iter().enumerate() {
-                let (b, row) = self.bank_and_row(r.line);
-                if self.banks[b].busy_until > now {
+                let bank = &self.banks[r.bank];
+                if bank.busy_until > now {
                     continue;
                 }
-                let row_hit = self.banks[b].open_row == Some(row);
+                let row_hit = bank.open_row == Some(r.row);
                 match best {
                     None => best = Some((qi, row_hit)),
                     Some((_, best_hit)) if row_hit && !best_hit => best = Some((qi, row_hit)),
@@ -152,8 +152,8 @@ impl Dram {
             }
             let Some((qi, _)) = best else { break };
             let r = self.queue.remove(qi);
-            let (b, row) = self.bank_and_row(r.line);
-            let bank = &mut self.banks[b];
+            let row = r.row;
+            let bank = &mut self.banks[r.bank];
             let access_latency = match bank.open_row {
                 Some(open) if open == row => {
                     self.row_hits += 1;
@@ -184,7 +184,6 @@ impl Dram {
             let done = bus_start + self.config.t_bus as u64;
             self.bus_free_at = done;
             bank.busy_until = column_done;
-            self.busy_cycles_hint += access_latency + spike_extra + self.config.t_bus as u64;
             if r.is_write {
                 self.writes += 1;
                 // Writes complete at the controller; no reply needed, but
@@ -271,7 +270,7 @@ mod tests {
     #[test]
     fn closed_row_access_takes_rcd_plus_cas_plus_bus() {
         let mut d = Dram::new(cfg());
-        assert!(d.enqueue(1, 0, false, 0));
+        assert!(d.enqueue(1, 0, false));
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(23, &mut out);
@@ -284,12 +283,12 @@ mod tests {
     #[test]
     fn open_row_access_is_faster() {
         let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false, 0);
+        d.enqueue(1, 0, false);
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(100, &mut out);
         // Same row, bank now open: tCAS + tBUS = 14.
-        d.enqueue(2, 1, false, 100);
+        d.enqueue(2, 1, false);
         d.tick(100);
         out.clear();
         d.drain_completed(113, &mut out);
@@ -302,12 +301,12 @@ mod tests {
     #[test]
     fn row_conflict_pays_precharge() {
         let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false, 0); // row 0, bank 0
+        d.enqueue(1, 0, false); // row 0, bank 0
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(1000, &mut out);
         // Row 2 maps to bank 0 (row % 2 == 0): conflict.
-        d.enqueue(2, 32, false, 1000);
+        d.enqueue(2, 32, false);
         d.tick(1000);
         out.clear();
         // tRP + tRCD + tCAS + tBUS = 34.
@@ -323,8 +322,8 @@ mod tests {
         let mut d = Dram::new(cfg());
         // Rows 0 (bank 0) and 1 (bank 1): bank-parallel activates, but
         // the two transfers share the bus.
-        d.enqueue(1, 0, false, 0);
-        d.enqueue(2, 16, false, 0);
+        d.enqueue(1, 0, false);
+        d.enqueue(2, 16, false);
         d.tick(0);
         let mut out = Vec::new();
         // First done at 24; second column done at 20 but bus busy until
@@ -341,23 +340,23 @@ mod tests {
             queue_depth: 2,
             ..cfg()
         });
-        assert!(d.enqueue(1, 0, false, 0));
-        assert!(d.enqueue(2, 100, false, 0));
-        assert!(!d.enqueue(3, 200, false, 0));
+        assert!(d.enqueue(1, 0, false));
+        assert!(d.enqueue(2, 100, false));
+        assert!(!d.enqueue(3, 200, false));
         assert!(!d.can_accept());
     }
 
     #[test]
     fn fr_fcfs_prefers_row_hits() {
         let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false, 0); // row 0 -> bank 0, opens row 0
+        d.enqueue(1, 0, false); // row 0 -> bank 0, opens row 0
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(1000, &mut out);
         // Queue a conflicting row-2 access first, then a row-0 hit; both
         // target bank 0. The row hit should be served first.
-        d.enqueue(2, 32, false, 1000); // row 2, conflict
-        d.enqueue(3, 1, false, 1000); // row 0, hit
+        d.enqueue(2, 32, false); // row 2, conflict
+        d.enqueue(3, 1, false); // row 0, hit
         d.tick(1000);
         out.clear();
         d.drain_completed(1014, &mut out); // hit: tCAS + tBUS
@@ -367,7 +366,7 @@ mod tests {
     #[test]
     fn writes_complete_and_count() {
         let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, true, 0);
+        d.enqueue(1, 0, true);
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(100, &mut out);
@@ -384,7 +383,7 @@ mod tests {
             window: CycleWindow::new(0, 50),
             extra: 100,
         }));
-        d.enqueue(1, 0, false, 0);
+        d.enqueue(1, 0, false);
         d.tick(0);
         let mut out = Vec::new();
         // Normally done at 24 (tRCD + tCAS + tBUS); the spike adds 100.
@@ -395,7 +394,7 @@ mod tests {
         assert_eq!(d.spiked_accesses(), 1);
 
         // Outside the window the device is back to nominal speed.
-        d.enqueue(2, 1, false, 1000);
+        d.enqueue(2, 1, false);
         d.tick(1000);
         out.clear();
         d.drain_completed(1014, &mut out); // row hit: tCAS + tBUS
@@ -410,15 +409,15 @@ mod tests {
             window: crate::fault::CycleWindow::new(0, 1_000),
             extra: 100,
         }));
-        d.enqueue(1, 0, false, 0);
-        d.enqueue(2, 32, false, 0);
+        d.enqueue(1, 0, false);
+        d.enqueue(2, 32, false);
         d.tick(0);
-        d.enqueue(3, 64, true, 1);
+        d.enqueue(3, 64, true);
         d.reset(cfg());
         assert!(!d.is_active(0));
         assert_eq!((d.reads(), d.writes(), d.row_misses()), (0, 0, 0));
         // Closed rows, no spike: tRCD + tCAS + tBUS = 24, as when new.
-        d.enqueue(4, 0, false, 0);
+        d.enqueue(4, 0, false);
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(24, &mut out);
@@ -430,7 +429,7 @@ mod tests {
     fn activity_tracking() {
         let mut d = Dram::new(cfg());
         assert!(!d.is_active(0));
-        d.enqueue(1, 0, false, 0);
+        d.enqueue(1, 0, false);
         assert!(d.is_active(0));
         d.tick(0);
         assert!(d.is_active(10));

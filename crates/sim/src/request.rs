@@ -50,52 +50,30 @@ pub enum ReqState {
         /// Arrival cycle at the L1.
         arrive_at: u64,
     },
-    /// Completed; the owning core has been notified.
-    Done,
 }
 
 /// One in-flight memory request (a dynamic load or store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
-    /// Identifier (also the MSHR waiter token).
-    pub id: ReqId,
     /// Issuing core.
     pub core: usize,
     /// Cache-line index.
     pub line: u64,
     /// Store (write-allocate) vs load.
     pub is_write: bool,
-    /// Cycle the request entered the L1 pipeline.
-    pub issued_at: u64,
     /// Cycle the L1 lookup resolved (start of the miss penalty if any).
     pub lookup_done_at: u64,
+    /// The issuing core's dynamic instruction index for this access:
+    /// completion marks that ROB entry done.
+    pub rob_index: u64,
+    /// The issuing core's pure-miss epoch when the L1 lookup missed,
+    /// handed back to its detector at retirement.
+    pub miss_epoch: u64,
     /// Current state.
     pub state: ReqState,
-    /// Whether the L1 lookup missed (for retirement accounting).
-    pub l1_miss: bool,
     /// Hardware prefetch (not a program access: no core/ detector
     /// notification on completion).
     pub is_prefetch: bool,
-}
-
-impl MemRequest {
-    /// Whether the request is past its L1 hit phase and still waiting on
-    /// data — i.e. an *outstanding miss* from the L1 detector's view.
-    pub fn is_outstanding_miss(&self, now: u64) -> bool {
-        match self.state {
-            ReqState::L1Lookup { .. } | ReqState::Done => false,
-            // All interior states are outstanding.
-            _ => {
-                let _ = now;
-                true
-            }
-        }
-    }
-
-    /// Whether the request is in its L1 hit (lookup) phase at `now`.
-    pub fn in_hit_phase(&self, now: u64) -> bool {
-        matches!(self.state, ReqState::L1Lookup { done_at, .. } if now < done_at)
-    }
 }
 
 /// Dense arena for the engine's in-flight request table, replacing a
@@ -229,59 +207,16 @@ impl std::ops::Index<&ReqId> for RequestArena {
 mod tests {
     use super::*;
 
-    fn req(state: ReqState) -> MemRequest {
-        MemRequest {
-            id: 1,
-            core: 0,
-            line: 10,
-            is_write: false,
-            issued_at: 0,
-            lookup_done_at: 3,
-            state,
-            l1_miss: true,
-            is_prefetch: false,
-        }
-    }
-
-    #[test]
-    fn hit_phase_classification() {
-        let r = req(ReqState::L1Lookup {
-            done_at: 3,
-            hit: false,
-        });
-        assert!(r.in_hit_phase(0));
-        assert!(r.in_hit_phase(2));
-        assert!(!r.in_hit_phase(3));
-        assert!(!r.is_outstanding_miss(1));
-    }
-
-    #[test]
-    fn outstanding_miss_classification() {
-        for s in [
-            ReqState::L1MshrRetry,
-            ReqState::WaitL1Fill,
-            ReqState::ToL2 { arrive_at: 9 },
-            ReqState::L2Queue,
-            ReqState::L2Lookup {
-                done_at: 20,
-                hit: true,
-            },
-            ReqState::WaitL2Fill,
-            ReqState::ToDram { arrive_at: 30 },
-            ReqState::DramQueueRetry,
-            ReqState::DramInFlight,
-            ReqState::FillToL1 { arrive_at: 99 },
-        ] {
-            assert!(req(s).is_outstanding_miss(5), "{s:?}");
-            assert!(!req(s).in_hit_phase(5), "{s:?}");
-        }
-        assert!(!req(ReqState::Done).is_outstanding_miss(5));
-    }
-
     fn arena_req(id: ReqId) -> MemRequest {
         MemRequest {
-            id,
-            ..req(ReqState::L1MshrRetry)
+            core: 0,
+            line: id,
+            is_write: false,
+            lookup_done_at: 3,
+            rob_index: 0,
+            miss_epoch: 0,
+            state: ReqState::L1MshrRetry,
+            is_prefetch: false,
         }
     }
 
@@ -293,13 +228,13 @@ mod tests {
             assert!(a.insert(id, arena_req(id)).is_none());
         }
         assert_eq!(a.len(), 8);
-        assert_eq!(a[&3].id, 3);
+        assert_eq!(a[&3].line, 3);
         assert!(a.contains_key(&7));
         assert!(!a.contains_key(&8));
-        a.get_mut(&5).unwrap().state = ReqState::Done;
-        assert_eq!(a.get(&5).unwrap().state, ReqState::Done);
+        a.get_mut(&5).unwrap().state = ReqState::WaitL1Fill;
+        assert_eq!(a.get(&5).unwrap().state, ReqState::WaitL1Fill);
         for id in 0..8u64 {
-            assert_eq!(a.remove(&id).unwrap().id, id);
+            assert_eq!(a.remove(&id).unwrap().line, id);
             assert!(a.remove(&id).is_none(), "ids are never reused");
         }
         assert!(a.is_empty());
@@ -324,7 +259,7 @@ mod tests {
         assert!(a.is_empty());
         // Reuse after a full drain restarts the window anywhere.
         a.insert(100, arena_req(100));
-        assert_eq!(a[&100].id, 100);
+        assert_eq!(a[&100].line, 100);
     }
 
     #[test]
@@ -337,7 +272,7 @@ mod tests {
         assert!(!a.contains_key(&40));
         // Ids restart from zero, below the old window.
         a.insert(0, arena_req(0));
-        assert_eq!((a.len(), a[&0].id), (1, 0));
+        assert_eq!((a.len(), a[&0].line), (1, 0));
     }
 
     #[test]
