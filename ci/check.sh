@@ -254,35 +254,47 @@ for law in amdahl memory-wall usl; do
     grep -q " 0 skipped + 0 backfilled " "${smoke_dir}/law-${law}.out"
 done
 
-echo "== surrogate screening smoke (screened vs full, quick.json) =="
+echo "== surrogate screening smoke (screened vs full, paper_scale.json) =="
 # A screened sweep must stay under the scenario's true-evaluation
 # budget and still report a chosen design; the full run is the
-# reference enumeration over the same document.
-cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
+# reference enumeration over the same document. paper_scale.json
+# screens 64 of its 100 candidates in 7 rounds, so the acquisition
+# rounds run (quick.json's 9 candidates all fit in the seeding round).
+cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
     --threads 1 > "${smoke_dir}/screen-full.out"
-cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
-    --threads 1 --screen > "${smoke_dir}/screen-on.out"
 grep -q "^chosen:" "${smoke_dir}/screen-full.out"
-grep -q "^chosen:" "${smoke_dir}/screen-on.out"
-grep -q "^screen report:" "${smoke_dir}/screen-on.out"
 if grep -q "^screen report:" "${smoke_dir}/screen-full.out"; then
     echo "error: unscreened run printed a screen report" >&2
     exit 1
 fi
 
-echo "== screened bit-identity (1 vs 4 threads, quick.json) =="
+echo "== screened bit-identity (1 vs 4 threads, paper_scale.json) =="
 for t in 1 4; do
-    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
+    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
         --threads "${t}" --screen \
-        --journal "${smoke_dir}/screen-journal-t${t}.jsonl" > /dev/null
+        --journal "${smoke_dir}/screen-journal-t${t}.jsonl" \
+        --metrics-out "${smoke_dir}/screen-metrics-t${t}.json" > "${smoke_dir}/screen-t${t}.out"
 done
+grep -q "^chosen:" "${smoke_dir}/screen-t1.out"
+grep -q "^screen report: 64 true evaluations of 100 candidates" "${smoke_dir}/screen-t1.out"
 cmp "${smoke_dir}/screen-journal-t1.jsonl" "${smoke_dir}/screen-journal-t4.jsonl"
+cmp "${smoke_dir}/screen-metrics-t1.json" "${smoke_dir}/screen-metrics-t4.json"
 # Screening is bound into the journal identity: the screened and full
 # journals over the same scenario must never alias.
-if cmp -s "${smoke_dir}/journal-t1.jsonl" "${smoke_dir}/screen-journal-t1.jsonl"; then
+if cmp -s "${smoke_dir}/paper-t1.jsonl" "${smoke_dir}/screen-journal-t1.jsonl"; then
     echo "error: screened journal must carry a distinct identity" >&2
     exit 1
 fi
+
+echo "== screened evaluation cache (cold, then warm, paper_scale.json) =="
+# A screened run reads and publishes runner.cache like a full sweep:
+# the warm rerun serves all 64 true evaluations from the cache.
+for pass in cold warm; do
+    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
+        --screen --cache "${smoke_dir}/screen-cache.jsonl" > "${smoke_dir}/screen-${pass}.out"
+done
+grep -q " 0 cache hits," "${smoke_dir}/screen-cold.out"
+grep -q " 64 cache hits," "${smoke_dir}/screen-warm.out"
 
 # Each bench smoke rewrites its checked-in record with this host's
 # timings. Keep the committed copies and put them back on any exit, so

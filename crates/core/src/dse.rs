@@ -12,7 +12,7 @@
 //! same surface, so the comparison between methods is apples-to-apples.
 
 use c2_sim::area::{AreaModel, SiliconBudget};
-use c2_sim::{ChipConfig, Simulator};
+use c2_sim::{ChipConfig, FaultyOracle, Simulator};
 use c2_workloads::WorkloadTrace;
 
 use crate::model::C2BoundModel;
@@ -40,6 +40,19 @@ where
 {
     fn evaluate(&mut self, _key: u64, point: &DesignPoint) -> Result<f64> {
         self(point)
+    }
+}
+
+/// `c2-sim`'s keyed fault injection over any pricing function: the
+/// evaluation key is the fault plan's key, so injected failures, hangs
+/// and panics land on the same points however attempts are ordered,
+/// retried or resumed.
+impl<F> Oracle for FaultyOracle<F>
+where
+    F: FnMut(&DesignPoint) -> Result<f64>,
+{
+    fn evaluate(&mut self, key: u64, point: &DesignPoint) -> Result<f64> {
+        self.call(key, point)
     }
 }
 
@@ -530,6 +543,20 @@ fn spread(len: usize, count: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn faults_key_on_job_identity() {
+        let plan = c2_sim::FaultPlan {
+            oracle_failure_period: Some(3),
+            ..c2_sim::FaultPlan::default()
+        };
+        let mut o = FaultyOracle::new(plan, |_: &DesignPoint| Ok(100.0)).unwrap();
+        let p = DesignSpace::tiny().point_at([0; 6]);
+        assert!(o.evaluate(0, &p).is_ok());
+        assert!(o.evaluate(2, &p).is_err());
+        assert!(o.evaluate(2, &p).is_err(), "same key, same fault");
+        assert_eq!(o.calls(), 3);
+    }
 
     #[test]
     fn paper_scale_is_one_million_points() {

@@ -40,7 +40,11 @@
 //!   harness proves resume correctness at every write the engine
 //!   performs;
 //! * a [`RunReport`] accounts for every job:
-//!   `attempted == succeeded + skipped + backfilled`.
+//!   `attempted == succeeded + skipped + backfilled`;
+//! * every run is one sweep loop (`Sweep`: open, rounds, finish): a
+//!   full sweep is one round over every job, and surrogate screening
+//!   ([`crate::screen`]) runs one round per acquisition batch, so both
+//!   get every layer above.
 //!
 //! ## Resume bit-identity (DESIGN.md §10–§11)
 //!
@@ -373,7 +377,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// How one oracle attempt ended ([`run_attempt`]).
 #[derive(Debug)]
-pub(crate) enum Attempt {
+enum Attempt {
     /// The oracle returned a usable time within the deadline.
     Ok(f64),
     /// A failure to retry under `max_attempts`: the oracle's own error
@@ -389,13 +393,12 @@ pub(crate) enum Attempt {
     Panicked(c2_bound::Error),
 }
 
-/// One oracle attempt of `job`, the step the sharded engine and
-/// screening share: sleep the content-keyed backoff before a retry,
-/// then evaluate under `catch_unwind` and classify, discarding a
+/// One oracle attempt of `job`: sleep the content-keyed backoff before
+/// a retry, then evaluate under `catch_unwind` and classify, discarding a
 /// result that took longer than `deadline_ms` (timed from after the
 /// sleep). The deadline is checked when the oracle returns, so an
 /// oracle that never returns blocks the calling thread.
-pub(crate) fn run_attempt<O: Oracle>(
+fn run_attempt<O: Oracle>(
     config: &RunConfig,
     job: &RefinementJob,
     attempt: usize,
@@ -433,17 +436,6 @@ pub(crate) fn run_attempt<O: Oracle>(
     }
 }
 
-/// A run's journal as [`SweepRunner::open_journal`] left it.
-#[derive(Default)]
-pub(crate) struct OpenJournal {
-    /// The writer new records append through; `None` without a journal.
-    pub(crate) writer: Option<JournalWriter>,
-    /// Whether an existing journal was reopened to resume.
-    pub(crate) reopened: bool,
-    /// A resumed file's records, sorted by `seq`.
-    pub(crate) records: Vec<JobRecord>,
-}
-
 /// Report a storage fault in operation `op` on the ops sink and hand
 /// the error back to the caller.
 fn storage_fault(ops: &dyn MetricsSink, op: &str, e: Error) -> Error {
@@ -460,7 +452,7 @@ fn storage_fault(ops: &dyn MetricsSink, op: &str, e: Error) -> Error {
 /// `plan`. Dead jobs split into backfilled (given a calibrated
 /// analytic estimate when `outcome` was assembled) and skipped. The
 /// caller fills in `completed`, `resumed` and `breaker_trips`.
-pub(crate) fn ledger<'a>(
+fn ledger<'a>(
     plan: &ApsPlan,
     outcome: Option<&ApsOutcome>,
     records: impl IntoIterator<Item = &'a JobRecord>,
@@ -504,7 +496,7 @@ impl SweepRunner {
     /// The storage stack this run persists through: plain disk, or
     /// disk wrapped in a [`ChaosStorage`] when a chaos plan is armed.
     /// Built fresh per run so the chaos write counter starts at zero.
-    pub(crate) fn storage(&self) -> Box<dyn Storage> {
+    fn storage(&self) -> Box<dyn Storage> {
         match &self.config.chaos {
             Some(plan) if !plan.is_none() => Box::new(
                 ChaosStorage::new(Box::new(DiskStorage), *plan)
@@ -512,116 +504,6 @@ impl SweepRunner {
             ),
             _ => Box::new(DiskStorage),
         }
-    }
-
-    /// Plan `sweep` and build the journal header that pins the plan,
-    /// bound to this run's scenario, the sweep's backend and `extra`
-    /// (screening's parameter fingerprint). An empty plan is rejected
-    /// before any file is touched.
-    pub(crate) fn plan_and_header(
-        &self,
-        sweep: &dyn BackendSweep,
-        extra: Option<u64>,
-        sink: &dyn MetricsSink,
-    ) -> Result<(ApsPlan, JournalHeader)> {
-        let plan = sweep.plan_observed(sink)?;
-        ensure_plan_nonempty(plan.jobs.len())?;
-        let bindings = [
-            self.config.scenario_fingerprint,
-            journal::backend_fingerprint(sweep.identity()),
-            extra,
-        ];
-        let header = JournalHeader {
-            jobs: plan.jobs.len(),
-            fingerprint: bindings
-                .into_iter()
-                .fold(plan_fingerprint(&plan), journal::bind_fingerprint),
-        };
-        Ok((plan, header))
-    }
-
-    /// Open the run's journal at `path` (no journal when `None`). With
-    /// `resume` an existing file is reopened for appending: one pinned
-    /// to a different sweep is rejected (`kind` names the sweep in the
-    /// error), a torn tail is cut off *before* appending so a second
-    /// crash cannot concatenate onto it, and every record must name a
-    /// job of the plan and carry at most `max_attempts` attempts (more
-    /// is a history no run under this configuration writes, and replay
-    /// walks every attempt). Otherwise a fresh journal is created.
-    pub(crate) fn open_journal(
-        &self,
-        storage: &dyn Storage,
-        path: Option<&Path>,
-        resume: bool,
-        header: &JournalHeader,
-        kind: &str,
-        ops: &dyn MetricsSink,
-    ) -> Result<OpenJournal> {
-        let mut open = OpenJournal::default();
-        let Some(path) = path else {
-            return Ok(open);
-        };
-        if !(resume && path.exists()) {
-            open.writer = Some(JournalWriter::create_with(
-                storage,
-                self.config.sync,
-                path,
-                header,
-            )?);
-            return Ok(open);
-        }
-        let contents = journal::load_with(storage, path)?;
-        if contents.header != *header {
-            return Err(Error::Journal(format!(
-                "journal {path:?} belongs to a different {kind} \
-                 (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
-                contents.header.jobs, contents.header.fingerprint, header.jobs, header.fingerprint
-            )));
-        }
-        if contents.truncated_tail {
-            storage.truncate(path, contents.valid_len as u64)?;
-            ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
-            ops.event(
-                "engine",
-                "journal.truncated",
-                &[("valid_len", contents.valid_len.into())],
-            );
-        }
-        open.records = contents.records;
-        open.records.sort_by_key(|r| r.seq);
-        for r in &open.records {
-            if r.seq >= header.jobs {
-                return Err(Error::Journal(format!(
-                    "journal record seq {} out of range",
-                    r.seq
-                )));
-            }
-            if r.attempts > self.config.max_attempts {
-                return Err(Error::Journal(format!(
-                    "journal record seq {} has {} attempts, more than max_attempts {}",
-                    r.seq, r.attempts, self.config.max_attempts
-                )));
-            }
-        }
-        open.reopened = true;
-        open.writer = Some(JournalWriter::append_with(storage, self.config.sync, path)?);
-        Ok(open)
-    }
-
-    /// Rewrite a completed run's journal canonically: the header and
-    /// `records` in `seq` order, via temp file and rename, so the
-    /// durable bytes are a pure function of the outcomes. A storage
-    /// fault is reported on `ops` and returned.
-    pub(crate) fn rewrite_journal(
-        &self,
-        storage: &dyn Storage,
-        path: &Path,
-        header: &JournalHeader,
-        records: &[JobRecord],
-        ops: &dyn MetricsSink,
-    ) -> Result<()> {
-        journal::rewrite_canonical_with(storage, self.config.sync, path, header, records)
-            .map_err(|e| storage_fault(ops, "journal.rewrite", e))
     }
 
     /// Run the refinement stage of `sweep` under supervision.
@@ -1148,8 +1030,90 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        let storage = self.storage();
-        let (plan, header) = self.plan_and_header(sweep, None, sink)?;
+        let mut run = Sweep::open(self, sweep, None, "sweep", journal_path, resume, sink, ops)?;
+        let every: Vec<usize> = (0..run.plan.jobs.len()).collect();
+        run.round(&every, &make_oracle)?;
+        let completed = run.records.iter().all(Option::is_some);
+        let policy = self.config.resilience_policy();
+        run.finish(completed, |plan, results| {
+            sweep.assemble_observed(plan, results, &policy, sink)
+        })
+    }
+}
+
+/// One supervised sweep in progress, the loop every run goes through:
+/// [`Sweep::open`] plans it and opens its cache snapshot, journal and
+/// shards; each [`Sweep::round`] decides a selection of the plan's
+/// jobs on the sharded workers; [`Sweep::finish`] merges the shards,
+/// publishes the journal and cache, and reports. A full sweep is one
+/// round over every job; screening (`crate::screen`) runs a round per
+/// acquisition batch.
+pub(crate) struct Sweep<'r> {
+    config: &'r RunConfig,
+    storage: Box<dyn Storage>,
+    /// The refinement plan being swept.
+    pub(crate) plan: ApsPlan,
+    header: JournalHeader,
+    journal_path: Option<&'r Path>,
+    cache_identity: u64,
+    /// Read-only cache snapshot, taken once at run start.
+    snapshot: HashMap<u64, CachedEval>,
+    shards: Vec<Vec<usize>>,
+    cells: Vec<Mutex<ShardCell>>,
+    journal: Mutex<ShardJournal>,
+    /// Resumed records no round has selected yet, by `seq`.
+    journaled: Vec<Option<JobRecord>>,
+    /// Every record a round has stepped, by `seq`.
+    pub(crate) records: Vec<Option<JobRecord>>,
+    /// Records the journal held when the run resumed.
+    pub(crate) resumed: usize,
+    abort: AtomicBool,
+    terminals_this_run: AtomicUsize,
+    max_batch: AtomicUsize,
+    sink: &'r dyn MetricsSink,
+    ops: &'r dyn MetricsSink,
+}
+
+impl<'r> Sweep<'r> {
+    /// Plan `sweep` and open the run. The journal header binds the
+    /// plan to the run's scenario, the sweep's backend and `extra`
+    /// (screening's parameter fingerprint); an empty plan is rejected
+    /// before any file is touched. The cache snapshot is read once.
+    /// With `resume` an existing journal is reopened for appending:
+    /// one pinned to a different sweep is rejected (`kind` names the
+    /// sweep in the error), a torn tail is cut off *before* appending
+    /// so a second crash cannot concatenate onto it, and every record
+    /// must name a job of the plan and carry at most `max_attempts`
+    /// attempts (more is a history no run under this configuration
+    /// writes, and replay walks every attempt). Its records wait for
+    /// the round that selects them. Otherwise a fresh journal is
+    /// created.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn open(
+        runner: &'r SweepRunner,
+        sweep: &dyn BackendSweep,
+        extra: Option<u64>,
+        kind: &str,
+        journal_path: Option<&'r Path>,
+        resume: bool,
+        sink: &'r dyn MetricsSink,
+        ops: &'r dyn MetricsSink,
+    ) -> Result<Self> {
+        let config = &runner.config;
+        let storage = runner.storage();
+        let plan = sweep.plan_observed(sink)?;
+        ensure_plan_nonempty(plan.jobs.len())?;
+        let bindings = [
+            config.scenario_fingerprint,
+            journal::backend_fingerprint(sweep.identity()),
+            extra,
+        ];
+        let header = JournalHeader {
+            jobs: plan.jobs.len(),
+            fingerprint: bindings
+                .into_iter()
+                .fold(plan_fingerprint(&plan), journal::bind_fingerprint),
+        };
         // Cache addresses bind the same identity the journal header
         // pins (plan ⊕ scenario), further bound to the positional
         // path's assembled-scenario fingerprint — oracle results
@@ -1157,14 +1121,14 @@ impl SweepRunner {
         // grid geometry) cannot carry, so a shared cache file must
         // miss, never mis-serve, across different runs' work.
         let cache_identity =
-            journal::bind_fingerprint(header.fingerprint, self.config.cache_fingerprint);
+            journal::bind_fingerprint(header.fingerprint, config.cache_fingerprint);
         // Read-only cache snapshot, taken once at run start. The run
         // publishes its merged cache atomically at completion; a crash
         // anywhere leaves the cache file byte-identical to run start,
         // so a resumed run loads exactly this snapshot again — which
         // is what keeps the snapshot gauge (and every cache hit/miss)
         // resume-invariant.
-        let snapshot: HashMap<u64, CachedEval> = match &self.config.cache_path {
+        let snapshot: HashMap<u64, CachedEval> = match &config.cache_path {
             None => HashMap::new(),
             Some(path) => {
                 let loaded = cache::load(storage.as_ref(), path)?;
@@ -1198,19 +1162,20 @@ impl SweepRunner {
                 loaded.snapshot
             }
         };
-        let cache_on = self.config.cache_path.is_some();
 
         let shards = partition(plan.jobs.len());
-        let opened = self.open_journal(
+        let (writer, resumed_records) = open_journal(
+            config,
             storage.as_ref(),
             journal_path,
             resume,
             &header,
-            "sweep",
+            kind,
             ops,
         )?;
-        let resumed = opened.records.len();
-        if opened.reopened {
+        let mut journaled: Vec<Option<JobRecord>> = vec![None; plan.jobs.len()];
+        let resumed = resumed_records.as_ref().map_or(0, Vec::len);
+        if let Some(records) = resumed_records {
             // Recovery telemetry goes to the ops sink: a clean run
             // replays nothing, and the main sink's artifacts must not
             // betray the crash history.
@@ -1220,6 +1185,10 @@ impl SweepRunner {
                 "journal.replayed",
                 &[("records", resumed.into()), ("shards", shards.len().into())],
             );
+            for record in records {
+                let seq = record.seq;
+                journaled[seq] = Some(record);
+            }
         }
 
         sink.gauge_set("engine_plan_jobs", plan.jobs.len() as f64);
@@ -1239,10 +1208,10 @@ impl SweepRunner {
             ],
         );
 
-        let mut cells_raw = Vec::with_capacity(shards.len());
+        let mut cells = Vec::with_capacity(shards.len());
         for (i, shard) in shards.iter().enumerate() {
             let cell = ShardCell {
-                breaker: CircuitBreaker::new(self.config.breaker)?,
+                breaker: CircuitBreaker::new(config.breaker)?,
                 buffer: BufferSink::new(),
                 results: Vec::new(),
                 appended: 0,
@@ -1250,66 +1219,101 @@ impl SweepRunner {
                 local_store: HashMap::new(),
             };
             // Emitted at construction (not by the worker) so it
-            // precedes the resumed-record events replayed into the
-            // buffer below.
+            // precedes the resumed-record events stepped into the
+            // buffer by the rounds.
             cell.buffer.event(
                 "engine",
                 "shard.started",
                 &[("shard", i.into()), ("jobs", shard.len().into())],
             );
-            cells_raw.push(cell);
+            cells.push(Mutex::new(cell));
         }
 
-        // Deterministic replay: records sorted by seq, each driven
-        // through its *own shard's* state (shard membership is a pure
-        // function of seq) by the step live records take.
-        let mut records: Vec<Option<JobRecord>> = vec![None; plan.jobs.len()];
-        for record in opened.records {
-            let si = shard_of(record.seq, shards.len());
-            let ckey = cache_key(cache_identity, plan.jobs[record.seq].content_key());
-            step_record(
-                &self.config,
-                &plan,
-                cache_on,
-                true,
-                &record,
-                ckey,
-                &mut cells_raw[si],
-                si,
-            );
-            let seq = record.seq;
-            records[seq] = Some(record);
+        Ok(Sweep {
+            config,
+            storage,
+            records: vec![None; plan.jobs.len()],
+            plan,
+            header,
+            journal_path,
+            cache_identity,
+            snapshot,
+            shards,
+            cells,
+            journal: Mutex::new(ShardJournal {
+                writer,
+                error: None,
+            }),
+            journaled,
+            resumed,
+            abort: AtomicBool::new(false),
+            terminals_this_run: AtomicUsize::new(0),
+            max_batch: AtomicUsize::new(0),
+            sink,
+            ops,
+        })
+    }
+
+    /// Whether the run stopped early: `abort_after` was reached or a
+    /// journal flush faulted.
+    pub(crate) fn aborted(&self) -> bool {
+        self.abort.load(Ordering::SeqCst)
+    }
+
+    /// Decide the jobs in `selected` that no earlier round decided.
+    ///
+    /// A selected job's resumed record steps first, in `seq` order,
+    /// through its shard (shard membership is a pure function of
+    /// `seq`) by the step live records take. Resumed records are a
+    /// prefix of each shard's selection (a shard appends in `seq`
+    /// order), so each shard sees its records in the order a clean run
+    /// stepped them. Then the sharded workers decide the rest: every
+    /// shard is claimed, runs its selected jobs in `seq` order, flushes
+    /// at the `checkpoint_every` cadence and when it finishes, and
+    /// emits `shard.finished`. The round's records then join
+    /// [`Sweep::records`]. A journal flush fault is returned.
+    pub(crate) fn round<O, B>(&mut self, selected: &[usize], make_oracle: &B) -> Result<()>
+    where
+        O: Oracle,
+        B: Fn() -> O + Sync,
+    {
+        let mut wanted = vec![false; self.plan.jobs.len()];
+        for &seq in selected {
+            wanted[seq] = true;
+        }
+        let config = self.config;
+        let cache_on = config.cache_path.is_some();
+        for seq in (0..wanted.len()).filter(|&seq| wanted[seq]) {
+            if let Some(record) = self.journaled[seq].take() {
+                let si = shard_of(seq, self.shards.len());
+                let ckey = cache_key(self.cache_identity, self.plan.jobs[seq].content_key());
+                let cell = self.cells[si].get_mut().unwrap_or_else(|e| e.into_inner());
+                step_record(config, &self.plan, cache_on, true, &record, ckey, cell, si);
+                self.records[seq] = Some(record);
+            }
         }
 
-        let cells: Vec<Mutex<ShardCell>> = cells_raw.into_iter().map(Mutex::new).collect();
-        let journal = Mutex::new(ShardJournal {
-            writer: opened.writer,
-            error: None,
-        });
-        let abort = AtomicBool::new(false);
-        let terminals_this_run = AtomicUsize::new(0);
+        let shards = &self.shards;
+        let cells = &self.cells;
+        let records = &self.records;
+        let wanted = &wanted;
+        let plan = &self.plan;
+        let snapshot = &self.snapshot;
+        let journal = &self.journal;
+        let abort = &self.abort;
+        let terminals_this_run = &self.terminals_this_run;
+        let max_batch = &self.max_batch;
+        let cache_identity = self.cache_identity;
+        let ops = self.ops;
         let next_shard = AtomicUsize::new(0);
-        let max_batch = AtomicUsize::new(0);
-        let has_journal = journal_path.is_some();
-
-        // The scope runs even when every job resumed: workers still
-        // claim each shard to emit its `shard.finished` marker, so a
+        let next_shard = &next_shard;
+        let has_journal = self.journal_path.is_some();
+        // Every shard is claimed even when none of its jobs is left to
+        // decide, so each emits its `shard.finished` marker and a
         // fully-resumed run's trace matches the uninterrupted one.
-        let nthreads = self.config.threads.min(shards.len());
+        let nthreads = config.threads.min(shards.len());
         std::thread::scope(|scope| {
             for _ in 0..nthreads {
-                let shards = &shards;
-                let cells = &cells;
-                let records = &records;
-                let plan = &plan;
-                let snapshot = &snapshot;
-                let journal = &journal;
-                let abort = &abort;
-                let terminals_this_run = &terminals_this_run;
-                let next_shard = &next_shard;
-                let max_batch = &max_batch;
-                let make_oracle = &make_oracle;
-                let config = &self.config;
                 scope.spawn(move || {
                     let mut oracle = make_oracle();
                     loop {
@@ -1346,8 +1350,8 @@ impl SweepRunner {
                                 .map(|&seq| cache_key(cache_identity, plan.jobs[seq].content_key()))
                                 .collect();
                             for (pos, &seq) in shards[i].iter().enumerate() {
-                                if records[seq].is_some() {
-                                    continue; // resumed
+                                if !wanted[seq] || records[seq].is_some() {
+                                    continue; // not selected, or resumed
                                 }
                                 if abort.load(Ordering::SeqCst) {
                                     break;
@@ -1407,43 +1411,87 @@ impl SweepRunner {
             }
         });
 
-        ops.gauge_set(
-            names::STEAL_BATCH_MAX_SHARDS,
-            max_batch.load(Ordering::Relaxed) as f64,
-        );
-
-        // Flush-and-close before merging; a dead journal means
-        // resumability is already lost, so surface it.
-        let mut journal = journal.into_inner().unwrap_or_else(|e| e.into_inner());
-        journal.writer = None;
-        if let Some(e) = journal.error.take() {
-            return Err(e);
+        // Every claimed shard flushed when it finished: the round's
+        // records join the run's, and the next round flushes afresh.
+        for cell in &mut self.cells {
+            let cell = cell.get_mut().unwrap_or_else(|e| e.into_inner());
+            cell.flushed = 0;
+            for record in cell.results.drain(..) {
+                let seq = record.seq;
+                self.records[seq] = Some(record);
+            }
         }
+        // A dead journal means resumability is already lost, so
+        // surface it.
+        match self
+            .journal
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .error
+            .take()
+        {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
 
-        // Deterministic merge: shard order, whatever the schedule was.
+    /// Close the run. The journal is closed and the shard buffers
+    /// merge into the sink in shard order, whatever the schedule was.
+    /// When `completed`, the journal is rewritten canonically, the
+    /// cache is published and `assemble` folds the outcome from every
+    /// stepped record's outcome; then the ledger and `run.finish`.
+    pub(crate) fn finish(
+        self,
+        completed: bool,
+        assemble: impl FnOnce(&ApsPlan, &[(usize, PointOutcome)]) -> c2_bound::Result<ApsOutcome>,
+    ) -> Result<RunSummary> {
+        let Sweep {
+            config,
+            storage,
+            plan,
+            header,
+            journal_path,
+            cache_identity,
+            snapshot,
+            cells,
+            journal,
+            records,
+            resumed,
+            max_batch,
+            sink,
+            ops,
+            ..
+        } = self;
+        ops.gauge_set(names::STEAL_BATCH_MAX_SHARDS, max_batch.into_inner() as f64);
+        // Flush-and-close before anything is merged or rewritten.
+        drop(journal);
+
         let mut breaker_trips = 0usize;
         for cell in cells {
             let cell = cell.into_inner().unwrap_or_else(|e| e.into_inner());
             breaker_trips += cell.breaker.trips();
             cell.buffer.replay(sink);
-            for record in cell.results {
-                let seq = record.seq;
-                records[seq] = Some(record);
-            }
         }
 
-        // Every terminal record, in seq order.
+        // Every stepped record, in seq order.
         let records: Vec<JobRecord> = records.into_iter().flatten().collect();
-        let completed = records.len() == plan.jobs.len();
         if completed {
             // A completed run's journal is rewritten canonically
-            // (records in seq order, legacy `c2ckpt` lines dropped), making the
-            // durable bytes a pure function of the outcomes:
-            // independent of thread count, of live append order, and
-            // of the run's crash/resume history (modulo the honest
-            // `cached` markers on repaired records).
+            // (records in seq order via temp file and rename, legacy
+            // `c2ckpt` lines dropped), making the durable bytes a pure
+            // function of the outcomes: independent of thread count,
+            // of live append order, of round structure, and of the
+            // run's crash/resume history (modulo the honest `cached`
+            // markers on repaired records).
             if let Some(path) = journal_path {
-                self.rewrite_journal(storage.as_ref(), path, &header, &records, ops)?;
+                journal::rewrite_canonical_with(
+                    storage.as_ref(),
+                    config.sync,
+                    path,
+                    &header,
+                    &records,
+                )
+                .map_err(|e| storage_fault(ops, "journal.rewrite", e))?;
                 sink.counter_add("engine_journal_rewrites_total", 1);
                 sink.event(
                     "engine",
@@ -1457,7 +1505,7 @@ impl SweepRunner {
             // `cache::publish`), written to a temp file and renamed
             // over the old cache. Incomplete runs publish nothing, so
             // a crash leaves the cache byte-identical to run start.
-            if let Some(path) = &self.config.cache_path {
+            if let Some(path) = &config.cache_path {
                 let mut entries: BTreeMap<u64, CachedEval> = snapshot.into_iter().collect();
                 for r in records.iter().filter(|r| !r.short_circuited) {
                     if let Ok(time) = r.result {
@@ -1471,7 +1519,7 @@ impl SweepRunner {
                         );
                     }
                 }
-                let sync = self.config.sync != SyncPolicy::Never;
+                let sync = config.sync != SyncPolicy::Never;
                 cache::publish(storage.as_ref(), sync, path, &entries)
                     .map_err(|e| storage_fault(ops, "cache.publish", e))?;
                 ops.counter_add(names::ENGINE_CACHE_PUBLISHES_TOTAL, 1);
@@ -1482,12 +1530,7 @@ impl SweepRunner {
         let results: Vec<(usize, PointOutcome)> =
             records.iter().map(|r| (r.seq, r.point_outcome())).collect();
         let outcome = if completed {
-            Some(sweep.assemble_observed(
-                &plan,
-                &results,
-                &self.config.resilience_policy(),
-                sink,
-            )?)
+            Some(assemble(&plan, &results)?)
         } else {
             None
         };
@@ -1533,6 +1576,63 @@ impl SweepRunner {
             results,
         })
     }
+}
+
+/// Open the run's journal at `path` (no journal when `None`) for
+/// [`Sweep::open`]: the writer new records append through, and a
+/// reopened journal's records sorted by `seq` (`None` when a fresh
+/// journal was created).
+fn open_journal(
+    config: &RunConfig,
+    storage: &dyn Storage,
+    path: Option<&Path>,
+    resume: bool,
+    header: &JournalHeader,
+    kind: &str,
+    ops: &dyn MetricsSink,
+) -> Result<(Option<JournalWriter>, Option<Vec<JobRecord>>)> {
+    let Some(path) = path else {
+        return Ok((None, None));
+    };
+    if !(resume && path.exists()) {
+        let writer = JournalWriter::create_with(storage, config.sync, path, header)?;
+        return Ok((Some(writer), None));
+    }
+    let contents = journal::load_with(storage, path)?;
+    if contents.header != *header {
+        return Err(Error::Journal(format!(
+            "journal {path:?} belongs to a different {kind} \
+             (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
+            contents.header.jobs, contents.header.fingerprint, header.jobs, header.fingerprint
+        )));
+    }
+    if contents.truncated_tail {
+        storage.truncate(path, contents.valid_len as u64)?;
+        ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
+        ops.event(
+            "engine",
+            "journal.truncated",
+            &[("valid_len", contents.valid_len.into())],
+        );
+    }
+    let mut records = contents.records;
+    records.sort_by_key(|r| r.seq);
+    for r in &records {
+        if r.seq >= header.jobs {
+            return Err(Error::Journal(format!(
+                "journal record seq {} out of range",
+                r.seq
+            )));
+        }
+        if r.attempts > config.max_attempts {
+            return Err(Error::Journal(format!(
+                "journal record seq {} has {} attempts, more than max_attempts {}",
+                r.seq, r.attempts, config.max_attempts
+            )));
+        }
+    }
+    let writer = JournalWriter::append_with(storage, config.sync, path)?;
+    Ok((Some(writer), Some(records)))
 }
 
 #[cfg(test)]

@@ -63,7 +63,6 @@ pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod engine;
-pub mod fault_oracle;
 pub mod journal;
 pub mod screen;
 pub mod serve;
@@ -75,7 +74,6 @@ pub use breaker::{Admission, BreakerPolicy, BreakerState, CircuitBreaker, Transi
 pub use cache::{cache_key, CachedEval, PhaseRecord};
 pub use chaos::{ChaosPlan, ChaosStorage};
 pub use engine::{RunConfig, RunReport, RunSummary, SweepRunner};
-pub use fault_oracle::InjectedOracle;
 pub use journal::{
     bind_fingerprint, plan_fingerprint, JobRecord, JournalHeader, JournalWriter, SyncPolicy,
 };

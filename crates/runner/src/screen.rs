@@ -22,23 +22,22 @@
 //!   set, so training data order is schedule-invariant;
 //! * candidates are ranked by `(spread desc, seq asc)` with a total
 //!   order on floats, so ties break identically everywhere;
-//! * within a round, true evaluations may run on any number of worker
-//!   threads, but their results are folded and journaled in `seq`
-//!   order.
+//! * each round is a round of the engine's sweep loop: its candidates
+//!   run shard by shard in `seq` order, through each shard's breaker,
+//!   evaluation cache and journal flush cadence, and the shards merge
+//!   in shard order, whatever the thread count.
 //!
 //! Consequently the journal, the metrics on the deterministic sink,
 //! and the final outcome are bit-identical across thread counts and
 //! across kill/resume histories: a resumed run replays the same round
-//! sequence, reusing journaled outcomes instead of calling the oracle.
+//! sequence, stepping a journaled record in the round that re-selects
+//! it instead of calling the oracle.
 //! The journal header binds a fingerprint of every screening parameter
 //! on top of the plan/scenario/backend identity, so a screened journal
 //! can never be cross-resumed with a full sweep's (or with a screened
 //! sweep configured differently).
 
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use c2_ann::{Mlp, TrainOptions};
 use c2_bound::aps::{ApsPlan, PointOutcome, RefinementJob};
@@ -47,8 +46,7 @@ use c2_bound::dse::Oracle;
 use c2_config::{OracleMode, Scenario, ScreenSpec};
 use c2_obs::{names, MetricsSink};
 
-use crate::engine::{ledger, run_attempt, Attempt, RunConfig, RunReport, RunSummary, SweepRunner};
-use crate::journal::{self, JobRecord, JournalWriter};
+use crate::engine::{RunSummary, Sweep, SweepRunner};
 use crate::{Error, Result};
 
 /// Validated screening parameters (the engine-side mirror of
@@ -210,45 +208,6 @@ fn member_seed(seed: u64, round: usize, member: usize) -> u64 {
     h
 }
 
-/// Evaluate one screened candidate through the engine's attempt step:
-/// retries (with backoff) under `max_attempts`, deadline expiries
-/// counted as failures, and a panic quarantining the candidate at the
-/// attempt that panicked. Screening has no breaker.
-fn evaluate_screened<O: Oracle>(
-    config: &RunConfig,
-    job: &RefinementJob,
-    oracle: &mut O,
-) -> JobRecord {
-    let mut attempts = 0usize;
-    let mut timeouts = 0usize;
-    let mut quarantined = false;
-    let result = loop {
-        attempts += 1;
-        match run_attempt(config, job, attempts, oracle) {
-            Attempt::Ok(t) => break Ok(t),
-            Attempt::Panicked(e) => {
-                quarantined = true;
-                break Err(journal::error_message(&e));
-            }
-            Attempt::Failed { error, timed_out } => {
-                timeouts += usize::from(timed_out);
-                if attempts >= config.max_attempts {
-                    break Err(journal::error_message(&error));
-                }
-            }
-        }
-    };
-    JobRecord {
-        seq: job.seq,
-        attempts,
-        timeouts,
-        result,
-        short_circuited: false,
-        cached: false,
-        quarantined,
-    }
-}
-
 /// Train one committee, fresh, on the seq-sorted outcome set.
 fn train_committee(cfg: &ScreenConfig, round: usize, xs: &[Vec<f64>], ys: &[f64]) -> Vec<Mlp> {
     let opts = TrainOptions {
@@ -268,14 +227,16 @@ impl SweepRunner {
     /// Run the refinement stage of `sweep` under surrogate screening
     /// instead of full enumeration.
     ///
-    /// Journaling, resume, chaos-storage fault injection and
-    /// `abort_after` (simulated kill) behave as in
+    /// Each acquisition round is a round of the engine's own sweep
+    /// loop, so journaling, resume, the evaluation cache, the per-shard
+    /// circuit breakers, the `checkpoint_every` cadence, chaos-storage
+    /// fault injection and `abort_after` (simulated kill) behave as in
     /// [`SweepRunner::run_aps_full`]; the journal header additionally
-    /// binds `screen.fingerprint()`. `sink` receives only
-    /// deterministic, resume-invariant artifacts (the analysis and
-    /// assembly stages); all screening telemetry — rounds, true
-    /// evaluations, screened-out counts, resume counts, the final
-    /// spread — goes to `ops` (the [`names`] `SCREEN_*` constants).
+    /// binds `screen.fingerprint()`. `sink` receives the same
+    /// deterministic, resume-invariant artifacts a full sweep emits;
+    /// screening telemetry — rounds, true evaluations, screened-out
+    /// counts, resume counts, the final spread — goes to `ops` (the
+    /// [`names`] `SCREEN_*` constants).
     ///
     /// On completion the summary's `plan`/`results` cover the **full**
     /// plan and the evaluated subset (original `seq`s), while the
@@ -296,143 +257,36 @@ impl SweepRunner {
         B: Fn() -> O + Sync,
     {
         screen.validate()?;
-        let storage = self.storage();
-        let (plan, header) = self.plan_and_header(sweep, Some(screen.fingerprint()), sink)?;
-        let jobs = plan.jobs.len();
-        let opened = self.open_journal(
-            storage.as_ref(),
+        let mut run = Sweep::open(
+            self,
+            sweep,
+            Some(screen.fingerprint()),
+            "screened sweep",
             journal_path,
             resume,
-            &header,
-            "screened sweep",
+            sink,
             ops,
         )?;
-        let mut writer = opened.writer;
-        // Journal-resumed outcomes, available for *reuse* when the
-        // replayed acquisition loop re-selects their seq. They are
-        // deliberately kept out of `evaluated` until that moment: the
-        // committee must train on exactly the outcomes the rounds so
-        // far incorporated, or a resumed run would see future-round
-        // records early and diverge from the clean run's acquisition.
-        let mut journaled: BTreeMap<usize, JobRecord> =
-            opened.records.into_iter().map(|r| (r.seq, r)).collect();
-        let resumed = journaled.len();
-        // The outcomes the replayed loop has incorporated, keyed by
-        // seq.
-        let mut evaluated: BTreeMap<usize, JobRecord> = BTreeMap::new();
-
+        let jobs = run.plan.jobs.len();
         let budget = screen.budget.min(jobs);
         let initial = screen.initial.min(budget);
-        let config = self.config();
-        let abort_after = config.abort_after;
-
-        let mut appended_this_run = 0usize;
-        let mut aborted = false;
-        let mut rounds = 0usize;
-        let mut converged = false;
-        let mut final_spread = 0.0f64;
-
-        // One acquisition round: reuse journaled outcomes for
-        // re-selected seqs, evaluate the rest on `threads` workers
-        // (claim-by-index over the seq-sorted batch, slot per index),
-        // then fold and journal in seq order.
-        let run_round = |selected: &[usize],
-                         journaled: &mut BTreeMap<usize, JobRecord>,
-                         evaluated: &mut BTreeMap<usize, JobRecord>,
-                         writer: &mut Option<JournalWriter>,
-                         appended_this_run: &mut usize,
-                         aborted: &mut bool|
-         -> Result<()> {
-            let mut todo: Vec<usize> = Vec::new();
-            for &seq in selected {
-                if evaluated.contains_key(&seq) {
-                    continue;
-                }
-                if let Some(r) = journaled.remove(&seq) {
-                    evaluated.insert(seq, r);
-                } else {
-                    todo.push(seq);
-                }
-            }
-            let slots: Vec<Mutex<Option<JobRecord>>> =
-                todo.iter().map(|_| Mutex::new(None)).collect();
-            if !todo.is_empty() {
-                let next = AtomicUsize::new(0);
-                let workers = config.threads.min(todo.len());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        let next = &next;
-                        let todo = &todo;
-                        let slots = &slots;
-                        let plan = &plan;
-                        let make_oracle = &make_oracle;
-                        scope.spawn(move || {
-                            let mut oracle = make_oracle();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::SeqCst);
-                                if i >= todo.len() {
-                                    break;
-                                }
-                                let seq = todo[i];
-                                let record =
-                                    evaluate_screened(config, &plan.jobs[seq], &mut oracle);
-                                if record.quarantined {
-                                    oracle = make_oracle();
-                                }
-                                *slots[i].lock().unwrap() = Some(record);
-                            }
-                        });
-                    }
-                });
-            }
-            let mut fresh: Vec<JobRecord> = slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("every claimed slot is filled")
-                })
-                .collect();
-            fresh.sort_by_key(|r| r.seq);
-            for record in fresh {
-                if *aborted {
-                    break;
-                }
-                if let Some(w) = writer.as_mut() {
-                    w.record(&record)?;
-                }
-                evaluated.insert(record.seq, record);
-                *appended_this_run += 1;
-                if let Some(limit) = abort_after {
-                    if *appended_this_run >= limit {
-                        *aborted = true;
-                    }
-                }
-            }
-            Ok(())
-        };
 
         // Seeding round: an evenly-strided slice of the plan.
         let seed_batch: Vec<usize> = (0..initial).map(|i| i * jobs / initial).collect();
-        rounds += 1;
-        run_round(
-            &seed_batch,
-            &mut journaled,
-            &mut evaluated,
-            &mut writer,
-            &mut appended_this_run,
-            &mut aborted,
-        )?;
+        run.round(&seed_batch, &make_oracle)?;
+        let mut rounds = 1usize;
+        let mut converged = false;
+        let mut final_spread = 0.0f64;
 
         // Acquisition rounds.
-        while !aborted {
+        while !run.aborted() {
             // Train on every successful evaluation so far, in seq
             // order, in ln-time space.
             let mut xs: Vec<Vec<f64>> = Vec::new();
             let mut ys: Vec<f64> = Vec::new();
-            for (&seq, record) in &evaluated {
+            for record in run.records.iter().flatten() {
                 if let Ok(t) = &record.result {
-                    xs.push(plan.jobs[seq].point.features());
+                    xs.push(run.plan.jobs[record.seq].point.features());
                     ys.push(t.ln());
                 }
             }
@@ -441,8 +295,7 @@ impl SweepRunner {
                 // degrades to whatever was evaluated.
                 break;
             }
-            let unevaluated: Vec<usize> =
-                (0..jobs).filter(|s| !evaluated.contains_key(s)).collect();
+            let unevaluated: Vec<usize> = (0..jobs).filter(|&s| run.records[s].is_none()).collect();
             if unevaluated.is_empty() {
                 final_spread = 0.0;
                 break;
@@ -451,7 +304,7 @@ impl SweepRunner {
             let mut scored: Vec<(f64, usize)> = unevaluated
                 .iter()
                 .map(|&seq| {
-                    let x = plan.jobs[seq].point.features();
+                    let x = run.plan.jobs[seq].point.features();
                     let mut lo = f64::INFINITY;
                     let mut hi = f64::NEG_INFINITY;
                     for m in &committee {
@@ -467,7 +320,8 @@ impl SweepRunner {
                 converged = true;
                 break;
             }
-            if evaluated.len() >= budget {
+            let evaluated = jobs - unevaluated.len();
+            if evaluated >= budget {
                 break;
             }
             // Deterministic acquisition: spread descending, seq
@@ -475,67 +329,39 @@ impl SweepRunner {
             // NaN that a degenerate committee could emit) rank
             // identically on every platform and thread count.
             scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            let take = screen.batch.min(budget - evaluated.len());
+            let take = screen.batch.min(budget - evaluated);
             let selected: Vec<usize> = scored.iter().take(take).map(|&(_, s)| s).collect();
             rounds += 1;
-            run_round(
-                &selected,
-                &mut journaled,
-                &mut evaluated,
-                &mut writer,
-                &mut appended_this_run,
-                &mut aborted,
-            )?;
+            run.round(&selected, &make_oracle)?;
         }
 
-        // Flush-and-close before publishing anything.
-        drop(writer);
-
-        let completed = !aborted;
-        if completed {
-            if let Some(path) = journal_path {
-                // Canonical rewrite: evaluated in seq order, making the
-                // durable bytes a pure function of the evaluated set —
-                // independent of round structure, thread count, and
-                // crash/resume history.
-                let canonical: Vec<JobRecord> = evaluated.values().cloned().collect();
-                self.rewrite_journal(storage.as_ref(), path, &header, &canonical, ops)?;
-                ops.event(
-                    "engine",
-                    "journal.canonical",
-                    &[("evaluated", evaluated.len().into())],
-                );
-            }
-        }
-
+        // Stopped by its own rule, not by `abort_after`.
+        let completed = !run.aborted();
+        let evaluated = run.records.iter().flatten().count();
+        let resumed = run.resumed;
         // Screening telemetry lives on the ops sink: resumed counts
         // (and the exact round structure a tolerance stop produces)
         // legitimately differ between histories that must bit-compare
         // equal on the deterministic sink.
-        ops.counter_add(names::SCREEN_TRUE_EVALUATIONS_TOTAL, evaluated.len() as u64);
-        ops.counter_add(
-            names::SCREEN_SCREENED_OUT_TOTAL,
-            (jobs - evaluated.len()) as u64,
-        );
+        ops.counter_add(names::SCREEN_TRUE_EVALUATIONS_TOTAL, evaluated as u64);
+        ops.counter_add(names::SCREEN_SCREENED_OUT_TOTAL, (jobs - evaluated) as u64);
         ops.counter_add(names::SCREEN_ROUNDS_TOTAL, rounds as u64);
         ops.counter_add(names::SCREEN_RESUMED_TOTAL, resumed as u64);
         ops.gauge_set(names::SCREEN_FINAL_SPREAD_PERMILLE, final_spread * 1000.0);
 
-        // Assemble from the evaluated subset: a reduced plan keeps
-        // each job's multi-index and point but renumbers seq densely,
-        // which is what `assemble_observed` expects of its inputs.
-        let results: Vec<(usize, PointOutcome)> = evaluated
-            .iter()
-            .map(|(&seq, r)| (seq, r.point_outcome()))
-            .collect();
-        let outcome = if completed {
+        let policy = self.config().resilience_policy();
+        let summary = run.finish(completed, |plan, results| {
+            // Assemble from the evaluated subset: a reduced plan keeps
+            // each job's multi-index and point but renumbers seq
+            // densely, which is what `assemble_observed` expects of its
+            // inputs.
             let reduced = ApsPlan {
                 analytic: plan.analytic.clone(),
                 skeleton: plan.skeleton,
-                jobs: evaluated
-                    .keys()
+                jobs: results
+                    .iter()
                     .enumerate()
-                    .map(|(dense, &seq)| RefinementJob {
+                    .map(|(dense, &(seq, _))| RefinementJob {
                         seq: dense,
                         index: plan.jobs[seq].index,
                         point: plan.jobs[seq].point,
@@ -547,41 +373,19 @@ impl SweepRunner {
                 .enumerate()
                 .map(|(dense, (_, o))| (dense, o.clone()))
                 .collect();
-            Some(sweep.assemble_observed(
-                &reduced,
-                &reduced_results,
-                &self.config().resilience_policy(),
-                sink,
-            )?)
-        } else {
-            None
-        };
-
-        let report = RunReport {
-            completed,
-            resumed,
-            ..ledger(&plan, outcome.as_ref(), evaluated.values())
-        };
-        debug_assert!(report.consistent());
+            sweep.assemble_observed(&reduced, &reduced_results, &policy, sink)
+        })?;
 
         let screen_report = ScreenReport {
             plan_jobs: jobs,
-            true_evaluations: evaluated.len(),
-            screened_out: jobs - evaluated.len(),
+            true_evaluations: evaluated,
+            screened_out: jobs - evaluated,
             rounds,
             resumed,
             final_spread,
             converged,
         };
-        Ok((
-            RunSummary {
-                report,
-                plan,
-                outcome,
-                results,
-            },
-            screen_report,
-        ))
+        Ok((summary, screen_report))
     }
 }
 
@@ -745,7 +549,7 @@ mod tests {
             .run_screened(
                 &quick_aps(),
                 &tiny_screen(),
-                || crate::InjectedOracle::new(faults, fast_oracle()).unwrap(),
+                || c2_sim::FaultyOracle::new(faults, fast_oracle()).unwrap(),
                 Some(&path),
                 false,
                 &NullSink,

@@ -7,7 +7,9 @@
 //! rewrite, and the cache publish — then resume
 //! with chaos disarmed, and the final journal bytes, cache bytes,
 //! metrics/trace snapshot, run report, and assembled outcome are all
-//! identical to a run that never crashed. At any thread count.
+//! identical to a run that never crashed. At any thread count, for a
+//! full sweep and for a screened one (whose acquisition rounds flush
+//! on the same cadence).
 //!
 //! Satellites proven here: torn tails self-heal (and a second crash
 //! cannot concatenate onto a torn tail), `ENOSPC` is recoverable, a
@@ -21,10 +23,10 @@ use c2_bound::dse::{DesignPoint, DesignSpace, Oracle};
 use c2_bound::C2BoundModel;
 use c2_obs::Recorder;
 use c2_runner::{
-    journal, BackoffPolicy, BreakerPolicy, ChaosPlan, ChaosStorage, DiskStorage, InjectedOracle,
-    RunConfig, RunReport, RunSummary, SweepRunner, SyncPolicy,
+    journal, BackoffPolicy, BreakerPolicy, ChaosPlan, ChaosStorage, DiskStorage, RunConfig,
+    RunReport, RunSummary, ScreenConfig, SweepRunner, SyncPolicy,
 };
-use c2_sim::FaultPlan;
+use c2_sim::{FaultPlan, FaultyOracle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,6 +83,21 @@ fn config(threads: usize) -> RunConfig {
     }
 }
 
+/// A screen over the 9-job plan: a seeding round of 3 and two
+/// acquisition rounds of 2, so 2 jobs are screened out.
+fn screen() -> ScreenConfig {
+    ScreenConfig {
+        seed: 7,
+        initial: 3,
+        batch: 2,
+        budget: 7,
+        committee: 2,
+        hidden: 4,
+        epochs: 20,
+        tolerance: 0.0,
+    }
+}
+
 #[derive(Debug)]
 struct Artifacts {
     journal: Vec<u8>,
@@ -90,10 +107,11 @@ struct Artifacts {
     summary: RunSummary,
 }
 
-/// One fully-observed run; on success, captures every artifact the
-/// matrix bit-compares.
+/// One fully-observed run, screened under `screen` or a full sweep;
+/// on success, captures every artifact the matrix bit-compares.
 fn run(
     config: RunConfig,
+    screen: Option<&ScreenConfig>,
     journal_path: &PathBuf,
     cache_path: &PathBuf,
     resume: bool,
@@ -105,14 +123,16 @@ fn run(
     let runner = SweepRunner::new(config).expect("valid config");
     let recorder = Recorder::new();
     let ops = Recorder::new();
-    let summary = runner.run_aps_full(
-        &aps(),
-        || InjectedOracle::new(faults(), pricer).expect("valid plan"),
-        Some(journal_path),
-        resume,
-        &recorder,
-        &ops,
-    )?;
+    let oracle = || FaultyOracle::new(faults(), pricer).expect("valid plan");
+    let journal = Some(journal_path.as_path());
+    let summary = match screen {
+        Some(screen) => {
+            runner
+                .run_screened(&aps(), screen, oracle, journal, resume, &recorder, &ops)?
+                .0
+        }
+        None => runner.run_aps_full(&aps(), oracle, journal, resume, &recorder, &ops)?,
+    };
     Ok(Artifacts {
         journal: std::fs::read(journal_path).expect("journal readable"),
         // Incomplete runs (abort_after) publish no cache file.
@@ -142,9 +162,20 @@ fn assert_identical(clean: &Artifacts, resumed: &Artifacts, context: &str) {
 
 #[test]
 fn crash_anywhere_then_resume_is_bit_identical() {
-    let clean_journal = scratch("anywhere-clean.jsonl");
-    let clean_cache = scratch("anywhere-clean.cache");
-    let clean = run(config(1), &clean_journal, &clean_cache, false).expect("clean run");
+    crash_anywhere("anywhere", None);
+}
+
+#[test]
+fn screened_crash_anywhere_then_resume_is_bit_identical() {
+    crash_anywhere("screened", Some(&screen()));
+}
+
+/// The matrix over one sweep, at 1 and 4 threads against a clean
+/// 1-thread run.
+fn crash_anywhere(name: &str, screen: Option<&ScreenConfig>) {
+    let clean_journal = scratch(&format!("{name}-clean.jsonl"));
+    let clean_cache = scratch(&format!("{name}-clean.cache"));
+    let clean = run(config(1), screen, &clean_journal, &clean_cache, false).expect("clean run");
     assert!(clean.report.completed);
     assert!(clean.report.retried > 0, "faults actually fired");
     assert!(clean.report.skipped + clean.report.backfilled > 0);
@@ -152,9 +183,9 @@ fn crash_anywhere_then_resume_is_bit_identical() {
     for threads in [1usize, 4] {
         let mut exhausted_at = None;
         for n in 1u64..=500 {
-            let journal_path = scratch(&format!("anywhere-t{threads}-n{n}.jsonl"));
-            let cache_path = scratch(&format!("anywhere-t{threads}-n{n}.cache"));
-            let survived = run_matrix_point(threads, n, &journal_path, &cache_path, &clean);
+            let journal_path = scratch(&format!("{name}-t{threads}-n{n}.jsonl"));
+            let cache_path = scratch(&format!("{name}-t{threads}-n{n}.cache"));
+            let survived = run_matrix_point(threads, screen, n, &journal_path, &cache_path, &clean);
             if survived {
                 exhausted_at = Some(n);
                 break;
@@ -162,8 +193,8 @@ fn crash_anywhere_then_resume_is_bit_identical() {
         }
         let total_writes = exhausted_at.expect("matrix must exhaust within 500 writes") - 1;
         // The matrix must actually have covered the interesting crash
-        // points: header + 9 records + the 10-line canonical rewrite +
-        // cache publish is over 20 writes.
+        // points: header + 9 records (7 screened) + the canonical
+        // rewrite of as many lines + cache publish is over 20 writes.
         assert!(
             total_writes > 20,
             "only {total_writes} crash points at {threads} threads — matrix too small"
@@ -176,6 +207,7 @@ fn crash_anywhere_then_resume_is_bit_identical() {
 /// run survived, exhausting the matrix).
 fn run_matrix_point(
     threads: usize,
+    screen: Option<&ScreenConfig>,
     n: u64,
     journal_path: &PathBuf,
     cache_path: &PathBuf,
@@ -189,13 +221,13 @@ fn run_matrix_point(
         }),
         ..config(threads)
     };
-    match run(chaotic, journal_path, cache_path, false) {
+    match run(chaotic, screen, journal_path, cache_path, false) {
         Ok(arts) => {
             assert_identical(clean, &arts, &format!("t{threads} idle chaos (n={n})"));
             true
         }
         Err(_) => {
-            let recovered = match run(config(threads), journal_path, cache_path, true) {
+            let recovered = match run(config(threads), screen, journal_path, cache_path, true) {
                 Ok(arts) => arts,
                 Err(e) if e.to_string().contains("header") => {
                     // The crash fired before a complete header line
@@ -203,7 +235,7 @@ fn run_matrix_point(
                     // so resuming against it is refused. Documented
                     // recovery (README): remove it and restart fresh.
                     std::fs::remove_file(journal_path).expect("remove headerless journal");
-                    run(config(threads), journal_path, cache_path, false)
+                    run(config(threads), screen, journal_path, cache_path, false)
                         .expect("fresh restart after headerless crash")
                 }
                 Err(e) => panic!("resume at t{threads} crash point {n} failed: {e}"),
@@ -219,7 +251,7 @@ fn run_matrix_point(
 fn second_crash_on_the_torn_tail_still_resumes_clean() {
     let clean_journal = scratch("double-clean.jsonl");
     let clean_cache = scratch("double-clean.cache");
-    let clean = run(config(2), &clean_journal, &clean_cache, false).expect("clean run");
+    let clean = run(config(2), None, &clean_journal, &clean_cache, false).expect("clean run");
 
     // First crash: tear a record mid-line.
     let journal_path = scratch("double.jsonl");
@@ -232,7 +264,7 @@ fn second_crash_on_the_torn_tail_still_resumes_clean() {
         }),
         ..config(2)
     };
-    run(first, &journal_path, &cache_path, false).expect_err("first crash fires");
+    run(first, None, &journal_path, &cache_path, false).expect_err("first crash fires");
 
     // Second crash: the resume truncates the torn tail, appends a few
     // records, and dies again (torn again, different prefix).
@@ -244,10 +276,10 @@ fn second_crash_on_the_torn_tail_still_resumes_clean() {
         }),
         ..config(2)
     };
-    run(second, &journal_path, &cache_path, true).expect_err("second crash fires");
+    run(second, None, &journal_path, &cache_path, true).expect_err("second crash fires");
 
     // Final resume on honest storage: bit-identical to never crashing.
-    let recovered = run(config(2), &journal_path, &cache_path, true).expect("final resume");
+    let recovered = run(config(2), None, &journal_path, &cache_path, true).expect("final resume");
     assert_identical(&clean, &recovered, "double crash");
 }
 
@@ -255,7 +287,7 @@ fn second_crash_on_the_torn_tail_still_resumes_clean() {
 fn enospc_aborts_cleanly_and_the_journal_resumes() {
     let clean_journal = scratch("enospc-clean.jsonl");
     let clean_cache = scratch("enospc-clean.cache");
-    let clean = run(config(1), &clean_journal, &clean_cache, false).expect("clean run");
+    let clean = run(config(1), None, &clean_journal, &clean_cache, false).expect("clean run");
 
     let journal_path = scratch("enospc.jsonl");
     let cache_path = scratch("enospc.cache");
@@ -266,14 +298,14 @@ fn enospc_aborts_cleanly_and_the_journal_resumes() {
         }),
         ..config(1)
     };
-    let err = run(chaotic, &journal_path, &cache_path, false).expect_err("ENOSPC aborts");
+    let err = run(chaotic, None, &journal_path, &cache_path, false).expect_err("ENOSPC aborts");
     assert!(
         err.to_string().contains("no space left"),
         "unexpected error: {err}"
     );
     // The failed write persisted nothing, so the journal is a valid
     // prefix; resume completes and converges on the clean artifacts.
-    let recovered = run(config(1), &journal_path, &cache_path, true).expect("resume");
+    let recovered = run(config(1), None, &journal_path, &cache_path, true).expect("resume");
     assert_identical(&clean, &recovered, "ENOSPC");
 }
 
@@ -281,7 +313,7 @@ fn enospc_aborts_cleanly_and_the_journal_resumes() {
 fn short_write_is_truncated_on_resume_and_counted() {
     let clean_journal = scratch("short-clean.jsonl");
     let clean_cache = scratch("short-clean.cache");
-    let clean = run(config(1), &clean_journal, &clean_cache, false).expect("clean run");
+    let clean = run(config(1), None, &clean_journal, &clean_cache, false).expect("clean run");
 
     let journal_path = scratch("short.jsonl");
     let cache_path = scratch("short.cache");
@@ -292,7 +324,7 @@ fn short_write_is_truncated_on_resume_and_counted() {
         }),
         ..config(1)
     };
-    run(chaotic, &journal_path, &cache_path, false).expect_err("short write aborts");
+    run(chaotic, None, &journal_path, &cache_path, false).expect_err("short write aborts");
 
     // Resume with an ops recorder to observe the self-heal telemetry.
     let runner = SweepRunner::new(RunConfig {
@@ -305,7 +337,7 @@ fn short_write_is_truncated_on_resume_and_counted() {
     let summary = runner
         .run_aps_full(
             &aps(),
-            || InjectedOracle::new(faults(), pricer).unwrap(),
+            || FaultyOracle::new(faults(), pricer).unwrap(),
             Some(&journal_path),
             true,
             &recorder,
@@ -513,7 +545,7 @@ fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
 fn compact_preserves_resume_and_survives_its_own_crash() {
     let clean_journal = scratch("compact-clean.jsonl");
     let clean_cache = scratch("compact-clean.cache");
-    let clean = run(config(1), &clean_journal, &clean_cache, false).expect("clean run");
+    let clean = run(config(1), None, &clean_journal, &clean_cache, false).expect("clean run");
 
     // Interrupt a run mid-sweep (abort_after) to get a journal with a
     // live append tail.
@@ -523,7 +555,7 @@ fn compact_preserves_resume_and_survives_its_own_crash() {
         abort_after: Some(4),
         ..config(1)
     };
-    let s = run(partial, &journal_path, &cache_path, false).expect("aborted run returns Ok");
+    let s = run(partial, None, &journal_path, &cache_path, false).expect("aborted run returns Ok");
     assert!(!s.report.completed);
     let before = std::fs::read(&journal_path).unwrap();
 
@@ -550,7 +582,7 @@ fn compact_preserves_resume_and_survives_its_own_crash() {
     // clean artifacts.
     let stats = journal::compact(&journal_path).expect("compact");
     assert_eq!(stats.records, 4);
-    let recovered = run(config(1), &journal_path, &cache_path, true).expect("resume");
+    let recovered = run(config(1), None, &journal_path, &cache_path, true).expect("resume");
     assert_identical(&clean, &recovered, "post-compaction resume");
 }
 
@@ -561,7 +593,7 @@ fn unobserved_resume_converges_to_the_observed_run() {
     // the clean observed run bit for bit.
     let clean_journal = scratch("fast-clean.jsonl");
     let clean_cache = scratch("fast-clean.cache");
-    let clean = run(config(2), &clean_journal, &clean_cache, false).expect("clean run");
+    let clean = run(config(2), None, &clean_journal, &clean_cache, false).expect("clean run");
 
     let journal_path = scratch("fast.jsonl");
     let cache_path = scratch("fast.cache");
@@ -574,7 +606,7 @@ fn unobserved_resume_converges_to_the_observed_run() {
         .unwrap()
         .run_aps(
             &aps(),
-            || InjectedOracle::new(faults(), pricer).unwrap(),
+            || FaultyOracle::new(faults(), pricer).unwrap(),
             Some(&journal_path),
             false,
         )
@@ -588,7 +620,7 @@ fn unobserved_resume_converges_to_the_observed_run() {
     .unwrap()
     .run_aps(
         &aps(),
-        || InjectedOracle::new(faults(), pricer).unwrap(),
+        || FaultyOracle::new(faults(), pricer).unwrap(),
         Some(&journal_path),
         true,
     )

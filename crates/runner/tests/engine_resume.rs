@@ -12,10 +12,9 @@ use c2_bound::aps::{Aps, ApsOutcome};
 use c2_bound::dse::{chip_config_for, DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
 use c2_runner::{
-    journal, BackoffPolicy, BreakerPolicy, InjectedOracle, RunConfig, RunReport, SweepRunner,
-    SyncPolicy,
+    journal, BackoffPolicy, BreakerPolicy, RunConfig, RunReport, SweepRunner, SyncPolicy,
 };
-use c2_sim::{FaultPlan, OracleHang, Simulator};
+use c2_sim::{FaultPlan, FaultyOracle, OracleHang, Simulator};
 use c2_trace::synthetic::{RandomGenerator, TraceGenerator};
 use std::path::PathBuf;
 
@@ -104,7 +103,7 @@ fn run_acceptance(
     let faults = acceptance_faults();
     SweepRunner::new(config.clone()).unwrap().run_aps(
         &aps(),
-        move || InjectedOracle::new(faults, pricer.clone()).unwrap(),
+        move || FaultyOracle::new(faults, pricer.clone()).unwrap(),
         journal,
         resume,
     )
@@ -272,13 +271,13 @@ fn engine_matches_in_process_aps_under_identical_faults() {
         .unwrap()
         .run_aps(
             &aps(),
-            || InjectedOracle::new(faults, pricer).unwrap(),
+            || FaultyOracle::new(faults, pricer).unwrap(),
             None,
             false,
         )
         .unwrap();
     let in_process = aps()
-        .run_oracle(InjectedOracle::new(faults, pricer).unwrap(), &policy)
+        .run_oracle(FaultyOracle::new(faults, pricer).unwrap(), &policy)
         .unwrap();
     assert_eq!(
         engine.outcome.unwrap(),

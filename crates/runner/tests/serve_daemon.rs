@@ -34,10 +34,10 @@ use c2_obs::{MetricsSink, Recorder};
 use c2_runner::serve::protocol::http_call;
 use c2_runner::serve::DrainControl;
 use c2_runner::{
-    Daemon, InjectedOracle, RunConfig, RunSummary, ScenarioExecutor, ServeOptions, ServePolicy,
-    ServeReport, SweepRunner,
+    Daemon, RunConfig, RunSummary, ScenarioExecutor, ServeOptions, ServePolicy, ServeReport,
+    SweepRunner,
 };
-use c2_sim::{FaultPlan, OracleHang};
+use c2_sim::{FaultPlan, FaultyOracle, OracleHang};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("c2-serve-{name}-{}", std::process::id()));
@@ -168,7 +168,7 @@ impl ScenarioExecutor for MoodyExecutor {
     }
 }
 
-/// Prices through [`InjectedOracle`] with a keyed 250 ms stall on
+/// Prices through [`FaultyOracle`] with a keyed 250 ms stall on
 /// every 4th job key (keys 3 and 7 of the tiny plan), so a scenario's
 /// `runner.deadline_ms` decides whether those attempts time out.
 struct HangingExecutor;
@@ -193,7 +193,7 @@ impl ScenarioExecutor for HangingExecutor {
         let runner = SweepRunner::new(config)?;
         runner.run_aps_full(
             &aps(),
-            || InjectedOracle::new(faults, pricer).unwrap(),
+            || FaultyOracle::new(faults, pricer).unwrap(),
             Some(journal),
             resume,
             sink,

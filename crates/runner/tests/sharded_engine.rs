@@ -17,9 +17,9 @@ use c2_runner::cache::publish;
 use c2_runner::storage::DISK;
 use c2_runner::{
     bind_fingerprint, cache_key, plan_fingerprint, BackoffPolicy, BreakerPolicy, CachedEval,
-    InjectedOracle, RunConfig, RunSummary, SweepRunner,
+    RunConfig, RunSummary, SweepRunner,
 };
-use c2_sim::FaultPlan;
+use c2_sim::{FaultPlan, FaultyOracle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -87,7 +87,7 @@ fn run_observed(
     let summary = runner
         .run_aps_observed(
             &aps(),
-            || InjectedOracle::new(plan, pricer).expect("valid plan"),
+            || FaultyOracle::new(plan, pricer).expect("valid plan"),
             Some(journal),
             resume,
             &recorder,
@@ -240,7 +240,7 @@ fn cache_is_scenario_scoped() {
         runner
             .run_aps(
                 &aps(),
-                || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
+                || FaultyOracle::new(FaultPlan::default(), pricer).unwrap(),
                 None,
                 false,
             )
@@ -275,7 +275,7 @@ fn cache_is_positional_identity_scoped() {
         runner
             .run_aps(
                 &aps(),
-                || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
+                || FaultyOracle::new(FaultPlan::default(), pricer).unwrap(),
                 None,
                 false,
             )

@@ -1001,7 +1001,7 @@ impl Engine {
             self.account(core, now + 1);
         }
         let mut cores = Vec::with_capacity(self.cores.len());
-        for (i, det) in self.detectors.iter_mut().enumerate() {
+        for (i, det) in self.detectors.iter().enumerate() {
             let report = det.report();
             cores.push(PerCoreStats {
                 instructions: self.cores[i].retired(),

@@ -22,9 +22,9 @@ use c2_config::Scenario;
 use c2_obs::NullSink;
 use c2bound::model::dse::{simulate_point, DesignPoint};
 use c2bound::model::{aps_from_scenario, scale_function, Aps};
-use c2bound::runner::{RunConfig, ScreenConfig, SweepRunner};
+use c2bound::runner::{BackoffPolicy, RunConfig, ScreenConfig, SweepRunner};
 use c2bound::sim::area::{AreaModel, SiliconBudget};
-use c2bound::sim::ChipConfig;
+use c2bound::sim::{ChipConfig, FaultPlan, FaultyOracle};
 use c2bound::speedup::law::{Amdahl, MemoryWall, ScalabilityLaw, SunNi, Usl};
 use c2bound::speedup::scale::ScaleFunction;
 use c2bound::workloads::{characterize, Workload, WorkloadTrace};
@@ -253,6 +253,13 @@ fn paper_scale() -> PaperScale {
     }
 }
 
+impl PaperScale {
+    /// A simulator-backed oracle over the scenario's trace.
+    fn oracle(&self) -> impl FnMut(&DesignPoint) -> c2bound::model::Result<f64> + '_ {
+        move |p: &DesignPoint| simulate_point(p, &self.trace, &self.area, &self.budget)
+    }
+}
+
 /// The ISSUE's headline claim: on the paper-scale scenario the
 /// screened sweep reaches the full enumeration's objective within
 /// [`SCREEN_OBJECTIVE_BOUND`] while truly evaluating fewer than 100
@@ -272,11 +279,7 @@ fn screened_sweep_matches_full_enumeration_with_fewer_than_100_evaluations() {
         .expect("full APS");
     assert!(full.best_time > 0.0);
 
-    let make_oracle = || {
-        let trace = ps.trace.clone();
-        let (area, budget) = (ps.area, ps.budget);
-        move |p: &DesignPoint| simulate_point(p, &trace, &area, &budget)
-    };
+    let make_oracle = || ps.oracle();
     let run = |threads: usize, journal: &Path, resume: bool, abort_after: Option<usize>| {
         let runner = SweepRunner::new(RunConfig {
             threads,
@@ -344,6 +347,79 @@ fn screened_sweep_matches_full_enumeration_with_fewer_than_100_evaluations() {
     );
     assert_eq!(resumed.outcome.as_ref(), Some(outcome));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A screened sweep goes through the engine's evaluation cache: a
+/// rerun on the same cache file serves every true evaluation from it
+/// and reaches the same outcome.
+#[test]
+fn screened_sweep_reads_and_publishes_the_evaluation_cache() {
+    let ps = paper_scale();
+    let screen = ScreenConfig::from_scenario(&ps.scenario).expect("screen config");
+    let dir = temp_dir("screen-cache");
+    let runner = SweepRunner::new(RunConfig {
+        cache_path: Some(dir.join("cache.jsonl")),
+        ..RunConfig::default()
+    })
+    .expect("runner");
+    let run = || {
+        runner
+            .run_screened(
+                &ps.aps,
+                &screen,
+                || ps.oracle(),
+                None,
+                false,
+                &NullSink,
+                &NullSink,
+            )
+            .expect("screened run")
+    };
+    let (cold, cold_report) = run();
+    assert_eq!(cold.report.cache_hits, 0);
+    let (warm, warm_report) = run();
+    assert_eq!(warm_report.true_evaluations, cold_report.true_evaluations);
+    assert_eq!(warm.report.cache_hits, warm_report.true_evaluations);
+    assert_eq!(warm.outcome, cold.outcome);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A screened sweep runs the engine's per-shard circuit breakers: with
+/// every odd job key failing, the shards that hold only odd keys trip
+/// open and short-circuit their later candidates instead of retrying
+/// each one.
+#[test]
+fn screened_sweep_trips_the_breaker_on_a_failing_oracle() {
+    let ps = paper_scale();
+    let screen = ScreenConfig::from_scenario(&ps.scenario).expect("screen config");
+    let faults = FaultPlan {
+        oracle_failure_period: Some(2),
+        ..FaultPlan::default()
+    };
+    let runner = SweepRunner::new(RunConfig {
+        backoff: BackoffPolicy {
+            base_ms: 0,
+            cap_ms: 0,
+            ..BackoffPolicy::default()
+        },
+        ..RunConfig::default()
+    })
+    .expect("runner");
+    let (summary, _) = runner
+        .run_screened(
+            &ps.aps,
+            &screen,
+            || FaultyOracle::new(faults, ps.oracle()).expect("valid plan"),
+            None,
+            false,
+            &NullSink,
+            &NullSink,
+        )
+        .expect("screened run");
+    let report = summary.report;
+    assert!(report.completed && report.consistent(), "{report:?}");
+    assert!(report.breaker_trips > 0, "{report:?}");
+    assert!(report.short_circuited > 0, "{report:?}");
 }
 
 // ---------------------------------------------------------------------------

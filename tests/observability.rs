@@ -12,8 +12,8 @@ use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
 use c2_obs::{Recorder, Report};
-use c2_runner::{BackoffPolicy, BreakerPolicy, InjectedOracle, RunConfig, RunSummary, SweepRunner};
-use c2_sim::FaultPlan;
+use c2_runner::{BackoffPolicy, BreakerPolicy, RunConfig, RunSummary, SweepRunner};
+use c2_sim::{FaultPlan, FaultyOracle};
 use std::path::{Path, PathBuf};
 
 /// The tiny space with 16 ROB sizes: 3 × 16 = 48 jobs, more than
@@ -103,7 +103,7 @@ fn run_full(
         .unwrap()
         .run_aps_full(
             &aps(),
-            move || InjectedOracle::new(faults, pricer.clone()).unwrap(),
+            move || FaultyOracle::new(faults, pricer.clone()).unwrap(),
             journal,
             resume,
             &recorder,

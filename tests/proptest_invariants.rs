@@ -13,22 +13,23 @@ use c2bound::speedup::{amdahl, gustafson, sun_ni};
 use c2bound::trace::stats::ReuseProfile;
 use c2bound::trace::TraceBuilder;
 
-/// Strategy: a random but valid access timeline.
+/// Strategy: a random but valid access timeline. A miss phase starts
+/// independently of its access's hit phase, so some start before the
+/// hit phase ends, and some end before the hit phase starts: pure
+/// cycles after such a miss ends, before its access retires, are not
+/// its own.
 fn timelines() -> impl Strategy<Value = Timeline> {
     prop::collection::vec(
-        (0u64..50, 1u32..5, prop::option::of((0u64..20, 1u32..10))),
+        (0u64..50, 1u32..5, prop::option::of((0u64..60, 1u32..10))),
         1..25,
     )
     .prop_map(|specs| {
         let mut tl = Timeline::new();
         for (start, h, miss) in specs {
             match miss {
-                Some((gap, penalty)) => tl.push(AccessTiming::miss(
-                    start,
-                    h,
-                    start + h as u64 + gap,
-                    penalty,
-                )),
+                Some((miss_start, penalty)) => {
+                    tl.push(AccessTiming::miss(start, h, miss_start, penalty))
+                }
                 None => tl.push(AccessTiming::hit(start, h)),
             }
         }
