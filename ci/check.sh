@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (whole workspace, warnings denied: a link to a deleted name fails) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
+echo "== one FNV-1a implementation (c2_config::fnv1a; the vendored proptest shim is exempt) =="
+# Journal headers, cache addresses and screening seeds all bind FNV-1a
+# values, so a second hand-written copy of the hash in library code is
+# a second place an identity can drift. Its offset basis gives it away.
+copies="$(grep -rlE --include='*.rs' '0xcbf2_?9ce4_?8422_?2325' crates/*/src src \
+    | grep -v -e '^crates/config/src/scenario\.rs$' -e '^crates/proptest/' || true)"
+if [ -n "${copies}" ]; then
+    echo "error: FNV-1a offset basis outside crates/config/src/scenario.rs:" ${copies} >&2
+    exit 1
+fi
+
 echo "== tests =="
 cargo test --workspace -q
 

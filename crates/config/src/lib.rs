@@ -23,7 +23,7 @@ pub mod scenario;
 pub use json::{Json, JsonError};
 pub use scenario::{
     fnv1a, AreaSpec, BackendKind, BackendSpec, BackoffSpec, BreakerSpec, BudgetSpec, CacheSpec,
-    CamatSpec, ChaosSpec, ChipSpec, CoreSpec, DramSpec, EvalCacheSpec, GpuSpec, LawKind,
+    CamatSpec, ChaosSpec, ChipSpec, CoreSpec, DramSpec, EvalCacheSpec, Fnv1a, GpuSpec, LawKind,
     MemoryWallSpec, ModelSpec, NocSpec, ObsSpec, OracleMode, OracleSpec, PhaseSpec, Result,
     RunnerSpec, Scenario, ScenarioError, ScreenSpec, ServeSpec, SolverSpec, SpaceSpec, SpeedupSpec,
     UslSpec, WorkloadSpec,

@@ -122,15 +122,50 @@ impl From<JsonError> for ScenarioError {
 /// Scenario-layer result alias.
 pub type Result<T> = std::result::Result<T, ScenarioError>;
 
-/// FNV-1a over a byte string: the workspace's standard cheap stable
-/// hash (the runner's journal fingerprints use the same constants).
+/// FNV-1a over a byte string: the workspace's one stable cheap hash.
+/// Every persisted identity (scenario, plan and backend fingerprints,
+/// evaluation-cache addresses, screening seeds) is an FNV-1a stream
+/// built with [`Fnv1a`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    Fnv1a::default().bytes(bytes).finish()
+}
+
+/// A streaming FNV-1a hash. Feeding chunks in turn hashes their
+/// concatenation, and [`Fnv1a::resume`] continues a stream from the
+/// hash it had reached: `fnv1a(a ⧺ b)` is
+/// `Fnv1a::resume(fnv1a(a)).bytes(b).finish()`. The default is the
+/// empty stream.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Continue the stream whose hash so far is `hash`.
+    pub fn resume(hash: u64) -> Self {
+        Fnv1a(hash)
+    }
+
+    /// Feed `bytes`.
+    pub fn bytes(self, bytes: &[u8]) -> Self {
+        Fnv1a(bytes.iter().fold(self.0, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        }))
+    }
+
+    /// Feed the eight little-endian bytes of `word`.
+    pub fn word(self, word: u64) -> Self {
+        self.bytes(&word.to_le_bytes())
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 // ---------------------------------------------------------------------------

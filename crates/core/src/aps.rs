@@ -14,6 +14,7 @@ use crate::dse::{analytic_time, DesignPoint, DesignSpace, Oracle};
 use crate::model::{C2BoundModel, OptimizationCase};
 use crate::optimize::{optimize_observed_tuned, OptimalDesign, SolverTuning};
 use crate::{Error, Result};
+use c2_config::Fnv1a;
 use c2_obs::{MetricsSink, NullSink};
 
 /// The APS driver.
@@ -141,23 +142,26 @@ impl RefinementJob {
     /// it — retry-backoff jitter, evaluation-cache addresses — is
     /// reproducible under any sharding or plan reordering.
     pub fn content_key(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for d in self.index {
-            eat(&(d as u64).to_le_bytes());
-        }
-        eat(&self.point.a0.to_bits().to_le_bytes());
-        eat(&self.point.a1.to_bits().to_le_bytes());
-        eat(&self.point.a2.to_bits().to_le_bytes());
-        eat(&(self.point.n as u64).to_le_bytes());
-        eat(&(self.point.issue_width as u64).to_le_bytes());
-        eat(&(self.point.rob_size as u64).to_le_bytes());
-        h
+        self.hash_work(Fnv1a::default()).finish()
+    }
+
+    /// Feed the job's work into `stream`: the multi-index, then the
+    /// design point's six fields (areas as exact bit patterns), each as
+    /// one little-endian word; never `seq`. The content key is this
+    /// stream alone, and the journal's plan fingerprint runs it for
+    /// every job after that job's `seq`.
+    pub fn hash_work(&self, stream: Fnv1a) -> Fnv1a {
+        let p = &self.point;
+        let point = [
+            p.a0.to_bits(),
+            p.a1.to_bits(),
+            p.a2.to_bits(),
+            p.n as u64,
+            p.issue_width as u64,
+            p.rob_size as u64,
+        ];
+        let index = self.index.map(|d| d as u64);
+        index.into_iter().chain(point).fold(stream, Fnv1a::word)
     }
 }
 
@@ -315,70 +319,33 @@ impl Aps {
     /// KKT split solve reports to `sink` under the `solver` scope, and
     /// the finished plan is announced under the `aps` scope.
     pub fn plan_observed(&self, sink: &dyn MetricsSink) -> Result<ApsPlan> {
-        // An empty axis makes the space unusable (nothing to snap to,
-        // nothing to sweep) — reject it up front rather than panicking
-        // deep inside `DesignSpace::snap`.
-        if self.space.axis_lens().contains(&0) {
-            return Err(Error::InvalidParameter {
-                name: "design_space_axis",
-                value: 0.0,
-            });
-        }
-        // --- Analysis: Eq. 13 via Lagrange/Newton (Fig 6 lines 4-13).
-        let analytic = optimize_observed_tuned(&self.model, &self.tuning, sink)?;
-        // Snap N to the grid first, then re-solve the area split at that
-        // N (the continuous optimum's areas are only right for its own
-        // N), and snap the areas to a point that fits the budget.
-        let pre = self.space.snap(
-            analytic.vars.a0,
-            analytic.vars.a1,
-            analytic.vars.a2,
-            analytic.vars.n,
-        );
-        let n_snapped = self.space.n[pre[3]];
-        let split =
-            crate::optimize::optimize_split_tuned(&self.model, n_snapped as f64, &self.tuning)
-                .map(|(v, _)| v)
-                .unwrap_or(analytic.vars);
-        let skeleton = self.space.snap_within(
-            split.a0,
-            split.a1,
-            split.a2,
-            n_snapped as f64,
-            &self.model.budget,
-        );
-
-        let mut jobs = Vec::with_capacity(self.space.issue.len() * self.space.rob.len());
-        for (i4, _) in self.space.issue.iter().enumerate() {
-            for (i5, _) in self.space.rob.iter().enumerate() {
-                let index = [skeleton[0], skeleton[1], skeleton[2], skeleton[3], i4, i5];
-                jobs.push(RefinementJob {
-                    seq: jobs.len(),
-                    index,
-                    point: self.space.point_at(index),
-                });
-            }
-        }
-        let plan = ApsPlan {
-            analytic,
-            skeleton,
-            jobs,
-        };
-        sink.counter_add("aps_plans_total", 1);
-        sink.gauge_set("aps_plan_jobs", plan.jobs.len() as f64);
-        sink.event(
-            "aps",
-            "plan.created",
-            &[
-                ("jobs", plan.jobs.len().into()),
-                ("case", format!("{:?}", plan.analytic.case).into()),
-                ("skeleton_a0", plan.skeleton[0].into()),
-                ("skeleton_a1", plan.skeleton[1].into()),
-                ("skeleton_a2", plan.skeleton[2].into()),
-                ("skeleton_n", plan.skeleton[3].into()),
-            ],
-        );
-        Ok(plan)
+        build_plan(&self.space, sink, || {
+            // --- Analysis: Eq. 13 via Lagrange/Newton (Fig 6 lines 4-13).
+            let analytic = optimize_observed_tuned(&self.model, &self.tuning, sink)?;
+            // Snap N to the grid first, then re-solve the area split at
+            // that N (the continuous optimum's areas are only right for
+            // its own N), and snap the areas to a point that fits the
+            // budget.
+            let pre = self.space.snap(
+                analytic.vars.a0,
+                analytic.vars.a1,
+                analytic.vars.a2,
+                analytic.vars.n,
+            );
+            let n_snapped = self.space.n[pre[3]];
+            let split =
+                crate::optimize::optimize_split_tuned(&self.model, n_snapped as f64, &self.tuning)
+                    .map(|(v, _)| v)
+                    .unwrap_or(analytic.vars);
+            let skeleton = self.space.snap_within(
+                split.a0,
+                split.a1,
+                split.a2,
+                n_snapped as f64,
+                &self.model.budget,
+            );
+            Ok((analytic, skeleton))
+        })
     }
 
     /// Stage 2 of the decomposed APS: fold per-job outcomes (from any
@@ -412,6 +379,58 @@ impl Aps {
             analytic_time(&self.model, p)
         })
     }
+}
+
+/// The one refinement-plan builder, shared by every
+/// [`crate::backend::BackendSweep`]: `analyze` pins the skeleton, and
+/// the sweep is every issue × ROB pair at it, in canonical order. An
+/// empty axis is rejected before the analysis runs, since it leaves
+/// nothing to snap to and nothing to sweep (and would panic deep in
+/// the snapping). The finished plan is announced to `sink` under the
+/// `aps` scope.
+pub(crate) fn build_plan(
+    space: &DesignSpace,
+    sink: &dyn MetricsSink,
+    analyze: impl FnOnce() -> Result<(OptimalDesign, [usize; 4])>,
+) -> Result<ApsPlan> {
+    if space.axis_lens().contains(&0) {
+        return Err(Error::InvalidParameter {
+            name: "design_space_axis",
+            value: 0.0,
+        });
+    }
+    let (analytic, skeleton) = analyze()?;
+    let [a0, a1, a2, n] = skeleton;
+    let mut jobs = Vec::with_capacity(space.issue.len() * space.rob.len());
+    for i4 in 0..space.issue.len() {
+        for i5 in 0..space.rob.len() {
+            let index = [a0, a1, a2, n, i4, i5];
+            jobs.push(RefinementJob {
+                seq: jobs.len(),
+                index,
+                point: space.point_at(index),
+            });
+        }
+    }
+    sink.counter_add("aps_plans_total", 1);
+    sink.gauge_set("aps_plan_jobs", jobs.len() as f64);
+    sink.event(
+        "aps",
+        "plan.created",
+        &[
+            ("jobs", jobs.len().into()),
+            ("case", format!("{:?}", analytic.case).into()),
+            ("skeleton_a0", a0.into()),
+            ("skeleton_a1", a1.into()),
+            ("skeleton_a2", a2.into()),
+            ("skeleton_n", n.into()),
+        ],
+    );
+    Ok(ApsPlan {
+        analytic,
+        skeleton,
+        jobs,
+    })
 }
 
 /// The backend-agnostic assembly fold shared by every

@@ -34,7 +34,7 @@
 //! written under one backend can never be served to another.
 
 use crate::aps::{
-    fold_outcomes, Aps, ApsOutcome, ApsPlan, PointOutcome, RefinementJob, ResiliencePolicy,
+    build_plan, fold_outcomes, Aps, ApsOutcome, ApsPlan, PointOutcome, ResiliencePolicy,
 };
 use crate::dse::{DesignPoint, DesignSpace};
 use crate::model::{C2BoundModel, DesignVariables, OptimizationCase};
@@ -352,95 +352,58 @@ impl BackendSweep for GpuSmBackend {
     }
 
     fn plan_observed(&self, sink: &dyn MetricsSink) -> Result<ApsPlan> {
-        // Mirror of the CPU guard: an empty axis has nothing to snap
-        // to and nothing to sweep.
-        if self.space.axis_lens().contains(&0) {
-            return Err(Error::InvalidParameter {
-                name: "design_space_axis",
-                value: 0.0,
-            });
-        }
-        // Analysis stage: the objective is closed-form and the
-        // skeleton grid is small, so scan `(a0, a1, a2, n)`
-        // exhaustively at the widest-lanes / highest-occupancy
-        // microarchitecture (the representative the refinement sweep
-        // then varies). First-in-odometer-order wins ties —
-        // deterministic by construction.
-        let i4 = self.space.issue().len() - 1;
-        let i5 = self.space.rob().len() - 1;
-        let mut best: Option<([usize; 4], f64)> = None;
-        for ia0 in 0..self.space.a0().len() {
-            for ia1 in 0..self.space.a1().len() {
-                for ia2 in 0..self.space.a2().len() {
-                    for in_ in 0..self.space.n().len() {
-                        let idx = [ia0, ia1, ia2, in_, i4, i5];
-                        let p = self.space.point_at(idx);
-                        if !self.feasible(&p) {
-                            continue;
-                        }
-                        let Ok(t) = self.model.time_at(&p, self.model.theta_target(&p)) else {
-                            continue;
-                        };
-                        if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                            best = Some(([ia0, ia1, ia2, in_], t));
+        build_plan(&self.space, sink, || {
+            // Analysis stage: the objective is closed-form and the
+            // skeleton grid is small, so scan `(a0, a1, a2, n)`
+            // exhaustively at the widest-lanes / highest-occupancy
+            // microarchitecture (the representative the refinement
+            // sweep then varies). First-in-odometer-order wins ties —
+            // deterministic by construction.
+            let i4 = self.space.issue().len() - 1;
+            let i5 = self.space.rob().len() - 1;
+            let mut best: Option<([usize; 4], f64)> = None;
+            for ia0 in 0..self.space.a0().len() {
+                for ia1 in 0..self.space.a1().len() {
+                    for ia2 in 0..self.space.a2().len() {
+                        for in_ in 0..self.space.n().len() {
+                            let idx = [ia0, ia1, ia2, in_, i4, i5];
+                            let p = self.space.point_at(idx);
+                            if !self.feasible(&p) {
+                                continue;
+                            }
+                            let Ok(t) = self.model.time_at(&p, self.model.theta_target(&p)) else {
+                                continue;
+                            };
+                            if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+                                best = Some(([ia0, ia1, ia2, in_], t));
+                            }
                         }
                     }
                 }
             }
-        }
-        let (skeleton, best_time) = best.ok_or_else(|| {
-            Error::Optimization(
-                "no feasible (a0, a1, a2, n_sm) skeleton under the silicon budget".to_string(),
-            )
-        })?;
-        let sp = self
-            .space
-            .point_at([skeleton[0], skeleton[1], skeleton[2], skeleton[3], i4, i5]);
-        let analytic = OptimalDesign {
-            vars: DesignVariables {
-                n: sp.n as f64,
-                a0: sp.a0,
-                a1: sp.a1,
-                a2: sp.a2,
-            },
-            case: OptimizationCase::MinimizeTime,
-            execution_time: best_time,
-            throughput: self.model.work_flops / best_time,
-            cpi: best_time / self.model.work_flops,
-            concurrency: self.model.resident_warps,
-            split_solve: SplitSolve::SimplexFallback,
-        };
-        let mut jobs = Vec::with_capacity(self.space.issue().len() * self.space.rob().len());
-        for i4 in 0..self.space.issue().len() {
-            for i5 in 0..self.space.rob().len() {
-                let index = [skeleton[0], skeleton[1], skeleton[2], skeleton[3], i4, i5];
-                jobs.push(RefinementJob {
-                    seq: jobs.len(),
-                    index,
-                    point: self.space.point_at(index),
-                });
-            }
-        }
-        let plan = ApsPlan {
-            analytic,
-            skeleton,
-            jobs,
-        };
-        sink.counter_add("aps_plans_total", 1);
-        sink.gauge_set("aps_plan_jobs", plan.jobs.len() as f64);
-        sink.event(
-            "aps",
-            "plan.created",
-            &[
-                ("jobs", plan.jobs.len().into()),
-                ("case", format!("{:?}", plan.analytic.case).into()),
-                ("skeleton_a0", plan.skeleton[0].into()),
-                ("skeleton_a1", plan.skeleton[1].into()),
-                ("skeleton_a2", plan.skeleton[2].into()),
-                ("skeleton_n", plan.skeleton[3].into()),
-            ],
-        );
-        Ok(plan)
+            let (skeleton, best_time) = best.ok_or_else(|| {
+                Error::Optimization(
+                    "no feasible (a0, a1, a2, n_sm) skeleton under the silicon budget".to_string(),
+                )
+            })?;
+            let [ia0, ia1, ia2, in_] = skeleton;
+            let sp = self.space.point_at([ia0, ia1, ia2, in_, i4, i5]);
+            let analytic = OptimalDesign {
+                vars: DesignVariables {
+                    n: sp.n as f64,
+                    a0: sp.a0,
+                    a1: sp.a1,
+                    a2: sp.a2,
+                },
+                case: OptimizationCase::MinimizeTime,
+                execution_time: best_time,
+                throughput: self.model.work_flops / best_time,
+                cpi: best_time / self.model.work_flops,
+                concurrency: self.model.resident_warps,
+                split_solve: SplitSolve::SimplexFallback,
+            };
+            Ok((analytic, skeleton))
+        })
     }
 
     fn assemble_observed(

@@ -1,11 +1,12 @@
-//! Well-known metric names for the chaos/durability surface.
+//! Well-known metric names: the engine's chaos/durability surface, the
+//! phase oracle, the model backends, screening and the serve daemon.
 //!
 //! The engine's original counters predate this module and live as
-//! string literals at their emission sites; the names below were added
-//! with the crash-and-chaos harness and are shared between the engine
-//! (emission) and the test harnesses (assertion), so they get named
+//! string literals at their emission sites; the names below are shared
+//! between emission sites and the code that reads them back (test
+//! harnesses, and the daemon's lifetime report), so they get named
 //! constants — a typo then fails to compile instead of silently
-//! asserting against a counter that nothing increments.
+//! reading a counter that nothing increments.
 //!
 //! All of these are **operational** metrics: they describe how a
 //! particular run interacted with storage and recovery machinery
@@ -39,18 +40,6 @@ pub const ENGINE_CACHE_PUBLISHED_ENTRIES: &str = "engine_cache_published_entries
 /// Storage faults (failed journal/cache writes) the engine observed
 /// before aborting or degrading. Ops sink.
 pub const ENGINE_STORAGE_FAULTS_TOTAL: &str = "engine_storage_faults_total";
-
-/// Shard-claim batches taken by sharded-engine workers (each batch
-/// claims one or more whole shards in a single atomic step). Ops sink:
-/// scheduling is thread-count-dependent by design.
-pub const STEAL_BATCH_CLAIMS_TOTAL: &str = "steal_batch_claims_total";
-
-/// Shards claimed across all batches (≥ claims; the ratio is the
-/// adaptive steal granularity actually achieved). Ops sink.
-pub const STEAL_BATCH_SHARDS_TOTAL: &str = "steal_batch_shards_total";
-
-/// Largest single claim batch observed (gauge). Ops sink.
-pub const STEAL_BATCH_MAX_SHARDS: &str = "steal_batch_max_shards";
 
 // ---------------------------------------------------------------------------
 // Phase-clustered oracle (`--oracle-mode phase`)
@@ -162,7 +151,9 @@ pub const SCREEN_METRIC_NAMES: &[&str] = &[
 // admitted, queued, shed, or drained traffic — never what any
 // admitted sweep computed — so all of them go to the daemon's ops
 // sink. Per-job run metrics keep flowing to each job's own main-sink
-// recorder, which is what stays bit-identical to one-shot `run`.
+// recorder, which is what stays bit-identical to one-shot `run`. The
+// admitted, resumed, job-outcome and shed counters are also the
+// daemon's only tally: its lifetime `ServeReport` reads them back.
 //
 // The full set is enumerated in [`SERVE_METRIC_NAMES`]; a property
 // test drives the daemon and asserts every emitted `serve_*` name is

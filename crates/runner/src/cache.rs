@@ -69,10 +69,11 @@
 //! {"key":"81ee23fcbe4f85d0","attempts":1,"time":123456.0}
 //! ```
 //!
-//! The file can additionally hold **phase-memo records** — the
-//! detected phase structure of a workload, keyed by the scenario's
-//! semantic identity, so repeated phase-mode runs of the same design
-//! space skip re-clustering:
+//! The file can additionally hold **phase-memo records**: one
+//! [`c2_bound::PhaseSummary`] per line, the detected phase structure
+//! of a workload, keyed by the scenario's semantic identity, so
+//! repeated phase-mode runs of the same design space skip
+//! re-clustering:
 //!
 //! ```text
 //! {"c2phase":1,"key":"81ee23fcbe4f85d0","interval_len":1000,"labels":[0,1,0],"representatives":[0,1]}
@@ -86,7 +87,8 @@
 
 use crate::storage::Storage;
 use crate::{Error, Result};
-use c2_config::Json;
+use c2_bound::PhaseSummary;
+use c2_config::{Fnv1a, Json};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
@@ -109,16 +111,10 @@ pub struct CachedEval {
 /// and size, none of which the content key (pure grid geometry) can
 /// see, so the identity must carry them.
 pub fn cache_key(run_identity: u64, content_key: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&run_identity.to_le_bytes());
-    eat(&content_key.to_le_bytes());
-    h
+    Fnv1a::default()
+        .word(run_identity)
+        .word(content_key)
+        .finish()
 }
 
 fn header_line() -> String {
@@ -132,21 +128,8 @@ fn entry_line(key: u64, entry: &CachedEval) -> String {
     )
 }
 
-/// One memoized phase detection: the summary a `PhasePlan` can be
-/// rebuilt from without re-clustering. Empty `labels` +
-/// `representatives` encodes the exact short-trace fallback.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseRecord {
-    /// Accesses per clustering interval.
-    pub interval_len: u64,
-    /// Per-interval phase labels.
-    pub labels: Vec<u64>,
-    /// Representative interval index per phase.
-    pub representatives: Vec<u64>,
-}
-
-fn phase_line(key: u64, r: &PhaseRecord) -> String {
-    let list = |v: &[u64]| {
+fn phase_line(key: u64, r: &PhaseSummary) -> String {
+    let list = |v: &[usize]| {
         v.iter()
             .map(|x| x.to_string())
             .collect::<Vec<_>>()
@@ -166,7 +149,7 @@ pub struct LoadedCache {
     /// Every well-formed entry (first occurrence of each key wins).
     pub snapshot: HashMap<u64, CachedEval>,
     /// Phase-memo records found in the file (first occurrence wins).
-    pub phases: HashMap<u64, PhaseRecord>,
+    pub phases: HashMap<u64, PhaseSummary>,
     /// Torn or malformed entry lines that were skipped. The engine
     /// surfaces this as a recovery counter — a non-zero value means a
     /// crash or disk fault cost some memoized results but nothing else.
@@ -199,7 +182,7 @@ pub fn append_phase(
     storage: &dyn Storage,
     path: &Path,
     key: u64,
-    record: &PhaseRecord,
+    record: &PhaseSummary,
 ) -> Result<()> {
     let fresh = match storage.read_to_string(path)? {
         Some(text) => parse_snapshot(&text, path)?.is_none(),
@@ -258,7 +241,7 @@ pub fn publish(
     let phases = on_disk
         .phases
         .into_iter()
-        .collect::<BTreeMap<u64, PhaseRecord>>();
+        .collect::<BTreeMap<u64, PhaseSummary>>();
     {
         let mut out = storage.create(&tmp)?;
         let mut buf = header_line();
@@ -333,22 +316,17 @@ fn parse_entry(fields: &Json) -> Option<(u64, CachedEval)> {
 }
 
 /// Read one phase-memo line; `None` if `fields` is not one.
-fn parse_phase(fields: &Json) -> Option<(u64, PhaseRecord)> {
+fn parse_phase(fields: &Json) -> Option<(u64, PhaseSummary)> {
     if fields.get("c2phase")?.as_u64()? != 1 {
         return None;
     }
-    let list = |key| -> Option<Vec<u64>> {
-        fields
-            .get(key)?
-            .as_arr()?
-            .iter()
-            .map(Json::as_u64)
-            .collect()
-    };
-    let record = PhaseRecord {
-        interval_len: fields.get("interval_len")?.as_u64().filter(|&n| n > 0)?,
+    let count = |value: &Json| usize::try_from(value.as_u64()?).ok();
+    let list =
+        |key| -> Option<Vec<usize>> { fields.get(key)?.as_arr()?.iter().map(count).collect() };
+    let record = PhaseSummary {
         labels: list("labels")?,
         representatives: list("representatives")?,
+        interval_len: count(fields.get("interval_len")?).filter(|&n| n > 0)?,
     };
     Some((key_of(fields)?, record))
 }
@@ -637,7 +615,7 @@ mod tests {
     #[test]
     fn phase_records_ride_the_cache_without_perturbing_entries() {
         let path = tmp("phase-memo.jsonl");
-        let record = PhaseRecord {
+        let record = PhaseSummary {
             interval_len: 1000,
             labels: vec![0, 1, 0, 2],
             representatives: vec![0, 1, 3],
@@ -650,7 +628,7 @@ mod tests {
         assert!(loaded.snapshot.is_empty());
 
         // The exact-fallback marker (all-empty lists) round-trips too.
-        let exact = PhaseRecord {
+        let exact = PhaseSummary {
             interval_len: 500,
             labels: Vec::new(),
             representatives: Vec::new(),
@@ -682,7 +660,7 @@ mod tests {
         use crate::chaos::{ChaosPlan, ChaosStorage};
         use crate::storage::DiskStorage;
         let path = tmp("phase-enospc.jsonl");
-        let record = PhaseRecord {
+        let record = PhaseSummary {
             interval_len: 1000,
             labels: vec![0, 1],
             representatives: vec![0, 1],

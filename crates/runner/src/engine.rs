@@ -365,7 +365,7 @@ fn ensure_plan_nonempty(jobs: usize) -> Result<()> {
 /// Reduce a `catch_unwind` payload to the human-readable panic message
 /// (the `&str`/`String` payloads `panic!` produces; anything exotic
 /// degrades to a fixed marker so the journal record stays meaningful).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -600,7 +600,10 @@ struct ShardJournal {
     error: Option<Error>,
 }
 
-/// Per-shard mutable state, claimed whole by one worker at a time.
+/// Per-shard mutable state, claimed whole by one worker at a time:
+/// the shard's breaker, its metric buffer and its records. It holds no
+/// evaluation memo; a job's cache lookup reads only the start-of-run
+/// snapshot.
 struct ShardCell {
     breaker: CircuitBreaker,
     buffer: BufferSink,
@@ -620,11 +623,6 @@ struct ShardCell {
     /// rewrite the journal canonically, so the durable bytes are
     /// unchanged.
     flushed: usize,
-    /// Within-run memoization, per shard (not per worker: a
-    /// worker-wide store's contents would depend on which shards the
-    /// worker happened to run first). Re-seeded from resumed records
-    /// so a resumed run hits exactly where the clean run hit.
-    local_store: HashMap<u64, CachedEval>,
 }
 
 /// Whether a cached entry's attempt history can be replayed through
@@ -662,17 +660,15 @@ fn replayable(breaker: &CircuitBreaker, attempts: usize) -> bool {
 /// what makes a resumed run's artifacts bit-identical to a clean run's
 /// by construction (DESIGN.md §10–§11). A deadline expiry is decided
 /// here, once, and journaled like any other failure, so replay never
-/// re-times it. `ckey` is the job's cache address, precomputed by the
-/// worker in one batch per claimed shard (rather than re-derived per
-/// job here).
-#[allow(clippy::too_many_arguments)]
+/// re-times it. When the run has a cache, the first attempt looks the
+/// job up in `snapshot` at its address under `cache_identity`; nothing
+/// else is memoized, because no plan holds two jobs with one content
+/// key.
 fn decide_sharded_job<O: Oracle>(
     config: &RunConfig,
     plan: &ApsPlan,
-    cache_on: bool,
     snapshot: &HashMap<u64, CachedEval>,
-    local_store: &HashMap<u64, CachedEval>,
-    ckey: u64,
+    cache_identity: u64,
     breaker: &CircuitBreaker,
     oracle: &mut O,
     seq: usize,
@@ -703,18 +699,15 @@ fn decide_sharded_job<O: Oracle>(
             };
             return (record, false);
         }
-        if attempt == 1 && cache_on {
-            // Consult the cache: the start-of-run snapshot plus this
-            // shard's own within-run stores (cross-shard stores are
-            // invisible by design — their timing is
-            // schedule-dependent). An entry whose attempt history no
-            // live run under this policy could produce — more attempts
-            // than allowed, or a replay the shard's breaker would
-            // refuse mid-way — is demoted to a miss and evaluated live.
-            let hit = local_store
-                .get(&ckey)
+        if attempt == 1 && config.cache_path.is_some() {
+            // Consult the start-of-run snapshot. An entry whose attempt
+            // history no live run under this policy could produce —
+            // more attempts than allowed, or a replay the shard's
+            // breaker would refuse mid-way — is demoted to a miss and
+            // evaluated live.
+            let hit = snapshot
+                .get(&cache_key(cache_identity, job.content_key()))
                 .copied()
-                .or_else(|| snapshot.get(&ckey).copied())
                 .filter(|h| h.attempts <= config.max_attempts && replayable(&probe, h.attempts));
             if let Some(hit) = hit {
                 let record = JobRecord {
@@ -764,7 +757,6 @@ fn decide_sharded_job<O: Oracle>(
 fn emit_job_events(
     config: &RunConfig,
     plan: &ApsPlan,
-    cache_on: bool,
     record: &JobRecord,
     cell: &mut ShardCell,
     shard: usize,
@@ -805,7 +797,7 @@ fn emit_job_events(
     for i in 1..=record.attempts {
         let _ = cell.breaker.admit();
         note_breaker(&cell.buffer, &mut cell.breaker, shard);
-        if i == 1 && cache_on {
+        if i == 1 && config.cache_path.is_some() {
             cell.buffer.counter_add("engine_cache_misses_total", 1);
         }
         cell.buffer.counter_add("engine_attempts_total", 1);
@@ -901,23 +893,18 @@ fn emit_job_events(
 /// [`decide_sharded_job`]), so the two emit identical artifacts by
 /// construction: the record's job events ([`emit_job_events`]), the
 /// `journal.append` marker when the run journals (`journaled`; it
-/// also advances the `checkpoint_every` cadence counter), the
-/// `job.terminal` event, and the within-run memo seed at `ckey`, which
-/// for resumed records rebuilds the store the interrupted run had so a
-/// resumed sweep hits the cache exactly where the clean sweep did.
-#[allow(clippy::too_many_arguments)]
+/// also advances the `checkpoint_every` cadence counter), and the
+/// `job.terminal` event.
 fn step_record(
     config: &RunConfig,
     plan: &ApsPlan,
-    cache_on: bool,
     journaled: bool,
     record: &JobRecord,
-    ckey: u64,
     cell: &mut ShardCell,
     shard: usize,
 ) {
     let seq = record.seq;
-    emit_job_events(config, plan, cache_on, record, cell, shard);
+    emit_job_events(config, plan, record, cell, shard);
     if journaled {
         // Emitted when the record is decided, not when it is flushed,
         // so the shard's buffer sequence does not depend on the
@@ -939,15 +926,6 @@ fn step_record(
         fields.push(("quarantined", true.into()));
     }
     cell.buffer.event("engine", "job.terminal", &fields);
-    if cache_on && !record.short_circuited {
-        if let Ok(time) = record.result {
-            let entry = CachedEval {
-                attempts: record.attempts,
-                time,
-            };
-            cell.local_store.insert(ckey, entry);
-        }
-    }
 }
 
 /// Write a shard's not-yet-flushed records under a single journal
@@ -1069,7 +1047,6 @@ pub(crate) struct Sweep<'r> {
     pub(crate) resumed: usize,
     abort: AtomicBool,
     terminals_this_run: AtomicUsize,
-    max_batch: AtomicUsize,
     sink: &'r dyn MetricsSink,
     ops: &'r dyn MetricsSink,
 }
@@ -1216,7 +1193,6 @@ impl<'r> Sweep<'r> {
                 results: Vec::new(),
                 appended: 0,
                 flushed: 0,
-                local_store: HashMap::new(),
             };
             // Emitted at construction (not by the worker) so it
             // precedes the resumed-record events stepped into the
@@ -1248,7 +1224,6 @@ impl<'r> Sweep<'r> {
             resumed,
             abort: AtomicBool::new(false),
             terminals_this_run: AtomicUsize::new(0),
-            max_batch: AtomicUsize::new(0),
             sink,
             ops,
         })
@@ -1282,13 +1257,11 @@ impl<'r> Sweep<'r> {
             wanted[seq] = true;
         }
         let config = self.config;
-        let cache_on = config.cache_path.is_some();
         for seq in (0..wanted.len()).filter(|&seq| wanted[seq]) {
             if let Some(record) = self.journaled[seq].take() {
                 let si = shard_of(seq, self.shards.len());
-                let ckey = cache_key(self.cache_identity, self.plan.jobs[seq].content_key());
                 let cell = self.cells[si].get_mut().unwrap_or_else(|e| e.into_inner());
-                step_record(config, &self.plan, cache_on, true, &record, ckey, cell, si);
+                step_record(config, &self.plan, true, &record, cell, si);
                 self.records[seq] = Some(record);
             }
         }
@@ -1302,7 +1275,6 @@ impl<'r> Sweep<'r> {
         let journal = &self.journal;
         let abort = &self.abort;
         let terminals_this_run = &self.terminals_this_run;
-        let max_batch = &self.max_batch;
         let cache_identity = self.cache_identity;
         let ops = self.ops;
         let next_shard = AtomicUsize::new(0);
@@ -1311,101 +1283,63 @@ impl<'r> Sweep<'r> {
         // Every shard is claimed even when none of its jobs is left to
         // decide, so each emits its `shard.finished` marker and a
         // fully-resumed run's trace matches the uninterrupted one.
-        let nthreads = config.threads.min(shards.len());
         std::thread::scope(|scope| {
-            for _ in 0..nthreads {
+            for _ in 0..config.threads.min(shards.len()) {
                 scope.spawn(move || {
                     let mut oracle = make_oracle();
                     loop {
-                        // Adaptive steal granularity: claim a batch of
-                        // consecutive shards sized to the remaining
-                        // queue depth (deep queue → big batches, few
-                        // claim CAS rounds; near the end → single
-                        // shards, so stragglers still balance). The
-                        // depth read is advisory — over-claiming past
-                        // the end is handled below, and which worker
-                        // runs which shard never affects the output.
-                        let claimed = next_shard.load(Ordering::Relaxed);
-                        let remaining = shards.len().saturating_sub(claimed);
-                        let want = (remaining / (2 * nthreads)).max(1);
-                        let first = next_shard.fetch_add(want, Ordering::SeqCst);
-                        if first >= shards.len() || abort.load(Ordering::SeqCst) {
+                        // Workers claim one whole shard at a time; which
+                        // worker runs which shard never affects the
+                        // output.
+                        let i = next_shard.fetch_add(1, Ordering::SeqCst);
+                        if i >= shards.len() || abort.load(Ordering::SeqCst) {
                             return;
                         }
-                        let last = (first + want).min(shards.len());
-                        ops.counter_add(names::STEAL_BATCH_CLAIMS_TOTAL, 1);
-                        ops.counter_add(names::STEAL_BATCH_SHARDS_TOTAL, (last - first) as u64);
-                        max_batch.fetch_max(last - first, Ordering::Relaxed);
-                        for i in first..last {
+                        let mut cell = cells[i].lock().unwrap_or_else(|e| e.into_inner());
+                        for &seq in &shards[i] {
+                            if !wanted[seq] || records[seq].is_some() {
+                                continue; // not selected, or resumed
+                            }
                             if abort.load(Ordering::SeqCst) {
-                                return;
+                                break;
                             }
-                            let mut cell = cells[i].lock().unwrap_or_else(|e| e.into_inner());
-                            // One batched key derivation per claimed
-                            // shard: every job's cache address up
-                            // front, instead of hashing inside the
-                            // per-job decision path.
-                            let keys: Vec<u64> = shards[i]
-                                .iter()
-                                .map(|&seq| cache_key(cache_identity, plan.jobs[seq].content_key()))
-                                .collect();
-                            for (pos, &seq) in shards[i].iter().enumerate() {
-                                if !wanted[seq] || records[seq].is_some() {
-                                    continue; // not selected, or resumed
-                                }
-                                if abort.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                let (record, poisoned) = decide_sharded_job(
-                                    config,
-                                    plan,
-                                    cache_on,
-                                    snapshot,
-                                    &cell.local_store,
-                                    keys[pos],
-                                    &cell.breaker,
-                                    &mut oracle,
-                                    seq,
-                                );
-                                if poisoned {
-                                    // The unwound oracle's internals are
-                                    // suspect; rebuild before the next job.
-                                    oracle = make_oracle();
-                                }
-                                step_record(
-                                    config,
-                                    plan,
-                                    cache_on,
-                                    has_journal,
-                                    &record,
-                                    keys[pos],
-                                    &mut cell,
-                                    i,
-                                );
-                                cell.results.push(record);
-                                // The journal lock is taken only at
-                                // cadence boundaries and shard
-                                // completion; if a flush faults, the
-                                // run errors out before any buffer
-                                // reaches the main sink.
-                                if has_journal
-                                    && config.checkpoint_every > 0
-                                    && cell.appended.is_multiple_of(config.checkpoint_every)
-                                {
-                                    let sync = config.sync == SyncPolicy::OnCheckpoint;
-                                    flush_shard(journal, &mut cell, sync, ops, abort);
-                                }
-                                let done = terminals_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                                if let Some(limit) = config.abort_after {
-                                    if done >= limit {
-                                        abort.store(true, Ordering::SeqCst);
-                                    }
+                            let (record, poisoned) = decide_sharded_job(
+                                config,
+                                plan,
+                                snapshot,
+                                cache_identity,
+                                &cell.breaker,
+                                &mut oracle,
+                                seq,
+                            );
+                            if poisoned {
+                                // The unwound oracle's internals are
+                                // suspect; rebuild before the next job.
+                                oracle = make_oracle();
+                            }
+                            step_record(config, plan, has_journal, &record, &mut cell, i);
+                            cell.results.push(record);
+                            // The journal lock is taken only at cadence
+                            // boundaries and shard completion; if a flush
+                            // faults, the run errors out before any
+                            // buffer reaches the main sink.
+                            if has_journal
+                                && config.checkpoint_every > 0
+                                && cell.appended.is_multiple_of(config.checkpoint_every)
+                            {
+                                let sync = config.sync == SyncPolicy::OnCheckpoint;
+                                flush_shard(journal, &mut cell, sync, ops, abort);
+                            }
+                            let done = terminals_this_run.fetch_add(1, Ordering::SeqCst) + 1;
+                            if let Some(limit) = config.abort_after {
+                                if done >= limit {
+                                    abort.store(true, Ordering::SeqCst);
                                 }
                             }
-                            flush_shard(journal, &mut cell, false, ops, abort);
-                            cell.buffer
-                                .event("engine", "shard.finished", &[("shard", i.into())]);
                         }
+                        flush_shard(journal, &mut cell, false, ops, abort);
+                        cell.buffer
+                            .event("engine", "shard.finished", &[("shard", i.into())]);
                     }
                 });
             }
@@ -1457,12 +1391,10 @@ impl<'r> Sweep<'r> {
             journal,
             records,
             resumed,
-            max_batch,
             sink,
             ops,
             ..
         } = self;
-        ops.gauge_set(names::STEAL_BATCH_MAX_SHARDS, max_batch.into_inner() as f64);
         // Flush-and-close before anything is merged or rewritten.
         drop(journal);
 

@@ -48,7 +48,7 @@
 use crate::storage::{Storage, StorageFile, DISK};
 use crate::{Error, Result};
 use c2_bound::aps::{ApsPlan, PointOutcome};
-use c2_config::Json;
+use c2_config::{fnv1a, Fnv1a, Json};
 use std::path::{Path, PathBuf};
 
 /// Journal format version written in the header.
@@ -147,28 +147,15 @@ pub fn error_message(e: &c2_bound::Error) -> String {
     }
 }
 
-/// FNV-1a fingerprint of a plan's job list: indices and point values.
+/// FNV-1a fingerprint of a plan's job list: each job's `seq`, then
+/// its work ([`RefinementJob::hash_work`](c2_bound::aps::RefinementJob::hash_work)).
 pub fn plan_fingerprint(plan: &ApsPlan) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for job in &plan.jobs {
-        eat(&(job.seq as u64).to_le_bytes());
-        for d in job.index {
-            eat(&(d as u64).to_le_bytes());
-        }
-        eat(&job.point.a0.to_bits().to_le_bytes());
-        eat(&job.point.a1.to_bits().to_le_bytes());
-        eat(&job.point.a2.to_bits().to_le_bytes());
-        eat(&(job.point.n as u64).to_le_bytes());
-        eat(&(job.point.issue_width as u64).to_le_bytes());
-        eat(&(job.point.rob_size as u64).to_le_bytes());
-    }
-    h
+    plan.jobs
+        .iter()
+        .fold(Fnv1a::default(), |h, job| {
+            job.hash_work(h.word(job.seq as u64))
+        })
+        .finish()
 }
 
 /// Bind a plan fingerprint to the scenario that produced it, by
@@ -180,17 +167,7 @@ pub fn plan_fingerprint(plan: &ApsPlan) -> u64 {
 /// untouched, so journals written before the scenario layer existed
 /// remain resumable.
 pub fn bind_fingerprint(plan_fp: u64, scenario_fp: Option<u64>) -> u64 {
-    match scenario_fp {
-        None => plan_fp,
-        Some(s) => {
-            let mut h = plan_fp;
-            for b in s.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        }
-    }
+    scenario_fp.map_or(plan_fp, |s| Fnv1a::resume(plan_fp).word(s).finish())
 }
 
 /// The identity contribution of a model backend, in the shape
@@ -204,12 +181,7 @@ pub fn backend_fingerprint(identity: &str) -> Option<u64> {
     if identity == c2_bound::backend::CPU_CMP_IDENTITY {
         return None;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in identity.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Some(h)
+    Some(fnv1a(identity.as_bytes()))
 }
 
 /// What a journal file contained.

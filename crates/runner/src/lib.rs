@@ -28,7 +28,7 @@
 //!   every thread count;
 //! * [`cache`] — a content-addressed evaluation cache keyed by
 //!   (run identity fingerprint, design-point content key) that
-//!   memoizes oracle results within and across `--resume` runs; the
+//!   memoizes oracle results across runs, `--resume` included; the
 //!   identity binds the plan and scenario (or positional-workload)
 //!   fingerprints, so a shared cache file can only miss, never
 //!   mis-serve, across different sweeps;
@@ -71,7 +71,7 @@ pub mod storage;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{Admission, BreakerPolicy, BreakerState, CircuitBreaker, Transition};
-pub use cache::{cache_key, CachedEval, PhaseRecord};
+pub use cache::{cache_key, CachedEval};
 pub use chaos::{ChaosPlan, ChaosStorage};
 pub use engine::{RunConfig, RunReport, RunSummary, SweepRunner};
 pub use journal::{

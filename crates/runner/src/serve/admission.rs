@@ -68,6 +68,8 @@ pub struct TenantState {
     breaker: CircuitBreaker,
     active: usize,
     consecutive_sheds: usize,
+    /// FNV-1a of the tenant name: seeds the tenant's shed-backoff
+    /// jitter stream.
     key: u64,
 }
 
@@ -91,17 +93,6 @@ pub struct AdmissionPolicy {
     breaker: BreakerPolicy,
     shed_backoff: BackoffPolicy,
     tenants: BTreeMap<String, TenantState>,
-}
-
-/// FNV-1a over the tenant name: the deterministic key that seeds the
-/// tenant's shed-backoff jitter stream.
-fn tenant_key(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl AdmissionPolicy {
@@ -132,7 +123,7 @@ impl AdmissionPolicy {
                 breaker: CircuitBreaker::new(policy).expect("validated breaker policy"),
                 active: 0,
                 consecutive_sheds: 0,
-                key: tenant_key(name),
+                key: c2_config::fnv1a(name.as_bytes()),
             })
     }
 

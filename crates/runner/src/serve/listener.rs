@@ -46,7 +46,7 @@ use super::drain::{install_sigterm_handler, sigterm_seen, DrainControl};
 use super::protocol::{read_request, ProtocolError, Request, Response};
 use super::queue::JobQueue;
 use super::ServePolicy;
-use crate::engine::{RunConfig, RunSummary};
+use crate::engine::{panic_message, RunConfig, RunSummary};
 use crate::{Error, Result};
 
 /// How an admitted scenario is actually executed. The daemon is
@@ -184,16 +184,6 @@ struct JobEntry {
     state: JobState,
 }
 
-#[derive(Default)]
-struct Counters {
-    admitted: AtomicU64,
-    resumed: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    quarantined: AtomicU64,
-    shed: AtomicU64,
-}
-
 struct Shared {
     options: ServeOptions,
     admission: Mutex<AdmissionPolicy>,
@@ -201,8 +191,8 @@ struct Shared {
     jobs: Mutex<BTreeMap<String, JobEntry>>,
     next_seq: AtomicU64,
     drain: DrainControl,
+    /// The daemon's ops metrics, and the tally [`ServeReport`] reads.
     ops: Recorder,
-    counters: Counters,
     local_addr: std::net::SocketAddr,
 }
 
@@ -247,7 +237,6 @@ impl Daemon {
                 next_seq: AtomicU64::new(max_seq + 1),
                 drain: DrainControl::new(),
                 ops: Recorder::new(),
-                counters: Counters::default(),
                 local_addr,
                 options,
             },
@@ -291,8 +280,6 @@ impl Daemon {
                     state: JobState::Queued,
                 },
             );
-            shared.counters.admitted.fetch_add(1, Ordering::SeqCst);
-            shared.counters.resumed.fetch_add(1, Ordering::SeqCst);
             shared.ops.counter_add(names::SERVE_ADMITTED_TOTAL, 1);
             shared.ops.counter_add(names::SERVE_JOBS_RESUMED_TOTAL, 1);
             assert!(shared.queue.try_push(job), "backlog-sized queue");
@@ -339,14 +326,22 @@ impl Daemon {
         self.shared
             .ops
             .gauge_set(names::SERVE_DRAIN_PENDING_JOBS, pending as f64);
-        let c = &self.shared.counters;
+        let ops = self.shared.ops.report();
+        let count = |name| ops.registry.counter(name) as usize;
         Ok(ServeReport {
-            admitted: c.admitted.load(Ordering::SeqCst) as usize,
-            resumed: c.resumed.load(Ordering::SeqCst) as usize,
-            completed: c.completed.load(Ordering::SeqCst) as usize,
-            failed: c.failed.load(Ordering::SeqCst) as usize,
-            quarantined: c.quarantined.load(Ordering::SeqCst) as usize,
-            shed: c.shed.load(Ordering::SeqCst) as usize,
+            admitted: count(names::SERVE_ADMITTED_TOTAL),
+            resumed: count(names::SERVE_JOBS_RESUMED_TOTAL),
+            completed: count(names::SERVE_JOBS_COMPLETED_TOTAL),
+            failed: count(names::SERVE_JOBS_FAILED_TOTAL),
+            quarantined: count(names::SERVE_JOBS_QUARANTINED_TOTAL),
+            shed: [
+                names::SERVE_SHED_QUEUE_FULL_TOTAL,
+                names::SERVE_SHED_BUDGET_TOTAL,
+                names::SERVE_SHED_BREAKER_TOTAL,
+            ]
+            .into_iter()
+            .map(count)
+            .sum(),
             pending_at_drain: pending,
         })
     }
@@ -485,7 +480,6 @@ fn submit(shared: &Shared, request: &Request) -> Response {
             cause,
             retry_after_ms,
         } => {
-            shared.counters.shed.fetch_add(1, Ordering::SeqCst);
             let (status, counter) = match cause {
                 ShedCause::QueueFull => (429, names::SERVE_SHED_QUEUE_FULL_TOTAL),
                 ShedCause::BudgetExhausted => (429, names::SERVE_SHED_BUDGET_TOTAL),
@@ -539,7 +533,6 @@ fn submit(shared: &Shared, request: &Request) -> Response {
                 return Response::json(503, format!("{}\n", msg.render()))
                     .retry_after_ms(policy.shed_backoff.base_ms);
             }
-            shared.counters.admitted.fetch_add(1, Ordering::SeqCst);
             shared.ops.counter_add(names::SERVE_ADMITTED_TOTAL, 1);
             shared
                 .ops
@@ -612,12 +605,10 @@ fn run_job(shared: &Shared, executor: &dyn ScenarioExecutor, job: Job) {
         Ok(Ok((summary, recorder))) if summary.outcome.is_some() => {
             match finalize_job(dir, &job, &recorder) {
                 Ok(()) => {
-                    shared.counters.completed.fetch_add(1, Ordering::SeqCst);
                     shared.ops.counter_add(names::SERVE_JOBS_COMPLETED_TOTAL, 1);
                     (JobState::Completed, true)
                 }
                 Err(e) => {
-                    shared.counters.failed.fetch_add(1, Ordering::SeqCst);
                     shared.ops.counter_add(names::SERVE_JOBS_FAILED_TOTAL, 1);
                     (JobState::Failed(e.to_string()), false)
                 }
@@ -626,7 +617,6 @@ fn run_job(shared: &Shared, executor: &dyn ScenarioExecutor, job: Job) {
         Ok(Ok(_)) => {
             // The sweep stopped before assembling an outcome (e.g. an
             // armed chaos crash). No outcome file: still resumable.
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
             shared.ops.counter_add(names::SERVE_JOBS_FAILED_TOTAL, 1);
             (
                 JobState::Failed("sweep stopped before completion".into()),
@@ -634,15 +624,13 @@ fn run_job(shared: &Shared, executor: &dyn ScenarioExecutor, job: Job) {
             )
         }
         Ok(Err(e)) => {
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
             shared.ops.counter_add(names::SERVE_JOBS_FAILED_TOTAL, 1);
             (JobState::Failed(e.to_string()), false)
         }
         Err(panic) => {
             // `&panic` would unsize the Box itself into `dyn Any` and
             // defeat the downcasts; pass the payload it carries.
-            let why = panic_text(panic.as_ref());
-            shared.counters.quarantined.fetch_add(1, Ordering::SeqCst);
+            let why = panic_message(panic.as_ref());
             shared
                 .ops
                 .counter_add(names::SERVE_JOBS_QUARANTINED_TOTAL, 1);
@@ -723,16 +711,6 @@ fn persist_job(dir: &Path, id: &str, tenant: &str, scenario: &Scenario) -> Resul
     let meta = Json::Obj(vec![("tenant".into(), Json::Str(tenant.into()))]);
     std::fs::write(&meta_path, format!("{}\n", meta.render()))
         .map_err(|e| Error::Io(format!("{}: {e}", meta_path.display())))
-}
-
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------------

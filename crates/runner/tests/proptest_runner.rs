@@ -15,7 +15,7 @@ use c2_bound::C2BoundModel;
 use c2_runner::storage::DISK;
 use c2_runner::{
     cache, journal, BackoffPolicy, BreakerPolicy, CachedEval, Error, JobRecord, JournalHeader,
-    JournalWriter, PhaseRecord, RunConfig, SweepRunner,
+    JournalWriter, RunConfig, SweepRunner,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -202,7 +202,7 @@ fn cache_text(dir: &Path, n: u64, time: f64) -> String {
         })
         .collect();
     cache::publish(&DISK, false, &path, &entries).unwrap();
-    let phase = PhaseRecord {
+    let phase = c2_bound::PhaseSummary {
         interval_len: 1000,
         labels: vec![0, 1, 0, 2],
         representatives: vec![0, 1, 3],

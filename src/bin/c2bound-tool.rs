@@ -215,10 +215,10 @@ fn cmd_optimize(args: &[String]) {
     let area = parse_or(args, 3, "total_area", 400.0f64);
     let shared = parse_or(args, 4, "shared_area", 40.0f64);
     let mut model = C2BoundModel::example_big_data();
-    model.program =
-        ProgramProfile::new(1e9, f_seq, f_mem, 0.1, ScaleFunction::Power(g_exp)).expect("profile");
-    model.budget = SiliconBudget::new(area, shared).expect("budget");
-    let d = optimize(&model).expect("optimization");
+    model.program = ProgramProfile::new(1e9, f_seq, f_mem, 0.1, ScaleFunction::Power(g_exp))
+        .unwrap_or_else(|e| die(2, e));
+    model.budget = SiliconBudget::new(area, shared).unwrap_or_else(|e| die(2, e));
+    let d = optimize(&model).unwrap_or_else(|e| die(1, e));
     println!(
         "case: {:?} (g(N) {} O(N))",
         d.case,
@@ -948,11 +948,11 @@ fn cmd_roofline(args: &[String]) {
 
 fn cmd_scaling(args: &[String]) {
     let f_mem = parse_or(args, 0, "f_mem", 0.3f64);
-    let study = ScalingStudy::paper_figs_8_to_11(f_mem).expect("study");
+    let study = ScalingStudy::paper_figs_8_to_11(f_mem).unwrap_or_else(|e| die(2, e));
     let ns = [1.0, 4.0, 16.0, 64.0, 256.0, 1000.0];
     let mut t = Table::new(vec!["N", "W", "T(C=1)", "T(C=8)", "W/T(C=1)", "W/T(C=8)"]);
-    let c1 = study.sweep(&ns, 1.0).expect("sweep");
-    let c8 = study.sweep(&ns, 8.0).expect("sweep");
+    let c1 = study.sweep(&ns, 1.0).unwrap_or_else(|e| die(1, e));
+    let c8 = study.sweep(&ns, 8.0).unwrap_or_else(|e| die(1, e));
     for i in 0..ns.len() {
         t.row(vec![
             fmt_num(ns[i]),
@@ -1002,7 +1002,7 @@ fn cmd_trace(args: &[String]) {
     // A closed pipe (e.g. `| head`) is a normal way to consume a dump.
     if let Err(e) = c2_trace::io::write_trace(&trace, stdout.lock()) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            panic!("write trace: {e}");
+            die(1, format!("write trace: {e}"));
         }
     }
 }
@@ -1044,8 +1044,8 @@ fn cmd_multiobjective(args: &[String]) {
         ProgramProfile::new(1e9, 0.15, 0.3, 0.1, ScaleFunction::Power(0.5)).expect("profile");
     let power = PowerModel::default();
     let clock = 3e9;
-    let mo = MultiObjective::new(base.clone(), power, weight, clock).expect("objective");
-    let v = mo.optimize().expect("optimize");
+    let mo = MultiObjective::new(base.clone(), power, weight, clock).unwrap_or_else(|e| die(2, e));
+    let v = mo.optimize().unwrap_or_else(|e| die(1, e));
     let mut t = Table::new(vec!["metric", "value"]);
     t.row(vec!["performance weight w".to_string(), fmt_num(weight)]);
     t.row(vec!["N (cores)".to_string(), fmt_num(v.n)]);

@@ -16,7 +16,7 @@ use std::path::Path;
 use c2_bound::dse::{simulate_point, DesignPoint, Oracle};
 use c2_bound::{
     aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
-    Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan, PhaseSummary,
+    Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan,
 };
 use c2_config::{BackendKind, OracleMode, Scenario};
 use c2_obs::{names, MetricsSink};
@@ -327,13 +327,8 @@ fn phase_oracle_for(
     };
     let memo_key = c2_runner::cache_key(sc.fingerprint(), PHASE_MEMO_SALT);
     let memoized: Option<PhasePlan> = cache_path.and_then(|path| {
-        let loaded = c2_runner::cache::load(&c2_runner::storage::DISK, path).ok()?;
-        let record = loaded.phases.get(&memo_key)?;
-        let summary = PhaseSummary {
-            labels: record.labels.iter().map(|&l| l as usize).collect(),
-            representatives: record.representatives.iter().map(|&r| r as usize).collect(),
-            interval_len: record.interval_len as usize,
-        };
+        let mut loaded = c2_runner::cache::load(&c2_runner::storage::DISK, path).ok()?;
+        let summary = loaded.phases.remove(&memo_key)?;
         // A corrupted or stale record fails the plan's consistency
         // validation and falls through to a fresh detection.
         PhasePlan::from_summary(workload, summary).ok()
@@ -347,19 +342,13 @@ fn phase_oracle_for(
             let plan = PhasePlan::detect(workload, &config)?;
             ops.counter_add(names::ORACLE_PHASE_DETECTIONS_TOTAL, 1);
             if let Some(path) = cache_path {
-                let s = plan.summary();
-                let record = c2_runner::PhaseRecord {
-                    interval_len: s.interval_len as u64,
-                    labels: s.labels.iter().map(|&l| l as u64).collect(),
-                    representatives: s.representatives.iter().map(|&r| r as u64).collect(),
-                };
                 // Memoization is an optimization; a failed append is
                 // ops telemetry, never fatal.
                 if c2_runner::cache::append_phase(
                     &c2_runner::storage::DISK,
                     path,
                     memo_key,
-                    &record,
+                    plan.summary(),
                 )
                 .is_err()
                 {

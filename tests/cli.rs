@@ -133,6 +133,41 @@ fn adaptive_reports_phases() {
 }
 
 #[test]
+fn rejected_arguments_and_failed_writes_exit_with_one_error_line() {
+    // (arguments, expected exit code): 2 for an argument the model
+    // rejects, 1 for a computation or write that fails.
+    let cases: &[(&[&str], i32)] = &[
+        (&["optimize", "2.0"], 2),
+        (&["optimize", "-1"], 2),
+        (&["optimize", "0.05", "0.3", "1.5", "10", "40"], 2),
+        (&["optimize", "0.05", "0.3", "1.5", "400", "-5"], 2),
+        (&["optimize", "0.05", "0.3", "1.5", "40.001", "40"], 1),
+        (&["scaling", "5"], 2),
+        (&["scaling", "nan"], 2),
+        (&["multiobjective", "7"], 2),
+    ];
+    let check = |args: &[&str], code: i32, out: Output| {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    };
+    for &(args, code) in cases {
+        check(args, code, tool().args(args).output().expect("spawn"));
+    }
+    // A dump to a full device is a failed write, not a panic.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let args = ["trace", "stencil", "8"];
+        let out = tool()
+            .args(args)
+            .stdout(Stdio::from(full))
+            .output()
+            .expect("spawn");
+        check(&args, 1, out);
+    }
+}
+
+#[test]
 fn unknown_workload_is_usage_error() {
     let out = tool()
         .args(["characterize", "nosuch"])

@@ -23,12 +23,6 @@ use c2bound::workloads::WorkloadTrace;
 
 const GOLDEN: &str = "tests/golden/pre_event_sim.txt";
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn workload(name: &str, size: u64) -> WorkloadTrace {
     c2bound::workloads::workload_from_spec(&c2_config::WorkloadSpec {
         name: name.to_string(),
@@ -94,7 +88,7 @@ fn digests() -> String {
                     let mut cfg = config(n, issue, rob);
                     apply(&mut cfg);
                     let result = Simulator::new(cfg).run(&traces).unwrap();
-                    let digest = fnv1a(&format!("{result:?}"));
+                    let digest = c2_config::fnv1a(format!("{result:?}").as_bytes());
                     writeln!(
                         out,
                         "{name} {size} n={n} issue={issue} rob={rob} {variant} {digest:016x}"
