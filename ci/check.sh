@@ -24,6 +24,20 @@ if [ -n "${copies}" ]; then
     exit 1
 fi
 
+echo "== c2bound-tool: one exit, no stdout print macros =="
+# `main` is the one place the CLI reports a failure and exits, and every
+# subcommand writes through the stdout handle `main` passes it: a
+# `println!` panics when stdout cannot be written, and a second
+# `process::exit` is a second way to report a failure.
+tool=src/bin/c2bound-tool.rs
+exits="$(grep -c 'process::exit' "${tool}" || true)"
+prints="$(grep -nE '(^|[^[:alnum:]_])print(ln)?!' "${tool}" || true)"
+if [ "${exits}" -gt 1 ] || [ -n "${prints}" ]; then
+    echo "error: ${tool} holds ${exits} process::exit (at most 1) and these print macros:" >&2
+    echo "${prints}" >&2
+    exit 1
+fi
+
 echo "== tests =="
 cargo test --workspace -q
 

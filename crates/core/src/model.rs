@@ -24,7 +24,7 @@ pub struct ProgramProfile {
 }
 
 impl ProgramProfile {
-    /// Validated constructor.
+    /// Validated constructor: finite inputs, fractions in `[0, 1]`.
     pub fn new(
         ic0: f64,
         f_seq: f64,
@@ -32,7 +32,7 @@ impl ProgramProfile {
         overlap_cm: f64,
         g: ScaleFunction,
     ) -> Result<Self> {
-        if !(ic0 > 0.0) {
+        if !(ic0 > 0.0 && ic0.is_finite()) {
             return Err(Error::InvalidParameter {
                 name: "ic0",
                 value: ic0,
@@ -46,6 +46,14 @@ impl ProgramProfile {
             if !(0.0..=1.0).contains(&value) {
                 return Err(Error::InvalidParameter { name, value });
             }
+        }
+        let g_parameter = match g {
+            ScaleFunction::Power(b) => Some(("g_exponent", b)),
+            ScaleFunction::LinearScaled(a) => Some(("g_scale", a)),
+            ScaleFunction::Constant | ScaleFunction::Log2 => None,
+        };
+        if let Some((name, value)) = g_parameter.filter(|&(_, v)| !(v >= 0.0 && v.is_finite())) {
+            return Err(Error::InvalidParameter { name, value });
         }
         Ok(ProgramProfile {
             ic0,
@@ -364,5 +372,20 @@ mod tests {
         assert!(ProgramProfile::new(1e9, 1.5, 0.3, 0.0, ScaleFunction::Constant).is_err());
         assert!(ProgramProfile::new(1e9, 0.1, -0.1, 0.0, ScaleFunction::Constant).is_err());
         assert!(ProgramProfile::new(1e9, 0.1, 0.3, 2.0, ScaleFunction::Constant).is_err());
+    }
+
+    #[test]
+    fn profile_rejects_non_finite_inputs_and_negative_scale_parameters() {
+        let named = |ic0: f64, g: ScaleFunction| match ProgramProfile::new(ic0, 0.1, 0.3, 0.0, g) {
+            Err(Error::InvalidParameter { name, .. }) => name,
+            other => panic!("accepted ic0 {ic0}, {g:?}: {other:?}"),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert_eq!(named(1e9, ScaleFunction::Power(bad)), "g_exponent");
+            assert_eq!(named(1e9, ScaleFunction::LinearScaled(bad)), "g_scale");
+        }
+        assert_eq!(named(f64::INFINITY, ScaleFunction::Constant), "ic0");
+        assert_eq!(named(f64::NAN, ScaleFunction::Constant), "ic0");
+        assert!(ProgramProfile::new(1e9, 0.1, 0.3, 0.0, ScaleFunction::Power(0.0)).is_ok());
     }
 }

@@ -332,16 +332,28 @@ pub fn rewrite_canonical_with(
     records: &[JobRecord],
 ) -> Result<()> {
     debug_assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
+    replace_with(storage, sync, path, header, records)
+}
+
+/// Atomically replace the journal at `path` with `header` and
+/// `records`, in the order given: write a sibling temp file, fsync it
+/// unless `sync` is [`SyncPolicy::Never`], then rename it over `path`.
+fn replace_with(
+    storage: &dyn Storage,
+    sync: SyncPolicy,
+    path: &Path,
+    header: &JournalHeader,
+    records: &[JobRecord],
+) -> Result<()> {
     let tmp = sibling_tmp(path);
-    {
-        let mut w = JournalWriter::create_with(storage, sync, &tmp, header)?;
-        for r in records {
-            w.record(r)?;
-        }
-        if sync != SyncPolicy::Never {
-            w.sync()?;
-        }
+    let mut w = JournalWriter::create_with(storage, sync, &tmp, header)?;
+    for r in records {
+        w.record(r)?;
     }
+    if sync != SyncPolicy::Never {
+        w.sync()?;
+    }
+    drop(w);
     storage.rename(&tmp, path)
 }
 
@@ -381,17 +393,7 @@ pub fn compact(path: &Path) -> Result<CompactStats> {
 /// [`compact`] over an explicit storage and sync policy.
 pub fn compact_with(storage: &dyn Storage, sync: SyncPolicy, path: &Path) -> Result<CompactStats> {
     let contents = load_with(storage, path)?;
-    let tmp = sibling_tmp(path);
-    {
-        let mut w = JournalWriter::create_with(storage, sync, &tmp, &contents.header)?;
-        for r in &contents.records {
-            w.record(r)?;
-        }
-        if sync != SyncPolicy::Never {
-            w.sync()?;
-        }
-    }
-    storage.rename(&tmp, path)?;
+    replace_with(storage, sync, path, &contents.header, &contents.records)?;
     Ok(CompactStats {
         records: contents.records.len(),
         duplicates_dropped: contents.duplicate_records,

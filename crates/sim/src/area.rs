@@ -26,9 +26,9 @@ pub struct SiliconBudget {
 }
 
 impl SiliconBudget {
-    /// Validated constructor.
+    /// Validated constructor: a finite total area, `0 <= shared < total`.
     pub fn new(total_area: f64, shared_area: f64) -> Result<Self> {
-        if !(total_area > 0.0) || !(shared_area >= 0.0) || shared_area >= total_area {
+        if !total_area.is_finite() || !(0.0..total_area).contains(&shared_area) {
             return Err(Error::InvalidConfig("invalid silicon budget"));
         }
         Ok(SiliconBudget {
@@ -218,6 +218,22 @@ impl AreaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn budget_rejects_non_finite_areas() {
+        assert!(SiliconBudget::new(400.0, 40.0).is_ok());
+        for (total, shared) in [
+            (f64::INFINITY, 40.0),
+            (f64::NAN, 40.0),
+            (400.0, f64::NAN),
+            (400.0, f64::INFINITY),
+        ] {
+            assert!(
+                SiliconBudget::new(total, shared).is_err(),
+                "{total} {shared}"
+            );
+        }
+    }
 
     #[test]
     fn pollack_cpi_decreases_with_area() {

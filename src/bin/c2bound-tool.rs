@@ -50,19 +50,30 @@
 //! same pipeline function as one-shot `run --scenario`, so its journal
 //! and metrics are byte-identical to the command-line run.
 //!
-//! Everything is computed live: `characterize` and `aps` run the
-//! cycle-level simulator; `optimize` solves Eq. 13.
+//! Everything is computed live: `characterize` runs the cycle-level
+//! simulator, `aps` runs the same supervised engine as `run` under the
+//! scenario's `runner` defaults, and `optimize` solves Eq. 13.
+//!
+//! Every subcommand writes to the stdout handle `main` passes it and
+//! returns any [`Failure`]; `main` alone reports it and exits (0 on
+//! success, 1 for a failed run or I/O error, 2 for a usage or
+//! validation error). A closed stdout pipe ends a command quietly.
 
-use c2_bound::dse::{simulate_point, DesignPoint};
+use std::io::{self, Write};
+use std::slice::Iter;
+use std::str::FromStr;
+
+use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::optimize::optimize;
 use c2_bound::report::{fmt_num, Table};
 use c2_bound::scaling::ScalingStudy;
 use c2_bound::{C2BoundModel, ProgramProfile};
 use c2_config::{BackendKind, BackendSpec, LawKind, OracleMode, Scenario, SpaceSpec};
+use c2_runner::SyncPolicy;
 use c2_sim::area::SiliconBudget;
 use c2_sim::ChipConfig;
 use c2_speedup::scale::ScaleFunction;
-use c2_workloads::{characterize, Characterization, Workload, WorkloadTrace};
+use c2_workloads::{characterize, Workload};
 use c2bound::pipeline;
 
 /// The usage text, verbatim. A golden test pins it so the help a user
@@ -90,67 +101,86 @@ const USAGE: &str = "usage:\n  c2bound-tool characterize <tmm|spmv|stencil|fft|f
      c2bound-tool roofline <FILE>\n  \
      c2bound-tool obs-report <metrics.json> [--prom|--json]";
 
-/// The scalability-law spellings `--law` accepts.
+/// The spellings `--law`, `--backend` and `--sync` accept.
 const LAWS: &str = "sun-ni|amdahl|memory-wall|usl";
+const BACKENDS: &str = "cpu-cmp|gpu-sm";
+const SYNC_POLICIES: &str = "never|on-checkpoint|always";
 
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// Why a subcommand stopped. `main` is the one place that reports it
+/// and exits.
+enum Failure {
+    /// Print the usage text, exit 2.
+    Usage,
+    /// Print one `error: {msg}` line and exit with the code: 2 for usage
+    /// and validation errors, 1 for everything else.
+    Error(i32, String),
+    /// Exit with the code; the command already printed why.
+    Exit(i32),
 }
 
-/// One `error:` line on stderr, then exit with `code`: 2 for usage and
-/// validation errors, 1 for everything else.
-fn die(code: i32, msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(code);
+/// What every subcommand and argument reader returns.
+type Result<T = ()> = std::result::Result<T, Failure>;
+
+/// A write to stdout failed. A closed pipe (e.g. `| head`) is a normal
+/// way to consume output and ends the command quietly; anything else
+/// is exit 1. File reads and writes carry their own messages instead.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Failure::Exit(0)
+        } else {
+            failed(format!("cannot write to stdout: {e}"))
+        }
+    }
 }
 
-/// Exit on a pipeline error: 2 for a scenario the pipeline cannot
-/// assemble (nothing was written yet), 1 for a failed run.
-fn die_pipeline(e: pipeline::Error) -> ! {
-    let code = if matches!(e, pipeline::Error::Run(_)) {
-        1
-    } else {
-        2
-    };
-    die(code, e)
+/// Exit 2 for a scenario the pipeline cannot assemble (nothing was
+/// written yet), 1 for a failed run.
+impl From<pipeline::Error> for Failure {
+    fn from(e: pipeline::Error) -> Self {
+        match e {
+            pipeline::Error::Run(_) => failed(e),
+            _ => invalid(e),
+        }
+    }
+}
+
+/// A usage or validation error: exit 2.
+fn invalid(msg: impl std::fmt::Display) -> Failure {
+    Failure::Error(2, msg.to_string())
+}
+
+/// A failed computation or I/O: exit 1.
+fn failed(msg: impl std::fmt::Display) -> Failure {
+    Failure::Error(1, msg.to_string())
 }
 
 /// Parse a value that is actually present on the command line. A
 /// malformed value is a one-line error and a nonzero exit — never a
 /// silently substituted default.
-fn parse_arg<T: std::str::FromStr>(raw: &str, name: &str) -> T {
+fn parse_arg<T: FromStr>(raw: &str, name: &str) -> Result<T> {
     raw.parse()
-        .unwrap_or_else(|_| die(2, format!("invalid {name}: {raw:?}")))
+        .map_err(|_| invalid(format!("invalid {name}: {raw:?}")))
 }
 
 /// Positional argument `i`: absent means `default`; present but
 /// unparsable is an error (see `parse_arg`).
-fn parse_or<T: std::str::FromStr>(args: &[String], i: usize, name: &str, default: T) -> T {
-    match args.get(i) {
-        None => default,
-        Some(raw) => parse_arg(raw, name),
-    }
+fn parse_or<T: FromStr>(args: &[String], i: usize, name: &str, default: T) -> Result<T> {
+    args.get(i).map_or(Ok(default), |raw| parse_arg(raw, name))
 }
 
-fn workload_by_name(name: &str, size: u64) -> Option<Box<dyn Workload>> {
-    c2_workloads::workload_from_spec(&c2_config::WorkloadSpec {
-        name: name.to_string(),
-        size,
-    })
+/// The value after `flag`: every subcommand's flag loop reads it here,
+/// so a missing value is always `error: --X requires a value`.
+fn value<'a>(rest: &mut Iter<'a, String>, flag: &str) -> Result<&'a str> {
+    rest.next()
+        .map(String::as_str)
+        .ok_or_else(|| invalid(format!("{flag} requires a value")))
 }
 
-fn characterize_workload(w: &dyn Workload) -> (WorkloadTrace, Characterization, ChipConfig) {
-    let chip = ChipConfig::default_single_core();
-    let trace = w.generate();
-    let ch = characterize(&trace, &chip).expect("characterization failed");
-    (trace, ch, chip)
-}
-
-/// The positional `run`/`aps` form: the default scenario with only the
-/// workload and the fast tiny space overridden — the same pipeline as
+/// The positional form: the default scenario with only the workload
+/// and the fast tiny space overridden — the same pipeline as
 /// `run --scenario`, same constants, no drift. Callers validate it
-/// after their overrides, so `run stencil 0` dies with a typed error
+/// after their overrides, so `run stencil 0` fails with a typed error
 /// before the engine can publish an empty journal or cache.
 fn positional_scenario(name: &str, size: u64) -> Scenario {
     let mut sc = Scenario::default();
@@ -160,21 +190,43 @@ fn positional_scenario(name: &str, size: u64) -> Scenario {
     sc
 }
 
-/// Read, parse, and validate a scenario file, or exit with a one-line
-/// typed error.
-fn load_scenario(path: &str) -> Scenario {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(1, format!("cannot read {path}: {e}")));
-    Scenario::from_json(&text).unwrap_or_else(|e| die(1, format!("{path}: {e}")))
+/// The `<workload> [size]` arguments of `characterize`, `trace` and
+/// `aps`, read as `run <workload> [size]` reads them: the positional
+/// scenario, validated, and its built-in workload.
+fn positional_workload(
+    args: &[String],
+    default_size: u64,
+) -> Result<(Scenario, Box<dyn Workload>)> {
+    let name = args.first().ok_or(Failure::Usage)?;
+    let sc = positional_scenario(name, parse_or(args, 1, "size", default_size)?);
+    sc.validate().map_err(invalid)?;
+    let w = c2_workloads::workload_from_spec(&sc.workload)
+        .ok_or_else(|| pipeline::Error::UnknownWorkload(name.clone()))?;
+    Ok((sc, w))
 }
 
-fn cmd_characterize(args: &[String]) {
-    let name = args.first().map(String::as_str).unwrap_or_else(|| usage());
-    let size = parse_or(args, 1, "size", 32u64);
-    let Some(w) = workload_by_name(name, size) else {
-        usage()
-    };
-    let (trace, ch, _) = characterize_workload(w.as_ref());
+/// Read the file at `path` and parse it, reporting either failure
+/// against the path.
+fn read_file<T, E: std::fmt::Display>(
+    path: &str,
+    parse: fn(&str) -> std::result::Result<T, E>,
+) -> Result<T> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
+    parse(&text).map_err(|e| failed(format!("cannot parse {path}: {e}")))
+}
+
+/// Read, parse, and validate a scenario file.
+fn load_scenario(path: &str) -> Result<Scenario> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+    Scenario::from_json(&text).map_err(|e| failed(format!("{path}: {e}")))
+}
+
+fn cmd_characterize(args: &[String], out: &mut dyn Write) -> Result {
+    let (_, w) = positional_workload(args, 32)?;
+    let trace = w.generate();
+    let ch = characterize(&trace, &ChipConfig::default_single_core()).map_err(failed)?;
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec!["workload".to_string(), w.name().to_string()]);
     t.row(vec![
@@ -205,21 +257,22 @@ fn cmd_characterize(args: &[String]) {
         .map(|g| g.label())
         .unwrap_or_else(|| "derived numerically".to_string());
     t.row(vec!["g(N)".to_string(), g]);
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_optimize(args: &[String]) {
-    let f_seq = parse_or(args, 0, "f_seq", 0.05f64);
-    let f_mem = parse_or(args, 1, "f_mem", 0.3f64);
-    let g_exp = parse_or(args, 2, "g_exponent", 1.5f64);
-    let area = parse_or(args, 3, "total_area", 400.0f64);
-    let shared = parse_or(args, 4, "shared_area", 40.0f64);
+fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result {
+    let f_seq = parse_or(args, 0, "f_seq", 0.05f64)?;
+    let f_mem = parse_or(args, 1, "f_mem", 0.3f64)?;
+    let g_exp = parse_or(args, 2, "g_exponent", 1.5f64)?;
+    let area = parse_or(args, 3, "total_area", 400.0f64)?;
+    let shared = parse_or(args, 4, "shared_area", 40.0f64)?;
     let mut model = C2BoundModel::example_big_data();
     model.program = ProgramProfile::new(1e9, f_seq, f_mem, 0.1, ScaleFunction::Power(g_exp))
-        .unwrap_or_else(|e| die(2, e));
-    model.budget = SiliconBudget::new(area, shared).unwrap_or_else(|e| die(2, e));
-    let d = optimize(&model).unwrap_or_else(|e| die(1, e));
-    println!(
+        .map_err(invalid)?;
+    model.budget = SiliconBudget::new(area, shared).map_err(invalid)?;
+    let d = optimize(&model).map_err(failed)?;
+    writeln!(
+        out,
         "case: {:?} (g(N) {} O(N))",
         d.case,
         if model.program.g.is_at_least_linear() {
@@ -227,7 +280,7 @@ fn cmd_optimize(args: &[String]) {
         } else {
             "<"
         }
-    );
+    )?;
     let mut t = Table::new(vec!["variable", "value"]);
     t.row(vec!["N (cores)".to_string(), fmt_num(d.vars.n)]);
     t.row(vec!["A0 core area (mm2)".to_string(), fmt_num(d.vars.a0)]);
@@ -240,38 +293,38 @@ fn cmd_optimize(args: &[String]) {
         fmt_num(d.execution_time),
     ]);
     t.row(vec!["throughput W/T".to_string(), fmt_num(d.throughput)]);
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_aps(args: &[String]) {
-    let name = args.first().map(String::as_str).unwrap_or_else(|| usage());
-    let size = parse_or(args, 1, "size", 24u64);
-    let sc = positional_scenario(name, size);
-    sc.validate().unwrap_or_else(|e| die(2, e));
-    let pipeline::CpuSetup { trace, aps } =
-        pipeline::cpu_setup(&sc).unwrap_or_else(|e| die_pipeline(e));
-    let area = aps.model.area;
-    let budget = aps.model.budget;
-    println!(
+/// `aps`: the positional workload through [`pipeline::execute`] — the
+/// supervised engine `run` uses — under the scenario's `runner`
+/// defaults, reported as the APS outcome.
+fn cmd_aps(args: &[String], out: &mut dyn Write) -> Result {
+    let (sc, _) = positional_workload(args, 24)?;
+    let space = DesignSpace::from_spec(&sc.space).map_err(invalid)?;
+    writeln!(
+        out,
         "APS over a {}-point space; refining {} microarchitecture points with real simulations...",
-        aps.space.size(),
-        aps.space.issue().len() * aps.space.rob().len()
-    );
-    let outcome = aps
-        .run(|p: &DesignPoint| {
-            simulate_point(p, &trace, &area, &budget)
-                .map_err(|e| c2_bound::Error::Simulation(e.to_string()))
-        })
-        .unwrap_or_else(|e| die(1, e));
-    println!("{}", chosen_line(BackendKind::CpuCmp, &outcome.chosen));
-    println!(
+        space.size(),
+        space.issue().len() * space.rob().len()
+    )?;
+    let config = c2_runner::RunConfig::from_spec(&sc.runner).map_err(invalid)?;
+    let null = &c2_obs::NullSink;
+    let run = pipeline::execute(&sc, config, None, false, null, null)?;
+    let Some(outcome) = run.summary.outcome else {
+        return Err(failed("the sweep did not complete"));
+    };
+    writeln!(out, "{}", chosen_line(BackendKind::CpuCmp, &outcome.chosen))?;
+    writeln!(
+        out,
         "simulations used: {}; best simulated time: {} cycles; calibrated model error: {}%",
         outcome.simulations,
         fmt_num(outcome.best_time),
         fmt_num(100.0 * outcome.prediction_error)
-    );
+    )?;
     let log = &outcome.refinement;
-    println!(
+    Ok(writeln!(
+        out,
         "refinement: {}/{} points simulated ({} retried, {} skipped, {} oracle calls, degradation: {:?})",
         log.succeeded,
         log.attempted,
@@ -279,7 +332,7 @@ fn cmd_aps(args: &[String]) {
         log.skipped.len(),
         log.oracle_calls,
         log.degradation
-    );
+    )?)
 }
 
 /// The `chosen:` report line, in the backend's axis vocabulary
@@ -308,41 +361,47 @@ fn chosen_line(kind: BackendKind, p: &DesignPoint) -> String {
     }
 }
 
-/// Parse an enumerated flag value, or exit 2 naming the accepted
-/// spellings.
-fn parse_choice<T>(flag: &str, raw: &str, parse: fn(&str) -> Option<T>, choices: &str) -> T {
-    parse(raw).unwrap_or_else(|| die(2, format!("invalid {flag} {raw:?} ({choices})")))
+/// The enumerated value after `flag`, or a failure naming the
+/// accepted spellings.
+fn choice<T>(
+    rest: &mut Iter<String>,
+    flag: &str,
+    parse: fn(&str) -> Option<T>,
+    choices: &str,
+) -> Result<T> {
+    let raw = value(rest, flag)?;
+    parse(raw).ok_or_else(|| invalid(format!("invalid {flag} {raw:?} ({choices})")))
 }
 
 /// Parse `--chaos "crash-at=7,torn=3,seed=42"` into a fault plan.
 /// Keys mirror the scenario's `runner.chaos` section; write indices
 /// are 1-based (the plan itself rejects 0).
-fn parse_chaos(raw: &str) -> c2_runner::ChaosPlan {
+fn parse_chaos(raw: &str) -> Result<c2_runner::ChaosPlan> {
     let mut plan = c2_runner::ChaosPlan::default();
     for part in raw.split(',').filter(|p| !p.is_empty()) {
         let Some((key, value)) = part.split_once('=') else {
-            die(
-                2,
-                format!("invalid --chaos item {part:?} (expected key=value)"),
-            )
+            return Err(invalid(format!(
+                "invalid --chaos item {part:?} (expected key=value)"
+            )));
         };
-        let n: u64 = parse_arg(value, "--chaos value");
+        let n: u64 = parse_arg(value, "--chaos value")?;
         match key {
             "crash-at" => plan.crash_at_write = Some(n),
             "torn" => plan.torn_bytes = Some(n),
             "enospc-at" => plan.enospc_at_write = Some(n),
             "short-at" => plan.short_write_at = Some(n),
             "seed" => plan.seed = n,
-            _ => die(
-                2,
-                format!("unknown --chaos key {key:?} (crash-at|torn|enospc-at|short-at|seed)"),
-            ),
+            _ => {
+                return Err(invalid(format!(
+                    "unknown --chaos key {key:?} (crash-at|torn|enospc-at|short-at|seed)"
+                )))
+            }
         }
     }
     if plan.is_none() {
-        die(2, "--chaos injects nothing; give at least one fault");
+        return Err(invalid("--chaos injects nothing; give at least one fault"));
     }
-    plan
+    Ok(plan)
 }
 
 /// `run`: one sweep through [`pipeline::execute`], with an optional
@@ -350,7 +409,7 @@ fn parse_chaos(raw: &str) -> c2_runner::ChaosPlan {
 /// scenario file or the positional form. Flags that change what is
 /// computed patch the scenario before its one validation; runner
 /// flags patch the engine configuration (DESIGN.md §8).
-fn cmd_run(args: &[String]) {
+fn cmd_run(args: &[String], out: &mut dyn Write) -> Result {
     let mut scenario_path: Option<String> = None;
     let mut name: Option<String> = None;
     let mut size: Option<u64> = None;
@@ -360,7 +419,7 @@ fn cmd_run(args: &[String]) {
     let mut max_attempts: Option<usize> = None;
     let mut journal: Option<std::path::PathBuf> = None;
     let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut sync: Option<c2_runner::SyncPolicy> = None;
+    let mut sync: Option<SyncPolicy> = None;
     let mut checkpoint_every: Option<usize> = None;
     let mut chaos: Option<c2_runner::ChaosPlan> = None;
     let mut oracle_mode: Option<OracleMode> = None;
@@ -371,81 +430,57 @@ fn cmd_run(args: &[String]) {
     let mut resume = false;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        let mut value = || rest.next().map(String::as_str).unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--scenario" => scenario_path = Some(value().to_string()),
-            "--threads" => threads = Some(parse_arg(value(), "--threads")),
-            "--cache" => cache = Some(value().into()),
-            "--deadline-ms" => deadline_ms = Some(parse_arg(value(), "--deadline-ms")),
-            "--max-attempts" => max_attempts = Some(parse_arg(value(), "--max-attempts")),
-            "--journal" => journal = Some(value().into()),
-            "--metrics-out" => metrics_out = Some(value().into()),
-            "--sync" => {
-                sync = Some(parse_choice(
-                    "--sync",
-                    value(),
-                    c2_runner::SyncPolicy::parse,
-                    "never|on-checkpoint|always",
-                ));
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--scenario" => scenario_path = Some(value(&mut rest, flag)?.to_string()),
+            "--threads" => threads = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            "--cache" => cache = Some(value(&mut rest, flag)?.into()),
+            "--deadline-ms" => deadline_ms = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            "--max-attempts" => max_attempts = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            "--journal" => journal = Some(value(&mut rest, flag)?.into()),
+            "--metrics-out" => metrics_out = Some(value(&mut rest, flag)?.into()),
+            "--sync" => sync = Some(choice(&mut rest, flag, SyncPolicy::parse, SYNC_POLICIES)?),
             "--checkpoint-every" => {
-                checkpoint_every = Some(parse_arg(value(), "--checkpoint-every"));
+                checkpoint_every = Some(parse_arg(value(&mut rest, flag)?, flag)?);
             }
-            "--chaos" => chaos = Some(parse_chaos(value())),
+            "--chaos" => chaos = Some(parse_chaos(value(&mut rest, flag)?)?),
             "--oracle-mode" => {
-                oracle_mode = Some(parse_choice(
-                    "--oracle-mode",
-                    value(),
-                    OracleMode::parse,
-                    "full|phase",
-                ));
+                oracle_mode = Some(choice(&mut rest, flag, OracleMode::parse, "full|phase")?);
             }
-            "--backend" => {
-                backend = Some(parse_choice(
-                    "--backend",
-                    value(),
-                    BackendKind::parse,
-                    "cpu-cmp|gpu-sm",
-                ));
-            }
-            "--law" => law = Some(parse_choice("--law", value(), LawKind::parse, LAWS)),
-            "--roofline-out" => roofline_out = Some(value().to_string()),
+            "--backend" => backend = Some(choice(&mut rest, flag, BackendKind::parse, BACKENDS)?),
+            "--law" => law = Some(choice(&mut rest, flag, LawKind::parse, LAWS)?),
+            "--roofline-out" => roofline_out = Some(value(&mut rest, flag)?.to_string()),
             "--screen" => screen = true,
             "--resume" => resume = true,
             other if !other.starts_with('-') => {
                 if name.is_none() {
                     name = Some(other.to_string());
                 } else if size.is_none() {
-                    size = Some(parse_arg(other, "size"));
+                    size = Some(parse_arg(other, "size")?);
                 } else {
-                    usage()
+                    return Err(Failure::Usage);
                 }
             }
-            _ => usage(),
+            _ => return Err(Failure::Usage),
         }
     }
     if resume && journal.is_none() {
-        die(2, "--resume requires --journal PATH");
+        return Err(invalid("--resume requires --journal PATH"));
     }
     if let Some(path) = journal.as_ref().filter(|p| p.exists() && !resume) {
-        die(
-            2,
-            format!(
-                "journal {} already exists; pass --resume to continue it or remove it first",
-                path.display()
-            ),
-        );
+        return Err(invalid(format!(
+            "journal {} already exists; pass --resume to continue it or remove it first",
+            path.display()
+        )));
     }
     let mut sc = match &scenario_path {
-        Some(_) if name.is_some() || size.is_some() => die(
-            2,
-            "--scenario and a positional workload are mutually exclusive",
-        ),
-        Some(path) => load_scenario(path),
-        None => positional_scenario(
-            name.as_deref().unwrap_or_else(|| usage()),
-            size.unwrap_or(24),
-        ),
+        Some(_) if name.is_some() || size.is_some() => {
+            return Err(invalid(
+                "--scenario and a positional workload are mutually exclusive",
+            ))
+        }
+        Some(path) => load_scenario(path)?,
+        None => positional_scenario(name.as_deref().ok_or(Failure::Usage)?, size.unwrap_or(24)),
     };
     // These land before validation, so a combination the flags
     // assemble is rejected like a stored one, and before the
@@ -465,12 +500,12 @@ fn cmd_run(args: &[String]) {
     if roofline_out.is_some() {
         sc.observability.roofline_out = roofline_out;
     }
-    sc.validate().unwrap_or_else(|e| die(2, e));
+    sc.validate().map_err(invalid)?;
     let fingerprint = sc.fingerprint();
     // Runner flags patch the engine configuration, not `sc.runner`:
     // the runner section is fingerprinted, so patching it would move
     // every journal header and cache address.
-    let mut config = c2_runner::RunConfig::from_spec(&sc.runner).unwrap_or_else(|e| die(2, e));
+    let mut config = c2_runner::RunConfig::from_spec(&sc.runner).map_err(invalid)?;
     config.threads = threads.unwrap_or(config.threads);
     config.cache_path = cache.or(config.cache_path);
     config.deadline_ms = deadline_ms.unwrap_or(config.deadline_ms);
@@ -478,7 +513,7 @@ fn cmd_run(args: &[String]) {
     config.sync = sync.unwrap_or(config.sync);
     config.checkpoint_every = checkpoint_every.unwrap_or(config.checkpoint_every);
     config.chaos = chaos.or(config.chaos);
-    config.validate().unwrap_or_else(|e| die(2, e));
+    config.validate().map_err(invalid)?;
     if scenario_path.is_some() {
         config = config.with_scenario(fingerprint);
     } else {
@@ -494,7 +529,8 @@ fn cmd_run(args: &[String]) {
             .as_ref()
             .map(std::path::PathBuf::from)
     });
-    println!(
+    writeln!(
+        out,
         "supervised sweep: {} sharded threads, {} attempts/job{}{}{}",
         config.threads,
         config.max_attempts,
@@ -512,7 +548,7 @@ fn cmd_run(args: &[String]) {
         } else {
             ""
         }
-    );
+    )?;
     let recorder = c2_obs::Recorder::new();
     let run = pipeline::execute(
         &sc,
@@ -521,10 +557,10 @@ fn cmd_run(args: &[String]) {
         resume,
         &recorder,
         &c2_obs::NullSink,
-    )
-    .unwrap_or_else(|e| die_pipeline(e));
+    )?;
     if let Some(phases) = run.phases {
-        println!(
+        writeln!(
+            out,
             "oracle: phase mode, {} phases, {:.1}% of the trace per evaluation{}",
             phases.count,
             100.0 * phases.simulated_fraction,
@@ -533,13 +569,14 @@ fn cmd_run(args: &[String]) {
             } else {
                 ""
             }
-        );
+        )?;
     }
     // Screening's operational telemetry (the `SCREEN_*` counters) is
     // deliberately not folded into `--metrics-out`, which golden tests
     // bit-compare; this line is its accounting.
     if let Some(report) = &run.screen {
-        println!(
+        writeln!(
+            out,
             "screen report: {} true evaluations of {} candidates \
              ({} screened out, {} resumed) in {} rounds; \
              final committee spread {}{}",
@@ -550,30 +587,29 @@ fn cmd_run(args: &[String]) {
             report.rounds,
             fmt_num(report.final_spread),
             if report.converged { " (converged)" } else { "" }
-        );
+        )?;
     }
     if let (Some(n), Some(path)) = (run.roofline_points, &sc.observability.roofline_out) {
-        println!(
+        writeln!(
+            out,
             "roofline: wrote {n} candidate points ({} backend) to {path}",
             sc.backend.kind.as_str()
-        );
+        )?;
     }
     if let Some(path) = &metrics_out {
         let report = recorder.report();
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(
-                1,
-                format!("cannot write metrics to {}: {e}", path.display()),
-            );
-        }
-        println!(
+        std::fs::write(path, report.to_json())
+            .map_err(|e| failed(format!("cannot write metrics to {}: {e}", path.display())))?;
+        writeln!(
+            out,
             "metrics: wrote {} events and the metric registry to {}",
             report.events.len(),
             path.display()
-        );
+        )?;
     }
     let r = &run.summary.report;
-    println!(
+    writeln!(
+        out,
         "run report: {} attempted = {} succeeded + {} skipped + {} backfilled \
          ({} resumed, {} retried, {} oracle calls, {} cache hits, {} timeouts, \
          {} short-circuited, {} quarantined, {} breaker trips)",
@@ -589,18 +625,21 @@ fn cmd_run(args: &[String]) {
         r.short_circuited,
         r.quarantined,
         r.breaker_trips
-    );
+    )?;
     let Some(outcome) = &run.summary.outcome else {
-        println!("run did not complete; resume with --journal/--resume");
-        return;
+        return Ok(writeln!(
+            out,
+            "run did not complete; resume with --journal/--resume"
+        )?);
     };
-    println!("{}", chosen_line(sc.backend.kind, &outcome.chosen));
-    println!(
+    writeln!(out, "{}", chosen_line(sc.backend.kind, &outcome.chosen))?;
+    Ok(writeln!(
+        out,
         "best simulated time: {} cycles; calibrated model error: {}%; degradation: {:?}",
         fmt_num(outcome.best_time),
         fmt_num(100.0 * outcome.prediction_error),
         outcome.refinement.degradation
-    );
+    )?)
 }
 
 /// `journal`: maintain resume journals. `compact` repairs and shrinks
@@ -608,16 +647,13 @@ fn cmd_run(args: &[String]) {
 /// duplicate records, and legacy `c2ckpt` lines — and reports what it
 /// did. Safe to run any number of times; a compacted journal resumes
 /// identically to the original.
-fn cmd_journal(args: &[String]) {
+fn cmd_journal(args: &[String], out: &mut dyn Write) -> Result {
     match args.first().map(String::as_str) {
         Some("compact") => {
-            let path = args.get(1).unwrap_or_else(|| usage());
-            let stats =
-                c2_runner::journal::compact(std::path::Path::new(path)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            println!(
+            let path = args.get(1).ok_or(Failure::Usage)?;
+            let stats = c2_runner::journal::compact(std::path::Path::new(path)).map_err(failed)?;
+            Ok(writeln!(
+                out,
                 "compacted {path}: kept {} records (dropped {} duplicate records{})",
                 stats.records,
                 stats.duplicates_dropped,
@@ -626,9 +662,9 @@ fn cmd_journal(args: &[String]) {
                 } else {
                     ""
                 }
-            );
+            )?)
         }
-        _ => usage(),
+        _ => Err(Failure::Usage),
     }
 }
 
@@ -636,27 +672,20 @@ fn cmd_journal(args: &[String]) {
 /// canonical defaults, `validate` parses and range-checks a file, and
 /// `show` prints the canonical rendering plus the fingerprint that a
 /// journaled `run --scenario` binds into its journal header.
-fn cmd_scenario(args: &[String]) {
+fn cmd_scenario(args: &[String], out: &mut dyn Write) -> Result {
     match args.first().map(String::as_str) {
         Some("init") => {
             let mut kind = BackendKind::CpuCmp;
             let mut law: Option<LawKind> = None;
             let mut path: Option<&String> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-                match arg.as_str() {
-                    "--backend" => {
-                        kind = parse_choice(
-                            "--backend",
-                            value(),
-                            BackendKind::parse,
-                            "cpu-cmp|gpu-sm",
-                        );
-                    }
-                    "--law" => law = Some(parse_choice("--law", value(), LawKind::parse, LAWS)),
+            let mut rest = args[1..].iter();
+            while let Some(arg) = rest.next() {
+                let flag = arg.as_str();
+                match flag {
+                    "--backend" => kind = choice(&mut rest, flag, BackendKind::parse, BACKENDS)?,
+                    "--law" => law = Some(choice(&mut rest, flag, LawKind::parse, LAWS)?),
                     other if !other.starts_with('-') && path.is_none() => path = Some(arg),
-                    _ => usage(),
+                    _ => return Err(Failure::Usage),
                 }
             }
             let mut sc = match kind {
@@ -678,48 +707,40 @@ fn cmd_scenario(args: &[String]) {
                 sc.speedup.law = l;
             }
             match path {
-                None => print!("{}", sc.render_pretty()),
+                None => write!(out, "{}", sc.render_pretty())?,
                 Some(path) => {
-                    if let Err(e) = std::fs::write(path, sc.render_pretty()) {
-                        eprintln!("error: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path} (fingerprint {})", sc.fingerprint_hex());
+                    std::fs::write(path, sc.render_pretty())
+                        .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+                    writeln!(out, "wrote {path} (fingerprint {})", sc.fingerprint_hex())?;
                 }
             }
         }
         Some("validate") => {
-            let path = args.get(1).unwrap_or_else(|| usage());
-            let sc = load_scenario(path);
-            println!("ok: {path} (fingerprint {})", sc.fingerprint_hex());
+            let path = args.get(1).ok_or(Failure::Usage)?;
+            let sc = load_scenario(path)?;
+            writeln!(out, "ok: {path} (fingerprint {})", sc.fingerprint_hex())?;
         }
         Some("show") => {
-            let path = args.get(1).unwrap_or_else(|| usage());
-            let sc = load_scenario(path);
-            print!("{}", sc.render_pretty());
-            println!("fingerprint: {}", sc.fingerprint_hex());
+            let path = args.get(1).ok_or(Failure::Usage)?;
+            let sc = load_scenario(path)?;
+            write!(out, "{}", sc.render_pretty())?;
+            writeln!(out, "fingerprint: {}", sc.fingerprint_hex())?;
         }
-        _ => usage(),
+        _ => return Err(Failure::Usage),
     }
+    Ok(())
 }
 
 /// `obs-report`: summarize (or re-export) a metrics report produced by
 /// `run --metrics-out`.
-fn cmd_obs_report(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
+fn cmd_obs_report(args: &[String], out: &mut dyn Write) -> Result {
+    let path = args.first().ok_or(Failure::Usage)?;
     let mode = args.get(1).map(String::as_str);
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    let report = c2_obs::Report::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
+    let report = read_file(path, c2_obs::Report::from_json)?;
     match mode {
-        Some("--prom") => print!("{}", report.to_prometheus()),
-        Some("--json") => print!("{}", report.to_json()),
-        Some(_) => usage(),
+        Some("--prom") => write!(out, "{}", report.to_prometheus())?,
+        Some("--json") => write!(out, "{}", report.to_json())?,
+        Some(_) => return Err(Failure::Usage),
         None => {
             let reg = &report.registry;
             let mut t = Table::new(vec!["metric", "kind", "value"]);
@@ -744,7 +765,7 @@ fn cmd_obs_report(args: &[String]) {
                     ),
                 ]);
             }
-            println!("{}", t.render());
+            writeln!(out, "{}", t.render())?;
             let mut scopes: std::collections::BTreeMap<&str, u64> =
                 std::collections::BTreeMap::new();
             for ev in &report.events {
@@ -754,13 +775,15 @@ fn cmd_obs_report(args: &[String]) {
                 .iter()
                 .map(|(scope, n)| format!("{n} {scope}"))
                 .collect();
-            println!(
+            writeln!(
+                out,
                 "trace: {} events ({})",
                 report.events.len(),
                 by_scope.join(", ")
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
 /// One parsed candidate from a roofline report.
@@ -782,72 +805,61 @@ struct RooflineRow {
 /// candidate labeled with its limiting ceiling — plus a per-candidate
 /// table. Pure presentation: the numbers come verbatim from the file.
 #[allow(clippy::too_many_lines)]
-fn cmd_roofline(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
-    if args.len() > 1 {
-        usage();
-    }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = c2_config::Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
-    let get = |obj: &[(String, c2_config::Json)], key: &str| -> c2_config::Json {
+fn cmd_roofline(args: &[String], out: &mut dyn Write) -> Result {
+    let [path] = args else {
+        return Err(Failure::Usage);
+    };
+    let doc = read_file(path, c2_config::Json::parse)?;
+    let not_a_report = |why: &str| failed(format!("{path} is not a roofline report ({why})"));
+    let get = |obj: &[(String, c2_config::Json)], key: &str| -> Result<c2_config::Json> {
         obj.iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| {
-                eprintln!("error: {path} is not a roofline report (missing {key:?})");
-                std::process::exit(1)
-            })
+            .ok_or_else(|| not_a_report(&format!("missing {key:?}")))
     };
-    let Some(top) = doc.as_obj() else {
-        eprintln!("error: {path} is not a roofline report (top level is not an object)");
-        std::process::exit(1);
-    };
-    if get(top, "c2roofline").as_u64() != Some(1) {
-        eprintln!("error: {path}: unsupported roofline report version");
-        std::process::exit(1);
+    let top = doc
+        .as_obj()
+        .ok_or_else(|| not_a_report("top level is not an object"))?;
+    if get(top, "c2roofline")?.as_u64() != Some(1) {
+        return Err(failed(format!(
+            "{path}: unsupported roofline report version"
+        )));
     }
-    let backend = get(top, "backend").as_str().unwrap_or("?").to_string();
-    let fingerprint = get(top, "fingerprint")
+    let backend = get(top, "backend")?.as_str().unwrap_or("?").to_string();
+    let fingerprint = get(top, "fingerprint")?
         .as_str()
         .map_or_else(|| "unbound".to_string(), str::to_string);
-    let Some(raw_points) = get(top, "points").as_arr().map(<[c2_config::Json]>::to_vec) else {
-        eprintln!("error: {path} is not a roofline report (points is not an array)");
-        std::process::exit(1);
-    };
+    let raw_points = get(top, "points")?
+        .as_arr()
+        .map(<[c2_config::Json]>::to_vec)
+        .ok_or_else(|| not_a_report("points is not an array"))?;
     let mut rows: Vec<RooflineRow> = Vec::with_capacity(raw_points.len());
     for raw in &raw_points {
-        let Some(obj) = raw.as_obj() else {
-            eprintln!("error: {path}: a roofline point is not an object");
-            std::process::exit(1);
-        };
-        let point = get(obj, "point");
-        let Some(p) = point.as_obj() else {
-            eprintln!("error: {path}: a roofline point carries no design point");
-            std::process::exit(1);
-        };
+        let obj = raw
+            .as_obj()
+            .ok_or_else(|| failed(format!("{path}: a roofline point is not an object")))?;
+        let point = get(obj, "point")?;
+        let p = point
+            .as_obj()
+            .ok_or_else(|| failed(format!("{path}: a roofline point carries no design point")))?;
         rows.push(RooflineRow {
-            seq: get(obj, "seq").as_u64().unwrap_or(0),
-            n: get(p, "n").as_u64().unwrap_or(0),
-            issue: get(p, "issue").as_u64().unwrap_or(0),
-            rob: get(p, "rob").as_u64().unwrap_or(0),
-            oi: get(obj, "operational_intensity")
+            seq: get(obj, "seq")?.as_u64().unwrap_or(0),
+            n: get(p, "n")?.as_u64().unwrap_or(0),
+            issue: get(p, "issue")?.as_u64().unwrap_or(0),
+            rob: get(p, "rob")?.as_u64().unwrap_or(0),
+            oi: get(obj, "operational_intensity")?
                 .as_f64()
                 .unwrap_or(f64::NAN),
-            compute: get(obj, "compute_ceiling").as_f64().unwrap_or(f64::NAN),
-            bandwidth: get(obj, "bandwidth_ceiling").as_f64().unwrap_or(f64::NAN),
-            bound: get(obj, "bound").as_f64().unwrap_or(f64::NAN),
-            attained: get(obj, "attained").as_f64(),
-            limiting: get(obj, "limiting").as_str().unwrap_or("?").to_string(),
+            compute: get(obj, "compute_ceiling")?.as_f64().unwrap_or(f64::NAN),
+            bandwidth: get(obj, "bandwidth_ceiling")?.as_f64().unwrap_or(f64::NAN),
+            bound: get(obj, "bound")?.as_f64().unwrap_or(f64::NAN),
+            attained: get(obj, "attained")?.as_f64(),
+            limiting: get(obj, "limiting")?.as_str().unwrap_or("?").to_string(),
         });
     }
     let compute_limited = rows.iter().filter(|r| r.limiting == "compute").count();
-    println!(
+    writeln!(
+        out,
         "roofline: {} backend, {} candidates ({} compute-limited, {} bandwidth-limited), \
          fingerprint {}",
         backend,
@@ -855,7 +867,7 @@ fn cmd_roofline(args: &[String]) {
         compute_limited,
         rows.len() - compute_limited,
         fingerprint
-    );
+    )?;
     // The chart plots each candidate's attained bound at its
     // operational intensity on log-log axes: 'C' = the compute ceiling
     // binds, 'B' = the bandwidth roof binds. Non-finite points are
@@ -865,7 +877,7 @@ fn cmd_roofline(args: &[String]) {
         .filter(|r| r.oi.is_finite() && r.oi > 0.0 && r.bound.is_finite() && r.bound > 0.0)
         .collect();
     if chartable.is_empty() {
-        println!("(no finite candidates to chart)");
+        writeln!(out, "(no finite candidates to chart)")?;
     } else {
         const W: usize = 64;
         const H: usize = 16;
@@ -905,17 +917,18 @@ fn cmd_roofline(args: &[String]) {
             } else {
                 String::new()
             };
-            println!("{label:>10} |{}", line.iter().collect::<String>());
+            writeln!(out, "{label:>10} |{}", line.iter().collect::<String>())?;
         }
-        println!("{:>10} +{}", "", "-".repeat(W));
-        println!(
+        writeln!(out, "{:>10} +{}", "", "-".repeat(W))?;
+        writeln!(
+            out,
             "{:>10}  {:<w$}{:>w2$}",
             "OI (F/B):",
             format!("{:.3e}", 10f64.powf(x_lo)),
             format!("{:.3e}", 10f64.powf(x_hi)),
             w = W / 2,
             w2 = W - W / 2
-        );
+        )?;
     }
     let mut t = Table::new(vec![
         "seq",
@@ -943,16 +956,16 @@ fn cmd_roofline(args: &[String]) {
             r.limiting.clone(),
         ]);
     }
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_scaling(args: &[String]) {
-    let f_mem = parse_or(args, 0, "f_mem", 0.3f64);
-    let study = ScalingStudy::paper_figs_8_to_11(f_mem).unwrap_or_else(|e| die(2, e));
+fn cmd_scaling(args: &[String], out: &mut dyn Write) -> Result {
+    let f_mem = parse_or(args, 0, "f_mem", 0.3f64)?;
+    let study = ScalingStudy::paper_figs_8_to_11(f_mem).map_err(invalid)?;
     let ns = [1.0, 4.0, 16.0, 64.0, 256.0, 1000.0];
     let mut t = Table::new(vec!["N", "W", "T(C=1)", "T(C=8)", "W/T(C=1)", "W/T(C=8)"]);
-    let c1 = study.sweep(&ns, 1.0).unwrap_or_else(|e| die(1, e));
-    let c8 = study.sweep(&ns, 8.0).unwrap_or_else(|e| die(1, e));
+    let c1 = study.sweep(&ns, 1.0).map_err(failed)?;
+    let c8 = study.sweep(&ns, 8.0).map_err(failed)?;
     for i in 0..ns.len() {
         t.row(vec![
             fmt_num(ns[i]),
@@ -963,10 +976,10 @@ fn cmd_scaling(args: &[String]) {
             fmt_num(c8[i].throughput),
         ]);
     }
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_table1() {
+fn cmd_table1(out: &mut dyn Write) -> Result {
     let workloads: Vec<(Box<dyn Workload>, &str)> = vec![
         (
             Box::new(c2_workloads::tmm::TiledMatMul::new(64, 8, 0)),
@@ -988,40 +1001,23 @@ fn cmd_table1() {
             .unwrap_or_else(|e| e.to_string());
         t.row(vec![w.name().to_string(), paper.to_string(), g]);
     }
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_trace(args: &[String]) {
-    let name = args.first().map(String::as_str).unwrap_or_else(|| usage());
-    let size = parse_or(args, 1, "size", 32u64);
-    let Some(w) = workload_by_name(name, size) else {
-        usage()
-    };
-    let trace = w.generate().combined();
-    let stdout = std::io::stdout();
-    // A closed pipe (e.g. `| head`) is a normal way to consume a dump.
-    if let Err(e) = c2_trace::io::write_trace(&trace, stdout.lock()) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            die(1, format!("write trace: {e}"));
-        }
-    }
+fn cmd_trace(args: &[String], out: &mut dyn Write) -> Result {
+    let (_, w) = positional_workload(args, 32)?;
+    Ok(c2_trace::io::write_trace(&w.generate().combined(), out)?)
 }
 
-fn cmd_characterize_file(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
-    let file = std::fs::File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    let trace = c2_trace::io::read_trace(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
+fn cmd_characterize_file(args: &[String], out: &mut dyn Write) -> Result {
+    let path = args.first().ok_or(Failure::Usage)?;
+    let file = std::fs::File::open(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
+    let trace = c2_trace::io::read_trace(io::BufReader::new(file))
+        .map_err(|e| failed(format!("cannot parse {path}: {e}")))?;
     let chip = ChipConfig::default_single_core();
     // A raw trace file carries no serial/parallel split; report f_seq = 0
     // and let the user supply it to `optimize` separately.
-    let ch = c2_workloads::characterize::characterize_trace(&trace, 0.0, &chip)
-        .expect("characterization failed");
+    let ch = c2_workloads::characterize::characterize_trace(&trace, 0.0, &chip).map_err(failed)?;
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec!["file".to_string(), path.to_string()]);
     t.row(vec![
@@ -1033,19 +1029,19 @@ fn cmd_characterize_file(args: &[String]) {
     t.row(vec!["C-AMAT".to_string(), fmt_num(ch.camat_value())]);
     t.row(vec!["C".to_string(), fmt_num(ch.concurrency())]);
     t.row(vec!["IPC".to_string(), fmt_num(ch.ipc)]);
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_multiobjective(args: &[String]) {
+fn cmd_multiobjective(args: &[String], out: &mut dyn Write) -> Result {
     use c2_bound::energy::{MultiObjective, PowerModel};
-    let weight = parse_or(args, 0, "weight", 0.5f64);
+    let weight = parse_or(args, 0, "weight", 0.5f64)?;
     let mut base = C2BoundModel::example_big_data();
     base.program =
-        ProgramProfile::new(1e9, 0.15, 0.3, 0.1, ScaleFunction::Power(0.5)).expect("profile");
+        ProgramProfile::new(1e9, 0.15, 0.3, 0.1, ScaleFunction::Power(0.5)).map_err(failed)?;
     let power = PowerModel::default();
     let clock = 3e9;
-    let mo = MultiObjective::new(base.clone(), power, weight, clock).unwrap_or_else(|e| die(2, e));
-    let v = mo.optimize().unwrap_or_else(|e| die(1, e));
+    let mo = MultiObjective::new(base.clone(), power, weight, clock).map_err(invalid)?;
+    let v = mo.optimize().map_err(failed)?;
     let mut t = Table::new(vec!["metric", "value"]);
     t.row(vec!["performance weight w".to_string(), fmt_num(weight)]);
     t.row(vec!["N (cores)".to_string(), fmt_num(v.n)]);
@@ -1069,10 +1065,10 @@ fn cmd_multiobjective(args: &[String]) {
         "EDP (J*s)".to_string(),
         fmt_num(power.edp(&base, &v, clock)),
     ]);
-    println!("{}", t.render());
+    Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_adaptive() {
+fn cmd_adaptive(out: &mut dyn Write) -> Result {
     use c2_bound::adaptive::AdaptiveDse;
     use c2_trace::synthetic::{
         MixedPhaseGenerator, PointerChaseGenerator, StridedGenerator, TraceGenerator,
@@ -1087,14 +1083,14 @@ fn cmd_adaptive() {
     .generate();
     let mut template = C2BoundModel::example_big_data();
     template.program =
-        ProgramProfile::new(1e9, 0.1, 0.3, 0.1, ScaleFunction::Power(0.5)).expect("profile");
+        ProgramProfile::new(1e9, 0.1, 0.3, 0.1, ScaleFunction::Power(0.5)).map_err(failed)?;
     let mut dse = AdaptiveDse::new(template);
     dse.phase_config = c2_trace::PhaseConfig {
         interval_len: 4000,
         clusters: 2,
         ..c2_trace::PhaseConfig::default()
     };
-    let plan = dse.plan(&trace).expect("adaptive plan");
+    let plan = dse.plan(&trace).map_err(failed)?;
     let mut t = Table::new(vec!["phase", "weight", "f_mem", "C", "N*", "CPI"]);
     for p in &plan.phases {
         t.row(vec![
@@ -1106,12 +1102,13 @@ fn cmd_adaptive() {
             fmt_num(p.design.cpi),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    Ok(writeln!(
+        out,
         "transitions: {}; reconfiguration gain: {}%",
         plan.transitions,
         fmt_num(100.0 * plan.improvement())
-    );
+    )?)
 }
 
 /// `serve`: the supervised DSE-as-a-service daemon (DESIGN.md §12).
@@ -1120,7 +1117,7 @@ fn cmd_adaptive() {
 /// command-line overrides. Prints `serving on <addr>` once the
 /// listener is bound, runs until drained (SIGTERM, `/shutdown`, or
 /// `--drain-on-idle`), and exits 0 with a drain summary.
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result {
     let mut addr = "127.0.0.1:0".to_string();
     let mut dir = std::path::PathBuf::from("serve-jobs");
     let mut scenario_path: Option<String> = None;
@@ -1130,37 +1127,27 @@ fn cmd_serve(args: &[String]) {
     let mut executors: Option<usize> = None;
     let mut queue_depth: Option<usize> = None;
     let mut budget: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--dir" => dir = std::path::PathBuf::from(value("--dir")),
-            "--scenario" => scenario_path = Some(value("--scenario")),
-            "--cache" => cache = Some(std::path::PathBuf::from(value("--cache"))),
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => addr = value(&mut rest, flag)?.to_string(),
+            "--dir" => dir = value(&mut rest, flag)?.into(),
+            "--scenario" => scenario_path = Some(value(&mut rest, flag)?.to_string()),
+            "--cache" => cache = Some(value(&mut rest, flag)?.into()),
             "--resume" => resume = true,
             "--drain-on-idle" => drain_on_idle = true,
-            "--executors" => executors = Some(parse_arg(&value("--executors"), "--executors")),
-            "--queue-depth" => {
-                queue_depth = Some(parse_arg(&value("--queue-depth"), "--queue-depth"));
-            }
-            "--budget" => budget = Some(parse_arg(&value("--budget"), "--budget")),
-            _ => usage(),
+            "--executors" => executors = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            "--queue-depth" => queue_depth = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            "--budget" => budget = Some(parse_arg(value(&mut rest, flag)?, flag)?),
+            _ => return Err(Failure::Usage),
         }
     }
     let spec = match &scenario_path {
-        Some(path) => load_scenario(path).serve,
+        Some(path) => load_scenario(path)?.serve,
         None => c2_config::ServeSpec::default(),
     };
-    let mut policy = c2_runner::ServePolicy::from_spec(&spec).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let mut policy = c2_runner::ServePolicy::from_spec(&spec).map_err(invalid)?;
     if let Some(v) = executors {
         policy.executors = v;
     }
@@ -1170,10 +1157,7 @@ fn cmd_serve(args: &[String]) {
     if let Some(v) = budget {
         policy.per_client_budget = v;
     }
-    if let Err(e) = policy.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    policy.validate().map_err(invalid)?;
     let options = c2_runner::ServeOptions {
         addr,
         dir,
@@ -1183,20 +1167,14 @@ fn cmd_serve(args: &[String]) {
         drain_on_idle,
         watch_sigterm: true,
     };
-    let mut daemon = c2_runner::Daemon::bind(options).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let mut daemon = c2_runner::Daemon::bind(options).map_err(failed)?;
     // Flushed eagerly: scripts parse this line from a pipe to learn
     // the ephemeral port before the daemon blocks in accept.
-    println!("serving on {}", daemon.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let report = daemon.run(&pipeline::Executor).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    println!(
+    writeln!(out, "serving on {}", daemon.local_addr())?;
+    out.flush()?;
+    let report = daemon.run(&pipeline::Executor).map_err(failed)?;
+    Ok(writeln!(
+        out,
         "drained: {} admitted ({} resumed), {} completed, {} failed, {} quarantined, \
          {} shed, {} pending for --resume",
         report.admitted,
@@ -1206,67 +1184,56 @@ fn cmd_serve(args: &[String]) {
         report.quarantined,
         report.shed,
         report.pending_at_drain
-    );
+    )?)
 }
 
-/// One HTTP exchange with a serve daemon, or a one-line error exit.
+/// One HTTP exchange with a serve daemon.
 fn daemon_call(
     addr: &str,
     method: &str,
     target: &str,
     headers: &[(&str, &str)],
     body: &[u8],
-) -> (u16, Vec<(String, String)>, Vec<u8>) {
+) -> Result<c2_runner::serve::protocol::ClientResponse> {
     c2_runner::serve::protocol::http_call(addr, method, target, headers, body, 10_000)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {method} {target} on {addr}: {e}");
-            std::process::exit(1);
-        })
+        .map_err(|e| failed(format!("{method} {target} on {addr}: {e}")))
 }
 
 /// `submit`: send a scenario file to a serve daemon. Prints the
 /// daemon's JSON response; with `--wait`, polls the job until it
 /// reaches a terminal state and exits nonzero unless it completed.
-fn cmd_submit(args: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut scenario_path: Option<String> = None;
-    let mut tenant = "anonymous".to_string();
+fn cmd_submit(args: &[String], out: &mut dyn Write) -> Result {
+    let mut addr: Option<&str> = None;
+    let mut scenario_path: Option<&str> = None;
+    let mut tenant = "anonymous";
     let mut wait = false;
     let mut poll_ms: u64 = 100;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")),
-            "--scenario" => scenario_path = Some(value("--scenario")),
-            "--tenant" => tenant = value("--tenant"),
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => addr = Some(value(&mut rest, flag)?),
+            "--scenario" => scenario_path = Some(value(&mut rest, flag)?),
+            "--tenant" => tenant = value(&mut rest, flag)?,
             "--wait" => wait = true,
-            "--poll-ms" => poll_ms = parse_arg(&value("--poll-ms"), "--poll-ms"),
-            _ => usage(),
+            "--poll-ms" => poll_ms = parse_arg(value(&mut rest, flag)?, flag)?,
+            _ => return Err(Failure::Usage),
         }
     }
     let (Some(addr), Some(scenario_path)) = (addr, scenario_path) else {
-        eprintln!("error: submit requires --addr and --scenario");
-        std::process::exit(2);
+        return Err(invalid("submit requires --addr and --scenario"));
     };
     // Sent verbatim: the daemon is the validation authority, so its
     // 422 body reports exactly what a local `scenario validate` would.
-    let body = std::fs::read(&scenario_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {scenario_path}: {e}");
-        std::process::exit(1);
-    });
+    let body = std::fs::read(scenario_path)
+        .map_err(|e| failed(format!("cannot read {scenario_path}: {e}")))?;
     let (status, headers, response) = daemon_call(
-        &addr,
+        addr,
         "POST",
         "/submit",
-        &[("X-Tenant", &tenant), ("Content-Type", "application/json")],
+        &[("X-Tenant", tenant), ("Content-Type", "application/json")],
         &body,
-    );
+    )?;
     let text = String::from_utf8_lossy(&response);
     if status != 202 {
         let retry = headers
@@ -1274,15 +1241,14 @@ fn cmd_submit(args: &[String]) {
             .find(|(k, _)| k == "retry-after")
             .map(|(_, v)| format!(" (retry after {v} s)"))
             .unwrap_or_default();
-        eprintln!(
-            "error: submission rejected with {status}{retry}: {}",
+        return Err(failed(format!(
+            "submission rejected with {status}{retry}: {}",
             text.trim()
-        );
-        std::process::exit(1);
+        )));
     }
-    print!("{text}");
+    write!(out, "{text}")?;
     if !wait {
-        return;
+        return Ok(());
     }
     let job = c2_config::Json::parse(&text)
         .ok()
@@ -1291,15 +1257,11 @@ fn cmd_submit(args: &[String]) {
                 .and_then(|pairs| pairs.iter().find(|(k, _)| k == "job").cloned())
         })
         .and_then(|(_, v)| v.as_str().map(str::to_string))
-        .unwrap_or_else(|| {
-            eprintln!("error: daemon's 202 response carried no job id");
-            std::process::exit(1);
-        });
+        .ok_or_else(|| failed("daemon's 202 response carried no job id"))?;
     loop {
-        let (status, _, response) = daemon_call(&addr, "GET", &format!("/status/{job}"), &[], b"");
+        let (status, _, response) = daemon_call(addr, "GET", &format!("/status/{job}"), &[], b"")?;
         if status != 200 {
-            eprintln!("error: status poll for {job} returned {status}");
-            std::process::exit(1);
+            return Err(failed(format!("status poll for {job} returned {status}")));
         }
         let text = String::from_utf8_lossy(&response);
         let state = c2_config::Json::parse(&text)
@@ -1311,13 +1273,10 @@ fn cmd_submit(args: &[String]) {
             .and_then(|(_, v)| v.as_str().map(str::to_string))
             .unwrap_or_default();
         match state.as_str() {
-            "completed" => {
-                print!("{text}");
-                return;
-            }
+            "completed" => return Ok(write!(out, "{text}")?),
             "failed" | "quarantined" => {
                 eprint!("{text}");
-                std::process::exit(1);
+                return Err(Failure::Exit(1));
             }
             _ => std::thread::sleep(std::time::Duration::from_millis(poll_ms)),
         }
@@ -1325,102 +1284,104 @@ fn cmd_submit(args: &[String]) {
 }
 
 /// `status`: print a daemon's job table, or one job's detail.
-fn cmd_status(args: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut job: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+fn cmd_status(args: &[String], out: &mut dyn Write) -> Result {
+    let mut addr: Option<&str> = None;
+    let mut job: Option<&str> = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("error: --addr requires a value");
-                    std::process::exit(2);
-                }));
-            }
-            other if !other.starts_with('-') && job.is_none() => job = Some(other.to_string()),
-            _ => usage(),
+            "--addr" => addr = Some(value(&mut rest, arg)?),
+            other if !other.starts_with('-') && job.is_none() => job = Some(other),
+            _ => return Err(Failure::Usage),
         }
     }
-    let Some(addr) = addr else {
-        eprintln!("error: status requires --addr");
-        std::process::exit(2);
-    };
-    let target = match &job {
+    let addr = addr.ok_or_else(|| invalid("status requires --addr"))?;
+    let target = match job {
         Some(id) => format!("/status/{id}"),
         None => "/status".to_string(),
     };
-    let (status, _, response) = daemon_call(&addr, "GET", &target, &[], b"");
-    print!("{}", String::from_utf8_lossy(&response));
+    let (status, _, response) = daemon_call(addr, "GET", &target, &[], b"")?;
+    write!(out, "{}", String::from_utf8_lossy(&response))?;
     if status != 200 {
-        std::process::exit(1);
+        return Err(Failure::Exit(1));
     }
+    Ok(())
 }
 
 /// `shutdown`: ask a daemon to drain. With `--wait`, blocks until the
 /// daemon's socket stops answering (i.e. the process exited).
-fn cmd_shutdown(args: &[String]) {
-    let mut addr: Option<String> = None;
+fn cmd_shutdown(args: &[String], out: &mut dyn Write) -> Result {
+    let mut addr: Option<&str> = None;
     let mut wait = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("error: --addr requires a value");
-                    std::process::exit(2);
-                }));
-            }
+            "--addr" => addr = Some(value(&mut rest, arg)?),
             "--wait" => wait = true,
-            _ => usage(),
+            _ => return Err(Failure::Usage),
         }
     }
-    let Some(addr) = addr else {
-        eprintln!("error: shutdown requires --addr");
-        std::process::exit(2);
-    };
-    let (status, _, response) = daemon_call(&addr, "POST", "/shutdown", &[], b"");
-    print!("{}", String::from_utf8_lossy(&response));
+    let addr = addr.ok_or_else(|| invalid("shutdown requires --addr"))?;
+    let (status, _, response) = daemon_call(addr, "POST", "/shutdown", &[], b"")?;
+    write!(out, "{}", String::from_utf8_lossy(&response))?;
     if status != 200 {
-        std::process::exit(1);
+        return Err(Failure::Exit(1));
     }
     if wait {
         // Poll until the daemon stops answering — i.e. the drain
         // finished and the listener closed.
-        while c2_runner::serve::protocol::http_call(&addr, "GET", "/status", &[], b"", 2_000)
-            .is_ok()
+        while c2_runner::serve::protocol::http_call(addr, "GET", "/status", &[], b"", 2_000).is_ok()
         {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
     }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("characterize-file") => cmd_characterize_file(&args[1..]),
-        Some("optimize") => cmd_optimize(&args[1..]),
-        Some("aps") => cmd_aps(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("shutdown") => cmd_shutdown(&args[1..]),
-        Some("journal") => cmd_journal(&args[1..]),
-        Some("scenario") => cmd_scenario(&args[1..]),
-        Some("roofline") => cmd_roofline(&args[1..]),
-        Some("obs-report") => cmd_obs_report(&args[1..]),
-        Some("scaling") => cmd_scaling(&args[1..]),
-        Some("table1") => cmd_table1(),
-        Some("multiobjective") => cmd_multiobjective(&args[1..]),
-        Some("adaptive") => cmd_adaptive(),
+    let rest = args.get(1..).unwrap_or_default();
+    // The unlocked handle: no engine or daemon thread ever waits on a
+    // stdout lock held across a subcommand.
+    let out = &mut io::stdout();
+    let result = match args.first().map(String::as_str) {
+        Some("characterize") => cmd_characterize(rest, out),
+        Some("trace") => cmd_trace(rest, out),
+        Some("characterize-file") => cmd_characterize_file(rest, out),
+        Some("optimize") => cmd_optimize(rest, out),
+        Some("aps") => cmd_aps(rest, out),
+        Some("run") => cmd_run(rest, out),
+        Some("serve") => cmd_serve(rest, out),
+        Some("submit") => cmd_submit(rest, out),
+        Some("status") => cmd_status(rest, out),
+        Some("shutdown") => cmd_shutdown(rest, out),
+        Some("journal") => cmd_journal(rest, out),
+        Some("scenario") => cmd_scenario(rest, out),
+        Some("roofline") => cmd_roofline(rest, out),
+        Some("obs-report") => cmd_obs_report(rest, out),
+        Some("scaling") => cmd_scaling(rest, out),
+        Some("table1") => cmd_table1(out),
+        Some("multiobjective") => cmd_multiobjective(rest, out),
+        Some("adaptive") => cmd_adaptive(out),
         Some(other) => {
             // An unrecognized subcommand is an explicit error on
             // stderr plus the usage text — never a silent fallthrough.
             eprintln!("error: unknown subcommand {other:?}");
-            usage()
+            Err(Failure::Usage)
         }
-        None => usage(),
-    }
+        None => Err(Failure::Usage),
+    };
+    let code = match result.and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => 0,
+        Err(Failure::Usage) => {
+            eprintln!("{USAGE}");
+            2
+        }
+        Err(Failure::Error(code, msg)) => {
+            eprintln!("error: {msg}");
+            code
+        }
+        Err(Failure::Exit(code)) => code,
+    };
+    std::process::exit(code);
 }

@@ -102,7 +102,7 @@ pub struct CpuSetup {
 }
 
 /// Generate and characterize the scenario's workload and assemble its
-/// APS. `c2bound-tool aps` runs this step too.
+/// APS: the CPU-CMP set-up step of [`execute`].
 pub fn cpu_setup(sc: &Scenario) -> Result<CpuSetup, Error> {
     let workload = c2_workloads::workload_from_spec(&sc.workload)
         .ok_or_else(|| Error::UnknownWorkload(sc.workload.name.clone()))?;

@@ -142,29 +142,143 @@ fn rejected_arguments_and_failed_writes_exit_with_one_error_line() {
         (&["optimize", "0.05", "0.3", "1.5", "10", "40"], 2),
         (&["optimize", "0.05", "0.3", "1.5", "400", "-5"], 2),
         (&["optimize", "0.05", "0.3", "1.5", "40.001", "40"], 1),
+        (&["optimize", "0.05", "0.3", "nan"], 2),
+        (&["optimize", "0.05", "0.3", "inf"], 2),
+        (&["optimize", "0.05", "0.3", "-1"], 2),
+        (&["optimize", "0.05", "0.3", "1.5", "inf", "40"], 2),
+        (&["characterize", "stencil", "0"], 2),
+        (&["trace", "stencil", "0"], 2),
         (&["scaling", "5"], 2),
         (&["scaling", "nan"], 2),
         (&["multiobjective", "7"], 2),
     ];
-    let check = |args: &[&str], code: i32, out: Output| {
-        let err = String::from_utf8_lossy(&out.stderr);
+    let check = |args: &[&str], code: i32, out: Output| -> String {
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
         assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
         assert!(err.starts_with("error: "), "{args:?}: {err}");
         assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        err
     };
     for &(args, code) in cases {
         check(args, code, tool().args(args).output().expect("spawn"));
     }
-    // A dump to a full device is a failed write, not a panic.
-    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
-        let args = ["trace", "stencil", "8"];
+    // (arguments, expected exit code, expected start of the error line).
+    let named: &[(&[&str], i32, &str)] = &[
+        (
+            &["roofline", "/nonexistent"],
+            1,
+            "error: cannot open /nonexistent: ",
+        ),
+        (
+            &["obs-report", "/nonexistent"],
+            1,
+            "error: cannot open /nonexistent: ",
+        ),
+        (
+            &["characterize-file", "/nonexistent"],
+            1,
+            "error: cannot open /nonexistent: ",
+        ),
+        (
+            &["run", "stencil", "8", "--threads"],
+            2,
+            "error: --threads requires a value\n",
+        ),
+    ];
+    for &(args, code, start) in named {
+        let err = check(args, code, tool().args(args).output().expect("spawn"));
+        assert!(err.starts_with(start), "{args:?}: {err}");
+    }
+
+    // Every printing subcommand, with stdout on a full device, reports
+    // the failed write instead of panicking. The file readers get real
+    // inputs first, so the write is what fails.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let dir = std::env::temp_dir().join(format!("c2bound-full-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (trace, metrics, roofline, journal) = (
+        file("t.trace"),
+        file("m.json"),
+        file("r.json"),
+        file("j.jsonl"),
+    );
+    let out = tool()
+        .args(["trace", "stencil", "8"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    std::fs::write(&trace, out.stdout).unwrap();
+    let out = tool()
+        .args(["run", "--scenario", QUICK, "--metrics-out", &metrics])
+        .args(["--roofline-out", &roofline])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/legacy_checkpoint.journal.jsonl"
+        ),
+        &journal,
+    )
+    .unwrap();
+    let printing: &[&[&str]] = &[
+        &["table1"],
+        &["scaling"],
+        &["optimize"],
+        &["characterize", "stencil", "8"],
+        &["aps", "stencil", "8"],
+        &["run", "stencil", "8"],
+        &["scenario", "init"],
+        &["scenario", "show", QUICK],
+        &["multiobjective"],
+        &["adaptive"],
+        &["journal", "compact", &journal],
+        &["obs-report", &metrics],
+        &["roofline", &roofline],
+        &["characterize-file", &trace],
+        &["trace", "stencil", "8"],
+    ];
+    for &args in printing {
         let out = tool()
             .args(args)
-            .stdout(Stdio::from(full))
+            .stdout(Stdio::from(full.try_clone().expect("dup /dev/full")))
             .output()
             .expect("spawn");
-        check(&args, 1, out);
+        check(args, 1, out);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `aps` reports what the sequential `Aps::run` driver reports for the
+/// same workload: these four lines for `stencil 12`, byte for byte.
+#[test]
+fn aps_prints_the_pinned_outcome() {
+    let out = tool()
+        .args(["aps", "stencil", "12"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "APS over a 2304-point space; refining 9 microarchitecture points with real simulations...\n\
+         chosen: N = 8, A0 = 8.000 mm2, L1 = 0.500 mm2, L2 = 2.000 mm2, issue = 4, ROB = 128\n\
+         simulations used: 9; best simulated time: 896.0 cycles; calibrated model error: 10.377%\n\
+         refinement: 9/9 points simulated (0 retried, 0 skipped, 9 oracle calls, degradation: None)\n"
+    );
 }
 
 #[test]
