@@ -4,6 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use c2_bound::dse::{chip_config_for, DesignPoint};
+use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::{ChipConfig, Simulator};
 use c2_trace::synthetic::{RandomGenerator, StridedGenerator, TraceGenerator};
 use c2_workloads::fft::Fft;
@@ -42,6 +44,30 @@ fn bench_simulator(c: &mut Criterion) {
                 .run(black_box(&per_core))
                 .unwrap()
         })
+    });
+
+    // One run of the `sim_wide` benchmark's chosen point: fluidanimate
+    // 100 over 512 cores that each fill a few of their cache sets.
+    let point = DesignPoint {
+        a0: 0.5,
+        a1: 0.05,
+        a2: 0.1,
+        n: 512,
+        issue_width: 6,
+        rob_size: 256,
+    };
+    let budget = SiliconBudget::new(400.0, 40.0).unwrap();
+    let wide = chip_config_for(&point, &AreaModel::default(), &budget).unwrap();
+    let spec = c2_config::WorkloadSpec {
+        name: "fluidanimate".to_string(),
+        size: 100,
+    };
+    let fluid = c2_workloads::workload_from_spec(&spec)
+        .unwrap()
+        .generate()
+        .per_core_traces(point.n);
+    group.bench_function("fluidanimate_100_512_cores", |b| {
+        b.iter(|| Simulator::new(wide.clone()).run(black_box(&fluid)).unwrap())
     });
     group.finish();
 }

@@ -14,26 +14,29 @@ pub enum LookupResult {
 /// A set-associative cache array (state only — timing lives in the chip
 /// engine).
 ///
-/// Each way is two words of one flat vector, set-major: the line's tag,
-/// then a stamp `last_used << 1 | dirty`. Every access and install first
-/// advances the clock, so a resident line's stamp is at least 2 and a
-/// zero stamp marks an invalid way. The all-zero vector is therefore the
-/// empty cache. The first install into an empty set fills its way 0, and
-/// nothing else writes to an empty set, so the array records those
-/// installs: its reset zeroes only the sets they name and hands a
-/// run's successor the empty cache without clearing or reallocating
-/// the whole array.
+/// It stores only the sets a run fills. `index` holds one word per set:
+/// 0 while the set is empty, else 1 + the number of the set's block. A
+/// block is `2·ways` words of one compact vector, appended at its set's
+/// first install. Each way is the line's tag, then a stamp
+/// `last_used << 1 | dirty`. Every access and install first advances
+/// the clock, so a resident line's stamp is at least 2 and a zero stamp
+/// marks an invalid way: a new block is all zero. A lookup in an empty
+/// set misses without reading block memory. `block_sets` names each
+/// block's set, so a reset zeroes only those index words and truncates
+/// the blocks, and hands a run's successor the empty cache in time
+/// proportional to the sets its predecessor filled.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
     ways: usize,
     banks: usize,
     line_size: u64,
-    data: Vec<u64>,
-    /// Sets filled from empty since the last reset; past
-    /// [`CacheArray::filled_cap`] entries it stops growing and the next
-    /// reset clears the whole array.
-    filled: Vec<usize>,
+    /// Per set: 0 if empty, else 1 + the number of its block.
+    index: Vec<u32>,
+    /// The filled sets' ways, `2·ways` words per block, in fill order.
+    blocks: Vec<u64>,
+    /// The set each block belongs to.
+    block_sets: Vec<usize>,
     clock: u64,
     // Statistics
     hits: u64,
@@ -48,58 +51,55 @@ const DIRTY: u64 = 1;
 impl CacheArray {
     /// Build from a validated configuration.
     pub fn new(config: &CacheConfig) -> Self {
-        let words = 2 * config.sets() * config.associativity;
-        CacheArray::with_storage(config, vec![0; words], Vec::new())
+        CacheArray::with_storage(config, vec![0; config.sets()], Vec::new(), Vec::new())
     }
 
-    /// Empty the array and take `config`'s banking: the state
-    /// [`CacheArray::new`] builds. An array of the same sets and ways
-    /// keeps its storage and zeroes only the sets filled since its last
-    /// reset, or all of it once more than a quarter of them were; any
-    /// other geometry is built anew.
+    /// Empty the array and take `config`'s geometry and banking: the
+    /// state [`CacheArray::new`] builds. An array of the same set count
+    /// zeroes the index words of the sets it filled since its last
+    /// reset; any other builds its index anew. The blocks are truncated
+    /// either way.
     pub(crate) fn reset(&mut self, config: &CacheConfig) {
-        if (self.sets, self.ways) != (config.sets(), config.associativity) {
-            // Free the old array first, so two are never live at once.
-            self.data = Vec::new();
-            *self = CacheArray::new(config);
-            return;
-        }
-        let mut data = std::mem::take(&mut self.data);
-        let mut filled = std::mem::take(&mut self.filled);
-        if filled.len() > self.filled_cap() {
-            data.fill(0);
-        } else {
-            let set_words = 2 * self.ways;
-            for &set in &filled {
-                data[set * set_words..(set + 1) * set_words].fill(0);
+        let index = if self.index.len() == config.sets() {
+            let mut index = std::mem::take(&mut self.index);
+            for &set in &self.block_sets {
+                index[set] = 0;
             }
-        }
-        filled.clear();
-        *self = CacheArray::with_storage(config, data, filled);
+            index
+        } else {
+            // Free the old index first, so two are never live at once.
+            self.index = Vec::new();
+            vec![0; config.sets()]
+        };
+        let mut blocks = std::mem::take(&mut self.blocks);
+        let mut block_sets = std::mem::take(&mut self.block_sets);
+        blocks.clear();
+        block_sets.clear();
+        *self = CacheArray::with_storage(config, index, blocks, block_sets);
     }
 
-    /// An array of `config`'s geometry over zeroed `data` and an empty
-    /// `filled` list.
-    fn with_storage(config: &CacheConfig, data: Vec<u64>, filled: Vec<usize>) -> Self {
+    /// An array of `config`'s geometry over a zeroed `index` and no
+    /// blocks.
+    fn with_storage(
+        config: &CacheConfig,
+        index: Vec<u32>,
+        blocks: Vec<u64>,
+        block_sets: Vec<usize>,
+    ) -> Self {
         CacheArray {
             sets: config.sets(),
             ways: config.associativity,
             banks: config.banks,
             line_size: config.line_size,
-            data,
-            filled,
+            index,
+            blocks,
+            block_sets,
             clock: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
             dirty_evictions: 0,
         }
-    }
-
-    /// How many filled sets are zeroed one by one; past this a reset
-    /// clears the whole array.
-    fn filled_cap(&self) -> usize {
-        self.sets / 4
     }
 
     #[inline]
@@ -119,22 +119,43 @@ impl CacheArray {
         addr / self.line_size
     }
 
-    /// Global index of the way holding `line`, if it is resident.
+    /// Offset in `blocks` of the first word of `set`'s block, if the set
+    /// holds one.
     #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
-        let base = self.set_index(line) * self.ways;
-        let tag = line / self.sets as u64;
-        self.data[2 * base..2 * (base + self.ways)]
-            .chunks_exact(2)
-            .position(|w| w[0] == tag && w[1] != 0)
-            .map(|i| base + i)
+    fn block_of(&self, set: usize) -> Option<usize> {
+        match self.index[set] {
+            0 => None,
+            number => Some((number as usize - 1) * 2 * self.ways),
+        }
     }
 
-    /// Stamp `way` as used now, setting its dirty bit if `dirty`.
+    /// Offset in `blocks` of the way holding `line`, if it is resident.
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.block_of(self.set_index(line))?;
+        let tag = line / self.sets as u64;
+        self.blocks[base..base + 2 * self.ways]
+            .chunks_exact(2)
+            .position(|w| w[0] == tag && w[1] != 0)
+            .map(|i| base + 2 * i)
+    }
+
+    /// Stamp the way at `way` as used now, setting its dirty bit if
+    /// `dirty`.
     #[inline]
     fn touch(&mut self, way: usize, dirty: bool) {
-        let stamp = &mut self.data[2 * way + 1];
+        let stamp = &mut self.blocks[way + 1];
         *stamp = self.clock << 1 | (*stamp & DIRTY) | dirty as u64;
+    }
+
+    /// Append an empty block for `set` and return its offset.
+    fn add_block(&mut self, set: usize) -> usize {
+        debug_assert!(self.block_sets.len() < self.sets, "a set holds two blocks");
+        let base = self.blocks.len();
+        self.blocks.resize(base + 2 * self.ways, 0);
+        self.block_sets.push(set);
+        self.index[set] = u32::try_from(self.block_sets.len()).expect("fewer than 2^32 sets");
+        base
     }
 
     /// Probe without updating replacement state or statistics.
@@ -177,20 +198,18 @@ impl CacheArray {
         // the smallest one is the first invalid way if there is one, else
         // the least recently used.
         let set = self.set_index(line);
-        let base = set * self.ways;
-        let victim = (base..base + self.ways)
-            .min_by_key(|&w| self.data[2 * w + 1] >> 1)
+        let base = self.block_of(set).unwrap_or_else(|| self.add_block(set));
+        let victim = (base..base + 2 * self.ways)
+            .step_by(2)
+            .min_by_key(|&w| self.blocks[w + 1] >> 1)
             .unwrap_or(base);
-        let old_stamp = self.data[2 * victim + 1];
-        if victim == base && old_stamp == 0 && self.filled.len() <= self.filled_cap() {
-            self.filled.push(set);
-        }
+        let old_stamp = self.blocks[victim + 1];
         let evicted = (old_stamp != 0).then(|| {
-            let victim_line = self.data[2 * victim] * self.sets as u64 + set as u64;
+            let victim_line = self.blocks[victim] * self.sets as u64 + set as u64;
             (victim_line, old_stamp & DIRTY != 0)
         });
-        self.data[2 * victim] = line / self.sets as u64;
-        self.data[2 * victim + 1] = self.clock << 1 | dirty as u64;
+        self.blocks[victim] = line / self.sets as u64;
+        self.blocks[victim + 1] = self.clock << 1 | dirty as u64;
         if let Some((_, d)) = evicted {
             self.evictions += 1;
             if d {
@@ -206,14 +225,14 @@ impl CacheArray {
         let Some(way) = self.find(line) else {
             return false;
         };
-        self.data[2 * way + 1] |= DIRTY;
+        self.blocks[way + 1] |= DIRTY;
         true
     }
 
     /// Invalidate a line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let way = self.find(line)?;
-        let stamp = std::mem::take(&mut self.data[2 * way + 1]);
+        let stamp = std::mem::take(&mut self.blocks[way + 1]);
         Some(stamp & DIRTY != 0)
     }
 
@@ -249,7 +268,7 @@ impl CacheArray {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.data.chunks_exact(2).filter(|w| w[1] != 0).count()
+        self.blocks.chunks_exact(2).filter(|w| w[1] != 0).count()
     }
 }
 
@@ -259,8 +278,9 @@ mod tests {
     use crate::config::CacheConfig;
     use proptest::prelude::*;
 
-    /// The array-of-structs layout `CacheArray` used before its zeroed
-    /// two-word layout, kept as the reference model for the proptest.
+    /// The dense array-of-structs layout `CacheArray` used before its
+    /// two-word blocks of filled sets, kept as the reference model for
+    /// the proptest.
     #[derive(Debug, Clone, Copy, Default)]
     struct Way {
         valid: bool,
@@ -385,7 +405,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         #[test]
-        fn zeroed_layout_matches_the_way_struct_reference(
+        fn filled_set_blocks_match_the_way_struct_reference(
             ways in 1usize..9,
             set_bits in 0u32..7,
             ops in prop::collection::vec((0u8..9, 0u64..1 << 20, 0u8..2), 0..600),
@@ -415,12 +435,13 @@ mod tests {
                     5 => prop_assert_eq!(cache.probe(line), reference.probe(line)),
                     6 => prop_assert_eq!(cache.mark_dirty(line), reference.mark_dirty(line)),
                     7 => prop_assert_eq!(cache.invalidate(line), reference.invalidate(line)),
-                    // Zeroes the sets filled since the last reset, or the
-                    // whole array past its cap: either way the empty cache.
+                    // Zeroes the index words of the sets filled since the
+                    // last reset and drops their blocks: the empty cache.
                     _ => {
                         cache.reset(&config);
                         reference = Reference::new(&config);
-                        prop_assert!(cache.data.iter().all(|&word| word == 0));
+                        prop_assert!(cache.index.iter().all(|&number| number == 0));
+                        prop_assert!(cache.blocks.is_empty() && cache.block_sets.is_empty());
                     }
                 }
             }

@@ -35,19 +35,30 @@
 //!   through the current cycle right after its step, the only case that
 //!   adds an Eq. 7 overlap cycle, and `finish` accounts every core
 //!   through the last cycle.
+//! * **Timed transitions.** A `Calendar` of per-cycle slots holds
+//!   them. Each cycle's pass hands out the ids due in it in ascending
+//!   order, and an id a handler schedules for the cycle being processed
+//!   (a NoC hop of 0 cycles) joins the pass in order. That is the
+//!   `(cycle, id)` order of the min-heap the calendar replaced. Nothing
+//!   is scheduled for a cycle already processed: hit latencies are at
+//!   least 1, and NoC hops are scheduled before or during the pass.
 //!
 //! # Per-event cost
 //!
-//! Each event's bookkeeping takes constant time. The L2 queue is a
-//! ring buffer that dispatch removes from near its front. A request
-//! carries its ROB index, which completion marks done, and its miss's
-//! start epoch, which retirement hands back to the detector, so nothing
-//! is looked up by id. DRAM retries wait while the controller queue is
-//! full, where each would fail, and a queued DRAM request carries its
-//! bank and row. DESIGN.md §16 says why each keeps results exact.
+//! Each event's bookkeeping takes constant time. Scheduling is a push
+//! onto a slot, and a pass sorts only its own cycle's ids. The L2 queue
+//! is a ring buffer that dispatch removes from near its front. A
+//! request carries its ROB index, which completion marks done, and its
+//! miss's start epoch, which retirement hands back to the detector, so
+//! nothing is looked up by id. DRAM retries wait while the controller
+//! queue is full, where each would fail, and a queued DRAM request
+//! carries its bank and row. Memory follows what a run touches: each
+//! [`CacheArray`] stores only the sets it filled, a ROB entry is one
+//! word, and an MSHR scan reads only its entries' lines. DESIGN.md §16
+//! says why each keeps results exact.
 
 use std::cell::Cell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use c2_camat::detector::CamatDetector;
 use c2_camat::{Apc, LayerApc, MemoryLayer};
@@ -202,13 +213,13 @@ struct Engine {
     /// Pending DRAM writebacks (line indices) awaiting queue space.
     wb_pending: Vec<u64>,
     wb_inflight: u64,
-    /// Timed state transitions: (due cycle, request id), min-first.
-    schedule: std::collections::BinaryHeap<std::cmp::Reverse<(u64, ReqId)>>,
+    /// Timed state transitions, handed out in (due cycle, id) order.
+    calendar: Calendar,
     /// Per-core FIFOs of requests waiting for a free L1 MSHR entry
     /// (woken when a fill releases one — never polled per cycle).
-    retry_l1: Vec<std::collections::VecDeque<ReqId>>,
+    retry_l1: Vec<VecDeque<ReqId>>,
     /// Requests waiting for a free L2 MSHR entry (woken on DRAM fills).
-    retry_l2: std::collections::VecDeque<ReqId>,
+    retry_l2: VecDeque<ReqId>,
     /// Requests waiting for DRAM queue space (small: bounded by the L2
     /// MSHR file; polled per cycle).
     retry_dram: Vec<ReqId>,
@@ -267,7 +278,7 @@ impl Engine {
             next_wb: WB_BASE,
             wb_pending: Vec::new(),
             wb_inflight: 0,
-            schedule: BinaryHeap::new(),
+            calendar: Calendar::default(),
             retry_l1: Vec::new(),
             retry_l2: VecDeque::new(),
             retry_dram: Vec::new(),
@@ -314,7 +325,7 @@ impl Engine {
             next_wb,
             wb_pending,
             wb_inflight,
-            schedule,
+            calendar,
             retry_l1,
             retry_l2,
             retry_dram,
@@ -372,7 +383,14 @@ impl Engine {
         *next_wb = WB_BASE;
         wb_pending.clear();
         *wb_inflight = 0;
-        schedule.clear();
+        calendar.reset(
+            config
+                .l1
+                .hit_latency
+                .max(config.l2.hit_latency)
+                .max(config.noc.l1_l2_latency)
+                .max(config.noc.l2_mem_latency),
+        );
         retry_l2.clear();
         retry_dram.clear();
         defaults(hits_in_flight, n);
@@ -478,7 +496,7 @@ impl Engine {
         for &w in &waiters {
             if let Some(r) = self.requests.get_mut(&w) {
                 r.state = ReqState::FillToL1 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, w)));
+                self.calendar.push(arrive, w);
             }
         }
         self.waiter_buf = waiters;
@@ -486,13 +504,11 @@ impl Engine {
         self.drain_l2_retries(now);
     }
 
-    /// Pop every scheduled transition due at or before `now`.
+    /// Handle every transition due at `now`, in ascending request id,
+    /// including those the handlers schedule for `now` itself.
     fn process_events(&mut self, now: u64) {
-        while let Some(&std::cmp::Reverse((when, id))) = self.schedule.peek() {
-            if when > now {
-                break;
-            }
-            self.schedule.pop();
+        self.calendar.begin(now);
+        while let Some(id) = self.calendar.pop() {
             let Some(r) = self.requests.get(&id).copied() else {
                 continue; // already completed (stale event)
             };
@@ -526,7 +542,7 @@ impl Engine {
                         let arrive = now + self.config.noc.l1_l2_latency as u64;
                         self.requests.get_mut(&id).unwrap().state =
                             ReqState::FillToL1 { arrive_at: arrive };
-                        self.schedule.push(std::cmp::Reverse((arrive, id)));
+                        self.calendar.push(arrive, id);
                     } else {
                         self.l2_miss_to_mshr(id, now);
                     }
@@ -634,7 +650,7 @@ impl Engine {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.calendar.push(arrive, id);
             }
             // Unreachable given the checks above, but stay safe.
             MshrOutcome::Merged => {
@@ -665,7 +681,7 @@ impl Engine {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.calendar.push(arrive, id);
             }
             MshrOutcome::Merged => {
                 self.requests.get_mut(&id).unwrap().state = ReqState::WaitL1Fill;
@@ -688,7 +704,7 @@ impl Engine {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l2_mem_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToDram { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.calendar.push(arrive, id);
             }
             MshrOutcome::Merged => {
                 self.requests.get_mut(&id).unwrap().state = ReqState::WaitL2Fill;
@@ -839,7 +855,7 @@ impl Engine {
                 let done = now + self.config.l2.hit_latency as u64;
                 self.requests.get_mut(&id).unwrap().state =
                     ReqState::L2Lookup { done_at: done, hit };
-                self.schedule.push(std::cmp::Reverse((done, id)));
+                self.calendar.push(done, id);
                 self.l2_queue.remove(i);
                 dispatched += 1;
             } else {
@@ -944,7 +960,7 @@ impl Engine {
                             is_prefetch: false,
                         },
                     );
-                    self.schedule.push(std::cmp::Reverse((done_at, id)));
+                    self.calendar.push(done_at, id);
                     self.account(core_idx, now);
                     if self.hits_in_flight[core_idx] == 0 {
                         self.cores_with_hits += 1;
@@ -1053,6 +1069,95 @@ fn defaults<T: Default + Clone>(values: &mut Vec<T>, n: usize) {
     values.resize(n, T::default());
 }
 
+/// The longest ring [`Calendar::reset`] builds, in cycles.
+const MAX_CALENDAR_SPAN: u64 = 1024;
+
+/// The engine's timed state transitions: `(due cycle, request id)`
+/// pairs, handed out cycle by cycle in ascending id. That is the order
+/// in which a min-heap of the pairs pops them.
+///
+/// A ring of per-cycle slots holds the pairs: cycle `c`'s go to slot
+/// `c % slots.len()`. A pair due in a later turn of the ring stays in
+/// its slot until its cycle comes round, so every latency fits; a ring
+/// longer than the engine's longest latency never holds one. The
+/// engine opens every cycle in turn with [`Calendar::begin`] and drains
+/// it with [`Calendar::pop`], and it schedules nothing for a cycle
+/// already drained.
+#[derive(Debug, Default)]
+struct Calendar {
+    slots: Vec<Vec<(u64, ReqId)>>,
+    /// The open cycle's ids not yet handed out, largest first.
+    due: Vec<ReqId>,
+    /// The open cycle, or the next one to open if `!open`. Every cycle
+    /// before it is drained.
+    now: u64,
+    open: bool,
+}
+
+impl Calendar {
+    /// Empty the calendar for a run whose latencies are at most
+    /// `longest` cycles: one slot per cycle of that span plus one,
+    /// rounded up to a power of two and capped at
+    /// [`MAX_CALENDAR_SPAN`].
+    fn reset(&mut self, longest: u32) {
+        let span = (u64::from(longest) + 1)
+            .next_power_of_two()
+            .min(MAX_CALENDAR_SPAN) as usize;
+        self.slots.truncate(span);
+        for slot in &mut self.slots {
+            slot.clear();
+        }
+        self.slots.resize_with(span, Vec::new);
+        self.due.clear();
+        self.now = 0;
+        self.open = false;
+    }
+
+    /// Schedule `id` for cycle `at`. An id for the open cycle joins the
+    /// ids still to be handed out in it, in order.
+    fn push(&mut self, at: u64, id: ReqId) {
+        debug_assert!(at >= self.now, "cycle {at} is already drained");
+        if self.open && at == self.now {
+            let i = self.due.partition_point(|&d| d > id);
+            self.due.insert(i, id);
+        } else {
+            let mask = self.slots.len() as u64 - 1;
+            self.slots[(at & mask) as usize].push((at, id));
+        }
+    }
+
+    /// Open cycle `now`, the one after the last drained: sort the ids
+    /// due in it.
+    fn begin(&mut self, now: u64) {
+        debug_assert!(
+            !self.open && now == self.now,
+            "cycle {now} opened out of turn"
+        );
+        let mask = self.slots.len() as u64 - 1;
+        let due = &mut self.due;
+        self.slots[(now & mask) as usize].retain(|&(at, id)| {
+            debug_assert!(at >= now, "cycle {at}'s id {id} was never handed out");
+            if at == now {
+                due.push(id);
+            }
+            at != now
+        });
+        due.sort_unstable_by(|a, b| b.cmp(a));
+        self.now = now;
+        self.open = true;
+    }
+
+    /// The smallest id due in the open cycle; `None` drains the cycle.
+    fn pop(&mut self) -> Option<ReqId> {
+        let id = self.due.pop();
+        if id.is_none() && self.open {
+            self.open = false;
+            self.now += 1;
+        }
+        id
+    }
+}
+
 /// Convenience: the APC reading of a [`LayerStats`].
 pub fn layer_apc(stats: &LayerStats) -> Apc {
     stats.apc()
@@ -1065,9 +1170,117 @@ mod tests {
         PointerChaseGenerator, RandomGenerator, StridedGenerator, TraceGenerator,
     };
     use c2_trace::TraceBuilder;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn single(config: ChipConfig, trace: Trace) -> SimResult {
         Simulator::new(config).run(&[trace]).unwrap()
+    }
+
+    /// What the engine asks of its event schedule.
+    trait Schedule {
+        fn push(&mut self, at: u64, id: ReqId);
+        fn begin(&mut self, now: u64);
+        fn pop(&mut self) -> Option<ReqId>;
+    }
+
+    impl Schedule for Calendar {
+        fn push(&mut self, at: u64, id: ReqId) {
+            Calendar::push(self, at, id)
+        }
+        fn begin(&mut self, now: u64) {
+            Calendar::begin(self, now)
+        }
+        fn pop(&mut self) -> Option<ReqId> {
+            Calendar::pop(self)
+        }
+    }
+
+    /// The event heap the calendar replaced, as the reference.
+    #[derive(Default)]
+    struct Heap {
+        heap: BinaryHeap<Reverse<(u64, ReqId)>>,
+        now: u64,
+    }
+
+    impl Schedule for Heap {
+        fn push(&mut self, at: u64, id: ReqId) {
+            self.heap.push(Reverse((at, id)));
+        }
+        fn begin(&mut self, now: u64) {
+            self.now = now;
+        }
+        fn pop(&mut self) -> Option<ReqId> {
+            let &Reverse((at, id)) = self.heap.peek()?;
+            (at <= self.now).then(|| {
+                self.heap.pop();
+                id
+            })
+        }
+    }
+
+    /// `(delay, id)` pushes of one cycle: those made before its pass,
+    /// and one made after each id handed out in it.
+    type Pushes = (Vec<(u64, ReqId)>, Vec<(u64, ReqId)>);
+
+    /// Run `schedule` through `cycles` and then 64 idle cycles the way
+    /// the engine does, listing every `(cycle, id)` handed out. Pushes
+    /// left over when a pass ends are made for the next cycle at the
+    /// earliest.
+    fn drive(schedule: &mut impl Schedule, cycles: &[Pushes]) -> Vec<(u64, ReqId)> {
+        let idle = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        for (now, (before, during)) in cycles
+            .iter()
+            .chain(std::iter::repeat_n(&idle, 64))
+            .enumerate()
+        {
+            let now = now as u64;
+            for &(delay, id) in before {
+                schedule.push(now + delay, id);
+            }
+            let mut during = during.iter();
+            schedule.begin(now);
+            while let Some(id) = schedule.pop() {
+                out.push((now, id));
+                if let Some(&(delay, id)) = during.next() {
+                    schedule.push(now + delay, id);
+                }
+            }
+            for &(delay, id) in during {
+                schedule.push(now + delay.max(1), id);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The calendar hands out what the heap pops, in the same order,
+        /// and nothing is left in either. Some pushes are for the open
+        /// cycle, while its pass runs, and some are due beyond the
+        /// ring's span (2 to 16 slots here).
+        #[test]
+        fn calendar_hands_out_what_the_event_heap_pops(
+            longest in 0u32..12,
+            cycles in prop::collection::vec(
+                (
+                    prop::collection::vec((0u64..40, 0u64..48), 0..5),
+                    prop::collection::vec((0u64..40, 0u64..48), 0..5),
+                ),
+                1..80,
+            ),
+        ) {
+            let mut calendar = Calendar::default();
+            calendar.reset(longest);
+            let mut heap = Heap::default();
+            let got = drive(&mut calendar, &cycles);
+            prop_assert_eq!(got, drive(&mut heap, &cycles));
+            prop_assert!(heap.heap.is_empty());
+            prop_assert!(calendar.slots.iter().all(Vec::is_empty));
+        }
     }
 
     #[test]

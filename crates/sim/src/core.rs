@@ -14,20 +14,11 @@ use c2_trace::{MemAccess, Trace};
 
 use crate::config::CoreConfig;
 
-/// A slot in the reorder buffer.
-#[derive(Debug, Clone, Copy)]
-enum RobEntry {
-    /// A non-memory instruction completing at the given cycle.
-    Compute {
-        /// Completion cycle.
-        done_at: u64,
-    },
-    /// A memory instruction, done once the hierarchy returns its data.
-    Memory {
-        /// Whether the data has returned.
-        done: bool,
-    },
-}
+/// A ROB entry's value while it is a memory access whose data has not
+/// returned. Every other entry holds the cycle from which it may
+/// retire: a compute instruction's completion cycle, or 0 for an access
+/// whose data has returned.
+const PENDING: u64 = u64::MAX;
 
 /// What the core wants to issue next (peeked by the chip engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +41,9 @@ pub struct Core {
     next_access: usize,
     /// Dynamic instruction index of the next instruction to issue.
     next_instr: u64,
-    /// In-flight instructions; `rob[k]` is instruction `retired + k`.
-    rob: VecDeque<RobEntry>,
+    /// In-flight instructions; `rob[k]` is instruction `retired + k`,
+    /// held as the cycle from which it may retire (or [`PENDING`]).
+    rob: VecDeque<u64>,
     retired: u64,
     finished_at: u64,
     /// Whether the core issued or retired anything since the last
@@ -81,7 +73,7 @@ impl Core {
         config: CoreConfig,
         trace: &Trace,
         mut accesses: Vec<MemAccess>,
-        mut rob: VecDeque<RobEntry>,
+        mut rob: VecDeque<u64>,
     ) -> Self {
         accesses.clear();
         accesses.extend_from_slice(trace.accesses());
@@ -138,7 +130,7 @@ impl Core {
     pub fn complete_memory(&mut self, index: u64) -> bool {
         let slot = (index - self.retired) as usize;
         match self.rob.get_mut(slot) {
-            Some(RobEntry::Memory { done }) => *done = true,
+            Some(entry) if *entry == PENDING => *entry = 0,
             other => panic!("instruction {index} is not an in-flight memory access: {other:?}"),
         }
         slot == 0
@@ -148,13 +140,9 @@ impl Core {
     /// head (in order).
     pub fn retire(&mut self, now: u64) {
         for _ in 0..self.config.issue_width {
-            let Some(head) = self.rob.front() else { break };
-            let done = match head {
-                RobEntry::Compute { done_at } => *done_at <= now,
-                RobEntry::Memory { done } => *done,
-            };
-            if !done {
-                break;
+            match self.rob.front() {
+                Some(&ready_at) if ready_at <= now => {}
+                _ => break,
             }
             self.rob.pop_front();
             self.retired += 1;
@@ -201,7 +189,7 @@ impl Core {
     /// Whether the ROB head is a memory instruction whose data has not
     /// returned: the core cannot retire until it does.
     pub(crate) fn head_blocked(&self) -> bool {
-        matches!(self.rob.front(), Some(RobEntry::Memory { done: false }))
+        self.rob.front() == Some(&PENDING)
     }
 
     /// Record a memory-structural stall for this cycle.
@@ -212,9 +200,7 @@ impl Core {
     /// Issue the pending compute instruction (caller checked `peek`).
     pub fn issue_compute(&mut self, now: u64) {
         debug_assert!(self.rob_has_space());
-        self.rob.push_back(RobEntry::Compute {
-            done_at: now + self.config.exec_latency as u64,
-        });
+        self.rob.push_back(now + self.config.exec_latency as u64);
         self.next_instr += 1;
         self.progress = true;
     }
@@ -224,7 +210,7 @@ impl Core {
     /// takes.
     pub fn issue_memory(&mut self) -> u64 {
         debug_assert!(self.rob_has_space());
-        self.rob.push_back(RobEntry::Memory { done: false });
+        self.rob.push_back(PENDING);
         let index = self.next_instr;
         self.next_instr += 1;
         self.next_access += 1;

@@ -17,114 +17,98 @@ pub enum MshrOutcome {
     Full,
 }
 
-/// One MSHR entry.
-#[derive(Debug, Clone)]
-struct Entry {
-    /// Line index this entry tracks.
-    line: u64,
-    /// Request ids waiting on this line (primary first).
-    waiters: Vec<u64>,
-}
-
 /// A file of MSHR entries keyed by line index.
 ///
-/// Real MSHR files hold a handful of entries (4–32), so the store is a
-/// flat `Vec` searched linearly — on a file this small that beats a
-/// hash map's hashing and probing, and together with the retired
-/// waiter-`Vec` pool it keeps the simulator's per-miss path free of
-/// allocator traffic. Completion order of *waiters within an entry* is
-/// insertion order (primary first), which the engine relies on.
+/// Real MSHR files hold a handful of entries (4–32), so an entry's line
+/// sits in a flat `Vec` searched linearly, beside a parallel `Vec` of
+/// its waiters: on a file this small that beats a hash map's hashing
+/// and probing, and the scan reads only lines. Together with the
+/// recycled waiter-`Vec` pool this keeps the simulator's per-miss path
+/// free of allocator traffic. Completion order of *waiters within an
+/// entry* is insertion order (primary first), which the engine relies
+/// on.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    entries: Vec<Entry>,
+    /// The line each entry tracks.
+    lines: Vec<u64>,
+    /// Each entry's waiting request ids, primary first.
+    waiters: Vec<Vec<u64>>,
     /// Waiter vectors recycled from completed entries; `register`
     /// reuses them so steady-state misses allocate nothing.
     spare: Vec<Vec<u64>>,
-    // Statistics
-    primary_misses: u64,
-    secondary_misses: u64,
-    stalls: u64,
-    peak_occupancy: usize,
 }
 
 impl MshrFile {
     /// A file with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        MshrFile::with_storage(capacity, Vec::new(), Vec::new())
+        MshrFile::with_storage(capacity, Vec::new(), Vec::new(), Vec::new())
     }
 
     /// Empty the file and give it `capacity` entries: the state
     /// [`MshrFile::new`] builds, keeping the entry and waiter storage.
     pub(crate) fn reset(&mut self, capacity: usize) {
-        let entries = std::mem::take(&mut self.entries);
+        let lines = std::mem::take(&mut self.lines);
+        let waiters = std::mem::take(&mut self.waiters);
         let spare = std::mem::take(&mut self.spare);
-        *self = MshrFile::with_storage(capacity, entries, spare);
+        *self = MshrFile::with_storage(capacity, lines, waiters, spare);
     }
 
     /// An empty file of `capacity` entries, built in (possibly used)
-    /// storage: the waiter vectors of `entries` join the `spare` pool.
-    fn with_storage(capacity: usize, mut entries: Vec<Entry>, mut spare: Vec<Vec<u64>>) -> Self {
+    /// storage: the vectors in `waiters` join the `spare` pool.
+    fn with_storage(
+        capacity: usize,
+        mut lines: Vec<u64>,
+        mut waiters: Vec<Vec<u64>>,
+        mut spare: Vec<Vec<u64>>,
+    ) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
-        spare.extend(entries.drain(..).map(|mut e| {
-            e.waiters.clear();
-            e.waiters
+        lines.clear();
+        lines.reserve(capacity.min(64));
+        spare.extend(waiters.drain(..).map(|mut w| {
+            w.clear();
+            w
         }));
-        entries.reserve(capacity.min(64));
+        waiters.reserve(capacity.min(64));
         MshrFile {
             capacity,
-            entries,
+            lines,
+            waiters,
             spare,
-            primary_misses: 0,
-            secondary_misses: 0,
-            stalls: 0,
-            peak_occupancy: 0,
         }
     }
 
     fn position(&self, line: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.line == line)
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Register a miss on `line` by request `req`.
     pub fn register(&mut self, line: u64, req: u64) -> MshrOutcome {
         if let Some(i) = self.position(line) {
-            self.entries[i].waiters.push(req);
-            self.secondary_misses += 1;
+            self.waiters[i].push(req);
             return MshrOutcome::Merged;
         }
-        if self.entries.len() >= self.capacity {
-            self.stalls += 1;
+        if self.lines.len() >= self.capacity {
             return MshrOutcome::Full;
         }
         let mut waiters = self.spare.pop().unwrap_or_default();
         waiters.push(req);
-        self.entries.push(Entry { line, waiters });
-        self.primary_misses += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
+        self.lines.push(line);
+        self.waiters.push(waiters);
         MshrOutcome::Allocated
     }
 
-    /// Complete the miss on `line`, returning every waiting request id.
-    pub fn complete(&mut self, line: u64) -> Vec<u64> {
-        match self.position(line) {
-            Some(i) => self.entries.swap_remove(i).waiters,
-            None => Vec::new(),
-        }
-    }
-
-    /// Complete the miss on `line`, draining the waiting request ids
-    /// into `out` (cleared first) and recycling the entry's waiter
-    /// storage — the allocation-free variant of [`complete`] the
-    /// engine's fill path uses.
-    ///
-    /// [`complete`]: MshrFile::complete
+    /// Complete the miss on `line`: `out` becomes its waiting request
+    /// ids, primary first, or empty if no miss on `line` is outstanding.
+    /// The entry takes `out`'s old buffer into the recycled pool, so no
+    /// id is copied and nothing is allocated.
     pub fn complete_into(&mut self, line: u64, out: &mut Vec<u64>) {
         out.clear();
         if let Some(i) = self.position(line) {
-            let mut e = self.entries.swap_remove(i);
-            out.append(&mut e.waiters);
-            self.spare.push(e.waiters);
+            self.lines.swap_remove(i);
+            let mut waiters = self.waiters.swap_remove(i);
+            std::mem::swap(out, &mut waiters);
+            self.spare.push(waiters);
         }
     }
 
@@ -135,38 +119,12 @@ impl MshrFile {
 
     /// Current number of outstanding miss lines.
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// Whether the file is full.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Outstanding lines (for the MCD detector feed), in no particular
-    /// order.
-    pub fn outstanding_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.line)
-    }
-
-    /// Primary (entry-allocating) misses seen.
-    pub fn primary_misses(&self) -> u64 {
-        self.primary_misses
-    }
-
-    /// Secondary (merged) misses seen.
-    pub fn secondary_misses(&self) -> u64 {
-        self.secondary_misses
-    }
-
-    /// Requests rejected because the file was full.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
-    /// Highest simultaneous occupancy observed.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
+        self.lines.len() >= self.capacity
     }
 }
 
@@ -174,14 +132,22 @@ impl MshrFile {
 mod tests {
     use super::*;
 
+    /// The waiters `complete_into` drains for `line`.
+    fn complete(m: &mut MshrFile, line: u64) -> Vec<u64> {
+        let mut out = vec![99];
+        m.complete_into(line, &mut out);
+        out
+    }
+
     #[test]
     fn allocate_then_complete() {
         let mut m = MshrFile::new(2);
         assert_eq!(m.register(10, 1), MshrOutcome::Allocated);
         assert!(m.contains(10));
         assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.complete(10), vec![1]);
+        assert_eq!(complete(&mut m, 10), vec![1]);
         assert!(!m.contains(10));
+        assert_eq!(m.occupancy(), 0);
     }
 
     #[test]
@@ -192,9 +158,7 @@ mod tests {
         assert_eq!(m.register(7, 3), MshrOutcome::Merged);
         // Merging does not consume capacity.
         assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.complete(7), vec![1, 2, 3]);
-        assert_eq!(m.primary_misses(), 1);
-        assert_eq!(m.secondary_misses(), 2);
+        assert_eq!(complete(&mut m, 7), vec![1, 2, 3]);
     }
 
     #[test]
@@ -203,36 +167,31 @@ mod tests {
         assert_eq!(m.register(1, 1), MshrOutcome::Allocated);
         assert_eq!(m.register(2, 2), MshrOutcome::Full);
         assert_eq!(m.register(1, 3), MshrOutcome::Merged);
-        assert_eq!(m.stalls(), 1);
         assert!(m.is_full());
+        assert_eq!(
+            complete(&mut m, 1),
+            vec![1, 3],
+            "the rejected miss never joined"
+        );
     }
 
     #[test]
     fn complete_unknown_line_is_empty() {
         let mut m = MshrFile::new(4);
-        assert!(m.complete(99).is_empty());
+        assert!(complete(&mut m, 99).is_empty());
     }
 
     #[test]
-    fn peak_occupancy_tracks_high_water_mark() {
+    fn completion_frees_the_entry_and_leaves_the_others() {
         let mut m = MshrFile::new(4);
         m.register(1, 1);
         m.register(2, 2);
         m.register(3, 3);
-        m.complete(1);
-        m.complete(2);
+        assert_eq!(complete(&mut m, 1), vec![1]);
+        assert_eq!(complete(&mut m, 2), vec![2]);
         assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.peak_occupancy(), 3);
-    }
-
-    #[test]
-    fn outstanding_lines_iterates_keys() {
-        let mut m = MshrFile::new(4);
-        m.register(5, 1);
-        m.register(9, 2);
-        let mut lines: Vec<u64> = m.outstanding_lines().collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec![5, 9]);
+        assert!(m.contains(3) && !m.contains(1) && !m.contains(2));
+        assert_eq!(complete(&mut m, 3), vec![3]);
     }
 
     #[test]
@@ -249,29 +208,38 @@ mod tests {
         m.register(4, 3);
         m.reset(2);
         assert_eq!(m.occupancy(), 0);
-        assert_eq!((m.primary_misses(), m.secondary_misses()), (0, 0));
-        assert_eq!((m.stalls(), m.peak_occupancy()), (0, 0));
+        assert!(!m.contains(3));
         assert_eq!(m.register(4, 5), MshrOutcome::Allocated);
         assert_eq!(m.register(5, 6), MshrOutcome::Allocated);
-        assert_eq!(m.complete(4), vec![5], "no waiter survives the reset");
+        assert_eq!(complete(&mut m, 4), vec![5], "no waiter survives the reset");
     }
 
     #[test]
-    fn complete_into_matches_complete_and_recycles() {
-        let mut a = MshrFile::new(2);
-        let mut b = MshrFile::new(2);
-        for m in [&mut a, &mut b] {
-            m.register(7, 1);
-            m.register(7, 2);
-            m.register(9, 3);
-        }
-        let mut out = Vec::new();
-        a.complete_into(7, &mut out);
-        assert_eq!(out, b.complete(7), "same waiters, same order");
-        a.complete_into(42, &mut out);
+    fn complete_into_swaps_buffers_and_recycles() {
+        let mut m = MshrFile::new(2);
+        m.register(7, 1);
+        m.register(7, 2);
+        m.register(9, 3);
+        let mut out = Vec::with_capacity(16);
+        out.push(42);
+        let caller_buffer = out.as_ptr();
+        m.complete_into(7, &mut out);
+        assert_eq!(out, vec![1, 2], "same waiters, same order");
+        assert_ne!(out.as_ptr(), caller_buffer, "the entry's buffer moved out");
+        m.complete_into(42, &mut out);
         assert!(out.is_empty(), "unknown line drains nothing");
-        // The recycled waiter vec backs the next allocation.
-        assert_eq!(a.register(11, 4), MshrOutcome::Allocated);
-        assert_eq!(a.occupancy(), 2);
+        // The caller's old buffer, now recycled, backs the next
+        // allocation.
+        assert_eq!(m.register(11, 4), MshrOutcome::Allocated);
+        assert_eq!(m.occupancy(), 2);
+        let mut again = Vec::new();
+        m.complete_into(11, &mut again);
+        assert_eq!(again, vec![4]);
+        assert_eq!(
+            again.as_ptr(),
+            caller_buffer,
+            "the recycled buffer came back"
+        );
+        assert_eq!(complete(&mut m, 9), vec![3]);
     }
 }

@@ -68,6 +68,11 @@ fn steps() -> Vec<(&'static str, ChipConfig, Vec<Trace>, Ends)> {
     wide_faults.fault = faults();
     let mut budget = chip(8, 4, 64);
     budget.max_cycles = 2_000;
+    // A 32-slot event calendar after the budget run's 16: the entries
+    // that run left scheduled sit in slots this one reaches only after
+    // their cycles have passed.
+    let mut slow_noc = chip(8, 4, 64);
+    slow_noc.noc.l2_mem_latency = 20;
     let mut small_l2 = chip(8, 1, 16);
     small_l2.l2.size_bytes = 64 * 1024;
     small_l2.l1.next_line_prefetch = true;
@@ -110,6 +115,12 @@ fn steps() -> Vec<(&'static str, ChipConfig, Vec<Trace>, Ends)> {
             budget,
             traces(8, 2_000, 4 << 20, 6),
             Ends::OverBudget,
+        ),
+        (
+            "n=8 slower NoC after a cycle budget",
+            slow_noc,
+            traces(8, 2_000, 4 << 20, 10),
+            Ends::Done,
         ),
         (
             "n=8 64 KiB L2, scalar core",

@@ -169,6 +169,20 @@ fn parse_or<T: FromStr>(args: &[String], i: usize, name: &str, default: T) -> Re
     args.get(i).map_or(Ok(default), |raw| parse_arg(raw, name))
 }
 
+/// `args`, if it holds at most `max` positional arguments. The first
+/// one past them is an error (exit 2), never silently ignored.
+fn at_most(args: &[String], max: usize) -> Result<&[String]> {
+    match args.get(max) {
+        Some(extra) => Err(unexpected(extra)),
+        None => Ok(args),
+    }
+}
+
+/// A positional argument past those a subcommand takes.
+fn unexpected(arg: &str) -> Failure {
+    invalid(format!("unexpected argument {arg:?}"))
+}
+
 /// The value after `flag`: every subcommand's flag loop reads it here,
 /// so a missing value is always `error: --X requires a value`.
 fn value<'a>(rest: &mut Iter<'a, String>, flag: &str) -> Result<&'a str> {
@@ -197,6 +211,7 @@ fn positional_workload(
     args: &[String],
     default_size: u64,
 ) -> Result<(Scenario, Box<dyn Workload>)> {
+    let args = at_most(args, 2)?;
     let name = args.first().ok_or(Failure::Usage)?;
     let sc = positional_scenario(name, parse_or(args, 1, "size", default_size)?);
     sc.validate().map_err(invalid)?;
@@ -261,6 +276,7 @@ fn cmd_characterize(args: &[String], out: &mut dyn Write) -> Result {
 }
 
 fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result {
+    let args = at_most(args, 5)?;
     let f_seq = parse_or(args, 0, "f_seq", 0.05f64)?;
     let f_mem = parse_or(args, 1, "f_mem", 0.3f64)?;
     let g_exp = parse_or(args, 2, "g_exponent", 1.5f64)?;
@@ -458,7 +474,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result {
                 } else if size.is_none() {
                     size = Some(parse_arg(other, "size")?);
                 } else {
-                    return Err(Failure::Usage);
+                    return Err(unexpected(other));
                 }
             }
             _ => return Err(Failure::Usage),
@@ -529,6 +545,10 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result {
             .as_ref()
             .map(std::path::PathBuf::from)
     });
+    if let Some(path) = &metrics_out {
+        check_writable(path)
+            .map_err(|e| failed(format!("cannot write metrics to {}: {e}", path.display())))?;
+    }
     writeln!(
         out,
         "supervised sweep: {} sharded threads, {} attempts/job{}{}{}",
@@ -642,13 +662,28 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result {
     )?)
 }
 
+/// Fail now, before a sweep runs and journals, if `path` cannot be
+/// opened for writing. An existing file is opened without truncation
+/// and left as it was; a file the check creates is removed again.
+fn check_writable(path: &std::path::Path) -> io::Result<()> {
+    let existed = path.exists();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)?;
+    if !existed {
+        std::fs::remove_file(path)?;
+    }
+    Ok(())
+}
+
 /// `journal`: maintain resume journals. `compact` repairs and shrinks
 /// an interrupted journal in place — dropping a torn trailing line,
 /// duplicate records, and legacy `c2ckpt` lines — and reports what it
 /// did. Safe to run any number of times; a compacted journal resumes
 /// identically to the original.
 fn cmd_journal(args: &[String], out: &mut dyn Write) -> Result {
-    match args.first().map(String::as_str) {
+    match at_most(args, 2)?.first().map(String::as_str) {
         Some("compact") => {
             let path = args.get(1).ok_or(Failure::Usage)?;
             let stats = c2_runner::journal::compact(std::path::Path::new(path)).map_err(failed)?;
@@ -716,12 +751,12 @@ fn cmd_scenario(args: &[String], out: &mut dyn Write) -> Result {
             }
         }
         Some("validate") => {
-            let path = args.get(1).ok_or(Failure::Usage)?;
+            let path = at_most(args, 2)?.get(1).ok_or(Failure::Usage)?;
             let sc = load_scenario(path)?;
             writeln!(out, "ok: {path} (fingerprint {})", sc.fingerprint_hex())?;
         }
         Some("show") => {
-            let path = args.get(1).ok_or(Failure::Usage)?;
+            let path = at_most(args, 2)?.get(1).ok_or(Failure::Usage)?;
             let sc = load_scenario(path)?;
             write!(out, "{}", sc.render_pretty())?;
             writeln!(out, "fingerprint: {}", sc.fingerprint_hex())?;
@@ -734,6 +769,7 @@ fn cmd_scenario(args: &[String], out: &mut dyn Write) -> Result {
 /// `obs-report`: summarize (or re-export) a metrics report produced by
 /// `run --metrics-out`.
 fn cmd_obs_report(args: &[String], out: &mut dyn Write) -> Result {
+    let args = at_most(args, 2)?;
     let path = args.first().ok_or(Failure::Usage)?;
     let mode = args.get(1).map(String::as_str);
     let report = read_file(path, c2_obs::Report::from_json)?;
@@ -806,7 +842,7 @@ struct RooflineRow {
 /// table. Pure presentation: the numbers come verbatim from the file.
 #[allow(clippy::too_many_lines)]
 fn cmd_roofline(args: &[String], out: &mut dyn Write) -> Result {
-    let [path] = args else {
+    let [path] = at_most(args, 1)? else {
         return Err(Failure::Usage);
     };
     let doc = read_file(path, c2_config::Json::parse)?;
@@ -960,7 +996,7 @@ fn cmd_roofline(args: &[String], out: &mut dyn Write) -> Result {
 }
 
 fn cmd_scaling(args: &[String], out: &mut dyn Write) -> Result {
-    let f_mem = parse_or(args, 0, "f_mem", 0.3f64)?;
+    let f_mem = parse_or(at_most(args, 1)?, 0, "f_mem", 0.3f64)?;
     let study = ScalingStudy::paper_figs_8_to_11(f_mem).map_err(invalid)?;
     let ns = [1.0, 4.0, 16.0, 64.0, 256.0, 1000.0];
     let mut t = Table::new(vec!["N", "W", "T(C=1)", "T(C=8)", "W/T(C=1)", "W/T(C=8)"]);
@@ -979,7 +1015,8 @@ fn cmd_scaling(args: &[String], out: &mut dyn Write) -> Result {
     Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_table1(out: &mut dyn Write) -> Result {
+fn cmd_table1(args: &[String], out: &mut dyn Write) -> Result {
+    at_most(args, 0)?;
     let workloads: Vec<(Box<dyn Workload>, &str)> = vec![
         (
             Box::new(c2_workloads::tmm::TiledMatMul::new(64, 8, 0)),
@@ -1010,7 +1047,7 @@ fn cmd_trace(args: &[String], out: &mut dyn Write) -> Result {
 }
 
 fn cmd_characterize_file(args: &[String], out: &mut dyn Write) -> Result {
-    let path = args.first().ok_or(Failure::Usage)?;
+    let path = at_most(args, 1)?.first().ok_or(Failure::Usage)?;
     let file = std::fs::File::open(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
     let trace = c2_trace::io::read_trace(io::BufReader::new(file))
         .map_err(|e| failed(format!("cannot parse {path}: {e}")))?;
@@ -1034,7 +1071,7 @@ fn cmd_characterize_file(args: &[String], out: &mut dyn Write) -> Result {
 
 fn cmd_multiobjective(args: &[String], out: &mut dyn Write) -> Result {
     use c2_bound::energy::{MultiObjective, PowerModel};
-    let weight = parse_or(args, 0, "weight", 0.5f64)?;
+    let weight = parse_or(at_most(args, 1)?, 0, "weight", 0.5f64)?;
     let mut base = C2BoundModel::example_big_data();
     base.program =
         ProgramProfile::new(1e9, 0.15, 0.3, 0.1, ScaleFunction::Power(0.5)).map_err(failed)?;
@@ -1068,11 +1105,12 @@ fn cmd_multiobjective(args: &[String], out: &mut dyn Write) -> Result {
     Ok(writeln!(out, "{}", t.render())?)
 }
 
-fn cmd_adaptive(out: &mut dyn Write) -> Result {
+fn cmd_adaptive(args: &[String], out: &mut dyn Write) -> Result {
     use c2_bound::adaptive::AdaptiveDse;
     use c2_trace::synthetic::{
         MixedPhaseGenerator, PointerChaseGenerator, StridedGenerator, TraceGenerator,
     };
+    at_most(args, 0)?;
     let trace = MixedPhaseGenerator::new(
         vec![
             Box::new(StridedGenerator::new(0, 64, 4000).compute_per_access(6)),
@@ -1360,9 +1398,9 @@ fn main() {
         Some("roofline") => cmd_roofline(rest, out),
         Some("obs-report") => cmd_obs_report(rest, out),
         Some("scaling") => cmd_scaling(rest, out),
-        Some("table1") => cmd_table1(out),
+        Some("table1") => cmd_table1(rest, out),
         Some("multiobjective") => cmd_multiobjective(rest, out),
-        Some("adaptive") => cmd_adaptive(out),
+        Some("adaptive") => cmd_adaptive(rest, out),
         Some(other) => {
             // An unrecognized subcommand is an explicit error on
             // stderr plus the usage text — never a silent fallthrough.

@@ -163,6 +163,14 @@ fn rejected_arguments_and_failed_writes_exit_with_one_error_line() {
     for &(args, code) in cases {
         check(args, code, tool().args(args).output().expect("spawn"));
     }
+    // A run whose metrics cannot be written fails before its sweep, so
+    // it leaves no journal behind.
+    let missing_journal = std::env::temp_dir().join(format!(
+        "c2bound-metrics-missing-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&missing_journal);
+    let missing_journal_arg = missing_journal.to_str().unwrap();
     // (arguments, expected exit code, expected start of the error line).
     let named: &[(&[&str], i32, &str)] = &[
         (
@@ -185,11 +193,58 @@ fn rejected_arguments_and_failed_writes_exit_with_one_error_line() {
             2,
             "error: --threads requires a value\n",
         ),
+        (
+            &[
+                "run",
+                "stencil",
+                "8",
+                "--metrics-out",
+                "/nonexistent/m.json",
+                "--journal",
+                missing_journal_arg,
+            ],
+            1,
+            "error: cannot write metrics to /nonexistent/m.json: ",
+        ),
+        (
+            &["adaptive", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
+        (
+            &["table1", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
+        (
+            &["characterize", "stencil", "8", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
+        (
+            &["optimize", "0.05", "0.3", "1.5", "400", "40", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
+        (
+            &["scaling", "0.3", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
+        (
+            &["multiobjective", "0.5", "extra"],
+            2,
+            "error: unexpected argument \"extra\"\n",
+        ),
     ];
     for &(args, code, start) in named {
         let err = check(args, code, tool().args(args).output().expect("spawn"));
         assert!(err.starts_with(start), "{args:?}: {err}");
     }
+    assert!(
+        !missing_journal.exists(),
+        "a run whose metrics cannot be written must not journal"
+    );
 
     // Every printing subcommand, with stdout on a full device, reports
     // the failed write instead of panicking. The file readers get real

@@ -12,6 +12,11 @@
 //! pins the cycle at which an injected request fault fires.
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test sim_identity`
 //! only when a result change is intended.
+//!
+//! A second test keeps its digests inline: 24 cases with a NoC hop of
+//! 0 cycles, the only configurations in which an event is scheduled
+//! for the cycle being processed, so they pin the order of events
+//! within a cycle.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -111,6 +116,112 @@ fn digests() -> String {
     )
     .unwrap();
     out
+}
+
+/// `SimResult` digests with a zero-cycle NoC hop, recorded with the
+/// event-heap engine. A hop of 0 schedules a fill or an L2 arrival into
+/// the cycle being processed, so these cases pin the order of events
+/// within one cycle, which no golden case above (4- and 6-cycle hops)
+/// can see.
+const ZERO_LATENCY: [(&str, u64); 24] = [
+    (
+        "fluidanimate 100 n=8 noc=0/0 prefetch=false",
+        0xbf13b2d8c7c7b0ba,
+    ),
+    (
+        "fluidanimate 100 n=8 noc=0/0 prefetch=true",
+        0x06e5cc4000afcead,
+    ),
+    (
+        "fluidanimate 100 n=8 noc=0/6 prefetch=false",
+        0x5f07a273fef6b08d,
+    ),
+    (
+        "fluidanimate 100 n=8 noc=0/6 prefetch=true",
+        0x18952432cc7bada2,
+    ),
+    (
+        "fluidanimate 100 n=8 noc=4/0 prefetch=false",
+        0xd9f0091462e8707f,
+    ),
+    (
+        "fluidanimate 100 n=8 noc=4/0 prefetch=true",
+        0x24e532d0fefafef1,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=0/0 prefetch=false",
+        0x91a6aa7df9be45bd,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=0/0 prefetch=true",
+        0x28187ecb30c8a7ac,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=0/6 prefetch=false",
+        0x8dfb2fe7cd2955ff,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=0/6 prefetch=true",
+        0x82851e2463663f39,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=4/0 prefetch=false",
+        0xe2e359fe12452bc0,
+    ),
+    (
+        "fluidanimate 100 n=512 noc=4/0 prefetch=true",
+        0xaf04cdf779e47197,
+    ),
+    ("stencil 64 n=8 noc=0/0 prefetch=false", 0xfb60b352187ec938),
+    ("stencil 64 n=8 noc=0/0 prefetch=true", 0x64dde7fbcb507987),
+    ("stencil 64 n=8 noc=0/6 prefetch=false", 0x3b002edb779650a0),
+    ("stencil 64 n=8 noc=0/6 prefetch=true", 0x8ad26a94699c22c8),
+    ("stencil 64 n=8 noc=4/0 prefetch=false", 0xe6e6165ee708b451),
+    ("stencil 64 n=8 noc=4/0 prefetch=true", 0x65fbc12d7c4a1614),
+    (
+        "stencil 64 n=512 noc=0/0 prefetch=false",
+        0xcb49d1ea4b4b7cf7,
+    ),
+    ("stencil 64 n=512 noc=0/0 prefetch=true", 0x4245dfe5c50c42af),
+    (
+        "stencil 64 n=512 noc=0/6 prefetch=false",
+        0xfe4af413215f9efd,
+    ),
+    ("stencil 64 n=512 noc=0/6 prefetch=true", 0x0636225599f8627a),
+    (
+        "stencil 64 n=512 noc=4/0 prefetch=false",
+        0x7f8f0679075e0eac,
+    ),
+    ("stencil 64 n=512 noc=4/0 prefetch=true", 0x423f9f03063bafed),
+];
+
+#[test]
+fn zero_latency_noc_results_keep_their_digests() {
+    let mut actual = Vec::new();
+    for (name, size) in [("fluidanimate", 100), ("stencil", 64)] {
+        let trace = workload(name, size);
+        for n in [8, 512] {
+            let traces = trace.per_core_traces(n);
+            for (l1_l2, l2_mem) in [(0, 0), (0, 6), (4, 0)] {
+                for prefetch in [false, true] {
+                    let mut cfg = config(n, 6, 256);
+                    cfg.noc.l1_l2_latency = l1_l2;
+                    cfg.noc.l2_mem_latency = l2_mem;
+                    cfg.l1.next_line_prefetch = prefetch;
+                    let result = Simulator::new(cfg).run(&traces).unwrap();
+                    let digest = c2_config::fnv1a(format!("{result:?}").as_bytes());
+                    actual.push(format!(
+                        "{name} {size} n={n} noc={l1_l2}/{l2_mem} prefetch={prefetch} {digest:016x}"
+                    ));
+                }
+            }
+        }
+    }
+    let expected: Vec<String> = ZERO_LATENCY
+        .iter()
+        .map(|(label, digest)| format!("{label} {digest:016x}"))
+        .collect();
+    assert_eq!(actual, expected);
 }
 
 #[test]
