@@ -321,6 +321,24 @@ done
 grep -q " 0 cache hits," "${smoke_dir}/screen-cold.out"
 grep -q " 64 cache hits," "${smoke_dir}/screen-warm.out"
 
+echo "== unchanged cache is not republished (full sweep twice, paper_scale.json) =="
+# The second run serves all 100 jobs from the cache and adds no entry,
+# so it leaves the file as it found it: same bytes, same inode (no temp
+# file renamed over it).
+full_cache="${smoke_dir}/full-cache.jsonl"
+cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
+    --cache "${full_cache}" > "${smoke_dir}/full-cache-cold.out"
+cp "${full_cache}" "${smoke_dir}/full-cache-cold.jsonl"
+cold_inode="$(stat -c %i "${full_cache}")"
+cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/paper_scale.json \
+    --cache "${full_cache}" > "${smoke_dir}/full-cache-warm.out"
+grep -q " 100 cache hits," "${smoke_dir}/full-cache-warm.out"
+cmp "${full_cache}" "${smoke_dir}/full-cache-cold.jsonl"
+if [ "$(stat -c %i "${full_cache}")" != "${cold_inode}" ]; then
+    echo "error: an all-hit run replaced the cache file" >&2
+    exit 1
+fi
+
 # Each bench smoke rewrites its checked-in record with this host's
 # timings. Keep the committed copies and put them back on any exit, so
 # CI leaves the checkout clean; removing each record first makes the

@@ -13,7 +13,7 @@
 
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::{ChipConfig, FaultyOracle, Simulator};
-use c2_workloads::WorkloadTrace;
+use c2_workloads::{SplitMemo, WorkloadTrace};
 
 use crate::model::C2BoundModel;
 use crate::{Error, Result};
@@ -404,8 +404,21 @@ pub fn simulate_point(
     area: &AreaModel,
     budget: &SiliconBudget,
 ) -> Result<f64> {
+    simulate_split(point, workload, &SplitMemo::default(), area, budget)
+}
+
+/// [`simulate_point`] taking the workload's split across `point.n`
+/// cores from `splits`, which computes each core count's split once:
+/// a sweep's evaluations at one core count share it.
+pub fn simulate_split(
+    point: &DesignPoint,
+    workload: &WorkloadTrace,
+    splits: &SplitMemo,
+    area: &AreaModel,
+    budget: &SiliconBudget,
+) -> Result<f64> {
     let config = chip_config_for(point, area, budget)?;
-    let traces = workload.per_core_traces(point.n);
+    let traces = splits.split(workload, point.n);
     let result = Simulator::new(config).run(&traces)?;
     Ok(result.total_cycles as f64)
 }

@@ -218,17 +218,12 @@ pub fn optimize_split_report_observed_tuned(
     ];
 
     // Lagrange multipliers on the area simplex (the paper's Eq. 13
-    // route), with the area floors as active sets.
+    // route), with the area floors as active sets. The model is defined
+    // for positive areas, and the solve never leaves that domain: a
+    // Newton step out of it is halved back. (Continuing the flat 4 KiB
+    // capacity floor below zero instead lets a face's Newton run off
+    // toward A → −∞ and miss an interior optimum close to the floor.)
     let derivatives = |a: &[f64], grad: &mut [f64], hess: &mut Matrix| {
-        if a.iter().any(|&x| !(x > 0.0)) {
-            // Outside the model's domain: a non-finite residual makes
-            // Newton's line search step back. (Continuing the flat
-            // 4 KiB capacity floor below zero instead lets a face's
-            // Newton run off toward A → −∞ and miss an interior
-            // optimum close to the floor.)
-            grad.fill(f64::NAN);
-            return;
-        }
         let (g, h) = model.cpi_derivatives(&DesignVariables {
             n,
             a0: a[0],
@@ -245,6 +240,7 @@ pub fn optimize_split_report_observed_tuned(
     let kkt = solve_active_set_observed(
         objective,
         derivatives,
+        |area: f64| area > 0.0,
         &seed,
         per_core,
         MIN_AREA,

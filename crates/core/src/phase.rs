@@ -34,7 +34,7 @@ use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::metrics::LayerStats;
 use c2_sim::{SimResult, Simulator};
 use c2_trace::{MemAccess, PhaseConfig, PhaseDetector, Trace, TraceBuilder};
-use c2_workloads::WorkloadTrace;
+use c2_workloads::{SplitMemo, WorkloadTrace};
 
 use crate::dse::{chip_config_for, DesignPoint, Oracle};
 use crate::{Error, Result};
@@ -67,6 +67,8 @@ struct PhaseSlice {
     /// The warmup prefix alone (`None` when the representative is
     /// interval 0 — it genuinely runs cold in the full trace).
     warmup: Option<WorkloadTrace>,
+    /// The window's and the warmup's per-core splits.
+    splits: [SplitMemo; 2],
 }
 
 /// A workload's phase-substitution plan: one warm-measured
@@ -81,6 +83,8 @@ pub struct PhasePlan {
     weights: Vec<f64>,
     /// Exact fallback: too few intervals to cluster, simulate this.
     exact: Option<WorkloadTrace>,
+    /// The exact trace's per-core splits.
+    exact_splits: SplitMemo,
     summary: PhaseSummary,
 }
 
@@ -111,6 +115,7 @@ impl PhasePlan {
                 slices: Vec::new(),
                 weights: Vec::new(),
                 exact: Some(workload.clone()),
+                exact_splits: SplitMemo::default(),
                 summary: PhaseSummary {
                     labels: Vec::new(),
                     representatives: Vec::new(),
@@ -159,6 +164,7 @@ impl PhasePlan {
                 slices: Vec::new(),
                 weights: Vec::new(),
                 exact: Some(workload.clone()),
+                exact_splits: SplitMemo::default(),
                 summary,
             });
         }
@@ -208,12 +214,14 @@ impl PhasePlan {
             slices.push(PhaseSlice {
                 window: standalone(&combined.accesses()[wlo..hi]),
                 warmup,
+                splits: Default::default(),
             });
         }
         Ok(PhasePlan {
             slices,
             weights,
             exact: None,
+            exact_splits: SplitMemo::default(),
             summary,
         })
     }
@@ -409,19 +417,20 @@ impl PhaseOracle {
         let config = chip_config_for(point, &self.area, &self.budget)?;
         let mut est = PhaseEstimate::default();
         if let Some(exact) = &self.plan.exact {
-            let traces = exact.per_core_traces(point.n);
+            let traces = self.plan.exact_splits.split(exact, point.n);
             let result = Simulator::new(config).run(&traces)?;
             est.add(&result, 1.0);
             return Ok(est);
         }
         for (slice, &w) in self.plan.slices.iter().zip(&self.plan.weights) {
-            let traces = slice.window.per_core_traces(point.n);
+            let [window_splits, warmup_splits] = &slice.splits;
+            let traces = window_splits.split(&slice.window, point.n);
             let result = Simulator::new(config.clone()).run(&traces)?;
             est.add(&result, w);
             if let Some(warmup) = &slice.warmup {
                 // Subtract the warmup prefix's own run so only the
                 // representative's warm marginal cost remains.
-                let traces = warmup.per_core_traces(point.n);
+                let traces = warmup_splits.split(warmup, point.n);
                 let result = Simulator::new(config.clone()).run(&traces)?;
                 est.add(&result, -w);
             }

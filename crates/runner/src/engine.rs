@@ -1036,6 +1036,10 @@ pub(crate) struct Sweep<'r> {
     cache_identity: u64,
     /// Read-only cache snapshot, taken once at run start.
     snapshot: HashMap<u64, CachedEval>,
+    /// Whether a completed run publishes the cache even if it adds no
+    /// entry: the file was missing or held no entry, or it held lines
+    /// the load skipped.
+    cache_repair: bool,
     shards: Vec<Vec<usize>>,
     cells: Vec<Mutex<ShardCell>>,
     journal: Mutex<ShardJournal>,
@@ -1105,8 +1109,8 @@ impl<'r> Sweep<'r> {
         // so a resumed run loads exactly this snapshot again — which
         // is what keeps the snapshot gauge (and every cache hit/miss)
         // resume-invariant.
-        let snapshot: HashMap<u64, CachedEval> = match &config.cache_path {
-            None => HashMap::new(),
+        let (snapshot, cache_repair) = match &config.cache_path {
+            None => (HashMap::new(), false),
             Some(path) => {
                 let loaded = cache::load(storage.as_ref(), path)?;
                 if loaded.skipped > 0 {
@@ -1136,7 +1140,8 @@ impl<'r> Sweep<'r> {
                     })
                     .count();
                 sink.gauge_set("engine_cache_snapshot_entries", relevant as f64);
-                loaded.snapshot
+                let repair = loaded.snapshot.is_empty() || loaded.skipped > 0;
+                (loaded.snapshot, repair)
             }
         };
 
@@ -1214,6 +1219,7 @@ impl<'r> Sweep<'r> {
             journal_path,
             cache_identity,
             snapshot,
+            cache_repair,
             shards,
             cells,
             journal: Mutex::new(ShardJournal {
@@ -1387,6 +1393,7 @@ impl<'r> Sweep<'r> {
             journal_path,
             cache_identity,
             snapshot,
+            cache_repair,
             cells,
             journal,
             records,
@@ -1436,26 +1443,35 @@ impl<'r> Sweep<'r> {
             // whatever concurrent runs published meanwhile — see
             // `cache::publish`), written to a temp file and renamed
             // over the old cache. Incomplete runs publish nothing, so
-            // a crash leaves the cache byte-identical to run start.
+            // a crash leaves the cache byte-identical to run start. A
+            // run whose successes the snapshot already holds (a warm
+            // run) publishes nothing either: the file holds them.
             if let Some(path) = &config.cache_path {
-                let mut entries: BTreeMap<u64, CachedEval> = snapshot.into_iter().collect();
-                for r in records.iter().filter(|r| !r.short_circuited) {
-                    if let Ok(time) = r.result {
+                let live: Vec<(u64, CachedEval)> = records
+                    .iter()
+                    .filter(|r| !r.short_circuited)
+                    .filter_map(|r| {
                         let entry = CachedEval {
                             attempts: r.attempts,
-                            time,
+                            time: *r.result.as_ref().ok()?,
                         };
-                        entries.insert(
-                            cache_key(cache_identity, plan.jobs[r.seq].content_key()),
-                            entry,
-                        );
-                    }
+                        let key = cache_key(cache_identity, plan.jobs[r.seq].content_key());
+                        Some((key, entry))
+                    })
+                    .collect();
+                let unchanged = !cache_repair
+                    && live
+                        .iter()
+                        .all(|(key, entry)| snapshot.get(key) == Some(entry));
+                if !unchanged {
+                    let mut entries: BTreeMap<u64, CachedEval> = snapshot.into_iter().collect();
+                    entries.extend(live);
+                    let sync = config.sync != SyncPolicy::Never;
+                    cache::publish(storage.as_ref(), sync, path, &entries)
+                        .map_err(|e| storage_fault(ops, "cache.publish", e))?;
+                    ops.counter_add(names::ENGINE_CACHE_PUBLISHES_TOTAL, 1);
+                    ops.gauge_set(names::ENGINE_CACHE_PUBLISHED_ENTRIES, entries.len() as f64);
                 }
-                let sync = config.sync != SyncPolicy::Never;
-                cache::publish(storage.as_ref(), sync, path, &entries)
-                    .map_err(|e| storage_fault(ops, "cache.publish", e))?;
-                ops.counter_add(names::ENGINE_CACHE_PUBLISHES_TOTAL, 1);
-                ops.gauge_set(names::ENGINE_CACHE_PUBLISHED_ENTRIES, entries.len() as f64);
             }
         }
 

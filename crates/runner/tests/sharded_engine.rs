@@ -17,7 +17,7 @@ use c2_runner::cache::publish;
 use c2_runner::storage::DISK;
 use c2_runner::{
     bind_fingerprint, cache_key, plan_fingerprint, BackoffPolicy, BreakerPolicy, CachedEval,
-    RunConfig, RunSummary, SweepRunner,
+    ChaosPlan, RunConfig, RunSummary, SweepRunner,
 };
 use c2_sim::{FaultPlan, FaultyOracle};
 use std::path::PathBuf;
@@ -223,6 +223,91 @@ fn warm_cache_runs_are_bit_identical_for_every_thread_count() {
         assert_eq!(summary1.report, summary.report);
         assert_eq!(summary1.outcome, summary.outcome);
     }
+}
+
+#[test]
+#[cfg(unix)]
+fn an_all_hit_run_leaves_the_cache_file_untouched() {
+    let cache = scratch("untouched-cache.jsonl");
+    let calls = Arc::new(AtomicUsize::new(0));
+    // A journal-less run: its only storage writes are the cache
+    // publication's. Under `chaos` the storage crashes at its first
+    // write, so a run that publishes fails.
+    let run = |chaos: Option<ChaosPlan>| {
+        let runner = SweepRunner::new(RunConfig {
+            cache_path: Some(cache.clone()),
+            chaos,
+            ..config(2)
+        })
+        .expect("valid config");
+        let calls = Arc::clone(&calls);
+        runner.run_aps(
+            &aps(),
+            move || {
+                let calls = Arc::clone(&calls);
+                move |p: &DesignPoint| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    pricer(p)
+                }
+            },
+            None,
+            false,
+        )
+    };
+    let crash_at_first_write = Some(ChaosPlan {
+        crash_at_write: Some(1),
+        ..ChaosPlan::default()
+    });
+    let cold = run(None).expect("cold run");
+    assert_eq!(cold.report.cache_hits, 0);
+    let published = std::fs::read(&cache).expect("cold run publishes");
+    let identity = file_identity(&cache);
+
+    let warm = run(crash_at_first_write).expect("an all-hit run writes nothing");
+    assert_eq!(warm.report.cache_hits, warm.report.attempted);
+    assert_eq!(warm.outcome, cold.outcome);
+    assert_eq!(std::fs::read(&cache).unwrap(), published, "cache bytes");
+    assert_eq!(file_identity(&cache), identity, "cache file replaced");
+    let name = cache.file_name().unwrap().to_string_lossy().into_owned();
+    let temps: Vec<String> = std::fs::read_dir(cache.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with(&name) && f.ends_with(".tmp"))
+        .collect();
+    assert!(temps.is_empty(), "temp files left: {temps:?}");
+
+    // Drop one entry: the next run evaluates that job and publishes the
+    // union again, whose bytes are the cold run's.
+    let text = String::from_utf8(published.clone()).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.remove(1);
+    std::fs::write(&cache, lines.join("\n") + "\n").unwrap();
+    let before = calls.load(Ordering::SeqCst);
+    assert!(
+        run(crash_at_first_write).is_err(),
+        "a run that adds an entry publishes"
+    );
+    let added = run(None).expect("run adding one entry");
+    assert_eq!(added.report.cache_hits, added.report.attempted - 1);
+    assert_eq!(calls.load(Ordering::SeqCst), before + 2);
+    assert_eq!(std::fs::read(&cache).unwrap(), published, "merged union");
+
+    // A torn line is repaired by the next completed run, even one that
+    // adds no entry.
+    let mut torn = published.clone();
+    torn.extend_from_slice(b"{\"key\":\"12");
+    std::fs::write(&cache, torn).unwrap();
+    assert!(run(crash_at_first_write).is_err(), "a repair publishes");
+    run(None).expect("repairing run");
+    assert_eq!(std::fs::read(&cache).unwrap(), published, "repaired");
+}
+
+/// The file's device and inode: a rename over it changes them.
+#[cfg(unix)]
+fn file_identity(path: &PathBuf) -> (u64, u64) {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path).expect("cache file");
+    (meta.dev(), meta.ino())
 }
 
 #[test]

@@ -179,7 +179,7 @@ impl Simulator {
             .flatten()
             .unwrap_or_else(|| Engine::empty(&self.config));
         engine.reset(&self.config, traces);
-        let result = engine.run();
+        let result = engine.run(traces);
         // A run that unwinds never gets here, so its thread keeps no
         // spare and the next run there builds afresh.
         let _ = SPARE.try_with(|spare| spare.set(Some(engine)));
@@ -424,7 +424,10 @@ impl Engine {
         *prefetches = 0;
     }
 
-    fn run(&mut self) -> Result<SimResult> {
+    /// Run the traces [`Engine::reset`] set the engine up for; the
+    /// cores read their accesses from them in place.
+    fn run(&mut self, traces: &[Trace]) -> Result<SimResult> {
+        debug_assert_eq!(traces.len(), self.cores.len());
         let mut now: u64 = 0;
         let mut dram_done: Vec<ReqId> = Vec::new();
         loop {
@@ -454,7 +457,7 @@ impl Engine {
             self.flush_writebacks();
 
             // 6. Awake cores retire and issue.
-            self.core_cycle(now)?;
+            self.core_cycle(now, traces)?;
 
             // 7. Layer activity observation.
             self.observe(now);
@@ -895,13 +898,13 @@ impl Engine {
     /// Step every awake core, in ascending core index: the order in
     /// which request ids and the fault plan's request count are handed
     /// out.
-    fn core_cycle(&mut self, now: u64) -> Result<()> {
+    fn core_cycle(&mut self, now: u64, traces: &[Trace]) -> Result<()> {
         for word in 0..self.awake.len() {
             let mut bits = self.awake[word];
             while bits != 0 {
                 let core_idx = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.step_core(core_idx, now)?;
+                self.step_core(core_idx, now, &traces[core_idx])?;
             }
         }
         Ok(())
@@ -910,7 +913,7 @@ impl Engine {
     /// One cycle of one core: retire, issue, then account the cycle if
     /// the pipeline advanced and put the core to sleep if it cannot act
     /// again before its ROB head's data returns.
-    fn step_core(&mut self, core_idx: usize, now: u64) -> Result<()> {
+    fn step_core(&mut self, core_idx: usize, now: u64, trace: &Trace) -> Result<()> {
         self.cores[core_idx].retire(now);
         let width = self.cores[core_idx].issue_width();
         let mut ports_used = 0usize;
@@ -922,7 +925,7 @@ impl Engine {
                 self.cores[core_idx].note_rob_stall();
                 break;
             }
-            match self.cores[core_idx].peek() {
+            match self.cores[core_idx].peek(trace) {
                 NextOp::Exhausted => break,
                 NextOp::Compute => self.cores[core_idx].issue_compute(now),
                 NextOp::Memory(access) => {

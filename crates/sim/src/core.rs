@@ -32,10 +32,13 @@ pub enum NextOp {
 }
 
 /// One simulated core executing one trace.
+///
+/// The core keeps its place in the trace but not the trace itself:
+/// [`Core::peek`] reads the next access from the trace the core was
+/// built for, wherever it lives, so a run copies no access.
 #[derive(Debug)]
 pub struct Core {
     config: CoreConfig,
-    accesses: Vec<MemAccess>,
     instruction_count: u64,
     /// Index of the next trace access to issue.
     next_access: usize,
@@ -57,31 +60,22 @@ pub struct Core {
 impl Core {
     /// Build a core that will execute `trace`.
     pub fn new(config: CoreConfig, trace: &Trace) -> Self {
-        Core::with_storage(config, trace, Vec::new(), VecDeque::new())
+        Core::with_storage(config, trace, VecDeque::new())
     }
 
     /// Return to the state [`Core::new`] builds for `config` and
-    /// `trace`, keeping the trace buffer and ROB.
+    /// `trace`, keeping the ROB.
     pub(crate) fn reset(&mut self, config: CoreConfig, trace: &Trace) {
-        let accesses = std::mem::take(&mut self.accesses);
         let rob = std::mem::take(&mut self.rob);
-        *self = Core::with_storage(config, trace, accesses, rob);
+        *self = Core::with_storage(config, trace, rob);
     }
 
     /// A core about to execute `trace`, built in (possibly used) storage.
-    fn with_storage(
-        config: CoreConfig,
-        trace: &Trace,
-        mut accesses: Vec<MemAccess>,
-        mut rob: VecDeque<u64>,
-    ) -> Self {
-        accesses.clear();
-        accesses.extend_from_slice(trace.accesses());
+    fn with_storage(config: CoreConfig, trace: &Trace, mut rob: VecDeque<u64>) -> Self {
         rob.clear();
         rob.reserve(config.rob_size);
         Core {
             config,
-            accesses,
             instruction_count: trace.instruction_count(),
             next_access: 0,
             next_instr: 0,
@@ -153,12 +147,13 @@ impl Core {
         }
     }
 
-    /// What the next instruction to issue is.
-    pub fn peek(&self) -> NextOp {
+    /// What the next instruction to issue is; `trace` is the trace the
+    /// core was built for.
+    pub fn peek(&self, trace: &Trace) -> NextOp {
         if self.next_instr >= self.instruction_count {
             return NextOp::Exhausted;
         }
-        match self.accesses.get(self.next_access) {
+        match trace.accesses().get(self.next_access) {
             Some(a) if a.instr == self.next_instr => NextOp::Memory(*a),
             _ => NextOp::Compute,
         }
@@ -183,7 +178,7 @@ impl Core {
     /// Whether the core could issue this cycle: it has ROB space and
     /// trace left to issue.
     pub(crate) fn can_issue(&self) -> bool {
-        self.rob_has_space() && self.peek() != NextOp::Exhausted
+        self.rob_has_space() && self.next_instr < self.instruction_count
     }
 
     /// Whether the ROB head is a memory instruction whose data has not
@@ -243,8 +238,9 @@ mod tests {
 
     #[test]
     fn peek_distinguishes_compute_and_memory() {
-        let core = Core::new(CoreConfig::default_ooo(), &small_trace());
-        assert_eq!(core.peek(), NextOp::Compute);
+        let t = small_trace();
+        let core = Core::new(CoreConfig::default_ooo(), &t);
+        assert_eq!(core.peek(&t), NextOp::Compute);
     }
 
     #[test]
@@ -264,7 +260,7 @@ mod tests {
         while !core.finished() && now < 100 {
             core.retire(now);
             for _ in 0..2 {
-                if core.rob_has_space() && core.peek() == NextOp::Compute {
+                if core.rob_has_space() && core.peek(&t) == NextOp::Compute {
                     core.issue_compute(now);
                 }
             }
@@ -284,7 +280,7 @@ mod tests {
         // Issue the two compute instructions and the first memory access.
         core.issue_compute(0);
         core.issue_compute(0);
-        match core.peek() {
+        match core.peek(&t) {
             NextOp::Memory(a) => assert_eq!(a.addr, 64),
             other => panic!("expected memory, got {other:?}"),
         }
@@ -363,7 +359,7 @@ mod tests {
                 if !core.rob_has_space() {
                     break;
                 }
-                match core.peek() {
+                match core.peek(&t) {
                     NextOp::Compute => core.issue_compute(now),
                     NextOp::Memory(_) => {
                         let index = core.issue_memory();

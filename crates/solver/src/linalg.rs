@@ -8,7 +8,7 @@
 use crate::{Error, Result};
 
 /// A row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -62,6 +62,14 @@ impl Matrix {
         self.data.fill(value);
     }
 
+    /// Become the `rows × cols` zero matrix, reusing the storage.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -89,23 +97,34 @@ impl Matrix {
 
     /// Solve `A x = b` by LU with partial pivoting. `A` must be square.
     ///
-    /// Consumes a copy of the matrix internally; `self` is unchanged.
+    /// Factors a copy of the matrix; `self` is unchanged.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x, &mut Vec::new())?;
+        Ok(x)
+    }
+
+    /// [`Matrix::solve`] without allocating: `x` holds `b` on entry and
+    /// the solution on success, and the factors are built in `lu`, whose
+    /// old contents are discarded (a buffer reused across solves of one
+    /// size grows once).
+    pub(crate) fn solve_in_place(&self, x: &mut [f64], lu: &mut Vec<f64>) -> Result<()> {
         if self.rows != self.cols {
             return Err(Error::DimensionMismatch {
                 expected: self.rows,
                 actual: self.cols,
             });
         }
-        if b.len() != self.rows {
+        if x.len() != self.rows {
             return Err(Error::DimensionMismatch {
                 expected: self.rows,
-                actual: b.len(),
+                actual: x.len(),
             });
         }
         let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
+        lu.clear();
+        lu.extend_from_slice(&self.data);
+        let a = lu.as_mut_slice();
         // Forward elimination with partial pivoting.
         for col in 0..n {
             // Pivot selection.
@@ -153,7 +172,7 @@ impl Matrix {
         if x.iter().any(|v| !v.is_finite()) {
             return Err(Error::NonFiniteValue);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Infinity norm of the matrix (max absolute row sum).

@@ -94,80 +94,133 @@ where
     F: Fn(&[f64], &mut [f64]),
     J: Fn(&[f64], &[f64], &mut Matrix) -> Result<()>,
 {
-    let n = x0.len();
-    if n == 0 {
-        return Err(Error::InvalidParameter("empty system"));
-    }
-    let mut x = x0.to_vec();
-    let mut fx = vec![0.0; n];
-    let mut fx_trial = vec![0.0; n];
-    let mut jac = Matrix::zeros(n, n);
+    let mut ws = Workspace::default();
+    let (iterations, residual) = ws.solve(f, jacobian, |_| true, x0, opts)?;
+    Ok(NewtonSolution {
+        x: ws.x,
+        residual,
+        iterations,
+    })
+}
 
-    f(&x, &mut fx);
-    if fx.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue);
-    }
-    let mut res = norm2(&fx);
+/// The buffers of a Newton solve. A caller that solves many small
+/// systems (one per active-set face) keeps one workspace and allocates
+/// them once; [`Workspace::solve`] allocates nothing once they have
+/// grown to the largest system.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// The iterate: the solution once [`Workspace::solve`] succeeds.
+    pub(crate) x: Vec<f64>,
+    fx: Vec<f64>,
+    trial: Vec<f64>,
+    fx_trial: Vec<f64>,
+    step: Vec<f64>,
+    jac: Matrix,
+    lu: Vec<f64>,
+}
 
-    for it in 0..opts.max_iters {
-        if res < opts.tol {
-            return Ok(NewtonSolution {
-                x,
-                residual: res,
-                iterations: it,
-            });
+impl Workspace {
+    /// [`newton_system`] from `x0`, returning `(iterations, residual)`
+    /// and leaving the solution in `self.x`. `f` and `jacobian` are only
+    /// called at points where `in_domain` holds, and `x0` must be one. A
+    /// line-search trial outside the domain is skipped as a rejected
+    /// one is: it costs one of `opts.max_backtracks` halvings, so the
+    /// sequence of trials, and of accepted steps, is the one a search
+    /// evaluating every trial takes when `f` is non-finite outside the
+    /// domain.
+    pub(crate) fn solve<F, J, D>(
+        &mut self,
+        f: F,
+        jacobian: J,
+        in_domain: D,
+        x0: &[f64],
+        opts: &NewtonOptions,
+    ) -> Result<(usize, f64)>
+    where
+        F: Fn(&[f64], &mut [f64]),
+        J: Fn(&[f64], &[f64], &mut Matrix) -> Result<()>,
+        D: Fn(&[f64]) -> bool,
+    {
+        let n = x0.len();
+        if n == 0 {
+            return Err(Error::InvalidParameter("empty system"));
         }
-        jacobian(&x, &fx, &mut jac)?;
-        // Newton step: J dx = -F.
-        let rhs: Vec<f64> = fx.iter().map(|v| -v).collect();
-        let dx = jac.solve(&rhs)?;
-        // Backtracking line search on the residual norm.
-        let mut alpha = 1.0;
-        let mut accepted = false;
-        for _ in 0..=opts.max_backtracks {
-            let trial: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi + alpha * di).collect();
-            f(&trial, &mut fx_trial);
-            let finite = fx_trial.iter().all(|v| v.is_finite());
-            if finite {
-                let trial_res = norm2(&fx_trial);
-                if trial_res < res || trial_res < opts.tol {
-                    x = trial;
-                    fx.copy_from_slice(&fx_trial);
-                    res = trial_res;
-                    accepted = true;
-                    break;
-                }
+        let Workspace {
+            x,
+            fx,
+            trial,
+            fx_trial,
+            step,
+            jac,
+            lu,
+        } = self;
+        x.clear();
+        x.extend_from_slice(x0);
+        for v in [&mut *fx, &mut *trial, &mut *fx_trial, &mut *step] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        jac.reset(n, n);
+
+        f(x, fx);
+        if fx.iter().any(|v| !v.is_finite()) {
+            return Err(Error::NonFiniteValue);
+        }
+        let mut res = norm2(fx);
+
+        for it in 0..opts.max_iters {
+            if res < opts.tol {
+                return Ok((it, res));
             }
-            alpha *= 0.5;
-        }
-        if !accepted {
-            // The line search has hit the Jacobian's precision floor
-            // (a finite-difference one's, typically); accept a
-            // residual that is within two decades of the target.
-            if res < opts.tol * 100.0 {
-                return Ok(NewtonSolution {
-                    x,
-                    residual: res,
+            jacobian(x, fx, jac)?;
+            // Newton step: J dx = -F.
+            for (s, v) in step.iter_mut().zip(fx.iter()) {
+                *s = -v;
+            }
+            jac.solve_in_place(step, lu)?;
+            // Backtracking line search on the residual norm.
+            let mut alpha = 1.0;
+            let mut accepted = false;
+            for _ in 0..=opts.max_backtracks {
+                for ((t, xi), di) in trial.iter_mut().zip(x.iter()).zip(step.iter()) {
+                    *t = xi + alpha * di;
+                }
+                if in_domain(trial) {
+                    f(trial, fx_trial);
+                    if fx_trial.iter().all(|v| v.is_finite()) {
+                        let trial_res = norm2(fx_trial);
+                        if trial_res < res || trial_res < opts.tol {
+                            std::mem::swap(x, trial);
+                            fx.copy_from_slice(fx_trial);
+                            res = trial_res;
+                            accepted = true;
+                            break;
+                        }
+                    }
+                }
+                alpha *= 0.5;
+            }
+            if !accepted {
+                // The line search has hit the Jacobian's precision floor
+                // (a finite-difference one's, typically); accept a
+                // residual that is within two decades of the target.
+                if res < opts.tol * 100.0 {
+                    return Ok((it, res));
+                }
+                return Err(Error::DidNotConverge {
                     iterations: it,
+                    residual: res,
                 });
             }
-            return Err(Error::DidNotConverge {
-                iterations: it,
-                residual: res,
-            });
         }
-    }
-    if res < opts.tol {
-        Ok(NewtonSolution {
-            x,
-            residual: res,
-            iterations: opts.max_iters,
-        })
-    } else {
-        Err(Error::DidNotConverge {
-            iterations: opts.max_iters,
-            residual: res,
-        })
+        if res < opts.tol {
+            Ok((opts.max_iters, res))
+        } else {
+            Err(Error::DidNotConverge {
+                iterations: opts.max_iters,
+                residual: res,
+            })
+        }
     }
 }
 

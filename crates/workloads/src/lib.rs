@@ -33,6 +33,8 @@ pub mod tracer;
 pub use characterize::{characterize, Characterization};
 pub use tracer::{TracedVec, Tracer};
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use c2_speedup::scale::ComplexityPair;
 use c2_trace::Trace;
 
@@ -123,6 +125,41 @@ impl WorkloadTrace {
     }
 }
 
+/// One workload trace's per-core splits, each computed once.
+///
+/// A sweep simulates many design points at few core counts. The memo
+/// hands every evaluation at a core count the split the first one
+/// computed ([`WorkloadTrace::per_core_traces`]), on any thread. A memo
+/// belongs to one trace: it must always be asked about the same one.
+#[derive(Debug, Default)]
+pub struct SplitMemo {
+    splits: Mutex<Vec<(usize, Arc<[Trace]>)>>,
+}
+
+impl SplitMemo {
+    /// `trace.per_core_traces(cores)`, computed on the first call for
+    /// `cores` and shared afterwards.
+    pub fn split(&self, trace: &WorkloadTrace, cores: usize) -> Arc<[Trace]> {
+        // A panic in a split leaves the list as it was: whole entries.
+        let mut splits = self.splits.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, split)) = splits.iter().find(|(c, _)| *c == cores) {
+            return Arc::clone(split);
+        }
+        let split: Arc<[Trace]> = trace.per_core_traces(cores).into();
+        splits.push((cores, Arc::clone(&split)));
+        split
+    }
+}
+
+impl Clone for SplitMemo {
+    fn clone(&self) -> Self {
+        let splits = self.splits.lock().unwrap_or_else(PoisonError::into_inner);
+        SplitMemo {
+            splits: Mutex::new(splits.clone()),
+        }
+    }
+}
+
 /// A characterizable workload.
 pub trait Workload {
     /// Human-readable name (Table I row label).
@@ -195,6 +232,17 @@ mod tests {
         assert_eq!(total, 9);
         // Core 0 carries the serial prefix.
         assert!(per[0].len() >= per[1].len());
+    }
+
+    #[test]
+    fn split_memo_computes_each_core_count_once() {
+        let w = toy();
+        let memo = SplitMemo::default();
+        let three = memo.split(&w, 3);
+        assert_eq!(&three[..], &w.per_core_traces(3)[..]);
+        assert!(Arc::ptr_eq(&three, &memo.split(&w, 3)), "recomputed");
+        assert_eq!(&memo.split(&w, 2)[..], &w.per_core_traces(2)[..]);
+        assert!(Arc::ptr_eq(&three, &memo.clone().split(&w, 3)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::path::Path;
 
-use c2_bound::dse::{simulate_point, DesignPoint, Oracle};
+use c2_bound::dse::{simulate_split, DesignPoint, Oracle};
 use c2_bound::{
     aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
     Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan,
@@ -23,7 +23,7 @@ use c2_obs::{names, MetricsSink};
 use c2_runner::{RunConfig, RunSummary, ScreenConfig, ScreenReport, SweepRunner};
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::ChipConfig;
-use c2_workloads::{characterize, WorkloadTrace};
+use c2_workloads::{characterize, SplitMemo, WorkloadTrace};
 
 /// Why the pipeline stopped. Only [`Error::Run`] can follow a write to
 /// a journal or cache file; the other two are configuration errors
@@ -138,6 +138,7 @@ pub fn execute(
     // Deferred initialization: each branch fills the owners it needs,
     // and the sweep and pricer borrow from them for the rest of the run.
     let (gpu, cpu, phase_oracle);
+    let splits = SplitMemo::default();
     let (sweep, pricer, points_counter): (&dyn BackendSweep, Pricer<'_>, &str) =
         match sc.backend.kind {
             // Closed-form pricing: no trace, no characterization.
@@ -151,6 +152,7 @@ pub fn execute(
                 let pricer = match sc.oracle.mode {
                     OracleMode::Full => Pricer::Full {
                         trace: &cpu.trace,
+                        splits: &splits,
                         area: &model.area,
                         budget: &model.budget,
                     },
@@ -245,6 +247,8 @@ impl c2_runner::ScenarioExecutor for Executor {
 enum Pricer<'a> {
     Full {
         trace: &'a WorkloadTrace,
+        /// The trace's per-core splits, shared by every engine thread.
+        splits: &'a SplitMemo,
         area: &'a AreaModel,
         budget: &'a SiliconBudget,
     },
@@ -257,9 +261,10 @@ impl Oracle for Pricer<'_> {
         match self {
             Pricer::Full {
                 trace,
+                splits,
                 area,
                 budget,
-            } => simulate_point(p, trace, area, budget)
+            } => simulate_split(p, trace, splits, area, budget)
                 .map_err(|e| c2_bound::Error::Simulation(e.to_string())),
             Pricer::Phase(oracle) => oracle.price(p),
             Pricer::Gpu(backend) => backend.measure(p),

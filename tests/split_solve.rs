@@ -69,3 +69,25 @@ fn every_shipped_cpu_plan_solves_cleanly_and_fits_the_budget() {
         }
     }
 }
+
+/// `paper_scale.json`'s plan: the analytic optimum's N* bit for bit, and
+/// the face solves' derivative evaluations, which stay low because no
+/// Newton line search evaluates a trial outside the model's domain
+/// (every area positive). Evaluating every trial made 24,359.
+#[test]
+fn paper_scale_plan_is_pinned_and_evaluates_only_inside_the_domain() {
+    let text = std::fs::read_to_string(repo_path("examples/scenarios/paper_scale.json"))
+        .expect("scenario");
+    let sc = Scenario::from_json(&text).expect("valid scenario");
+    let aps = c2bound::pipeline::cpu_setup(&sc).expect("set-up").aps;
+    let before = c2bound::solver::lagrange::derivative_evaluations();
+    let plan = aps.plan_observed(&Recorder::new()).expect("plan");
+    let evaluations = c2bound::solver::lagrange::derivative_evaluations() - before;
+    assert_eq!(
+        plan.analytic.vars.n.to_bits(),
+        1943.2795150665074f64.to_bits(),
+        "N* = {}",
+        plan.analytic.vars.n
+    );
+    assert!(evaluations <= 3_000, "{evaluations} derivative evaluations");
+}
