@@ -69,6 +69,21 @@ fn bench_simulator(c: &mut Criterion) {
     group.bench_function("fluidanimate_100_512_cores", |b| {
         b.iter(|| Simulator::new(wide.clone()).run(black_box(&fluid)).unwrap())
     });
+
+    // The set-up layer every DSE pays first: one characterization, a
+    // one-core run of the whole workload, of the `phase_estimate` and
+    // `sim_wide` benchmarks' workloads.
+    let chip = ChipConfig::default_single_core();
+    for (name, size) in [("stencil", 64), ("fluidanimate", 100)] {
+        let spec = c2_config::WorkloadSpec {
+            name: name.to_string(),
+            size,
+        };
+        let trace = c2_workloads::workload_from_spec(&spec).unwrap().generate();
+        group.bench_function(&format!("characterize_{name}_{size}"), |b| {
+            b.iter(|| c2_workloads::characterize(black_box(&trace), black_box(&chip)).unwrap())
+        });
+    }
     group.finish();
 }
 

@@ -25,12 +25,20 @@ pub enum LookupResult {
 /// block's set, so a reset zeroes only those index words and truncates
 /// the blocks, and hands a run's successor the empty cache in time
 /// proportional to the sets its predecessor filled.
+///
+/// The set count is a power of two, so a line's tag and its set number
+/// are its bits above and below `set_bits`; an address becomes a line by
+/// a shift too when the line size is a power of two.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
+    /// `log2(sets)`.
+    set_bits: u32,
     ways: usize,
     banks: usize,
     line_size: u64,
+    /// `log2(line_size)` if the line size is a power of two.
+    line_bits: Option<u32>,
     /// Per set: 0 if empty, else 1 + the number of its block.
     index: Vec<u32>,
     /// The filled sets' ways, `2·ways` words per block, in fill order.
@@ -86,11 +94,18 @@ impl CacheArray {
         blocks: Vec<u64>,
         block_sets: Vec<usize>,
     ) -> Self {
+        let sets = config.sets();
+        debug_assert!(sets.is_power_of_two(), "{sets} sets");
         CacheArray {
-            sets: config.sets(),
+            sets,
+            set_bits: sets.trailing_zeros(),
             ways: config.associativity,
             banks: config.banks,
             line_size: config.line_size,
+            line_bits: config
+                .line_size
+                .is_power_of_two()
+                .then(|| config.line_size.trailing_zeros()),
             index,
             blocks,
             block_sets,
@@ -116,7 +131,16 @@ impl CacheArray {
     /// The line index of a byte address.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_size
+        match self.line_bits {
+            Some(bits) => addr >> bits,
+            None => addr / self.line_size,
+        }
+    }
+
+    /// The tag `line` is stored under in its set.
+    #[inline]
+    fn tag_of(&self, line: u64) -> u64 {
+        line >> self.set_bits
     }
 
     /// Offset in `blocks` of the first word of `set`'s block, if the set
@@ -133,7 +157,7 @@ impl CacheArray {
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         let base = self.block_of(self.set_index(line))?;
-        let tag = line / self.sets as u64;
+        let tag = self.tag_of(line);
         self.blocks[base..base + 2 * self.ways]
             .chunks_exact(2)
             .position(|w| w[0] == tag && w[1] != 0)
@@ -205,10 +229,10 @@ impl CacheArray {
             .unwrap_or(base);
         let old_stamp = self.blocks[victim + 1];
         let evicted = (old_stamp != 0).then(|| {
-            let victim_line = self.blocks[victim] * self.sets as u64 + set as u64;
+            let victim_line = (self.blocks[victim] << self.set_bits) | set as u64;
             (victim_line, old_stamp & DIRTY != 0)
         });
-        self.blocks[victim] = line / self.sets as u64;
+        self.blocks[victim] = self.tag_of(line);
         self.blocks[victim + 1] = self.clock << 1 | dirty as u64;
         if let Some((_, d)) = evicted {
             self.evictions += 1;

@@ -3,8 +3,9 @@
 //!
 //! The organization follows the paper's Fig 3: NoC-connected cores with
 //! private L1s and a shared, banked L2 in front of the memory
-//! controllers. Every request walks an explicit state machine
-//! ([`crate::request::ReqState`]); the Fig 4 HCD/MCD detector accounts
+//! controllers. Every L1 miss is a request that walks an explicit state
+//! machine ([`crate::request::ReqState`]); an L1 hit is only a ROB entry
+//! and a lookup in flight. The Fig 4 HCD/MCD detector accounts
 //! every cycle of each core's L1, so the reported C-AMAT parameters are
 //! *measured* by the same machinery the paper proposes in hardware.
 //!
@@ -17,11 +18,12 @@
 //! bit for bit, as stepping and observing every core every cycle:
 //!
 //! * **Sleep.** After its step, an unfinished core sleeps if it cannot
-//!   issue (ROB full or trace exhausted) and its ROB head is a memory
-//!   access whose data has not returned. Until that data arrives, every
-//!   step would retire nothing, issue nothing, and note one ROB-full
-//!   stall if the ROB is full. A compute head keeps a core awake (its
-//!   latency may exceed one cycle); a finished core leaves for good.
+//!   issue (ROB full or trace exhausted) and its ROB head is an L1 miss
+//!   whose data has not returned. Until that data arrives, every step
+//!   would retire nothing, issue nothing, and note one ROB-full stall if
+//!   the ROB is full. A compute or L1-hit head keeps a core awake (its
+//!   entry holds the cycle it may retire from); a finished core leaves
+//!   for good.
 //! * **Wake.** Completing the request at a sleeper's ROB head wakes it.
 //!   Completions all happen before cores step, so it steps in that same
 //!   cycle, and it is charged the ROB-full stalls of the cycles it sat
@@ -42,11 +44,18 @@
 //!   `(cycle, id)` order of the min-heap the calendar replaced. Nothing
 //!   is scheduled for a cycle already processed: hit latencies are at
 //!   least 1, and NoC hops are scheduled before or during the pass.
+//! * **L1 hits.** A hit's ROB entry holds the cycle its lookup resolves,
+//!   and a FIFO of `(resolve cycle, core)` in issue order, which is
+//!   resolve order, ends its hit phase before the cycle's pass. Only
+//!   misses are requests, but hits take request ids too, so ids number
+//!   accesses in issue order.
 //!
 //! # Per-event cost
 //!
-//! Each event's bookkeeping takes constant time. Scheduling is a push
-//! onto a slot, and a pass sorts only its own cycle's ids. The L2 queue
+//! Each event's bookkeeping takes constant time. An L1 hit is a ROB
+//! entry and a lookup-FIFO entry, and only misses are requests and
+//! calendar events. Scheduling is a push onto a slot, and a pass sorts
+//! only its own cycle's ids. The L2 queue
 //! is a ring buffer that dispatch removes from near its front. A
 //! request carries its ROB index, which completion marks done, and its
 //! miss's start epoch, which retirement hands back to the detector, so
@@ -215,6 +224,10 @@ struct Engine {
     wb_inflight: u64,
     /// Timed state transitions, handed out in (due cycle, id) order.
     calendar: Calendar,
+    /// `(resolve cycle, core)` of every L1 hit still in its lookup, in
+    /// issue order, which is resolve order: every lookup takes the L1
+    /// hit latency.
+    hit_lookups: VecDeque<(u64, usize)>,
     /// Per-core FIFOs of requests waiting for a free L1 MSHR entry
     /// (woken when a fill releases one — never polled per cycle).
     retry_l1: Vec<VecDeque<ReqId>>,
@@ -279,6 +292,7 @@ impl Engine {
             wb_pending: Vec::new(),
             wb_inflight: 0,
             calendar: Calendar::default(),
+            hit_lookups: VecDeque::new(),
             retry_l1: Vec::new(),
             retry_l2: VecDeque::new(),
             retry_dram: Vec::new(),
@@ -326,6 +340,7 @@ impl Engine {
             wb_pending,
             wb_inflight,
             calendar,
+            hit_lookups,
             retry_l1,
             retry_l2,
             retry_dram,
@@ -391,6 +406,7 @@ impl Engine {
                 .max(config.noc.l1_l2_latency)
                 .max(config.noc.l2_mem_latency),
         );
+        hit_lookups.clear();
         retry_l2.clear();
         retry_dram.clear();
         defaults(hits_in_flight, n);
@@ -459,16 +475,21 @@ impl Engine {
             // 6. Awake cores retire and issue.
             self.core_cycle(now, traces)?;
 
-            // 7. Layer activity observation.
-            self.observe(now);
+            // 7. Layer activity observation. Nothing changes the DRAM
+            // between here and the termination test.
+            let dram_active = self.dram.is_active(now);
+            self.observe(dram_active);
 
-            // 8. Termination.
+            // 8. Termination. A core retires an L1 hit no earlier than
+            // the cycle its lookup resolves, so finished cores leave no
+            // lookup behind.
             let cores_done = self.unfinished == 0;
             let mem_drained = self.requests.is_empty()
                 && self.wb_pending.is_empty()
                 && self.wb_inflight == 0
-                && !self.dram.is_active(now);
+                && !dram_active;
             if cores_done && mem_drained {
+                debug_assert!(self.hit_lookups.is_empty());
                 break;
             }
             now += 1;
@@ -507,31 +528,38 @@ impl Engine {
         self.drain_l2_retries(now);
     }
 
-    /// Handle every transition due at `now`, in ascending request id,
-    /// including those the handlers schedule for `now` itself.
+    /// Retire the L1 hits whose lookups resolve at `now`, then handle
+    /// every transition due at `now`, in ascending request id, including
+    /// those the handlers schedule for `now` itself.
+    ///
+    /// Hits go first, out of id order, without changing a result: a
+    /// hit's retirement touches only its own core's counts and
+    /// detector, and every handler accounts a core through `now` before
+    /// it changes that core's counts.
     fn process_events(&mut self, now: u64) {
+        while let Some(&(done_at, core)) = self.hit_lookups.front() {
+            if done_at > now {
+                break;
+            }
+            debug_assert_eq!(done_at, now, "a hit lookup outlived its cycle");
+            self.hit_lookups.pop_front();
+            self.end_lookup(core, now);
+            self.detectors[core].retire_access(self.config.l1.hit_latency, None);
+        }
         self.calendar.begin(now);
         while let Some(id) = self.calendar.pop() {
             let Some(r) = self.requests.get(&id).copied() else {
                 continue; // already completed (stale event)
             };
             match r.state {
-                ReqState::L1Lookup { done_at, hit } if done_at <= now => {
-                    self.account(r.core, now);
-                    self.hits_in_flight[r.core] -= 1;
-                    if self.hits_in_flight[r.core] == 0 {
-                        self.cores_with_hits -= 1;
-                    }
-                    if hit {
-                        self.complete_request(id, now, false);
-                    } else {
-                        self.outstanding[r.core] += 1;
-                        let epoch = self.detectors[r.core].pure_epoch();
-                        self.requests.get_mut(&id).unwrap().miss_epoch = epoch;
-                        self.l1_miss_to_mshr(id, now);
-                        if self.config.l1.next_line_prefetch {
-                            self.maybe_prefetch(r.core, r.line + 1, now);
-                        }
+                ReqState::L1Lookup { done_at } if done_at <= now => {
+                    self.end_lookup(r.core, now);
+                    self.outstanding[r.core] += 1;
+                    let epoch = self.detectors[r.core].pure_epoch();
+                    self.requests.get_mut(&id).unwrap().miss_epoch = epoch;
+                    self.l1_miss_to_mshr(id, now);
+                    if self.config.l1.next_line_prefetch {
+                        self.maybe_prefetch(r.core, r.line + 1, now);
                     }
                 }
                 ReqState::ToL2 { arrive_at } if arrive_at <= now => {
@@ -559,6 +587,15 @@ impl Engine {
                 // Stale or retry-managed state: nothing to do.
                 _ => {}
             }
+        }
+    }
+
+    /// An access of `core` left its L1 lookup (its hit phase) at `now`.
+    fn end_lookup(&mut self, core: usize, now: u64) {
+        self.account(core, now);
+        self.hits_in_flight[core] -= 1;
+        if self.hits_in_flight[core] == 0 {
+            self.cores_with_hits -= 1;
         }
     }
 
@@ -600,7 +637,7 @@ impl Engine {
             // merged demand or a prefetch): complete straight away.
             let line = self.requests[&id].line;
             if matches!(self.l1s[core].probe(line), LookupResult::Hit) {
-                self.complete_request(id, now, true);
+                self.complete_request(id, now);
                 continue;
             }
             self.l1_miss_to_mshr(id, now);
@@ -766,16 +803,16 @@ impl Engine {
             "the filling primary must be among the MSHR waiters"
         );
         for &w in &waiters {
-            self.complete_request(w, now, true);
+            self.complete_request(w, now);
         }
         self.waiter_buf = waiters;
         // An MSHR entry just freed: wake blocked misses of this core.
         self.drain_l1_retries(core, now);
     }
 
-    /// Finish an access: notify the detector and the owning core, then
-    /// drop the request.
-    fn complete_request(&mut self, id: ReqId, now: u64, was_miss: bool) {
+    /// Finish a miss: notify the detector and the owning core, then drop
+    /// the request. (A hit is no request: its lookup retires it.)
+    fn complete_request(&mut self, id: ReqId, now: u64) {
         let Some(r) = self.requests.remove(&id) else {
             return;
         };
@@ -783,19 +820,12 @@ impl Engine {
             return; // hardware-initiated: nobody to notify
         }
         self.account(r.core, now);
-        let hit_cycles = self.config.l1.hit_latency;
-        let miss = if was_miss {
-            let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
-            Some((r.miss_epoch, penalty))
-        } else {
-            None
-        };
-        self.detectors[r.core].retire_access(hit_cycles, miss);
+        let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
+        self.detectors[r.core]
+            .retire_access(self.config.l1.hit_latency, Some((r.miss_epoch, penalty)));
         let was_head = self.cores[r.core].complete_memory(r.rob_index);
-        if was_miss {
-            self.outstanding[r.core] -= 1;
-            self.per_core_misses[r.core] += 1;
-        }
+        self.outstanding[r.core] -= 1;
+        self.per_core_misses[r.core] += 1;
         // A sleeper's ROB is frozen, so its head is the entry it slept on.
         if was_head {
             if let Some(since) = self.asleep[r.core] {
@@ -946,24 +976,32 @@ impl Engine {
                         self.l1s[core_idx].access(line, access.kind.is_write()),
                         LookupResult::Hit
                     );
+                    // Every access takes an id, hit or miss, so a miss's
+                    // id is its access's number in issue order whichever
+                    // accesses hit.
                     let id = self.next_req;
                     self.next_req += 1;
                     let done_at = now + self.config.l1.hit_latency as u64;
-                    let rob_index = self.cores[core_idx].issue_memory();
-                    self.requests.insert(
-                        id,
-                        MemRequest {
-                            core: core_idx,
-                            line,
-                            is_write: access.kind.is_write(),
-                            lookup_done_at: done_at,
-                            rob_index,
-                            miss_epoch: 0,
-                            state: ReqState::L1Lookup { done_at, hit },
-                            is_prefetch: false,
-                        },
-                    );
-                    self.calendar.push(done_at, id);
+                    if hit {
+                        self.cores[core_idx].issue_hit(done_at);
+                        self.hit_lookups.push_back((done_at, core_idx));
+                    } else {
+                        let rob_index = self.cores[core_idx].issue_memory();
+                        self.requests.insert(
+                            id,
+                            MemRequest {
+                                core: core_idx,
+                                line,
+                                is_write: access.kind.is_write(),
+                                lookup_done_at: done_at,
+                                rob_index,
+                                miss_epoch: 0,
+                                state: ReqState::L1Lookup { done_at },
+                                is_prefetch: false,
+                            },
+                        );
+                        self.calendar.push(done_at, id);
+                    }
                     self.account(core_idx, now);
                     if self.hits_in_flight[core_idx] == 0 {
                         self.cores_with_hits += 1;
@@ -1001,16 +1039,17 @@ impl Engine {
         Ok(())
     }
 
-    /// Chip-level layer activity for this cycle. Per-core L1 activity is
-    /// accounted by [`Engine::account`] when it changes.
-    fn observe(&mut self, now: u64) {
+    /// Chip-level layer activity for this cycle, given whether the DRAM
+    /// is active in it. Per-core L1 activity is accounted by
+    /// [`Engine::account`] when it changes.
+    fn observe(&mut self, dram_active: bool) {
         if self.cores_with_hits > 0 {
             self.l1_layer.active_cycles += 1;
         }
         if self.l2_resident > 0 {
             self.l2_layer.active_cycles += 1;
         }
-        if self.dram.is_active(now) {
+        if dram_active {
             self.dram_layer.active_cycles += 1;
         }
     }
@@ -1095,6 +1134,9 @@ struct Calendar {
     /// before it is drained.
     now: u64,
     open: bool,
+    /// Pushes since the last reset.
+    #[cfg(test)]
+    pushed: u64,
 }
 
 impl Calendar {
@@ -1114,12 +1156,20 @@ impl Calendar {
         self.due.clear();
         self.now = 0;
         self.open = false;
+        #[cfg(test)]
+        {
+            self.pushed = 0;
+        }
     }
 
     /// Schedule `id` for cycle `at`. An id for the open cycle joins the
     /// ids still to be handed out in it, in order.
     fn push(&mut self, at: u64, id: ReqId) {
         debug_assert!(at >= self.now, "cycle {at} is already drained");
+        #[cfg(test)]
+        {
+            self.pushed += 1;
+        }
         if self.open && at == self.now {
             let i = self.due.partition_point(|&d| d > id);
             self.due.insert(i, id);
@@ -1314,6 +1364,34 @@ mod tests {
             r.cores[0].l1_miss_rate()
         );
         assert!(r.cores[0].camat.hit_time > 0.0);
+    }
+
+    /// Only misses become requests and calendar events: on one line read
+    /// over and over, every access after the cold miss hits, and the run
+    /// inserts one request per miss and schedules the primary miss's
+    /// five hops (lookup, to L2, L2 lookup, to DRAM, fill) plus one
+    /// lookup per merged miss.
+    #[test]
+    fn l1_hits_enter_neither_the_arena_nor_the_calendar() {
+        let mut b = TraceBuilder::new();
+        for _ in 0..1000 {
+            b.compute(3).read(0x40);
+        }
+        let trace = b.finish();
+        let mut blocking = ChipConfig::default_single_core();
+        blocking.core = crate::config::CoreConfig::scalar_blocking();
+        for (config, merged) in [(blocking, false), (ChipConfig::default_single_core(), true)] {
+            let traces = std::slice::from_ref(&trace);
+            let mut engine = Engine::empty(&config);
+            engine.reset(&config, traces);
+            let r = engine.run(traces).unwrap();
+            let misses = r.cores[0].l1_misses;
+            assert_eq!(r.l1_layer.hits + misses, 1000);
+            assert!(r.l1_layer.hits > 900, "hits {}", r.l1_layer.hits);
+            assert_eq!(misses > 1, merged, "misses {misses}");
+            assert_eq!(engine.requests.inserted, misses);
+            assert_eq!(engine.calendar.pushed, misses + 4);
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@ use c2_trace::{MemAccess, Trace};
 
 use crate::config::CoreConfig;
 
-/// A ROB entry's value while it is a memory access whose data has not
+/// A ROB entry's value while it is an L1 miss whose data has not
 /// returned. Every other entry holds the cycle from which it may
-/// retire: a compute instruction's completion cycle, or 0 for an access
-/// whose data has returned.
+/// retire: a compute instruction's completion cycle, an L1 hit's lookup
+/// resolve cycle, or 0 for a miss whose data has returned.
 const PENDING: u64 = u64::MAX;
 
 /// What the core wants to issue next (peeked by the chip engine).
@@ -181,8 +181,8 @@ impl Core {
         self.rob_has_space() && self.next_instr < self.instruction_count
     }
 
-    /// Whether the ROB head is a memory instruction whose data has not
-    /// returned: the core cannot retire until it does.
+    /// Whether the ROB head is an L1 miss whose data has not returned:
+    /// the core cannot retire until it does.
     pub(crate) fn head_blocked(&self) -> bool {
         self.rob.front() == Some(&PENDING)
     }
@@ -204,8 +204,22 @@ impl Core {
     /// return its dynamic index, the handle [`Core::complete_memory`]
     /// takes.
     pub fn issue_memory(&mut self) -> u64 {
+        self.issue_access(PENDING)
+    }
+
+    /// Issue the pending memory instruction (caller checked `peek`) as
+    /// an L1 hit whose lookup resolves at `ready_at`: like a compute
+    /// instruction, it may retire from that cycle on, and no completion
+    /// is reported for it.
+    pub fn issue_hit(&mut self, ready_at: u64) {
+        self.issue_access(ready_at);
+    }
+
+    /// Issue the pending memory instruction into a ROB entry holding
+    /// `entry` and return its dynamic index.
+    fn issue_access(&mut self, entry: u64) -> u64 {
         debug_assert!(self.rob_has_space());
-        self.rob.push_back(PENDING);
+        self.rob.push_back(entry);
         let index = self.next_instr;
         self.next_instr += 1;
         self.next_access += 1;

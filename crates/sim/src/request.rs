@@ -6,12 +6,12 @@ pub type ReqId = u64;
 /// Where a request currently is in the memory hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqState {
-    /// In the L1 lookup pipeline (the access's *hit phase*).
+    /// In the L1 lookup pipeline (the access's *hit phase*), bound to
+    /// miss: the lookup is determined at issue, and a hit never becomes
+    /// a request.
     L1Lookup {
         /// Cycle at which the lookup resolves.
         done_at: u64,
-        /// Whether the lookup will hit (determined at issue).
-        hit: bool,
     },
     /// Missed in L1 but the MSHR file was full; retrying allocation.
     L1MshrRetry,
@@ -96,6 +96,9 @@ pub struct RequestArena {
     /// Id of `slots[0]`. Meaningless while `slots` is empty.
     base: ReqId,
     live: usize,
+    /// Requests inserted since the last clear.
+    #[cfg(test)]
+    pub(crate) inserted: u64,
 }
 
 impl RequestArena {
@@ -110,6 +113,10 @@ impl RequestArena {
         self.slots.clear();
         self.base = 0;
         self.live = 0;
+        #[cfg(test)]
+        {
+            self.inserted = 0;
+        }
     }
 
     #[inline]
@@ -144,6 +151,10 @@ impl RequestArena {
         let old = self.slots[idx].replace(req);
         if old.is_none() {
             self.live += 1;
+        }
+        #[cfg(test)]
+        {
+            self.inserted += 1;
         }
         old
     }

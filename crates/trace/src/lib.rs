@@ -23,7 +23,7 @@
 //! let trace = StridedGenerator::new(0x1000, 64, 1024).generate();
 //! assert_eq!(trace.len(), 1024);
 //! let stats = trace.stats();
-//! assert!(stats.unique_lines(64) <= 1024);
+//! assert!(stats.unique_lines() <= 1024);
 //! ```
 
 #![warn(missing_docs)]

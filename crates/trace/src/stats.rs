@@ -7,9 +7,62 @@
 //! off directly — the bridge between cache *area* in the model (Eq. 12)
 //! and miss-rate behaviour.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::trace::Trace;
+
+/// The distinct lines of an access stream: the one count behind
+/// [`TraceStats`]'s footprint and every [`WorkingSet`] size. A line
+/// equal to the one added before it is skipped unhashed, since most
+/// accesses revisit the line just touched.
+#[derive(Debug, Default)]
+struct DistinctLines {
+    seen: HashSet<u64, BuildHasherDefault<LineHasher>>,
+    last: Option<u64>,
+}
+
+impl DistinctLines {
+    fn add(&mut self, line: u64) {
+        if self.last != Some(line) {
+            self.last = Some(line);
+            self.seen.insert(line);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    fn clear(&mut self) {
+        self.seen.clear();
+        self.last = None;
+    }
+}
+
+/// Multiplicative (Fibonacci) hashing of a line number: one multiply by
+/// 2^64/φ, rotated so that the product's well-mixed high bits pick the
+/// bucket. Line numbers are program addresses, not adversarial input.
+#[derive(Debug, Default)]
+struct LineHasher(u64);
+
+const GOLDEN_RATIO: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(GOLDEN_RATIO);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Summary statistics for a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,11 +77,11 @@ pub struct TraceStats {
 impl TraceStats {
     /// Compute statistics from a trace.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut lines = std::collections::HashSet::new();
+        let mut lines = DistinctLines::default();
         let mut min_addr = u64::MAX;
         let mut max_addr = 0;
         for a in trace.accesses() {
-            lines.insert(a.line(64));
+            lines.add(a.line(64));
             min_addr = min_addr.min(a.addr);
             max_addr = max_addr.max(a.addr);
         }
@@ -54,12 +107,9 @@ impl TraceStats {
         self.instruction_count
     }
 
-    /// Number of distinct cache lines touched, for the given line size.
-    ///
-    /// The cached value is for 64-byte lines; other sizes trigger no
-    /// recomputation here and callers should use [`WorkingSet`].
-    pub fn unique_lines(&self, line_size: u64) -> usize {
-        debug_assert_eq!(line_size, 64, "cached for 64-byte lines");
+    /// Number of distinct 64-byte lines touched. [`WorkingSet`] counts
+    /// lines of other sizes.
+    pub fn unique_lines(&self) -> usize {
         self.unique_lines_64
     }
 
@@ -96,18 +146,11 @@ impl WorkingSet {
     /// Average working-set size (in lines) over all windows of length
     /// `theta` accesses, sliding by `theta` (non-overlapping windows).
     pub fn average_size(&self, trace: &Trace, theta: usize) -> f64 {
-        assert!(theta > 0);
-        let mut total = 0usize;
-        let mut windows = 0usize;
-        let mut seen = std::collections::HashSet::new();
-        for chunk in trace.accesses().chunks(theta) {
-            seen.clear();
-            for a in chunk {
-                seen.insert(a.line(self.line_size));
-            }
-            total += seen.len();
-            windows += 1;
-        }
+        let (total, windows) = self
+            .window_sizes(trace, theta)
+            .fold((0usize, 0usize), |(total, windows), size| {
+                (total + size, windows + 1)
+            });
         if windows == 0 {
             0.0
         } else {
@@ -118,26 +161,34 @@ impl WorkingSet {
     /// Peak working-set size (in lines) over non-overlapping windows of
     /// `theta` accesses.
     pub fn peak_size(&self, trace: &Trace, theta: usize) -> usize {
-        assert!(theta > 0);
-        let mut peak = 0usize;
-        let mut seen = std::collections::HashSet::new();
-        for chunk in trace.accesses().chunks(theta) {
-            seen.clear();
-            for a in chunk {
-                seen.insert(a.line(self.line_size));
-            }
-            peak = peak.max(seen.len());
-        }
-        peak
+        self.window_sizes(trace, theta).max().unwrap_or(0)
     }
 
     /// Working set size in bytes of the whole trace (total footprint).
     pub fn footprint_bytes(&self, trace: &Trace) -> u64 {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = DistinctLines::default();
         for a in trace.accesses() {
-            seen.insert(a.line(self.line_size));
+            seen.add(a.line(self.line_size));
         }
         seen.len() as u64 * self.line_size
+    }
+
+    /// The distinct lines of each window of `theta` accesses, sliding
+    /// by `theta`.
+    fn window_sizes<'a>(
+        &'a self,
+        trace: &'a Trace,
+        theta: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        assert!(theta > 0);
+        let mut seen = DistinctLines::default();
+        trace.accesses().chunks(theta).map(move |chunk| {
+            seen.clear();
+            for a in chunk {
+                seen.add(a.line(self.line_size));
+            }
+            seen.len()
+        })
     }
 }
 
@@ -359,7 +410,7 @@ mod tests {
         let t = trace_of_lines(&[0, 1, 1, 2]);
         let s = t.stats();
         assert_eq!(s.accesses(), 4);
-        assert_eq!(s.unique_lines(64), 3);
+        assert_eq!(s.unique_lines(), 3);
         assert_eq!(s.footprint_bytes(), 192);
         assert_eq!(s.min_addr(), 0);
         assert_eq!(s.max_addr(), 128);
@@ -373,5 +424,32 @@ mod tests {
         assert_eq!(s.footprint_bytes(), 0);
         let p = ReuseProfile::compute(&t, 64);
         assert_eq!(p.miss_rate_for_lines(4), 0.0);
+    }
+
+    proptest::proptest! {
+        /// The counter counts what a `HashSet` of every line holds, for
+        /// streams with runs of one line and for lines that differ only
+        /// in their high bits (a stride of `2^shift` lines), across
+        /// clears.
+        #[test]
+        fn distinct_lines_count_what_a_hash_set_holds(
+            runs in proptest::collection::vec((0u64..64, 1usize..4), 0..300),
+            shift in 0u32..48,
+            clear_at in 0usize..300,
+        ) {
+            let mut counter = DistinctLines::default();
+            let mut reference = std::collections::HashSet::new();
+            for (i, &(line, repeats)) in runs.iter().enumerate() {
+                if i == clear_at {
+                    counter.clear();
+                    reference.clear();
+                }
+                for _ in 0..repeats {
+                    counter.add(line << shift);
+                    reference.insert(line << shift);
+                }
+                proptest::prop_assert_eq!(counter.len(), reference.len());
+            }
+        }
     }
 }
