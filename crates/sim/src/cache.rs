@@ -26,9 +26,9 @@ pub enum LookupResult {
 /// the blocks, and hands a run's successor the empty cache in time
 /// proportional to the sets its predecessor filled.
 ///
-/// The set count is a power of two, so a line's tag and its set number
-/// are its bits above and below `set_bits`; an address becomes a line by
-/// a shift too when the line size is a power of two.
+/// The line size and the set count are powers of two, so an address
+/// becomes a line by a shift, and a line's tag and its set number are its
+/// bits above and below `set_bits`.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
@@ -36,9 +36,8 @@ pub struct CacheArray {
     set_bits: u32,
     ways: usize,
     banks: usize,
-    line_size: u64,
-    /// `log2(line_size)` if the line size is a power of two.
-    line_bits: Option<u32>,
+    /// `log2(line_size)`.
+    line_bits: u32,
     /// Per set: 0 if empty, else 1 + the number of its block.
     index: Vec<u32>,
     /// The filled sets' ways, `2·ways` words per block, in fill order.
@@ -96,16 +95,17 @@ impl CacheArray {
     ) -> Self {
         let sets = config.sets();
         debug_assert!(sets.is_power_of_two(), "{sets} sets");
+        debug_assert!(
+            config.line_size.is_power_of_two(),
+            "{}-byte lines",
+            config.line_size
+        );
         CacheArray {
             sets,
             set_bits: sets.trailing_zeros(),
             ways: config.associativity,
             banks: config.banks,
-            line_size: config.line_size,
-            line_bits: config
-                .line_size
-                .is_power_of_two()
-                .then(|| config.line_size.trailing_zeros()),
+            line_bits: config.line_size.trailing_zeros(),
             index,
             blocks,
             block_sets,
@@ -131,10 +131,7 @@ impl CacheArray {
     /// The line index of a byte address.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {
-        match self.line_bits {
-            Some(bits) => addr >> bits,
-            None => addr / self.line_size,
-        }
+        addr >> self.line_bits
     }
 
     /// The tag `line` is stored under in its set.

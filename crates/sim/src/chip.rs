@@ -47,8 +47,9 @@
 //! * **L1 hits.** A hit's ROB entry holds the cycle its lookup resolves,
 //!   and a FIFO of `(resolve cycle, core)` in issue order, which is
 //!   resolve order, ends its hit phase before the cycle's pass. Only
-//!   misses are requests, but hits take request ids too, so ids number
-//!   accesses in issue order.
+//!   misses and prefetches are requests. A hit still draws a request
+//!   id, so every miss and prefetch keeps the id, and with it its place
+//!   in the calendar's order, that it had when hits were requests.
 //!
 //! # Per-event cost
 //!
@@ -976,9 +977,9 @@ impl Engine {
                         self.l1s[core_idx].access(line, access.kind.is_write()),
                         LookupResult::Hit
                     );
-                    // Every access takes an id, hit or miss, so a miss's
-                    // id is its access's number in issue order whichever
-                    // accesses hit.
+                    // A hit draws an id it never uses, so every miss and
+                    // prefetch keeps the id, and its place in the
+                    // calendar's order, it had when hits were requests.
                     let id = self.next_req;
                     self.next_req += 1;
                     let done_at = now + self.config.l1.hit_latency as u64;
