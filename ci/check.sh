@@ -41,6 +41,11 @@ fi
 echo "== tests =="
 cargo test --workspace -q
 
+echo "== simulator micro-benchmarks (one pass; writes no record) =="
+# Clippy builds the bench targets, but only this step runs them: a case
+# that panics or no longer builds its input fails here.
+cargo bench -q -p c2-bench --bench sim_benches
+
 echo "== benchmark driver (builds against the library calls the benchmark uses) =="
 cargo build --locked --offline -q --manifest-path dsebench/driver/Cargo.toml
 

@@ -5,13 +5,15 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use c2_bound::dse::{chip_config_for, DesignPoint};
+use c2_bound::PhasePlan;
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::{ChipConfig, Simulator};
 use c2_trace::synthetic::{RandomGenerator, StridedGenerator, TraceGenerator};
+use c2_trace::{PhaseConfig, Trace, TraceBuilder};
 use c2_workloads::fft::Fft;
 use c2_workloads::stencil::Stencil2D;
 use c2_workloads::tmm::TiledMatMul;
-use c2_workloads::Workload;
+use c2_workloads::{Workload, WorkloadTrace};
 
 fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
@@ -35,7 +37,7 @@ fn bench_simulator(c: &mut Criterion) {
         })
     });
 
-    let per_core: Vec<c2_trace::Trace> = (0..4)
+    let per_core: Vec<Trace> = (0..4)
         .map(|i| RandomGenerator::new(i << 22, 1 << 20, 2_000, i).generate())
         .collect();
     group.bench_function("random_4core_shared_l2", |b| {
@@ -68,6 +70,57 @@ fn bench_simulator(c: &mut Criterion) {
         .per_core_traces(point.n);
     group.bench_function("fluidanimate_100_512_cores", |b| {
         b.iter(|| Simulator::new(wide.clone()).run(black_box(&fluid)).unwrap())
+    });
+
+    // One window run of the `phase_estimate` benchmark at its chosen
+    // point: stencil 64's first representative interval that has a
+    // predecessor, behind that warmup interval (2,000 accesses), rebased
+    // to start at instruction 0 as the phase plan does, over 512 cores.
+    let point = DesignPoint {
+        issue_width: 12,
+        rob_size: 16,
+        ..point
+    };
+    let narrow = chip_config_for(&point, &AreaModel::default(), &budget).unwrap();
+    let spec = c2_config::WorkloadSpec {
+        name: "stencil".to_string(),
+        size: 64,
+    };
+    let stencil = c2_workloads::workload_from_spec(&spec).unwrap().generate();
+    let phases = PhaseConfig {
+        interval_len: 1_000,
+        clusters: 4,
+        seed: 24_301,
+        ..PhaseConfig::default()
+    };
+    let plan = PhasePlan::detect(&stencil, &phases).unwrap();
+    let rep = plan
+        .summary()
+        .representatives
+        .iter()
+        .copied()
+        .find(|&r| r > 0)
+        .expect("a representative with a warmup interval");
+    let combined = stencil.combined();
+    let accesses = &combined.accesses()[(rep - 1) * 1_000..((rep + 1) * 1_000).min(combined.len())];
+    let mut window = TraceBuilder::new();
+    let mut cursor = accesses[0].instr;
+    for a in accesses {
+        window.compute(a.instr - cursor);
+        window.access_sized(a.addr, a.size, a.kind);
+        cursor = a.instr + 1;
+    }
+    let window = WorkloadTrace {
+        serial: Trace::new(),
+        parallel: window.finish(),
+    }
+    .per_core_traces(point.n);
+    group.bench_function("stencil_64_phase_window_512_cores", |b| {
+        b.iter(|| {
+            Simulator::new(narrow.clone())
+                .run(black_box(&window))
+                .unwrap()
+        })
     });
 
     // The set-up layer every DSE pays first: one characterization, a

@@ -47,9 +47,10 @@
 //! * **L1 hits.** A hit's ROB entry holds the cycle its lookup resolves,
 //!   and a FIFO of `(resolve cycle, core)` in issue order, which is
 //!   resolve order, ends its hit phase before the cycle's pass. Only
-//!   misses and prefetches are requests. A hit still draws a request
-//!   id, so every miss and prefetch keeps the id, and with it its place
-//!   in the calendar's order, that it had when hits were requests.
+//!   misses and prefetches are requests. A hit still draws an issue
+//!   sequence number, so every miss and prefetch keeps the number, and
+//!   with it its place in the calendar's order, that it had when hits
+//!   were requests.
 //!
 //! # Per-event cost
 //!
@@ -60,12 +61,19 @@
 //! is a ring buffer that dispatch removes from near its front. A
 //! request carries its ROB index, which completion marks done, and its
 //! miss's start epoch, which retirement hands back to the detector, so
-//! nothing is looked up by id. DRAM retries wait while the controller
-//! queue is full, where each would fail, and a queued DRAM request
-//! carries its bank and row. Memory follows what a run touches: each
-//! [`CacheArray`] stores only the sets it filled, a ROB entry is one
-//! word, and an MSHR scan reads only its entries' lines. DESIGN.md §16
-//! says why each keeps results exact.
+//! nothing is looked up by id. A miss writes only its own request
+//! record, and the record of the waiter it queues behind: an MSHR entry
+//! keeps the arena slots of its first and last waiter, the waiters link
+//! to each other through their records, and a fill walks that chain.
+//! The request arena reuses the slot freed last, and an id packs the
+//! issue sequence number above the slot, so ids sort in issue order and
+//! a completed id never resolves to the next request in its slot. DRAM
+//! retries wait while the controller queue is full, where each would
+//! fail, and a queued DRAM request carries its bank and row. Memory
+//! follows what a run touches: each [`CacheArray`] stores only the sets
+//! it filled, a ROB entry is one word, a core reserves no more ROB than
+//! its trace can fill, and an MSHR scan reads only its entries' lines.
+//! DESIGN.md §16 says why each keeps results exact.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -80,12 +88,8 @@ use crate::core::{Core, NextOp};
 use crate::dram::Dram;
 use crate::metrics::{LayerStats, PerCoreStats};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::request::{MemRequest, ReqId, ReqState, RequestArena};
+use crate::request::{slot_of, MemRequest, ReqId, ReqState, RequestArena, Slot, NO_SLOT, WB_BASE};
 use crate::{Error, Result};
-
-/// Writeback request ids live in their own namespace so fill completions
-/// and writeback completions can be told apart.
-const WB_BASE: ReqId = 1 << 62;
 
 /// Outcome of a full simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,7 +222,8 @@ struct Engine {
     l2_bank_busy: Vec<u64>,
     dram: Dram,
     requests: RequestArena,
-    next_req: ReqId,
+    /// The issue sequence number of the next access or prefetch.
+    next_seq: u64,
     next_wb: ReqId,
     /// Pending DRAM writebacks (line indices) awaiting queue space.
     wb_pending: Vec<u64>,
@@ -258,8 +263,6 @@ struct Engine {
     /// Demand memory requests issued so far (1-based after increment),
     /// keyed to the fault plan's `fail_at_request`.
     demand_requests: u64,
-    /// Buffer for MSHR waiter drains, kept across fills and runs.
-    waiter_buf: Vec<ReqId>,
     // Statistics
     l1_layer: LayerStats,
     l2_layer: LayerStats,
@@ -288,7 +291,7 @@ impl Engine {
             l2_bank_busy: Vec::new(),
             dram: Dram::new(config.dram),
             requests: RequestArena::new(),
-            next_req: 0,
+            next_seq: 0,
             next_wb: WB_BASE,
             wb_pending: Vec::new(),
             wb_inflight: 0,
@@ -306,7 +309,6 @@ impl Engine {
             unfinished: 0,
             l2_resident: 0,
             demand_requests: 0,
-            waiter_buf: Vec::new(),
             l1_layer: LayerStats::default(),
             l2_layer: LayerStats::default(),
             dram_layer: LayerStats::default(),
@@ -336,7 +338,7 @@ impl Engine {
             l2_bank_busy,
             dram,
             requests,
-            next_req,
+            next_seq,
             next_wb,
             wb_pending,
             wb_inflight,
@@ -354,7 +356,6 @@ impl Engine {
             unfinished,
             l2_resident,
             demand_requests,
-            waiter_buf,
             l1_layer,
             l2_layer,
             dram_layer,
@@ -395,7 +396,7 @@ impl Engine {
         dram.reset(config.dram);
         dram.set_spike(config.fault.dram_spike);
         requests.clear();
-        *next_req = 0;
+        *next_seq = 0;
         *next_wb = WB_BASE;
         wb_pending.clear();
         *wb_inflight = 0;
@@ -433,7 +434,6 @@ impl Engine {
         defaults(asleep, n);
         *l2_resident = 0;
         *demand_requests = 0;
-        waiter_buf.clear();
         for stats in [l1_layer, l2_layer, dram_layer] {
             *stats = LayerStats::default();
         }
@@ -462,7 +462,7 @@ impl Engine {
             }
 
             // 2. Timed request-state transitions (event-driven).
-            self.process_events(now);
+            self.process_events(now)?;
 
             // 3. Requests blocked on a full structure retry.
             self.process_retries();
@@ -515,16 +515,17 @@ impl Engine {
                 self.writebacks += 1;
             }
         }
-        let mut waiters = std::mem::take(&mut self.waiter_buf);
-        self.l2_mshr.complete_into(line, &mut waiters);
-        let arrive = now + self.config.noc.l1_l2_latency as u64;
-        for &w in &waiters {
-            if let Some(r) = self.requests.get_mut(&w) {
+        if let Some(waiters) = self.l2_mshr.complete(line) {
+            let arrive = now + self.config.noc.l1_l2_latency as u64;
+            let mut w = waiters.first;
+            while w != NO_SLOT {
+                let r = self.requests.at_mut(w);
                 r.state = ReqState::FillToL1 { arrive_at: arrive };
-                self.calendar.push(arrive, w);
+                let next = r.next_l2;
+                self.calendar.push(arrive, self.requests.id_at(w));
+                w = next;
             }
         }
-        self.waiter_buf = waiters;
         // An L2 MSHR entry just freed: wake blocked L2 misses.
         self.drain_l2_retries(now);
     }
@@ -537,7 +538,7 @@ impl Engine {
     /// hit's retirement touches only its own core's counts and
     /// detector, and every handler accounts a core through `now` before
     /// it changes that core's counts.
-    fn process_events(&mut self, now: u64) {
+    fn process_events(&mut self, now: u64) -> Result<()> {
         while let Some(&(done_at, core)) = self.hit_lookups.front() {
             if done_at > now {
                 break;
@@ -549,22 +550,23 @@ impl Engine {
         }
         self.calendar.begin(now);
         while let Some(id) = self.calendar.pop() {
-            let Some(r) = self.requests.get(&id).copied() else {
+            let Some(r) = self.requests.get(&id) else {
                 continue; // already completed (stale event)
             };
-            match r.state {
+            let (state, core, line) = (r.state, r.core as usize, r.line);
+            match state {
                 ReqState::L1Lookup { done_at } if done_at <= now => {
-                    self.end_lookup(r.core, now);
-                    self.outstanding[r.core] += 1;
-                    let epoch = self.detectors[r.core].pure_epoch();
-                    self.requests.get_mut(&id).unwrap().miss_epoch = epoch;
+                    self.end_lookup(core, now);
+                    self.outstanding[core] += 1;
+                    let epoch = self.detectors[core].pure_epoch();
+                    self.requests.at_mut(slot_of(id)).miss_epoch = epoch;
                     self.l1_miss_to_mshr(id, now);
                     if self.config.l1.next_line_prefetch {
-                        self.maybe_prefetch(r.core, r.line + 1, now);
+                        self.maybe_prefetch(core, line + 1, now)?;
                     }
                 }
                 ReqState::ToL2 { arrive_at } if arrive_at <= now => {
-                    self.requests.get_mut(&id).unwrap().state = ReqState::L2Queue;
+                    self.requests.at_mut(slot_of(id)).state = ReqState::L2Queue;
                     self.l2_queue.push_back(id);
                     self.l2_resident += 1;
                 }
@@ -572,7 +574,7 @@ impl Engine {
                     self.l2_resident -= 1;
                     if hit {
                         let arrive = now + self.config.noc.l1_l2_latency as u64;
-                        self.requests.get_mut(&id).unwrap().state =
+                        self.requests.at_mut(slot_of(id)).state =
                             ReqState::FillToL1 { arrive_at: arrive };
                         self.calendar.push(arrive, id);
                     } else {
@@ -589,6 +591,7 @@ impl Engine {
                 _ => {}
             }
         }
+        Ok(())
     }
 
     /// An access of `core` left its L1 lookup (its hit phase) at `now`.
@@ -631,14 +634,13 @@ impl Engine {
             let Some(id) = self.retry_l1[core].pop_front() else {
                 break;
             };
-            if !self.requests.contains_key(&id) {
+            let Some(r) = self.requests.get(&id) else {
                 continue;
-            }
+            };
             // The wanted line may have been filled while waiting (by a
             // merged demand or a prefetch): complete straight away.
-            let line = self.requests[&id].line;
-            if matches!(self.l1s[core].probe(line), LookupResult::Hit) {
-                self.complete_request(id, now);
+            if matches!(self.l1s[core].probe(r.line), LookupResult::Hit) {
+                self.complete_request(slot_of(id), now);
                 continue;
             }
             self.l1_miss_to_mshr(id, now);
@@ -663,20 +665,19 @@ impl Engine {
     /// completion. Dropped silently when useless (line resident or
     /// already outstanding) or when no MSHR entry is free — prefetches
     /// never steal a demand slot via retry.
-    fn maybe_prefetch(&mut self, core: usize, line: u64, now: u64) {
-        use crate::cache::LookupResult;
+    fn maybe_prefetch(&mut self, core: usize, line: u64, now: u64) -> Result<()> {
         if self.l1_mshrs[core].contains(line)
             || self.l1_mshr_blocked(core, now)
             || matches!(self.l1s[core].probe(line), LookupResult::Hit)
         {
-            return;
+            return Ok(());
         }
-        let id = self.next_req;
-        self.next_req += 1;
-        self.requests.insert(
-            id,
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let id = self.requests.insert(
+            seq,
             MemRequest {
-                core,
+                core: core as u32,
                 line,
                 is_write: false,
                 lookup_done_at: now,
@@ -684,51 +685,56 @@ impl Engine {
                 miss_epoch: 0,
                 state: ReqState::WaitL1Fill, // placeholder; set below
                 is_prefetch: true,
+                next_l1: NO_SLOT,
+                next_l2: NO_SLOT,
             },
-        );
+        )?;
+        let slot = slot_of(id);
         self.prefetches += 1;
-        match self.l1_mshrs[core].register(line, id) {
+        match self.l1_mshrs[core].register(line, slot, false) {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
-                self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
+                self.requests.at_mut(slot).state = ReqState::ToL2 { arrive_at: arrive };
                 self.calendar.push(arrive, id);
             }
             // Unreachable given the checks above, but stay safe.
-            MshrOutcome::Merged => {
-                self.requests.get_mut(&id).unwrap().state = ReqState::WaitL1Fill;
+            MshrOutcome::Merged { after } => {
+                self.requests.at_mut(after).next_l1 = slot;
+                self.requests.at_mut(slot).state = ReqState::WaitL1Fill;
             }
             MshrOutcome::Full => {
-                self.requests.remove(&id);
+                self.requests.remove_at(slot);
                 self.prefetches -= 1;
             }
         }
+        Ok(())
     }
 
     /// Route an L1 miss into the MSHR file; on success schedule the NoC
     /// hop, on merge wait for the primary, on full join the retry list.
     fn l1_miss_to_mshr(&mut self, id: ReqId, now: u64) {
-        let (core, line, prev_state) = {
-            let r = &self.requests[&id];
-            (r.core, r.line, r.state)
-        };
+        let slot = slot_of(id);
+        let r = self.requests.at(slot);
+        let (core, line, store, prev_state) = (r.core as usize, r.line, r.is_write, r.state);
         // Starvation fault: a new line may not allocate while the file is
         // non-empty, but merges into in-flight lines are still free.
         let outcome = if self.l1_mshr_blocked(core, now) && !self.l1_mshrs[core].contains(line) {
             MshrOutcome::Full
         } else {
-            self.l1_mshrs[core].register(line, id)
+            self.l1_mshrs[core].register(line, slot, store)
         };
         match outcome {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
-                self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
+                self.requests.at_mut(slot).state = ReqState::ToL2 { arrive_at: arrive };
                 self.calendar.push(arrive, id);
             }
-            MshrOutcome::Merged => {
-                self.requests.get_mut(&id).unwrap().state = ReqState::WaitL1Fill;
+            MshrOutcome::Merged { after } => {
+                self.requests.at_mut(after).next_l1 = slot;
+                self.requests.at_mut(slot).state = ReqState::WaitL1Fill;
             }
             MshrOutcome::Full => {
-                self.requests.get_mut(&id).unwrap().state = ReqState::L1MshrRetry;
+                self.requests.at_mut(slot).state = ReqState::L1MshrRetry;
                 if !matches!(prev_state, ReqState::L1MshrRetry) {
                     self.retry_l1[core].push_back(id);
                 }
@@ -737,21 +743,21 @@ impl Engine {
     }
 
     fn l2_miss_to_mshr(&mut self, id: ReqId, now: u64) {
-        let (line, prev_state) = {
-            let r = &self.requests[&id];
-            (r.line, r.state)
-        };
-        match self.l2_mshr.register(line, id) {
+        let slot = slot_of(id);
+        let r = self.requests.at(slot);
+        let (line, store, prev_state) = (r.line, r.is_write, r.state);
+        match self.l2_mshr.register(line, slot, store) {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l2_mem_latency as u64;
-                self.requests.get_mut(&id).unwrap().state = ReqState::ToDram { arrive_at: arrive };
+                self.requests.at_mut(slot).state = ReqState::ToDram { arrive_at: arrive };
                 self.calendar.push(arrive, id);
             }
-            MshrOutcome::Merged => {
-                self.requests.get_mut(&id).unwrap().state = ReqState::WaitL2Fill;
+            MshrOutcome::Merged { after } => {
+                self.requests.at_mut(after).next_l2 = slot;
+                self.requests.at_mut(slot).state = ReqState::WaitL2Fill;
             }
             MshrOutcome::Full => {
-                self.requests.get_mut(&id).unwrap().state = ReqState::L2MshrRetry;
+                self.requests.at_mut(slot).state = ReqState::L2MshrRetry;
                 if !matches!(prev_state, ReqState::L2MshrRetry) {
                     self.retry_l2.push_back(id);
                 }
@@ -760,15 +766,14 @@ impl Engine {
     }
 
     fn try_dram_enqueue(&mut self, id: ReqId) {
-        let (line, prev_state) = {
-            let r = &self.requests[&id];
-            (r.line, r.state)
-        };
+        let slot = slot_of(id);
+        let r = self.requests.at(slot);
+        let (line, prev_state) = (r.line, r.state);
         if self.dram.enqueue(id, line, false) {
-            self.requests.get_mut(&id).unwrap().state = ReqState::DramInFlight;
+            self.requests.at_mut(slot).state = ReqState::DramInFlight;
             self.dram_layer.accesses += 1;
         } else {
-            self.requests.get_mut(&id).unwrap().state = ReqState::DramQueueRetry;
+            self.requests.at_mut(slot).state = ReqState::DramQueueRetry;
             if !matches!(prev_state, ReqState::DramQueueRetry) {
                 self.retry_dram.push(id);
             }
@@ -778,19 +783,19 @@ impl Engine {
     /// A fill reached a private L1: install, release MSHR waiters,
     /// complete every waiting access.
     fn handle_l1_fill(&mut self, id: ReqId, now: u64) {
-        let (core, line) = {
-            let r = &self.requests[&id];
-            (r.core, r.line)
-        };
-        let mut waiters = std::mem::take(&mut self.waiter_buf);
-        self.l1_mshrs[core].complete_into(line, &mut waiters);
+        let slot = slot_of(id);
+        let r = self.requests.at(slot);
+        let (core, line) = (r.core as usize, r.line);
+        let waiters = self.l1_mshrs[core]
+            .complete(line)
+            .expect("a filling primary holds its line's MSHR entry");
+        debug_assert_eq!(
+            waiters.first, slot,
+            "the filling primary must head its MSHR entry's waiters"
+        );
         // The line becomes dirty if any waiting access was a store
         // (write-allocate policy).
-        let dirty = waiters
-            .iter()
-            .filter_map(|w| self.requests.get(w))
-            .any(|r| r.is_write);
-        if let Some((victim, victim_dirty)) = self.l1s[core].install(line, dirty) {
+        if let Some((victim, victim_dirty)) = self.l1s[core].install(line, waiters.store) {
             if victim_dirty {
                 // Write back into L2 if present, else straight to DRAM.
                 if !self.l2.mark_dirty(victim) {
@@ -799,38 +804,36 @@ impl Engine {
                 }
             }
         }
-        debug_assert!(
-            waiters.contains(&id),
-            "the filling primary must be among the MSHR waiters"
-        );
-        for &w in &waiters {
+        let mut w = waiters.first;
+        while w != NO_SLOT {
+            let next = self.requests.at(w).next_l1;
             self.complete_request(w, now);
+            w = next;
         }
-        self.waiter_buf = waiters;
         // An MSHR entry just freed: wake blocked misses of this core.
         self.drain_l1_retries(core, now);
     }
 
-    /// Finish a miss: notify the detector and the owning core, then drop
-    /// the request. (A hit is no request: its lookup retires it.)
-    fn complete_request(&mut self, id: ReqId, now: u64) {
-        let Some(r) = self.requests.remove(&id) else {
-            return;
-        };
+    /// Finish the miss in `slot`: notify the detector and the owning
+    /// core, then drop the request. (A hit is no request: its lookup
+    /// retires it.)
+    fn complete_request(&mut self, slot: Slot, now: u64) {
+        let r = self.requests.remove_at(slot);
         if r.is_prefetch {
             return; // hardware-initiated: nobody to notify
         }
-        self.account(r.core, now);
+        let core = r.core as usize;
+        self.account(core, now);
         let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
-        self.detectors[r.core]
+        self.detectors[core]
             .retire_access(self.config.l1.hit_latency, Some((r.miss_epoch, penalty)));
-        let was_head = self.cores[r.core].complete_memory(r.rob_index);
-        self.outstanding[r.core] -= 1;
-        self.per_core_misses[r.core] += 1;
+        let was_head = self.cores[core].complete_memory(r.rob_index);
+        self.outstanding[core] -= 1;
+        self.per_core_misses[core] += 1;
         // A sleeper's ROB is frozen, so its head is the entry it slept on.
         if was_head {
-            if let Some(since) = self.asleep[r.core] {
-                self.wake(r.core, since, now);
+            if let Some(since) = self.asleep[core] {
+                self.wake(core, since, now);
             }
         }
     }
@@ -887,8 +890,7 @@ impl Engine {
                     self.l2_layer.misses += 1;
                 }
                 let done = now + self.config.l2.hit_latency as u64;
-                self.requests.get_mut(&id).unwrap().state =
-                    ReqState::L2Lookup { done_at: done, hit };
+                self.requests.at_mut(slot_of(id)).state = ReqState::L2Lookup { done_at: done, hit };
                 self.calendar.push(done, id);
                 self.l2_queue.remove(i);
                 dispatched += 1;
@@ -977,21 +979,23 @@ impl Engine {
                         self.l1s[core_idx].access(line, access.kind.is_write()),
                         LookupResult::Hit
                     );
-                    // A hit draws an id it never uses, so every miss and
-                    // prefetch keeps the id, and its place in the
-                    // calendar's order, it had when hits were requests.
-                    let id = self.next_req;
-                    self.next_req += 1;
+                    // A hit draws a sequence number it never uses, so
+                    // every miss and prefetch keeps the number, and its
+                    // place in the calendar's order, it had when hits
+                    // were requests.
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
                     let done_at = now + self.config.l1.hit_latency as u64;
                     if hit {
                         self.cores[core_idx].issue_hit(done_at);
                         self.hit_lookups.push_back((done_at, core_idx));
                     } else {
                         let rob_index = self.cores[core_idx].issue_memory();
-                        self.requests.insert(
-                            id,
+                        let id = self.requests.insert(
+                            seq,
                             MemRequest {
-                                core: core_idx,
+                                // `ChipConfig::validate` bounds the core count.
+                                core: core_idx as u32,
                                 line,
                                 is_write: access.kind.is_write(),
                                 lookup_done_at: done_at,
@@ -999,8 +1003,10 @@ impl Engine {
                                 miss_epoch: 0,
                                 state: ReqState::L1Lookup { done_at },
                                 is_prefetch: false,
+                                next_l1: NO_SLOT,
+                                next_l2: NO_SLOT,
                             },
-                        );
+                        )?;
                         self.calendar.push(done_at, id);
                     }
                     self.account(core_idx, now);

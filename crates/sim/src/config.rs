@@ -300,6 +300,10 @@ impl ChipConfig {
         if self.cores == 0 {
             return Err(Error::InvalidConfig("at least one core required"));
         }
+        // A request record names its core in 32 bits.
+        if u32::try_from(self.cores).is_err() {
+            return Err(Error::InvalidConfig("cores too large"));
+        }
         self.core.validate()?;
         self.l1.validate()?;
         self.l2.validate()?;
@@ -369,6 +373,15 @@ mod tests {
         let mut chip = ChipConfig::default_single_core();
         chip.l2.line_size = 128;
         assert!(chip.validate().is_err());
+
+        if let Ok(cores) = usize::try_from(u64::from(u32::MAX) + 1) {
+            let mut chip = ChipConfig::default_single_core();
+            chip.cores = cores;
+            assert_eq!(
+                chip.validate(),
+                Err(Error::InvalidConfig("cores too large"))
+            );
+        }
     }
 
     #[test]

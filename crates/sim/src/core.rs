@@ -72,11 +72,14 @@ impl Core {
 
     /// A core about to execute `trace`, built in (possibly used) storage.
     fn with_storage(config: CoreConfig, trace: &Trace, mut rob: VecDeque<u64>) -> Self {
+        let instruction_count = trace.instruction_count();
+        // The ROB never holds more than the trace's instructions.
+        let fill = usize::try_from(instruction_count).unwrap_or(usize::MAX);
         rob.clear();
-        rob.reserve(config.rob_size);
+        rob.reserve(config.rob_size.min(fill));
         Core {
             config,
-            instruction_count: trace.instruction_count(),
+            instruction_count,
             next_access: 0,
             next_instr: 0,
             rob,
@@ -387,6 +390,22 @@ mod tests {
         assert!(core.finished(), "core did not finish");
         assert_eq!(core.retired(), t.instruction_count());
         assert!(core.finished_at() >= 10, "memory latency must show up");
+    }
+
+    #[test]
+    fn rob_reserves_no_more_than_the_trace_can_fill() {
+        let t = small_trace();
+        let config = CoreConfig {
+            rob_size: 256,
+            ..CoreConfig::default_ooo()
+        };
+        let core = Core::new(config, &t);
+        assert!(
+            core.rob.capacity() < 256,
+            "{} entries reserved for {} instructions",
+            core.rob.capacity(),
+            t.instruction_count()
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   window ([`core`]),
 //! * a two-level cache hierarchy — private, banked, multi-ported,
 //!   *non-blocking* (MSHR-backed) L1s and a shared banked L2
-//!   ([`cache`], [`mshr`]),
+//!   ([`cache`]),
 //! * a DRAM model with per-bank row-buffer state machines and
 //!   tRCD/tCAS/tRP timing, in the spirit of DRAMSim2 ([`dram`]),
 //! * a simple latency/bandwidth interconnect between levels,
@@ -45,7 +45,7 @@ pub mod core;
 pub mod dram;
 pub mod fault;
 pub mod metrics;
-pub mod mshr;
+mod mshr;
 pub mod oracle;
 pub mod request;
 
@@ -56,7 +56,6 @@ pub use config::{CacheConfig, ChipConfig, CoreConfig, DramConfig, NocConfig};
 pub use dram::Dram;
 pub use fault::{CycleWindow, DramSpike, FaultPlan, OracleHang};
 pub use metrics::{LayerStats, PerCoreStats};
-pub use mshr::MshrFile;
 pub use oracle::FaultyOracle;
 
 /// Errors from simulator construction or execution.
@@ -76,6 +75,10 @@ pub enum Error {
         /// Budget that was exceeded.
         budget: u64,
     },
+    /// A request id could not be packed: the run issued more accesses
+    /// than an id's sequence field counts, or held more requests in
+    /// flight at once than its slot field names.
+    RequestIdOverflow,
     /// A fault injected by the configured [`fault::FaultPlan`] was
     /// declared fatal and terminated the simulation.
     InjectedFault {
@@ -95,6 +98,9 @@ impl std::fmt::Display for Error {
             }
             Error::CycleBudgetExceeded { budget } => {
                 write!(f, "simulation exceeded {budget} cycles")
+            }
+            Error::RequestIdOverflow => {
+                write!(f, "simulation ran out of request ids")
             }
             Error::InjectedFault { request, cycle } => {
                 write!(f, "injected fault on request {request} at cycle {cycle}")

@@ -1,7 +1,35 @@
 //! In-flight memory request representation and state machine.
 
-/// Monotonic request identifier.
+use crate::{Error, Result};
+
+/// A request's identifier: its issue sequence number above its
+/// [`RequestArena`] slot, so ids sort in issue order.
 pub type ReqId = u64;
+
+/// The index of a request's record in its [`RequestArena`].
+pub type Slot = u32;
+
+/// The link that ends a chain of MSHR waiters.
+pub const NO_SLOT: Slot = Slot::MAX;
+
+/// Writeback ids start here, above every request id, so a DRAM
+/// completion tells a writeback from a fill.
+pub(crate) const WB_BASE: ReqId = 1 << 62;
+
+/// How many low bits of a [`ReqId`] hold its slot.
+const SLOT_BITS: u32 = 28;
+const SLOT_MASK: ReqId = (1 << SLOT_BITS) - 1;
+/// The first issue sequence number whose id would reach [`WB_BASE`].
+const SEQ_LIMIT: u64 = WB_BASE >> SLOT_BITS;
+/// What a free slot holds as its id. Its slot bits are all ones, the
+/// one slot the arena never hands out, so no lookup matches it.
+const FREE: ReqId = ReqId::MAX;
+
+/// The slot that request `id` occupies while it is live.
+#[inline]
+pub(crate) fn slot_of(id: ReqId) -> Slot {
+    (id & SLOT_MASK) as Slot
+}
 
 /// Where a request currently is in the memory hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +84,7 @@ pub enum ReqState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Issuing core.
-    pub core: usize,
+    pub core: u32,
     /// Cache-line index.
     pub line: u64,
     /// Store (write-allocate) vs load.
@@ -74,28 +102,34 @@ pub struct MemRequest {
     /// Hardware prefetch (not a program access: no core/ detector
     /// notification on completion).
     pub is_prefetch: bool,
+    /// The waiter registered after this one on its L1 MSHR entry, or
+    /// [`NO_SLOT`].
+    pub next_l1: Slot,
+    /// The waiter registered after this one on its L2 MSHR entry, or
+    /// [`NO_SLOT`]. Only an L1 primary goes on to L2, so it may sit in
+    /// both chains.
+    pub next_l2: Slot,
 }
 
-/// Dense arena for the engine's in-flight request table, replacing a
-/// `BTreeMap<ReqId, MemRequest>` on the simulator's hottest path.
+/// The engine's in-flight requests: a slab of records whose freed
+/// slots are reused last in, first out, so a new request lands in the
+/// slot the run touched most recently.
 ///
-/// Demand and prefetch ids are allocated monotonically and **never
-/// reused** (stale-event detection in the engine relies on a completed
-/// id staying absent), so the live ids always fall inside a sliding
-/// window `[base, base + slots.len())`. Lookup is one bounds check and
-/// one ring-buffer index instead of a tree walk, and insertion is an
-/// amortized push. Removal trims exhausted slots from both ends so the
-/// window tracks the in-flight set, not the whole run. Writeback ids
-/// (`>= 1 << 62`) are never inserted; their lookups simply miss.
-///
-/// The API mirrors the `BTreeMap` subset the engine used, so the swap
-/// is type-only and the simulated results stay bit-identical.
+/// An id packs its request's issue sequence number above its slot.
+/// Ids therefore sort in issue order, and a lookup is one mask and one
+/// comparison with the id the slot holds. Removal replaces that id
+/// with one no lookup matches, and a reuse stores a newer one, so a
+/// completed id never resolves to the request that took its slot
+/// (stale-event detection in the engine relies on that). Writeback ids
+/// (`>= WB_BASE`) are never inserted; their lookups miss.
 #[derive(Debug, Default, Clone)]
 pub struct RequestArena {
-    slots: std::collections::VecDeque<Option<MemRequest>>,
-    /// Id of `slots[0]`. Meaningless while `slots` is empty.
-    base: ReqId,
-    live: usize,
+    /// Each slot's id while its request is live, else [`FREE`].
+    ids: Vec<ReqId>,
+    /// Each slot's request, meaningful while its id is live.
+    reqs: Vec<MemRequest>,
+    /// Freed slots, the most recently freed last.
+    free: Vec<Slot>,
     /// Requests inserted since the last clear.
     #[cfg(test)]
     pub(crate) inserted: u64,
@@ -110,66 +144,60 @@ impl RequestArena {
     /// Drop every live request, keeping the slot storage: the state
     /// [`RequestArena::new`] builds.
     pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.base = 0;
-        self.live = 0;
+        self.ids.clear();
+        self.reqs.clear();
+        self.free.clear();
         #[cfg(test)]
         {
             self.inserted = 0;
         }
     }
 
-    #[inline]
-    fn index_of(&self, id: ReqId) -> Option<usize> {
-        if self.slots.is_empty() || id < self.base {
-            return None;
+    /// Insert `req`, the request with issue sequence number `seq`, and
+    /// return its id. Sequence numbers must rise from one insert to the
+    /// next for ids to sort in issue order. One that would carry the id
+    /// up to `WB_BASE`, or a slot past the last the id can name, is an
+    /// [`Error::RequestIdOverflow`].
+    pub fn insert(&mut self, seq: u64, req: MemRequest) -> Result<ReqId> {
+        if seq >= SEQ_LIMIT {
+            return Err(Error::RequestIdOverflow);
         }
-        let idx = (id - self.base) as usize;
-        if idx >= self.slots.len() {
-            return None;
-        }
-        Some(idx)
-    }
-
-    /// Insert `req` under `id`. Ids must arrive in non-decreasing
-    /// order relative to the live window (the engine's allocator is a
-    /// monotonic counter); re-inserting below the window is a logic
-    /// error.
-    pub fn insert(&mut self, id: ReqId, req: MemRequest) -> Option<MemRequest> {
-        if self.slots.is_empty() {
-            self.base = id;
-        }
-        assert!(
-            id >= self.base,
-            "request id {id} below the live window base {}",
-            self.base
-        );
-        let idx = (id - self.base) as usize;
-        while self.slots.len() <= idx {
-            self.slots.push_back(None);
-        }
-        let old = self.slots[idx].replace(req);
-        if old.is_none() {
-            self.live += 1;
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.reqs[slot as usize] = req;
+                slot
+            }
+            None => {
+                let slot = self.reqs.len() as u64;
+                if slot >= SLOT_MASK {
+                    return Err(Error::RequestIdOverflow);
+                }
+                self.reqs.push(req);
+                self.ids.push(FREE);
+                slot as Slot
+            }
+        };
+        let id = seq << SLOT_BITS | ReqId::from(slot);
+        self.ids[slot as usize] = id;
         #[cfg(test)]
         {
             self.inserted += 1;
         }
-        old
+        Ok(id)
     }
 
     /// Borrow the request under `id`, if live.
+    #[inline]
     pub fn get(&self, id: &ReqId) -> Option<&MemRequest> {
-        self.index_of(*id).and_then(|i| self.slots[i].as_ref())
+        let slot = slot_of(*id) as usize;
+        (self.ids.get(slot) == Some(id)).then(|| &self.reqs[slot])
     }
 
     /// Mutably borrow the request under `id`, if live.
+    #[inline]
     pub fn get_mut(&mut self, id: &ReqId) -> Option<&mut MemRequest> {
-        match self.index_of(*id) {
-            Some(i) => self.slots[i].as_mut(),
-            None => None,
-        }
+        let slot = slot_of(*id) as usize;
+        (self.ids.get(slot) == Some(id)).then(|| &mut self.reqs[slot])
     }
 
     /// Whether `id` is live.
@@ -177,124 +205,208 @@ impl RequestArena {
         self.get(id).is_some()
     }
 
-    /// Remove and return the request under `id`; the freed slot is
-    /// trimmed from the window edges once its neighbours drain too.
+    /// Remove and return the request under `id`, if live.
     pub fn remove(&mut self, id: &ReqId) -> Option<MemRequest> {
-        let idx = self.index_of(*id)?;
-        let old = self.slots[idx].take();
-        if old.is_some() {
-            self.live -= 1;
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base += 1;
-            }
-            while matches!(self.slots.back(), Some(None)) {
-                self.slots.pop_back();
-            }
-        }
-        old
+        self.contains_key(id).then(|| self.remove_at(slot_of(*id)))
+    }
+
+    /// The live request in `slot`.
+    #[inline]
+    pub(crate) fn at(&self, slot: Slot) -> &MemRequest {
+        debug_assert_ne!(self.ids[slot as usize], FREE, "slot {slot} is free");
+        &self.reqs[slot as usize]
+    }
+
+    /// The live request in `slot`, mutably.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, slot: Slot) -> &mut MemRequest {
+        debug_assert_ne!(self.ids[slot as usize], FREE, "slot {slot} is free");
+        &mut self.reqs[slot as usize]
+    }
+
+    /// The id of the live request in `slot`.
+    #[inline]
+    pub(crate) fn id_at(&self, slot: Slot) -> ReqId {
+        debug_assert_ne!(self.ids[slot as usize], FREE, "slot {slot} is free");
+        self.ids[slot as usize]
+    }
+
+    /// Remove and return the live request in `slot`, freeing the slot
+    /// for the next insert.
+    pub(crate) fn remove_at(&mut self, slot: Slot) -> MemRequest {
+        let id = std::mem::replace(&mut self.ids[slot as usize], FREE);
+        // Freeing a slot twice would hand it to two live requests.
+        assert_ne!(id, FREE, "slot {slot} is already free");
+        self.free.push(slot);
+        self.reqs[slot as usize]
     }
 
     /// Number of live requests.
     pub fn len(&self) -> usize {
-        self.live
+        self.ids.len() - self.free.len()
     }
 
     /// Whether no request is in flight.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
-
-impl std::ops::Index<&ReqId> for RequestArena {
-    type Output = MemRequest;
-
-    fn index(&self, id: &ReqId) -> &MemRequest {
-        self.get(id).expect("no live request under this id")
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    fn arena_req(id: ReqId) -> MemRequest {
+    fn arena_req(line: u64) -> MemRequest {
         MemRequest {
             core: 0,
-            line: id,
+            line,
             is_write: false,
             lookup_done_at: 3,
             rob_index: 0,
             miss_epoch: 0,
             state: ReqState::L1MshrRetry,
             is_prefetch: false,
+            next_l1: NO_SLOT,
+            next_l2: NO_SLOT,
         }
+    }
+
+    /// The record the engine keeps per request in flight stays within
+    /// one 64-byte line.
+    #[test]
+    fn a_request_record_fits_in_64_bytes() {
+        assert!(std::mem::size_of::<MemRequest>() <= 64);
     }
 
     #[test]
     fn arena_insert_get_remove_round_trip() {
         let mut a = RequestArena::new();
         assert!(a.is_empty());
-        for id in 0..8u64 {
-            assert!(a.insert(id, arena_req(id)).is_none());
-        }
+        let ids: Vec<ReqId> = (0..8u64)
+            .map(|seq| a.insert(seq, arena_req(seq)).unwrap())
+            .collect();
         assert_eq!(a.len(), 8);
-        assert_eq!(a[&3].line, 3);
-        assert!(a.contains_key(&7));
-        assert!(!a.contains_key(&8));
-        a.get_mut(&5).unwrap().state = ReqState::WaitL1Fill;
-        assert_eq!(a.get(&5).unwrap().state, ReqState::WaitL1Fill);
-        for id in 0..8u64 {
-            assert_eq!(a.remove(&id).unwrap().line, id);
-            assert!(a.remove(&id).is_none(), "ids are never reused");
+        assert_eq!(a.get(&ids[3]).unwrap().line, 3);
+        a.get_mut(&ids[5]).unwrap().state = ReqState::WaitL1Fill;
+        assert_eq!(a.get(&ids[5]).unwrap().state, ReqState::WaitL1Fill);
+        for (seq, id) in ids.iter().enumerate() {
+            assert_eq!(a.remove(id).unwrap().line, seq as u64);
+            assert!(a.remove(id).is_none(), "a removed id stays absent");
         }
         assert!(a.is_empty());
     }
 
     #[test]
-    fn arena_window_slides_and_tolerates_gaps() {
+    fn freed_slots_are_reused_last_in_first_out() {
         let mut a = RequestArena::new();
-        a.insert(10, arena_req(10));
-        a.insert(11, arena_req(11));
-        // Rollback of the newest id (the prefetch-full path) leaves a
-        // gap the next monotonic insert skips over.
-        a.remove(&11);
-        a.insert(13, arena_req(13));
-        assert!(!a.contains_key(&11));
-        assert!(!a.contains_key(&12));
-        assert_eq!(a.len(), 2);
-        // Draining the front advances the base past the hole.
-        a.remove(&10);
-        assert!(a.contains_key(&13));
-        a.remove(&13);
-        assert!(a.is_empty());
-        // Reuse after a full drain restarts the window anywhere.
-        a.insert(100, arena_req(100));
-        assert_eq!(a[&100].line, 100);
+        let first = a.insert(10, arena_req(10)).unwrap();
+        let second = a.insert(11, arena_req(11)).unwrap();
+        a.remove(&first);
+        a.remove(&second);
+        // The slot freed last is taken first, and neither old id
+        // resolves to the request that took its slot.
+        let third = a.insert(13, arena_req(13)).unwrap();
+        assert_eq!(slot_of(third), slot_of(second));
+        assert!(third > second, "ids sort in issue order");
+        assert!(!a.contains_key(&second) && !a.contains_key(&first));
+        assert_eq!((a.len(), a.get(&third).unwrap().line), (1, 13));
     }
 
     #[test]
-    fn cleared_arena_restarts_its_window() {
+    fn cleared_arena_starts_empty() {
         let mut a = RequestArena::new();
-        a.insert(40, arena_req(40));
-        a.insert(42, arena_req(42));
+        let old = a.insert(40, arena_req(40)).unwrap();
+        a.insert(42, arena_req(42)).unwrap();
         a.clear();
         assert!(a.is_empty());
-        assert!(!a.contains_key(&40));
-        // Ids restart from zero, below the old window.
-        a.insert(0, arena_req(0));
-        assert_eq!((a.len(), a[&0].line), (1, 0));
+        assert!(!a.contains_key(&old));
+        // Sequence numbers restart from zero, below the old ones.
+        let id = a.insert(0, arena_req(0)).unwrap();
+        assert_eq!((a.len(), a.get(&id).unwrap().line), (1, 0));
     }
 
     #[test]
-    fn arena_misses_out_of_window_ids() {
+    fn arena_misses_ids_it_never_issued() {
         let mut a = RequestArena::new();
-        a.insert(5, arena_req(5));
-        // Below the window (already retired) and far above it (a
-        // writeback id) both miss instead of panicking.
-        assert!(a.get(&0).is_none());
-        assert!(a.get(&(1 << 62)).is_none());
-        assert!(a.get_mut(&(1 << 62)).is_none());
-        assert!(a.remove(&(1 << 62)).is_none());
+        let id = a.insert(5, arena_req(5)).unwrap();
+        a.remove(&id);
+        // A writeback id, the free marker and an id past the slab all
+        // miss instead of panicking.
+        for probe in [WB_BASE, FREE, id + 1, 0] {
+            assert!(a.get(&probe).is_none(), "{probe:#x}");
+            assert!(a.remove(&probe).is_none(), "{probe:#x}");
+        }
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn an_id_that_would_reach_the_writeback_ids_is_an_error() {
+        let mut a = RequestArena::new();
+        let last = a.insert(SEQ_LIMIT - 1, arena_req(1)).unwrap();
+        assert!(last < WB_BASE);
+        assert_eq!(
+            a.insert(SEQ_LIMIT, arena_req(2)),
+            Err(Error::RequestIdOverflow)
+        );
+        assert_eq!(a.len(), 1, "a refused insert takes no slot");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random inserts (each a few sequence numbers after the last,
+        /// as hits draw numbers too), removals of live and completed
+        /// ids, and edits agree with a `BTreeMap` keyed by sequence
+        /// number. Every id is larger than the ids before it, and every
+        /// removed id stays absent while its slot is reused.
+        #[test]
+        fn slab_agrees_with_a_map_keyed_by_issue_sequence(
+            ops in prop::collection::vec((0u8..4, 0usize..64, 1u64..4), 0..400),
+        ) {
+            let mut arena = RequestArena::new();
+            let mut map: BTreeMap<u64, (ReqId, MemRequest)> = BTreeMap::new();
+            let mut removed: Vec<ReqId> = Vec::new();
+            let mut seq = 0u64;
+            let mut last_id = 0;
+            for (op, pick, step) in ops {
+                match op {
+                    0 | 1 => {
+                        seq += step;
+                        let req = arena_req(seq * 7);
+                        let id = arena.insert(seq, req).unwrap();
+                        prop_assert!(id > last_id, "id {} after {} breaks issue order", id, last_id);
+                        last_id = id;
+                        map.insert(seq, (id, req));
+                    }
+                    2 => {
+                        // The `pick`th live request if there is one,
+                        // else a completed one, which stays absent.
+                        if let Some(&s) = map.keys().nth(pick % 8) {
+                            let (id, req) = map.remove(&s).unwrap();
+                            prop_assert_eq!(arena.remove(&id), Some(req));
+                            removed.push(id);
+                        } else if !removed.is_empty() {
+                            prop_assert_eq!(arena.remove(&removed[pick % removed.len()]), None);
+                        }
+                    }
+                    _ => {
+                        if let Some((&s, (id, req))) = map.iter_mut().nth(pick % 8) {
+                            req.rob_index = s + pick as u64;
+                            arena.get_mut(id).unwrap().rob_index = s + pick as u64;
+                        }
+                    }
+                }
+                prop_assert_eq!(arena.len(), map.len());
+                prop_assert_eq!(arena.is_empty(), map.is_empty());
+                for (id, req) in map.values() {
+                    prop_assert_eq!(arena.get(id), Some(req));
+                }
+                for id in &removed {
+                    prop_assert!(arena.get(id).is_none(), "completed id {} resolved", id);
+                }
+            }
+        }
     }
 }

@@ -6,6 +6,9 @@
 //! prefetching and fault plan change between steps. Each step resets
 //! an engine that the step before left in another state, one of them
 //! stopped by an injected request fault and one by its cycle budget.
+//! The budget step's cores share a 64 KiB footprint, so the run it cuts
+//! short leaves MSHR entries with several chained waiters, at L1 and at
+//! L2, and freed request slots among the live ones.
 //! Consecutive steps of one geometry reset their caches by zeroing the
 //! sets they filled, or, past a quarter of the sets, the whole array.
 //! Every step also runs on a newly spawned thread, which has no spare
@@ -113,7 +116,7 @@ fn steps() -> Vec<(&'static str, ChipConfig, Vec<Trace>, Ends)> {
         (
             "n=8 cycle budget",
             budget,
-            traces(8, 2_000, 4 << 20, 6),
+            traces(8, 2_000, 64 * 1024, 6),
             Ends::OverBudget,
         ),
         (
