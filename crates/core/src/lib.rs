@@ -31,6 +31,9 @@
 //!   simulator-calibrated ground-truth surface;
 //! * [`aps`] — the Analysis-Plus-Simulation algorithm (Fig 6) with
 //!   simulation counting;
+//! * [`phase`] and [`memo`] — the phase-clustered oracle and the
+//!   per-DSE memo that simulates each point the simulator can tell
+//!   apart once;
 //! * [`allocate`] — multi-application core allocation (Fig 7);
 //! * [`scenario`](mod@crate::scenario) — assembly of all of the above from a declarative
 //!   [`c2_config::Scenario`];
@@ -60,6 +63,7 @@ pub mod backend;
 pub mod dse;
 pub mod energy;
 pub mod mem_model;
+pub mod memo;
 pub mod model;
 pub mod optimize;
 pub mod phase;
@@ -81,6 +85,7 @@ pub use backend::{
 pub use dse::{DesignPoint, DesignSpace, GroundTruth, Oracle};
 pub use energy::{MultiObjective, PowerModel};
 pub use mem_model::{CacheSensitivity, MemoryModel};
+pub use memo::{PointMemo, SimRun};
 pub use model::{C2BoundModel, DesignVariables, OptimizationCase, ProgramProfile};
 pub use optimize::{optimize, optimize_observed_tuned, OptimalDesign, SolverTuning, SplitSolve};
 pub use phase::{PhaseEstimate, PhaseOracle, PhasePlan, PhaseSummary};

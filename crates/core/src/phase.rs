@@ -32,11 +32,12 @@
 
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::metrics::LayerStats;
-use c2_sim::{SimResult, Simulator};
+use c2_sim::SimResult;
 use c2_trace::{MemAccess, PhaseConfig, PhaseDetector, Trace, TraceBuilder};
-use c2_workloads::{SplitMemo, WorkloadTrace};
+use c2_workloads::WorkloadTrace;
 
 use crate::dse::{chip_config_for, DesignPoint, Oracle};
+use crate::memo::{PointMemo, SimRun};
 use crate::{Error, Result};
 
 /// The detected phase structure of one workload, in the exact form the
@@ -56,35 +57,24 @@ pub struct PhaseSummary {
     pub interval_len: usize,
 }
 
-/// One phase's simulation unit: the measured window (warmup prefix ⧺
-/// representative interval) and, when the representative is not the
-/// trace's first interval, the warmup prefix alone. The phase's warm
-/// cost is the counter-wise difference of the two simulations.
-#[derive(Debug, Clone)]
-struct PhaseSlice {
-    /// Warmup prefix plus representative, rebased standalone.
-    window: WorkloadTrace,
-    /// The warmup prefix alone (`None` when the representative is
-    /// interval 0 — it genuinely runs cold in the full trace).
-    warmup: Option<WorkloadTrace>,
-    /// The window's and the warmup's per-core splits.
-    splits: [SplitMemo; 2],
-}
-
 /// A workload's phase-substitution plan: one warm-measured
 /// representative slice per phase plus the weight that scales its
 /// simulated cost back up to the phase's share of the full trace.
 #[derive(Debug, Clone)]
 pub struct PhasePlan {
-    /// Representative measurement unit per phase (empty when `exact`
-    /// is set).
-    slices: Vec<PhaseSlice>,
-    /// Per-phase weight `accesses_in_phase / accesses_in_representative`.
+    /// The simulator runs behind one price, in the order their cycles
+    /// are summed: each phase's measured window (warmup prefix ⧺
+    /// representative interval) at `+w`, then, when the representative
+    /// is not the trace's first interval, the warmup prefix alone at
+    /// `−w`, so the phase's warm cost is the counter-wise difference of
+    /// the two. The exact fallback is one run of the whole workload at
+    /// weight 1.
+    runs: Vec<SimRun>,
+    /// Per-phase weight `accesses_in_phase / accesses_in_representative`
+    /// (empty for the exact fallback).
     weights: Vec<f64>,
-    /// Exact fallback: too few intervals to cluster, simulate this.
-    exact: Option<WorkloadTrace>,
-    /// The exact trace's per-core splits.
-    exact_splits: SplitMemo,
+    /// See [`PhasePlan::simulated_fraction`].
+    simulated_fraction: f64,
     summary: PhaseSummary,
 }
 
@@ -96,6 +86,18 @@ impl PhasePlan {
     /// an exact plan that simulates the full trace (phase mode is then
     /// bit-identical to full mode).
     pub fn detect(workload: &WorkloadTrace, config: &PhaseConfig) -> Result<Self> {
+        Self::detect_combined(workload, &workload.combined(), config)
+    }
+
+    /// [`PhasePlan::detect`] on a workload whose [`combined`] trace the
+    /// caller already built.
+    ///
+    /// [`combined`]: WorkloadTrace::combined
+    pub fn detect_combined(
+        workload: &WorkloadTrace,
+        combined: &Trace,
+        config: &PhaseConfig,
+    ) -> Result<Self> {
         if config.interval_len == 0 {
             return Err(Error::InvalidParameter {
                 name: "phase.interval_len",
@@ -108,20 +110,16 @@ impl PhasePlan {
                 value: 0.0,
             });
         }
-        let combined = workload.combined();
         let n_intervals = combined.len().div_ceil(config.interval_len.max(1));
         if n_intervals < 2 {
-            return Ok(PhasePlan {
-                slices: Vec::new(),
-                weights: Vec::new(),
-                exact: Some(workload.clone()),
-                exact_splits: SplitMemo::default(),
-                summary: PhaseSummary {
+            return Ok(Self::exact(
+                workload,
+                PhaseSummary {
                     labels: Vec::new(),
                     representatives: Vec::new(),
                     interval_len: config.interval_len,
                 },
-            });
+            ));
         }
         let clusters = config.clusters.min(n_intervals);
         let detector = PhaseDetector::new(PhaseConfig {
@@ -129,14 +127,14 @@ impl PhasePlan {
             ..config.clone()
         });
         let phases = detector
-            .detect(&combined)
+            .detect(combined)
             .map_err(|e| Error::Simulation(format!("phase detection failed: {e:?}")))?;
         let summary = PhaseSummary {
             labels: phases.labels().iter().map(|l| l.0).collect(),
             representatives: phases.representatives().to_vec(),
             interval_len: config.interval_len,
         };
-        Self::assemble(&combined, summary)
+        Self::assemble(combined, summary)
     }
 
     /// Rebuild a plan from a memoized summary, skipping clustering.
@@ -146,13 +144,24 @@ impl PhasePlan {
     /// summary is rejected so a corrupted memo can never silently price
     /// the wrong phases.
     pub fn from_summary(workload: &WorkloadTrace, summary: PhaseSummary) -> Result<Self> {
+        Self::from_summary_combined(workload, &workload.combined(), summary)
+    }
+
+    /// [`PhasePlan::from_summary`] on a workload whose [`combined`]
+    /// trace the caller already built.
+    ///
+    /// [`combined`]: WorkloadTrace::combined
+    pub fn from_summary_combined(
+        workload: &WorkloadTrace,
+        combined: &Trace,
+        summary: PhaseSummary,
+    ) -> Result<Self> {
         if summary.interval_len == 0 {
             return Err(Error::InvalidParameter {
                 name: "phase.interval_len",
                 value: 0.0,
             });
         }
-        let combined = workload.combined();
         let n_intervals = combined.len().div_ceil(summary.interval_len);
         if summary.representatives.is_empty() {
             if !summary.labels.is_empty() || n_intervals >= 2 {
@@ -160,13 +169,7 @@ impl PhasePlan {
                     "phase summary does not match the workload (exact marker)".to_string(),
                 ));
             }
-            return Ok(PhasePlan {
-                slices: Vec::new(),
-                weights: Vec::new(),
-                exact: Some(workload.clone()),
-                exact_splits: SplitMemo::default(),
-                summary,
-            });
+            return Ok(Self::exact(workload, summary));
         }
         let consistent = summary.labels.len() == n_intervals
             && summary
@@ -179,7 +182,17 @@ impl PhasePlan {
                 "phase summary does not match the workload".to_string(),
             ));
         }
-        Self::assemble(&combined, summary)
+        Self::assemble(combined, summary)
+    }
+
+    /// The exact fallback: the whole workload, simulated once.
+    fn exact(workload: &WorkloadTrace, summary: PhaseSummary) -> Self {
+        PhasePlan {
+            runs: vec![SimRun::new(workload.clone(), 1.0)],
+            weights: Vec::new(),
+            simulated_fraction: 1.0,
+            summary,
+        }
     }
 
     fn assemble(combined: &Trace, summary: PhaseSummary) -> Result<Self> {
@@ -195,8 +208,10 @@ impl PhasePlan {
             serial: Trace::new(),
             parallel: rebase_slice(accesses),
         };
-        let mut slices = Vec::with_capacity(summary.representatives.len());
+        let mut runs = Vec::with_capacity(2 * summary.representatives.len());
         let mut weights = Vec::with_capacity(summary.representatives.len());
+        let mut total = 0.0; // full-trace accesses, reconstructed
+        let mut simulated = 0.0; // accesses simulated per evaluation
         for (p, &rep) in summary.representatives.iter().enumerate() {
             let lo = rep * il;
             let hi = (lo + il).min(len);
@@ -205,23 +220,23 @@ impl PhasePlan {
             // behind the exact warm state it had in the full run; the
             // warmup prefix is simulated alone and differenced away.
             let wlo = lo.saturating_sub(il);
-            let warmup = if rep > 0 {
-                Some(standalone(&combined.accesses()[wlo..lo]))
-            } else {
-                None
-            };
-            weights.push(phase_accesses[p] / interval_accesses(rep));
-            slices.push(PhaseSlice {
-                window: standalone(&combined.accesses()[wlo..hi]),
-                warmup,
-                splits: Default::default(),
-            });
+            let w = phase_accesses[p] / interval_accesses(rep);
+            weights.push(w);
+            runs.push(SimRun::new(standalone(&combined.accesses()[wlo..hi]), w));
+            if rep > 0 {
+                runs.push(SimRun::new(standalone(&combined.accesses()[wlo..lo]), -w));
+            }
+            // The representative proper is the window minus its warmup
+            // prefix; the evaluation simulates the window AND the
+            // prefix alone (for the difference), so both count as work.
+            let (window, warm) = ((hi - wlo) as f64, (lo - wlo) as f64);
+            total += (window - warm) * w;
+            simulated += window + warm;
         }
         Ok(PhasePlan {
-            slices,
+            runs,
             weights,
-            exact: None,
-            exact_splits: SplitMemo::default(),
+            simulated_fraction: if total <= 0.0 { 1.0 } else { simulated / total },
             summary,
         })
     }
@@ -233,12 +248,12 @@ impl PhasePlan {
 
     /// Number of phases (0 for the exact fallback).
     pub fn phase_count(&self) -> usize {
-        self.slices.len()
+        self.weights.len()
     }
 
     /// Whether the plan is the exact full-trace fallback.
     pub fn is_exact(&self) -> bool {
-        self.exact.is_some()
+        self.summary.representatives.is_empty()
     }
 
     /// Per-phase weights (`accesses_in_phase / accesses_in_rep`).
@@ -246,29 +261,17 @@ impl PhasePlan {
         &self.weights
     }
 
+    /// The simulator runs behind one price, each with the weight its
+    /// cycles carry, in the order they are summed.
+    pub fn runs(&self) -> &[SimRun] {
+        &self.runs
+    }
+
     /// Fraction of the full trace's accesses a single evaluation
     /// actually simulates (1.0 for the exact fallback) — the headline
     /// per-oracle work reduction.
     pub fn simulated_fraction(&self) -> f64 {
-        if self.exact.is_some() {
-            return 1.0;
-        }
-        let mut total = 0.0; // full-trace accesses, reconstructed
-        let mut simulated = 0.0; // accesses simulated per evaluation
-        for (s, &w) in self.slices.iter().zip(&self.weights) {
-            let warm = s.warmup.as_ref().map_or(0, |t| t.parallel.len()) as f64;
-            let window = s.window.parallel.len() as f64;
-            // The representative proper is the window minus its warmup
-            // prefix; the evaluation simulates the window AND the
-            // prefix alone (for the difference), so both count as work.
-            total += (window - warm) * w;
-            simulated += window + warm;
-        }
-        if total <= 0.0 {
-            1.0
-        } else {
-            simulated / total
-        }
+        self.simulated_fraction
     }
 }
 
@@ -412,28 +415,13 @@ impl PhaseOracle {
         &self.plan
     }
 
-    /// Full metric reconstruction at `point`.
+    /// Full metric reconstruction at `point`: the plan's runs,
+    /// simulated in order and summed at their weights.
     pub fn estimate(&self, point: &DesignPoint) -> Result<PhaseEstimate> {
         let config = chip_config_for(point, &self.area, &self.budget)?;
         let mut est = PhaseEstimate::default();
-        if let Some(exact) = &self.plan.exact {
-            let traces = self.plan.exact_splits.split(exact, point.n);
-            let result = Simulator::new(config).run(&traces)?;
-            est.add(&result, 1.0);
-            return Ok(est);
-        }
-        for (slice, &w) in self.plan.slices.iter().zip(&self.plan.weights) {
-            let [window_splits, warmup_splits] = &slice.splits;
-            let traces = window_splits.split(&slice.window, point.n);
-            let result = Simulator::new(config.clone()).run(&traces)?;
-            est.add(&result, w);
-            if let Some(warmup) = &slice.warmup {
-                // Subtract the warmup prefix's own run so only the
-                // representative's warm marginal cost remains.
-                let traces = warmup_splits.split(warmup, point.n);
-                let result = Simulator::new(config.clone()).run(&traces)?;
-                est.add(&result, -w);
-            }
+        for run in self.plan.runs() {
+            est.add(&run.simulate(&config)?, run.weight());
         }
         Ok(est)
     }
@@ -442,6 +430,13 @@ impl PhaseOracle {
     /// replacement for [`simulate_point`](crate::dse::simulate_point).
     pub fn price(&self, point: &DesignPoint) -> Result<f64> {
         Ok(self.estimate(point)?.total_cycles)
+    }
+
+    /// [`PhaseOracle::price`] through a DSE's [`PointMemo`]: the same
+    /// bits, with each run simulated once per point the simulator can
+    /// tell apart. `key` identifies the evaluation.
+    pub fn price_in(&self, memo: &PointMemo, key: u64, point: &DesignPoint) -> Result<f64> {
+        memo.price(key, point, self.plan.runs(), &self.area, &self.budget)
     }
 }
 
@@ -482,26 +477,27 @@ mod tests {
         assert!(!plan.is_exact());
         assert!(plan.phase_count() >= 1 && plan.phase_count() <= 4);
         assert!(plan.weights().iter().all(|&x| x >= 1.0 - 1e-9));
-        // Weighted representative accesses (window minus warmup
-        // prefix) reconstruct the full access count.
+        // Weighted representative accesses (each window at +w minus its
+        // warmup prefix at -w) reconstruct the full access count.
         let total: f64 = plan
-            .slices
+            .runs()
             .iter()
-            .zip(plan.weights())
-            .map(|(s, &x)| {
-                let warm = s.warmup.as_ref().map_or(0, |t| t.parallel.len());
-                (s.window.parallel.len() - warm) as f64 * x
-            })
+            .map(|run| run.weight() * run.trace().parallel.len() as f64)
             .sum();
         assert!(
             (total - w.combined().len() as f64).abs() < 1e-6,
             "{total} vs {}",
             w.combined().len()
         );
-        // Every non-first representative carries a one-interval warmup.
-        for (s, &rep) in plan.slices.iter().zip(&plan.summary().representatives) {
-            assert_eq!(s.warmup.is_some(), rep > 0);
+        // Each phase's window comes first, at its weight; every
+        // non-first representative's one-interval warmup follows it.
+        let mut runs = plan.runs().iter().peekable();
+        for (&rep, &x) in plan.summary().representatives.iter().zip(plan.weights()) {
+            assert_eq!(runs.next().map(SimRun::weight), Some(x));
+            let warmup = runs.next_if(|run| run.weight() < 0.0);
+            assert_eq!(warmup.map(SimRun::weight), (rep > 0).then_some(-x));
         }
+        assert!(runs.next().is_none());
         assert!(plan.simulated_fraction() < 1.0);
     }
 

@@ -61,6 +61,12 @@ pub const ORACLE_PHASE_MEMO_HITS_TOTAL: &str = "oracle_phase_memo_hits_total";
 /// Phase detections run from scratch (memo absent or stale). Ops sink.
 pub const ORACLE_PHASE_DETECTIONS_TOTAL: &str = "oracle_phase_detections_total";
 
+/// CPU evaluations answered by a point-memo entry another evaluation
+/// created: its point differs from one priced before only in ROB sizes
+/// the simulator cannot tell apart, so its runs were simulated once
+/// (full and phase mode alike). Ops sink.
+pub const ORACLE_POINT_MEMO_HITS_TOTAL: &str = "oracle_point_memo_hits_total";
+
 /// Per-mille of the full trace's accesses one oracle call actually
 /// simulates (gauge; 1000 = exact fallback). Ops sink.
 pub const ORACLE_PHASE_SIMULATED_PERMILLE: &str = "oracle_phase_simulated_permille";

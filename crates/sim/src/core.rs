@@ -57,6 +57,36 @@ pub struct Core {
     mem_stalls: u64,
 }
 
+/// The ROB size from which a run of `traces` no longer depends on it:
+/// one more than the longest trace's instruction count. Every
+/// `rob_size` at or above it gives the same [`SimResult`], field for
+/// field.
+///
+/// Why: a core's ROB holds only instructions it has issued and not yet
+/// retired, and a core issues each instruction of its trace once, so
+/// its ROB never holds more entries than its trace's `I` instructions.
+/// The size enters a run only through [`Core::rob_has_space`]
+/// (`rob.len() < rob_size`), which the engine asks before every issue,
+/// when it decides whether a core can issue again, and when it wakes a
+/// sleeping core to charge the ROB-full stalls it sat out. With
+/// `rob_size > I` every such call returns `true`, so each ROB size
+/// above the bound takes the same path through every cycle. The bound
+/// is tight: at `rob_size == I` a core with its whole trace in flight
+/// reads a full ROB and notes ROB-full stalls that a larger ROB does
+/// not (`Core::with_storage`'s reservation changes only capacity).
+///
+/// [`SimResult`]: crate::SimResult
+pub fn rob_saturation(traces: &[Trace]) -> usize {
+    let longest = traces
+        .iter()
+        .map(Trace::instruction_count)
+        .max()
+        .unwrap_or(0);
+    usize::try_from(longest)
+        .unwrap_or(usize::MAX)
+        .saturating_add(1)
+}
+
 impl Core {
     /// Build a core that will execute `trace`.
     pub fn new(config: CoreConfig, trace: &Trace) -> Self {
@@ -406,6 +436,115 @@ mod tests {
             core.rob.capacity(),
             t.instruction_count()
         );
+    }
+
+    fn run_with_rob(mut config: crate::ChipConfig, rob_size: usize, traces: &[Trace]) -> String {
+        config.cores = traces.len();
+        config.core.rob_size = rob_size;
+        format!("{:?}", crate::Simulator::new(config).run(traces))
+    }
+
+    /// The bound is tight: a ROB as long as the trace fills up with the
+    /// whole trace in flight and notes ROB-full stalls, one entry more
+    /// never does.
+    #[test]
+    fn a_rob_as_long_as_the_trace_can_still_stall() {
+        let mut b = TraceBuilder::new();
+        b.compute(2);
+        let traces = [b.finish()];
+        assert_eq!(rob_saturation(&traces), 3);
+        let mut config = crate::ChipConfig::default_single_core();
+        config.core = CoreConfig {
+            issue_width: 4,
+            rob_size: 2,
+            exec_latency: 3,
+        };
+        let stalls = |rob_size| {
+            let mut config = config.clone();
+            config.core.rob_size = rob_size;
+            let r = crate::Simulator::new(config).run(&traces).unwrap();
+            r.cores[0].rob_stalls
+        };
+        assert_eq!(stalls(2), 3, "ROB full from cycle 0 until both retire at 3");
+        assert_eq!(stalls(3), 0);
+        assert_eq!(stalls(1024), 0);
+    }
+
+    #[test]
+    fn rob_saturation_of_no_instructions_is_one() {
+        assert_eq!(rob_saturation(&[]), 1);
+        assert_eq!(rob_saturation(&[Trace::new(), small_trace()]), 6);
+    }
+
+    /// Drawn log2 size, log2 ways, hit latency, MSHRs, ports and log2
+    /// banks.
+    type CacheShape = (u32, u32, u32, usize, usize, u32);
+
+    /// A cache `CacheConfig::validate` accepts, of a drawn shape.
+    fn cache(
+        (log_size, log_ways, hit_latency, mshrs, ports, log_banks): CacheShape,
+        prefetch: bool,
+    ) -> crate::CacheConfig {
+        crate::CacheConfig {
+            size_bytes: 1 << log_size,
+            line_size: 64,
+            associativity: 1 << log_ways.min(log_size - 6),
+            hit_latency,
+            mshr_entries: mshrs,
+            ports,
+            banks: 1 << log_banks,
+            next_line_prefetch: prefetch,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// [`rob_saturation`]'s rule: the bound itself and any larger ROB
+        /// give the same result, field for field, on 1–8 cores with
+        /// 0–40 instructions each (some cores have none).
+        #[test]
+        fn rob_sizes_past_the_longest_trace_run_alike(
+            cores in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec((0u8..3, 0u64..16_384), 0..41)),
+                1..9,
+            ),
+            core in (1usize..9, 1u32..5),
+            l1 in ((7u32..14, 0u32..4, 1u32..5, 1usize..9, 1usize..4, 0u32..3), 0u8..2),
+            l2 in ((10u32..17, 0u32..5, 1u32..13, 1usize..17, 1usize..5, 0u32..4), 0u8..2),
+            extra in 1usize..300,
+        ) {
+            let traces: Vec<Trace> = cores
+                .iter()
+                .map(|(empty, ops)| {
+                    let mut b = TraceBuilder::new();
+                    for &(op, addr) in ops.iter().filter(|_| *empty != 0) {
+                        match op {
+                            0 => {
+                                b.compute(1);
+                            }
+                            1 => {
+                                b.read(addr);
+                            }
+                            _ => {
+                                b.write(addr);
+                            }
+                        }
+                    }
+                    b.finish()
+                })
+                .collect();
+            let mut config = crate::ChipConfig::default_single_core();
+            config.core.issue_width = core.0;
+            config.core.exec_latency = core.1;
+            config.l1 = cache(l1.0, l1.1 == 1);
+            config.l2 = cache(l2.0, l2.1 == 1);
+            let bound = rob_saturation(&traces);
+            proptest::prop_assert_eq!(
+                run_with_rob(config.clone(), bound, &traces),
+                run_with_rob(config, bound + extra, &traces)
+            );
+        }
     }
 
     #[test]

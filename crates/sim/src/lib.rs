@@ -49,6 +49,7 @@ mod mshr;
 pub mod oracle;
 pub mod request;
 
+pub use crate::core::rob_saturation;
 pub use area::{AreaModel, SiliconBudget};
 pub use cache::CacheArray;
 pub use chip::{SimResult, Simulator};

@@ -13,17 +13,19 @@
 
 use std::path::Path;
 
-use c2_bound::dse::{simulate_split, DesignPoint, Oracle};
+use c2_bound::dse::{DesignPoint, Oracle};
 use c2_bound::{
     aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
-    Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan,
+    Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan, PointMemo, SimRun,
 };
 use c2_config::{BackendKind, OracleMode, Scenario};
 use c2_obs::{names, MetricsSink};
 use c2_runner::{RunConfig, RunSummary, ScreenConfig, ScreenReport, SweepRunner};
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::ChipConfig;
-use c2_workloads::{characterize, SplitMemo, WorkloadTrace};
+use c2_trace::Trace;
+use c2_workloads::characterize::characterize_trace;
+use c2_workloads::WorkloadTrace;
 
 /// Why the pipeline stopped. Only [`Error::Run`] can follow a write to
 /// a journal or cache file; the other two are configuration errors
@@ -97,6 +99,9 @@ pub struct Run {
 pub struct CpuSetup {
     /// The generated per-core workload trace.
     pub trace: WorkloadTrace,
+    /// The trace, serial segment then parallel, built once:
+    /// characterization simulated it, and phase detection clusters it.
+    pub combined: Trace,
     /// The analytic model, design space and solver tuning.
     pub aps: Aps,
 }
@@ -108,10 +113,16 @@ pub fn cpu_setup(sc: &Scenario) -> Result<CpuSetup, Error> {
         .ok_or_else(|| Error::UnknownWorkload(sc.workload.name.clone()))?;
     let chip = ChipConfig::from_spec(&sc.chip).map_err(|e| Error::Setup(sim_error("chip", e)))?;
     let trace = workload.generate();
-    let ch = characterize(&trace, &chip).map_err(|e| Error::Run(sim_error("characterize", e)))?;
+    let combined = trace.combined();
+    let ch = characterize_trace(&combined, trace.f_seq(), &chip)
+        .map_err(|e| Error::Run(sim_error("characterize", e)))?;
     let g = scale_function(sc, workload.as_ref());
     let aps = aps_from_scenario(sc, &ch, &chip, g).map_err(|e| Error::Setup(e.into()))?;
-    Ok(CpuSetup { trace, aps })
+    Ok(CpuSetup {
+        trace,
+        combined,
+        aps,
+    })
 }
 
 /// Run `sc` end to end under `config`, journaling to `journal`.
@@ -137,8 +148,8 @@ pub fn execute(
     let config = runner.config();
     // Deferred initialization: each branch fills the owners it needs,
     // and the sweep and pricer borrow from them for the rest of the run.
-    let (gpu, cpu, phase_oracle);
-    let splits = SplitMemo::default();
+    let (gpu, aps, full_run, phase_oracle);
+    let memo = PointMemo::default();
     let (sweep, pricer, points_counter): (&dyn BackendSweep, Pricer<'_>, &str) =
         match sc.backend.kind {
             // Closed-form pricing: no trace, no characterization.
@@ -146,34 +157,44 @@ pub fn execute(
                 gpu = gpu_sweep_from_scenario(sc).map_err(|e| Error::Setup(e.into()))?;
                 (&gpu, Pricer::Gpu(&gpu), names::BACKEND_GPU_SM_POINTS_TOTAL)
             }
+            // The set-up's traces live only as long as the pricer
+            // needs them.
             BackendKind::CpuCmp => {
-                cpu = cpu_setup(sc)?;
-                let model = &cpu.aps.model;
+                let setup = cpu_setup(sc)?;
+                aps = setup.aps;
+                let model = &aps.model;
                 let pricer = match sc.oracle.mode {
-                    OracleMode::Full => Pricer::Full {
-                        trace: &cpu.trace,
-                        splits: &splits,
-                        area: &model.area,
-                        budget: &model.budget,
-                    },
+                    OracleMode::Full => {
+                        full_run = SimRun::new(setup.trace, 1.0);
+                        Pricer::Full {
+                            run: &full_run,
+                            memo: &memo,
+                            area: &model.area,
+                            budget: &model.budget,
+                        }
+                    }
                     OracleMode::Phase => {
                         phase_oracle = phase_oracle_for(
                             sc,
-                            &cpu.trace,
+                            &setup.trace,
+                            &setup.combined,
                             model.area,
                             model.budget,
                             config.cache_path.as_deref(),
                             ops,
                         )
                         .map_err(|e| Error::Run(e.into()))?;
-                        Pricer::Phase(&phase_oracle)
+                        Pricer::Phase {
+                            oracle: &phase_oracle,
+                            memo: &memo,
+                        }
                     }
                 };
-                (&cpu.aps, pricer, names::BACKEND_CPU_CMP_POINTS_TOTAL)
+                (&aps, pricer, names::BACKEND_CPU_CMP_POINTS_TOTAL)
             }
         };
     let phases = match &pricer {
-        Pricer::Phase(oracle) => {
+        Pricer::Phase { oracle, .. } => {
             let plan = oracle.plan();
             Some(PhaseStats {
                 count: plan.phase_count(),
@@ -199,6 +220,9 @@ pub fn execute(
         }
     };
     ops.counter_add(points_counter, summary.results.len() as u64);
+    if !matches!(pricer, Pricer::Gpu(_)) {
+        ops.counter_add(names::ORACLE_POINT_MEMO_HITS_TOTAL, memo.hits());
+    }
     let roofline_points = match &sc.observability.roofline_out {
         Some(path) => Some(emit_roofline(
             sweep,
@@ -242,31 +266,36 @@ impl c2_runner::ScenarioExecutor for Executor {
 /// it through the phase-clustered estimator (DESIGN.md §13), `Gpu`
 /// prices the GPU-SM bound at the achieved occupancy (DESIGN.md §14) —
 /// the deterministic "measured" surface the refinement stage
-/// calibrates against, as the simulator is for the CPU backend.
+/// calibrates against, as the simulator is for the CPU backend. Both
+/// CPU pricers simulate through the run's one [`PointMemo`], shared by
+/// every engine thread (DESIGN.md §13).
 #[derive(Clone)]
 enum Pricer<'a> {
     Full {
-        trace: &'a WorkloadTrace,
-        /// The trace's per-core splits, shared by every engine thread.
-        splits: &'a SplitMemo,
+        run: &'a SimRun,
+        memo: &'a PointMemo,
         area: &'a AreaModel,
         budget: &'a SiliconBudget,
     },
-    Phase(&'a PhaseOracle),
+    Phase {
+        oracle: &'a PhaseOracle,
+        memo: &'a PointMemo,
+    },
     Gpu(&'a GpuSmBackend),
 }
 
 impl Oracle for Pricer<'_> {
-    fn evaluate(&mut self, _key: u64, p: &DesignPoint) -> c2_bound::Result<f64> {
+    fn evaluate(&mut self, key: u64, p: &DesignPoint) -> c2_bound::Result<f64> {
         match self {
             Pricer::Full {
-                trace,
-                splits,
+                run,
+                memo,
                 area,
                 budget,
-            } => simulate_split(p, trace, splits, area, budget)
+            } => memo
+                .price(key, p, std::slice::from_ref(*run), area, budget)
                 .map_err(|e| c2_bound::Error::Simulation(e.to_string())),
-            Pricer::Phase(oracle) => oracle.price(p),
+            Pricer::Phase { oracle, memo } => oracle.price_in(memo, key, p),
             Pricer::Gpu(backend) => backend.measure(p),
         }
     }
@@ -319,6 +348,7 @@ const PHASE_MEMO_SALT: u64 = 0x6332_5048_4153_4531; // "c2PHASE1"
 fn phase_oracle_for(
     sc: &Scenario,
     workload: &WorkloadTrace,
+    combined: &Trace,
     area: AreaModel,
     budget: SiliconBudget,
     cache_path: Option<&Path>,
@@ -336,7 +366,7 @@ fn phase_oracle_for(
         let summary = loaded.phases.remove(&memo_key)?;
         // A corrupted or stale record fails the plan's consistency
         // validation and falls through to a fresh detection.
-        PhasePlan::from_summary(workload, summary).ok()
+        PhasePlan::from_summary_combined(workload, combined, summary).ok()
     });
     let plan = match memoized {
         Some(plan) => {
@@ -344,7 +374,7 @@ fn phase_oracle_for(
             plan
         }
         None => {
-            let plan = PhasePlan::detect(workload, &config)?;
+            let plan = PhasePlan::detect_combined(workload, combined, &config)?;
             ops.counter_add(names::ORACLE_PHASE_DETECTIONS_TOTAL, 1);
             if let Some(path) = cache_path {
                 // Memoization is an optimization; a failed append is

@@ -5,7 +5,7 @@ use c2_config::{OracleMode, Scenario};
 use c2bound::camat::timeline::Timeline;
 use c2bound::model::report::fmt_num;
 use c2bound::model::{optimize::optimize, C2BoundModel, OptimizationCase, ScalingStudy};
-use c2bound::obs::NullSink;
+use c2bound::obs::{names, NullSink, Recorder};
 use c2bound::pipeline;
 use c2bound::runner::RunConfig;
 use c2bound::speedup::scale::{ComplexityPair, ScaleFunction};
@@ -105,7 +105,11 @@ fn design_space_narrowing_four_orders() {
 /// 16.335%, and its phase-mode stencil variant 21.952%. Each figure
 /// comes with the best simulated time behind it; a change to the
 /// model, the simulator or the pipeline that moves either one fails
-/// here.
+/// here. So does a change in how many evaluations the point memo
+/// answers: every core gets at most 9 instructions per phase window
+/// at N = 512, so the phase variant's ROB axis (16–256) collapses its
+/// 20 evaluations onto 5 points, while no ROB on `paper_scale.json`'s
+/// axis outgrows its longest trace.
 #[test]
 fn benchmark_model_error_is_pinned() {
     let text = std::fs::read_to_string(concat!(
@@ -120,18 +124,27 @@ fn benchmark_model_error_is_pinned() {
     phase.oracle.mode = OracleMode::Phase;
     phase.space.issue = vec![1, 4, 8, 12, 16];
     phase.space.rob = vec![16, 64, 128, 256];
-    for (sc, error, best) in [(&full, "16.335", "1029.0"), (&phase, "21.952", "16697.7")] {
+    for (sc, error, best, memo_hits) in [
+        (&full, "16.335", "1029.0", 0),
+        (&phase, "21.952", "16697.7", 15),
+    ] {
         let config = RunConfig::from_spec(&sc.runner)
             .expect("runner spec")
             .with_scenario(sc.fingerprint());
-        let run = pipeline::execute(sc, config, None, false, &NullSink, &NullSink).expect("run");
+        let ops = Recorder::new();
+        let run = pipeline::execute(sc, config, None, false, &NullSink, &ops).expect("run");
         let outcome = run.summary.outcome.expect("a completed sweep");
+        let hits = ops
+            .report()
+            .registry
+            .counter(names::ORACLE_POINT_MEMO_HITS_TOTAL);
         assert_eq!(
             (
                 fmt_num(100.0 * outcome.prediction_error),
-                fmt_num(outcome.best_time)
+                fmt_num(outcome.best_time),
+                hits
             ),
-            (error.to_string(), best.to_string()),
+            (error.to_string(), best.to_string(), memo_hits),
             "{} {} ({:?} oracle)",
             sc.workload.name,
             sc.workload.size,
