@@ -39,6 +39,9 @@ if [ "${exits}" -gt 1 ] || [ -n "${prints}" ]; then
 fi
 
 echo "== tests =="
+# Every test target of every crate, the root package's included, and
+# none is #[ignore]d: the runner engine's integration tests, the crash
+# matrix and the law validation harness run here, and only here.
 cargo test --workspace -q
 
 echo "== simulator micro-benchmarks (one pass; writes no record) =="
@@ -63,14 +66,6 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}"; th
         exit 1
     fi
 done
-
-echo "== runner engine integration tests =="
-cargo test -q -p c2-runner --test engine_resume
-cargo test -q -p c2-runner --test proptest_runner
-cargo test -q -p c2-runner --test sharded_engine
-cargo test -q -p c2-runner --test proptest_sharded
-cargo test -q -p c2-runner --test serve_daemon
-cargo test -q -p c2-runner --test proptest_serve
 
 echo "== scenario files (validate + smoke run) =="
 cargo build -q --bin c2bound-tool
@@ -122,9 +117,6 @@ for run in b t1; do
     cmp "${smoke_dir}/paper-a.jsonl" "${smoke_dir}/paper-${run}.jsonl"
     cmp "${smoke_dir}/paper-a.json" "${smoke_dir}/paper-${run}.json"
 done
-
-echo "== crash matrix (library) =="
-cargo test -q -p c2-runner --test crash_matrix
 
 echo "== CLI crash/resume smoke (quick.json, three crash points) =="
 # --checkpoint-every 1 makes every record a flush-and-fsync boundary,
@@ -276,11 +268,6 @@ cargo run -q --bin c2bound-tool -- submit --addr "${gpu_addr}" --tenant gpu \
 cargo run -q --bin c2bound-tool -- shutdown --addr "${gpu_addr}" --wait > /dev/null
 wait "${gpu_serve_pid}"
 cmp tests/golden/gpu_sm_roofline.json "${smoke_dir}/serve-roofline.json"
-
-echo "== law validation harness (DESIGN.md SS15) =="
-cargo test -q --test law_validation
-cargo test -q -p c2-speedup
-cargo test -q -p c2-runner --lib screen::
 
 echo "== every law on paper_scale.json (feasible skeleton, no dead jobs) =="
 for law in amdahl memory-wall usl; do

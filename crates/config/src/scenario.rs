@@ -1264,7 +1264,11 @@ section! {
         workload: WorkloadSpec = WorkloadSpec::default();
         /// Analytical-model knobs and characterization overrides.
         model: ModelSpec = ModelSpec::default();
-        /// Chip/cache/DRAM configuration for characterization & simulation.
+        /// The characterization chip: the workload is characterized on
+        /// it, and it supplies the model's reference L1 and L2
+        /// capacities and L2 latency. Refinement points do not run on
+        /// it: each point's chip comes from its areas, with the default
+        /// DRAM and NoC, 64-byte lines and fixed associativities.
         chip: ChipSpec = ChipSpec::default();
         /// Design-space axes for the APS sweep.
         space: SpaceSpec = SpaceSpec::default();

@@ -36,7 +36,7 @@ use c2_sim::SimResult;
 use c2_trace::{MemAccess, PhaseConfig, PhaseDetector, Trace, TraceBuilder};
 use c2_workloads::WorkloadTrace;
 
-use crate::dse::{chip_config_for, DesignPoint, Oracle};
+use crate::dse::{chip_config_for, DesignPoint};
 use crate::memo::{PointMemo, SimRun};
 use crate::{Error, Result};
 
@@ -394,9 +394,10 @@ impl PhaseEstimate {
 /// A simulation oracle that prices design points by phase substitution.
 ///
 /// Construction runs (or replays) phase detection once; every
-/// [`price`](PhaseOracle::price) call then simulates only the
-/// representative slices. Implements [`Oracle`], so it drops into the
-/// sweep engine anywhere the full simulator oracle does.
+/// [`estimate`](PhaseOracle::estimate) or
+/// [`price_in`](PhaseOracle::price_in) call then simulates only the
+/// representative slices. A sweep prices through `price_in`, with one
+/// [`PointMemo`] per DSE shared by the engine's threads.
 #[derive(Debug, Clone)]
 pub struct PhaseOracle {
     plan: PhasePlan,
@@ -426,23 +427,14 @@ impl PhaseOracle {
         Ok(est)
     }
 
-    /// Estimated execution time in cycles at `point` — the phase-mode
-    /// replacement for [`simulate_point`](crate::dse::simulate_point).
-    pub fn price(&self, point: &DesignPoint) -> Result<f64> {
-        Ok(self.estimate(point)?.total_cycles)
-    }
-
-    /// [`PhaseOracle::price`] through a DSE's [`PointMemo`]: the same
-    /// bits, with each run simulated once per point the simulator can
-    /// tell apart. `key` identifies the evaluation.
+    /// Estimated execution time in cycles at `point`, the phase-mode
+    /// replacement for [`simulate_point`](crate::dse::simulate_point),
+    /// through a DSE's [`PointMemo`]: the bits of
+    /// [`estimate`](PhaseOracle::estimate)'s `total_cycles`, with each
+    /// run simulated once per point the simulator can tell apart. `key`
+    /// identifies the evaluation.
     pub fn price_in(&self, memo: &PointMemo, key: u64, point: &DesignPoint) -> Result<f64> {
         memo.price(key, point, self.plan.runs(), &self.area, &self.budget)
-    }
-}
-
-impl Oracle for PhaseOracle {
-    fn evaluate(&mut self, _key: u64, point: &DesignPoint) -> Result<f64> {
-        self.price(point)
     }
 }
 
@@ -516,7 +508,7 @@ mod tests {
         let (area, budget) = chip();
         let oracle = PhaseOracle::new(plan, area, budget);
         let full = simulate_point(&point(), &w, &area, &budget).unwrap();
-        assert_eq!(oracle.price(&point()).unwrap(), full);
+        assert_eq!(oracle.estimate(&point()).unwrap().total_cycles, full);
     }
 
     #[test]
@@ -530,8 +522,8 @@ mod tests {
         let a = PhaseOracle::new(plan, area, budget);
         let b = PhaseOracle::new(rebuilt, area, budget);
         assert_eq!(
-            a.price(&point()).unwrap(),
-            b.price(&point()).unwrap(),
+            a.estimate(&point()).unwrap().total_cycles,
+            b.estimate(&point()).unwrap().total_cycles,
             "memoized plan must price identically"
         );
     }

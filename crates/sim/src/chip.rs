@@ -66,8 +66,10 @@
 //! keeps the arena slots of its first and last waiter, the waiters link
 //! to each other through their records, and a fill walks that chain.
 //! The request arena reuses the slot freed last, and an id packs the
-//! issue sequence number above the slot, so ids sort in issue order and
-//! a completed id never resolves to the next request in its slot. DRAM
+//! issue sequence number above the slot, so ids sort in issue order.
+//! Every id the calendar, a retry list, the L2 queue or the DRAM hands
+//! back names a live request in the state that place implies, so no
+//! handler checks for a stale one (debug builds assert it). DRAM
 //! retries wait while the controller queue is full, where each would
 //! fail, and a queued DRAM request carries its bank and row. Memory
 //! follows what a run touches: each [`CacheArray`] stores only the sets
@@ -79,7 +81,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use c2_camat::detector::CamatDetector;
-use c2_camat::{Apc, LayerApc, MemoryLayer};
+use c2_camat::{LayerApc, MemoryLayer};
 use c2_trace::Trace;
 
 use crate::cache::{CacheArray, LookupResult};
@@ -88,7 +90,7 @@ use crate::core::{Core, NextOp};
 use crate::dram::Dram;
 use crate::metrics::{LayerStats, PerCoreStats};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::request::{slot_of, MemRequest, ReqId, ReqState, RequestArena, Slot, NO_SLOT, WB_BASE};
+use crate::request::{MemRequest, ReqId, ReqState, RequestArena, Slot, NO_SLOT, WRITEBACK};
 use crate::{Error, Result};
 
 /// Outcome of a full simulation.
@@ -99,7 +101,9 @@ pub struct SimResult {
     pub total_cycles: u64,
     /// Per-core statistics, including each core's L1 C-AMAT measurement.
     pub cores: Vec<PerCoreStats>,
-    /// Chip-wide L1 layer counters (all private L1s aggregated).
+    /// A copy of `cores`: each private L1's counters are its core's, and
+    /// nothing is aggregated across L1s (`l1_layer` is the chip-wide
+    /// layer). Dropping the field changes every result's `Debug` form.
     pub l1: Vec<PerCoreStats>,
     /// L1 layer activity (any private L1 busy).
     pub l1_layer: LayerStats,
@@ -224,10 +228,8 @@ struct Engine {
     requests: RequestArena,
     /// The issue sequence number of the next access or prefetch.
     next_seq: u64,
-    next_wb: ReqId,
     /// Pending DRAM writebacks (line indices) awaiting queue space.
     wb_pending: Vec<u64>,
-    wb_inflight: u64,
     /// Timed state transitions, handed out in (due cycle, id) order.
     calendar: Calendar,
     /// `(resolve cycle, core)` of every L1 hit still in its lookup, in
@@ -260,18 +262,13 @@ struct Engine {
     unfinished: usize,
     /// Requests currently resident at the L2 (queued or in lookup).
     l2_resident: u64,
-    /// Demand memory requests issued so far (1-based after increment),
-    /// keyed to the fault plan's `fail_at_request`.
-    demand_requests: u64,
-    // Statistics
+    // Statistics. Each core's accesses, misses and memory-active cycles
+    // are its detector's.
     l1_layer: LayerStats,
     l2_layer: LayerStats,
     dram_layer: LayerStats,
     writebacks: u64,
     prefetches: u64,
-    per_core_accesses: Vec<u64>,
-    per_core_misses: Vec<u64>,
-    per_core_mem_active: Vec<u64>,
     per_core_overlap: Vec<u64>,
 }
 
@@ -289,12 +286,10 @@ impl Engine {
             l2_mshr: MshrFile::new(config.l2.mshr_entries),
             l2_queue: VecDeque::new(),
             l2_bank_busy: Vec::new(),
-            dram: Dram::new(config.dram),
+            dram: Dram::new(config.dram, config.l1.line_size),
             requests: RequestArena::new(),
             next_seq: 0,
-            next_wb: WB_BASE,
             wb_pending: Vec::new(),
-            wb_inflight: 0,
             calendar: Calendar::default(),
             hit_lookups: VecDeque::new(),
             retry_l1: Vec::new(),
@@ -308,15 +303,11 @@ impl Engine {
             asleep: Vec::new(),
             unfinished: 0,
             l2_resident: 0,
-            demand_requests: 0,
             l1_layer: LayerStats::default(),
             l2_layer: LayerStats::default(),
             dram_layer: LayerStats::default(),
             writebacks: 0,
             prefetches: 0,
-            per_core_accesses: Vec::new(),
-            per_core_misses: Vec::new(),
-            per_core_mem_active: Vec::new(),
             per_core_overlap: Vec::new(),
         }
     }
@@ -339,9 +330,7 @@ impl Engine {
             dram,
             requests,
             next_seq,
-            next_wb,
             wb_pending,
-            wb_inflight,
             calendar,
             hit_lookups,
             retry_l1,
@@ -355,15 +344,11 @@ impl Engine {
             asleep,
             unfinished,
             l2_resident,
-            demand_requests,
             l1_layer,
             l2_layer,
             dram_layer,
             writebacks,
             prefetches,
-            per_core_accesses,
-            per_core_misses,
-            per_core_mem_active,
             per_core_overlap,
         } = self;
         let n = traces.len();
@@ -393,13 +378,11 @@ impl Engine {
         l2_mshr.reset(config.l2.mshr_entries);
         l2_queue.clear();
         defaults(l2_bank_busy, config.l2.banks);
-        dram.reset(config.dram);
+        dram.reset(config.dram, config.l1.line_size);
         dram.set_spike(config.fault.dram_spike);
         requests.clear();
         *next_seq = 0;
-        *next_wb = WB_BASE;
         wb_pending.clear();
-        *wb_inflight = 0;
         calendar.reset(
             config
                 .l1
@@ -414,15 +397,8 @@ impl Engine {
         defaults(hits_in_flight, n);
         defaults(outstanding, n);
         *cores_with_hits = 0;
-        for counts in [
-            observed,
-            per_core_accesses,
-            per_core_misses,
-            per_core_mem_active,
-            per_core_overlap,
-        ] {
-            defaults(counts, n);
-        }
+        defaults(observed, n);
+        defaults(per_core_overlap, n);
         defaults(awake, n.div_ceil(64));
         *unfinished = 0;
         for (i, core) in cores.iter().enumerate() {
@@ -433,7 +409,6 @@ impl Engine {
         }
         defaults(asleep, n);
         *l2_resident = 0;
-        *demand_requests = 0;
         for stats in [l1_layer, l2_layer, dram_layer] {
             *stats = LayerStats::default();
         }
@@ -454,11 +429,9 @@ impl Engine {
             self.dram.drain_completed(now, &mut dram_done);
             dram_done.sort_unstable(); // determinism
             for id in dram_done.drain(..) {
-                if id >= WB_BASE {
-                    self.wb_inflight -= 1;
-                    continue;
+                if id != WRITEBACK {
+                    self.handle_dram_fill(id, now);
                 }
-                self.handle_dram_fill(id, now);
             }
 
             // 2. Timed request-state transitions (event-driven).
@@ -483,12 +456,11 @@ impl Engine {
 
             // 8. Termination. A core retires an L1 hit no earlier than
             // the cycle its lookup resolves, so finished cores leave no
-            // lookup behind.
+            // lookup behind, and a writeback in flight keeps the DRAM
+            // active.
             let cores_done = self.unfinished == 0;
-            let mem_drained = self.requests.is_empty()
-                && self.wb_pending.is_empty()
-                && self.wb_inflight == 0
-                && !dram_active;
+            let mem_drained =
+                self.requests.is_empty() && self.wb_pending.is_empty() && !dram_active;
             if cores_done && mem_drained {
                 debug_assert!(self.hit_lookups.is_empty());
                 break;
@@ -505,10 +477,9 @@ impl Engine {
 
     /// A DRAM read fill arrived: install in L2 and release L2 waiters.
     fn handle_dram_fill(&mut self, id: ReqId, now: u64) {
-        let line = match self.requests.get(&id) {
-            Some(r) => r.line,
-            None => return,
-        };
+        let r = self.requests.at(self.requests.slot(id));
+        debug_assert_eq!(r.state, ReqState::DramInFlight);
+        let line = r.line;
         if let Some((victim, dirty)) = self.l2.install(line, false) {
             if dirty {
                 self.wb_pending.push(victim);
@@ -520,7 +491,7 @@ impl Engine {
             let mut w = waiters.first;
             while w != NO_SLOT {
                 let r = self.requests.at_mut(w);
-                r.state = ReqState::FillToL1 { arrive_at: arrive };
+                r.state = ReqState::FillToL1;
                 let next = r.next_l2;
                 self.calendar.push(arrive, self.requests.id_at(w));
                 w = next;
@@ -532,7 +503,9 @@ impl Engine {
 
     /// Retire the L1 hits whose lookups resolve at `now`, then handle
     /// every transition due at `now`, in ascending request id, including
-    /// those the handlers schedule for `now` itself.
+    /// those the handlers schedule for `now` itself. The calendar hands
+    /// an id out only in its due cycle, and only while its request is in
+    /// the timed state it was scheduled in.
     ///
     /// Hits go first, out of id order, without changing a result: a
     /// hit's retirement touches only its own core's counts and
@@ -550,45 +523,42 @@ impl Engine {
         }
         self.calendar.begin(now);
         while let Some(id) = self.calendar.pop() {
-            let Some(r) = self.requests.get(&id) else {
-                continue; // already completed (stale event)
-            };
+            let slot = self.requests.slot(id);
+            let r = self.requests.at(slot);
             let (state, core, line) = (r.state, r.core as usize, r.line);
             match state {
-                ReqState::L1Lookup { done_at } if done_at <= now => {
+                ReqState::L1Lookup => {
                     self.end_lookup(core, now);
                     self.outstanding[core] += 1;
                     let epoch = self.detectors[core].pure_epoch();
-                    self.requests.at_mut(slot_of(id)).miss_epoch = epoch;
+                    self.requests.at_mut(slot).miss_epoch = epoch;
                     self.l1_miss_to_mshr(id, now);
                     if self.config.l1.next_line_prefetch {
                         self.maybe_prefetch(core, line + 1, now)?;
                     }
                 }
-                ReqState::ToL2 { arrive_at } if arrive_at <= now => {
-                    self.requests.at_mut(slot_of(id)).state = ReqState::L2Queue;
+                ReqState::ToL2 => {
+                    self.requests.at_mut(slot).state = ReqState::L2Queue;
                     self.l2_queue.push_back(id);
                     self.l2_resident += 1;
                 }
-                ReqState::L2Lookup { done_at, hit } if done_at <= now => {
+                ReqState::L2Lookup { hit } => {
                     self.l2_resident -= 1;
                     if hit {
-                        let arrive = now + self.config.noc.l1_l2_latency as u64;
-                        self.requests.at_mut(slot_of(id)).state =
-                            ReqState::FillToL1 { arrive_at: arrive };
-                        self.calendar.push(arrive, id);
+                        self.requests.at_mut(slot).state = ReqState::FillToL1;
+                        self.calendar
+                            .push(now + self.config.noc.l1_l2_latency as u64, id);
                     } else {
                         self.l2_miss_to_mshr(id, now);
                     }
                 }
-                ReqState::ToDram { arrive_at } if arrive_at <= now => {
+                ReqState::ToDram => {
                     self.try_dram_enqueue(id);
                 }
-                ReqState::FillToL1 { arrive_at } if arrive_at <= now => {
-                    self.handle_l1_fill(id, now);
-                }
-                // Stale or retry-managed state: nothing to do.
-                _ => {}
+                ReqState::FillToL1 => self.handle_l1_fill(id, now),
+                // Requests in the other states wait in a retry list, an
+                // MSHR chain, the L2 queue or the DRAM.
+                _ => unreachable!("request {id:#x} left the calendar in state {state:?}"),
             }
         }
         Ok(())
@@ -614,16 +584,7 @@ impl Engine {
             return;
         }
         let mut dq = std::mem::take(&mut self.retry_dram);
-        dq.retain(|&id| {
-            if !self.requests.contains_key(&id) {
-                return false;
-            }
-            self.try_dram_enqueue(id);
-            matches!(
-                self.requests.get(&id).map(|r| r.state),
-                Some(ReqState::DramQueueRetry)
-            )
-        });
+        dq.retain(|&id| !self.try_dram_enqueue(id));
         debug_assert!(self.retry_dram.is_empty());
         self.retry_dram = dq;
     }
@@ -634,13 +595,13 @@ impl Engine {
             let Some(id) = self.retry_l1[core].pop_front() else {
                 break;
             };
-            let Some(r) = self.requests.get(&id) else {
-                continue;
-            };
+            let slot = self.requests.slot(id);
+            let r = self.requests.at(slot);
+            debug_assert_eq!(r.state, ReqState::L1MshrRetry);
             // The wanted line may have been filled while waiting (by a
             // merged demand or a prefetch): complete straight away.
             if matches!(self.l1s[core].probe(r.line), LookupResult::Hit) {
-                self.complete_request(slot_of(id), now);
+                self.complete_request(slot, now);
                 continue;
             }
             self.l1_miss_to_mshr(id, now);
@@ -653,9 +614,10 @@ impl Engine {
             let Some(id) = self.retry_l2.pop_front() else {
                 break;
             };
-            if !self.requests.contains_key(&id) {
-                continue;
-            }
+            debug_assert_eq!(
+                self.requests.at(self.requests.slot(id)).state,
+                ReqState::L2MshrRetry
+            );
             self.l2_miss_to_mshr(id, now);
         }
     }
@@ -664,7 +626,8 @@ impl Engine {
     /// path directly (no core lookup phase) and notifies nobody on
     /// completion. Dropped silently when useless (line resident or
     /// already outstanding) or when no MSHR entry is free — prefetches
-    /// never steal a demand slot via retry.
+    /// never steal a demand slot via retry. Otherwise the line is
+    /// absent from a file with room, so the prefetch allocates.
     fn maybe_prefetch(&mut self, core: usize, line: u64, now: u64) -> Result<()> {
         if self.l1_mshrs[core].contains(line)
             || self.l1_mshr_blocked(core, now)
@@ -683,37 +646,24 @@ impl Engine {
                 lookup_done_at: now,
                 rob_index: 0,
                 miss_epoch: 0,
-                state: ReqState::WaitL1Fill, // placeholder; set below
+                state: ReqState::ToL2,
                 is_prefetch: true,
                 next_l1: NO_SLOT,
                 next_l2: NO_SLOT,
             },
         )?;
-        let slot = slot_of(id);
         self.prefetches += 1;
-        match self.l1_mshrs[core].register(line, slot, false) {
-            MshrOutcome::Allocated => {
-                let arrive = now + self.config.noc.l1_l2_latency as u64;
-                self.requests.at_mut(slot).state = ReqState::ToL2 { arrive_at: arrive };
-                self.calendar.push(arrive, id);
-            }
-            // Unreachable given the checks above, but stay safe.
-            MshrOutcome::Merged { after } => {
-                self.requests.at_mut(after).next_l1 = slot;
-                self.requests.at_mut(slot).state = ReqState::WaitL1Fill;
-            }
-            MshrOutcome::Full => {
-                self.requests.remove_at(slot);
-                self.prefetches -= 1;
-            }
-        }
+        let outcome = self.l1_mshrs[core].register(line, self.requests.slot(id), false);
+        debug_assert_eq!(outcome, MshrOutcome::Allocated);
+        self.calendar
+            .push(now + self.config.noc.l1_l2_latency as u64, id);
         Ok(())
     }
 
     /// Route an L1 miss into the MSHR file; on success schedule the NoC
     /// hop, on merge wait for the primary, on full join the retry list.
     fn l1_miss_to_mshr(&mut self, id: ReqId, now: u64) {
-        let slot = slot_of(id);
+        let slot = self.requests.slot(id);
         let r = self.requests.at(slot);
         let (core, line, store, prev_state) = (r.core as usize, r.line, r.is_write, r.state);
         // Starvation fault: a new line may not allocate while the file is
@@ -725,65 +675,75 @@ impl Engine {
         };
         match outcome {
             MshrOutcome::Allocated => {
-                let arrive = now + self.config.noc.l1_l2_latency as u64;
-                self.requests.at_mut(slot).state = ReqState::ToL2 { arrive_at: arrive };
-                self.calendar.push(arrive, id);
+                self.requests.at_mut(slot).state = ReqState::ToL2;
+                self.calendar
+                    .push(now + self.config.noc.l1_l2_latency as u64, id);
             }
             MshrOutcome::Merged { after } => {
                 self.requests.at_mut(after).next_l1 = slot;
                 self.requests.at_mut(slot).state = ReqState::WaitL1Fill;
             }
             MshrOutcome::Full => {
+                // The retry drain stops while the file is blocked, so
+                // only a lookup finds it full.
+                debug_assert_eq!(prev_state, ReqState::L1Lookup);
                 self.requests.at_mut(slot).state = ReqState::L1MshrRetry;
-                if !matches!(prev_state, ReqState::L1MshrRetry) {
-                    self.retry_l1[core].push_back(id);
-                }
+                self.retry_l1[core].push_back(id);
             }
         }
     }
 
     fn l2_miss_to_mshr(&mut self, id: ReqId, now: u64) {
-        let slot = slot_of(id);
+        let slot = self.requests.slot(id);
         let r = self.requests.at(slot);
         let (line, store, prev_state) = (r.line, r.is_write, r.state);
         match self.l2_mshr.register(line, slot, store) {
             MshrOutcome::Allocated => {
-                let arrive = now + self.config.noc.l2_mem_latency as u64;
-                self.requests.at_mut(slot).state = ReqState::ToDram { arrive_at: arrive };
-                self.calendar.push(arrive, id);
+                self.requests.at_mut(slot).state = ReqState::ToDram;
+                self.calendar
+                    .push(now + self.config.noc.l2_mem_latency as u64, id);
             }
             MshrOutcome::Merged { after } => {
                 self.requests.at_mut(after).next_l2 = slot;
                 self.requests.at_mut(slot).state = ReqState::WaitL2Fill;
             }
             MshrOutcome::Full => {
+                // The retry drain stops while the file is full, so only a
+                // lookup finds it full.
+                debug_assert_eq!(prev_state, ReqState::L2Lookup { hit: false });
                 self.requests.at_mut(slot).state = ReqState::L2MshrRetry;
-                if !matches!(prev_state, ReqState::L2MshrRetry) {
-                    self.retry_l2.push_back(id);
-                }
+                self.retry_l2.push_back(id);
             }
         }
     }
 
-    fn try_dram_enqueue(&mut self, id: ReqId) {
-        let slot = slot_of(id);
+    /// Offer request `id`'s line to the DRAM queue, or put the request
+    /// on the DRAM retry list if the queue is full. Whether the queue
+    /// took it.
+    fn try_dram_enqueue(&mut self, id: ReqId) -> bool {
+        let slot = self.requests.slot(id);
         let r = self.requests.at(slot);
         let (line, prev_state) = (r.line, r.state);
-        if self.dram.enqueue(id, line, false) {
+        debug_assert!(matches!(
+            prev_state,
+            ReqState::ToDram | ReqState::DramQueueRetry
+        ));
+        if self.dram.enqueue(id, line) {
             self.requests.at_mut(slot).state = ReqState::DramInFlight;
             self.dram_layer.accesses += 1;
-        } else {
-            self.requests.at_mut(slot).state = ReqState::DramQueueRetry;
-            if !matches!(prev_state, ReqState::DramQueueRetry) {
-                self.retry_dram.push(id);
-            }
+            return true;
         }
+        self.requests.at_mut(slot).state = ReqState::DramQueueRetry;
+        if prev_state != ReqState::DramQueueRetry {
+            self.retry_dram.push(id);
+        }
+        false
     }
 
     /// A fill reached a private L1: install, release MSHR waiters,
     /// complete every waiting access.
     fn handle_l1_fill(&mut self, id: ReqId, now: u64) {
-        let slot = slot_of(id);
+        let slot = self.requests.slot(id);
         let r = self.requests.at(slot);
         let (core, line) = (r.core as usize, r.line);
         let waiters = self.l1_mshrs[core]
@@ -829,7 +789,6 @@ impl Engine {
             .retire_access(self.config.l1.hit_latency, Some((r.miss_epoch, penalty)));
         let was_head = self.cores[core].complete_memory(r.rob_index);
         self.outstanding[core] -= 1;
-        self.per_core_misses[core] += 1;
         // A sleeper's ROB is frozen, so its head is the entry it slept on.
         if was_head {
             if let Some(since) = self.asleep[core] {
@@ -850,8 +809,7 @@ impl Engine {
         self.awake[core / 64] |= 1 << (core % 64);
     }
 
-    /// Bring core `core`'s detector and memory-active count up to cycle
-    /// `upto` (exclusive). Every change to the core's hit-phase or
+    /// Bring core `core`'s detector up to cycle `upto` (exclusive). Every change to the core's hit-phase or
     /// outstanding-miss count, every read of its pure-miss epoch and
     /// every `retire_access` calls this first, so the cycles not yet
     /// accounted all ended with the current counts and are folded in by one
@@ -864,9 +822,6 @@ impl Engine {
         self.observed[core] = upto;
         let (hits, misses) = (self.hits_in_flight[core], self.outstanding[core]);
         self.detectors[core].observe_cycles(hits, misses, cycles);
-        if hits > 0 || misses > 0 {
-            self.per_core_mem_active[core] += cycles;
-        }
     }
 
     fn dispatch_l2(&mut self, now: u64) {
@@ -874,24 +829,24 @@ impl Engine {
         let mut i = 0;
         while i < self.l2_queue.len() && dispatched < self.config.l2.ports {
             let id = self.l2_queue[i];
-            let Some(r) = self.requests.get(&id) else {
-                self.l2_queue.remove(i);
-                continue;
-            };
-            let bank = self.l2.bank_of(r.line);
+            let slot = self.requests.slot(id);
+            let r = self.requests.at(slot);
+            debug_assert_eq!(r.state, ReqState::L2Queue);
+            let line = r.line;
+            let bank = self.l2.bank_of(line);
             if self.l2_bank_busy[bank] <= now {
                 // Pipelined bank: accepts one new lookup per cycle.
                 self.l2_bank_busy[bank] = now + 1;
-                let hit = matches!(self.l2.access(r.line, false), LookupResult::Hit);
+                let hit = matches!(self.l2.access(line, false), LookupResult::Hit);
                 self.l2_layer.accesses += 1;
                 if hit {
                     self.l2_layer.hits += 1;
                 } else {
                     self.l2_layer.misses += 1;
                 }
-                let done = now + self.config.l2.hit_latency as u64;
-                self.requests.at_mut(slot_of(id)).state = ReqState::L2Lookup { done_at: done, hit };
-                self.calendar.push(done, id);
+                self.requests.at_mut(slot).state = ReqState::L2Lookup { hit };
+                self.calendar
+                    .push(now + self.config.l2.hit_latency as u64, id);
                 self.l2_queue.remove(i);
                 dispatched += 1;
             } else {
@@ -902,14 +857,11 @@ impl Engine {
 
     fn flush_writebacks(&mut self) {
         while let Some(&line) = self.wb_pending.last() {
-            if self.dram.enqueue(self.next_wb, line, true) {
-                self.wb_pending.pop();
-                self.wb_inflight += 1;
-                self.dram_layer.accesses += 1;
-                self.next_wb += 1;
-            } else {
+            if !self.dram.enqueue(WRITEBACK, line) {
                 break;
             }
+            self.wb_pending.pop();
+            self.dram_layer.accesses += 1;
         }
     }
 
@@ -967,10 +919,11 @@ impl Engine {
                         break;
                     }
                     ports_used += 1;
-                    self.demand_requests += 1;
-                    if self.config.fault.fail_at_request == Some(self.demand_requests) {
+                    // The fault plan numbers demand accesses from 1.
+                    let request = self.l1_layer.accesses + 1;
+                    if self.config.fault.fail_at_request == Some(request) {
                         return Err(Error::InjectedFault {
-                            request: self.demand_requests,
+                            request,
                             cycle: now,
                         });
                     }
@@ -1001,7 +954,7 @@ impl Engine {
                                 lookup_done_at: done_at,
                                 rob_index,
                                 miss_epoch: 0,
-                                state: ReqState::L1Lookup { done_at },
+                                state: ReqState::L1Lookup,
                                 is_prefetch: false,
                                 next_l1: NO_SLOT,
                                 next_l2: NO_SLOT,
@@ -1014,7 +967,6 @@ impl Engine {
                         self.cores_with_hits += 1;
                     }
                     self.hits_in_flight[core_idx] += 1;
-                    self.per_core_accesses[core_idx] += 1;
                     self.l1_layer.accesses += 1;
                     if hit {
                         self.l1_layer.hits += 1;
@@ -1067,16 +1019,17 @@ impl Engine {
         }
         let mut cores = Vec::with_capacity(self.cores.len());
         for (i, det) in self.detectors.iter().enumerate() {
-            let report = det.report();
+            // The run retired every access it issued.
+            let camat = det.report().measurement;
             cores.push(PerCoreStats {
                 instructions: self.cores[i].retired(),
                 finished_at: self.cores[i].finished_at(),
-                accesses: self.per_core_accesses[i],
-                l1_misses: self.per_core_misses[i],
-                camat: report.measurement,
+                accesses: camat.accesses,
+                l1_misses: camat.misses,
+                camat,
                 rob_stalls: self.cores[i].rob_stalls(),
                 mem_stalls: self.cores[i].mem_stalls(),
-                mem_active_cycles: self.per_core_mem_active[i],
+                mem_active_cycles: camat.memory_active_cycles,
                 overlap_cycles: self.per_core_overlap[i],
             });
         }
@@ -1216,11 +1169,6 @@ impl Calendar {
         }
         id
     }
-}
-
-/// Convenience: the APC reading of a [`LayerStats`].
-pub fn layer_apc(stats: &LayerStats) -> Apc {
-    stats.apc()
 }
 
 #[cfg(test)]

@@ -311,6 +311,11 @@ impl ChipConfig {
         if self.l1.line_size != self.l2.line_size {
             return Err(Error::InvalidConfig("L1 and L2 line sizes must match"));
         }
+        if self.dram.row_size < self.l1.line_size {
+            return Err(Error::InvalidConfig(
+                "dram row_size must hold at least one cache line",
+            ));
+        }
         if self.max_cycles == 0 {
             return Err(Error::InvalidConfig("max_cycles must be positive"));
         }
@@ -373,6 +378,17 @@ mod tests {
         let mut chip = ChipConfig::default_single_core();
         chip.l2.line_size = 128;
         assert!(chip.validate().is_err());
+
+        let mut chip = ChipConfig::default_single_core();
+        chip.dram.row_size = 32;
+        assert_eq!(
+            chip.validate(),
+            Err(Error::InvalidConfig(
+                "dram row_size must hold at least one cache line"
+            ))
+        );
+        chip.dram.row_size = chip.l1.line_size;
+        assert!(chip.validate().is_ok());
 
         if let Ok(cores) = usize::try_from(u64::from(u32::MAX) + 1) {
             let mut chip = ChipConfig::default_single_core();

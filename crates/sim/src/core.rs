@@ -65,7 +65,7 @@ pub struct Core {
 /// Why: a core's ROB holds only instructions it has issued and not yet
 /// retired, and a core issues each instruction of its trace once, so
 /// its ROB never holds more entries than its trace's `I` instructions.
-/// The size enters a run only through [`Core::rob_has_space`]
+/// The size enters a run only through `Core::rob_has_space`
 /// (`rob.len() < rob_size`), which the engine asks before every issue,
 /// when it decides whether a core can issue again, and when it wakes a
 /// sleeping core to charge the ROB-full stalls it sat out. With
@@ -144,11 +144,6 @@ impl Core {
     /// Memory-structural issue stalls observed (ports/MSHRs).
     pub fn mem_stalls(&self) -> u64 {
         self.mem_stalls
-    }
-
-    /// Total dynamic instructions this core will execute.
-    pub fn instruction_count(&self) -> u64 {
-        self.instruction_count
     }
 
     /// Notification from the memory system that the memory instruction

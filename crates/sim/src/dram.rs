@@ -18,7 +18,6 @@ struct DramRequest {
     id: u64,
     bank: usize,
     row: u64,
-    is_write: bool,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,42 +30,43 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
+    /// Cache lines per row: `row_size / line_size`, at least 1.
+    lines_per_row: u64,
     banks: Vec<Bank>,
     queue: Vec<DramRequest>,
     bus_free_at: u64,
     /// Injected latency spike (fault-injection hook; `None` normally).
     spike: Option<DramSpike>,
-    /// Accesses delayed by the spike (accounting for tests/diagnosis).
-    spiked_accesses: u64,
     /// Completions ready to be collected: (cycle_done, request id).
     completed: Vec<(u64, u64)>,
     // Statistics
-    reads: u64,
-    writes: u64,
     row_hits: u64,
     row_misses: u64,
     row_conflicts: u64,
 }
 
 impl Dram {
-    /// Build from a validated configuration.
-    pub fn new(config: DramConfig) -> Self {
-        Dram::with_storage(config, Vec::new(), Vec::new(), Vec::new())
+    /// Build from a validated configuration, behind caches of
+    /// `line_size`-byte lines (`ChipConfig::validate` checks that a row
+    /// holds at least one).
+    pub fn new(config: DramConfig, line_size: u64) -> Self {
+        Dram::with_storage(config, line_size, Vec::new(), Vec::new(), Vec::new())
     }
 
-    /// Return to the idle controller [`Dram::new`] builds for `config`,
-    /// with no spike armed, keeping the bank, queue and completion
-    /// storage.
-    pub(crate) fn reset(&mut self, config: DramConfig) {
+    /// Return to the idle controller [`Dram::new`] builds for `config`
+    /// and `line_size`, with no spike armed, keeping the bank, queue and
+    /// completion storage.
+    pub(crate) fn reset(&mut self, config: DramConfig, line_size: u64) {
         let banks = std::mem::take(&mut self.banks);
         let queue = std::mem::take(&mut self.queue);
         let completed = std::mem::take(&mut self.completed);
-        *self = Dram::with_storage(config, banks, queue, completed);
+        *self = Dram::with_storage(config, line_size, banks, queue, completed);
     }
 
     /// An idle controller for `config`, built in (possibly used) storage.
     fn with_storage(
         config: DramConfig,
+        line_size: u64,
         mut banks: Vec<Bank>,
         mut queue: Vec<DramRequest>,
         mut completed: Vec<(u64, u64)>,
@@ -78,14 +78,12 @@ impl Dram {
         completed.clear();
         Dram {
             config,
+            lines_per_row: config.row_size / line_size,
             banks,
             queue,
             bus_free_at: 0,
             spike: None,
-            spiked_accesses: 0,
             completed,
-            reads: 0,
-            writes: 0,
             row_hits: 0,
             row_misses: 0,
             row_conflicts: 0,
@@ -98,35 +96,25 @@ impl Dram {
         self.spike = spike;
     }
 
-    /// Accesses whose completion was delayed by the injected spike.
-    pub fn spiked_accesses(&self) -> u64 {
-        self.spiked_accesses
-    }
-
     /// Whether the controller queue can accept another request.
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.config.queue_depth
     }
 
-    /// Enqueue a line request. Returns `false` if the queue is full.
-    pub fn enqueue(&mut self, id: u64, line: u64, is_write: bool) -> bool {
+    /// Enqueue a line request, a read or a writeback. Returns `false`
+    /// if the queue is full.
+    pub fn enqueue(&mut self, id: u64, line: u64) -> bool {
         if !self.can_accept() {
             return false;
         }
         let (bank, row) = self.bank_and_row(line);
-        self.queue.push(DramRequest {
-            id,
-            bank,
-            row,
-            is_write,
-        });
+        self.queue.push(DramRequest { id, bank, row });
         true
     }
 
     #[inline]
     fn bank_and_row(&self, line: u64) -> (usize, u64) {
-        let lines_per_row = self.config.row_size / 64;
-        let row = line / lines_per_row;
+        let row = line / self.lines_per_row;
         let bank = (row as usize) & (self.config.banks - 1);
         (bank, row)
     }
@@ -172,10 +160,7 @@ impl Dram {
             // Injected latency spike: accesses dispatched inside the
             // window see a slower device across the board.
             let spike_extra = match &self.spike {
-                Some(s) if s.window.contains(now) => {
-                    self.spiked_accesses += 1;
-                    s.extra
-                }
+                Some(s) if s.window.contains(now) => s.extra,
                 _ => 0,
             };
             let column_done = now + access_latency + spike_extra;
@@ -184,13 +169,8 @@ impl Dram {
             let done = bus_start + self.config.t_bus as u64;
             self.bus_free_at = done;
             bank.busy_until = column_done;
-            if r.is_write {
-                self.writes += 1;
-                // Writes complete at the controller; no reply needed, but
-                // we still report completion for accounting.
-            } else {
-                self.reads += 1;
-            }
+            // A write completes at the controller too: the engine
+            // drops its completion.
             self.completed.push((done, r.id));
         }
     }
@@ -213,16 +193,6 @@ impl Dram {
             || !self.completed.is_empty()
             || self.banks.iter().any(|b| b.busy_until > now)
             || self.bus_free_at > now
-    }
-
-    /// Reads serviced.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Writes serviced.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 
     /// Row-buffer hits.
@@ -269,8 +239,8 @@ mod tests {
 
     #[test]
     fn closed_row_access_takes_rcd_plus_cas_plus_bus() {
-        let mut d = Dram::new(cfg());
-        assert!(d.enqueue(1, 0, false));
+        let mut d = Dram::new(cfg(), 64);
+        assert!(d.enqueue(1, 0));
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(23, &mut out);
@@ -282,13 +252,13 @@ mod tests {
 
     #[test]
     fn open_row_access_is_faster() {
-        let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false);
+        let mut d = Dram::new(cfg(), 64);
+        d.enqueue(1, 0);
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(100, &mut out);
         // Same row, bank now open: tCAS + tBUS = 14.
-        d.enqueue(2, 1, false);
+        d.enqueue(2, 1);
         d.tick(100);
         out.clear();
         d.drain_completed(113, &mut out);
@@ -300,13 +270,13 @@ mod tests {
 
     #[test]
     fn row_conflict_pays_precharge() {
-        let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false); // row 0, bank 0
+        let mut d = Dram::new(cfg(), 64);
+        d.enqueue(1, 0); // row 0, bank 0
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(1000, &mut out);
         // Row 2 maps to bank 0 (row % 2 == 0): conflict.
-        d.enqueue(2, 32, false);
+        d.enqueue(2, 32);
         d.tick(1000);
         out.clear();
         // tRP + tRCD + tCAS + tBUS = 34.
@@ -319,11 +289,11 @@ mod tests {
 
     #[test]
     fn bus_serializes_parallel_banks() {
-        let mut d = Dram::new(cfg());
+        let mut d = Dram::new(cfg(), 64);
         // Rows 0 (bank 0) and 1 (bank 1): bank-parallel activates, but
         // the two transfers share the bus.
-        d.enqueue(1, 0, false);
-        d.enqueue(2, 16, false);
+        d.enqueue(1, 0);
+        d.enqueue(2, 16);
         d.tick(0);
         let mut out = Vec::new();
         // First done at 24; second column done at 20 but bus busy until
@@ -336,54 +306,62 @@ mod tests {
 
     #[test]
     fn queue_depth_enforced() {
-        let mut d = Dram::new(DramConfig {
-            queue_depth: 2,
-            ..cfg()
-        });
-        assert!(d.enqueue(1, 0, false));
-        assert!(d.enqueue(2, 100, false));
-        assert!(!d.enqueue(3, 200, false));
+        let mut d = Dram::new(
+            DramConfig {
+                queue_depth: 2,
+                ..cfg()
+            },
+            64,
+        );
+        assert!(d.enqueue(1, 0));
+        assert!(d.enqueue(2, 100));
+        assert!(!d.enqueue(3, 200));
         assert!(!d.can_accept());
     }
 
     #[test]
     fn fr_fcfs_prefers_row_hits() {
-        let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, false); // row 0 -> bank 0, opens row 0
+        let mut d = Dram::new(cfg(), 64);
+        d.enqueue(1, 0); // row 0 -> bank 0, opens row 0
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(1000, &mut out);
         // Queue a conflicting row-2 access first, then a row-0 hit; both
         // target bank 0. The row hit should be served first.
-        d.enqueue(2, 32, false); // row 2, conflict
-        d.enqueue(3, 1, false); // row 0, hit
+        d.enqueue(2, 32); // row 2, conflict
+        d.enqueue(3, 1); // row 0, hit
         d.tick(1000);
         out.clear();
         d.drain_completed(1014, &mut out); // hit: tCAS + tBUS
         assert_eq!(out, vec![3]);
     }
 
+    /// A row holds `row_size / line_size` lines: at 128-byte lines the
+    /// 1 KiB rows hold 8, so line 7 hits row 0's open buffer and line 8
+    /// opens row 1, in the other bank.
     #[test]
-    fn writes_complete_and_count() {
-        let mut d = Dram::new(cfg());
-        d.enqueue(1, 0, true);
-        d.tick(0);
+    fn rows_hold_row_size_over_line_size_lines() {
+        let mut d = Dram::new(cfg(), 128);
         let mut out = Vec::new();
-        d.drain_completed(100, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(d.writes(), 1);
-        assert_eq!(d.reads(), 0);
+        for (id, line) in [(1, 0), (2, 7), (3, 8)] {
+            d.enqueue(id, line);
+            d.tick(1000 * id);
+            d.drain_completed(1000 * id + 999, &mut out);
+        }
+        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!((d.row_hits(), d.row_misses()), (1, 2));
+        assert_eq!(d.row_conflicts(), 0, "row 1 is in bank 1");
     }
 
     #[test]
     fn injected_spike_delays_completions_inside_its_window() {
         use crate::fault::{CycleWindow, DramSpike};
-        let mut d = Dram::new(cfg());
+        let mut d = Dram::new(cfg(), 64);
         d.set_spike(Some(DramSpike {
             window: CycleWindow::new(0, 50),
             extra: 100,
         }));
-        d.enqueue(1, 0, false);
+        d.enqueue(1, 0);
         d.tick(0);
         let mut out = Vec::new();
         // Normally done at 24 (tRCD + tCAS + tBUS); the spike adds 100.
@@ -391,45 +369,43 @@ mod tests {
         assert!(out.is_empty());
         d.drain_completed(124, &mut out);
         assert_eq!(out, vec![1]);
-        assert_eq!(d.spiked_accesses(), 1);
 
         // Outside the window the device is back to nominal speed.
-        d.enqueue(2, 1, false);
+        d.enqueue(2, 1);
         d.tick(1000);
         out.clear();
         d.drain_completed(1014, &mut out); // row hit: tCAS + tBUS
         assert_eq!(out, vec![2]);
-        assert_eq!(d.spiked_accesses(), 1);
     }
 
     #[test]
     fn reset_controller_times_like_a_new_one() {
-        let mut d = Dram::new(cfg());
+        let mut d = Dram::new(cfg(), 64);
         d.set_spike(Some(crate::fault::DramSpike {
             window: crate::fault::CycleWindow::new(0, 1_000),
             extra: 100,
         }));
-        d.enqueue(1, 0, false);
-        d.enqueue(2, 32, false);
+        d.enqueue(1, 0);
+        d.enqueue(2, 32);
         d.tick(0);
-        d.enqueue(3, 64, true);
-        d.reset(cfg());
+        d.enqueue(3, 64);
+        d.reset(cfg(), 64);
         assert!(!d.is_active(0));
-        assert_eq!((d.reads(), d.writes(), d.row_misses()), (0, 0, 0));
+        assert_eq!((d.row_hits(), d.row_misses(), d.row_conflicts()), (0, 0, 0));
         // Closed rows, no spike: tRCD + tCAS + tBUS = 24, as when new.
-        d.enqueue(4, 0, false);
+        d.enqueue(4, 0);
         d.tick(0);
         let mut out = Vec::new();
         d.drain_completed(24, &mut out);
         assert_eq!(out, vec![4]);
-        assert_eq!((d.row_misses(), d.spiked_accesses()), (1, 0));
+        assert_eq!(d.row_misses(), 1);
     }
 
     #[test]
     fn activity_tracking() {
-        let mut d = Dram::new(cfg());
+        let mut d = Dram::new(cfg(), 64);
         assert!(!d.is_active(0));
-        d.enqueue(1, 0, false);
+        d.enqueue(1, 0);
         assert!(d.is_active(0));
         d.tick(0);
         assert!(d.is_active(10));

@@ -5,13 +5,14 @@
 //! simulator of a chip multiprocessor with
 //!
 //! * out-of-order cores abstracted by issue width and a reorder-buffer
-//!   window ([`core`]),
+//!   window ([`CoreConfig`]),
 //! * a two-level cache hierarchy — private, banked, multi-ported,
 //!   *non-blocking* (MSHR-backed) L1s and a shared banked L2
-//!   ([`cache`]),
+//!   ([`CacheConfig`]),
 //! * a DRAM model with per-bank row-buffer state machines and
-//!   tRCD/tCAS/tRP timing, in the spirit of DRAMSim2 ([`dram`]),
-//! * a simple latency/bandwidth interconnect between levels,
+//!   tRCD/tCAS/tRP timing, in the spirit of DRAMSim2 ([`DramConfig`]),
+//! * a simple latency/bandwidth interconnect between levels
+//!   ([`NocConfig`]),
 //! * per-layer APC/C-AMAT instrumentation, with the paper's Fig 4
 //!   HCD/MCD detector attached to the L1 ([`metrics`]),
 //! * the silicon-area-to-configuration mapping used by the DSE
@@ -38,23 +39,21 @@
 #![forbid(unsafe_code)]
 
 pub mod area;
-pub mod cache;
-pub mod chip;
+mod cache;
+mod chip;
 pub mod config;
-pub mod core;
-pub mod dram;
+mod core;
+mod dram;
 pub mod fault;
 pub mod metrics;
 mod mshr;
 pub mod oracle;
-pub mod request;
+mod request;
 
 pub use crate::core::rob_saturation;
 pub use area::{AreaModel, SiliconBudget};
-pub use cache::CacheArray;
 pub use chip::{SimResult, Simulator};
 pub use config::{CacheConfig, ChipConfig, CoreConfig, DramConfig, NocConfig};
-pub use dram::Dram;
 pub use fault::{CycleWindow, DramSpike, FaultPlan, OracleHang};
 pub use metrics::{LayerStats, PerCoreStats};
 pub use oracle::FaultyOracle;

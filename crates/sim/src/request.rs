@@ -12,51 +12,47 @@ pub type Slot = u32;
 /// The link that ends a chain of MSHR waiters.
 pub const NO_SLOT: Slot = Slot::MAX;
 
-/// Writeback ids start here, above every request id, so a DRAM
+/// The id every writeback carries, above every request id, so a DRAM
 /// completion tells a writeback from a fill.
-pub(crate) const WB_BASE: ReqId = 1 << 62;
+pub(crate) const WRITEBACK: ReqId = 1 << 62;
 
 /// How many low bits of a [`ReqId`] hold its slot.
 const SLOT_BITS: u32 = 28;
 const SLOT_MASK: ReqId = (1 << SLOT_BITS) - 1;
-/// The first issue sequence number whose id would reach [`WB_BASE`].
-const SEQ_LIMIT: u64 = WB_BASE >> SLOT_BITS;
+/// The first issue sequence number whose id would reach [`WRITEBACK`].
+const SEQ_LIMIT: u64 = WRITEBACK >> SLOT_BITS;
 /// What a free slot holds as its id. Its slot bits are all ones, the
-/// one slot the arena never hands out, so no lookup matches it.
+/// one slot the arena never hands out, so no id matches it.
 const FREE: ReqId = ReqId::MAX;
 
 /// The slot that request `id` occupies while it is live.
 #[inline]
-pub(crate) fn slot_of(id: ReqId) -> Slot {
+fn slot_of(id: ReqId) -> Slot {
     (id & SLOT_MASK) as Slot
 }
 
 /// Where a request currently is in the memory hierarchy.
+///
+/// The timed states (`L1Lookup`, `ToL2`, `L2Lookup`, `ToDram` and
+/// `FillToL1`) hold no due cycle: the engine's calendar holds it, and
+/// [`MemRequest::lookup_done_at`] an `L1Lookup`'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqState {
     /// In the L1 lookup pipeline (the access's *hit phase*), bound to
     /// miss: the lookup is determined at issue, and a hit never becomes
     /// a request.
-    L1Lookup {
-        /// Cycle at which the lookup resolves.
-        done_at: u64,
-    },
+    L1Lookup,
     /// Missed in L1 but the MSHR file was full; retrying allocation.
     L1MshrRetry,
     /// Secondary miss: merged into an existing L1 MSHR entry, waiting
     /// for the primary's fill.
     WaitL1Fill,
     /// Travelling L1 → L2 over the NoC.
-    ToL2 {
-        /// Arrival cycle at the L2 queue.
-        arrive_at: u64,
-    },
+    ToL2,
     /// Waiting for a free L2 bank.
     L2Queue,
     /// In an L2 bank's lookup pipeline.
     L2Lookup {
-        /// Cycle at which the lookup resolves.
-        done_at: u64,
         /// Whether the lookup will hit.
         hit: bool,
     },
@@ -65,19 +61,13 @@ pub enum ReqState {
     /// Secondary L2 miss waiting on an outstanding DRAM fetch.
     WaitL2Fill,
     /// Travelling L2 → memory controller.
-    ToDram {
-        /// Arrival cycle at the DRAM controller.
-        arrive_at: u64,
-    },
+    ToDram,
     /// Waiting for space in the DRAM controller queue.
     DramQueueRetry,
     /// Accepted by the DRAM controller; awaiting data.
     DramInFlight,
     /// Fill data travelling back to the L1 (L2 already filled).
-    FillToL1 {
-        /// Arrival cycle at the L1.
-        arrive_at: u64,
-    },
+    FillToL1,
 }
 
 /// One in-flight memory request (a dynamic load or store).
@@ -115,13 +105,12 @@ pub struct MemRequest {
 /// slots are reused last in, first out, so a new request lands in the
 /// slot the run touched most recently.
 ///
-/// An id packs its request's issue sequence number above its slot.
-/// Ids therefore sort in issue order, and a lookup is one mask and one
-/// comparison with the id the slot holds. Removal replaces that id
-/// with one no lookup matches, and a reuse stores a newer one, so a
-/// completed id never resolves to the request that took its slot
-/// (stale-event detection in the engine relies on that). Writeback ids
-/// (`>= WB_BASE`) are never inserted; their lookups miss.
+/// An id packs its request's issue sequence number above its slot, so
+/// ids sort in issue order and [`RequestArena::slot`] finds a request
+/// with one mask. Every id the engine holds names a live request
+/// (DESIGN.md §16), and debug builds check it there: a removal replaces
+/// the slot's id with one no id matches, and a reuse stores a newer
+/// one, so a completed id fails the check.
 #[derive(Debug, Default, Clone)]
 pub struct RequestArena {
     /// Each slot's id while its request is live, else [`FREE`].
@@ -156,8 +145,8 @@ impl RequestArena {
     /// Insert `req`, the request with issue sequence number `seq`, and
     /// return its id. Sequence numbers must rise from one insert to the
     /// next for ids to sort in issue order. One that would carry the id
-    /// up to `WB_BASE`, or a slot past the last the id can name, is an
-    /// [`Error::RequestIdOverflow`].
+    /// up to [`WRITEBACK`], or a slot past the last the id can name, is
+    /// an [`Error::RequestIdOverflow`].
     pub fn insert(&mut self, seq: u64, req: MemRequest) -> Result<ReqId> {
         if seq >= SEQ_LIMIT {
             return Err(Error::RequestIdOverflow);
@@ -186,28 +175,17 @@ impl RequestArena {
         Ok(id)
     }
 
-    /// Borrow the request under `id`, if live.
+    /// The slot of request `id`, which must be live: the engine holds
+    /// no other id. Debug builds check that the slot holds `id`.
     #[inline]
-    pub fn get(&self, id: &ReqId) -> Option<&MemRequest> {
-        let slot = slot_of(*id) as usize;
-        (self.ids.get(slot) == Some(id)).then(|| &self.reqs[slot])
-    }
-
-    /// Mutably borrow the request under `id`, if live.
-    #[inline]
-    pub fn get_mut(&mut self, id: &ReqId) -> Option<&mut MemRequest> {
-        let slot = slot_of(*id) as usize;
-        (self.ids.get(slot) == Some(id)).then(|| &mut self.reqs[slot])
-    }
-
-    /// Whether `id` is live.
-    pub fn contains_key(&self, id: &ReqId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Remove and return the request under `id`, if live.
-    pub fn remove(&mut self, id: &ReqId) -> Option<MemRequest> {
-        self.contains_key(id).then(|| self.remove_at(slot_of(*id)))
+    pub(crate) fn slot(&self, id: ReqId) -> Slot {
+        let slot = slot_of(id);
+        debug_assert_eq!(
+            self.ids.get(slot as usize),
+            Some(&id),
+            "request {id:#x} is not live"
+        );
+        slot
     }
 
     /// The live request in `slot`.
@@ -273,6 +251,13 @@ mod tests {
         }
     }
 
+    /// The request under `id` if it is live, read from the slab's id
+    /// column: what [`RequestArena::slot`] checks.
+    fn live(a: &RequestArena, id: ReqId) -> Option<&MemRequest> {
+        let slot = slot_of(id) as usize;
+        (a.ids.get(slot) == Some(&id)).then(|| &a.reqs[slot])
+    }
+
     /// The record the engine keeps per request in flight stays within
     /// one 64-byte line.
     #[test]
@@ -281,19 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn arena_insert_get_remove_round_trip() {
+    fn arena_insert_edit_remove_round_trip() {
         let mut a = RequestArena::new();
         assert!(a.is_empty());
         let ids: Vec<ReqId> = (0..8u64)
             .map(|seq| a.insert(seq, arena_req(seq)).unwrap())
             .collect();
         assert_eq!(a.len(), 8);
-        assert_eq!(a.get(&ids[3]).unwrap().line, 3);
-        a.get_mut(&ids[5]).unwrap().state = ReqState::WaitL1Fill;
-        assert_eq!(a.get(&ids[5]).unwrap().state, ReqState::WaitL1Fill);
-        for (seq, id) in ids.iter().enumerate() {
-            assert_eq!(a.remove(id).unwrap().line, seq as u64);
-            assert!(a.remove(id).is_none(), "a removed id stays absent");
+        assert_eq!(a.at(a.slot(ids[3])).line, 3);
+        a.at_mut(a.slot(ids[5])).state = ReqState::WaitL1Fill;
+        assert_eq!(a.at(a.slot(ids[5])).state, ReqState::WaitL1Fill);
+        for (seq, &id) in ids.iter().enumerate() {
+            assert_eq!(a.id_at(a.slot(id)), id);
+            assert_eq!(a.remove_at(a.slot(id)).line, seq as u64);
+            assert!(live(&a, id).is_none(), "a removed id stays absent");
         }
         assert!(a.is_empty());
     }
@@ -303,15 +289,15 @@ mod tests {
         let mut a = RequestArena::new();
         let first = a.insert(10, arena_req(10)).unwrap();
         let second = a.insert(11, arena_req(11)).unwrap();
-        a.remove(&first);
-        a.remove(&second);
+        a.remove_at(a.slot(first));
+        a.remove_at(a.slot(second));
         // The slot freed last is taken first, and neither old id
         // resolves to the request that took its slot.
         let third = a.insert(13, arena_req(13)).unwrap();
         assert_eq!(slot_of(third), slot_of(second));
         assert!(third > second, "ids sort in issue order");
-        assert!(!a.contains_key(&second) && !a.contains_key(&first));
-        assert_eq!((a.len(), a.get(&third).unwrap().line), (1, 13));
+        assert!(live(&a, second).is_none() && live(&a, first).is_none());
+        assert_eq!((a.len(), a.at(a.slot(third)).line), (1, 13));
     }
 
     #[test]
@@ -321,31 +307,30 @@ mod tests {
         a.insert(42, arena_req(42)).unwrap();
         a.clear();
         assert!(a.is_empty());
-        assert!(!a.contains_key(&old));
+        assert!(live(&a, old).is_none());
         // Sequence numbers restart from zero, below the old ones.
         let id = a.insert(0, arena_req(0)).unwrap();
-        assert_eq!((a.len(), a.get(&id).unwrap().line), (1, 0));
+        assert_eq!((a.len(), a.at(a.slot(id)).line), (1, 0));
     }
 
+    /// Resolving a completed id breaks the engine's invariant, and
+    /// debug builds catch it.
+    #[cfg(debug_assertions)]
     #[test]
-    fn arena_misses_ids_it_never_issued() {
+    #[should_panic(expected = "is not live")]
+    fn a_completed_id_fails_the_liveness_check() {
         let mut a = RequestArena::new();
         let id = a.insert(5, arena_req(5)).unwrap();
-        a.remove(&id);
-        // A writeback id, the free marker and an id past the slab all
-        // miss instead of panicking.
-        for probe in [WB_BASE, FREE, id + 1, 0] {
-            assert!(a.get(&probe).is_none(), "{probe:#x}");
-            assert!(a.remove(&probe).is_none(), "{probe:#x}");
-        }
-        assert!(a.is_empty());
+        a.remove_at(a.slot(id));
+        a.insert(6, arena_req(6)).unwrap();
+        a.slot(id);
     }
 
     #[test]
-    fn an_id_that_would_reach_the_writeback_ids_is_an_error() {
+    fn an_id_that_would_reach_the_writeback_id_is_an_error() {
         let mut a = RequestArena::new();
         let last = a.insert(SEQ_LIMIT - 1, arena_req(1)).unwrap();
-        assert!(last < WB_BASE);
+        assert!(last < WRITEBACK);
         assert_eq!(
             a.insert(SEQ_LIMIT, arena_req(2)),
             Err(Error::RequestIdOverflow)
@@ -357,10 +342,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         /// Random inserts (each a few sequence numbers after the last,
-        /// as hits draw numbers too), removals of live and completed
-        /// ids, and edits agree with a `BTreeMap` keyed by sequence
-        /// number. Every id is larger than the ids before it, and every
-        /// removed id stays absent while its slot is reused.
+        /// as hits draw numbers too), removals and edits agree with a
+        /// `BTreeMap` keyed by sequence number. Every id is larger than
+        /// the ids before it, and every removed id stays absent while
+        /// its slot is reused.
         #[test]
         fn slab_agrees_with_a_map_keyed_by_issue_sequence(
             ops in prop::collection::vec((0u8..4, 0usize..64, 1u64..4), 0..400),
@@ -381,30 +366,27 @@ mod tests {
                         map.insert(seq, (id, req));
                     }
                     2 => {
-                        // The `pick`th live request if there is one,
-                        // else a completed one, which stays absent.
                         if let Some(&s) = map.keys().nth(pick % 8) {
                             let (id, req) = map.remove(&s).unwrap();
-                            prop_assert_eq!(arena.remove(&id), Some(req));
+                            prop_assert_eq!(arena.remove_at(arena.slot(id)), req);
                             removed.push(id);
-                        } else if !removed.is_empty() {
-                            prop_assert_eq!(arena.remove(&removed[pick % removed.len()]), None);
                         }
                     }
                     _ => {
                         if let Some((&s, (id, req))) = map.iter_mut().nth(pick % 8) {
                             req.rob_index = s + pick as u64;
-                            arena.get_mut(id).unwrap().rob_index = s + pick as u64;
+                            arena.at_mut(arena.slot(*id)).rob_index = s + pick as u64;
                         }
                     }
                 }
                 prop_assert_eq!(arena.len(), map.len());
                 prop_assert_eq!(arena.is_empty(), map.is_empty());
                 for (id, req) in map.values() {
-                    prop_assert_eq!(arena.get(id), Some(req));
+                    prop_assert_eq!(live(&arena, *id), Some(req));
+                    prop_assert_eq!(arena.id_at(arena.slot(*id)), *id);
                 }
-                for id in &removed {
-                    prop_assert!(arena.get(id).is_none(), "completed id {} resolved", id);
+                for &id in &removed {
+                    prop_assert!(live(&arena, id).is_none(), "completed id {} resolved", id);
                 }
             }
         }

@@ -534,6 +534,44 @@ fn scenario_with_empty_axis_is_rejected_before_any_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A DRAM row smaller than a cache line is a configuration error: `run`
+/// exits 2 with one `error:` line before it characterizes anything,
+/// where the row mapping used to divide by zero and panic.
+#[test]
+fn dram_row_smaller_than_a_line_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("c2bound-row-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("row32.json");
+    std::fs::write(
+        &scenario,
+        r#"{
+  "version": 1,
+  "workload": { "name": "stencil", "size": 16 },
+  "chip": { "dram": { "row_size": 32 } }
+}"#,
+    )
+    .unwrap();
+    let validated = tool()
+        .args(["scenario", "validate", scenario.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        validated.status.success(),
+        "the document itself is well formed"
+    );
+    let out = tool()
+        .args(["run", "--scenario", scenario.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error: "), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("row_size"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The default engine path is deterministic: a `workers: 2, threads: 0`
 /// scenario runs on `workers` sharded threads, so two flag-less runs
 /// and a `--threads 1` run write byte-identical journals and metrics.

@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 
 use c2bound::model::aps::Aps;
-use c2bound::model::dse::{chip_config_for, DesignPoint, DesignSpace};
-use c2bound::model::{C2BoundModel, PhaseOracle, PhasePlan};
+use c2bound::model::dse::{chip_config_for, DesignPoint, DesignSpace, Oracle};
+use c2bound::model::{C2BoundModel, PhaseOracle, PhasePlan, PointMemo};
 use c2bound::obs::Recorder;
 use c2bound::runner::{RunConfig, RunSummary, SweepRunner};
 use c2bound::sim::area::{AreaModel, SiliconBudget};
@@ -233,6 +233,19 @@ fn sweep_oracle() -> PhaseOracle {
     PhaseOracle::new(plan, area, budget)
 }
 
+/// The CLI's phase pricer: [`PhaseOracle::price_in`] through the
+/// sweep's one [`PointMemo`], which every engine thread shares.
+struct MemoPricer<'a> {
+    oracle: &'a PhaseOracle,
+    memo: &'a PointMemo,
+}
+
+impl Oracle for MemoPricer<'_> {
+    fn evaluate(&mut self, key: u64, p: &DesignPoint) -> c2bound::model::Result<f64> {
+        self.oracle.price_in(self.memo, key, p)
+    }
+}
+
 fn scratch_journal(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("c2-phase-accuracy");
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -241,6 +254,8 @@ fn scratch_journal(tag: &str) -> std::path::PathBuf {
     path
 }
 
+/// One phase-mode sweep of `aps`, priced as the CLI prices it: through
+/// a [`PointMemo`] of its own, shared by its `threads` workers.
 fn run_phase_sweep(
     oracle: &PhaseOracle,
     aps: &Aps,
@@ -257,9 +272,19 @@ fn run_phase_sweep(
         ..RunConfig::default()
     };
     let recorder = Recorder::new();
+    let memo = PointMemo::default();
     let summary = SweepRunner::new(config)
         .unwrap()
-        .run_aps_observed(aps, || oracle.clone(), Some(journal), resume, &recorder)
+        .run_aps_observed(
+            aps,
+            || MemoPricer {
+                oracle,
+                memo: &memo,
+            },
+            Some(journal),
+            resume,
+            &recorder,
+        )
         .unwrap();
     (summary, recorder.report().to_json())
 }
