@@ -69,7 +69,7 @@ done
 
 echo "== scenario files (validate + smoke run) =="
 cargo build -q --bin c2bound-tool
-for sc in examples/scenarios/*.json; do
+for sc in examples/scenarios/*.json dsebench/scenarios/*.json; do
     echo "-- validate ${sc}"
     cargo run -q --bin c2bound-tool -- scenario validate "${sc}" > /dev/null
 done
@@ -101,6 +101,23 @@ for scenario in examples/scenarios/quick.json dsebench/scenarios/phase_estimate.
     cmp "${smoke_dir}/journal-${name}-t1.jsonl" "${smoke_dir}/journal-${name}-t4.jsonl"
     cmp "${smoke_dir}/metrics-${name}-t1.json" "${smoke_dir}/metrics-${name}-t4.json"
 done
+
+echo "== phase mode with a cache (cold, then warm, phase_estimate.json) =="
+# A cold --cache run journals what the cache-less run above did, the
+# warm rerun answers all 20 evaluations from the cache, and the file
+# holds only the header and evaluation entries.
+phase_cache="${smoke_dir}/phase-cache.jsonl"
+for pass in cold warm; do
+    cargo run -q --bin c2bound-tool -- run --scenario dsebench/scenarios/phase_estimate.json \
+        --threads 1 --cache "${phase_cache}" \
+        --journal "${smoke_dir}/phase-cache-${pass}.jsonl" > "${smoke_dir}/phase-cache-${pass}.out"
+done
+cmp "${smoke_dir}/journal-phase_estimate-t1.jsonl" "${smoke_dir}/phase-cache-cold.jsonl"
+grep -q " 20 cache hits," "${smoke_dir}/phase-cache-warm.out"
+if grep -q c2phase "${phase_cache}"; then
+    echo "error: the evaluation cache holds a c2phase line" >&2
+    exit 1
+fi
 
 echo "== default engine path (paper_scale.json: workers 2, threads 0) =="
 # Without --threads the scenario runs on runner.workers sharded threads:

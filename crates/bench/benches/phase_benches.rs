@@ -21,7 +21,7 @@
 
 use c2_bench::spin::deterministic_spin;
 use c2_bound::dse::{chip_config_for, DesignPoint, DesignSpace};
-use c2_bound::{Aps, C2BoundModel, PhaseOracle, PhasePlan};
+use c2_bound::{Aps, C2BoundModel, PhasePlan};
 use c2_runner::{RunConfig, SweepRunner};
 use c2_sim::Simulator;
 use c2_trace::PhaseConfig;
@@ -129,7 +129,6 @@ fn main() {
     let detect_start = Instant::now();
     let plan = PhasePlan::detect(&w, &PhaseConfig::default()).expect("phase plan");
     let detect_ms = detect_start.elapsed().as_secs_f64() * 1e3;
-    let phase_oracle = PhaseOracle::new(plan.clone(), area, budget);
     let points = eval_points();
 
     let full_wall = best_of(REPS, || {
@@ -146,7 +145,7 @@ fn main() {
     let phase_wall = best_of(REPS, || {
         let start = Instant::now();
         for p in &points {
-            let estimate = phase_oracle.estimate(p).expect("phase estimate");
+            let estimate = plan.estimate(p, &area, &budget).expect("phase estimate");
             std::hint::black_box(estimate.total_cycles);
         }
         start.elapsed()

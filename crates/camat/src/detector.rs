@@ -130,11 +130,6 @@ impl CamatDetector {
         self.cycles_seen
     }
 
-    /// Accesses retired so far.
-    pub fn accesses_retired(&self) -> u64 {
-        self.accesses
-    }
-
     /// Return to the empty state of [`CamatDetector::new`].
     pub fn reset(&mut self) {
         *self = CamatDetector::default();

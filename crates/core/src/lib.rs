@@ -31,9 +31,9 @@
 //!   simulator-calibrated ground-truth surface;
 //! * [`aps`] — the Analysis-Plus-Simulation algorithm (Fig 6) with
 //!   simulation counting;
-//! * [`phase`] and [`memo`] — the phase-clustered oracle and the
-//!   per-DSE memo that simulates each point the simulator can tell
-//!   apart once;
+//! * [`phase`] and [`memo`] — the phase plan's weighted runs and the
+//!   per-DSE memo that prices a CPU point's runs, simulating each
+//!   point the simulator can tell apart once;
 //! * [`allocate`] — multi-application core allocation (Fig 7);
 //! * [`scenario`](mod@crate::scenario) — assembly of all of the above from a declarative
 //!   [`c2_config::Scenario`];
@@ -88,7 +88,7 @@ pub use mem_model::{CacheSensitivity, MemoryModel};
 pub use memo::{PointMemo, SimRun};
 pub use model::{C2BoundModel, DesignVariables, OptimizationCase, ProgramProfile};
 pub use optimize::{optimize, optimize_observed_tuned, OptimalDesign, SolverTuning, SplitSolve};
-pub use phase::{PhaseEstimate, PhaseOracle, PhasePlan, PhaseSummary};
+pub use phase::{PhaseEstimate, PhasePlan, PhaseSummary};
 pub use scaling::{ScalingPoint, ScalingStudy};
 pub use scenario::{
     aps_from_scenario, gpu_sweep_from_scenario, law_from_scenario, model_from_scenario,

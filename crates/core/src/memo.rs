@@ -82,7 +82,7 @@ struct Entry {
 
 impl PointMemo {
     /// `Σ weight · total_cycles` over `runs` at `point`, in run order:
-    /// the price [`PhaseOracle::estimate`] sums, or one run's cycles.
+    /// the price [`PhasePlan::estimate`] sums, or one run's cycles.
     /// `key` identifies the evaluation, as [`Oracle::evaluate`] gets
     /// it. Each run is simulated once per effective point: the call
     /// that creates an entry runs its cells first to last, and a call
@@ -90,7 +90,7 @@ impl PointMemo {
     /// last to first before it waits. A failed run yields the first
     /// error in run order, whichever call hit it.
     ///
-    /// [`PhaseOracle::estimate`]: crate::PhaseOracle::estimate
+    /// [`PhasePlan::estimate`]: crate::PhasePlan::estimate
     /// [`Oracle::evaluate`]: crate::Oracle::evaluate
     pub fn price(
         &self,
@@ -261,7 +261,7 @@ impl Drop for Claim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::{PhaseOracle, PhasePlan};
+    use crate::phase::PhasePlan;
     use crate::Error;
     use c2_trace::PhaseConfig;
     use c2_workloads::{stencil::Stencil2D, Workload};
@@ -324,7 +324,6 @@ mod tests {
             AreaModel::default(),
             SiliconBudget::new(400.0, 40.0).unwrap(),
         );
-        let oracle = PhaseOracle::new(plan, area, budget);
         let point = DesignPoint {
             a0: 0.5,
             a1: 0.05,
@@ -333,8 +332,8 @@ mod tests {
             issue_width: 4,
             rob_size: 64,
         };
-        let expected = oracle.estimate(&point).unwrap().total_cycles;
-        let runs = oracle.plan().runs();
+        let expected = plan.estimate(&point, &area, &budget).unwrap().total_cycles;
+        let runs = plan.runs();
         assert_eq!(runs.len(), 8, "four phases, each with a warmup");
         let chip = chip_config_for(&point, &area, &budget).unwrap();
         let weights: Vec<f64> = runs.iter().map(SimRun::weight).collect();

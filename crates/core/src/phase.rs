@@ -25,10 +25,10 @@
 //! averaging ratios — the same access-weighted combination
 //! [`c2_sim::SimResult::chip_camat`] uses within one run.
 //!
-//! Detection is deterministic (same trace + seed ⇒ same clusters), so
-//! the resulting [`PhaseSummary`] can be memoized next to the eval
-//! cache and rebuilt with [`PhasePlan::from_summary`] without
-//! re-clustering.
+//! A sweep prices a point as a plan's [`runs`](PhasePlan::runs)
+//! through the DSE's [`PointMemo`](crate::PointMemo), as full mode
+//! prices its one run; [`PhasePlan::estimate`] is the reference walk
+//! that also reconstructs the derived metrics.
 
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::metrics::LayerStats;
@@ -37,12 +37,11 @@ use c2_trace::{MemAccess, PhaseConfig, PhaseDetector, Trace, TraceBuilder};
 use c2_workloads::WorkloadTrace;
 
 use crate::dse::{chip_config_for, DesignPoint};
-use crate::memo::{PointMemo, SimRun};
+use crate::memo::SimRun;
 use crate::{Error, Result};
 
-/// The detected phase structure of one workload, in the exact form the
-/// eval cache memoizes: rebuilding a [`PhasePlan`] from a summary skips
-/// the k-means clustering entirely.
+/// The detected phase structure of one workload: each interval's
+/// phase label and each phase's representative interval.
 ///
 /// An empty `representatives` vector encodes the *exact fallback*: the
 /// trace was too short to cluster (fewer than two intervals) and phase
@@ -134,55 +133,7 @@ impl PhasePlan {
             representatives: phases.representatives().to_vec(),
             interval_len: config.interval_len,
         };
-        Self::assemble(combined, summary)
-    }
-
-    /// Rebuild a plan from a memoized summary, skipping clustering.
-    ///
-    /// The summary must describe this workload (label/representative
-    /// counts consistent with its interval count); a stale or foreign
-    /// summary is rejected so a corrupted memo can never silently price
-    /// the wrong phases.
-    pub fn from_summary(workload: &WorkloadTrace, summary: PhaseSummary) -> Result<Self> {
-        Self::from_summary_combined(workload, &workload.combined(), summary)
-    }
-
-    /// [`PhasePlan::from_summary`] on a workload whose [`combined`]
-    /// trace the caller already built.
-    ///
-    /// [`combined`]: WorkloadTrace::combined
-    pub fn from_summary_combined(
-        workload: &WorkloadTrace,
-        combined: &Trace,
-        summary: PhaseSummary,
-    ) -> Result<Self> {
-        if summary.interval_len == 0 {
-            return Err(Error::InvalidParameter {
-                name: "phase.interval_len",
-                value: 0.0,
-            });
-        }
-        let n_intervals = combined.len().div_ceil(summary.interval_len);
-        if summary.representatives.is_empty() {
-            if !summary.labels.is_empty() || n_intervals >= 2 {
-                return Err(Error::Simulation(
-                    "phase summary does not match the workload (exact marker)".to_string(),
-                ));
-            }
-            return Ok(Self::exact(workload, summary));
-        }
-        let consistent = summary.labels.len() == n_intervals
-            && summary
-                .labels
-                .iter()
-                .all(|&l| l < summary.representatives.len())
-            && summary.representatives.iter().all(|&r| r < n_intervals);
-        if !consistent {
-            return Err(Error::Simulation(
-                "phase summary does not match the workload".to_string(),
-            ));
-        }
-        Self::assemble(combined, summary)
+        Ok(Self::assemble(combined, summary))
     }
 
     /// The exact fallback: the whole workload, simulated once.
@@ -195,7 +146,7 @@ impl PhasePlan {
         }
     }
 
-    fn assemble(combined: &Trace, summary: PhaseSummary) -> Result<Self> {
+    fn assemble(combined: &Trace, summary: PhaseSummary) -> Self {
         let len = combined.len();
         let il = summary.interval_len;
         let interval_accesses = |i: usize| -> f64 { (len - i * il).min(il) as f64 };
@@ -233,15 +184,15 @@ impl PhasePlan {
             total += (window - warm) * w;
             simulated += window + warm;
         }
-        Ok(PhasePlan {
+        PhasePlan {
             runs,
             weights,
             simulated_fraction: if total <= 0.0 { 1.0 } else { simulated / total },
             summary,
-        })
+        }
     }
 
-    /// The memoizable summary of the detection.
+    /// The detection's labels and representatives.
     pub fn summary(&self) -> &PhaseSummary {
         &self.summary
     }
@@ -272,6 +223,24 @@ impl PhasePlan {
     /// per-oracle work reduction.
     pub fn simulated_fraction(&self) -> f64 {
         self.simulated_fraction
+    }
+
+    /// Full metric reconstruction at `point`: the plan's runs,
+    /// simulated in order and summed at their weights. Its
+    /// `total_cycles` has the bits a [`PointMemo`](crate::PointMemo)
+    /// price of [`runs`](PhasePlan::runs) folds to.
+    pub fn estimate(
+        &self,
+        point: &DesignPoint,
+        area: &AreaModel,
+        budget: &SiliconBudget,
+    ) -> Result<PhaseEstimate> {
+        let config = chip_config_for(point, area, budget)?;
+        let mut est = PhaseEstimate::default();
+        for run in &self.runs {
+            est.add(&run.simulate(&config)?, run.weight());
+        }
+        Ok(est)
     }
 }
 
@@ -391,53 +360,6 @@ impl PhaseEstimate {
     }
 }
 
-/// A simulation oracle that prices design points by phase substitution.
-///
-/// Construction runs (or replays) phase detection once; every
-/// [`estimate`](PhaseOracle::estimate) or
-/// [`price_in`](PhaseOracle::price_in) call then simulates only the
-/// representative slices. A sweep prices through `price_in`, with one
-/// [`PointMemo`] per DSE shared by the engine's threads.
-#[derive(Debug, Clone)]
-pub struct PhaseOracle {
-    plan: PhasePlan,
-    area: AreaModel,
-    budget: SiliconBudget,
-}
-
-impl PhaseOracle {
-    /// Oracle over a prepared plan.
-    pub fn new(plan: PhasePlan, area: AreaModel, budget: SiliconBudget) -> Self {
-        PhaseOracle { plan, area, budget }
-    }
-
-    /// The underlying plan (for memoization and telemetry).
-    pub fn plan(&self) -> &PhasePlan {
-        &self.plan
-    }
-
-    /// Full metric reconstruction at `point`: the plan's runs,
-    /// simulated in order and summed at their weights.
-    pub fn estimate(&self, point: &DesignPoint) -> Result<PhaseEstimate> {
-        let config = chip_config_for(point, &self.area, &self.budget)?;
-        let mut est = PhaseEstimate::default();
-        for run in self.plan.runs() {
-            est.add(&run.simulate(&config)?, run.weight());
-        }
-        Ok(est)
-    }
-
-    /// Estimated execution time in cycles at `point`, the phase-mode
-    /// replacement for [`simulate_point`](crate::dse::simulate_point),
-    /// through a DSE's [`PointMemo`]: the bits of
-    /// [`estimate`](PhaseOracle::estimate)'s `total_cycles`, with each
-    /// run simulated once per point the simulator can tell apart. `key`
-    /// identifies the evaluation.
-    pub fn price_in(&self, memo: &PointMemo, key: u64, point: &DesignPoint) -> Result<f64> {
-        memo.price(key, point, self.plan.runs(), &self.area, &self.budget)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,42 +423,15 @@ mod tests {
         assert!(plan.is_exact());
         assert_eq!(plan.phase_count(), 0);
         assert_eq!(plan.simulated_fraction(), 1.0);
-        // The round trip through the summary preserves exactness.
-        let again = PhasePlan::from_summary(&w, plan.summary().clone()).unwrap();
-        assert!(again.is_exact());
         // Exact phase mode equals full mode exactly.
         let (area, budget) = chip();
-        let oracle = PhaseOracle::new(plan, area, budget);
         let full = simulate_point(&point(), &w, &area, &budget).unwrap();
-        assert_eq!(oracle.estimate(&point()).unwrap().total_cycles, full);
-    }
-
-    #[test]
-    fn summary_round_trip_matches_detection() {
-        let w = FluidAnimate::new(120, 6, 1, 2).generate();
-        let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
-        let rebuilt = PhasePlan::from_summary(&w, plan.summary().clone()).unwrap();
-        assert_eq!(rebuilt.summary(), plan.summary());
-        assert_eq!(rebuilt.weights(), plan.weights());
-        let (area, budget) = chip();
-        let a = PhaseOracle::new(plan, area, budget);
-        let b = PhaseOracle::new(rebuilt, area, budget);
         assert_eq!(
-            a.estimate(&point()).unwrap().total_cycles,
-            b.estimate(&point()).unwrap().total_cycles,
-            "memoized plan must price identically"
+            plan.estimate(&point(), &area, &budget)
+                .unwrap()
+                .total_cycles,
+            full
         );
-    }
-
-    #[test]
-    fn foreign_summary_is_rejected() {
-        let w = FluidAnimate::new(120, 6, 1, 2).generate();
-        let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
-        let other = Stencil2D::new(8, 8, 1, 1).generate();
-        assert!(PhasePlan::from_summary(&other, plan.summary().clone()).is_err());
-        let mut broken = plan.summary().clone();
-        broken.representatives.push(usize::MAX);
-        assert!(PhasePlan::from_summary(&w, broken).is_err());
     }
 
     #[test]
@@ -544,8 +439,7 @@ mod tests {
         let w = FluidAnimate::new(120, 6, 1, 2).generate();
         let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
         let (area, budget) = chip();
-        let oracle = PhaseOracle::new(plan, area, budget);
-        let est = oracle.estimate(&point()).unwrap();
+        let est = plan.estimate(&point(), &area, &budget).unwrap();
         assert!(est.total_cycles > 0.0);
         assert!(est.instructions > 0.0);
         assert!(est.camat() > 0.0);

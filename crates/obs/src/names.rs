@@ -42,24 +42,16 @@ pub const ENGINE_CACHE_PUBLISHED_ENTRIES: &str = "engine_cache_published_entries
 pub const ENGINE_STORAGE_FAULTS_TOTAL: &str = "engine_storage_faults_total";
 
 // ---------------------------------------------------------------------------
-// Phase-clustered oracle (`--oracle-mode phase`)
+// CPU pricers (`--oracle-mode full|phase`)
 // ---------------------------------------------------------------------------
 //
-// Telemetry about the phase fast path. All ops-sink: they describe how
-// a particular invocation obtained its phase plan (fresh detection vs
-// cache memo), never what the sweep computed — the computed outcome is
-// pinned separately by the phase-accuracy tests.
+// All ops-sink: they describe how an invocation priced its points,
+// never what the sweep computed — the computed outcome is pinned
+// separately by the phase-accuracy tests.
 
 /// Phases the active plan simulates per oracle call (gauge; 0 for the
 /// exact short-trace fallback). Ops sink.
 pub const ORACLE_PHASE_COUNT: &str = "oracle_phase_count";
-
-/// Phase plans rebuilt from a memoized summary in the eval cache,
-/// skipping re-clustering. Ops sink.
-pub const ORACLE_PHASE_MEMO_HITS_TOTAL: &str = "oracle_phase_memo_hits_total";
-
-/// Phase detections run from scratch (memo absent or stale). Ops sink.
-pub const ORACLE_PHASE_DETECTIONS_TOTAL: &str = "oracle_phase_detections_total";
 
 /// CPU evaluations answered by a point-memo entry another evaluation
 /// created: its point differs from one priced before only in ROB sizes

@@ -36,15 +36,6 @@ impl Recorder {
             events: inner.events.clone(),
         }
     }
-
-    /// The number of events captured so far.
-    pub fn event_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("obs recorder lock poisoned")
-            .events
-            .len()
-    }
 }
 
 impl MetricsSink for Recorder {

@@ -55,8 +55,8 @@
 //! written by hand (a time keeps its `{t:?}` spelling) and read with
 //! [`c2_config::Json::parse`], except the header, which must match its
 //! exact bytes or be a torn prefix of them. [`load`] is the one reader
-//! and [`publish`] the one entry writer (the engine and the tests that
-//! seed a cache both use them); [`append_phase`] adds phase memos.
+//! and [`publish`] the one writer (the engine and the tests that seed
+//! a cache both use them).
 //!
 //! The cache is advisory — a torn or malformed entry line is skipped
 //! (and counted, so the engine can surface a recovery metric), not
@@ -68,26 +68,9 @@
 //! {"c2cache":1}
 //! {"key":"81ee23fcbe4f85d0","attempts":1,"time":123456.0}
 //! ```
-//!
-//! The file can additionally hold **phase-memo records**: one
-//! [`c2_bound::PhaseSummary`] per line, the detected phase structure
-//! of a workload, keyed by the scenario's semantic identity, so
-//! repeated phase-mode runs of the same design space skip
-//! re-clustering:
-//!
-//! ```text
-//! {"c2phase":1,"key":"81ee23fcbe4f85d0","interval_len":1000,"labels":[0,1,0],"representatives":[0,1]}
-//! ```
-//!
-//! Phase records ride the same durability machinery: [`load`] collects
-//! them (without counting them as recovered/skipped lines) and
-//! [`publish`] re-emits whatever the file holds, so a publication never
-//! evicts a memo. They are advisory exactly like eval entries — a torn
-//! phase line loses one memo, nothing else.
 
 use crate::storage::Storage;
 use crate::{Error, Result};
-use c2_bound::PhaseSummary;
 use c2_config::{Fnv1a, Json};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -128,28 +111,11 @@ fn entry_line(key: u64, entry: &CachedEval) -> String {
     )
 }
 
-fn phase_line(key: u64, r: &PhaseSummary) -> String {
-    let list = |v: &[usize]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "{{\"c2phase\":1,\"key\":\"{key:016x}\",\"interval_len\":{},\"labels\":[{}],\"representatives\":[{}]}}",
-        r.interval_len,
-        list(&r.labels),
-        list(&r.representatives)
-    )
-}
-
 /// What [`load`] found on disk at run start.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadedCache {
     /// Every well-formed entry (first occurrence of each key wins).
     pub snapshot: HashMap<u64, CachedEval>,
-    /// Phase-memo records found in the file (first occurrence wins).
-    pub phases: HashMap<u64, PhaseSummary>,
     /// Torn or malformed entry lines that were skipped. The engine
     /// surfaces this as a recovery counter — a non-zero value means a
     /// crash or disk fault cost some memoized results but nothing else.
@@ -170,32 +136,6 @@ pub fn load(storage: &dyn Storage, path: &Path) -> Result<LoadedCache> {
         Some(loaded) => Ok(loaded),
         None => Ok(LoadedCache::default()),
     }
-}
-
-/// Append one phase-memo record to the cache at `path` through
-/// `storage`, creating the file (with its header) if missing or
-/// holding only a torn remnant. Runs before the engine starts, so it
-/// never races the engine's read-once/publish-once discipline;
-/// concurrent appenders interleave whole lines (O_APPEND) and the
-/// loader keeps the first of any duplicate key.
-pub fn append_phase(
-    storage: &dyn Storage,
-    path: &Path,
-    key: u64,
-    record: &PhaseSummary,
-) -> Result<()> {
-    let fresh = match storage.read_to_string(path)? {
-        Some(text) => parse_snapshot(&text, path)?.is_none(),
-        None => true,
-    };
-    if fresh {
-        let mut out = storage.create(path)?;
-        out.write_all(format!("{}\n", header_line()).as_bytes())?;
-        out.flush()?;
-    }
-    let mut out = storage.append(path)?;
-    out.write_all(format!("{}\n", phase_line(key, record)).as_bytes())?;
-    out.flush()
 }
 
 /// Atomically replace the cache at `path` with the union of `entries`
@@ -227,8 +167,7 @@ pub fn publish(
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    let on_disk = load(storage, path)?;
-    let mut merged = on_disk
+    let mut merged = load(storage, path)?
         .snapshot
         .into_iter()
         .collect::<BTreeMap<u64, CachedEval>>();
@@ -236,12 +175,6 @@ pub fn publish(
         merged.insert(*key, *entry);
     }
     let entries = &merged;
-    // Phase memos are never produced by the engine: re-emit whatever
-    // the file holds so a publication cannot evict them.
-    let phases = on_disk
-        .phases
-        .into_iter()
-        .collect::<BTreeMap<u64, PhaseSummary>>();
     {
         let mut out = storage.create(&tmp)?;
         let mut buf = header_line();
@@ -249,11 +182,6 @@ pub fn publish(
         out.write_all(buf.as_bytes())?;
         for (key, entry) in entries {
             let mut line = entry_line(*key, entry);
-            line.push('\n');
-            out.write_all(line.as_bytes())?;
-        }
-        for (key, record) in &phases {
-            let mut line = phase_line(*key, record);
             line.push('\n');
             out.write_all(line.as_bytes())?;
         }
@@ -291,18 +219,11 @@ fn parse_snapshot(text: &str, path: &Path) -> Result<Option<LoadedCache>> {
         let fields = Json::parse(line).unwrap_or(Json::Null);
         if let Some((key, entry)) = parse_entry(&fields) {
             loaded.snapshot.entry(key).or_insert(entry);
-        } else if let Some((key, record)) = parse_phase(&fields) {
-            loaded.phases.entry(key).or_insert(record);
         } else {
             loaded.skipped += 1;
         }
     }
     Ok(Some(loaded))
-}
-
-/// The 16-hex-digit address at `"key"`.
-fn key_of(fields: &Json) -> Option<u64> {
-    u64::from_str_radix(fields.get("key")?.as_str()?, 16).ok()
 }
 
 /// Read one `{"key":"<hex16>","attempts":N,"time":T}` line.
@@ -312,23 +233,8 @@ fn parse_entry(fields: &Json) -> Option<(u64, CachedEval)> {
     if attempts == 0 || !time.is_finite() {
         return None;
     }
-    Some((key_of(fields)?, CachedEval { attempts, time }))
-}
-
-/// Read one phase-memo line; `None` if `fields` is not one.
-fn parse_phase(fields: &Json) -> Option<(u64, PhaseSummary)> {
-    if fields.get("c2phase")?.as_u64()? != 1 {
-        return None;
-    }
-    let count = |value: &Json| usize::try_from(value.as_u64()?).ok();
-    let list =
-        |key| -> Option<Vec<usize>> { fields.get(key)?.as_arr()?.iter().map(count).collect() };
-    let record = PhaseSummary {
-        labels: list("labels")?,
-        representatives: list("representatives")?,
-        interval_len: count(fields.get("interval_len")?).filter(|&n| n > 0)?,
-    };
-    Some((key_of(fields)?, record))
+    let key = u64::from_str_radix(fields.get("key")?.as_str()?, 16).ok()?;
+    Some((key, CachedEval { attempts, time }))
 }
 
 #[cfg(test)]
@@ -583,7 +489,7 @@ mod tests {
     #[test]
     fn lines_are_read_as_json_not_by_prefix() {
         // Any key order and spacing reads; a count that is negative or
-        // fractional, a non-finite time, or a zero interval does not.
+        // fractional, or a non-finite time, does not.
         let path = tmp("json-lines.jsonl");
         std::fs::write(
             &path,
@@ -591,14 +497,11 @@ mod tests {
              { \"time\": 6.5, \"attempts\": 3, \"key\": \"0000000000000002\" }\n\
              {\"key\":\"0000000000000003\",\"attempts\":-1,\"time\":1.0}\n\
              {\"key\":\"0000000000000004\",\"attempts\":1.5,\"time\":1.0}\n\
-             {\"key\":\"0000000000000005\",\"attempts\":1,\"time\":1e999}\n\
-             {\"c2phase\":1,\"key\":\"00000000000000aa\",\"interval_len\":0,\"labels\":[],\"representatives\":[]}\n\
-             {\"c2phase\":1,\"key\":\"00000000000000bb\",\"interval_len\":9,\"labels\":[0,-1],\"representatives\":[0]}\n\
-             {\"c2phase\":1,\"key\":\"00000000000000cc\",\"interval_len\":9,\"labels\":[1, 0],\"representatives\":[1]}\n",
+             {\"key\":\"0000000000000005\",\"attempts\":1,\"time\":1e999}\n",
         )
         .unwrap();
         let loaded = load(&DISK, &path).unwrap();
-        assert_eq!(loaded.skipped, 5);
+        assert_eq!(loaded.skipped, 3);
         assert_eq!(
             loaded.snapshot.get(&2),
             Some(&CachedEval {
@@ -607,82 +510,33 @@ mod tests {
             })
         );
         assert_eq!(loaded.snapshot.len(), 1);
-        assert_eq!(loaded.phases.len(), 1);
-        assert_eq!(loaded.phases[&0xcc].labels, vec![1, 0]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn phase_records_ride_the_cache_without_perturbing_entries() {
-        let path = tmp("phase-memo.jsonl");
-        let record = PhaseSummary {
-            interval_len: 1000,
-            labels: vec![0, 1, 0, 2],
-            representatives: vec![0, 1, 3],
-        };
-        // Append creates the file (with header) and the memo loads back.
-        append_phase(&DISK, &path, 0xF00D, &record).unwrap();
+    fn a_legacy_phase_line_is_skipped_and_dropped_on_publish() {
+        // Earlier versions memoized phase plans as `c2phase` lines in
+        // the cache. Such a line is not an entry: it loads as one
+        // skipped line, and the next publication drops it.
+        let path = tmp("legacy-phase.jsonl");
+        std::fs::write(
+            &path,
+            "{\"c2cache\":1}\n\
+             {\"key\":\"0000000000000001\",\"attempts\":1,\"time\":5.0}\n\
+             {\"c2phase\":1,\"key\":\"000000000000f00d\",\"interval_len\":1000,\"labels\":[0,1,0],\"representatives\":[0,1]}\n\
+             {\"key\":\"0000000000000002\",\"attempts\":2,\"time\":6.5}\n",
+        )
+        .unwrap();
         let loaded = load(&DISK, &path).unwrap();
-        assert_eq!(loaded.phases.get(&0xF00D), Some(&record));
-        assert_eq!(loaded.skipped, 0, "a phase line is not a torn line");
-        assert!(loaded.snapshot.is_empty());
-
-        // The exact-fallback marker (all-empty lists) round-trips too.
-        let exact = PhaseSummary {
-            interval_len: 500,
-            labels: Vec::new(),
-            representatives: Vec::new(),
-        };
-        append_phase(&DISK, &path, 0xBEEF, &exact).unwrap();
-        let loaded = load(&DISK, &path).unwrap();
-        assert_eq!(loaded.phases.len(), 2);
-        assert_eq!(loaded.phases.get(&0xBEEF), Some(&exact));
-
-        // Publication preserves memos alongside the merged entries...
-        let mut entries = BTreeMap::new();
-        entries.insert(
-            1,
-            CachedEval {
-                attempts: 1,
-                time: 5.0,
-            },
-        );
-        publish(&DISK, false, &path, &entries).unwrap();
-        let loaded = load(&DISK, &path).unwrap();
-        assert_eq!(loaded.snapshot.len(), 1);
-        assert_eq!(loaded.phases.len(), 2);
-        assert_eq!(loaded.skipped, 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn a_failed_phase_append_leaves_a_loadable_cache() {
-        use crate::chaos::{ChaosPlan, ChaosStorage};
-        use crate::storage::DiskStorage;
-        let path = tmp("phase-enospc.jsonl");
-        let record = PhaseSummary {
-            interval_len: 1000,
-            labels: vec![0, 1],
-            representatives: vec![0, 1],
-        };
-        // Write 1 is the fresh file's header, write 2 the phase line.
-        let plan = ChaosPlan {
-            enospc_at_write: Some(2),
-            ..ChaosPlan::default()
-        };
-        let chaos = ChaosStorage::new(Box::new(DiskStorage), plan).unwrap();
-        let err = append_phase(&chaos, &path, 0xF00D, &record).unwrap_err();
-        assert!(
-            matches!(err, Error::Io(ref m) if m.contains("ENOSPC")),
-            "{err:?}"
-        );
-        assert_eq!(chaos.writes(), 2);
-        let loaded = load(&DISK, &path).unwrap();
-        assert!(loaded.phases.is_empty() && loaded.snapshot.is_empty());
-        assert_eq!(loaded.skipped, 0);
+        assert_eq!(loaded.skipped, 1);
+        assert_eq!(loaded.snapshot.len(), 2);
+        publish(&DISK, false, &path, &one_entry(3, 1, 7.0)).unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            format!("{}\n", header_line())
+            "{\"c2cache\":1}\n\
+             {\"key\":\"0000000000000001\",\"attempts\":1,\"time\":5.0}\n\
+             {\"key\":\"0000000000000002\",\"attempts\":2,\"time\":6.5}\n\
+             {\"key\":\"0000000000000003\",\"attempts\":1,\"time\":7.0}\n"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -314,16 +314,12 @@ fn sibling_tmp(path: &Path) -> PathBuf {
 
 /// Rewrite the journal at `path` in **canonical form**: the header
 /// followed by every record in ascending `seq` order, via a sibling
-/// temp file and an atomic rename. The sharded engine calls this once
-/// a run completes, so the durable journal's bytes are a pure function
-/// of the terminal outcomes — independent of the thread count that
-/// produced them, of live append (completion) order, and of how many
-/// crash/resume cycles the run went through.
-pub fn rewrite_canonical(path: &Path, header: &JournalHeader, records: &[JobRecord]) -> Result<()> {
-    rewrite_canonical_with(&DISK, SyncPolicy::Never, path, header, records)
-}
-
-/// [`rewrite_canonical`] over an explicit storage and sync policy.
+/// temp file and an atomic rename, over `storage` under the `sync`
+/// policy. The sharded engine calls this once a run completes, so the
+/// durable journal's bytes are a pure function of the terminal
+/// outcomes — independent of the thread count that produced them, of
+/// live append (completion) order, and of how many crash/resume cycles
+/// the run went through.
 pub fn rewrite_canonical_with(
     storage: &dyn Storage,
     sync: SyncPolicy,

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{Admission, BackoffPolicy, BreakerPolicy, BreakerState, CircuitBreaker, Result};
+use crate::{Admission, BackoffPolicy, BreakerPolicy, CircuitBreaker, Result};
 
 /// Why a submission was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +77,6 @@ impl TenantState {
     /// Queued-plus-running jobs charged to this tenant.
     pub fn active(&self) -> usize {
         self.active
-    }
-
-    /// Current admission-breaker state.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
     }
 }
 

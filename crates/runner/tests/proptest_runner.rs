@@ -187,8 +187,7 @@ fn journal_text(dir: &Path, n: usize, time: f64) -> String {
     text
 }
 
-/// A cache as the engine and the phase memo write it: `n` entries
-/// and one phase record.
+/// A cache as the engine writes it: `n` entries.
 fn cache_text(dir: &Path, n: u64, time: f64) -> String {
     let path = dir.join("valid.cache.jsonl");
     std::fs::remove_file(&path).ok();
@@ -202,12 +201,6 @@ fn cache_text(dir: &Path, n: u64, time: f64) -> String {
         })
         .collect();
     cache::publish(&DISK, false, &path, &entries).unwrap();
-    let phase = c2_bound::PhaseSummary {
-        interval_len: 1000,
-        labels: vec![0, 1, 0, 2],
-        representatives: vec![0, 1, 3],
-    };
-    cache::append_phase(&DISK, &path, 0xF00D, &phase).unwrap();
     std::fs::read_to_string(&path).unwrap()
 }
 
@@ -303,7 +296,6 @@ proptest! {
                     .snapshot
                     .values()
                     .all(|e| e.attempts >= 1 && e.time.is_finite()));
-                prop_assert!(loaded.phases.values().all(|p| p.interval_len > 0));
             }
             Err(e) => prop_assert!(matches!(e, Error::Journal(_) | Error::Io(_)), "{e}"),
         }

@@ -322,14 +322,6 @@ impl ReuseProfile {
     pub fn miss_rate_for_capacity(&self, bytes: u64) -> f64 {
         self.miss_rate_for_lines((bytes / self.line_size) as usize)
     }
-
-    /// The miss-rate curve sampled at the given capacities (bytes).
-    pub fn miss_curve(&self, capacities: &[u64]) -> Vec<(u64, f64)> {
-        capacities
-            .iter()
-            .map(|&c| (c, self.miss_rate_for_capacity(c)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -206,12 +206,6 @@ impl TraceBuilder {
         self.instr
     }
 
-    /// Number of accesses recorded so far.
-    #[inline]
-    pub fn access_count(&self) -> usize {
-        self.accesses.len()
-    }
-
     /// Finish and return the trace.
     pub fn finish(self) -> Trace {
         Trace {

@@ -753,6 +753,9 @@ fn cmd_scenario(args: &[String], out: &mut dyn Write) -> Result {
         Some("validate") => {
             let path = at_most(args, 2)?.get(1).ok_or(Failure::Usage)?;
             let sc = load_scenario(path)?;
+            if sc.backend.kind == BackendKind::CpuCmp {
+                pipeline::cpu_config(&sc).map_err(|e| failed(format!("{path}: {e}")))?;
+            }
             writeln!(out, "ok: {path} (fingerprint {})", sc.fingerprint_hex())?;
         }
         Some("show") => {

@@ -16,7 +16,7 @@ use std::path::Path;
 use c2_bound::dse::{DesignPoint, Oracle};
 use c2_bound::{
     aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
-    Aps, BackendSweep, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan, PointMemo, SimRun,
+    Aps, BackendSweep, Ceiling, GpuSmBackend, PhasePlan, PointMemo, SimRun,
 };
 use c2_config::{BackendKind, OracleMode, Scenario};
 use c2_obs::{names, MetricsSink};
@@ -25,7 +25,7 @@ use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::ChipConfig;
 use c2_trace::Trace;
 use c2_workloads::characterize::characterize_trace;
-use c2_workloads::WorkloadTrace;
+use c2_workloads::{Workload, WorkloadTrace};
 
 /// Why the pipeline stopped. Only [`Error::Run`] can follow a write to
 /// a journal or cache file; the other two are configuration errors
@@ -106,12 +106,19 @@ pub struct CpuSetup {
     pub aps: Aps,
 }
 
-/// Generate and characterize the scenario's workload and assemble its
-/// APS: the CPU-CMP set-up step of [`execute`].
-pub fn cpu_setup(sc: &Scenario) -> Result<CpuSetup, Error> {
+/// The trace-free checks of [`cpu_setup`], which it makes first: the
+/// scenario's built-in workload and the chip the simulator builds.
+pub fn cpu_config(sc: &Scenario) -> Result<(Box<dyn Workload>, ChipConfig), Error> {
     let workload = c2_workloads::workload_from_spec(&sc.workload)
         .ok_or_else(|| Error::UnknownWorkload(sc.workload.name.clone()))?;
     let chip = ChipConfig::from_spec(&sc.chip).map_err(|e| Error::Setup(sim_error("chip", e)))?;
+    Ok((workload, chip))
+}
+
+/// Generate and characterize the scenario's workload and assemble its
+/// APS: the CPU-CMP set-up step of [`execute`].
+pub fn cpu_setup(sc: &Scenario) -> Result<CpuSetup, Error> {
+    let (workload, chip) = cpu_config(sc)?;
     let trace = workload.generate();
     let combined = trace.combined();
     let ch = characterize_trace(&combined, trace.f_seq(), &chip)
@@ -127,8 +134,8 @@ pub fn cpu_setup(sc: &Scenario) -> Result<CpuSetup, Error> {
 
 /// Run `sc` end to end under `config`, journaling to `journal`.
 ///
-/// Run metrics go to `sink`; operational telemetry (phase memo,
-/// per-backend and Roofline counters, screening) goes to `ops`. The
+/// Run metrics go to `sink`; operational telemetry (phase plan, point
+/// memo, per-backend and Roofline counters, screening) goes to `ops`. The
 /// Roofline report, when `observability.roofline_out` is set, is
 /// stamped with `config.scenario_fingerprint`.
 pub fn execute(
@@ -148,7 +155,8 @@ pub fn execute(
     let config = runner.config();
     // Deferred initialization: each branch fills the owners it needs,
     // and the sweep and pricer borrow from them for the rest of the run.
-    let (gpu, aps, full_run, phase_oracle);
+    let (gpu, aps, full_run, plan);
+    let mut phases = None;
     let memo = PointMemo::default();
     let (sweep, pricer, points_counter): (&dyn BackendSweep, Pricer<'_>, &str) =
         match sc.backend.kind {
@@ -162,48 +170,31 @@ pub fn execute(
             BackendKind::CpuCmp => {
                 let setup = cpu_setup(sc)?;
                 aps = setup.aps;
-                let model = &aps.model;
-                let pricer = match sc.oracle.mode {
+                let runs: &[SimRun] = match sc.oracle.mode {
                     OracleMode::Full => {
-                        full_run = SimRun::new(setup.trace, 1.0);
-                        Pricer::Full {
-                            run: &full_run,
-                            memo: &memo,
-                            area: &model.area,
-                            budget: &model.budget,
-                        }
+                        full_run = [SimRun::new(setup.trace, 1.0)];
+                        &full_run
                     }
                     OracleMode::Phase => {
-                        phase_oracle = phase_oracle_for(
-                            sc,
-                            &setup.trace,
-                            &setup.combined,
-                            model.area,
-                            model.budget,
-                            config.cache_path.as_deref(),
-                            ops,
-                        )
-                        .map_err(|e| Error::Run(e.into()))?;
-                        Pricer::Phase {
-                            oracle: &phase_oracle,
-                            memo: &memo,
-                        }
+                        plan = phase_plan_for(sc, &setup.trace, &setup.combined, ops)
+                            .map_err(|e| Error::Run(e.into()))?;
+                        phases = Some(PhaseStats {
+                            count: plan.phase_count(),
+                            simulated_fraction: plan.simulated_fraction(),
+                            exact: plan.is_exact(),
+                        });
+                        plan.runs()
                     }
+                };
+                let pricer = Pricer::Cpu {
+                    runs,
+                    memo: &memo,
+                    area: &aps.model.area,
+                    budget: &aps.model.budget,
                 };
                 (&aps, pricer, names::BACKEND_CPU_CMP_POINTS_TOTAL)
             }
         };
-    let phases = match &pricer {
-        Pricer::Phase { oracle, .. } => {
-            let plan = oracle.plan();
-            Some(PhaseStats {
-                count: plan.phase_count(),
-                simulated_fraction: plan.simulated_fraction(),
-                exact: plan.is_exact(),
-            })
-        }
-        _ => None,
-    };
     let make_oracle = || pricer.clone();
     let (summary, screen) = match &screen {
         Some(screen) => {
@@ -220,7 +211,7 @@ pub fn execute(
         }
     };
     ops.counter_add(points_counter, summary.results.len() as u64);
-    if !matches!(pricer, Pricer::Gpu(_)) {
+    if matches!(pricer, Pricer::Cpu { .. }) {
         ops.counter_add(names::ORACLE_POINT_MEMO_HITS_TOTAL, memo.hits());
     }
     let roofline_points = match &sc.observability.roofline_out {
@@ -261,25 +252,21 @@ impl c2_runner::ScenarioExecutor for Executor {
     }
 }
 
-/// The per-design-point oracle, selected by backend and `oracle.mode`:
-/// `Full` simulates the whole workload at every point, `Phase` prices
-/// it through the phase-clustered estimator (DESIGN.md §13), `Gpu`
-/// prices the GPU-SM bound at the achieved occupancy (DESIGN.md §14) —
-/// the deterministic "measured" surface the refinement stage
-/// calibrates against, as the simulator is for the CPU backend. Both
-/// CPU pricers simulate through the run's one [`PointMemo`], shared by
-/// every engine thread (DESIGN.md §13).
+/// The per-design-point oracle, selected by backend: `Cpu` prices a
+/// point as its weighted simulator runs through the run's one
+/// [`PointMemo`], shared by every engine thread (DESIGN.md §13) — the
+/// whole workload at weight 1 in full mode, the phase plan's windows
+/// and warmups in phase mode; `Gpu` prices the GPU-SM bound at the
+/// achieved occupancy (DESIGN.md §14) — the deterministic "measured"
+/// surface the refinement stage calibrates against, as the simulator
+/// is for the CPU backend.
 #[derive(Clone)]
 enum Pricer<'a> {
-    Full {
-        run: &'a SimRun,
+    Cpu {
+        runs: &'a [SimRun],
         memo: &'a PointMemo,
         area: &'a AreaModel,
         budget: &'a SiliconBudget,
-    },
-    Phase {
-        oracle: &'a PhaseOracle,
-        memo: &'a PointMemo,
     },
     Gpu(&'a GpuSmBackend),
 }
@@ -287,15 +274,14 @@ enum Pricer<'a> {
 impl Oracle for Pricer<'_> {
     fn evaluate(&mut self, key: u64, p: &DesignPoint) -> c2_bound::Result<f64> {
         match self {
-            Pricer::Full {
-                run,
+            Pricer::Cpu {
+                runs,
                 memo,
                 area,
                 budget,
             } => memo
-                .price(key, p, std::slice::from_ref(*run), area, budget)
+                .price(key, p, runs, area, budget)
                 .map_err(|e| c2_bound::Error::Simulation(e.to_string())),
-            Pricer::Phase { oracle, memo } => oracle.price_in(memo, key, p),
             Pricer::Gpu(backend) => backend.measure(p),
         }
     }
@@ -330,73 +316,25 @@ fn emit_roofline(
     Ok(points.len())
 }
 
-/// Cache address of a scenario's memoized phase summary:
-/// `cache_key(scenario_fingerprint, PHASE_MEMO_SALT)`. The fingerprint
-/// already binds the workload, its size, and every `oracle.phase` knob
-/// (phase mode renders the section semantically), so a memo can only
-/// hit for the exact detection it stores; the salt keeps the address
-/// disjoint from every job entry's (identity, content-key) space.
-const PHASE_MEMO_SALT: u64 = 0x6332_5048_4153_4531; // "c2PHASE1"
-
-/// Build the phase-clustered oracle for a scenario: reuse the phase
-/// summary memoized in the evaluation cache when present and still
-/// consistent with the workload, otherwise run `PhaseDetector` once
-/// and memoize the result for the next invocation. `oracle_phase_*`
-/// telemetry goes to `ops` — never the main sink, because memo-hit vs
-/// fresh-detection legitimately differs between a first and a repeat
-/// run of the same scenario.
-fn phase_oracle_for(
+/// Run `PhaseDetector` once over the scenario's workload and build its
+/// phase plan. The `oracle_phase_*` gauges go to `ops`.
+fn phase_plan_for(
     sc: &Scenario,
     workload: &WorkloadTrace,
     combined: &Trace,
-    area: AreaModel,
-    budget: SiliconBudget,
-    cache_path: Option<&Path>,
     ops: &dyn MetricsSink,
-) -> c2_bound::Result<PhaseOracle> {
+) -> c2_bound::Result<PhasePlan> {
     let config = c2_trace::PhaseConfig {
         interval_len: sc.oracle.phase.interval_len as usize,
         clusters: sc.oracle.phase.clusters as usize,
         seed: sc.oracle.phase.seed,
         ..c2_trace::PhaseConfig::default()
     };
-    let memo_key = c2_runner::cache_key(sc.fingerprint(), PHASE_MEMO_SALT);
-    let memoized: Option<PhasePlan> = cache_path.and_then(|path| {
-        let mut loaded = c2_runner::cache::load(&c2_runner::storage::DISK, path).ok()?;
-        let summary = loaded.phases.remove(&memo_key)?;
-        // A corrupted or stale record fails the plan's consistency
-        // validation and falls through to a fresh detection.
-        PhasePlan::from_summary_combined(workload, combined, summary).ok()
-    });
-    let plan = match memoized {
-        Some(plan) => {
-            ops.counter_add(names::ORACLE_PHASE_MEMO_HITS_TOTAL, 1);
-            plan
-        }
-        None => {
-            let plan = PhasePlan::detect_combined(workload, combined, &config)?;
-            ops.counter_add(names::ORACLE_PHASE_DETECTIONS_TOTAL, 1);
-            if let Some(path) = cache_path {
-                // Memoization is an optimization; a failed append is
-                // ops telemetry, never fatal.
-                if c2_runner::cache::append_phase(
-                    &c2_runner::storage::DISK,
-                    path,
-                    memo_key,
-                    plan.summary(),
-                )
-                .is_err()
-                {
-                    ops.counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                }
-            }
-            plan
-        }
-    };
+    let plan = PhasePlan::detect_combined(workload, combined, &config)?;
     ops.gauge_set(names::ORACLE_PHASE_COUNT, plan.phase_count() as f64);
     ops.gauge_set(
         names::ORACLE_PHASE_SIMULATED_PERMILLE,
         (plan.simulated_fraction() * 1000.0).round(),
     );
-    Ok(PhaseOracle::new(plan, area, budget))
+    Ok(plan)
 }

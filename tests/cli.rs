@@ -557,8 +557,8 @@ fn dram_row_smaller_than_a_line_is_a_typed_error() {
         .output()
         .expect("spawn");
     assert!(
-        validated.status.success(),
-        "the document itself is well formed"
+        !validated.status.success(),
+        "validate builds the chip as run does"
     );
     let out = tool()
         .args(["run", "--scenario", scenario.to_str().unwrap()])
@@ -569,6 +569,56 @@ fn dram_row_smaller_than_a_line_is_a_typed_error() {
     assert!(err.starts_with("error: "), "{err}");
     assert_eq!(err.lines().count(), 1, "{err}");
     assert!(err.contains("row_size"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `scenario validate` makes the trace-free set-up checks `run` makes
+/// first, so a document `run` refuses before simulating anything does
+/// not validate: one `error: <path>: ...` line naming the rule, and the
+/// exit code a schema violation gets.
+#[test]
+fn validate_rejects_what_run_cannot_set_up() {
+    let dir = std::env::temp_dir().join(format!("c2bound-validate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema = dir.join("schema.json");
+    std::fs::write(
+        &schema,
+        r#"{ "version": 1, "workload": { "name": "stencil", "size": -3 } }"#,
+    )
+    .unwrap();
+    let schema_code = tool()
+        .args(["scenario", "validate", schema.to_str().unwrap()])
+        .output()
+        .expect("spawn")
+        .status
+        .code();
+    assert_ne!(schema_code, Some(0));
+    let cases = [
+        (r#""chip": { "dram": { "row_size": 32 } }"#, "row_size"),
+        (r#""chip": { "dram": { "row_size": 0 } }"#, "row_size"),
+        (r#""chip": { "dram": { "banks": 3 } }"#, "banks"),
+        (r#""chip": { "l1": { "banks": 3 } }"#, "banks"),
+        (r#""chip": { "l1": { "line_size": 48 } }"#, "line_size"),
+        (r#""chip": { "l1": { "size_bytes": 98304 } }"#, "set count"),
+        (r#""chip": { "l2": { "line_size": 128 } }"#, "line sizes"),
+        (r#""workload": { "name": "nosuch" }"#, "unknown workload"),
+    ];
+    for (i, (section, rule)) in cases.iter().enumerate() {
+        let path = dir.join(format!("case{i}.json"));
+        std::fs::write(&path, format!(r#"{{ "version": 1, {section} }}"#)).unwrap();
+        let path = path.to_str().unwrap();
+        let out = tool()
+            .args(["scenario", "validate", path])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), schema_code, "{section}: {err}");
+        assert!(out.stdout.is_empty(), "{section}");
+        assert!(err.starts_with(&format!("error: {path}: ")), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains(rule), "{section}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

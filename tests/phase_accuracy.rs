@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use c2bound::model::aps::Aps;
 use c2bound::model::dse::{chip_config_for, DesignPoint, DesignSpace, Oracle};
-use c2bound::model::{C2BoundModel, PhaseOracle, PhasePlan, PointMemo};
+use c2bound::model::{C2BoundModel, PhasePlan, PointMemo};
 use c2bound::obs::Recorder;
 use c2bound::runner::{RunConfig, RunSummary, SweepRunner};
 use c2bound::sim::area::{AreaModel, SiliconBudget};
@@ -126,8 +126,7 @@ fn phase_estimates_match_full_simulation_within_pinned_bounds() {
     for pin in PINS {
         let w = workload(pin.name, pin.size);
         let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
-        let oracle = PhaseOracle::new(plan.clone(), area, budget);
-        let est = oracle.estimate(&p).unwrap();
+        let est = plan.estimate(&p, &area, &budget).unwrap();
 
         let config = chip_config_for(&p, &area, &budget).unwrap();
         let full = Simulator::new(config).run(&w.per_core_traces(p.n)).unwrap();
@@ -189,8 +188,8 @@ fn phase_estimates_match_full_simulation_within_pinned_bounds() {
 /// default `PhaseConfig`. The detector is deterministic (seeded
 /// k-means, stable tie-breaks), so any drift in labels,
 /// representatives, or weights means the clustering itself changed
-/// and every memoized phase record is stale — that must be a
-/// reviewed change, not an accident.
+/// and every phase-mode price moves — that must be a reviewed
+/// change, not an accident.
 #[test]
 fn fluidanimate_phase_summary_is_golden() {
     let w = workload("fluidanimate", 120);
@@ -223,26 +222,25 @@ fn fluidanimate_phase_summary_is_golden() {
     }
 }
 
-/// The oracle used by the identity properties: a real phase plan over
+/// The plan used by the identity properties: a real phase plan over
 /// a real workload, so every sweep below exercises the same estimator
 /// the CLI's `--oracle-mode phase` does.
-fn sweep_oracle() -> PhaseOracle {
-    let (area, budget) = chip();
+fn sweep_plan() -> PhasePlan {
     let w = workload("fluidanimate", 120);
-    let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
-    PhaseOracle::new(plan, area, budget)
+    PhasePlan::detect(&w, &PhaseConfig::default()).unwrap()
 }
 
-/// The CLI's phase pricer: [`PhaseOracle::price_in`] through the
+/// The CLI's CPU pricer in phase mode: the plan's runs through the
 /// sweep's one [`PointMemo`], which every engine thread shares.
 struct MemoPricer<'a> {
-    oracle: &'a PhaseOracle,
+    plan: &'a PhasePlan,
     memo: &'a PointMemo,
 }
 
 impl Oracle for MemoPricer<'_> {
     fn evaluate(&mut self, key: u64, p: &DesignPoint) -> c2bound::model::Result<f64> {
-        self.oracle.price_in(self.memo, key, p)
+        let (area, budget) = chip();
+        self.memo.price(key, p, self.plan.runs(), &area, &budget)
     }
 }
 
@@ -257,7 +255,7 @@ fn scratch_journal(tag: &str) -> std::path::PathBuf {
 /// One phase-mode sweep of `aps`, priced as the CLI prices it: through
 /// a [`PointMemo`] of its own, shared by its `threads` workers.
 fn run_phase_sweep(
-    oracle: &PhaseOracle,
+    plan: &PhasePlan,
     aps: &Aps,
     threads: usize,
     checkpoint_every: usize,
@@ -277,10 +275,7 @@ fn run_phase_sweep(
         .unwrap()
         .run_aps_observed(
             aps,
-            || MemoPricer {
-                oracle,
-                memo: &memo,
-            },
+            || MemoPricer { plan, memo: &memo },
             Some(journal),
             resume,
             &recorder,
@@ -305,12 +300,12 @@ proptest! {
     ) {
         let threads = [2usize, 4, 8][thread_idx];
         let aps = Aps::new(C2BoundModel::example_big_data(), DesignSpace::tiny());
-        let oracle = sweep_oracle();
+        let plan = sweep_plan();
 
         // Serial reference, straight through.
         let journal = scratch_journal("serial");
         let (serial, serial_metrics) =
-            run_phase_sweep(&oracle, &aps, 1, checkpoint_every, None, &journal, false);
+            run_phase_sweep(&plan, &aps, 1, checkpoint_every, None, &journal, false);
         let serial_bytes = std::fs::read(&journal).unwrap();
         let _ = std::fs::remove_file(&journal);
         prop_assert!(serial.report.completed);
@@ -319,7 +314,7 @@ proptest! {
         // Same sweep at `threads` workers: byte-identical artifacts.
         let journal = scratch_journal("threads");
         let (threaded, metrics) =
-            run_phase_sweep(&oracle, &aps, threads, checkpoint_every, None, &journal, false);
+            run_phase_sweep(&plan, &aps, threads, checkpoint_every, None, &journal, false);
         let bytes = std::fs::read(&journal).unwrap();
         let _ = std::fs::remove_file(&journal);
         prop_assert_eq!(
@@ -336,11 +331,11 @@ proptest! {
         // Kill after `kill_after` terminal records, then resume.
         let journal = scratch_journal("resume");
         let (killed, _) = run_phase_sweep(
-            &oracle, &aps, 1, checkpoint_every, Some(kill_after), &journal, false,
+            &plan, &aps, 1, checkpoint_every, Some(kill_after), &journal, false,
         );
         prop_assert!(!killed.report.completed, "abort_after must stop the run");
         let (resumed, _) =
-            run_phase_sweep(&oracle, &aps, 1, checkpoint_every, None, &journal, true);
+            run_phase_sweep(&plan, &aps, 1, checkpoint_every, None, &journal, true);
         let _ = std::fs::remove_file(&journal);
         prop_assert!(resumed.report.completed);
         prop_assert_eq!(resumed.report.resumed, kill_after);

@@ -59,6 +59,41 @@ fn execute_reports_the_facts_of_each_branch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Phase mode reads and publishes the evaluation cache as full mode
+/// does: a cold run journals what a cache-less run does, a warm rerun
+/// answers every job from the cache, and the file holds evaluation
+/// entries only.
+#[test]
+fn phase_mode_with_a_cache_journals_as_without_one() {
+    let dir = temp_dir("phase-cache");
+    let mut sc = stencil();
+    sc.oracle.mode = OracleMode::Phase;
+    sc.oracle.phase.interval_len = 100;
+    let cache = dir.join("cache.jsonl");
+    let run = |name: &str, cache: Option<&std::path::Path>| {
+        let journal = dir.join(name);
+        let mut config = config(&sc);
+        config.cache_path = cache.map(std::path::Path::to_path_buf);
+        let run = pipeline::execute(&sc, config, Some(&journal), false, &NullSink, &NullSink)
+            .expect("phase run");
+        (run, std::fs::read(&journal).expect("journal"))
+    };
+    let (bare, bare_journal) = run("bare.jsonl", None);
+    assert!(!bare.phases.expect("phase mode").exact, "the plan clusters");
+    let (cold, cold_journal) = run("cold.jsonl", Some(&cache));
+    assert_eq!(cold_journal, bare_journal);
+    assert_eq!(cold.summary.report.cache_hits, 0);
+    let (warm, _) = run("warm.jsonl", Some(&cache));
+    let report = &warm.summary.report;
+    assert!(report.attempted > 0);
+    assert_eq!(report.cache_hits, report.attempted);
+    assert_eq!(warm.summary.outcome, cold.summary.outcome);
+    let text = std::fs::read_to_string(&cache).expect("cache");
+    assert!(!text.contains("c2phase"), "{text}");
+    assert_eq!(text.lines().count(), 1 + report.attempted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn configuration_errors_come_before_any_artifact() {
     let dir = temp_dir("errors");
